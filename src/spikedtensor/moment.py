@@ -95,17 +95,36 @@ def _mean_from_exponents(chunks, seed: SeedSpec, count: int) -> MCEstimate:
     )
 
 
+def _thin_r(spec: SpikeSpec) -> np.ndarray:
+    """The r x r factors R_k of the thin QRs chi_k = Q_k R_k, shape (d, r, r).
+
+    For a Haar Theta, Theta Q_k is uniform on the Stiefel manifold of
+    (n, r) frames, so W @ R_k with W a Haar frame has the law of
+    Theta @ chi_k.  Q_k has orthonormal columns even when the Gram of chi_k
+    is singular, so this holds for every spike.
+    """
+    return np.linalg.qr(np.asarray(spec.factors), mode="r")
+
+
+def _rotated_factors(spec: SpikeSpec, m: int, gen: np.random.Generator) -> list:
+    """`m` independent Haar rotations Theta_k chi_k of every factor, drawn
+    as (n, r) frames times R_k; one (m, n, r) array per mode."""
+    return [sample_haar_unitaries(spec.n, m, gen, columns=spec.r) @ r_k for r_k in _thin_r(spec)]
+
+
 def _eta_chunk(spec: SpikeSpec, size: int, gen: np.random.Generator) -> np.ndarray:
     """`size` draws of the alignment exponent under i.i.d. Haar rotations,
-    computed through the r x r mode overlaps (never the full tensors)."""
+    computed through the r x r mode overlaps chi_k* W_k R_k (never the full
+    tensors or the full unitaries)."""
+    projections = [(np.conj(chi).T, r_k) for chi, r_k in zip(spec.factors, _thin_r(spec))]
     out = np.empty(size)
     done = 0
     while done < size:
         m = min(_BLOCK, size - done)
         had = None
-        for chi in spec.factors:
-            thetas = sample_haar_unitaries(spec.n, m, gen)
-            overlap = np.einsum("ni,bnj->bij", np.conj(chi), thetas @ chi)
+        for chi_h, r_k in projections:
+            frames = sample_haar_unitaries(spec.n, m, gen, columns=spec.r)
+            overlap = chi_h @ frames @ r_k
             had = overlap if had is None else had * overlap
         out[done : done + m] = np.real(np.einsum("i,bij,j->b", spec.lambdas, had, spec.lambdas))
         done += m
@@ -198,7 +217,7 @@ def e1_e2_split(spec: SpikeSpec, epsilon: float, samples: int, rng: SeedSpec, th
 
 def _rotated_spike_stack(spec: SpikeSpec, m: int, gen: np.random.Generator) -> np.ndarray:
     """`m` independent Haar rotations of the spike, flattened to (m, n^d)."""
-    rotated = [sample_haar_unitaries(spec.n, m, gen) @ chi for chi in spec.factors]
+    rotated = _rotated_factors(spec, m, gen)
     total = None
     for i in range(spec.r):
         term = spec.lambdas[i] * rotated[0][:, :, i]
@@ -296,7 +315,7 @@ def simulate_observation(spec: SpikeSpec, hypothesis: str, rng) -> HypothesisSam
         return HypothesisSample(tensor=sample_gaussian_tensor(spec.n, spec.d, gen), hypothesis="H0")
     rotated = replace(
         spec,
-        factors=tuple(sample_haar_unitaries(spec.n, 1, gen)[0] @ chi for chi in spec.factors),
+        factors=tuple(f[0] for f in _rotated_factors(spec, 1, gen)),
     )
     noise = sample_gaussian_tensor(spec.n, spec.d, gen)
     return HypothesisSample(tensor=build_spike(rotated) + noise, hypothesis="H1", spike_used=rotated)

@@ -148,7 +148,8 @@ def _sample_psi_stack(r: int, n: int, d: int, count: int, gen: np.random.Generat
 
     - complex Ginibre rescaled to spectral norm sqrt(rho), rho uniform on
       [0,1]: fills the outer norm shells with unstructured directions;
-    - corner block of a Haar n x n unitary: the typical scale 1/sqrt(n);
+    - corner block of a Haar n x n unitary, read from the first r rows of
+      a Haar (n, r) frame: the typical scale 1/sqrt(n);
     - scaled rank ladder, one set-wide rank m and scale per set:
       psi_k = a * exp(i phi_k) * diag(1..1, 0..0) with a = f^(1/d), f
       uniform.  Aligned sets like these are what reach exponent values
@@ -172,7 +173,7 @@ def _sample_psi_stack(r: int, n: int, d: int, count: int, gen: np.random.Generat
     from_haar = component == 1
     n_haar = int(np.sum(from_haar)) * d
     if n_haar:
-        blocks = sample_haar_unitaries(n, n_haar, gen)[:, :r, :r]
+        blocks = sample_haar_unitaries(n, n_haar, gen, columns=r)[:, :r, :]
         out[from_haar] = blocks.reshape(-1, d, r, r)
 
     ladder = component == 2

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .rng import SeedSpec, as_generator, sample_haar_unitary
+from .rng import SeedSpec, as_generator, sample_haar_unitaries
 
 _COLUMN_NORM_TOL = 1e-10
 _HERMITIAN_TOL = 1e-12
@@ -130,8 +130,10 @@ def factors_from_grams(grams: GramSet, n: int, rng: SeedSpec | None = None) -> t
     """Factor matrices chi_k of shape (n, r) whose Grams reproduce `grams`.
 
     The Hermitian square root of each Gram fills the top r rows; rows below
-    are zero.  When `rng` is given each factor is left-multiplied by an
-    independent Haar unitary so the embedding direction is randomized.
+    are zero.  When `rng` is given each factor is instead a Haar (n, r)
+    frame times that square root, which is the square-root embedding
+    left-multiplied by an independent Haar unitary: the embedding direction
+    is randomized.
     """
     r = grams.r
     if n < r:
@@ -139,10 +141,12 @@ def factors_from_grams(grams: GramSet, n: int, rng: SeedSpec | None = None) -> t
     gen = None if rng is None else as_generator(rng)
     factors = []
     for g in grams.grams:
-        chi = np.zeros((n, r), dtype=complex)
-        chi[:r, :] = _psd_sqrt(g)
-        if gen is not None:
-            chi = sample_haar_unitary(n, gen) @ chi
+        root = _psd_sqrt(g)
+        if gen is None:
+            chi = np.zeros((n, r), dtype=complex)
+            chi[:r, :] = root
+        else:
+            chi = sample_haar_unitaries(n, 1, gen, columns=r)[0] @ root
         factors.append(chi)
     return tuple(factors)
 

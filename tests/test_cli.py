@@ -120,7 +120,7 @@ def test_bad_config_exits_one(tmp_path, capsys):
     out = tmp_path / "x"
     assert run(["threshold", "--gram", "mystery", "--out", out]) == 1
     assert "config error" in capsys.readouterr().err
-    assert run(["moment", "--n", 40, "--samples", 100, "--out", out]) == 1
+    assert run(["moment", "--n", 513, "--samples", 100, "--out", out]) == 1
     assert "desk-scale" in capsys.readouterr().err
 
 

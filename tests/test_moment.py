@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
 import spikedtensor as st
 from conftest import make_random_spec
@@ -24,6 +25,22 @@ def test_haar_mc_zero_signal_is_exactly_one():
     assert est.mean == 1.0
     assert est.stderr == 0.0
     assert est.log_domain_max == 0.0
+
+
+def rank_one_second_moment(n, d, lam, terms=400):
+    """Exact E[exp(2 n eta)] at r=1:
+    sum_j (n lambda^2)^(2j) / (j!)^2 * C(n+j-1, j)^(-d), in log-sum-exp form."""
+    j = np.arange(terms)
+    log_binom = gammaln(n + j) - gammaln(j + 1) - gammaln(n)
+    log_terms = 2 * j * math.log(n * lam * lam) - 2 * gammaln(j + 1) - d * log_binom
+    return float(np.exp(logsumexp(log_terms)))
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_haar_mc_matches_exact_rank_one_series(n):
+    exact = rank_one_second_moment(n, 3, 0.3)
+    est = st.second_moment_haar_mc(small_spec([0.3], n=n, d=3), 20_000, st.SeedSpec(41, n))
+    assert abs(est.mean - exact) <= 4 * est.stderr
 
 
 def test_haar_mc_estimate_fields(gen):

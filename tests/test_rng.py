@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import spikedtensor as st
+from spikedtensor.config import gram_matrices
 from spikedtensor.errors import ParameterError
+from spikedtensor.moment import _eta_chunk
 from spikedtensor.rng import chunk_sizes, map_streams
 
 
@@ -58,6 +62,56 @@ def test_haar_unitarity():
         for _ in range(10):
             u = st.sample_haar_unitary(n, gen)
             assert st.unitarity_defect(u) <= 1e-10
+
+
+def test_haar_frames_have_orthonormal_columns():
+    gen = st.SeedSpec(12, 0).generator()
+    for n, r in ((1, 1), (5, 1), (5, 2), (9, 3), (9, 9), (64, 2), (300, 4)):
+        w = st.sample_haar_unitaries(n, 10, gen, columns=r)
+        assert w.shape == (10, n, r)
+        assert st.unitarity_defect(w) <= 1e-10
+    for bad in (0, 6):
+        with pytest.raises(ParameterError):
+            st.sample_haar_unitaries(5, 1, gen, columns=bad)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_haar_frame_entry_is_beta(r):
+    # |W_11|^2 of a Haar frame, as of a Haar unitary, is Beta(1, n - 1)
+    n, reps = 5, 20000
+    w = st.sample_haar_unitaries(n, reps, st.SeedSpec(13, r), columns=r)
+    sq = np.abs(w[:, 0, 0]) ** 2
+    assert stats.kstest(sq, stats.beta(1, n - 1).cdf).pvalue > 0.01
+
+
+def test_full_haar_draw_order_is_pinned():
+    # The draw order of full unitaries is part of the released behaviour:
+    # changing it is a versioned break.  Rounding keeps last-bit differences
+    # between LAPACK builds from tripping the hash.
+    u = st.sample_haar_unitaries(5, 3, st.SeedSpec(1, 0))
+    digest = hashlib.sha256(np.round(u, 12).tobytes()).hexdigest()
+    assert digest == "d7ee5bf8effc55c0fb4ec5c121a5c8cf3b6c8673fc95900cdd469c12c9bdeb12"
+
+
+def _eta_full_unitaries(spec, size, gen):
+    """The exponent from full Haar unitaries, thetas @ chi: the reference
+    that the frame-based `_eta_chunk` must match in law."""
+    had = None
+    for chi in spec.factors:
+        thetas = st.sample_haar_unitaries(spec.n, size, gen)
+        overlap = np.einsum("ni,bnj->bij", np.conj(chi), thetas @ chi)
+        had = overlap if had is None else had * overlap
+    return np.real(np.einsum("i,bij,j->b", spec.lambdas, had, spec.lambdas))
+
+
+@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("gram", ["two-eigenvalue:1.8,0.2", "all-ones"])
+def test_eta_from_frames_matches_full_unitaries(n, gram):
+    # all-ones Grams are rank one: the thin QR of the factor is rank deficient
+    spec = st.spec_from_grams([0.4, 0.2], gram_matrices(gram, 2, 3), n)
+    frames = _eta_chunk(spec, 4000, st.SeedSpec(14, n).generator())
+    full = _eta_full_unitaries(spec, 4000, st.SeedSpec(15, n).generator())
+    assert stats.ks_2samp(frames, full).pvalue > 0.01
 
 
 def test_haar_first_entry_moment():
