@@ -202,10 +202,11 @@ def run_xi_tail(config: ExperimentConfig) -> list[Path]:
     n = config.n[0]
     _refuse(config.samples > _LIMITS["xi_samples"], f"samples {config.samples} > {_LIMITS['xi_samples']}")
     seed = SeedSpec(config.seed, config.stream)
-    rows = []
-    for t in config.t:
-        est = xi_empirical_tail(n, t, config.samples, seed)
-        rows.append((n, t, est.count, xi_tail_probability(t, n), est.mean, est.stderr))
+    estimates = xi_empirical_tail(n, config.t, config.samples, seed, threads=config.threads)
+    rows = [
+        (n, t, est.count, xi_tail_probability(t, n), est.mean, est.stderr)
+        for t, est in zip(config.t, estimates)
+    ]
 
     if config.format == "json":
         path = Path(config.out).with_suffix(".json")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -128,9 +129,12 @@ def _parse_int(field: str, text: str) -> int:
 
 def _parse_float(field: str, text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"field {field!r}: expected number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"field {field!r}: expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_seq(field: str, text: str, parse_one) -> tuple:

@@ -23,6 +23,7 @@ from .rng import (
     SeedSpec,
     as_generator,
     chunk_sizes,
+    complex_normal,
     map_streams,
     sample_gaussian_tensor,
     sample_haar_unitaries,
@@ -131,6 +132,11 @@ def _eta_chunk(spec: SpikeSpec, size: int, gen: np.random.Generator) -> np.ndarr
     return out
 
 
+def _eta_step_cells(spec: SpikeSpec, sizes: list[int]) -> int:
+    """Cells of the Haar frames one `_eta_chunk` block draws."""
+    return min(sizes[0], _BLOCK) * spec.n * spec.r * spec.d
+
+
 def second_moment_haar_mc(spec: SpikeSpec, samples: int, rng: SeedSpec, threads: int = 1) -> MCEstimate:
     """Estimate E[exp(2 n eta)] over i.i.d. Haar mode rotations.
 
@@ -144,7 +150,8 @@ def second_moment_haar_mc(spec: SpikeSpec, samples: int, rng: SeedSpec, threads:
     def worker(_i, size, gen):
         return scale * _eta_chunk(spec, size, gen)
 
-    chunks = map_streams(worker, chunk_sizes(samples, _N_STREAMS), rng, threads)
+    sizes = chunk_sizes(samples, _N_STREAMS)
+    chunks = map_streams(worker, sizes, rng, threads, step_cells=_eta_step_cells(spec, sizes))
     return _mean_from_exponents(chunks, rng, samples)
 
 
@@ -182,11 +189,13 @@ def e1_e2_split(spec: SpikeSpec, epsilon: float, samples: int, rng: SeedSpec, th
         raise ParameterError(f"need samples >= 2, got {samples}")
     scale = 2.0 * spec.n
 
+    sizes = chunk_sizes(samples, _N_STREAMS)
     eta_chunks = map_streams(
         lambda _i, size, gen: _eta_chunk(spec, size, gen),
-        chunk_sizes(samples, _N_STREAMS),
+        sizes,
         rng,
         threads,
+        step_cells=_eta_step_cells(spec, sizes),
     )
     exp_chunks = [scale * c for c in eta_chunks]
     total = _mean_from_exponents(exp_chunks, rng, samples)
@@ -261,7 +270,8 @@ def second_moment_direct_mc(
             exponents[j] = 2.0 * (logsumexp(a) - np.log(len(a)))
         return exponents
 
-    chunks = map_streams(worker, chunk_sizes(outer, _N_STREAMS), rng, threads)
+    cells = (inner if rotate else 1) * n**spec.d
+    chunks = map_streams(worker, chunk_sizes(outer, _N_STREAMS), rng, threads, step_cells=cells)
     return _mean_from_exponents(chunks, rng, outer)
 
 
@@ -275,34 +285,39 @@ def xi_tail_probability(t: float, n: int) -> float:
     return (1.0 - t * t) ** (n - 1)
 
 
-def xi_empirical_tail(n: int, t: float, samples: int, rng: SeedSpec, threads: int = 1) -> MCEstimate:
-    """Empirical frequency of |v_1| >= t over uniform sphere samples, with a
-    binomial standard error."""
-    if not (0.0 <= t <= 1.0):
-        raise ParameterError(f"need t in [0, 1], got {t}")
+def xi_empirical_tail(n: int, ts, samples: int, rng: SeedSpec, threads: int = 1) -> list[MCEstimate]:
+    """Empirical frequencies of |v_1| >= t, one estimate per t in `ts`, all
+    counted on one set of uniform sphere samples, with binomial standard
+    errors."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise ParameterError(f"need a non-empty sequence of t, got {ts!r}")
+    for t in ts:
+        if not (0.0 <= t <= 1.0):
+            raise ParameterError(f"need t in [0, 1], got {t}")
     if n < 2 or samples < 1:
         raise ParameterError(f"need n >= 2 and samples >= 1, got n={n}, samples={samples}")
+    block = _BLOCK * 16
 
     def worker(_i, size, gen):
-        hits = 0
+        hits = np.zeros(ts.size, dtype=np.int64)
         done = 0
         while done < size:
-            m = min(_BLOCK * 16, size - done)
-            v = np.sqrt(0.5) * (gen.standard_normal((m, n)) + 1j * gen.standard_normal((m, n)))
-            frac = np.abs(v[:, 0]) / np.linalg.norm(v, axis=1)
-            hits += int(np.sum(frac >= t))
+            m = min(block, size - done)
+            v = complex_normal(gen, (m, n), np.sqrt(0.5))
+            for rows in np.split(v, range(_BLOCK, m, _BLOCK)):  # caps the norm's temporaries
+                frac = np.abs(rows[:, 0]) / np.linalg.norm(rows, axis=1)
+                hits += np.count_nonzero(frac[:, None] >= ts, axis=0)
             done += m
         return hits
 
-    hits = sum(map_streams(worker, chunk_sizes(samples, _N_STREAMS), rng, threads))
-    p = hits / samples
-    return MCEstimate(
-        count=samples,
-        mean=p,
-        stderr=float(np.sqrt(p * (1.0 - p) / samples)),
-        log_domain_max=0.0,
-        seed=rng,
-    )
+    sizes = chunk_sizes(samples, _N_STREAMS)
+    hits = sum(map_streams(worker, sizes, rng, threads, step_cells=min(block, sizes[0]) * n))
+    freqs = [int(h) / samples for h in hits]
+    return [
+        MCEstimate(count=samples, mean=p, stderr=float(np.sqrt(p * (1.0 - p) / samples)), log_domain_max=0.0, seed=rng)
+        for p in freqs
+    ]
 
 
 def simulate_observation(spec: SpikeSpec, hypothesis: str, rng) -> HypothesisSample:
@@ -354,7 +369,8 @@ def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, thre
             s1[j] = log_lr_mc(y1, spec, inner, gen)
         return s0, s1
 
-    results = map_streams(worker, chunk_sizes(trials, _N_STREAMS), rng, threads)
+    cells = inner * spec.n**spec.d
+    results = map_streams(worker, chunk_sizes(trials, _N_STREAMS), rng, threads, step_cells=cells)
     s0 = np.sort(np.concatenate([r[0] for r in results]))
     s1 = np.sort(np.concatenate([r[1] for r in results]))
     thresholds = np.unique(np.concatenate([s0, s1]))

@@ -227,7 +227,9 @@ def sample_grf_cloud(spec: SpikeSpec, count: int, rng: SeedSpec, bins: int, thre
             done += m
         return np.concatenate(xs), np.concatenate(ys)
 
-    results = map_streams(worker, chunk_sizes(count, _N_STREAMS), rng, threads)
+    sizes = chunk_sizes(count, _N_STREAMS)
+    cells = min(sizes[0], _BLOCK) * spec.n * spec.r * spec.d
+    results = map_streams(worker, sizes, rng, threads, step_cells=cells)
     x = np.concatenate([r[0] for r in results])
     y = np.concatenate([r[1] for r in results])
 

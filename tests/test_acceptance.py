@@ -164,8 +164,8 @@ def cloud_points_ok(cloud):
 
 
 def test_criterion_08_xi_tail_law():
-    for t in (0.3, 0.5, 0.7):
-        est = st.xi_empirical_tail(8, t, 100_000, st.SeedSpec(808, 0))
+    ts = (0.3, 0.5, 0.7)
+    for t, est in zip(ts, st.xi_empirical_tail(8, ts, 100_000, st.SeedSpec(808, 0))):
         analytic = st.xi_tail_probability(t, 8)
         assert abs(est.mean - analytic) <= 3 * est.stderr
     _passed(8, "n=8, t in {0.3,0.5,0.7}, 1e5 samples: empirical tail within 3 stderr of (1-t^2)^7")

@@ -124,6 +124,14 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert "desk-scale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_amplitude_exits_one(tmp_path, capsys, value):
+    out = tmp_path / "thr"
+    assert run(["threshold", f"--lambdas={value},0.3", "--out", out]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.with_suffix(".json").exists()
+
+
 def test_reproducibility_and_thread_independence(tmp_path):
     out = tmp_path / "mom"
     base = ["moment", "--d", 3, "--lambdas", "0.3", "--n", 4, "--samples", 600, "--seed", 11, "--out", out]

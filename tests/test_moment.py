@@ -135,15 +135,28 @@ def test_xi_tail_probability_values():
 
 
 def test_xi_empirical_tail_matches_analytic():
-    est = st.xi_empirical_tail(3, 0.5, 40_000, st.SeedSpec(12, 0))
+    (est,) = st.xi_empirical_tail(3, [0.5], 40_000, st.SeedSpec(12, 0))
     assert abs(est.mean - 0.5625) <= 3 * est.stderr
-    exact = st.xi_empirical_tail(3, 0.0, 1000, st.SeedSpec(12, 0))
+    (exact,) = st.xi_empirical_tail(3, [0.0], 1000, st.SeedSpec(12, 0))
     assert exact.mean == 1.0
 
 
+def test_xi_empirical_tail_one_pass_for_all_t():
+    # n=16 and 160k samples make steps large enough for the thread pool
+    ts = [0.2, 0.35, 0.5]
+    seed = st.SeedSpec(19, 0)
+    together = st.xi_empirical_tail(16, ts, 160_000, seed, threads=1)
+    assert together == [st.xi_empirical_tail(16, [t], 160_000, seed)[0] for t in ts]
+    assert st.xi_empirical_tail(16, ts, 160_000, seed, threads=2) == together
+    with pytest.raises(ParameterError):
+        st.xi_empirical_tail(16, [0.2, 1.5], 100, seed)
+    with pytest.raises(ParameterError):
+        st.xi_empirical_tail(16, [], 100, seed)
+
+
 def test_xi_empirical_stderr_scaling():
-    a = st.xi_empirical_tail(5, 0.4, 10_000, st.SeedSpec(13, 0))
-    b = st.xi_empirical_tail(5, 0.4, 40_000, st.SeedSpec(13, 1))
+    (a,) = st.xi_empirical_tail(5, [0.4], 10_000, st.SeedSpec(13, 0))
+    (b,) = st.xi_empirical_tail(5, [0.4], 40_000, st.SeedSpec(13, 1))
     ratio = a.stderr / b.stderr
     assert abs(ratio - 2.0) <= 0.4  # factor-4 samples halves the stderr within 20%
 

@@ -1,4 +1,5 @@
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import spikedtensor as st
 from spikedtensor.config import gram_matrices
 from spikedtensor.errors import ParameterError
 from spikedtensor.moment import _eta_chunk
-from spikedtensor.rng import chunk_sizes, map_streams
+from spikedtensor.rng import _THREADED_STEP_CELLS, chunk_sizes, complex_normal, map_streams
 
 
 def test_seedspec_determinism():
@@ -82,6 +83,38 @@ def test_haar_frame_entry_is_beta(r):
     w = st.sample_haar_unitaries(n, reps, st.SeedSpec(13, r), columns=r)
     sq = np.abs(w[:, 0, 0]) ** 2
     assert stats.kstest(sq, stats.beta(1, n - 1).cdf).pvalue > 0.01
+
+
+def _phase_corrected_qr(z):
+    """Thin QR through LAPACK, columns rotated so R's diagonal is real
+    positive: the reference for the Gram-Schmidt frames."""
+    q, r = np.linalg.qr(z)
+    diag = np.einsum("...ii->...i", r)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+@pytest.mark.parametrize("n, c", [(2, 1), (3, 2), (4, 1), (8, 2), (16, 3), (32, 2), (64, 8)])
+def test_haar_frames_match_phase_corrected_qr(n, c):
+    # the frames orthonormalize the same Ginibre stack that complex_normal
+    # draws first from the generator
+    frames = st.sample_haar_unitaries(n, 200, st.SeedSpec(17, n), columns=c)
+    z = complex_normal(st.SeedSpec(17, n).generator(), (200, n, c), np.sqrt(0.5))
+    assert np.max(np.abs(frames - _phase_corrected_qr(z))) <= 1e-12
+
+
+@pytest.mark.parametrize("c", [1, 2, 4, 8, 16])
+def test_haar_frames_orthonormal_at_worst_conditioning(c):
+    # n = c + 1 gives the Ginibre stacks with the smallest singular values.
+    # Two Gram-Schmidt passes keep the defect at a few ulps; a single pass
+    # leaves about 3e-14 at c = 16.
+    frames = st.sample_haar_unitaries(c + 1, 10_000, st.SeedSpec(18, c), columns=c)
+    assert st.unitarity_defect(frames) <= 1e-14
+
+
+def test_complex_normal_draw_order_is_pinned():
+    z = complex_normal(st.SeedSpec(1, 0).generator(), (4, 5, 3), np.sqrt(0.5))
+    digest = hashlib.sha256(z.tobytes()).hexdigest()
+    assert digest == "af28cd9e0c95e03578934e4d6d0cecbe249547abae1dcd5b29c9652690b594ed"
 
 
 def test_full_haar_draw_order_is_pinned():
@@ -190,6 +223,29 @@ def test_map_streams_order_and_thread_invariance():
     def draw(_i, size, gen):
         return gen.standard_normal(size)
 
-    serial = np.concatenate(map_streams(draw, sizes, seed, threads=1))
-    parallel = np.concatenate(map_streams(draw, sizes, seed, threads=4))
+    # a step above the threshold, so that threads=4 runs on a real pool
+    serial = np.concatenate(map_streams(draw, sizes, seed, threads=1, step_cells=_THREADED_STEP_CELLS))
+    parallel = np.concatenate(map_streams(draw, sizes, seed, threads=4, step_cells=_THREADED_STEP_CELLS))
     assert np.array_equal(serial, parallel)
+
+
+def test_map_streams_threads_only_large_steps():
+    sizes = chunk_sizes(64, 16)
+    seed = st.SeedSpec(16, 0)
+    caller = threading.get_ident()
+
+    def run(step_cells):
+        idents = []
+
+        def draw(_i, size, gen):
+            idents.append(threading.get_ident())
+            return gen.standard_normal(size)
+
+        out = np.concatenate(map_streams(draw, sizes, seed, threads=2, step_cells=step_cells))
+        return out, set(idents)
+
+    small, small_idents = run(_THREADED_STEP_CELLS - 1)
+    large, large_idents = run(_THREADED_STEP_CELLS)
+    assert small_idents == {caller}
+    assert caller not in large_idents
+    assert np.array_equal(small, large)
