@@ -42,8 +42,15 @@ _EXIT_INVARIANT = 2
 # taking hours.  The Haar work grows like n r^2, so the n caps are set where
 # a run at the sample cap still takes minutes, not hours: at r=2, d=3 on one
 # core, 20k moment draws take about 6 s at n=512 and 60k cloud draws about
-# 11 s at n=1024.
+# 11 s at n=1024.  The list caps bound what one run multiplies: `bound.csv`
+# has a row per bin (10^5 bins: 4 MB and 0.6 s; at the sample cap still 20
+# points a bin), `xi-tail` compares every sample with every t (1000 t at
+# 1M samples: 2.7 s) and `moment` runs once per n (32 n from 4 to 128 at
+# 20k samples: 8.7 s).
 _LIMITS = {
+    "bins": 100_000,
+    "t_count": 1000,
+    "n_count": 64,
     "cloud_samples": 2_000_000,
     "cloud_n": 1024,
     "moment_samples": 2_000_000,
@@ -69,9 +76,13 @@ def _write_csv(path: Path, config: ExperimentConfig, header: list[str], rows, ex
     lines = [f"# spikedtensor {__version__}", f"# config {config.one_line()}"]
     lines += extra_comments or []
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = "\n".join(lines) + "\n"
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
+        # one %-call for the whole array; "%.17g" writes what _fmt writes
+        text += (",".join(["%.17g"] * rows.shape[1]) + "\n") * len(rows) % tuple(rows.ravel().tolist())
+    else:
+        text += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    path.write_text(text, encoding="utf-8")
 
 
 def _write_json(path: Path, config: ExperimentConfig, payload: dict) -> None:
@@ -301,6 +312,9 @@ def main(argv=None) -> int:
         if args.config:
             file_values = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
         config = resolve_config(args.kind, file_values, overrides)
+        _refuse(config.bins > _LIMITS["bins"], f"bins {config.bins} > {_LIMITS['bins']}")
+        _refuse(len(config.t) > _LIMITS["t_count"], f"{len(config.t)} t values > {_LIMITS['t_count']}")
+        _refuse(len(config.n) > _LIMITS["n_count"], f"{len(config.n)} n values > {_LIMITS['n_count']}")
         if args.kind == "cloud":
             paths, violations = run_cloud(config)
         else:
@@ -309,6 +323,9 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError, DomainError, DimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
+    except ArithmeticError as exc:  # moment._complement, or a float fault in a driver
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return _EXIT_INVARIANT
     duration = time.monotonic() - started
     for path in paths:
         print(f"wrote {path}")

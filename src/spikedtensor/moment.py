@@ -21,17 +21,28 @@ from scipy.special import logsumexp
 from .errors import ParameterError
 from .rng import (
     SeedSpec,
+    _orthonormalize,
     as_generator,
     chunk_sizes,
     complex_normal,
+    complex_normal_rounds,
     map_streams,
     sample_gaussian_tensor,
     sample_haar_unitaries,
 )
-from .spike import SpikeSpec, build_spike, eta_max, gram_set
+from .spike import SpikeSpec, _spike_tensors, build_spike, eta_max, gram_set
 
 _N_STREAMS = 16
 _BLOCK = 1024
+# `roc_experiment` and `second_moment_direct_mc` take their draws in blocks
+# whose rotated-spike stacks hold at most this many cells (one draw when a
+# single stack is larger).  On the benchmark's `observe` workload (n=3,
+# inner=200: 5.4k cells a stack; 2-core machine, two seeds), one-thread
+# draws/s were 274k at 2^13 (one draw a block), 388k at 2^14, 459k at 2^15
+# and 457k at 2^16, and peak RSS 0.1, 0.3, 1.3 and 2.8 MB above the
+# per-draw loop's.  Blocks stay below `rng._THREADED_STEP_CELLS`, so such
+# runs stay on the calling thread.
+_OBSERVE_BLOCK_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -107,10 +118,24 @@ def _thin_r(spec: SpikeSpec) -> np.ndarray:
     return np.linalg.qr(np.asarray(spec.factors), mode="r")
 
 
+def _rotate(r_factors: np.ndarray, ginibre) -> list:
+    """Haar rotations Theta_k chi_k of every factor, as W_k R_k with R_k
+    from `_thin_r` and W_k the Haar frames of the mode's (..., n, r)
+    Ginibre stack in `ginibre`; one (count, n, r) array per mode, the
+    leading axes flattened."""
+    return [_orthonormalize(z.reshape(-1, *z.shape[-2:])) @ r_k for z, r_k in zip(ginibre, r_factors)]
+
+
+def _rotation_parts(spec: SpikeSpec, m: int) -> list:
+    """(shape, std) of the Ginibre draws of `m` rotations of every factor,
+    in draw order: a `complex_normal_rounds` layout."""
+    return [((m, spec.n, spec.r), np.sqrt(0.5))] * spec.d
+
+
 def _rotated_factors(spec: SpikeSpec, m: int, gen: np.random.Generator) -> list:
-    """`m` independent Haar rotations Theta_k chi_k of every factor, drawn
-    as (n, r) frames times R_k; one (m, n, r) array per mode."""
-    return [sample_haar_unitaries(spec.n, m, gen, columns=spec.r) @ r_k for r_k in _thin_r(spec)]
+    """`m` independent Haar rotations Theta_k chi_k of every factor; one
+    (m, n, r) array per mode."""
+    return _rotate(_thin_r(spec), [complex_normal(gen, shape, std) for shape, std in _rotation_parts(spec, m)])
 
 
 def _eta_chunk(spec: SpikeSpec, size: int, gen: np.random.Generator) -> np.ndarray:
@@ -224,9 +249,16 @@ def e1_e2_split(spec: SpikeSpec, epsilon: float, samples: int, rng: SeedSpec, th
     return e1, e2
 
 
-def _rotated_spike_stack(spec: SpikeSpec, m: int, gen: np.random.Generator) -> np.ndarray:
-    """`m` independent Haar rotations of the spike, flattened to (m, n^d)."""
-    rotated = _rotated_factors(spec, m, gen)
+def _spike_stack(spec: SpikeSpec, rotated) -> np.ndarray:
+    """The spikes of rotated factors (one (m, n, r) array per mode),
+    flattened to (m, n^d).
+
+    The modes are joined by `einsum` outer products, not in `build_spike`'s
+    order: the two differ in the last bit, and each keeps the bytes of the
+    output it feeds (the likelihood's spike samples here, the alternative's
+    spike in `build_spike`).
+    """
+    m = rotated[0].shape[0]
     total = None
     for i in range(spec.r):
         term = spec.lambdas[i] * rotated[0][:, :, i]
@@ -235,6 +267,36 @@ def _rotated_spike_stack(spec: SpikeSpec, m: int, gen: np.random.Generator) -> n
         term = term.reshape(m, -1)
         total = term if total is None else total + term
     return total
+
+
+def _log_lr_stack(ys: np.ndarray, xs: np.ndarray, n: int) -> np.ndarray:
+    """log (1/inner) sum_m exp(2 n Re<Y, X_m> - n |X_m|_F^2) for each of a
+    stack of flattened observations `ys` (b, n^d) against its own spike
+    samples `xs` (b, inner, n^d)."""
+    sq = np.real(np.einsum("bki,bki->bk", xs, np.conj(xs)))
+    a = 2.0 * n * np.real(np.matmul(np.conj(xs), ys[:, :, None])[..., 0]) - n * sq
+    return logsumexp(a, axis=1) - np.log(a.shape[1])
+
+
+def _log_lr_block(spec: SpikeSpec, r_factors: np.ndarray, ys: np.ndarray, ginibre) -> np.ndarray:
+    """`_log_lr_stack` of a block of observations `ys` (m, n, ..., n), each
+    against the spike rotated by its own draws in `ginibre` (one
+    (m, inner, n, r) Ginibre stack per mode)."""
+    m, inner = ginibre[0].shape[:2]
+    xs = _spike_stack(spec, _rotate(r_factors, ginibre)).reshape(m, inner, -1)
+    return _log_lr_stack(ys.reshape(m, -1), xs, spec.n)
+
+
+def _noise_part(spec: SpikeSpec) -> tuple:
+    """(shape, std) of the draw of `sample_gaussian_tensor(n, d, .)`, as a
+    `complex_normal_rounds` layout part."""
+    return ((spec.n,) * spec.d, np.sqrt(1.0 / (2.0 * spec.n)))
+
+
+def _block_draws(spec: SpikeSpec, inner: int) -> int:
+    """Draws per block: as many inner-sample spike stacks as fit in
+    `_OBSERVE_BLOCK_CELLS`, at least one."""
+    return max(1, _OBSERVE_BLOCK_CELLS // (inner * spec.n**spec.d))
 
 
 def second_moment_direct_mc(
@@ -257,21 +319,27 @@ def second_moment_direct_mc(
     """
     if outer < 2 or inner < 1:
         raise ParameterError(f"need outer >= 2 and inner >= 1, got outer={outer}, inner={inner}")
-    n = spec.n
-    fixed = build_spike(spec).ravel()[None, :] if not rotate else None
+    stacked = inner if rotate else 1
+    layout = [_noise_part(spec), *(_rotation_parts(spec, inner) if rotate else [])]
+    fixed = None if rotate else build_spike(spec).ravel()[None, None, :]
+    r_factors = _thin_r(spec)
+    block = _block_draws(spec, stacked)
 
     def worker(_i, size, gen):
         exponents = np.empty(size)
-        for j in range(size):
-            y = sample_gaussian_tensor(n, spec.d, gen).ravel()
-            xs = fixed if fixed is not None else _rotated_spike_stack(spec, inner, gen)
-            sq = np.real(np.einsum("bi,bi->b", xs, np.conj(xs)))
-            a = 2.0 * n * np.real(np.conj(xs) @ y) - n * sq
-            exponents[j] = 2.0 * (logsumexp(a) - np.log(len(a)))
+        for start in range(0, size, block):
+            m = min(block, size - start)
+            y, *ginibre = complex_normal_rounds(gen, m, layout)
+            if rotate:
+                log_lr = _log_lr_block(spec, r_factors, y, ginibre)
+            else:
+                log_lr = _log_lr_stack(y.reshape(m, -1), np.broadcast_to(fixed, (m, 1, fixed.shape[-1])), spec.n)
+            exponents[start : start + m] = 2.0 * log_lr
         return exponents
 
-    cells = (inner if rotate else 1) * n**spec.d
-    chunks = map_streams(worker, chunk_sizes(outer, _N_STREAMS), rng, threads, step_cells=cells)
+    sizes = chunk_sizes(outer, _N_STREAMS)
+    cells = min(block, sizes[0]) * stacked * spec.n**spec.d
+    chunks = map_streams(worker, sizes, rng, threads, step_cells=cells)
     return _mean_from_exponents(chunks, rng, outer)
 
 
@@ -344,12 +412,8 @@ def log_lr_mc(y: HypothesisSample, spec: SpikeSpec, inner: int, rng, rotate: boo
     if inner < 1:
         raise ParameterError(f"need inner >= 1, got {inner}")
     gen = as_generator(rng)
-    n = spec.n
-    yflat = y.tensor.ravel()
-    xs = build_spike(spec).ravel()[None, :] if not rotate else _rotated_spike_stack(spec, inner, gen)
-    sq = np.real(np.einsum("bi,bi->b", xs, np.conj(xs)))
-    a = 2.0 * n * np.real(np.conj(xs) @ yflat) - n * sq
-    return float(logsumexp(a) - np.log(len(a)))
+    xs = build_spike(spec).ravel()[None, :] if not rotate else _spike_stack(spec, _rotated_factors(spec, inner, gen))
+    return float(_log_lr_stack(y.tensor.ravel()[None, :], xs[None], spec.n)[0])
 
 
 def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, threads: int = 1) -> RocCurve:
@@ -358,19 +422,29 @@ def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, thre
     makes the random-guessing regime maximally visible."""
     if trials < 2:
         raise ParameterError(f"need trials >= 2, got {trials}")
+    # per draw, in the order of the one-draw calls: the null observation and
+    # its likelihood's rotations, then the alternative's spike rotations,
+    # noise and likelihood rotations
+    noise, likelihood = _noise_part(spec), _rotation_parts(spec, inner)
+    layout = [noise, *likelihood, *_rotation_parts(spec, 1), noise, *likelihood]
+    d = spec.d
+    r_factors = _thin_r(spec)
+    block = _block_draws(spec, inner)
 
     def worker(_i, size, gen):
         s0 = np.empty(size)
         s1 = np.empty(size)
-        for j in range(size):
-            y0 = simulate_observation(spec, "H0", gen)
-            s0[j] = log_lr_mc(y0, spec, inner, gen)
-            y1 = simulate_observation(spec, "H1", gen)
-            s1[j] = log_lr_mc(y1, spec, inner, gen)
+        for start in range(0, size, block):
+            m = min(block, size - start)
+            parts = complex_normal_rounds(gen, m, layout)
+            s0[start : start + m] = _log_lr_block(spec, r_factors, parts[0], parts[1 : d + 1])
+            spikes = _spike_tensors(spec.lambdas, _rotate(r_factors, parts[d + 1 : 2 * d + 1]))
+            s1[start : start + m] = _log_lr_block(spec, r_factors, spikes + parts[2 * d + 1], parts[2 * d + 2 :])
         return s0, s1
 
-    cells = inner * spec.n**spec.d
-    results = map_streams(worker, chunk_sizes(trials, _N_STREAMS), rng, threads, step_cells=cells)
+    sizes = chunk_sizes(trials, _N_STREAMS)
+    cells = min(block, sizes[0]) * inner * spec.n**spec.d
+    results = map_streams(worker, sizes, rng, threads, step_cells=cells)
     s0 = np.sort(np.concatenate([r[0] for r in results]))
     s1 = np.sort(np.concatenate([r[1] for r in results]))
     thresholds = np.unique(np.concatenate([s0, s1]))

@@ -235,23 +235,32 @@ def sample_grf_cloud(spec: SpikeSpec, count: int, rng: SeedSpec, bins: int, thre
 
     width = 2.0 * emax / bins
     idx = np.clip(((x + emax) / width).astype(int), 0, bins - 1)
-    env = []
-    for b in np.unique(idx):
-        env.append((-emax + (b + 0.5) * width, float(np.max(y[idx == b]))))
+    top = np.full(bins, -np.inf)
+    np.maximum.at(top, idx, y)
+    filled = np.unique(idx)
     return GrfCloud(
         points=np.column_stack([x, y]),
         eta_max=emax,
         d=spec.d,
-        envelope=np.array(env),
+        envelope=np.column_stack([-emax + (filled + 0.5) * width, top[filled]]),
     )
+
+
+def _negated_bound(frac: np.ndarray, d: int) -> np.ndarray:
+    """-grf_lower_bound at |x| / eta_max = `frac`, over an array:
+    d log1p(-frac^(2/d)), and -inf for frac >= 1.  NumPy's log1p and power
+    can differ from `math`'s in the last bits, so the rows the CLI writes
+    keep the scalar `grf_lower_bound`."""
+    inside = frac < 1.0
+    out = np.full(frac.shape, -np.inf)
+    out[inside] = d * np.log1p(-frac[inside] ** (2.0 / d))
+    return out
 
 
 def cloud_bound_violations(cloud: GrfCloud, tol: float = 1e-9) -> int:
     """Number of cloud points sitting above the negated closed-form bound."""
-    x = cloud.points[:, 0]
-    y = cloud.points[:, 1]
-    bound = np.array([-grf_lower_bound(v, cloud.eta_max, cloud.d) for v in x])
-    return int(np.sum(y > bound + tol))
+    bound = _negated_bound(np.abs(cloud.points[:, 0]) / cloud.eta_max, cloud.d)
+    return int(np.sum(cloud.points[:, 1] > bound + tol))
 
 
 def envelope_gap_median(cloud: GrfCloud, lo: float = 0.3, hi: float = 0.8, window_bins: int = 25) -> float:
@@ -267,8 +276,8 @@ def envelope_gap_median(cloud: GrfCloud, lo: float = 0.3, hi: float = 0.8, windo
     if not np.any(keep):
         return math.nan
     frac = frac[keep]
-    bound_y = cloud.d * np.log1p(-frac ** (2.0 / cloud.d))
-    gap = bound_y - cloud.points[keep, 1]
+    gap = _negated_bound(frac, cloud.d) - cloud.points[keep, 1]
     idx = np.clip(((frac - lo) / (hi - lo) * window_bins).astype(int), 0, window_bins - 1)
-    per_bin = [float(np.min(gap[idx == b])) for b in np.unique(idx)]
-    return float(np.median(per_bin))
+    per_bin = np.full(window_bins, np.inf)
+    np.minimum.at(per_bin, idx, gap)
+    return float(np.median(per_bin[np.unique(idx)]))

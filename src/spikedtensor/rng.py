@@ -10,6 +10,7 @@ scheduled across threads.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -74,6 +75,30 @@ def complex_normal(gen: np.random.Generator, shape, component_std: float) -> np.
     return out
 
 
+def complex_normal_rounds(gen: np.random.Generator, count: int, layout) -> list[np.ndarray]:
+    """`count` rounds of ``complex_normal(gen, shape, std)`` for each
+    ``(shape, std)`` of `layout` in turn, taken from one `standard_normal`
+    call; one (count, *shape) array per part.
+
+    A Generator gives the same normals from one call as from many, so the
+    result equals the part-by-part, round-by-round calls byte for byte.  It
+    holds all 2 * count * cells normals at once, which is why
+    `complex_normal` does not go through it.
+    """
+    sizes = [math.prod(shape) for shape, _ in layout]
+    normals = gen.standard_normal((count, 2 * sum(sizes)))
+    parts = []
+    start = 0
+    for (shape, std), size in zip(layout, sizes):
+        out = np.empty((count, *shape), dtype=complex)
+        out.real = normals[:, start : start + size].reshape(out.shape)
+        out.imag = normals[:, start + size : start + 2 * size].reshape(out.shape)
+        out *= std
+        parts.append(out)
+        start += 2 * size
+    return parts
+
+
 def sample_gaussian_tensor(n: int, d: int, rng) -> np.ndarray:
     """Order-d tensor with i.i.d. circular complex Gaussian entries of
     variance 1/n (so each real component has variance 1/(2n))."""
@@ -108,8 +133,14 @@ def sample_haar_unitaries(n: int, count: int, rng, columns: int | None = None) -
     columns = n if columns is None else columns
     if not (1 <= columns <= n):
         raise ParameterError(f"need 1 <= columns <= n, got columns={columns}, n={n}")
-    gen = as_generator(rng)
-    z = complex_normal(gen, (count, n, columns), np.sqrt(0.5))
+    return _orthonormalize(complex_normal(as_generator(rng), (count, n, columns), np.sqrt(0.5)))
+
+
+def _orthonormalize(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries or frames from a (count, n, c) stack of Ginibre
+    matrices with N(0, 1/2) components, by the two routes that
+    `sample_haar_unitaries` describes."""
+    n, columns = z.shape[-2:]
     if columns < n:
         q = np.ascontiguousarray(z.swapaxes(-1, -2))  # (count, c, n): one row per column
         for j in range(columns):

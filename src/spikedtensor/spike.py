@@ -194,11 +194,19 @@ def eta_max(lambdas, grams: GramSet) -> float:
 def build_spike(spec: SpikeSpec) -> np.ndarray:
     """Assemble the dense rank-r spike tensor
     sum_i lambda_i x^(1,i) o ... o x^(d,i)."""
-    out = np.zeros((spec.n,) * spec.d, dtype=complex)
-    for i in range(spec.r):
-        term = spec.lambdas[i]
-        for chi in spec.factors:
-            term = np.multiply.outer(term, chi[:, i])
+    return _spike_tensors(spec.lambdas, spec.factors)
+
+
+def _spike_tensors(lambdas, factors) -> np.ndarray:
+    """`build_spike` over a stack: factors of shape (..., n, r), one per
+    mode, give spikes of shape (..., n, ..., n)."""
+    lead, n = factors[0].shape[:-2], factors[0].shape[-2]
+    out = np.zeros(lead + (n,) * len(factors), dtype=complex)
+    for i in range(len(lambdas)):
+        term = lambdas[i]
+        for k, chi in enumerate(factors):
+            # outer product with column i of mode k, by broadcasting
+            term = np.multiply(np.expand_dims(term, -1), chi[..., i].reshape(lead + (1,) * k + (n,)))
         out += term
     return out
 

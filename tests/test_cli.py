@@ -1,9 +1,13 @@
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as hst
 
 import spikedtensor as st
-from spikedtensor.cli import main
+from spikedtensor.cli import _fmt, main
 
 
 def run(args):
@@ -106,6 +110,21 @@ def test_csv_floats_round_trip(tmp_path):
     assert analytic == st.xi_tail_probability(0.3, 5)  # 17 significant digits survive the round trip
 
 
+@given(hst.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(0.0)
+@example(-0.0)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(5e-324)
+@example(-2.2250738585072e-308)
+@example(1.7976931348623157e308)
+def test_percent_format_matches_fmt(x):
+    # the array path of the CSV writer formats with one %-call; it must
+    # write the same text as the per-value path
+    assert "%.17g" % x == _fmt(x) == _fmt(np.float64(x))
+
+
 def test_config_file_and_flag_overrides(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("d=3\nlambdas=0.2\nsamples=300\nseed=5\n")
@@ -183,3 +202,39 @@ def test_cloud_bound_breach_exits_two(tmp_path, monkeypatch, capsys):
                 "--seed", 1, "--out", tmp_path / "cl"])
     assert code == 2
     assert "invariant violation" in capsys.readouterr().err
+
+
+def test_complement_failure_exits_two(tmp_path, monkeypatch, capsys):
+    import spikedtensor.moment as moment
+
+    def no_complement(total, part):
+        raise ArithmeticError("could not form an exact complement")
+
+    monkeypatch.setattr(moment, "_complement", no_complement)
+    out = tmp_path / "split"
+    assert run(["split", "--d", 3, "--lambdas", "0.4,0.2", "--n", 4, "--samples", 200, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "invariant violation: could not form an exact complement" in err
+    assert "Traceback" not in err
+    assert not out.with_suffix(".json").exists()
+
+
+def _list_cap_args(key, count):
+    if key == "bins":
+        return ["cloud", "--d", 3, "--lambdas", "1.0", "--n", 4, "--samples", 200, "--bins", count]
+    if key == "t_count":
+        return ["xi-tail", "--n", 4, "--samples", 100, "--t", ",".join(str(i / count) for i in range(count))]
+    return ["moment", "--d", 3, "--lambdas", "0.3", "--samples", 4, "--n", ",".join(str(2 + i) for i in range(count))]
+
+
+@pytest.mark.parametrize("key", ["bins", "t_count", "n_count"])
+def test_list_caps(tmp_path, capsys, key):
+    from spikedtensor.cli import _LIMITS
+
+    cap = _LIMITS[key]
+    out = tmp_path / key
+    assert run(_list_cap_args(key, cap) + ["--out", out, "--threads", 1]) == 0
+    capsys.readouterr()
+    assert run(_list_cap_args(key, cap + 1) + ["--out", tmp_path / "over", "--threads", 1]) == 1
+    assert "desk-scale" in capsys.readouterr().err
+    assert not list(tmp_path.glob("over*"))

@@ -7,6 +7,8 @@ from scipy.special import gammaln, logsumexp
 import spikedtensor as st
 from conftest import make_random_spec
 from spikedtensor.errors import ParameterError
+from spikedtensor.moment import _mean_from_exponents
+from spikedtensor.rng import chunk_sizes, complex_normal
 
 
 def zero_spec(n=4, d=3, r=1):
@@ -249,3 +251,87 @@ def test_roc_thread_invariance():
     b = st.roc_experiment(spec, 100, 50, st.SeedSpec(34, 0), threads=3)
     assert np.array_equal(a.points, b.points)
     assert a.tv_proxy == b.tv_proxy
+
+
+# The 0.3.0 per-draw loops of `roc_experiment` and `second_moment_direct_mc`,
+# spelled out on the rng primitives: the references that the batched drivers
+# must equal bit for bit, since they take the same normals in the same order.
+
+
+def _reference_rotations(spec, m, gen):
+    r_factors = np.linalg.qr(np.asarray(spec.factors), mode="r")
+    return [st.sample_haar_unitaries(spec.n, m, gen, columns=spec.r) @ r_k for r_k in r_factors]
+
+
+def _reference_stack(spec, rotated):
+    m = rotated[0].shape[0]
+    total = None
+    for i in range(spec.r):
+        term = spec.lambdas[i] * rotated[0][:, :, i]
+        for k in range(1, spec.d):
+            term = np.einsum("b...,bn->b...n", term, rotated[k][:, :, i])
+        term = term.reshape(m, -1)
+        total = term if total is None else total + term
+    return total
+
+
+def _reference_spike(spec, factors):
+    out = np.zeros((spec.n,) * spec.d, dtype=complex)
+    for i in range(spec.r):
+        term = spec.lambdas[i]
+        for chi in factors:
+            term = np.multiply.outer(term, chi[:, i])
+        out += term
+    return out
+
+
+def _reference_log_lr(y, xs, n):
+    sq = np.real(np.einsum("bi,bi->b", xs, np.conj(xs)))
+    a = 2.0 * n * np.real(np.conj(xs) @ y) - n * sq
+    return logsumexp(a) - np.log(len(a))
+
+
+def _reference_chunks(trials, seed):
+    return [(seed.generator(i), size) for i, size in enumerate(chunk_sizes(trials, 16))]
+
+
+def _noise(spec, gen):
+    return complex_normal(gen, (spec.n,) * spec.d, np.sqrt(1.0 / (2.0 * spec.n))).ravel()
+
+
+@pytest.mark.parametrize("lambdas, n, d", [([0.9, 0.4], 3, 3), ([0.7, 0.5], 2, 3), ([1.2], 4, 2)])
+def test_roc_equals_per_draw_reference(lambdas, n, d):
+    spec = small_spec(lambdas, n=n, d=d)
+    trials, inner, seed = 20, 30, st.SeedSpec(41, 2)
+    s0, s1 = [], []
+    for gen, size in _reference_chunks(trials, seed):
+        for _ in range(size):
+            y0 = _noise(spec, gen)
+            s0.append(_reference_log_lr(y0, _reference_stack(spec, _reference_rotations(spec, inner, gen)), n))
+            spike = _reference_spike(spec, [f[0] for f in _reference_rotations(spec, 1, gen)])
+            y1 = (spike + _noise(spec, gen).reshape(spike.shape)).ravel()
+            s1.append(_reference_log_lr(y1, _reference_stack(spec, _reference_rotations(spec, inner, gen)), n))
+    s0, s1 = np.sort(s0), np.sort(s1)
+    thresholds = np.unique(np.concatenate([s0, s1]))
+    fpr = 1.0 - np.searchsorted(s0, thresholds, side="left") / trials
+    tpr = 1.0 - np.searchsorted(s1, thresholds, side="left") / trials
+    roc = st.roc_experiment(spec, trials, inner, seed)
+    assert roc.points.tobytes() == np.column_stack([thresholds, fpr, tpr]).tobytes()
+
+
+@pytest.mark.parametrize("rotate", [True, False])
+@pytest.mark.parametrize("lambdas, n, d", [([0.9, 0.4], 3, 3), ([0.7, 0.5], 2, 3), ([1.2], 4, 2)])
+def test_direct_mc_equals_per_draw_reference(lambdas, n, d, rotate):
+    spec = small_spec(lambdas, n=n, d=d)
+    outer, inner, seed = 24, 30, st.SeedSpec(42, 3)
+    fixed = _reference_spike(spec, spec.factors).ravel()[None, :]
+    chunks = []
+    for gen, size in _reference_chunks(outer, seed):
+        exponents = []
+        for _ in range(size):
+            y = _noise(spec, gen)
+            xs = _reference_stack(spec, _reference_rotations(spec, inner, gen)) if rotate else fixed
+            exponents.append(2.0 * _reference_log_lr(y, xs, n))
+        chunks.append(np.array(exponents))
+    expected = _mean_from_exponents(chunks, seed, outer)
+    assert st.second_moment_direct_mc(spec, outer, inner, seed, rotate=rotate) == expected

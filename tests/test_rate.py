@@ -181,3 +181,30 @@ def test_cloud_rejects_degenerate_inputs(gen):
         st.sample_grf_cloud(spec, 0, st.SeedSpec(1, 0), bins=10)
     with pytest.raises(ParameterError):
         st.sample_grf_cloud(spec, 10, st.SeedSpec(1, 0), bins=0)
+
+
+def test_cloud_envelope_and_bound_count_equal_per_point_loops(gen):
+    # the loop forms the array forms replaced: per-bin maxima, and the
+    # scalar bound at every point
+    spec = make_random_spec(gen, d=3, r=2, n=6)
+    bins = 30
+    cloud = st.sample_grf_cloud(spec, 6000, st.SeedSpec(23, 0), bins=bins)
+    x, y = cloud.points[:, 0], cloud.points[:, 1]
+    emax = cloud.eta_max
+    width = 2.0 * emax / bins
+    idx = np.clip(((x + emax) / width).astype(int), 0, bins - 1)
+    envelope = np.array([(-emax + (b + 0.5) * width, float(np.max(y[idx == b]))) for b in np.unique(idx)])
+    assert cloud.envelope.tobytes() == envelope.tobytes()
+
+    # points placed on the bound within +-tol, and one past |x| = eta_max
+    points = cloud.points.copy()
+    frac = np.abs(points[:60, 0]) / emax
+    points[:60, 1] = spec.d * np.log1p(-frac ** (2.0 / spec.d)) + np.linspace(-2e-9, 2e-9, 60)
+    points[60, 0] = -emax * (1.0 + 1e-7)
+    doctored = st.GrfCloud(points=points, eta_max=emax, d=cloud.d, envelope=cloud.envelope)
+    for c in (cloud, doctored):
+        scalar = sum(
+            yv > -st.grf_lower_bound(xv, c.eta_max, c.d) + 1e-9 for xv, yv in c.points.tolist()
+        )
+        assert st.cloud_bound_violations(c) == scalar
+    assert st.cloud_bound_violations(doctored) > 1

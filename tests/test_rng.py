@@ -9,7 +9,7 @@ import spikedtensor as st
 from spikedtensor.config import gram_matrices
 from spikedtensor.errors import ParameterError
 from spikedtensor.moment import _eta_chunk
-from spikedtensor.rng import _THREADED_STEP_CELLS, chunk_sizes, complex_normal, map_streams
+from spikedtensor.rng import _THREADED_STEP_CELLS, chunk_sizes, complex_normal, complex_normal_rounds, map_streams
 
 
 def test_seedspec_determinism():
@@ -115,6 +115,19 @@ def test_complex_normal_draw_order_is_pinned():
     z = complex_normal(st.SeedSpec(1, 0).generator(), (4, 5, 3), np.sqrt(0.5))
     digest = hashlib.sha256(z.tobytes()).hexdigest()
     assert digest == "af28cd9e0c95e03578934e4d6d0cecbe249547abae1dcd5b29c9652690b594ed"
+
+
+def test_complex_normal_rounds_equal_sequential_calls():
+    layout = [((3, 3), 0.25), ((5, 4, 2), np.sqrt(0.5)), ((1, 4, 2), np.sqrt(0.5)), ((7,), 2.0)]
+    gen = st.SeedSpec(19, 1).generator()
+    parts = complex_normal_rounds(gen, 6, layout)
+    ref = st.SeedSpec(19, 1).generator()
+    expected = [[complex_normal(ref, shape, std) for shape, std in layout] for _ in range(6)]
+    for k, (shape, _) in enumerate(layout):
+        assert parts[k].shape == (6, *shape)
+        assert parts[k].tobytes() == np.stack([row[k] for row in expected]).tobytes()
+    # both generators are left at the same state
+    assert gen.standard_normal() == ref.standard_normal()
 
 
 def test_full_haar_draw_order_is_pinned():
