@@ -42,7 +42,7 @@ _EXIT_INVARIANT = 2
 # taking hours.  The Haar work grows like n r^2, so the n caps are set where
 # a run at the sample cap still takes minutes, not hours: at r=2, d=3 on one
 # core, 20k moment draws take about 6 s at n=512 and 60k cloud draws about
-# 11 s at n=1024.  The list caps bound what one run multiplies: `bound.csv`
+# 9 s at n=1024 (the Haar corner draw dominates there).  The list caps bound what one run multiplies: `bound.csv`
 # has a row per bin (10^5 bins: 4 MB and 0.6 s; at the sample cap still 20
 # points a bin), `xi-tail` compares every sample with every t (1000 t at
 # 1M samples: 2.7 s) and `moment` runs once per n (32 n from 4 to 128 at
@@ -92,7 +92,11 @@ def _write_json(path: Path, config: ExperimentConfig, payload: dict) -> None:
         "seed": {"master_seed": config.seed, "stream_id": config.stream},
     }
     document.update(payload)
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    try:
+        text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a NaN or an infinity, which JSON cannot hold
+        raise ArithmeticError(f"{path.name} not written: {exc}") from None
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _refuse(condition: bool, message: str) -> None:
@@ -323,7 +327,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError, DomainError, DimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    except ArithmeticError as exc:  # moment._complement, or a float fault in a driver
+    except ArithmeticError as exc:  # moment._complement, a non-finite JSON value, or a float fault in a driver
         print(f"invariant violation: {exc}", file=sys.stderr)
         return _EXIT_INVARIANT
     duration = time.monotonic() - started

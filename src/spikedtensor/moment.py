@@ -51,7 +51,8 @@ class MCEstimate:
 
     `log_domain_max` is the largest exponent that entered the average; a
     value of order log(count) or more signals the heavy-tail regime where
-    the mean is driven by a handful of draws.
+    the mean is driven by a handful of draws.  An empty bucket has none:
+    -inf here, null in `to_dict`.
     """
 
     count: int
@@ -65,7 +66,7 @@ class MCEstimate:
             "count": self.count,
             "mean": self.mean,
             "stderr": self.stderr,
-            "log_domain_max": self.log_domain_max,
+            "log_domain_max": None if self.log_domain_max == -math.inf else self.log_domain_max,
             "seed": self.seed.to_dict(),
         }
 

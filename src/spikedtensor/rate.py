@@ -7,6 +7,12 @@ admits a per-block rate of log det(I - psi* psi).  Plotting sampled pairs
 (exponent value, summed block rate) gives a cloud whose upper envelope
 approximates the negated true rate function; the envelope is the numerical
 stand-in for the constrained optimization that has no closed form.
+
+Both quantities have one kernel each, over (count, d, r, r) stacks of
+psi-sets; the scalar forms call it on a one-set stack.  The block rate is
+one batched log-determinant of I - psi* psi, and the exponent one
+(count, r^2) @ (r^2, r^2) product per mode, followed by one product with
+vec(lambda lambda^T).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, ParameterError
-from .rng import SeedSpec, chunk_sizes, map_streams, sample_haar_unitaries
+from .rng import SeedSpec, chunk_sizes, complex_normal, map_streams, sample_haar_unitaries
 from .spike import SpikeSpec, SpikeSvd, eta_max, gram_set, spike_svd
 
 _NORM_TOL = 1e-12
@@ -67,15 +73,28 @@ def eta_expanded(spec: SpikeSpec, thetas) -> float:
     return float(np.real(spec.lambdas @ had @ spec.lambdas))
 
 
-def eta_hadamard(lambdas, svd: SpikeSvd, psis: PsiSet) -> float:
-    """Block form of the exponent:
-    Re[ lambda^T (hadamard_k  V_k Sigma_k psi_k Sigma_k V_k*) lambda ]."""
+def _eta_hadamard_stack(lambdas, svd: SpikeSvd, psi_stack: np.ndarray) -> np.ndarray:
+    """Block form of the exponent for every psi-set of a (count, d, r, r)
+    stack: Re[ lambda^T (hadamard_k  V_k Sigma_k psi_k Sigma_k V_k*) lambda ].
+
+    With row-major vec, vec(A psi A*) = (A kron conj(A)) vec(psi), so with
+    A_k = V_k Sigma_k each mode's core is one (count, r^2) @ (r^2, r^2)
+    product, and the quadratic form in lambda is one product with
+    vec(lambda lambda^T).
+    """
     lam = np.asarray(lambdas, dtype=float)
+    count, _, r, _ = psi_stack.shape
     had = None
-    for sig, v, psi in zip(svd.sigmas, svd.vs, psis.blocks):
-        core = v @ (sig[:, None] * psi * sig[None, :]) @ v.conj().T
+    for k, (sig, v) in enumerate(zip(svd.sigmas, svd.vs)):
+        a = v * sig
+        core = psi_stack[:, k].reshape(count, r * r) @ np.kron(a, a.conj()).T
         had = core if had is None else had * core
-    return float(np.real(lam @ had @ lam))
+    return np.real(had @ np.outer(lam, lam).ravel())
+
+
+def eta_hadamard(lambdas, svd: SpikeSvd, psis: PsiSet) -> float:
+    """Block form of the exponent for one psi-set (see `_eta_hadamard_stack`)."""
+    return float(_eta_hadamard_stack(lambdas, svd, np.stack(psis.blocks)[None])[0])
 
 
 def psi_blocks_from_mode_operators(factors, thetas) -> tuple[SpikeSvd, PsiSet]:
@@ -127,17 +146,22 @@ def grf_lower_bound(x: float, eta_max_value: float, d: int) -> float:
     return -d * math.log1p(-(frac ** (2.0 / d)))
 
 
+def _rate_stack(psi_stack: np.ndarray) -> np.ndarray:
+    """Summed block rate sum_k log det(I - psi_k* psi_k) for every psi-set
+    of a (count, d, r, r) stack, from one batched log-determinant; -inf as
+    soon as one block has a singular value of 1 or more, where the
+    determinant is zero or its sign is not positive."""
+    r = psi_stack.shape[-1]
+    gram = np.vecdot(psi_stack[..., :, :, None], psi_stack[..., :, None, :], axis=-3)  # psi* psi
+    sign, logdet = np.linalg.slogdet(np.eye(r) - gram)
+    return np.sum(np.where(sign.real > 0, logdet, -np.inf), axis=1)
+
+
 def grf_psi_rate(psis: PsiSet) -> float:
-    """Summed block rate sum_k log det(I - psi_k* psi_k); -inf as soon as one
-    block has a unit singular value."""
+    """Summed block rate of one psi-set (see `_rate_stack`)."""
     if np.any(psis.norms > 1.0 + _NORM_TOL):
         raise DomainError(f"spectral norms must be <= 1, got max {np.max(psis.norms):.15g}")
-    total = 0.0
-    for b in psis.blocks:
-        s = np.minimum(np.linalg.svd(b, compute_uv=False), 1.0)
-        with np.errstate(divide="ignore"):
-            total += float(np.sum(np.log1p(-s * s)))
-    return total
+    return float(_rate_stack(np.stack(psis.blocks)[None])[0])
 
 
 def _sample_psi_stack(r: int, n: int, d: int, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -158,7 +182,7 @@ def _sample_psi_stack(r: int, n: int, d: int, count: int, gen: np.random.Generat
     """
     component = gen.integers(0, 3, size=count)
     rhos = gen.random((count, d))
-    raw = np.sqrt(0.5) * (gen.standard_normal((count, d, r, r)) + 1j * gen.standard_normal((count, d, r, r)))
+    raw = complex_normal(gen, (count, d, r, r), np.sqrt(0.5))
     scales = gen.random(count) ** (1.0 / d)
     phases = np.exp(2j * np.pi * gen.random((count, d)))
     ranks = gen.integers(1, r + 1, size=count)
@@ -185,21 +209,6 @@ def _sample_psi_stack(r: int, n: int, d: int, count: int, gen: np.random.Generat
         sub[:, :, idx, idx] = diag
         out[ladder] = sub
     return out
-
-
-def _eta_hadamard_stack(lambdas, svd: SpikeSvd, psi_stack: np.ndarray) -> np.ndarray:
-    lam = np.asarray(lambdas, dtype=float)
-    had = None
-    for k, (sig, v) in enumerate(zip(svd.sigmas, svd.vs)):
-        core = v @ (sig[:, None] * psi_stack[:, k] * sig[None, :]) @ v.conj().T
-        had = core if had is None else had * core
-    return np.real(np.einsum("i,bij,j->b", lam, had, lam))
-
-
-def _rate_stack(psi_stack: np.ndarray) -> np.ndarray:
-    s = np.minimum(np.linalg.svd(psi_stack, compute_uv=False), 1.0)
-    with np.errstate(divide="ignore"):
-        return np.sum(np.log1p(-s * s), axis=(1, 2))
 
 
 def sample_grf_cloud(spec: SpikeSpec, count: int, rng: SeedSpec, bins: int, threads: int = 1) -> GrfCloud:

@@ -84,6 +84,27 @@ def test_split_epsilon_above_eta_max_records_zero(tmp_path):
     assert payload["total_mean"] == payload["e2"]["mean"]
 
 
+def test_split_empty_bucket_writes_null_log_domain_max(tmp_path):
+    # at the default epsilon no draw of this spike lands in E1
+    out = tmp_path / "split"
+    assert run(["split", "--lambdas", "0.4,0.2", "--n", 8, "--out", out]) == 0
+    text = out.with_suffix(".json").read_text()
+    payload = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-finite JSON value {c}"))
+    assert payload["e1"]["count"] > 0 and payload["e1"]["mean"] == 0.0
+    assert payload["e1"]["log_domain_max"] is None
+    assert math.isfinite(payload["e2"]["log_domain_max"])
+
+
+def test_non_finite_json_value_exits_two(tmp_path, capsys):
+    # log m2 is about 2600 here, so the mean overflows to inf
+    out = tmp_path / "overflow"
+    assert run(["moment", "--lambdas", 30, "--n", 8, "--samples", 2000, "--format", "json", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "invariant violation: overflow.json not written" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_xi_tail_analytic_column(tmp_path):
     out = tmp_path / "xi"
     assert run(["xi-tail", "--n", 8, "--t", "0.5", "--samples", 2000, "--seed", 3, "--out", out]) == 0

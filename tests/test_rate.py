@@ -1,12 +1,16 @@
+import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import spikedtensor as st
 from conftest import make_random_spec
 from spikedtensor.errors import DomainError, ParameterError
-from spikedtensor.rate import _sample_psi_stack
+import spikedtensor.rate as rate
+from spikedtensor.config import gram_matrices
+from spikedtensor.rate import _eta_hadamard_stack, _rate_stack, _sample_psi_stack
 
 
 def test_eta_expanded_identity_operators(gen):
@@ -208,3 +212,86 @@ def test_cloud_envelope_and_bound_count_equal_per_point_loops(gen):
         )
         assert st.cloud_bound_violations(c) == scalar
     assert st.cloud_bound_violations(doctored) > 1
+
+
+def test_psi_stack_ginibre_draw_is_complex_normal():
+    # the Ginibre component comes from rng.complex_normal: the same bytes as
+    # the inline sqrt(1/2) * (a + 1j b), and a pinned digest of the whole
+    # mixture (rounded to 12 decimals so that last-bit differences between
+    # LAPACK builds do not trip it), taken from the inline form
+    def inline(gen, shape, std):
+        return std * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+
+    stack = _sample_psi_stack(2, 4, 3, 750, st.SeedSpec(3).generator())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rate, "complex_normal", inline)
+        assert _sample_psi_stack(2, 4, 3, 750, st.SeedSpec(3).generator()).tobytes() == stack.tobytes()
+    digest = hashlib.sha256(np.round(stack, 12).tobytes()).hexdigest()
+    assert digest == "40f7e4a49939e84906e67f3353c076bc079f815d72bbc4a166bd4a29b10e673b"
+
+
+def _mp_log_det(block) -> float:
+    """log det(I - psi* psi) at 40 digits, from the float64 entries as given."""
+    with mpmath.workdps(40):
+        psi = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in block])
+        det = mpmath.re(mpmath.det(mpmath.eye(block.shape[0]) - psi.H * psi))
+        return float(mpmath.log(det)) if det > 0 else -math.inf
+
+
+@pytest.mark.parametrize("r, n, d, seed", [(2, 4, 3, 5), (4, 16, 2, 4)])
+def test_rate_stack_matches_high_precision_log_det(r, n, d, seed):
+    # The 20 worst-conditioned blocks of a sampled stack.  A relative
+    # change eps in psi's entries moves log det(I - psi* psi) by up to
+    # eps * cond, cond = sum_i s_i^2 / (1 - s_i^2); the batched
+    # log-determinant stays within 0.6 eps * cond on these blocks, while the
+    # former route through singular values, log1p(-s^2), reached 2-3.4.
+    blocks = _sample_psi_stack(r, n, d, 750, st.SeedSpec(seed).generator()).reshape(-1, r, r)
+    s = np.linalg.svd(blocks, compute_uv=False)
+    cond = np.sum(s * s / (1.0 - s * s), axis=1)
+    worst = np.argsort(-cond)[:20]
+    assert cond[worst[0]] > 1e3
+    exact = np.array([_mp_log_det(b) for b in blocks[worst]])
+    got = _rate_stack(blocks[worst][:, None])
+    assert np.all(np.abs(got - exact) <= np.finfo(float).eps * (1.0 + cond[worst]))
+
+
+def test_rate_stack_exact_cases():
+    sv = np.array([0.5, 0.2, 0.9])
+    zero, diag = np.zeros((3, 3)), np.diag(sv)
+    # a unit singular value, and one just above 1 (within PsiSet's norm
+    # tolerance), where the determinant is zero or negative: both -inf
+    above = np.diag([1.0 + 1e-13, 0.3, 0.0])
+    stack = np.array([[zero, zero], [diag, zero], [diag, diag], [np.eye(3), zero], [np.diag([1.0, 0.3, 0.0]), diag],
+                      [above, zero]])
+    got = _rate_stack(stack.astype(complex))
+    one = math.fsum(math.log1p(-v * v) for v in sv)
+    assert got[0] == 0.0
+    assert got[1] == pytest.approx(one, rel=1e-15)
+    assert got[2] == pytest.approx(2 * one, rel=1e-15)
+    assert got[3] == -math.inf and got[4] == -math.inf and got[5] == -math.inf
+    assert st.grf_psi_rate(st.PsiSet.from_blocks([above])) == -math.inf
+
+
+@pytest.mark.parametrize("n, r, d, gram", [
+    (2, 2, 3, "identity"),
+    (5, 2, 3, "two-eigenvalue:1.8,0.2"),
+    (7, 3, 2, "random"),
+    (6, 3, 4, "all-ones"),
+    (9, 1, 3, "identity"),
+    (4, 2, 2, "all-ones"),
+])
+def test_eta_hadamard_stack_matches_expanded_form(n, r, d, gram):
+    gen = st.SeedSpec(31, n * 100 + r * 10 + d).generator()
+    if gram == "random":
+        grams = st.GramSet(tuple(st.random_gram(r, gen) for _ in range(d)))
+    else:
+        grams = gram_matrices(gram, r, d)
+    spec = st.spec_from_grams(gen.uniform(0.3, 1.2, size=r), grams, n=n)
+    expanded, stack = [], []
+    for _ in range(40):
+        thetas = list(st.sample_haar_unitaries(n, d, gen))
+        expanded.append(st.eta_expanded(spec, thetas))
+        svd, psis = st.psi_blocks_from_mode_operators(spec.factors, thetas)
+        stack.append(np.stack(psis.blocks))
+    got = _eta_hadamard_stack(spec.lambdas, svd, np.array(stack))
+    assert np.max(np.abs(got - np.array(expanded))) <= 1e-12
