@@ -72,16 +72,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, config: ExperimentConfig, header: list[str], rows, extra_comments: list[str] | None = None) -> None:
-    lines = [f"# spikedtensor {__version__}", f"# config {config.one_line()}"]
-    lines += extra_comments or []
-    lines.append(",".join(header))
+def _write_csv(path: Path, config: ExperimentConfig, header: list[str], rows, extra_comments: list[str]) -> None:
+    lines = [f"# spikedtensor {__version__}", f"# config {config.one_line()}", *extra_comments, ",".join(header)]
     text = "\n".join(lines) + "\n"
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
+        has_nan = bool(np.isnan(rows).any())
         # one %-call for the whole array; "%.17g" writes what _fmt writes
         text += (",".join(["%.17g"] * rows.shape[1]) + "\n") * len(rows) % tuple(rows.ravel().tolist())
     else:
-        text += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+        cells = [[_fmt(v) for v in row] for row in rows]
+        has_nan = any("nan" in row for row in cells)
+        text += "".join(",".join(row) + "\n" for row in cells)
+    if has_nan:  # infinities stay: a block rate of exactly -inf is a value
+        raise ArithmeticError(f"{path.name} not written: NaN in a row")
     path.write_text(text, encoding="utf-8")
 
 
@@ -99,6 +102,22 @@ def _write_json(path: Path, config: ExperimentConfig, payload: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
+def _emit(config: ExperimentConfig, document, tables) -> None:
+    """Write a run's output in its configured format and print each path:
+    `<out>.json` from `document()` (built only then), or one CSV file per
+    (suffix, header, rows, extra comments) table."""
+    base = Path(config.out)
+    if config.format == "json":
+        path = base.with_suffix(".json")
+        _write_json(path, config, document())
+        print(f"wrote {path}")
+        return
+    for suffix, header, rows, comments in tables:
+        path = base.with_suffix(suffix)
+        _write_csv(path, config, header, rows, comments)
+        print(f"wrote {path}")
+
+
 def _refuse(condition: bool, message: str) -> None:
     if condition:
         raise ConfigError(f"desk-scale limit exceeded: {message}")
@@ -110,47 +129,37 @@ def _spec_for(config: ExperimentConfig, n: int):
     return spec_from_grams(np.array(config.lambdas), grams, n=n, allow_zero=allow_zero)
 
 
-def run_threshold(config: ExperimentConfig) -> list[Path]:
-    spec = _spec_for(config, n=config.r)
-    report = threshold_report(spec)
-    if config.format == "json":
-        path = Path(config.out).with_suffix(".json")
-        _write_json(path, config, {"report": report.to_dict()})
-    else:
-        path = Path(config.out).with_suffix(".csv")
-        record = report.to_dict()
-        _write_csv(path, config, list(record.keys()), [["" if v is None else v for v in record.values()]])
-    return [path]
+def run_threshold(config: ExperimentConfig) -> None:
+    record = threshold_report(_spec_for(config, n=config.r)).to_dict()
+    row = ["" if v is None else v for v in record.values()]
+    _emit(config, lambda: {"report": record}, [(".csv", list(record), [row], [])])
 
 
-def run_cloud(config: ExperimentConfig) -> tuple[list[Path], int]:
+def run_cloud(config: ExperimentConfig) -> None:
     _refuse(config.samples > _LIMITS["cloud_samples"], f"cloud samples {config.samples} > {_LIMITS['cloud_samples']}")
     _refuse(config.n[0] > _LIMITS["cloud_n"], f"cloud n {config.n[0]} > {_LIMITS['cloud_n']}")
     spec = _spec_for(config, n=config.n[0])
     seed = SeedSpec(config.seed, config.stream)
     cloud = sample_grf_cloud(spec, config.samples, seed, config.bins, threads=config.threads)
 
-    base = Path(config.out)
-    points_path = base.with_suffix(".points.csv")
-    envelope_path = base.with_suffix(".envelope.csv")
-    bound_path = base.with_suffix(".bound.csv")
+    def bound(x):
+        return -grf_lower_bound(x, cloud.eta_max, cloud.d)
 
-    _write_csv(points_path, config, ["x", "y"], cloud.points)
-    env_rows = [
-        (center, max_y, -grf_lower_bound(center, cloud.eta_max, cloud.d))
-        for center, max_y in cloud.envelope
-    ]
-    _write_csv(envelope_path, config, ["bin_center", "max_y", "bound_value"], env_rows,
-               extra_comments=[f"# eta_max {_fmt(cloud.eta_max)}"])
     width = 2.0 * cloud.eta_max / config.bins
     centers = [-cloud.eta_max + (b + 0.5) * width for b in range(config.bins)]
-    bound_rows = [(c, -grf_lower_bound(c, cloud.eta_max, cloud.d)) for c in centers]
-    _write_csv(bound_path, config, ["bin_center", "bound_value"], bound_rows)
+    _emit(config, None, [  # resolve_config refuses json for cloud
+        (".points.csv", ["x", "y"], cloud.points, []),
+        (".envelope.csv", ["bin_center", "max_y", "bound_value"],
+         [(center, max_y, bound(center)) for center, max_y in cloud.envelope],
+         [f"# eta_max {_fmt(cloud.eta_max)}"]),
+        (".bound.csv", ["bin_center", "bound_value"], [(c, bound(c)) for c in centers], []),
+    ])
+    violations = cloud_bound_violations(cloud)
+    if violations:
+        raise ArithmeticError(f"{violations} cloud points above the closed-form bound")
 
-    return [points_path, envelope_path, bound_path], cloud_bound_violations(cloud)
 
-
-def run_moment(config: ExperimentConfig) -> list[Path]:
+def run_moment(config: ExperimentConfig) -> None:
     seed = SeedSpec(config.seed, config.stream)
     records = []
     for n in config.n:
@@ -167,23 +176,16 @@ def run_moment(config: ExperimentConfig) -> list[Path]:
             est = second_moment_direct_mc(spec, config.outer, config.inner, seed, threads=config.threads)
         records.append((n, est))
 
-    if config.format == "json":
-        path = Path(config.out).with_suffix(".json")
-        _write_json(path, config, {
-            "method": config.method,
-            "estimates": [{"n": n, **est.to_dict()} for n, est in records],
-        })
-    else:
-        path = Path(config.out).with_suffix(".csv")
-        rows = [
-            (n, est.count, est.mean, est.stderr, est.log_domain_max, config.seed, config.stream)
-            for n, est in records
-        ]
-        _write_csv(path, config, ["n", "count", "mean", "stderr", "log_domain_max", "master_seed", "stream_id"], rows)
-    return [path]
+    _emit(
+        config,
+        lambda: {"method": config.method, "estimates": [{"n": n, **est.to_dict()} for n, est in records]},
+        [(".csv", ["n", "count", "mean", "stderr", "log_domain_max", "master_seed", "stream_id"],
+          [(n, est.count, est.mean, est.stderr, est.log_domain_max, config.seed, config.stream) for n, est in records],
+          [])],
+    )
 
 
-def run_split(config: ExperimentConfig) -> list[Path]:
+def run_split(config: ExperimentConfig) -> None:
     n = config.n[0]
     _refuse(n > _LIMITS["moment_n"], f"split n {n} > {_LIMITS['moment_n']}")
     _refuse(config.samples > _LIMITS["moment_samples"], f"samples {config.samples} > {_LIMITS['moment_samples']}")
@@ -192,52 +194,31 @@ def run_split(config: ExperimentConfig) -> list[Path]:
     seed = SeedSpec(config.seed, config.stream)
     e1, e2 = e1_e2_split(spec, epsilon, config.samples, seed, threads=config.threads)
 
-    if config.format == "json":
-        path = Path(config.out).with_suffix(".json")
-        _write_json(path, config, {
-            "n": n,
-            "epsilon": epsilon,
-            "e1": e1.to_dict(),
-            "e2": e2.to_dict(),
-            "total_mean": e1.mean + e2.mean,
-        })
-    else:
-        path = Path(config.out).with_suffix(".csv")
-        rows = [
-            ("e1", e1.count, e1.mean, e1.stderr, e1.log_domain_max),
-            ("e2", e2.count, e2.mean, e2.stderr, e2.log_domain_max),
-            ("total", e1.count, e1.mean + e2.mean, "", ""),
-        ]
-        _write_csv(path, config, ["bucket", "count", "mean", "stderr", "log_domain_max"], rows,
-                   extra_comments=[f"# epsilon {_fmt(epsilon)}", f"# n {n}"])
-    return [path]
+    _emit(
+        config,
+        lambda: {"n": n, "epsilon": epsilon, "e1": e1.to_dict(), "e2": e2.to_dict(), "total_mean": e1.mean + e2.mean},
+        [(".csv", ["bucket", "count", "mean", "stderr", "log_domain_max"],
+          [("e1", e1.count, e1.mean, e1.stderr, e1.log_domain_max),
+           ("e2", e2.count, e2.mean, e2.stderr, e2.log_domain_max),
+           ("total", e1.count, e1.mean + e2.mean, "", "")],
+          [f"# epsilon {_fmt(epsilon)}", f"# n {n}"])],
+    )
 
 
-def run_xi_tail(config: ExperimentConfig) -> list[Path]:
+def run_xi_tail(config: ExperimentConfig) -> None:
     n = config.n[0]
     _refuse(config.samples > _LIMITS["xi_samples"], f"samples {config.samples} > {_LIMITS['xi_samples']}")
     seed = SeedSpec(config.seed, config.stream)
     estimates = xi_empirical_tail(n, config.t, config.samples, seed, threads=config.threads)
+    header = ["n", "t", "count", "analytic", "empirical", "stderr"]
     rows = [
         (n, t, est.count, xi_tail_probability(t, n), est.mean, est.stderr)
         for t, est in zip(config.t, estimates)
     ]
-
-    if config.format == "json":
-        path = Path(config.out).with_suffix(".json")
-        _write_json(path, config, {
-            "rows": [
-                {"n": r[0], "t": r[1], "count": r[2], "analytic": r[3], "empirical": r[4], "stderr": r[5]}
-                for r in rows
-            ],
-        })
-    else:
-        path = Path(config.out).with_suffix(".csv")
-        _write_csv(path, config, ["n", "t", "count", "analytic", "empirical", "stderr"], rows)
-    return [path]
+    _emit(config, lambda: {"rows": [dict(zip(header, row)) for row in rows]}, [(".csv", header, rows, [])])
 
 
-def run_roc(config: ExperimentConfig) -> list[Path]:
+def run_roc(config: ExperimentConfig) -> None:
     n = config.n[0]
     _refuse(n > _LIMITS["roc_n"], f"roc n {n} > {_LIMITS['roc_n']}")
     _refuse(2 * config.trials * config.inner > _LIMITS["roc_work"],
@@ -246,18 +227,15 @@ def run_roc(config: ExperimentConfig) -> list[Path]:
     seed = SeedSpec(config.seed, config.stream)
     roc = roc_experiment(spec, config.trials, config.inner, seed, threads=config.threads)
 
-    if config.format == "json":
-        path = Path(config.out).with_suffix(".json")
-        _write_json(path, config, {
+    _emit(
+        config,
+        lambda: {
             "n": n,
             "tv_proxy": roc.tv_proxy,
             "points": [{"threshold": p[0], "fpr": p[1], "tpr": p[2]} for p in roc.points],
-        })
-    else:
-        path = Path(config.out).with_suffix(".csv")
-        _write_csv(path, config, ["threshold", "fpr", "tpr"], roc.points,
-                   extra_comments=[f"# tv_proxy {_fmt(roc.tv_proxy)}"])
-    return [path]
+        },
+        [(".csv", ["threshold", "fpr", "tpr"], roc.points, [f"# tv_proxy {_fmt(roc.tv_proxy)}"])],
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -296,6 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _RUNNERS = {
     "threshold": run_threshold,
+    "cloud": run_cloud,
     "moment": run_moment,
     "split": run_split,
     "xi-tail": run_xi_tail,
@@ -319,24 +298,14 @@ def main(argv=None) -> int:
         _refuse(config.bins > _LIMITS["bins"], f"bins {config.bins} > {_LIMITS['bins']}")
         _refuse(len(config.t) > _LIMITS["t_count"], f"{len(config.t)} t values > {_LIMITS['t_count']}")
         _refuse(len(config.n) > _LIMITS["n_count"], f"{len(config.n)} n values > {_LIMITS['n_count']}")
-        if args.kind == "cloud":
-            paths, violations = run_cloud(config)
-        else:
-            paths = _RUNNERS[args.kind](config)
-            violations = 0
+        _RUNNERS[args.kind](config)
     except (ConfigError, ParameterError, DomainError, DimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    except ArithmeticError as exc:  # moment._complement, a non-finite JSON value, or a float fault in a driver
+    except ArithmeticError as exc:  # a cloud bound breach, moment._complement, a refused file, or a float fault
         print(f"invariant violation: {exc}", file=sys.stderr)
         return _EXIT_INVARIANT
-    duration = time.monotonic() - started
-    for path in paths:
-        print(f"wrote {path}")
-    print(f"duration {duration:.3f}s")
-    if violations:
-        print(f"invariant violation: {violations} cloud points above the closed-form bound", file=sys.stderr)
-        return _EXIT_INVARIANT
+    print(f"duration {time.monotonic() - started:.3f}s")
     return _EXIT_OK
 
 

@@ -177,6 +177,8 @@ def resolve_config(kind: str, file_values: dict[str, str] | None = None, overrid
     fmt = merged["format"] or _DEFAULT_FORMAT[kind]
     if fmt not in ("csv", "json"):
         raise ConfigError(f"field 'format': expected csv or json, got {fmt!r}")
+    if kind == "cloud" and fmt == "json":
+        raise ConfigError("field 'format': cloud writes csv only")
     method = merged["method"]
     if method not in ("haar", "direct"):
         raise ConfigError(f"field 'method': expected haar or direct, got {method!r}")

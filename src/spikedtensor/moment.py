@@ -90,20 +90,27 @@ class RocCurve:
     tv_proxy: float
 
 
-def _mean_from_exponents(chunks, seed: SeedSpec, count: int) -> MCEstimate:
-    """Combine per-chunk exponent arrays into mean / batch-means stderr."""
+def _mean_from_exponents(chunks, seed: SeedSpec, count: int, sizes=None) -> MCEstimate:
+    """Combine per-chunk exponent arrays into mean / batch-means stderr.
+
+    `sizes` are the chunks' draw counts when the chunks hold only the draws
+    of one bucket; an empty chunk or bucket then adds exp(-inf) = 0.  The
+    exponentials overflow to inf where the mean is not a finite float; the
+    writers refuse that, so NumPy need not warn of it.
+    """
+    sizes = [len(c) for c in chunks] if sizes is None else sizes
     exponents = np.concatenate(chunks)
-    log_n = np.log(count)
-    mean = float(np.exp(logsumexp(exponents) - log_n))
-    batch_means = np.array([np.exp(logsumexp(c) - np.log(len(c))) for c in chunks])
-    stderr = 0.0
-    if len(batch_means) >= 2:
-        stderr = float(np.std(batch_means, ddof=1) / np.sqrt(len(batch_means)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.exp(logsumexp(exponents) - np.log(count))) if exponents.size else 0.0
+        batch_means = np.array([np.exp(logsumexp(c) - np.log(s)) if c.size else 0.0 for c, s in zip(chunks, sizes)])
+        stderr = 0.0
+        if len(batch_means) >= 2:
+            stderr = float(np.std(batch_means, ddof=1) / np.sqrt(len(batch_means)))
     return MCEstimate(
         count=count,
         mean=mean,
         stderr=stderr,
-        log_domain_max=float(np.max(exponents)),
+        log_domain_max=float(np.max(exponents)) if exponents.size else -math.inf,
         seed=seed,
     )
 
@@ -225,29 +232,9 @@ def e1_e2_split(spec: SpikeSpec, epsilon: float, samples: int, rng: SeedSpec, th
     )
     exp_chunks = [scale * c for c in eta_chunks]
     total = _mean_from_exponents(exp_chunks, rng, samples)
-
-    log_n = np.log(samples)
-
-    def bucket(select) -> tuple[float, float, float]:
-        picked = [c[select(e)] for c, e in zip(exp_chunks, eta_chunks)]
-        values = np.concatenate(picked)
-        mean = float(np.exp(logsumexp(values) - log_n)) if values.size else 0.0
-        batch = np.array([np.exp(logsumexp(p) - np.log(len(c))) if p.size else 0.0 for p, c in zip(picked, exp_chunks)])
-        stderr = float(np.std(batch, ddof=1) / np.sqrt(len(batch))) if len(batch) >= 2 else 0.0
-        dom = float(np.max(values)) if values.size else -math.inf
-        return mean, stderr, dom
-
-    e1_mean, e1_stderr, e1_dom = bucket(lambda e: e > epsilon)
-    _, e2_stderr, e2_dom = bucket(lambda e: e <= epsilon)
-    e1 = MCEstimate(count=samples, mean=e1_mean, stderr=e1_stderr, log_domain_max=e1_dom, seed=rng)
-    e2 = MCEstimate(
-        count=samples,
-        mean=_complement(total.mean, e1_mean),
-        stderr=e2_stderr,
-        log_domain_max=e2_dom,
-        seed=rng,
-    )
-    return e1, e2
+    e1 = _mean_from_exponents([c[e > epsilon] for c, e in zip(exp_chunks, eta_chunks)], rng, samples, sizes)
+    e2 = _mean_from_exponents([c[e <= epsilon] for c, e in zip(exp_chunks, eta_chunks)], rng, samples, sizes)
+    return e1, replace(e2, mean=_complement(total.mean, e1.mean))
 
 
 def _spike_stack(spec: SpikeSpec, rotated) -> np.ndarray:

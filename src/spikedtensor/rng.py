@@ -1,6 +1,5 @@
 """Seeded random sampling: complex Gaussian tensors, Haar unitaries and
-their leading-column frames, sphere vectors and corner blocks of Haar
-unitaries.
+their leading-column frames, and sphere vectors.
 
 All sampling is driven by :class:`SeedSpec`, a (master_seed, stream_id) pair
 that fully determines the generator state.  Parallel drivers derive disjoint
@@ -156,11 +155,6 @@ def _orthonormalize(z: np.ndarray) -> np.ndarray:
     return q * phase[..., None, :]
 
 
-def sample_haar_unitary(n: int, rng) -> np.ndarray:
-    """One Haar-distributed n x n unitary matrix."""
-    return sample_haar_unitaries(n, 1, rng)[0]
-
-
 def sample_unit_sphere(n: int, rng) -> np.ndarray:
     """Uniform point on the unit sphere of C^n (normalized complex Gaussian)."""
     if n < 1:
@@ -168,12 +162,6 @@ def sample_unit_sphere(n: int, rng) -> np.ndarray:
     gen = as_generator(rng)
     v = complex_normal(gen, (n,), np.sqrt(0.5))
     return v / np.linalg.norm(v)
-
-
-def sample_psi_block(n: int, r: int, rng) -> np.ndarray:
-    """Top-left r x r block of a Haar n x n unitary, read from the first r
-    rows of a Haar (n, r) frame."""
-    return sample_haar_unitaries(n, 1, rng, columns=r)[0, :r]
 
 
 def unitarity_defect(m: np.ndarray) -> float:

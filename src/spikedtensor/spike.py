@@ -174,11 +174,6 @@ def spike_svd(spec: SpikeSpec) -> SpikeSvd:
     return SpikeSvd(sigmas=tuple(sigmas), vs=tuple(vs))
 
 
-def hadamard_product(mats) -> np.ndarray:
-    """Entry-wise product of equal-shape matrices."""
-    return functools.reduce(operator.mul, (np.asarray(m) for m in mats))
-
-
 def eta_max(lambdas, grams: GramSet) -> float:
     """lambda^T (hadamard product of the Grams) lambda.
 
@@ -187,7 +182,7 @@ def eta_max(lambdas, grams: GramSet) -> float:
     the Hadamard product of PSD matrices is PSD.
     """
     lam = np.asarray(lambdas, dtype=float)
-    had = hadamard_product(grams.grams)
+    had = functools.reduce(operator.mul, grams.grams)
     return float(np.real(lam @ had @ lam))
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,13 +96,32 @@ def test_split_empty_bucket_writes_null_log_domain_max(tmp_path):
     assert math.isfinite(payload["e2"]["log_domain_max"])
 
 
-def test_non_finite_json_value_exits_two(tmp_path, capsys):
-    # log m2 is about 2600 here, so the mean overflows to inf
+def _overflow_exits_two(tmp_path, capsys, fmt):
+    # log m2 is about 2600 here, so the mean overflows to inf and the
+    # batch-means stderr is NaN: JSON holds neither, CSV no NaN
     out = tmp_path / "overflow"
-    assert run(["moment", "--lambdas", 30, "--n", 8, "--samples", 2000, "--format", "json", "--out", out]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["moment", "--lambdas", 30, "--n", 8, "--samples", 2000, "--format", fmt, "--out", out]) == 2
+    assert [str(w.message) for w in caught] == []  # no NumPy RuntimeWarning on stderr
     err = capsys.readouterr().err
-    assert "invariant violation: overflow.json not written" in err
-    assert "Traceback" not in err
+    assert err.startswith(f"invariant violation: overflow.{fmt} not written")
+    assert err.count("\n") == 1  # the one line, no traceback
+    assert not list(tmp_path.iterdir())
+
+
+def test_non_finite_json_value_exits_two(tmp_path, capsys):
+    _overflow_exits_two(tmp_path, capsys, "json")
+
+
+def test_nan_csv_value_exits_two(tmp_path, capsys):
+    _overflow_exits_two(tmp_path, capsys, "csv")
+
+
+def test_cloud_json_exits_one(tmp_path, capsys):
+    out = tmp_path / "cl"
+    assert run(["cloud", "--d", 3, "--lambdas", "1.0", "--n", 4, "--samples", 200, "--format", "json", "--out", out]) == 1
+    assert "config error: field 'format': cloud writes csv only" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -222,7 +242,11 @@ def test_cloud_bound_breach_exits_two(tmp_path, monkeypatch, capsys):
     code = run(["cloud", "--d", 3, "--lambdas", "1.0", "--n", 6, "--samples", 200, "--bins", 10,
                 "--seed", 1, "--out", tmp_path / "cl"])
     assert code == 2
-    assert "invariant violation" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == "invariant violation: 1 cloud points above the closed-form bound\n"
+    # the files are written before the check, for inspection
+    assert captured.out.count("wrote ") == 3
+    assert len(list(tmp_path.glob("cl.*.csv"))) == 3
 
 
 def test_complement_failure_exits_two(tmp_path, monkeypatch, capsys):

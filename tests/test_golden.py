@@ -4,7 +4,10 @@ The digests were taken from the 0.3.0 per-draw code of `roc` and
 `moment --method direct`, before those drivers were batched over blocks of
 draws, and from the 0.3.0 cloud writer.  The batched drivers take the same
 normals in the same order and do the same arithmetic per draw, so they must
-reproduce these bytes exactly, at every `--threads` value.  BLAS and SIMD
+reproduce these bytes exactly, at every `--threads` value.  The
+`ESTIMATE_CASES` digests (threshold, Haar moment, split, xi-tail) were
+taken from the 0.3.0 writers with one code path per subcommand and format,
+before the CLI wrote every output through one emitter.  BLAS and SIMD
 builds can in principle move a last digit; a failure on another platform
 should first be checked against that platform's 0.3.0 output.
 """
@@ -34,6 +37,20 @@ CLI_CASES = {
     "direct_d2_r1": "moment --method direct --d 2 --lambdas 0.7 --n 3,4 --outer 64 --inner 100 --seed 77",
 }
 
+# the subcommands without a draw-order break since 0.3.0; the larger cases
+# take steps above the thread threshold, so they run on the pool at
+# --threads 2
+ESTIMATE_CASES = {
+    "thr_d2": "threshold --d 2 --lambdas 0.5,0.3",
+    "thr_d3": "threshold --d 3 --lambdas 0.6,0.4 --gram two-eigenvalue:1.8,0.2",
+    "mom_r1": "moment --d 3 --lambdas 0.3 --n 4,8,32 --samples 20000 --seed 3",
+    "mom_r2": "moment --d 3 --lambdas 0.4,0.2 --gram two-eigenvalue:1.8,0.2 --n 8 --samples 2000 --seed 3",
+    "split_r2": "split --d 3 --lambdas 0.4,0.2 --n 16 --epsilon 0.005 --samples 20000 --seed 3",
+    # the default epsilon leaves E1 empty: log_domain_max is null (JSON), -inf (CSV)
+    "split_empty": "split --lambdas 0.4,0.2 --n 8 --samples 2000 --seed 4",
+    "xi": "xi-tail --n 8 --t 0.2,0.5,0.7 --samples 150000 --seed 3",
+}
+
 GOLDEN = {
     "roc_readme.csv": "26d1843024c6b3c53ab31cc982a1d7b99dae26ca1dfbeceb05b6d35ede52c211",
     "roc_readme.json": "2b053cab128ae19220ab68b8f75f14c97b02f9069d160b97954640241698c556",
@@ -60,6 +77,21 @@ GOLDEN = {
     "cloud.points.csv": "dab8ccf79fba9433c9dc7f9880fbf281044eca28182a037bbf2016fe21f31636",
     "cloud.envelope.csv": "adfbe2822143e6010929e70d6824eab2194aa2d73a0b4edc54b7521bdebd23ae",
     "cloud.bound.csv": "c0ee61e2387d68808e862996234a30d6f35456c750bcb753e94755394ea8b6ed",
+    # taken from 0.3.0 before the one-emitter CLI; the same bytes at --threads 1 and 2
+    "thr_d2.csv": "a71d26adb81b46b826b2e73b828da4f6cfbc1c0e64979a654319a77e27de53cb",
+    "thr_d2.json": "a7b1d937e2fa5724259314349c5f430aefb183dd22dc4ad77e97aad01791b9cf",
+    "thr_d3.csv": "c1fa7bcc1412eb100a78548142f985035d3d6fb98a64dcc0e253110509b39f6c",
+    "thr_d3.json": "62a98276633980a5b5f1e78a5e289be63ed0374d93928b32605437c372d41178",
+    "mom_r1.csv": "baeb161437a52e3e9421ef196d9eb2c07b21e3b8cf7d6cde1ece45128c045b77",
+    "mom_r1.json": "795c7bc1bc93ac9b3c713edff20f21afdf06c10f1b7de2f476403e9795ffd4df",
+    "mom_r2.csv": "743fb0c2276849b2268c7441e5af9b6ffe14c51deabdc29000e3e6b83f1406a2",
+    "mom_r2.json": "742ee1c79c92f6e90092272500d5b9874b3e3ddf9aea9d4b1311ca08b1a24ab2",
+    "split_r2.csv": "764fa0a3c95af03769b45a2341256a3b505b7092c4c7ce88ff6ff5a212efc8f0",
+    "split_r2.json": "5bab14284d2c13764462781f250712c09e1010234a27c93f91c08a2c68824702",
+    "split_empty.csv": "3fcb07612ea17888a13798470bf575eb79b247ebf5dfac8a93e580459a228bf4",
+    "split_empty.json": "9b44daaaab63f53cce9d89f896490326371e5a5e4c2b94b187aa41794f75ef58",
+    "xi.csv": "5fa09af1e56f9ce9634a7d1dee24b473a1016c5153af246c41d05223278ab1b0",
+    "xi.json": "97c1b8053450445adb15704c4a3a66d8081b3bd3f7c01192b1768bc58edb155f",
 }
 
 CLOUD = "cloud --d 3 --lambdas 1.0,1.0 --n 8 --samples 4000 --bins 30 --seed 5 --out cloud"
@@ -100,6 +132,13 @@ def test_observation_outputs_are_pinned(tmp_path, monkeypatch, name):
 @pytest.mark.parametrize("name", ["roc_bench", "direct_bench", "roc_full_qr", "direct_n4_d3"])
 def test_observation_outputs_are_pinned_at_two_threads(tmp_path, monkeypatch, name):
     got = _run_case(tmp_path, monkeypatch, f"{CLI_CASES[name]} --out {name}", 2)
+    assert got == {f"{name}.{ext}": GOLDEN[f"{name}.{ext}"] for ext in ("csv", "json")}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(ESTIMATE_CASES))
+def test_estimate_outputs_are_pinned(tmp_path, monkeypatch, name, threads):
+    got = _run_case(tmp_path, monkeypatch, f"{ESTIMATE_CASES[name]} --out {name}", threads)
     assert got == {f"{name}.{ext}": GOLDEN[f"{name}.{ext}"] for ext in ("csv", "json")}
 
 

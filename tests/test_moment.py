@@ -207,7 +207,7 @@ def test_log_lr_deterministic_closed_form(gen):
     spec = small_spec([0.4], n=3, d=3)
     y = st.simulate_observation(spec, "H0", gen)
     x0 = st.build_spike(spec)
-    expected = 2 * 3 * np.real(st.frobenius_inner(y.tensor, x0)) - 3 * st.frobenius_norm(x0) ** 2
+    expected = 2 * 3 * np.real(np.vdot(x0, y.tensor)) - 3 * np.linalg.norm(x0) ** 2
     got = st.log_lr_mc(y, spec, 1, gen, rotate=False)
     assert got == pytest.approx(expected, rel=1e-12)
 

@@ -22,7 +22,7 @@ def test_eta_expanded_identity_operators(gen):
 
 def test_eta_expanded_rank_one_product_form(gen):
     spec = make_random_spec(gen, r=1, n=5)
-    thetas = [st.sample_haar_unitary(5, gen) for _ in range(spec.d)]
+    thetas = [st.sample_haar_unitaries(5, 1, gen)[0] for _ in range(spec.d)]
     xis = [np.vdot(chi[:, 0], th @ chi[:, 0]) for chi, th in zip(spec.factors, thetas)]
     expected = spec.lambdas[0] ** 2 * np.real(np.prod(xis))
     assert st.eta_expanded(spec, thetas) == pytest.approx(expected, rel=1e-12)

@@ -61,7 +61,7 @@ def test_haar_unitarity():
     gen = st.SeedSpec(3, 0).generator()
     for n in (1, 2, 5, 9):
         for _ in range(10):
-            u = st.sample_haar_unitary(n, gen)
+            u = st.sample_haar_unitaries(n, 1, gen)[0]
             assert st.unitarity_defect(u) <= 1e-10
 
 
@@ -171,7 +171,7 @@ def test_haar_invariance_of_traces():
     # traces of V @ U, U @ V and U should all be indistinguishable in law
     n, reps = 5, 4000
     gen = st.SeedSpec(5, 0).generator()
-    v = st.sample_haar_unitary(n, gen)
+    v = st.sample_haar_unitaries(n, 1, gen)[0]
     t_plain = np.einsum("bii->b", st.sample_haar_unitaries(n, reps, gen))
     t_left = np.einsum("bii->b", v @ st.sample_haar_unitaries(n, reps, gen))
     t_right = np.einsum("bii->b", st.sample_haar_unitaries(n, reps, gen) @ v)
@@ -207,13 +207,14 @@ def test_sphere_tail_matches_polar_law():
 
 def test_psi_block_norm_and_edges():
     gen = st.SeedSpec(9, 0).generator()
+    # the top r x r block of a Haar unitary is the first r rows of a Haar (n, r) frame
     for _ in range(50):
-        b = st.sample_psi_block(6, 3, gen)
+        b = st.sample_haar_unitaries(6, 1, gen, columns=3)[0, :3]
         assert np.linalg.norm(b, 2) <= 1.0 + 1e-12
-    full = st.sample_psi_block(4, 4, gen)
+    full = st.sample_haar_unitaries(4, 1, gen, columns=4)[0, :4]
     assert st.unitarity_defect(full) <= 1e-10
     with pytest.raises(ParameterError):
-        st.sample_psi_block(3, 4, gen)
+        st.sample_haar_unitaries(3, 1, gen, columns=4)
 
 
 def test_psi_block_r1_is_sphere_coordinate():

@@ -140,7 +140,7 @@ def test_eta_max_equals_spike_energy(gen):
         spec = make_random_spec(gen)
         emax = st.eta_max(spec.lambdas, st.gram_set(spec))
         x0 = st.build_spike(spec)
-        self_inner = st.frobenius_inner(x0, x0)
+        self_inner = np.vdot(x0, x0)
         assert self_inner.real >= 0 and abs(self_inner.imag) <= 1e-12 * max(emax, 1.0)
         assert abs(self_inner.real - emax) <= 1e-10 * max(emax, 1.0)
 
@@ -162,6 +162,19 @@ def test_build_spike_orthogonal_energy(gen):
     for idx in np.ndindex(*x.shape):
         total += abs(x[idx]) ** 2
     assert total == pytest.approx(np.sum(lam**2), rel=1e-12)
+
+
+def test_build_spike_commutes_with_mode_rotations(gen):
+    # rotating every mode of the spike tensor rotates its factors
+    spec = make_random_spec(gen, d=3, r=2, n=4)
+    ops = [st.sample_haar_unitaries(4, 1, gen)[0] for _ in range(3)]
+    rotated = st.SpikeSpec(
+        d=spec.d, n=spec.n, r=spec.r, lambdas=spec.lambdas,
+        factors=tuple(op @ chi for op, chi in zip(ops, spec.factors)),
+    )
+    lhs = np.einsum("ia,jb,kc,abc->ijk", *ops, st.build_spike(spec))
+    rhs = st.build_spike(rotated)
+    assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_random_gram_is_valid(gen):
