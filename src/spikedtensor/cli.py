@@ -141,18 +141,14 @@ def run_cloud(config: ExperimentConfig) -> None:
     spec = _spec_for(config, n=config.n[0])
     seed = SeedSpec(config.seed, config.stream)
     cloud = sample_grf_cloud(spec, config.samples, seed, config.bins, threads=config.threads)
-
-    def bound(x):
-        return -grf_lower_bound(x, cloud.eta_max, cloud.d)
-
     width = 2.0 * cloud.eta_max / config.bins
-    centers = [-cloud.eta_max + (b + 0.5) * width for b in range(config.bins)]
+    centers = -cloud.eta_max + (np.arange(config.bins) + 0.5) * width
+    envelope = np.column_stack([cloud.envelope, -grf_lower_bound(cloud.envelope[:, 0], cloud.eta_max, cloud.d)])
     _emit(config, None, [  # resolve_config refuses json for cloud
         (".points.csv", ["x", "y"], cloud.points, []),
-        (".envelope.csv", ["bin_center", "max_y", "bound_value"],
-         [(center, max_y, bound(center)) for center, max_y in cloud.envelope],
-         [f"# eta_max {_fmt(cloud.eta_max)}"]),
-        (".bound.csv", ["bin_center", "bound_value"], [(c, bound(c)) for c in centers], []),
+        (".envelope.csv", ["bin_center", "max_y", "bound_value"], envelope, [f"# eta_max {_fmt(cloud.eta_max)}"]),
+        (".bound.csv", ["bin_center", "bound_value"],
+         np.column_stack([centers, -grf_lower_bound(centers, cloud.eta_max, cloud.d)]), []),
     ])
     violations = cloud_bound_violations(cloud)
     if violations:

@@ -19,7 +19,10 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ParameterError
+from .rate import _corner_step_cells, _eta_hadamard_stack, _haar_corner_sets
 from .rng import (
+    _BLOCK,
+    _N_STREAMS,
     SeedSpec,
     _orthonormalize,
     as_generator,
@@ -28,20 +31,18 @@ from .rng import (
     complex_normal_rounds,
     map_streams,
     sample_gaussian_tensor,
-    sample_haar_unitaries,
 )
-from .spike import SpikeSpec, _spike_tensors, build_spike, eta_max, gram_set
+from .spike import SpikeSpec, SpikeSvd, _spike_tensors, build_spike, eta_max, gram_set, spike_svd
 
-_N_STREAMS = 16
-_BLOCK = 1024
 # `roc_experiment` and `second_moment_direct_mc` take their draws in blocks
-# whose rotated-spike stacks hold at most this many cells (one draw when a
-# single stack is larger).  On the benchmark's `observe` workload (n=3,
-# inner=200: 5.4k cells a stack; 2-core machine, two seeds), one-thread
-# draws/s were 274k at 2^13 (one draw a block), 388k at 2^14, 459k at 2^15
-# and 457k at 2^16, and peak RSS 0.1, 0.3, 1.3 and 2.8 MB above the
-# per-draw loop's.  Blocks stay below `rng._THREADED_STEP_CELLS`, so such
-# runs stay on the calling thread.
+# whose first likelihood contractions (`_draw_cells` each) hold at most
+# this many cells, one draw when a single draw is larger.  On the
+# benchmark's `observe` ops (n=3, inner=200: 1.8k cells a draw; 2-core
+# machine, one thread, medians over five seeds), draws/s were 453k at one
+# draw a block, 713k at 2^13, 741k at 2^14, 754k at 2^15 and 754k at 2^16,
+# and peak RSS 0.0, 0.6, 1.2 and 1.2 MB above one draw a block's.  A
+# block stays below `rng._THREADED_STEP_CELLS`, so only a single draw
+# larger than that reaches the thread pool.
 _OBSERVE_BLOCK_CELLS = 2**15
 
 
@@ -129,9 +130,8 @@ def _thin_r(spec: SpikeSpec) -> np.ndarray:
 def _rotate(r_factors: np.ndarray, ginibre) -> list:
     """Haar rotations Theta_k chi_k of every factor, as W_k R_k with R_k
     from `_thin_r` and W_k the Haar frames of the mode's (..., n, r)
-    Ginibre stack in `ginibre`; one (count, n, r) array per mode, the
-    leading axes flattened."""
-    return [_orthonormalize(z.reshape(-1, *z.shape[-2:])) @ r_k for z, r_k in zip(ginibre, r_factors)]
+    Ginibre stack in `ginibre`; one array per mode, shaped like its stack."""
+    return [(_orthonormalize(z.reshape(-1, *z.shape[-2:])) @ r_k).reshape(z.shape) for z, r_k in zip(ginibre, r_factors)]
 
 
 def _rotation_parts(spec: SpikeSpec, m: int) -> list:
@@ -146,28 +146,21 @@ def _rotated_factors(spec: SpikeSpec, m: int, gen: np.random.Generator) -> list:
     return _rotate(_thin_r(spec), [complex_normal(gen, shape, std) for shape, std in _rotation_parts(spec, m)])
 
 
-def _eta_chunk(spec: SpikeSpec, size: int, gen: np.random.Generator) -> np.ndarray:
+def _eta_chunk(spec: SpikeSpec, svd: SpikeSvd, size: int, gen: np.random.Generator) -> np.ndarray:
     """`size` draws of the alignment exponent under i.i.d. Haar rotations,
-    computed through the r x r mode overlaps chi_k* W_k R_k (never the full
-    tensors or the full unitaries)."""
-    projections = [(np.conj(chi).T, r_k) for chi, r_k in zip(spec.factors, _thin_r(spec))]
+    scored by the cloud's block-form kernel on Haar corner sets.
+
+    With chi_k = U_k [Sigma_k; 0] V_k*, the mode overlap is
+    chi_k* Theta chi_k = V_k Sigma_k (U_k* Theta U_k)[:r, :r] Sigma_k V_k*,
+    and U_k* Theta U_k is Haar when Theta is, so its corner has the law of
+    a Haar corner block: never the full tensors or the full unitaries.
+    `svd` is `spike_svd(spec)`.
+    """
     out = np.empty(size)
-    done = 0
-    while done < size:
-        m = min(_BLOCK, size - done)
-        had = None
-        for chi_h, r_k in projections:
-            frames = sample_haar_unitaries(spec.n, m, gen, columns=spec.r)
-            overlap = chi_h @ frames @ r_k
-            had = overlap if had is None else had * overlap
-        out[done : done + m] = np.real(np.einsum("i,bij,j->b", spec.lambdas, had, spec.lambdas))
-        done += m
+    for start in range(0, size, _BLOCK):
+        m = min(_BLOCK, size - start)
+        out[start : start + m] = _eta_hadamard_stack(spec.lambdas, svd, _haar_corner_sets(spec.n, spec.r, spec.d, m, gen))
     return out
-
-
-def _eta_step_cells(spec: SpikeSpec, sizes: list[int]) -> int:
-    """Cells of the Haar frames one `_eta_chunk` block draws."""
-    return min(sizes[0], _BLOCK) * spec.n * spec.r * spec.d
 
 
 def second_moment_haar_mc(spec: SpikeSpec, samples: int, rng: SeedSpec, threads: int = 1) -> MCEstimate:
@@ -179,12 +172,13 @@ def second_moment_haar_mc(spec: SpikeSpec, samples: int, rng: SeedSpec, threads:
     if samples < 2:
         raise ParameterError(f"need samples >= 2, got {samples}")
     scale = 2.0 * spec.n
+    svd = spike_svd(spec)
 
     def worker(_i, size, gen):
-        return scale * _eta_chunk(spec, size, gen)
+        return scale * _eta_chunk(spec, svd, size, gen)
 
     sizes = chunk_sizes(samples, _N_STREAMS)
-    chunks = map_streams(worker, sizes, rng, threads, step_cells=_eta_step_cells(spec, sizes))
+    chunks = map_streams(worker, sizes, rng, threads, step_cells=_corner_step_cells(spec, sizes))
     return _mean_from_exponents(chunks, rng, samples)
 
 
@@ -221,14 +215,15 @@ def e1_e2_split(spec: SpikeSpec, epsilon: float, samples: int, rng: SeedSpec, th
     if samples < 2:
         raise ParameterError(f"need samples >= 2, got {samples}")
     scale = 2.0 * spec.n
+    svd = spike_svd(spec)
 
     sizes = chunk_sizes(samples, _N_STREAMS)
     eta_chunks = map_streams(
-        lambda _i, size, gen: _eta_chunk(spec, size, gen),
+        lambda _i, size, gen: _eta_chunk(spec, svd, size, gen),
         sizes,
         rng,
         threads,
-        step_cells=_eta_step_cells(spec, sizes),
+        step_cells=_corner_step_cells(spec, sizes),
     )
     exp_chunks = [scale * c for c in eta_chunks]
     total = _mean_from_exponents(exp_chunks, rng, samples)
@@ -237,42 +232,27 @@ def e1_e2_split(spec: SpikeSpec, epsilon: float, samples: int, rng: SeedSpec, th
     return e1, replace(e2, mean=_complement(total.mean, e1.mean))
 
 
-def _spike_stack(spec: SpikeSpec, rotated) -> np.ndarray:
-    """The spikes of rotated factors (one (m, n, r) array per mode),
-    flattened to (m, n^d).
-
-    The modes are joined by `einsum` outer products, not in `build_spike`'s
-    order: the two differ in the last bit, and each keeps the bytes of the
-    output it feeds (the likelihood's spike samples here, the alternative's
-    spike in `build_spike`).
-    """
-    m = rotated[0].shape[0]
-    total = None
-    for i in range(spec.r):
-        term = spec.lambdas[i] * rotated[0][:, :, i]
-        for k in range(1, spec.d):
-            term = np.einsum("b...,bn->b...n", term, rotated[k][:, :, i])
-        term = term.reshape(m, -1)
-        total = term if total is None else total + term
-    return total
-
-
-def _log_lr_stack(ys: np.ndarray, xs: np.ndarray, n: int) -> np.ndarray:
+def _log_lr_stack(spec: SpikeSpec, ys: np.ndarray, factors, energy: float) -> np.ndarray:
     """log (1/inner) sum_m exp(2 n Re<Y, X_m> - n |X_m|_F^2) for each of a
-    stack of flattened observations `ys` (b, n^d) against its own spike
-    samples `xs` (b, inner, n^d)."""
-    sq = np.real(np.einsum("bki,bki->bk", xs, np.conj(xs)))
-    a = 2.0 * n * np.real(np.matmul(np.conj(xs), ys[:, :, None])[..., 0]) - n * sq
-    return logsumexp(a, axis=1) - np.log(a.shape[1])
+    stack of observations `ys` (b, n, ..., n), where X_m is the spike of
+    the m-th factor set: `factors` holds one (b, inner, n, r) array per
+    mode (a leading axis of 1 broadcasts one set to every observation).
 
-
-def _log_lr_block(spec: SpikeSpec, r_factors: np.ndarray, ys: np.ndarray, ginibre) -> np.ndarray:
-    """`_log_lr_stack` of a block of observations `ys` (m, n, ..., n), each
-    against the spike rotated by its own draws in `ginibre` (one
-    (m, inner, n, r) Ginibre stack per mode)."""
-    m, inner = ginibre[0].shape[:2]
-    xs = _spike_stack(spec, _rotate(r_factors, ginibre)).reshape(m, inner, -1)
-    return _log_lr_stack(ys.reshape(m, -1), xs, spec.n)
+    Re<X_m, Y> = Re<Y, X_m> is taken by contracting conj(Y) with the
+    factors, last mode first: one batched matmul with r folded into the
+    columns, then one einsum per remaining mode, never forming the spikes.
+    Every X_m has the factor Grams of `spec`, so |X_m|_F^2 is their
+    `energy` = eta_max.
+    """
+    n, b = spec.n, ys.shape[0]
+    last = factors[-1]
+    inner = last.shape[1]
+    cols = last.transpose(0, 2, 1, 3).reshape(last.shape[0], n, inner * spec.r)
+    t = (np.conj(ys).reshape(b, -1, n) @ cols).reshape(b, *(n,) * (spec.d - 1), inner, spec.r)
+    for f in factors[-2::-1]:
+        t = np.einsum("b...jmi,bmji->b...mi", t, f)
+    a = 2.0 * n * np.real(t @ spec.lambdas) - n * energy
+    return logsumexp(a, axis=1) - np.log(inner)
 
 
 def _noise_part(spec: SpikeSpec) -> tuple:
@@ -281,10 +261,16 @@ def _noise_part(spec: SpikeSpec) -> tuple:
     return ((spec.n,) * spec.d, np.sqrt(1.0 / (2.0 * spec.n)))
 
 
+def _draw_cells(spec: SpikeSpec, inner: int) -> int:
+    """Cells of one draw's first likelihood contraction against `inner`
+    factor sets, (n^(d-1), inner * r): the largest array a draw touches."""
+    return inner * spec.r * spec.n ** (spec.d - 1)
+
+
 def _block_draws(spec: SpikeSpec, inner: int) -> int:
-    """Draws per block: as many inner-sample spike stacks as fit in
-    `_OBSERVE_BLOCK_CELLS`, at least one."""
-    return max(1, _OBSERVE_BLOCK_CELLS // (inner * spec.n**spec.d))
+    """Draws per block: as many draws as fit in `_OBSERVE_BLOCK_CELLS`, at
+    least one."""
+    return max(1, _OBSERVE_BLOCK_CELLS // _draw_cells(spec, inner))
 
 
 def second_moment_direct_mc(
@@ -309,8 +295,9 @@ def second_moment_direct_mc(
         raise ParameterError(f"need outer >= 2 and inner >= 1, got outer={outer}, inner={inner}")
     stacked = inner if rotate else 1
     layout = [_noise_part(spec), *(_rotation_parts(spec, inner) if rotate else [])]
-    fixed = None if rotate else build_spike(spec).ravel()[None, None, :]
+    fixed = [chi[None, None] for chi in spec.factors]
     r_factors = _thin_r(spec)
+    energy = eta_max(spec.lambdas, gram_set(spec))
     block = _block_draws(spec, stacked)
 
     def worker(_i, size, gen):
@@ -318,15 +305,12 @@ def second_moment_direct_mc(
         for start in range(0, size, block):
             m = min(block, size - start)
             y, *ginibre = complex_normal_rounds(gen, m, layout)
-            if rotate:
-                log_lr = _log_lr_block(spec, r_factors, y, ginibre)
-            else:
-                log_lr = _log_lr_stack(y.reshape(m, -1), np.broadcast_to(fixed, (m, 1, fixed.shape[-1])), spec.n)
-            exponents[start : start + m] = 2.0 * log_lr
+            factors = _rotate(r_factors, ginibre) if rotate else fixed
+            exponents[start : start + m] = 2.0 * _log_lr_stack(spec, y, factors, energy)
         return exponents
 
     sizes = chunk_sizes(outer, _N_STREAMS)
-    cells = min(block, sizes[0]) * stacked * spec.n**spec.d
+    cells = min(block, sizes[0]) * _draw_cells(spec, stacked)
     chunks = map_streams(worker, sizes, rng, threads, step_cells=cells)
     return _mean_from_exponents(chunks, rng, outer)
 
@@ -400,8 +384,8 @@ def log_lr_mc(y: HypothesisSample, spec: SpikeSpec, inner: int, rng, rotate: boo
     if inner < 1:
         raise ParameterError(f"need inner >= 1, got {inner}")
     gen = as_generator(rng)
-    xs = build_spike(spec).ravel()[None, :] if not rotate else _spike_stack(spec, _rotated_factors(spec, inner, gen))
-    return float(_log_lr_stack(y.tensor.ravel()[None, :], xs[None], spec.n)[0])
+    factors = [f[None] for f in _rotated_factors(spec, inner, gen)] if rotate else [chi[None, None] for chi in spec.factors]
+    return float(_log_lr_stack(spec, y.tensor[None], factors, eta_max(spec.lambdas, gram_set(spec)))[0])
 
 
 def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, threads: int = 1) -> RocCurve:
@@ -417,6 +401,7 @@ def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, thre
     layout = [noise, *likelihood, *_rotation_parts(spec, 1), noise, *likelihood]
     d = spec.d
     r_factors = _thin_r(spec)
+    energy = eta_max(spec.lambdas, gram_set(spec))
     block = _block_draws(spec, inner)
 
     def worker(_i, size, gen):
@@ -425,13 +410,14 @@ def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, thre
         for start in range(0, size, block):
             m = min(block, size - start)
             parts = complex_normal_rounds(gen, m, layout)
-            s0[start : start + m] = _log_lr_block(spec, r_factors, parts[0], parts[1 : d + 1])
-            spikes = _spike_tensors(spec.lambdas, _rotate(r_factors, parts[d + 1 : 2 * d + 1]))
-            s1[start : start + m] = _log_lr_block(spec, r_factors, spikes + parts[2 * d + 1], parts[2 * d + 2 :])
+            s0[start : start + m] = _log_lr_stack(spec, parts[0], _rotate(r_factors, parts[1 : d + 1]), energy)
+            spikes = _spike_tensors(spec.lambdas, [f[:, 0] for f in _rotate(r_factors, parts[d + 1 : 2 * d + 1])])
+            y1 = spikes + parts[2 * d + 1]
+            s1[start : start + m] = _log_lr_stack(spec, y1, _rotate(r_factors, parts[2 * d + 2 :]), energy)
         return s0, s1
 
     sizes = chunk_sizes(trials, _N_STREAMS)
-    cells = min(block, sizes[0]) * inner * spec.n**spec.d
+    cells = min(block, sizes[0]) * _draw_cells(spec, inner)
     results = map_streams(worker, sizes, rng, threads, step_cells=cells)
     s0 = np.sort(np.concatenate([r[0] for r in results]))
     s1 = np.sort(np.concatenate([r[1] for r in results]))

@@ -9,7 +9,8 @@ approximates the negated true rate function; the envelope is the numerical
 stand-in for the constrained optimization that has no closed form.
 
 Both quantities have one kernel each, over (count, d, r, r) stacks of
-psi-sets; the scalar forms call it on a one-set stack.  The block rate is
+psi-sets; the scalar forms call it on a one-set stack, and the Haar
+second-moment estimators score Haar corner sets with the exponent's.  The block rate is
 one batched log-determinant of I - psi* psi, and the exponent one
 (count, r^2) @ (r^2, r^2) product per mode, followed by one product with
 vec(lambda lambda^T).
@@ -23,12 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, ParameterError
-from .rng import SeedSpec, chunk_sizes, complex_normal, map_streams, sample_haar_unitaries
+from .rng import _BLOCK, _N_STREAMS, SeedSpec, chunk_sizes, complex_normal, map_streams, sample_haar_unitaries
 from .spike import SpikeSpec, SpikeSvd, eta_max, gram_set, spike_svd
 
 _NORM_TOL = 1e-12
-_N_STREAMS = 16
-_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,17 +132,20 @@ def lemma_sup_bound(lambdas, mats, alphas) -> float:
     return float(np.prod(alphas) * np.real(lam @ had @ lam))
 
 
-def grf_lower_bound(x: float, eta_max_value: float, d: int) -> float:
+def grf_lower_bound(x, eta_max_value: float, d: int):
     """Closed-form lower bound on the rate function of the exponent:
-    -d * log(1 - (|x| / eta_max)^(2/d)), and +inf for |x| >= eta_max."""
+    -d * log(1 - (|x| / eta_max)^(2/d)), and +inf for |x| >= eta_max.
+
+    Elementwise over an array `x`; a scalar `x` gives a float.
+    """
     if eta_max_value <= 0:
         raise ParameterError(f"eta_max must be positive, got {eta_max_value}")
     if d < 2:
         raise ParameterError(f"order d must be >= 2, got {d}")
-    frac = abs(x) / eta_max_value
-    if frac >= 1.0:
-        return math.inf
-    return -d * math.log1p(-(frac ** (2.0 / d)))
+    frac = np.minimum(np.abs(x) / eta_max_value, 1.0)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf: the bound is +inf there
+        bound = -d * np.log1p(-(frac ** (2.0 / d)))
+    return float(bound) if np.ndim(bound) == 0 else bound
 
 
 def _rate_stack(psi_stack: np.ndarray) -> np.ndarray:
@@ -164,6 +166,19 @@ def grf_psi_rate(psis: PsiSet) -> float:
     return float(_rate_stack(np.stack(psis.blocks)[None])[0])
 
 
+def _haar_corner_sets(n: int, r: int, d: int, count: int, gen: np.random.Generator) -> np.ndarray:
+    """`count` sets of d independent r x r corner blocks of Haar n x n
+    unitaries, shape (count, d, r, r): the top r rows of Haar (n, r)
+    frames, the first r columns of the unitaries."""
+    return sample_haar_unitaries(n, count * d, gen, columns=r)[:, :r, :].reshape(count, d, r, r)
+
+
+def _corner_step_cells(spec: SpikeSpec, sizes: list[int]) -> int:
+    """Cells of the Haar frames that one block of the largest chunk draws:
+    the step size of the Haar-set drivers."""
+    return min(sizes[0], _BLOCK) * spec.n * spec.r * spec.d
+
+
 def _sample_psi_stack(r: int, n: int, d: int, count: int, gen: np.random.Generator) -> np.ndarray:
     """Stack of `count` psi-sets, shape (count, d, r, r).
 
@@ -172,8 +187,8 @@ def _sample_psi_stack(r: int, n: int, d: int, count: int, gen: np.random.Generat
 
     - complex Ginibre rescaled to spectral norm sqrt(rho), rho uniform on
       [0,1]: fills the outer norm shells with unstructured directions;
-    - corner block of a Haar n x n unitary, read from the first r rows of
-      a Haar (n, r) frame: the typical scale 1/sqrt(n);
+    - corner blocks of Haar n x n unitaries (`_haar_corner_sets`): the
+      typical scale 1/sqrt(n);
     - scaled rank ladder, one set-wide rank m and scale per set:
       psi_k = a * exp(i phi_k) * diag(1..1, 0..0) with a = f^(1/d), f
       uniform.  Aligned sets like these are what reach exponent values
@@ -195,10 +210,9 @@ def _sample_psi_stack(r: int, n: int, d: int, count: int, gen: np.random.Generat
         out[ginibre] = raw[ginibre] * (np.sqrt(rhos[ginibre]) / top)[..., None, None]
 
     from_haar = component == 1
-    n_haar = int(np.sum(from_haar)) * d
+    n_haar = int(np.sum(from_haar))
     if n_haar:
-        blocks = sample_haar_unitaries(n, n_haar, gen, columns=r)[:, :r, :]
-        out[from_haar] = blocks.reshape(-1, d, r, r)
+        out[from_haar] = _haar_corner_sets(n, r, d, n_haar, gen)
 
     ladder = component == 2
     if np.any(ladder):
@@ -237,8 +251,7 @@ def sample_grf_cloud(spec: SpikeSpec, count: int, rng: SeedSpec, bins: int, thre
         return np.concatenate(xs), np.concatenate(ys)
 
     sizes = chunk_sizes(count, _N_STREAMS)
-    cells = min(sizes[0], _BLOCK) * spec.n * spec.r * spec.d
-    results = map_streams(worker, sizes, rng, threads, step_cells=cells)
+    results = map_streams(worker, sizes, rng, threads, step_cells=_corner_step_cells(spec, sizes))
     x = np.concatenate([r[0] for r in results])
     y = np.concatenate([r[1] for r in results])
 
@@ -255,20 +268,9 @@ def sample_grf_cloud(spec: SpikeSpec, count: int, rng: SeedSpec, bins: int, thre
     )
 
 
-def _negated_bound(frac: np.ndarray, d: int) -> np.ndarray:
-    """-grf_lower_bound at |x| / eta_max = `frac`, over an array:
-    d log1p(-frac^(2/d)), and -inf for frac >= 1.  NumPy's log1p and power
-    can differ from `math`'s in the last bits, so the rows the CLI writes
-    keep the scalar `grf_lower_bound`."""
-    inside = frac < 1.0
-    out = np.full(frac.shape, -np.inf)
-    out[inside] = d * np.log1p(-frac[inside] ** (2.0 / d))
-    return out
-
-
 def cloud_bound_violations(cloud: GrfCloud, tol: float = 1e-9) -> int:
     """Number of cloud points sitting above the negated closed-form bound."""
-    bound = _negated_bound(np.abs(cloud.points[:, 0]) / cloud.eta_max, cloud.d)
+    bound = -grf_lower_bound(cloud.points[:, 0], cloud.eta_max, cloud.d)
     return int(np.sum(cloud.points[:, 1] > bound + tol))
 
 
@@ -285,7 +287,7 @@ def envelope_gap_median(cloud: GrfCloud, lo: float = 0.3, hi: float = 0.8, windo
     if not np.any(keep):
         return math.nan
     frac = frac[keep]
-    gap = _negated_bound(frac, cloud.d) - cloud.points[keep, 1]
+    gap = -grf_lower_bound(cloud.points[keep, 0], cloud.eta_max, cloud.d) - cloud.points[keep, 1]
     idx = np.clip(((frac - lo) / (hi - lo) * window_bins).astype(int), 0, window_bins - 1)
     per_bin = np.full(window_bins, np.inf)
     np.minimum.at(per_bin, idx, gap)

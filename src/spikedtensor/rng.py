@@ -170,6 +170,14 @@ def unitarity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(n))))
 
 
+# The chunk layout of every Monte-Carlo driver: its draws are split into
+# `_N_STREAMS` chunks, one child stream each, and a chunk takes its draws in
+# blocks of at most `_BLOCK` (the Haar-set drivers; the observation drivers
+# size their blocks from their own cells).
+_N_STREAMS = 16
+_BLOCK = 1024
+
+
 def chunk_sizes(total: int, chunks: int) -> list[int]:
     """Split `total` items into `chunks` nearly equal parts (first parts get
     the remainder).  The split depends only on `total` and `chunks`, never on

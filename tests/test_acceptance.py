@@ -14,8 +14,8 @@ from conftest import make_random_spec
 from spikedtensor.cli import main as cli_main
 from spikedtensor.config import gram_matrices
 from spikedtensor.moment import _eta_chunk
-from spikedtensor.rate import _BLOCK, _sample_psi_stack
-from spikedtensor.rng import chunk_sizes
+from spikedtensor.rate import _sample_psi_stack
+from spikedtensor.rng import _BLOCK, _N_STREAMS, chunk_sizes
 
 
 def _passed(k, text):
@@ -70,7 +70,7 @@ def test_criterion_04_eta_boundedness_and_spike_energy():
         emax = st.eta_max(spec.lambdas, st.gram_set(spec))
         energy = np.linalg.norm(st.build_spike(spec)) ** 2
         assert abs(energy - emax) <= 1e-10 * max(emax, 1.0)
-        etas = _eta_chunk(spec, draws_per_spec, st.SeedSpec(404, i + 1).generator())
+        etas = _eta_chunk(spec, st.spike_svd(spec), draws_per_spec, st.SeedSpec(404, i + 1).generator())
         assert np.all(np.abs(etas) <= emax + 1e-9)
     _passed(4, "10 specs x 1e4 Haar draws: |eta| <= eta_max + 1e-9, spike energy = eta_max")
 
@@ -123,7 +123,7 @@ def test_criterion_06_lemma_supremum():
 
 def _replay_cloud_stacks(spec, count, seed):
     """Yield exactly the psi stacks `sample_grf_cloud` draws on this seed."""
-    for i, size in enumerate(chunk_sizes(count, 16)):
+    for i, size in enumerate(chunk_sizes(count, _N_STREAMS)):
         gen = seed.generator(i)
         done = 0
         while done < size:

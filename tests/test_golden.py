@@ -1,15 +1,16 @@
 """Golden SHA-256 digests of outputs whose draws and arithmetic are fixed.
 
-The digests were taken from the 0.3.0 per-draw code of `roc` and
-`moment --method direct`, before those drivers were batched over blocks of
-draws, and from the 0.3.0 cloud writer.  The batched drivers take the same
-normals in the same order and do the same arithmetic per draw, so they must
-reproduce these bytes exactly, at every `--threads` value.  The
-`ESTIMATE_CASES` digests (threshold, Haar moment, split, xi-tail) were
-taken from the 0.3.0 writers with one code path per subcommand and format,
-before the CLI wrote every output through one emitter.  BLAS and SIMD
-builds can in principle move a last digit; a failure on another platform
-should first be checked against that platform's 0.3.0 output.
+The 0.4.0 break re-took the digests that one kernel per quantity moves:
+every `roc` and `moment --method direct` case (the likelihood by mode
+contractions), the Haar `moment` and `split` cases (the exponent of Haar
+corner sets, a new draw order), the cloud's envelope and bound files (the
+array-valued bound) and the library values.  Each was checked against
+0.3.0 before it was pinned: the same draws give the same `roc` rates and
+agree to a few ulps, and the Haar means agree in law.  The cloud points,
+`threshold` and `xi-tail` keep their 0.3.0 digests.  Every digest holds at
+every `--threads` value and for any block size.  BLAS and SIMD builds can
+in principle move a last digit; a failure on another platform should first
+be checked against that platform's 0.4.0 output.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ import pytest
 import spikedtensor as st
 import spikedtensor.moment as moment
 from spikedtensor.cli import main
+from spikedtensor.rng import _THREADED_STEP_CELLS, map_streams
 
 CLI_CASES = {
     "roc_readme": "roc --d 3 --lambdas 0.4 --n 3 --trials 500 --inner 200",
@@ -31,15 +33,14 @@ CLI_CASES = {
     # n = r: full unitaries through the LAPACK QR path
     "roc_full_qr": "roc --d 3 --lambdas 0.6,0.4 --n 2 --trials 30 --inner 20 --seed 5",
     "direct_full_qr": "moment --method direct --d 3 --lambdas 0.6,0.4 --gram all-ones --n 2 --outer 30 --inner 20 --seed 5",
-    "roc_n4_d3": "roc --d 3 --lambdas 0.3 --n 4 --trials 24 --inner 300 --seed 77",
     # one draw fills a step above the thread threshold: runs on the pool at --threads 2
-    "direct_n4_d3": "moment --method direct --d 3 --lambdas 0.5,0.2 --n 4 --outer 20 --inner 1200 --seed 1",
+    "roc_n4_d3": "roc --d 3 --lambdas 0.3 --n 4 --trials 24 --inner 4200 --seed 77",
+    "direct_n4_d3": "moment --method direct --d 3 --lambdas 0.5,0.2 --n 4 --outer 20 --inner 2400 --seed 1",
     "direct_d2_r1": "moment --method direct --d 2 --lambdas 0.7 --n 3,4 --outer 64 --inner 100 --seed 77",
 }
 
-# the subcommands without a draw-order break since 0.3.0; the larger cases
-# take steps above the thread threshold, so they run on the pool at
-# --threads 2
+# the larger cases take steps above the thread threshold, so they run on
+# the pool at --threads 2
 ESTIMATE_CASES = {
     "thr_d2": "threshold --d 2 --lambdas 0.5,0.3",
     "thr_d3": "threshold --d 3 --lambdas 0.6,0.4 --gram two-eigenvalue:1.8,0.2",
@@ -52,44 +53,45 @@ ESTIMATE_CASES = {
 }
 
 GOLDEN = {
-    "roc_readme.csv": "26d1843024c6b3c53ab31cc982a1d7b99dae26ca1dfbeceb05b6d35ede52c211",
-    "roc_readme.json": "2b053cab128ae19220ab68b8f75f14c97b02f9069d160b97954640241698c556",
-    "roc_bench.csv": "33ca40ae54667359aecf933d600f0281b265158a764779bc17075765120c2243",
-    "roc_bench.json": "d2674f251b84e7933e366dab0d5c1a546729bdaa8baa5df5f15e1e76033e7e75",
-    "direct_bench.csv": "c5387f84fd56e2b21244a789941fd1ad513117bd5e6bd0bfa748b0162b8c784d",
-    "direct_bench.json": "7b8341312e4045116f43250470294ab8bb36f987267245933a7f8604256c1883",
-    "roc_r2_d2.csv": "61c97f7b818d7007c25250ed999744cb1e092a049f8466e888a8b47b316cad1e",
-    "roc_r2_d2.json": "c7c50d16960db938940902569ab5f50e2dd6b0cc80729211dfb2cb9c8b05a616",
-    "direct_r2_d2.csv": "d5bcd22807207000972348ed6be2fe4d5f41d913c2a6321e54305bdd557221b7",
-    "direct_r2_d2.json": "aeb87044c40e2a9fb3b2bc72966d15f4ed4649c5d2ba4aa4fc676ebc2146ab57",
-    "roc_full_qr.csv": "b1752ae60d00ff912c0de98b5f560b30bcbc9a246aff8aa10db960b07d25a0aa",
-    "roc_full_qr.json": "719fbbe23da3056bf13e5ac8c293f53ff9913d0aca5dc185203d39583ab8f2c1",
-    "direct_full_qr.csv": "c072561f6a878dff217e6a6ff5ad8382a32cbc608ef517325bae28b66a8e75df",
-    "direct_full_qr.json": "18031b3196f6c55161c34395664d35996acb9bede7e7ecddb0a6b5e64cd88787",
-    "roc_n4_d3.csv": "bd0a639272c3ed42da9b3f4d0c7d9d43348dd5da31af928a537b7ca96ad8b6a2",
-    "roc_n4_d3.json": "0aacb29178cd320a30acc902c14e479b86ac816be8efa1f01ddc133ce31bd740",
-    "direct_n4_d3.csv": "6fd80cd9cd3d6f4200060bbdd7c8d4bc59e7fae1c87d8cc9c240ac9fd9838214",
-    "direct_n4_d3.json": "8acdd2c1a748fa613301836499b8ae558b1fe1669cac04b9a5f61cc9bbb2929e",
-    "direct_d2_r1.csv": "3a7f01328d6c0c5b8a12dabdd37e9f6057a30b98d03fd6b799b7925c7dc649d1",
-    "direct_d2_r1.json": "310f7875bf0e8dcfbfe6083bfecae3cc2d9ae8c4eb3b1ee40940ed13a43406c7",
-    # re-taken when the block rate became a batched log-determinant and the
-    # exponent one product per mode: the same draws, last digits moved
+    "roc_readme.csv": "527ba4f76d34c79769c70263dbdf49cb1fb3320209ece01d3f8530ea6304f99a",
+    "roc_readme.json": "a5678667a5e4a476f7f7c1c2a21939b8821e811955bf6ed8e5d91335ff26fe12",
+    "roc_bench.csv": "c1742fedc3ee2a1830877e8d6d6562cc353797934d43f8c4be36de583957531f",
+    "roc_bench.json": "dda768a7565e958adf31ed50b3db64148acf6eb372ebbf0f2f28a699747cf5a5",
+    "direct_bench.csv": "a130204edc0ad4fb26cab7c0666dba0da33a9c927a6828447564269cc588be7f",
+    "direct_bench.json": "dccf123f95fcf9469c33782795ad4fa5225a439d9e5be6444cb36b73eea95578",
+    "roc_r2_d2.csv": "ba5aaf62ffe520630acc6206e250486b18c007d1f37f01ade408ee987148c878",
+    "roc_r2_d2.json": "0848a0928ba867d12a775eac1ee62232ebd60d17aa80b91d00b7824de7dff607",
+    "direct_r2_d2.csv": "735b2a30526cdaa7eed59c2bfb8d200249726f9224573d8b54c7bf2921858534",
+    "direct_r2_d2.json": "8656ec0dd60b43c5ec7d2c567fbe92485fcae791046087f5ce93f9a94c385183",
+    "roc_full_qr.csv": "00923e003b522ad6653e81fefcb87ffc8cd8cae4ac7e71a2c9ef50b549327856",
+    "roc_full_qr.json": "e61c288740164c80affa9bcde5d6d9da1e08cc6b3d56e65b159891f47772ee18",
+    "direct_full_qr.csv": "4a80c123c69da78abc89f770e5aa62df46373fe9c8989c1931bfafd8228d26a1",
+    "direct_full_qr.json": "7e60e4df0411711a40467292b44d7b2fb63b49d40f4ff1f01cb98cc016ff8508",
+    "roc_n4_d3.csv": "789e2709b0d5a2ef957aa965e6278f1f2821187f31f3d5a29161e75f23610fb1",
+    "roc_n4_d3.json": "f5364422531ec6889cced56796c60a377246f1a8a142f89fe81729dfc03d8dc5",
+    "direct_n4_d3.csv": "1ebddfe29b9086d64f092b17c2692e244ef7f92a234773264919032b9f45d799",
+    "direct_n4_d3.json": "4deffdaf8584d74ee78d7f35c388fca08f6beb059ad0097ff347291a00e78c42",
+    "direct_d2_r1.csv": "4db98aedfddff34fa0b55780f75053b397e6ee1ef2ec2e45c3dbaf2d1fb00707",
+    "direct_d2_r1.json": "3973bb7655ac4953763c58948d1239876e4efa40f4d45fa6fab86c91963c6565",
+    # points re-taken when the block rate became a batched log-determinant
+    # and the exponent one product per mode; envelope and bound re-taken at
+    # 0.4.0 for the array-valued bound (last digits of the bound column)
     "cloud.points.csv": "dab8ccf79fba9433c9dc7f9880fbf281044eca28182a037bbf2016fe21f31636",
-    "cloud.envelope.csv": "adfbe2822143e6010929e70d6824eab2194aa2d73a0b4edc54b7521bdebd23ae",
-    "cloud.bound.csv": "c0ee61e2387d68808e862996234a30d6f35456c750bcb753e94755394ea8b6ed",
-    # taken from 0.3.0 before the one-emitter CLI; the same bytes at --threads 1 and 2
+    "cloud.envelope.csv": "356cab377bb586ddcd227653f397d92d025681b001465e6552db5c4f222d461b",
+    "cloud.bound.csv": "7d8676b534e1b959c397b65af04d7ef2b239521a727e8448e3dd3414b1f19f95",
+    # thr_* and xi taken from 0.3.0 before the one-emitter CLI
     "thr_d2.csv": "a71d26adb81b46b826b2e73b828da4f6cfbc1c0e64979a654319a77e27de53cb",
     "thr_d2.json": "a7b1d937e2fa5724259314349c5f430aefb183dd22dc4ad77e97aad01791b9cf",
     "thr_d3.csv": "c1fa7bcc1412eb100a78548142f985035d3d6fb98a64dcc0e253110509b39f6c",
     "thr_d3.json": "62a98276633980a5b5f1e78a5e289be63ed0374d93928b32605437c372d41178",
-    "mom_r1.csv": "baeb161437a52e3e9421ef196d9eb2c07b21e3b8cf7d6cde1ece45128c045b77",
-    "mom_r1.json": "795c7bc1bc93ac9b3c713edff20f21afdf06c10f1b7de2f476403e9795ffd4df",
-    "mom_r2.csv": "743fb0c2276849b2268c7441e5af9b6ffe14c51deabdc29000e3e6b83f1406a2",
-    "mom_r2.json": "742ee1c79c92f6e90092272500d5b9874b3e3ddf9aea9d4b1311ca08b1a24ab2",
-    "split_r2.csv": "764fa0a3c95af03769b45a2341256a3b505b7092c4c7ce88ff6ff5a212efc8f0",
-    "split_r2.json": "5bab14284d2c13764462781f250712c09e1010234a27c93f91c08a2c68824702",
-    "split_empty.csv": "3fcb07612ea17888a13798470bf575eb79b247ebf5dfac8a93e580459a228bf4",
-    "split_empty.json": "9b44daaaab63f53cce9d89f896490326371e5a5e4c2b94b187aa41794f75ef58",
+    "mom_r1.csv": "7651a04557963d9b72abea0f7e2e60a18ac068a5ae7462cceb4a7c5eca5c53b0",
+    "mom_r1.json": "34b1606341561d9c92eaeec32c4b6e56a983fb0a231435d348989999d72affb1",
+    "mom_r2.csv": "aecf7c0ed1658b69ed9e3a7e0d45f8428737a577ee367f1b5b3e3c1d1ed7974a",
+    "mom_r2.json": "a9c3444050d2802821ff4f2100e8780b2b314ba26b4ca7ab5f73f813c43e9e21",
+    "split_r2.csv": "9a4c96ecf904063307be9151e7c0090e30a5b3ab713b7821f5b38ae4ab08b5b1",
+    "split_r2.json": "c6d8168359fc8c6a4da27737e20176553459e64b7a46984f9cb60df3ace48dc9",
+    "split_empty.csv": "07ba191e8167fd9be1630cfaf63204f08a2ba4c04ab881b020683bd6115a8693",
+    "split_empty.json": "c0ecbb3c970e8b86af6b8da655684533457ccfa4357cf3fb3adf6230676d4c36",
     "xi.csv": "5fa09af1e56f9ce9634a7d1dee24b473a1016c5153af246c41d05223278ab1b0",
     "xi.json": "97c1b8053450445adb15704c4a3a66d8081b3bd3f7c01192b1768bc58edb155f",
 }
@@ -99,9 +101,9 @@ CLOUD = "cloud --d 3 --lambdas 1.0,1.0 --n 8 --samples 4000 --bins 30 --seed 5 -
 # simulate_observation, log_lr_mc (rotated and fixed) and the fixed-spike
 # second_moment_direct_mc, hashed together per spike (see _library_digest)
 LIBRARY_GOLDEN = {
-    "d3n3r2": "eb0aca261fb39f98dfa447b20dc9c0faaefbc3e7aafb8ac6d33ca28c371c8246",
-    "d2n4r1": "ef3faf73d52ecafe46e8ff1e73e455fac6cbd0cf5ef9789f064437a99f6a5ccb",
-    "d3n2r2": "5eab817a53fc88236e085a6d7aae17036a90ee22a6c6038304615605b33ff002",
+    "d3n3r2": "3b0cd74ea27665233083c58e04d450e4efa4ebf02f25574ce29261250f0feb97",
+    "d2n4r1": "0ed78b62f4e8a796cdea4160036125202c77fc6e22c33a52f417c4017d816723",
+    "d3n2r2": "97db5de044b2a7c73fdcfa4fca6deafeda7f234b59b06337b07c523111cc13ce",
 }
 
 LIBRARY_SPECS = {
@@ -111,8 +113,24 @@ LIBRARY_SPECS = {
 }
 
 
+# files whose content a release kept: their digests were taken over the
+# bytes written by the version named here, so the version in the header is
+# checked and then swapped for that one before hashing
+PINNED_VERSION = dict.fromkeys(
+    ["cloud.points.csv", "thr_d2.csv", "thr_d2.json", "thr_d3.csv", "thr_d3.json", "xi.csv", "xi.json"], "0.3.0"
+)
+
+
 def _digests(directory) -> dict:
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(directory.iterdir())}
+    out = {}
+    for p in sorted(directory.iterdir()):
+        data = p.read_bytes()
+        header = '"version": "{}"' if p.suffix == ".json" else "# spikedtensor {}\n"
+        written = header.format(st.__version__).encode()
+        assert data.count(written) == 1 and (p.suffix == ".json" or data.startswith(written))
+        data = data.replace(written, header.format(PINNED_VERSION.get(p.name, st.__version__)).encode())
+        out[p.name] = hashlib.sha256(data).hexdigest()
+    return out
 
 
 def _run_case(tmp_path, monkeypatch, command: str, threads: int) -> dict:
@@ -129,10 +147,23 @@ def test_observation_outputs_are_pinned(tmp_path, monkeypatch, name):
     assert got == {f"{name}.{ext}": GOLDEN[f"{name}.{ext}"] for ext in ("csv", "json")}
 
 
-@pytest.mark.parametrize("name", ["roc_bench", "direct_bench", "roc_full_qr", "direct_n4_d3"])
+@pytest.mark.parametrize("name", ["roc_bench", "direct_bench", "roc_full_qr", "roc_n4_d3", "direct_n4_d3"])
 def test_observation_outputs_are_pinned_at_two_threads(tmp_path, monkeypatch, name):
     got = _run_case(tmp_path, monkeypatch, f"{CLI_CASES[name]} --out {name}", 2)
     assert got == {f"{name}.{ext}": GOLDEN[f"{name}.{ext}"] for ext in ("csv", "json")}
+
+
+@pytest.mark.parametrize("name", ["roc_n4_d3", "direct_n4_d3"])
+def test_pool_cases_reach_the_pool(tmp_path, monkeypatch, name):
+    steps = []
+
+    def recording(*args, step_cells, **kwargs):
+        steps.append(step_cells)
+        return map_streams(*args, step_cells=step_cells, **kwargs)
+
+    monkeypatch.setattr(moment, "map_streams", recording)
+    _run_case(tmp_path, monkeypatch, f"{CLI_CASES[name]} --out {name}", 2)
+    assert steps and min(steps) >= _THREADED_STEP_CELLS
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -6,9 +6,10 @@ from scipy.special import gammaln, logsumexp
 
 import spikedtensor as st
 from conftest import make_random_spec
+from spikedtensor.config import gram_matrices
 from spikedtensor.errors import ParameterError
-from spikedtensor.moment import _mean_from_exponents
-from spikedtensor.rng import chunk_sizes, complex_normal
+from spikedtensor.moment import _log_lr_stack, _mean_from_exponents, _rotate, _thin_r
+from spikedtensor.rng import _N_STREAMS, chunk_sizes, complex_normal
 
 
 def zero_spec(n=4, d=3, r=1):
@@ -254,8 +255,11 @@ def test_roc_thread_invariance():
 
 
 # The 0.3.0 per-draw loops of `roc_experiment` and `second_moment_direct_mc`,
-# spelled out on the rng primitives: the references that the batched drivers
-# must equal bit for bit, since they take the same normals in the same order.
+# spelled out on the rng primitives with dense spike tensors: the oracles of
+# the batched contraction drivers, which take the same normals in the same
+# order.  Contracting Y mode by mode and using |X_m|_F^2 = eta_max moves the
+# last digits of each log-likelihood ratio, so the values agree to rtol
+# 1e-12 and the ROC rates exactly.
 
 
 def _reference_rotations(spec, m, gen):
@@ -292,7 +296,7 @@ def _reference_log_lr(y, xs, n):
 
 
 def _reference_chunks(trials, seed):
-    return [(seed.generator(i), size) for i, size in enumerate(chunk_sizes(trials, 16))]
+    return [(seed.generator(i), size) for i, size in enumerate(chunk_sizes(trials, _N_STREAMS))]
 
 
 def _noise(spec, gen):
@@ -316,7 +320,8 @@ def test_roc_equals_per_draw_reference(lambdas, n, d):
     fpr = 1.0 - np.searchsorted(s0, thresholds, side="left") / trials
     tpr = 1.0 - np.searchsorted(s1, thresholds, side="left") / trials
     roc = st.roc_experiment(spec, trials, inner, seed)
-    assert roc.points.tobytes() == np.column_stack([thresholds, fpr, tpr]).tobytes()
+    assert np.array_equal(roc.points[:, 1:], np.column_stack([fpr, tpr]))
+    np.testing.assert_allclose(roc.points[:, 0], thresholds, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("rotate", [True, False])
@@ -334,4 +339,38 @@ def test_direct_mc_equals_per_draw_reference(lambdas, n, d, rotate):
             exponents.append(2.0 * _reference_log_lr(y, xs, n))
         chunks.append(np.array(exponents))
     expected = _mean_from_exponents(chunks, seed, outer)
-    assert st.second_moment_direct_mc(spec, outer, inner, seed, rotate=rotate) == expected
+    got = st.second_moment_direct_mc(spec, outer, inner, seed, rotate=rotate)
+    if not rotate:  # one fixed factor set: the contraction gives the dense inner product's bits
+        assert got == expected
+    assert got.count == expected.count
+    for field in ("mean", "stderr", "log_domain_max"):
+        assert getattr(got, field) == pytest.approx(getattr(expected, field), rel=1e-12, abs=0)
+
+
+def _dense_log_lr(spec, y, factor_sets):
+    """log (1/inner) sum_m exp(2 n Re<Y, X_m> - n |X_m|_F^2) with every X_m
+    assembled densely by `build_spike`."""
+    a = []
+    for factors in factor_sets:
+        x = st.build_spike(st.SpikeSpec(d=spec.d, n=spec.n, r=spec.r, lambdas=spec.lambdas, factors=factors))
+        a.append(2 * spec.n * np.real(np.vdot(x, y)) - spec.n * np.linalg.norm(x) ** 2)
+    return logsumexp(a) - np.log(len(a))
+
+
+@pytest.mark.parametrize("gram", ["identity", "all-ones"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_log_lr_stack_matches_dense_spikes(d, r, gram):
+    # all-ones Grams are rank one: the thin QR of each factor is rank deficient
+    n, b, inner = 4, 3, 5
+    spec = st.spec_from_grams(np.linspace(0.7, 0.3, r), gram_matrices(gram, r, d), n=n)
+    gen = st.SeedSpec(61, 10 * d + r).generator()
+    ys = complex_normal(gen, (b,) + (n,) * d, np.sqrt(1.0 / (2.0 * n)))
+    rotated = _rotate(_thin_r(spec), [complex_normal(gen, (b, inner, n, r), np.sqrt(0.5)) for _ in range(d)])
+    energy = st.eta_max(spec.lambdas, st.gram_set(spec))
+    got = _log_lr_stack(spec, ys, rotated, energy)
+    expected = [_dense_log_lr(spec, ys[i], [[f[i, m] for f in rotated] for m in range(inner)]) for i in range(b)]
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+    # one fixed factor set, broadcast over the observations
+    fixed = _log_lr_stack(spec, ys, [chi[None, None] for chi in spec.factors], energy)
+    np.testing.assert_allclose(fixed, [_dense_log_lr(spec, y, [spec.factors]) for y in ys], rtol=1e-12, atol=1e-12)

@@ -102,8 +102,19 @@ def test_grf_lower_bound_values():
     assert st.grf_lower_bound(1.0, 1.0, 3) == math.inf
     assert st.grf_lower_bound(-2.0, 1.5, 2) == math.inf
     assert st.grf_lower_bound(0.6, 1.0, 2) == pytest.approx(-2.0 * math.log(0.4), rel=1e-12)
+    assert type(st.grf_lower_bound(0.6, 1.0, 2)) is float
     with pytest.raises(ParameterError):
         st.grf_lower_bound(0.1, 0.0, 3)
+    with pytest.raises(ParameterError):
+        st.grf_lower_bound(np.zeros(3), 1.0, 1)
+
+
+def test_grf_lower_bound_is_elementwise():
+    x = np.array([[-2.0, -1.5, -0.9], [0.0, 0.3, 1.5]])
+    bound = st.grf_lower_bound(x, 1.5, 3)
+    assert bound.shape == x.shape
+    assert bound.tolist() == [[st.grf_lower_bound(v, 1.5, 3) for v in row] for row in x.tolist()]
+    assert np.isinf(bound[0, :2]).all() and np.isinf(bound[1, 2])
 
 
 def test_grf_psi_rate_cases(gen):

@@ -155,7 +155,7 @@ def _eta_full_unitaries(spec, size, gen):
 def test_eta_from_frames_matches_full_unitaries(n, gram):
     # all-ones Grams are rank one: the thin QR of the factor is rank deficient
     spec = st.spec_from_grams([0.4, 0.2], gram_matrices(gram, 2, 3), n)
-    frames = _eta_chunk(spec, 4000, st.SeedSpec(14, n).generator())
+    frames = _eta_chunk(spec, st.spike_svd(spec), 4000, st.SeedSpec(14, n).generator())
     full = _eta_full_unitaries(spec, 4000, st.SeedSpec(15, n).generator())
     assert stats.ks_2samp(frames, full).pvalue > 0.01
 
