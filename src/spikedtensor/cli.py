@@ -21,6 +21,7 @@ from . import __version__
 from .config import KINDS, ExperimentConfig, gram_matrices, parse_config_text, resolve_config
 from .errors import ConfigError, DimensionError, DomainError, ParameterError
 from .moment import (
+    _draw_cells,
     default_epsilon,
     e1_e2_split,
     roc_experiment,
@@ -46,7 +47,11 @@ _EXIT_INVARIANT = 2
 # has a row per bin (10^5 bins: 4 MB and 0.6 s; at the sample cap still 20
 # points a bin), `xi-tail` compares every sample with every t (1000 t at
 # 1M samples: 2.7 s) and `moment` runs once per n (32 n from 4 to 128 at
-# 20k samples: 8.7 s).
+# 20k samples: 8.7 s).  `draw_cells` bounds one `roc` or `direct` draw: the
+# larger of its likelihood contraction (`moment._draw_cells`) and its n^d
+# noise tensor.  At the cap, one-thread peak RSS was 0.29 GB for `roc` at
+# d=3, n=4 (0.9 s a trial) and 0.59 GB at d=2, n=6, r=2, where the
+# d n r inner cells of the rotation draws outgrow the contraction.
 _LIMITS = {
     "bins": 100_000,
     "t_count": 1000,
@@ -60,6 +65,7 @@ _LIMITS = {
     "direct_work": 20_000_000,
     "roc_n": 6,
     "roc_work": 20_000_000,
+    "draw_cells": 2**22,
     "xi_samples": 20_000_000,
 }
 
@@ -123,6 +129,11 @@ def _refuse(condition: bool, message: str) -> None:
         raise ConfigError(f"desk-scale limit exceeded: {message}")
 
 
+def _refuse_draw(spec, inner: int) -> None:
+    cells = max(_draw_cells(spec, inner), spec.n**spec.d)
+    _refuse(cells > _LIMITS["draw_cells"], f"one draw holds {cells} cells > {_LIMITS['draw_cells']}")
+
+
 def _spec_for(config: ExperimentConfig, n: int):
     grams = gram_matrices(config.gram, config.r, config.d)
     allow_zero = any(v == 0 for v in config.lambdas)
@@ -169,6 +180,7 @@ def run_moment(config: ExperimentConfig) -> None:
             _refuse(config.d > _LIMITS["direct_d"], f"direct method d {config.d} > {_LIMITS['direct_d']}")
             _refuse(config.outer * config.inner > _LIMITS["direct_work"],
                     f"outer*inner = {config.outer * config.inner} > {_LIMITS['direct_work']}")
+            _refuse_draw(spec, config.inner)
             est = second_moment_direct_mc(spec, config.outer, config.inner, seed, threads=config.threads)
         records.append((n, est))
 
@@ -220,6 +232,7 @@ def run_roc(config: ExperimentConfig) -> None:
     _refuse(2 * config.trials * config.inner > _LIMITS["roc_work"],
             f"2*trials*inner = {2 * config.trials * config.inner} > {_LIMITS['roc_work']}")
     spec = _spec_for(config, n=n)
+    _refuse_draw(spec, config.inner)
     seed = SeedSpec(config.seed, config.stream)
     roc = roc_experiment(spec, config.trials, config.inner, seed, threads=config.threads)
 
@@ -294,6 +307,7 @@ def main(argv=None) -> int:
         _refuse(config.bins > _LIMITS["bins"], f"bins {config.bins} > {_LIMITS['bins']}")
         _refuse(len(config.t) > _LIMITS["t_count"], f"{len(config.t)} t values > {_LIMITS['t_count']}")
         _refuse(len(config.n) > _LIMITS["n_count"], f"{len(config.n)} n values > {_LIMITS['n_count']}")
+        _spec_for(config, n=config.r)  # refuses a bad spike before any work, in every subcommand
         _RUNNERS[args.kind](config)
     except (ConfigError, ParameterError, DomainError, DimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -19,14 +19,12 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ParameterError
-from .rate import _corner_step_cells, _eta_hadamard_stack, _haar_corner_sets
+from .rate import _eta_hadamard_stack, _haar_corner_sets
 from .rng import (
     _BLOCK,
-    _N_STREAMS,
     SeedSpec,
     _orthonormalize,
     as_generator,
-    chunk_sizes,
     complex_normal,
     complex_normal_rounds,
     map_streams,
@@ -146,21 +144,18 @@ def _rotated_factors(spec: SpikeSpec, m: int, gen: np.random.Generator) -> list:
     return _rotate(_thin_r(spec), [complex_normal(gen, shape, std) for shape, std in _rotation_parts(spec, m)])
 
 
-def _eta_chunk(spec: SpikeSpec, svd: SpikeSvd, size: int, gen: np.random.Generator) -> np.ndarray:
-    """`size` draws of the alignment exponent under i.i.d. Haar rotations,
-    scored by the cloud's block-form kernel on Haar corner sets.
+def _eta_chunk(spec: SpikeSpec, svd: SpikeSvd, m: int, gen: np.random.Generator) -> np.ndarray:
+    """One block of `m` draws of the alignment exponent under i.i.d. Haar
+    rotations, scored by the cloud's block-form kernel on Haar corner sets.
 
     With chi_k = U_k [Sigma_k; 0] V_k*, the mode overlap is
     chi_k* Theta chi_k = V_k Sigma_k (U_k* Theta U_k)[:r, :r] Sigma_k V_k*,
     and U_k* Theta U_k is Haar when Theta is, so its corner has the law of
     a Haar corner block: never the full tensors or the full unitaries.
-    `svd` is `spike_svd(spec)`.
+    `svd` is `spike_svd(spec)`.  A draw takes d Haar (n, r) frames: n r d
+    cells, the `cells` of `map_streams` for the Haar-set drivers.
     """
-    out = np.empty(size)
-    for start in range(0, size, _BLOCK):
-        m = min(_BLOCK, size - start)
-        out[start : start + m] = _eta_hadamard_stack(spec.lambdas, svd, _haar_corner_sets(spec.n, spec.r, spec.d, m, gen))
-    return out
+    return _eta_hadamard_stack(spec.lambdas, svd, _haar_corner_sets(spec.n, spec.r, spec.d, m, gen))
 
 
 def second_moment_haar_mc(spec: SpikeSpec, samples: int, rng: SeedSpec, threads: int = 1) -> MCEstimate:
@@ -174,12 +169,10 @@ def second_moment_haar_mc(spec: SpikeSpec, samples: int, rng: SeedSpec, threads:
     scale = 2.0 * spec.n
     svd = spike_svd(spec)
 
-    def worker(_i, size, gen):
-        return scale * _eta_chunk(spec, svd, size, gen)
+    def worker(m, gen):
+        return scale * _eta_chunk(spec, svd, m, gen)
 
-    sizes = chunk_sizes(samples, _N_STREAMS)
-    chunks = map_streams(worker, sizes, rng, threads, step_cells=_corner_step_cells(spec, sizes))
-    return _mean_from_exponents(chunks, rng, samples)
+    return _mean_from_exponents(map_streams(worker, samples, rng, threads, cells=spec.n * spec.r * spec.d), rng, samples)
 
 
 def default_epsilon(spec: SpikeSpec) -> float:
@@ -217,14 +210,11 @@ def e1_e2_split(spec: SpikeSpec, epsilon: float, samples: int, rng: SeedSpec, th
     scale = 2.0 * spec.n
     svd = spike_svd(spec)
 
-    sizes = chunk_sizes(samples, _N_STREAMS)
-    eta_chunks = map_streams(
-        lambda _i, size, gen: _eta_chunk(spec, svd, size, gen),
-        sizes,
-        rng,
-        threads,
-        step_cells=_corner_step_cells(spec, sizes),
-    )
+    def worker(m, gen):
+        return _eta_chunk(spec, svd, m, gen)
+
+    eta_chunks = map_streams(worker, samples, rng, threads, cells=spec.n * spec.r * spec.d)
+    sizes = [len(c) for c in eta_chunks]
     exp_chunks = [scale * c for c in eta_chunks]
     total = _mean_from_exponents(exp_chunks, rng, samples)
     e1 = _mean_from_exponents([c[e > epsilon] for c, e in zip(exp_chunks, eta_chunks)], rng, samples, sizes)
@@ -298,20 +288,12 @@ def second_moment_direct_mc(
     fixed = [chi[None, None] for chi in spec.factors]
     r_factors = _thin_r(spec)
     energy = eta_max(spec.lambdas, gram_set(spec))
-    block = _block_draws(spec, stacked)
 
-    def worker(_i, size, gen):
-        exponents = np.empty(size)
-        for start in range(0, size, block):
-            m = min(block, size - start)
-            y, *ginibre = complex_normal_rounds(gen, m, layout)
-            factors = _rotate(r_factors, ginibre) if rotate else fixed
-            exponents[start : start + m] = 2.0 * _log_lr_stack(spec, y, factors, energy)
-        return exponents
+    def worker(m, gen):
+        y, *ginibre = complex_normal_rounds(gen, m, layout)
+        return 2.0 * _log_lr_stack(spec, y, _rotate(r_factors, ginibre) if rotate else fixed, energy)
 
-    sizes = chunk_sizes(outer, _N_STREAMS)
-    cells = min(block, sizes[0]) * _draw_cells(spec, stacked)
-    chunks = map_streams(worker, sizes, rng, threads, step_cells=cells)
+    chunks = map_streams(worker, outer, rng, threads, cells=_draw_cells(spec, stacked), block=_block_draws(spec, stacked))
     return _mean_from_exponents(chunks, rng, outer)
 
 
@@ -337,22 +319,16 @@ def xi_empirical_tail(n: int, ts, samples: int, rng: SeedSpec, threads: int = 1)
             raise ParameterError(f"need t in [0, 1], got {t}")
     if n < 2 or samples < 1:
         raise ParameterError(f"need n >= 2 and samples >= 1, got n={n}, samples={samples}")
-    block = _BLOCK * 16
 
-    def worker(_i, size, gen):
+    def worker(m, gen):
         hits = np.zeros(ts.size, dtype=np.int64)
-        done = 0
-        while done < size:
-            m = min(block, size - done)
-            v = complex_normal(gen, (m, n), np.sqrt(0.5))
-            for rows in np.split(v, range(_BLOCK, m, _BLOCK)):  # caps the norm's temporaries
-                frac = np.abs(rows[:, 0]) / np.linalg.norm(rows, axis=1)
-                hits += np.count_nonzero(frac[:, None] >= ts, axis=0)
-            done += m
-        return hits
+        v = complex_normal(gen, (m, n), np.sqrt(0.5))
+        for rows in np.split(v, range(_BLOCK, m, _BLOCK)):  # caps the norm's temporaries
+            frac = np.abs(rows[:, 0]) / np.linalg.norm(rows, axis=1)
+            hits += np.count_nonzero(frac[:, None] >= ts, axis=0)
+        return hits[None]
 
-    sizes = chunk_sizes(samples, _N_STREAMS)
-    hits = sum(map_streams(worker, sizes, rng, threads, step_cells=min(block, sizes[0]) * n))
+    hits = np.concatenate(map_streams(worker, samples, rng, threads, cells=n, block=_BLOCK * 16)).sum(axis=0)
     freqs = [int(h) / samples for h in hits]
     return [
         MCEstimate(count=samples, mean=p, stderr=float(np.sqrt(p * (1.0 - p) / samples)), log_domain_max=0.0, seed=rng)
@@ -392,8 +368,8 @@ def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, thre
     """Empirical ROC of the likelihood-ratio statistic over `trials` draws
     per hypothesis; the statistic is the Neyman-Pearson optimal one, which
     makes the random-guessing regime maximally visible."""
-    if trials < 2:
-        raise ParameterError(f"need trials >= 2, got {trials}")
+    if trials < 2 or inner < 1:
+        raise ParameterError(f"need trials >= 2 and inner >= 1, got trials={trials}, inner={inner}")
     # per draw, in the order of the one-draw calls: the null observation and
     # its likelihood's rotations, then the alternative's spike rotations,
     # noise and likelihood rotations
@@ -402,25 +378,17 @@ def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, thre
     d = spec.d
     r_factors = _thin_r(spec)
     energy = eta_max(spec.lambdas, gram_set(spec))
-    block = _block_draws(spec, inner)
 
-    def worker(_i, size, gen):
-        s0 = np.empty(size)
-        s1 = np.empty(size)
-        for start in range(0, size, block):
-            m = min(block, size - start)
-            parts = complex_normal_rounds(gen, m, layout)
-            s0[start : start + m] = _log_lr_stack(spec, parts[0], _rotate(r_factors, parts[1 : d + 1]), energy)
-            spikes = _spike_tensors(spec.lambdas, [f[:, 0] for f in _rotate(r_factors, parts[d + 1 : 2 * d + 1])])
-            y1 = spikes + parts[2 * d + 1]
-            s1[start : start + m] = _log_lr_stack(spec, y1, _rotate(r_factors, parts[2 * d + 2 :]), energy)
-        return s0, s1
+    def worker(m, gen):
+        parts = complex_normal_rounds(gen, m, layout)
+        s0 = _log_lr_stack(spec, parts[0], _rotate(r_factors, parts[1 : d + 1]), energy)
+        spikes = _spike_tensors(spec.lambdas, [f[:, 0] for f in _rotate(r_factors, parts[d + 1 : 2 * d + 1])])
+        s1 = _log_lr_stack(spec, spikes + parts[2 * d + 1], _rotate(r_factors, parts[2 * d + 2 :]), energy)
+        return np.column_stack([s0, s1])
 
-    sizes = chunk_sizes(trials, _N_STREAMS)
-    cells = min(block, sizes[0]) * _draw_cells(spec, inner)
-    results = map_streams(worker, sizes, rng, threads, step_cells=cells)
-    s0 = np.sort(np.concatenate([r[0] for r in results]))
-    s1 = np.sort(np.concatenate([r[1] for r in results]))
+    scores = np.concatenate(map_streams(worker, trials, rng, threads, cells=_draw_cells(spec, inner), block=_block_draws(spec, inner)))
+    s0 = np.sort(scores[:, 0])
+    s1 = np.sort(scores[:, 1])
     thresholds = np.unique(np.concatenate([s0, s1]))
     fpr = 1.0 - np.searchsorted(s0, thresholds, side="left") / trials
     tpr = 1.0 - np.searchsorted(s1, thresholds, side="left") / trials

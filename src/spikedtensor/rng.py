@@ -170,10 +170,10 @@ def unitarity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(n))))
 
 
-# The chunk layout of every Monte-Carlo driver: its draws are split into
-# `_N_STREAMS` chunks, one child stream each, and a chunk takes its draws in
-# blocks of at most `_BLOCK` (the Haar-set drivers; the observation drivers
-# size their blocks from their own cells).
+# The chunk layout of every Monte-Carlo driver, owned by `map_streams`: its
+# draws are split into `_N_STREAMS` chunks, one child stream each, and a
+# chunk takes its draws in blocks of at most `_BLOCK` (the Haar-set drivers;
+# the observation drivers size their blocks from their own cells).
 _N_STREAMS = 16
 _BLOCK = 1024
 
@@ -189,24 +189,28 @@ def chunk_sizes(total: int, chunks: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(chunks)]
 
 
-def map_streams(fn, sizes: list[int], seed: SeedSpec, threads: int = 1, *, step_cells: int) -> list:
-    """Evaluate ``fn(chunk_index, size, generator)`` for every chunk and
-    return results in chunk order.
+def map_streams(draw, total: int, seed: SeedSpec, threads: int = 1, *, cells: int, block: int = _BLOCK) -> list:
+    """Take `total` draws in the chunk layout and return one array per
+    chunk, in chunk order.
 
-    Each chunk draws from its own child stream ``seed.generator(i)``, so the
-    output is byte-identical for any `threads` value.  `step_cells` is the
-    size, in array cells, of the largest vectorized step a chunk takes;
-    below `_THREADED_STEP_CELLS` the chunks run on the calling thread
-    whatever `threads` is.
+    `total` is split by ``chunk_sizes(total, _N_STREAMS)``.  Chunk i draws
+    from its own child stream ``seed.generator(i)`` by calls
+    ``draw(m, generator)`` of at most `block` draws each, and its array is
+    their results concatenated along axis 0; so the output is byte-identical
+    for any `threads` value.  `cells` is the size, in array cells, of one
+    draw of a block: below `_THREADED_STEP_CELLS` cells in the largest
+    block, the chunks run on the calling thread whatever `threads` is.
     """
     if threads < 1:
         raise ParameterError(f"need threads >= 1, got {threads}")
+    sizes = chunk_sizes(total, _N_STREAMS)
 
     def run(i: int):
-        return fn(i, sizes[i], seed.generator(i))
+        gen = seed.generator(i)
+        return np.concatenate([draw(min(block, sizes[i] - start), gen) for start in range(0, sizes[i], block)])
 
     indices = range(len(sizes))
-    if threads == 1 or len(sizes) == 1 or step_cells < _THREADED_STEP_CELLS:
+    if threads == 1 or len(sizes) == 1 or min(block, sizes[0]) * cells < _THREADED_STEP_CELLS:
         return [run(i) for i in indices]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(run, indices))

@@ -56,6 +56,13 @@ class SpikeSpec:
                 raise ParameterError("amplitudes must be non-negative")
         elif np.any(self.lambdas <= 0):
             raise ParameterError("amplitudes must be strictly positive; drop zero components instead")
+        # eta_max <= sum(lambdas)^2, so 2 n sum(lambdas)^2 bounds every
+        # exponent a driver forms: 2 n eta in `moment`, 2 eta_max in `cloud`
+        with np.errstate(over="ignore"):
+            total = np.sum(self.lambdas)
+            top = 2.0 * self.n * total**2
+        if not np.isfinite(top):
+            raise ParameterError(f"2 n sum(lambdas)^2 must be a finite float, got sum(lambdas) = {total:.6g}")
         if len(self.factors) != self.d:
             raise ParameterError(f"need {self.d} factor matrices, got {len(self.factors)}")
         for k, chi in enumerate(self.factors):

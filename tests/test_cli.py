@@ -192,6 +192,40 @@ def test_non_finite_amplitude_exits_one(tmp_path, capsys, value):
     assert not out.with_suffix(".json").exists()
 
 
+@pytest.mark.parametrize("kind", ["threshold", "cloud", "moment", "split", "xi-tail", "roc"])
+def test_overflowing_spike_exits_one_before_any_file(tmp_path, capsys, kind):
+    # 2 n sum(lambdas)^2 is inf: eta_max and every exponent would overflow
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([kind, "--lambdas", "1e200", "--n", 4, "--samples", 10, "--out", tmp_path / "o"]) == 1
+    assert [str(w.message) for w in caught] == []
+    assert "config error: 2 n sum(lambdas)^2 must be a finite float" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ["roc", "--n", 3, "--trials", 4, "--inner", 0],
+    ["moment", "--method", "direct", "--n", 3, "--outer", 4, "--inner", 0],
+])
+def test_observation_drivers_refuse_zero_inner(tmp_path, capsys, args):
+    assert run(args + ["--out", tmp_path / "o"]) == 1
+    assert "inner >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    # within the work caps, but one draw's contraction holds 180M and 80M cells
+    ["roc", "--d", 3, "--n", 6, "--trials", 2, "--inner", 5_000_000],
+    ["moment", "--method", "direct", "--d", 3, "--n", 4, "--outer", 2, "--inner", 5_000_000],
+    # one draw's noise tensor holds 5^12 cells
+    ["roc", "--d", 12, "--n", 5, "--trials", 2, "--inner", 1],
+])
+def test_observation_drivers_cap_one_draw(tmp_path, capsys, args):
+    assert run(args + ["--out", tmp_path / "o"]) == 1
+    assert "desk-scale limit exceeded: one draw holds" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_reproducibility_and_thread_independence(tmp_path):
     out = tmp_path / "mom"
     base = ["moment", "--d", 3, "--lambdas", "0.3", "--n", 4, "--samples", 600, "--seed", 11, "--out", out]

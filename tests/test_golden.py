@@ -14,6 +14,7 @@ be checked against that platform's 0.4.0 output.
 """
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ import pytest
 import spikedtensor as st
 import spikedtensor.moment as moment
 from spikedtensor.cli import main
-from spikedtensor.rng import _THREADED_STEP_CELLS, map_streams
+from spikedtensor.rng import map_streams
 
 CLI_CASES = {
     "roc_readme": "roc --d 3 --lambdas 0.4 --n 3 --trials 500 --inner 200",
@@ -155,15 +156,18 @@ def test_observation_outputs_are_pinned_at_two_threads(tmp_path, monkeypatch, na
 
 @pytest.mark.parametrize("name", ["roc_n4_d3", "direct_n4_d3"])
 def test_pool_cases_reach_the_pool(tmp_path, monkeypatch, name):
-    steps = []
+    idents = []
 
-    def recording(*args, step_cells, **kwargs):
-        steps.append(step_cells)
-        return map_streams(*args, step_cells=step_cells, **kwargs)
+    def recording(draw, *args, **kwargs):
+        def traced(m, gen):
+            idents.append(threading.get_ident())
+            return draw(m, gen)
+
+        return map_streams(traced, *args, **kwargs)
 
     monkeypatch.setattr(moment, "map_streams", recording)
     _run_case(tmp_path, monkeypatch, f"{CLI_CASES[name]} --out {name}", 2)
-    assert steps and min(steps) >= _THREADED_STEP_CELLS
+    assert idents and threading.get_ident() not in idents
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -283,6 +283,17 @@ def test_rate_stack_exact_cases():
     assert st.grf_psi_rate(st.PsiSet.from_blocks([above])) == -math.inf
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_rate_stack_is_minus_inf_on_haar_corners_below_2r(r):
+    # at n < 2r the r x r corner of an n x n unitary has a singular value
+    # of exactly 1, so det(I - psi* psi) = 0 in every block; at n = 2r it
+    # has none
+    for n in range(r, 2 * r + 1):
+        stack = rate._haar_corner_sets(n, r, 3, 4000, st.SeedSpec(8, n).generator())
+        got = _rate_stack(stack)
+        assert np.all(got == -math.inf) if n < 2 * r else np.all(np.isfinite(got))
+
+
 @pytest.mark.parametrize("n, r, d, gram", [
     (2, 2, 3, "identity"),
     (5, 2, 3, "two-eigenvalue:1.8,0.2"),

@@ -231,35 +231,45 @@ def test_chunk_sizes():
 
 
 def test_map_streams_order_and_thread_invariance():
-    sizes = chunk_sizes(1000, 16)
     seed = st.SeedSpec(11, 0)
+    calls = []
 
-    def draw(_i, size, gen):
-        return gen.standard_normal(size)
+    def draw(m, gen):
+        calls.append(m)
+        return gen.standard_normal(m)
 
-    # a step above the threshold, so that threads=4 runs on a real pool
-    serial = np.concatenate(map_streams(draw, sizes, seed, threads=1, step_cells=_THREADED_STEP_CELLS))
-    parallel = np.concatenate(map_streams(draw, sizes, seed, threads=4, step_cells=_THREADED_STEP_CELLS))
-    assert np.array_equal(serial, parallel)
+    # blocks of 40: chunk i of 63 or 62 draws is two blocks on child stream
+    # i, and with a threshold's worth of cells a draw threads=4 runs a pool
+    expected = []
+    for i, size in enumerate(chunk_sizes(1000, 16)):
+        gen = seed.generator(i)
+        expected += [gen.standard_normal(40), gen.standard_normal(size - 40)]
+    expected = np.concatenate(expected)
+    serial = map_streams(draw, 1000, seed, threads=1, cells=_THREADED_STEP_CELLS, block=40)
+    assert sorted(set(calls)) == [22, 23, 40]
+    parallel = map_streams(draw, 1000, seed, threads=4, cells=_THREADED_STEP_CELLS, block=40)
+    assert len(serial) == 16
+    assert np.array_equal(np.concatenate(serial), expected)
+    assert np.array_equal(np.concatenate(parallel), expected)
 
 
 def test_map_streams_threads_only_large_steps():
-    sizes = chunk_sizes(64, 16)
     seed = st.SeedSpec(16, 0)
     caller = threading.get_ident()
 
-    def run(step_cells):
+    def run(cells):
         idents = []
 
-        def draw(_i, size, gen):
+        def draw(m, gen):
             idents.append(threading.get_ident())
-            return gen.standard_normal(size)
+            return gen.standard_normal(m)
 
-        out = np.concatenate(map_streams(draw, sizes, seed, threads=2, step_cells=step_cells))
+        # 64 draws: chunks of 4, so the largest block holds 4 * cells cells
+        out = np.concatenate(map_streams(draw, 64, seed, threads=2, cells=cells))
         return out, set(idents)
 
-    small, small_idents = run(_THREADED_STEP_CELLS - 1)
-    large, large_idents = run(_THREADED_STEP_CELLS)
+    small, small_idents = run(_THREADED_STEP_CELLS // 4 - 1)
+    large, large_idents = run(_THREADED_STEP_CELLS // 4)
     assert small_idents == {caller}
     assert caller not in large_idents
     assert np.array_equal(small, large)

@@ -27,6 +27,11 @@ def test_spec_validation_rejects_bad_inputs():
         st.SpikeSpec(d=3, n=4, r=1, lambdas=[1.0], factors=tuple(bad))
     with pytest.raises(DimensionError):
         st.SpikeSpec(d=3, n=4, r=1, lambdas=[1.0], factors=orthonormal_factors(3, 1, 3))
+    # 2 n sum(lambdas)^2 bounds every exponent the drivers form: it must be finite
+    for lam in ([1e200], [1e154], [1e308, 1e308]):
+        with pytest.raises(ParameterError, match="finite"):
+            st.SpikeSpec(d=3, n=4, r=len(lam), lambdas=lam, factors=orthonormal_factors(4, len(lam), 3))
+    st.SpikeSpec(d=3, n=4, r=1, lambdas=[1e150], factors=orthonormal_factors(4, 1, 3))
 
 
 def test_spec_allow_zero_mode():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 import spikedtensor as st
 from conftest import make_random_spec
@@ -21,17 +22,20 @@ def test_beta_3_matches_grid_oracle():
     assert abs(st.beta_d_second(3) - grid_oracle(3)) < 1e-6
 
 
-def test_beta_interior_minimizer_first_order_optimality():
-    # recover the minimizer for d=3 and check the derivative vanishes
-    u = np.linspace(0, 1, 20001)[1:-1]
-    vals = -np.log1p(-u * u) / u**3
-    u0 = u[np.argmin(vals)]
-    from spikedtensor.thresholds import _golden_min, _objective
+def objective(u, d):
+    return -math.log1p(-u * u) / u**d
 
-    u_star, _ = _golden_min(lambda x: _objective(x, 3), u0 - 1e-3, u0 + 1e-3, 1e-12)
-    h = 1e-5
-    deriv = (_objective(u_star + h, 3) - _objective(u_star - h, 3)) / (2 * h)
-    assert abs(deriv) <= 1e-6
+
+def test_beta_interior_minimizer_first_order_optimality():
+    # the closed form's minimizer u* = sqrt(1 - 1/z): the derivative
+    # vanishes there and the objective there is beta_d^2
+    for d in (3, 5, 8):
+        z = -(d / 2) * lambertw(-(2 / d) * math.exp(-2 / d), -1).real
+        u_star = math.sqrt(1.0 - 1.0 / z)
+        h = 1e-5
+        deriv = (objective(u_star + h, d) - objective(u_star - h, d)) / (2 * h)
+        assert abs(deriv) <= 1e-6
+        assert objective(u_star, d) == pytest.approx(st.beta_d_second(d) ** 2, rel=1e-14)
 
 
 def test_beta_positive_finite_up_to_32():
@@ -40,9 +44,11 @@ def test_beta_positive_finite_up_to_32():
         assert math.isfinite(b) and b > 0
 
 
-def test_beta_tolerance_consistency():
-    for d in (3, 5, 8):
-        assert abs(st.beta_d_second(d, u_tol=1e-10) - st.beta_d_second(d, u_tol=1e-11)) < 1e-8
+@pytest.mark.filterwarnings("error")
+def test_beta_large_d_is_quiet_and_increasing():
+    # the minimizer tends to u = 1 as d grows; a grid there overflows u^-d
+    values = [st.beta_d_second(d) for d in (32, 200, 10**3, 10**5, 10**17)]
+    assert values == sorted(values) and all(math.isfinite(b) for b in values)
 
 
 def test_beta_rejects_small_d():
