@@ -46,12 +46,12 @@ _EXIT_INVARIANT = 2
 # 9 s at n=1024 (the Haar corner draw dominates there).  The list caps bound what one run multiplies: `bound.csv`
 # has a row per bin (10^5 bins: 4 MB and 0.6 s; at the sample cap still 20
 # points a bin), `xi-tail` compares every sample with every t (1000 t at
-# 1M samples: 2.7 s) and `moment` runs once per n (32 n from 4 to 128 at
+# 1M samples: 1.1 s) and `moment` runs once per n (32 n from 4 to 128 at
 # 20k samples: 8.7 s).  `draw_cells` bounds one `roc` or `direct` draw: the
-# larger of its likelihood contraction (`moment._draw_cells`) and its n^d
-# noise tensor.  At the cap, one-thread peak RSS was 0.29 GB for `roc` at
-# d=3, n=4 (0.9 s a trial) and 0.59 GB at d=2, n=6, r=2, where the
-# d n r inner cells of the rotation draws outgrow the contraction.
+# largest of its likelihood contraction (`moment._draw_cells`), its n^d
+# noise tensor and the d n r inner cells of a likelihood's rotation draws,
+# which outgrow the contraction when n^(d-2) < d.  At the cap, one-thread
+# peak RSS was 0.29 GB for `roc` at d=3, n=4 (0.9 s a trial).
 _LIMITS = {
     "bins": 100_000,
     "t_count": 1000,
@@ -130,7 +130,7 @@ def _refuse(condition: bool, message: str) -> None:
 
 
 def _refuse_draw(spec, inner: int) -> None:
-    cells = max(_draw_cells(spec, inner), spec.n**spec.d)
+    cells = max(_draw_cells(spec, inner), spec.n**spec.d, spec.d * spec.n * spec.r * inner)
     _refuse(cells > _LIMITS["draw_cells"], f"one draw holds {cells} cells > {_LIMITS['draw_cells']}")
 
 

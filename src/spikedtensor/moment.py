@@ -21,7 +21,6 @@ from scipy.special import logsumexp
 from .errors import ParameterError
 from .rate import _eta_hadamard_stack, _haar_corner_sets
 from .rng import (
-    _BLOCK,
     SeedSpec,
     _orthonormalize,
     as_generator,
@@ -31,18 +30,6 @@ from .rng import (
     sample_gaussian_tensor,
 )
 from .spike import SpikeSpec, SpikeSvd, _spike_tensors, build_spike, eta_max, gram_set, spike_svd
-
-# `roc_experiment` and `second_moment_direct_mc` take their draws in blocks
-# whose first likelihood contractions (`_draw_cells` each) hold at most
-# this many cells, one draw when a single draw is larger.  On the
-# benchmark's `observe` ops (n=3, inner=200: 1.8k cells a draw; 2-core
-# machine, one thread, medians over five seeds), draws/s were 453k at one
-# draw a block, 713k at 2^13, 741k at 2^14, 754k at 2^15 and 754k at 2^16,
-# and peak RSS 0.0, 0.6, 1.2 and 1.2 MB above one draw a block's.  A
-# block stays below `rng._THREADED_STEP_CELLS`, so only a single draw
-# larger than that reaches the thread pool.
-_OBSERVE_BLOCK_CELLS = 2**15
-
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -253,14 +240,9 @@ def _noise_part(spec: SpikeSpec) -> tuple:
 
 def _draw_cells(spec: SpikeSpec, inner: int) -> int:
     """Cells of one draw's first likelihood contraction against `inner`
-    factor sets, (n^(d-1), inner * r): the largest array a draw touches."""
+    factor sets, (n^(d-1), inner * r): the `cells` of `map_streams` for the
+    observation drivers."""
     return inner * spec.r * spec.n ** (spec.d - 1)
-
-
-def _block_draws(spec: SpikeSpec, inner: int) -> int:
-    """Draws per block: as many draws as fit in `_OBSERVE_BLOCK_CELLS`, at
-    least one."""
-    return max(1, _OBSERVE_BLOCK_CELLS // _draw_cells(spec, inner))
 
 
 def second_moment_direct_mc(
@@ -293,7 +275,7 @@ def second_moment_direct_mc(
         y, *ginibre = complex_normal_rounds(gen, m, layout)
         return 2.0 * _log_lr_stack(spec, y, _rotate(r_factors, ginibre) if rotate else fixed, energy)
 
-    chunks = map_streams(worker, outer, rng, threads, cells=_draw_cells(spec, stacked), block=_block_draws(spec, stacked))
+    chunks = map_streams(worker, outer, rng, threads, cells=_draw_cells(spec, stacked))
     return _mean_from_exponents(chunks, rng, outer)
 
 
@@ -321,14 +303,11 @@ def xi_empirical_tail(n: int, ts, samples: int, rng: SeedSpec, threads: int = 1)
         raise ParameterError(f"need n >= 2 and samples >= 1, got n={n}, samples={samples}")
 
     def worker(m, gen):
-        hits = np.zeros(ts.size, dtype=np.int64)
         v = complex_normal(gen, (m, n), np.sqrt(0.5))
-        for rows in np.split(v, range(_BLOCK, m, _BLOCK)):  # caps the norm's temporaries
-            frac = np.abs(rows[:, 0]) / np.linalg.norm(rows, axis=1)
-            hits += np.count_nonzero(frac[:, None] >= ts, axis=0)
-        return hits[None]
+        frac = np.abs(v[:, 0]) / np.linalg.norm(v, axis=1)
+        return np.array([[np.count_nonzero(frac >= t) for t in ts]])  # one t at a time: no (m, t) temporary
 
-    hits = np.concatenate(map_streams(worker, samples, rng, threads, cells=n, block=_BLOCK * 16)).sum(axis=0)
+    hits = np.concatenate(map_streams(worker, samples, rng, threads, cells=n)).sum(axis=0)
     freqs = [int(h) / samples for h in hits]
     return [
         MCEstimate(count=samples, mean=p, stderr=float(np.sqrt(p * (1.0 - p) / samples)), log_domain_max=0.0, seed=rng)
@@ -386,7 +365,7 @@ def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, thre
         s1 = _log_lr_stack(spec, spikes + parts[2 * d + 1], _rotate(r_factors, parts[2 * d + 2 :]), energy)
         return np.column_stack([s0, s1])
 
-    scores = np.concatenate(map_streams(worker, trials, rng, threads, cells=_draw_cells(spec, inner), block=_block_draws(spec, inner)))
+    scores = np.concatenate(map_streams(worker, trials, rng, threads, cells=_draw_cells(spec, inner)))
     s0 = np.sort(scores[:, 0])
     s1 = np.sort(scores[:, 1])
     thresholds = np.unique(np.concatenate([s0, s1]))

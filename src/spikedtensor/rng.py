@@ -19,15 +19,6 @@ from .errors import ParameterError
 
 _U64 = 2**64
 
-# Worker threads pay only when each NumPy call of a chunk runs long enough
-# to release the GIL for most of the chunk's time; with smaller steps the
-# Python between the calls serializes the workers and they only contend.
-# On a 2-core machine, 2 threads took 1.20x and 1.17x the one-thread time
-# on roc steps of 43k and 50k cells, 0.55x on cloud steps of 72k cells and
-# 0.62x on rank-one moment steps of 98k cells.
-_THREADED_STEP_CELLS = 2**16
-
-
 @dataclass(frozen=True)
 class SeedSpec:
     """Reproducible seed handle: (master_seed, stream_id) -> one RNG stream."""
@@ -172,10 +163,20 @@ def unitarity_defect(m: np.ndarray) -> float:
 
 # The chunk layout of every Monte-Carlo driver, owned by `map_streams`: its
 # draws are split into `_N_STREAMS` chunks, one child stream each, and a
-# chunk takes its draws in blocks of at most `_BLOCK` (the Haar-set drivers;
-# the observation drivers size their blocks from their own cells).
+# chunk takes its draws in blocks of at most `_BLOCK_CELLS` array cells.
+# One thread on a 2-core machine, medians of seven calls: 12k cloud draws
+# at n=16, r=2 (chunks of 750 draws, 72k cells) took 126 ms at a budget of
+# 2^16 (blocks of 682 + 68 draws) and 105 ms at 2^17 (one block); xi-tail
+# at n=16, 150k samples took 152 ms at 2^15 and 127-129 ms from 2^16 on;
+# roc, direct and the Haar moment moved within noise from 2^15 to 2^18,
+# while the traced peak of `direct` at n=4, inner=2000 doubled with each
+# step up to 5.4 MB at 2^17.  The chunks go to the pool from 2^16 cells a
+# chunk: with the pool forced on, 2 threads took 0.56-0.68x the one-thread
+# time on roc, cloud, Haar-moment and xi-tail chunks of 72k-120k cells, but
+# 1.17x on `direct` at n=4, inner=2000 (four 32k-cell draws a chunk), and
+# 0.68-0.89x on chunks of 36k-60k cells, a gain this threshold leaves unused.
 _N_STREAMS = 16
-_BLOCK = 1024
+_BLOCK_CELLS = 2**17
 
 
 def chunk_sizes(total: int, chunks: int) -> list[int]:
@@ -189,28 +190,30 @@ def chunk_sizes(total: int, chunks: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(chunks)]
 
 
-def map_streams(draw, total: int, seed: SeedSpec, threads: int = 1, *, cells: int, block: int = _BLOCK) -> list:
+def map_streams(draw, total: int, seed: SeedSpec, threads: int = 1, *, cells: int) -> list:
     """Take `total` draws in the chunk layout and return one array per
     chunk, in chunk order.
 
     `total` is split by ``chunk_sizes(total, _N_STREAMS)``.  Chunk i draws
     from its own child stream ``seed.generator(i)`` by calls
-    ``draw(m, generator)`` of at most `block` draws each, and its array is
-    their results concatenated along axis 0; so the output is byte-identical
-    for any `threads` value.  `cells` is the size, in array cells, of one
-    draw of a block: below `_THREADED_STEP_CELLS` cells in the largest
-    block, the chunks run on the calling thread whatever `threads` is.
+    ``draw(m, generator)``, and its array is their results concatenated
+    along axis 0; so the output is byte-identical for any `threads` value.
+    `cells` is the size, in array cells, of one draw: a call takes as many
+    draws as fit in `_BLOCK_CELLS` cells, at least one, and the chunks run
+    on the calling thread, whatever `threads` is, while the largest chunk
+    holds fewer than `_BLOCK_CELLS // 2` cells.
     """
     if threads < 1:
         raise ParameterError(f"need threads >= 1, got {threads}")
     sizes = chunk_sizes(total, _N_STREAMS)
+    block = max(1, _BLOCK_CELLS // cells)
 
     def run(i: int):
         gen = seed.generator(i)
         return np.concatenate([draw(min(block, sizes[i] - start), gen) for start in range(0, sizes[i], block)])
 
     indices = range(len(sizes))
-    if threads == 1 or len(sizes) == 1 or min(block, sizes[0]) * cells < _THREADED_STEP_CELLS:
+    if threads == 1 or len(sizes) == 1 or sizes[0] * cells < _BLOCK_CELLS // 2:
         return [run(i) for i in indices]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(run, indices))

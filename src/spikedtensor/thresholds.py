@@ -4,7 +4,7 @@ closed-form non-detectability conditions built from it."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import lambertw
@@ -93,18 +93,7 @@ class ThresholdReport:
     d2_ok: bool | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "beta_d": self.beta_d,
-            "sum_lambda": self.sum_lambda,
-            "eta_max": self.eta_max,
-            "hoelder_ok": self.hoelder_ok,
-            "hoelder_margin": self.hoelder_margin,
-            "main_ok": self.main_ok,
-            "main_margin": self.main_margin,
-            "d2_mu_max": self.d2_mu_max,
-            "d2_ok": self.d2_ok,
-        }
+        return asdict(self)
 
 
 def threshold_report(spec: SpikeSpec) -> ThresholdReport:

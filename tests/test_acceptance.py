@@ -15,7 +15,7 @@ from spikedtensor.cli import main as cli_main
 from spikedtensor.config import gram_matrices
 from spikedtensor.moment import _eta_chunk
 from spikedtensor.rate import _sample_psi_stack
-from spikedtensor.rng import _BLOCK, _N_STREAMS, chunk_sizes
+from spikedtensor.rng import map_streams
 
 
 def _passed(k, text):
@@ -122,14 +122,13 @@ def test_criterion_06_lemma_supremum():
 
 
 def _replay_cloud_stacks(spec, count, seed):
-    """Yield exactly the psi stacks `sample_grf_cloud` draws on this seed."""
-    for i, size in enumerate(chunk_sizes(count, _N_STREAMS)):
-        gen = seed.generator(i)
-        done = 0
-        while done < size:
-            m = min(_BLOCK, size - done)
-            yield _sample_psi_stack(spec.r, spec.n, spec.d, m, gen)
-            done += m
+    """Exactly the psi stacks `sample_grf_cloud` draws on this seed, in draw
+    order, recorded through its `map_streams` layout."""
+
+    def draw(m, gen):
+        return _sample_psi_stack(spec.r, spec.n, spec.d, m, gen)
+
+    return np.concatenate(map_streams(draw, count, seed, cells=spec.n * spec.r * spec.d))
 
 
 def test_criterion_07_rate_bound_cloud():
@@ -143,13 +142,12 @@ def test_criterion_07_rate_bound_cloud():
         cloud = st.sample_grf_cloud(spec, count, seed, bins=60)
         assert cloud_points_ok(cloud)
         assert st.cloud_bound_violations(cloud, tol=1e-9) == 0
-        for stack in _replay_cloud_stacks(spec, count, seed):
-            s = np.linalg.svd(stack, compute_uv=False)
-            clipped = np.minimum(s, 1.0)
-            with np.errstate(divide="ignore"):
-                lhs = np.sum(np.log1p(-clipped * clipped), axis=-1)
-                rhs = np.log1p(-clipped[..., 0] ** 2)
-            assert np.all(lhs <= rhs + 1e-12)
+        s = np.linalg.svd(_replay_cloud_stacks(spec, count, seed), compute_uv=False)
+        clipped = np.minimum(s, 1.0)
+        with np.errstate(divide="ignore"):
+            lhs = np.sum(np.log1p(-clipped * clipped), axis=-1)
+            rhs = np.log1p(-clipped[..., 0] ** 2)
+        assert np.all(lhs <= rhs + 1e-12)
         gaps[preset] = st.envelope_gap_median(cloud, 0.3, 0.8)
     assert gaps["two-eigenvalue:1.8,0.2"] < gaps["identity"]
     elapsed = time.monotonic() - started

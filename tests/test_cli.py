@@ -219,6 +219,8 @@ def test_observation_drivers_refuse_zero_inner(tmp_path, capsys, args):
     ["moment", "--method", "direct", "--d", 3, "--n", 4, "--outer", 2, "--inner", 5_000_000],
     # one draw's noise tensor holds 5^12 cells
     ["roc", "--d", 12, "--n", 5, "--trials", 2, "--inner", 1],
+    # a contraction of 4,194,300 cells, under the cap, but rotation draws of d n r inner = 8,388,600
+    ["roc", "--d", 2, "--n", 6, "--lambdas", "0.3,0.2", "--trials", 4, "--inner", 349525],
 ])
 def test_observation_drivers_cap_one_draw(tmp_path, capsys, args):
     assert run(args + ["--out", tmp_path / "o"]) == 1

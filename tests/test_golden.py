@@ -7,20 +7,31 @@ corner sets, a new draw order), the cloud's envelope and bound files (the
 array-valued bound) and the library values.  Each was checked against
 0.3.0 before it was pinned: the same draws give the same `roc` rates and
 agree to a few ulps, and the Haar means agree in law.  The cloud points,
-`threshold` and `xi-tail` keep their 0.3.0 digests.  Every digest holds at
-every `--threads` value and for any block size.  BLAS and SIMD builds can
-in principle move a last digit; a failure on another platform should first
-be checked against that platform's 0.4.0 output.
+`threshold` and `xi-tail` keep their 0.3.0 digests.
+
+The 0.5.0 break, one cell budget for every block (`rng._BLOCK_CELLS`),
+re-took `mom_r1` and `split_r2` only: their chunks of 1250 draws became one
+block instead of two, a new draw order, and `mom_r1` is checked against the
+exact rank-one series below.  Every digest holds at every `--threads` value.
+The `roc`, `direct` and library digests hold for any block size too; the
+Haar, cloud and `xi-tail` digests depend on `_BLOCK_CELLS`, because a
+block's Gaussians are drawn part by part.  BLAS and SIMD builds can in
+principle move a last digit; a failure on another platform should first be
+checked against that platform's output at the version the file was taken.
 """
 
 import hashlib
+import json
+import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spikedtensor as st
 import spikedtensor.moment as moment
+import spikedtensor.rng as rng
 from spikedtensor.cli import main
 from spikedtensor.rng import map_streams
 
@@ -34,13 +45,13 @@ CLI_CASES = {
     # n = r: full unitaries through the LAPACK QR path
     "roc_full_qr": "roc --d 3 --lambdas 0.6,0.4 --n 2 --trials 30 --inner 20 --seed 5",
     "direct_full_qr": "moment --method direct --d 3 --lambdas 0.6,0.4 --gram all-ones --n 2 --outer 30 --inner 20 --seed 5",
-    # one draw fills a step above the thread threshold: runs on the pool at --threads 2
+    # one draw fills a chunk above the thread threshold: runs on the pool at --threads 2
     "roc_n4_d3": "roc --d 3 --lambdas 0.3 --n 4 --trials 24 --inner 4200 --seed 77",
     "direct_n4_d3": "moment --method direct --d 3 --lambdas 0.5,0.2 --n 4 --outer 20 --inner 2400 --seed 1",
     "direct_d2_r1": "moment --method direct --d 2 --lambdas 0.7 --n 3,4 --outer 64 --inner 100 --seed 77",
 }
 
-# the larger cases take steps above the thread threshold, so they run on
+# the larger cases take chunks above the thread threshold, so they run on
 # the pool at --threads 2
 ESTIMATE_CASES = {
     "thr_d2": "threshold --d 2 --lambdas 0.5,0.3",
@@ -85,12 +96,13 @@ GOLDEN = {
     "thr_d2.json": "a7b1d937e2fa5724259314349c5f430aefb183dd22dc4ad77e97aad01791b9cf",
     "thr_d3.csv": "c1fa7bcc1412eb100a78548142f985035d3d6fb98a64dcc0e253110509b39f6c",
     "thr_d3.json": "62a98276633980a5b5f1e78a5e289be63ed0374d93928b32605437c372d41178",
-    "mom_r1.csv": "7651a04557963d9b72abea0f7e2e60a18ac068a5ae7462cceb4a7c5eca5c53b0",
-    "mom_r1.json": "34b1606341561d9c92eaeec32c4b6e56a983fb0a231435d348989999d72affb1",
+    # mom_r1 and split_r2 re-taken at 0.5.0 for the one cell budget
+    "mom_r1.csv": "ce4902020395f7d71d15c6169f2e76429a5e755bf36b396f9085a51215c08861",
+    "mom_r1.json": "fa7b4a8e9361e7e0df0764955c1ae79e9045ce6289d09ba77e221dc8dfaa2575",
     "mom_r2.csv": "aecf7c0ed1658b69ed9e3a7e0d45f8428737a577ee367f1b5b3e3c1d1ed7974a",
     "mom_r2.json": "a9c3444050d2802821ff4f2100e8780b2b314ba26b4ca7ab5f73f813c43e9e21",
-    "split_r2.csv": "9a4c96ecf904063307be9151e7c0090e30a5b3ab713b7821f5b38ae4ab08b5b1",
-    "split_r2.json": "c6d8168359fc8c6a4da27737e20176553459e64b7a46984f9cb60df3ace48dc9",
+    "split_r2.csv": "85ebd261f37738de6d656535d398b231cd57bc81360da93376df37fb6d19c103",
+    "split_r2.json": "17b7ee77fffc62f2a9f09b19a0643deff1322a92f3a6f4794a90389be59e454a",
     "split_empty.csv": "07ba191e8167fd9be1630cfaf63204f08a2ba4c04ab881b020683bd6115a8693",
     "split_empty.json": "c0ecbb3c970e8b86af6b8da655684533457ccfa4357cf3fb3adf6230676d4c36",
     "xi.csv": "5fa09af1e56f9ce9634a7d1dee24b473a1016c5153af246c41d05223278ab1b0",
@@ -114,11 +126,13 @@ LIBRARY_SPECS = {
 }
 
 
-# files whose content a release kept: their digests were taken over the
-# bytes written by the version named here, so the version in the header is
-# checked and then swapped for that one before hashing
-PINNED_VERSION = dict.fromkeys(
-    ["cloud.points.csv", "thr_d2.csv", "thr_d2.json", "thr_d3.csv", "thr_d3.json", "xi.csv", "xi.json"], "0.3.0"
+# the version each file's digest was taken at: the version in the header
+# is checked and then swapped for that one before hashing
+PINNED_VERSION = (
+    dict.fromkeys(GOLDEN, "0.4.0")
+    | dict.fromkeys(["cloud.points.csv", "thr_d2.csv", "thr_d2.json", "thr_d3.csv", "thr_d3.json", "xi.csv", "xi.json"],
+                    "0.3.0")
+    | dict.fromkeys(["mom_r1.csv", "mom_r1.json", "split_r2.csv", "split_r2.json"], "0.5.0")
 )
 
 
@@ -129,7 +143,7 @@ def _digests(directory) -> dict:
         header = '"version": "{}"' if p.suffix == ".json" else "# spikedtensor {}\n"
         written = header.format(st.__version__).encode()
         assert data.count(written) == 1 and (p.suffix == ".json" or data.startswith(written))
-        data = data.replace(written, header.format(PINNED_VERSION.get(p.name, st.__version__)).encode())
+        data = data.replace(written, header.format(PINNED_VERSION[p.name]).encode())
         out[p.name] = hashlib.sha256(data).hexdigest()
     return out
 
@@ -177,6 +191,24 @@ def test_estimate_outputs_are_pinned(tmp_path, monkeypatch, name, threads):
     assert got == {f"{name}.{ext}": GOLDEN[f"{name}.{ext}"] for ext in ("csv", "json")}
 
 
+def test_rank_one_haar_means_match_the_exact_series(tmp_path, monkeypatch):
+    # the re-taken mom_r1 means are checked in law, not only re-pinned:
+    # E[exp(2 n eta)] at r=1 is sum_j (n lambda^2)^(2j) / (j!)^2 * C(n+j-1, j)^(-d)
+    _run_case(tmp_path, monkeypatch, f"{ESTIMATE_CASES['mom_r1']} --out mom_r1", 1)
+    estimates = json.loads((tmp_path / "mom_r1.json").read_text())["estimates"]
+    assert [e["n"] for e in estimates] == [4, 8, 32]
+    d, lam = 3, 0.3
+    for e in estimates:
+        n = e["n"]
+        log_terms, j = [], 0
+        while not log_terms or log_terms[-1] > max(log_terms) - 40:  # the terms are log-concave in j
+            log_terms.append(2 * j * math.log(n * lam * lam) - 2 * math.lgamma(j + 1)
+                             - d * (math.lgamma(n + j) - math.lgamma(j + 1) - math.lgamma(n)))
+            j += 1
+        exact = math.fsum(math.exp(t) for t in log_terms)
+        assert abs(e["mean"] - exact) <= 3 * e["stderr"]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_cloud_outputs_are_pinned(tmp_path, monkeypatch, threads):
     monkeypatch.chdir(tmp_path)
@@ -210,8 +242,8 @@ def test_observation_library_values_are_pinned(name):
 
 @pytest.mark.parametrize("name", ["roc_bench", "roc_r2_d2", "direct_bench", "direct_d2_r1"])
 def test_one_draw_blocks_give_the_same_bytes(tmp_path, monkeypatch, name):
-    # a cap below one stack makes every block hold a single draw
-    monkeypatch.setattr(moment, "_OBSERVE_BLOCK_CELLS", 1)
+    # a budget below one draw makes every block hold a single draw
+    monkeypatch.setattr(rng, "_BLOCK_CELLS", 1)
     got = _run_case(tmp_path, monkeypatch, f"{CLI_CASES[name]} --out {name}", 1)
     assert got == {f"{name}.{ext}": GOLDEN[f"{name}.{ext}"] for ext in ("csv", "json")}
 
@@ -219,5 +251,11 @@ def test_one_draw_blocks_give_the_same_bytes(tmp_path, monkeypatch, name):
 def test_one_draw_blocks_fixed_spike(monkeypatch):
     spec = st.spec_from_grams([0.6, 0.3], st.GramSet((np.eye(2),) * 3), n=3)
     batched = st.second_moment_direct_mc(spec, 300, 1, st.SeedSpec(9, 1), rotate=False)
-    monkeypatch.setattr(moment, "_OBSERVE_BLOCK_CELLS", 1)
+    monkeypatch.setattr(rng, "_BLOCK_CELLS", 1)
     assert st.second_moment_direct_mc(spec, 300, 1, st.SeedSpec(9, 1), rotate=False) == batched
+
+
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == st.__version__

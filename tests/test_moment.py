@@ -145,7 +145,7 @@ def test_xi_empirical_tail_matches_analytic():
 
 
 def test_xi_empirical_tail_one_pass_for_all_t():
-    # n=16 and 160k samples make steps large enough for the thread pool
+    # n=16 and 160k samples make chunks large enough for the thread pool
     ts = [0.2, 0.35, 0.5]
     seed = st.SeedSpec(19, 0)
     together = st.xi_empirical_tail(16, ts, 160_000, seed, threads=1)

@@ -9,7 +9,7 @@ import spikedtensor as st
 from spikedtensor.config import gram_matrices
 from spikedtensor.errors import ParameterError
 from spikedtensor.moment import _eta_chunk
-from spikedtensor.rng import _THREADED_STEP_CELLS, chunk_sizes, complex_normal, complex_normal_rounds, map_streams
+from spikedtensor.rng import _BLOCK_CELLS, chunk_sizes, complex_normal, complex_normal_rounds, map_streams
 
 
 def test_seedspec_determinism():
@@ -238,16 +238,17 @@ def test_map_streams_order_and_thread_invariance():
         calls.append(m)
         return gen.standard_normal(m)
 
-    # blocks of 40: chunk i of 63 or 62 draws is two blocks on child stream
-    # i, and with a threshold's worth of cells a draw threads=4 runs a pool
+    # a budget of 40 draws a block: chunk i of 63 or 62 draws is two blocks
+    # on child stream i, and at 63 * cells cells a chunk threads=4 runs a pool
+    cells = _BLOCK_CELLS // 40
     expected = []
     for i, size in enumerate(chunk_sizes(1000, 16)):
         gen = seed.generator(i)
         expected += [gen.standard_normal(40), gen.standard_normal(size - 40)]
     expected = np.concatenate(expected)
-    serial = map_streams(draw, 1000, seed, threads=1, cells=_THREADED_STEP_CELLS, block=40)
+    serial = map_streams(draw, 1000, seed, threads=1, cells=cells)
     assert sorted(set(calls)) == [22, 23, 40]
-    parallel = map_streams(draw, 1000, seed, threads=4, cells=_THREADED_STEP_CELLS, block=40)
+    parallel = map_streams(draw, 1000, seed, threads=4, cells=cells)
     assert len(serial) == 16
     assert np.array_equal(np.concatenate(serial), expected)
     assert np.array_equal(np.concatenate(parallel), expected)
@@ -257,19 +258,24 @@ def test_map_streams_threads_only_large_steps():
     seed = st.SeedSpec(16, 0)
     caller = threading.get_ident()
 
-    def run(cells):
-        idents = []
+    def run(total, cells):
+        calls = []
 
         def draw(m, gen):
-            idents.append(threading.get_ident())
+            calls.append((m, threading.get_ident()))
             return gen.standard_normal(m)
 
-        # 64 draws: chunks of 4, so the largest block holds 4 * cells cells
-        out = np.concatenate(map_streams(draw, 64, seed, threads=2, cells=cells))
-        return out, set(idents)
+        out = np.concatenate(map_streams(draw, total, seed, threads=2, cells=cells))
+        return out, {m for m, _ in calls}, {ident for _, ident in calls}
 
-    small, small_idents = run(_THREADED_STEP_CELLS // 4 - 1)
-    large, large_idents = run(_THREADED_STEP_CELLS // 4)
+    # 16 draws: one a chunk, so a chunk holds `cells` cells
+    small, _, small_idents = run(16, _BLOCK_CELLS // 2 - 1)
+    large, _, large_idents = run(16, _BLOCK_CELLS // 2)
     assert small_idents == {caller}
     assert caller not in large_idents
     assert np.array_equal(small, large)
+    # one draw over the budget: chunks of 4 draws take one-draw blocks
+    over, over_sizes, over_idents = run(64, _BLOCK_CELLS + 1)
+    assert over_sizes == {1}
+    assert caller not in over_idents
+    assert np.array_equal(over, run(64, 1)[0])
