@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ParameterError
 from .rate import _eta_hadamard_stack, _haar_corner_sets
@@ -76,6 +75,30 @@ class RocCurve:
     tv_proxy: float
 
 
+def _logsumexp(a, axis=None):
+    """log(sum(exp(a))) over `axis` (all of a non-empty float array when
+    None), step for step as scipy.special.logsumexp computes it for real
+    input, so the last bits match: the m entries equal to the maximum are
+    taken out of the shifted sum s, s is divided by m, and the result is
+    log1p(s) + log(m) + max.  A result that is not finite (an all -inf
+    slice, an inf or NaN entry) is replaced by the direct log(sum(exp(a))).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        at_max = a == a_max
+        m = np.sum(at_max, axis=axis, keepdims=True, dtype=np.float64)
+        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
 def _mean_from_exponents(chunks, seed: SeedSpec, count: int, sizes=None) -> MCEstimate:
     """Combine per-chunk exponent arrays into mean / batch-means stderr.
 
@@ -87,8 +110,8 @@ def _mean_from_exponents(chunks, seed: SeedSpec, count: int, sizes=None) -> MCEs
     sizes = [len(c) for c in chunks] if sizes is None else sizes
     exponents = np.concatenate(chunks)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.exp(logsumexp(exponents) - np.log(count))) if exponents.size else 0.0
-        batch_means = np.array([np.exp(logsumexp(c) - np.log(s)) if c.size else 0.0 for c, s in zip(chunks, sizes)])
+        mean = float(np.exp(_logsumexp(exponents) - np.log(count))) if exponents.size else 0.0
+        batch_means = np.array([np.exp(_logsumexp(c) - np.log(s)) if c.size else 0.0 for c, s in zip(chunks, sizes)])
         stderr = 0.0
         if len(batch_means) >= 2:
             stderr = float(np.std(batch_means, ddof=1) / np.sqrt(len(batch_means)))
@@ -229,7 +252,7 @@ def _log_lr_stack(spec: SpikeSpec, ys: np.ndarray, factors, energy: float) -> np
     for f in factors[-2::-1]:
         t = np.einsum("b...jmi,bmji->b...mi", t, f)
     a = 2.0 * n * np.real(t @ spec.lambdas) - n * energy
-    return logsumexp(a, axis=1) - np.log(inner)
+    return _logsumexp(a, axis=1) - np.log(inner)
 
 
 def _noise_part(spec: SpikeSpec) -> tuple:

@@ -7,7 +7,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
 from .errors import ParameterError
 from .spike import GramSet, SpikeSpec, eta_max, gram_set, _psd_sqrt
@@ -21,18 +20,27 @@ def beta_d_second(d: int) -> float:
     z = 1/(1 - v) its stationarity condition reads z - 1 = a log z.  Its
     root z > 1 is z = -a W_-1(-e^(-1/a) / a), on the -1 branch of the
     Lambert W function (Corless et al., Adv. Comput. Math. 5, 1996); the
-    0 branch gives the trivial root z = 1.  For d = 2 the two branches
-    meet and the infimum is the u -> 0 limit, 1.  The minimum
-    log z / (1 - 1/z)^a is evaluated with the power in log1p form, which
-    stays within about one ulp of a 50-digit value up to d = 10^9 and
-    finite beyond, where 1 - 1/z rounds to 1.
+    0 branch gives the trivial root z = 1.  It is found here by Newton's
+    method on the convex g(z) = z - 1 - a log z, started right of the root
+    at z0 = 2a(1 + log a), where g > 0 for a >= 1.5: the iterates fall
+    monotonically, and the loop stops once a step no longer lowers z.  For
+    d = 2 the two roots meet and the infimum is the u -> 0 limit, 1.  The
+    minimum log z / (1 - 1/z)^a is evaluated with the power in log1p form,
+    which stays within about one ulp of a 50-digit value up to d = 10^9
+    and finite beyond, where 1 - 1/z rounds to 1.
     """
     if d < 2:
         raise ParameterError(f"order d must be >= 2, got {d}")
     if d == 2:
         return 1.0
-    z = -(d / 2) * lambertw(-(2 / d) * math.exp(-2 / d), -1).real
-    return math.sqrt(math.log(z) * math.exp(-(d / 2) * math.log1p(-1.0 / z)))
+    a = d / 2
+    z = 2 * a * (1 + math.log(a))
+    while True:
+        step = (z - 1 - a * math.log(z)) / (1 - a / z)
+        if not z - step < z:
+            break
+        z -= step
+    return math.sqrt(math.log(z) * math.exp(-a * math.log1p(-1.0 / z)))
 
 
 def hoelder_condition(lambdas, d: int) -> tuple[bool, float]:

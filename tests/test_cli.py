@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,15 @@ from spikedtensor.cli import _fmt, main
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.special alone costs about 0.3 s of start-up per CLI call
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, spikedtensor.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_threshold_small_amplitude(tmp_path):

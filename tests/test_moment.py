@@ -8,7 +8,7 @@ import spikedtensor as st
 from conftest import make_random_spec
 from spikedtensor.config import gram_matrices
 from spikedtensor.errors import ParameterError
-from spikedtensor.moment import _log_lr_stack, _mean_from_exponents, _rotate, _thin_r
+from spikedtensor.moment import _log_lr_stack, _logsumexp, _mean_from_exponents, _rotate, _thin_r
 from spikedtensor.rng import _N_STREAMS, chunk_sizes, complex_normal
 
 
@@ -28,6 +28,35 @@ def test_haar_mc_zero_signal_is_exactly_one():
     assert est.mean == 1.0
     assert est.stderr == 0.0
     assert est.log_domain_max == 0.0
+
+
+def lse_cases():
+    gen = np.random.default_rng(7)
+    stack = gen.normal(size=(16, 2000)) * 40.0
+    stack[3, 5] = stack[3, 9] = stack[3].max() + 1.0  # tie at the maximum
+    stack[4] = -np.inf  # all--inf row
+    stack[5, ::3] = -np.inf
+    stack[6, 11] = np.inf
+    stack[7] = 709.0 + gen.uniform(0.0, 2.0, size=2000)  # plain exp overflows
+    return [
+        (stack, 1),
+        (stack[8:], None),
+        (np.array([1.5, 1.5, 0.25, -np.inf]), None),
+        (np.full(5, -np.inf), None),
+        (np.array([0.0, np.inf, 2.0]), None),
+        (np.array([709.8, 710.3, 710.3, 705.0]), None),
+        (np.array([-3.0]), None),
+        (np.array([[711.0]]), 1),
+        (np.round(gen.normal(size=(32, 7))), 1),
+    ]
+
+
+@pytest.mark.parametrize("a, axis", lse_cases())
+def test_logsumexp_bit_identical_to_scipy(a, axis):
+    want = logsumexp(a, axis=axis)
+    got = _logsumexp(a, axis=axis)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def rank_one_second_moment(n, d, lam, terms=400):

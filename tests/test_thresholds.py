@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import lambertw
@@ -36,6 +37,25 @@ def test_beta_interior_minimizer_first_order_optimality():
         deriv = (objective(u_star + h, d) - objective(u_star - h, d)) / (2 * h)
         assert abs(deriv) <= 1e-6
         assert objective(u_star, d) == pytest.approx(st.beta_d_second(d) ** 2, rel=1e-14)
+
+
+def mpmath_beta(d):
+    """beta_d from the W_-1 root at 50 digits."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(d) / 2
+        z = mpmath.re(-a * mpmath.lambertw(-mpmath.exp(-1 / a) / a, -1))
+        return mpmath.sqrt(mpmath.log(z) / (1 - 1 / z) ** a)
+
+
+def test_beta_within_two_ulp_of_mpmath():
+    for d in [*range(3, 65), *(10**k for k in range(3, 10))]:
+        b = st.beta_d_second(d)
+        assert abs(mpmath.mpf(b) - mpmath_beta(d)) <= 2 * math.ulp(b), d
+
+
+def test_beta_3_equals_lambertw_formula_bit_for_bit():
+    z = -1.5 * lambertw(-(2 / 3) * math.exp(-2 / 3), -1).real
+    assert st.beta_d_second(3) == math.sqrt(math.log(z) * math.exp(-1.5 * math.log1p(-1.0 / z)))
 
 
 def test_beta_positive_finite_up_to_32():
