@@ -248,11 +248,13 @@ def run_roc(config: ExperimentConfig) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One flat parser: the experiment kind and the flags, which every kind
+    takes alike (a kind ignores the fields it does not read)."""
     parser = argparse.ArgumentParser(
         prog="spikedtensor",
         description="Detectability thresholds and seeded experiments for spiked complex Gaussian tensor models.",
     )
-    sub = parser.add_subparsers(dest="kind", required=True)
+    parser.add_argument("kind", choices=KINDS, help="experiment to run")
     flag_specs = [
         ("--config", "path to a key=value config file"),
         ("--d", "tensor order"),
@@ -274,10 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("--format", "output format: csv | json"),
         ("--threads", "worker threads (results do not depend on this)"),
     ]
-    for kind in KINDS:
-        p = sub.add_parser(kind)
-        for flag, help_text in flag_specs:
-            p.add_argument(flag, type=str, default=None, help=help_text)
+    for flag, help_text in flag_specs:
+        parser.add_argument(flag, help=help_text)
     return parser
 
 

@@ -102,16 +102,24 @@ def _logsumexp(a, axis=None):
 def _mean_from_exponents(chunks, seed: SeedSpec, count: int, sizes=None) -> MCEstimate:
     """Combine per-chunk exponent arrays into mean / batch-means stderr.
 
-    `sizes` are the chunks' draw counts when the chunks hold only the draws
-    of one bucket; an empty chunk or bucket then adds exp(-inf) = 0.  The
-    exponentials overflow to inf where the mean is not a finite float; the
-    writers refuse that, so NumPy need not warn of it.
+    `sizes` are the chunks' (positive) draw counts when the chunks hold
+    only the draws of one bucket; an empty chunk or bucket then adds
+    exp(-inf) = 0.  The batch means take one log-sum-exp per distinct chunk
+    length, over the stack of the chunks of that length; a row of the stack
+    is reduced as the chunk alone would be, so the bits do not depend on
+    the grouping.  The exponentials overflow to inf where the mean is not a
+    finite float; the writers refuse that, so NumPy need not warn of it.
     """
-    sizes = [len(c) for c in chunks] if sizes is None else sizes
+    lengths = [len(c) for c in chunks]
+    sizes = lengths if sizes is None else sizes
     exponents = np.concatenate(chunks)
+    lse = np.full(len(chunks), -np.inf)
+    for length in set(lengths) - {0}:
+        group = [i for i, n in enumerate(lengths) if n == length]
+        lse[group] = _logsumexp(np.stack([chunks[i] for i in group]), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(np.exp(_logsumexp(exponents) - np.log(count))) if exponents.size else 0.0
-        batch_means = np.array([np.exp(_logsumexp(c) - np.log(s)) if c.size else 0.0 for c, s in zip(chunks, sizes)])
+        batch_means = np.exp(lse - np.log(sizes))
         stderr = 0.0
         if len(batch_means) >= 2:
             stderr = float(np.std(batch_means, ddof=1) / np.sqrt(len(batch_means)))

@@ -78,15 +78,15 @@ def _eta_hadamard_stack(lambdas, svd: SpikeSvd, psi_stack: np.ndarray) -> np.nda
 
     With row-major vec, vec(A psi A*) = (A kron conj(A)) vec(psi), so with
     A_k = V_k Sigma_k each mode's core is one (count, r^2) @ (r^2, r^2)
-    product, and the quadratic form in lambda is one product with
+    product with the mode map `svd.mode_maps[k]`, which `SpikeSvd` computes
+    once per spike, and the quadratic form in lambda is one product with
     vec(lambda lambda^T).
     """
     lam = np.asarray(lambdas, dtype=float)
     count, _, r, _ = psi_stack.shape
     had = None
-    for k, (sig, v) in enumerate(zip(svd.sigmas, svd.vs)):
-        a = v * sig
-        core = psi_stack[:, k].reshape(count, r * r) @ np.kron(a, a.conj()).T
+    for k, mode_map in enumerate(svd.mode_maps):
+        core = psi_stack[:, k].reshape(count, r * r) @ mode_map
         had = core if had is None else had * core
     return np.real(had @ np.outer(lam, lam).ravel())
 

@@ -109,14 +109,28 @@ class GramSet:
 class SpikeSvd:
     """Per-mode Gram spectra: `sigmas[k]` holds the diagonal of the
     descending non-negative r x r matrix Sigma_k and `vs[k]` the matching
-    r x r unitary, so gram_k = V_k diag(sigma_k^2) V_k*."""
+    r x r unitary, so gram_k = V_k diag(sigma_k^2) V_k*.
+
+    `mode_maps[k]` is (A_k kron conj(A_k))^T with A_k = V_k Sigma_k, the
+    (r^2, r^2) map of the block-form exponent (`rate._eta_hadamard_stack`).
+    It is built here, once per spike, and read-only, so the pool threads of
+    a run share it without building it themselves.
+    """
 
     sigmas: tuple
     vs: tuple
+    mode_maps: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sigmas", tuple(np.asarray(s, dtype=float) for s in self.sigmas))
         object.__setattr__(self, "vs", tuple(np.asarray(v, dtype=complex) for v in self.vs))
+        maps = []
+        for sig, v in zip(self.sigmas, self.vs):
+            a = v * sig
+            m = np.kron(a, a.conj()).T
+            m.flags.writeable = False
+            maps.append(m)
+        object.__setattr__(self, "mode_maps", tuple(maps))
 
 
 def gram_set(spec: SpikeSpec) -> GramSet:

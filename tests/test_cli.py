@@ -12,7 +12,10 @@ from hypothesis import example, given
 from hypothesis import strategies as hst
 
 import spikedtensor as st
+import spikedtensor.cli as cli
 from spikedtensor.cli import _fmt, main
+from spikedtensor.config import KINDS
+from spikedtensor.errors import ConfigError
 
 
 def run(args):
@@ -279,8 +282,6 @@ def test_threshold_rejects_zero_amplitude(tmp_path, capsys):
 
 
 def test_cloud_bound_breach_exits_two(tmp_path, monkeypatch, capsys):
-    import spikedtensor.cli as cli
-
     def doctored(spec, count, rng, bins, threads=1):
         cloud = st.sample_grf_cloud(spec, count, rng, bins, threads=threads)
         points = cloud.points.copy()
@@ -332,3 +333,83 @@ def test_list_caps(tmp_path, capsys, key):
     assert run(_list_cap_args(key, cap + 1) + ["--out", tmp_path / "over", "--threads", 1]) == 1
     assert "desk-scale" in capsys.readouterr().err
     assert not list(tmp_path.glob("over*"))
+
+
+_FLAGS = ("--config", "--d", "--r", "--lambdas", "--gram", "--n", "--samples", "--outer", "--inner", "--method",
+          "--epsilon", "--bins", "--trials", "--t", "--seed", "--stream", "--out", "--format", "--threads")
+
+# each kind with every flag it reads, and the overrides `main` hands to
+# `resolve_config` for it: every flag but --config, keyed without dashes,
+# its value as the string typed
+_SURFACE = {
+    "threshold": (
+        "--d 3 --r 2 --lambdas 0.5,0.3 --gram two-eigenvalue:1.8,0.2 --out thr --format csv",
+        {"d": "3", "r": "2", "lambdas": "0.5,0.3", "gram": "two-eigenvalue:1.8,0.2", "out": "thr", "format": "csv"},
+    ),
+    "cloud": (
+        "--d 3 --r 2 --lambdas 1.0,1.0 --gram identity --n 16 --samples 1000 --bins 30 --seed 11 --stream 2 "
+        "--out cl --format csv --threads 2",
+        {"d": "3", "r": "2", "lambdas": "1.0,1.0", "gram": "identity", "n": "16", "samples": "1000", "bins": "30",
+         "seed": "11", "stream": "2", "out": "cl", "format": "csv", "threads": "2"},
+    ),
+    "moment": (
+        "--d 3 --r 1 --lambdas 0.3 --gram all-ones --n 4,8 --samples 2000 --outer 40 --inner 30 --method direct "
+        "--seed 3 --stream 1 --out mom --format json --threads 1",
+        {"d": "3", "r": "1", "lambdas": "0.3", "gram": "all-ones", "n": "4,8", "samples": "2000", "outer": "40",
+         "inner": "30", "method": "direct", "seed": "3", "stream": "1", "out": "mom", "format": "json", "threads": "1"},
+    ),
+    "split": (
+        "--d 3 --r 2 --lambdas 0.4,0.2 --gram [[1,0],[0,1]] --n 8 --samples 2001 --epsilon 0.005 --seed 4 "
+        "--stream 0 --out sp --format csv --threads 2",
+        {"d": "3", "r": "2", "lambdas": "0.4,0.2", "gram": "[[1,0],[0,1]]", "n": "8", "samples": "2001",
+         "epsilon": "0.005", "seed": "4", "stream": "0", "out": "sp", "format": "csv", "threads": "2"},
+    ),
+    "xi-tail": (
+        "--n 8 --t 0.3,0.5 --samples 1000 --seed 5 --stream 7 --out xi --format json --threads 1",
+        {"n": "8", "t": "0.3,0.5", "samples": "1000", "seed": "5", "stream": "7", "out": "xi", "format": "json",
+         "threads": "1"},
+    ),
+    "roc": (
+        "--d 3 --r 1 --lambdas 0.4 --gram identity --n 3 --trials 50 --inner 20 --seed 1 --stream 3 --out roc "
+        "--format json --threads 2",
+        {"d": "3", "r": "1", "lambdas": "0.4", "gram": "identity", "n": "3", "trials": "50", "inner": "20",
+         "seed": "1", "stream": "3", "out": "roc", "format": "json", "threads": "2"},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SURFACE))
+def test_every_kind_parses_its_flags_to_the_same_overrides(tmp_path, monkeypatch, kind):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("seed=9\n")
+    calls = []
+
+    def recording(kind, file_values, overrides):
+        calls.append((kind, file_values, overrides))
+        raise ConfigError("recorded")
+
+    monkeypatch.setattr(cli, "resolve_config", recording)
+    flags, overrides = _SURFACE[kind]
+    assert main([kind, *flags.split(), "--config", str(cfg)]) == 1
+    assert calls == [(kind, {"seed": "9"}, overrides)]
+    # without --config, no file values
+    assert main([kind, *flags.split()]) == 1
+    assert calls[1] == (kind, {}, overrides)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["moment", "--help"]])
+def test_help_lists_every_flag_and_kind(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: spikedtensor")
+    assert [word for word in (*_FLAGS, *KINDS) if word not in out] == []
+
+
+@pytest.mark.parametrize("argv", [["bogus", "--n", "4"], [], ["--seed", "1"]])
+def test_unknown_or_missing_kind_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "kind" in capsys.readouterr().err

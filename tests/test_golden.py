@@ -61,6 +61,9 @@ ESTIMATE_CASES = {
     "split_r2": "split --d 3 --lambdas 0.4,0.2 --n 16 --epsilon 0.005 --samples 20000 --seed 3",
     # the default epsilon leaves E1 empty: log_domain_max is null (JSON), -inf (CSV)
     "split_empty": "split --lambdas 0.4,0.2 --n 8 --samples 2000 --seed 4",
+    # 2001 draws: chunks of 126 and 125, so the batch means average ragged chunks
+    "mom_r1_ragged": "moment --d 3 --lambdas 0.3 --n 4,8 --samples 2001 --seed 3",
+    "split_ragged": "split --d 3 --lambdas 0.4,0.2 --n 8 --epsilon 0.005 --samples 2001 --seed 3",
     "xi": "xi-tail --n 8 --t 0.2,0.5,0.7 --samples 150000 --seed 3",
 }
 
@@ -105,6 +108,11 @@ GOLDEN = {
     "split_r2.json": "17b7ee77fffc62f2a9f09b19a0643deff1322a92f3a6f4794a90389be59e454a",
     "split_empty.csv": "07ba191e8167fd9be1630cfaf63204f08a2ba4c04ab881b020683bd6115a8693",
     "split_empty.json": "c0ecbb3c970e8b86af6b8da655684533457ccfa4357cf3fb3adf6230676d4c36",
+    # taken at 0.5.0 before the stacked batch means of _mean_from_exponents
+    "mom_r1_ragged.csv": "5564e2f3266d500e9ae0cfe9ddf1bd06010bdc35381bca2243968ef53105bf87",
+    "mom_r1_ragged.json": "7179489605f47c264bd6bd1ad2a16576b1b3305e24c1255c1e4f9ed916b42b80",
+    "split_ragged.csv": "1790c7057d1b9834e2da0581dcc9523aeab295a47ed6b4cc9efae4ecaaaf794a",
+    "split_ragged.json": "099ff0088e3ff52de0e83f42b4a21860bd1a8fd32b58a8c4aeb8bdac15af0d59",
     "xi.csv": "5fa09af1e56f9ce9634a7d1dee24b473a1016c5153af246c41d05223278ab1b0",
     "xi.json": "97c1b8053450445adb15704c4a3a66d8081b3bd3f7c01192b1768bc58edb155f",
 }
@@ -132,7 +140,8 @@ PINNED_VERSION = (
     dict.fromkeys(GOLDEN, "0.4.0")
     | dict.fromkeys(["cloud.points.csv", "thr_d2.csv", "thr_d2.json", "thr_d3.csv", "thr_d3.json", "xi.csv", "xi.json"],
                     "0.3.0")
-    | dict.fromkeys(["mom_r1.csv", "mom_r1.json", "split_r2.csv", "split_r2.json"], "0.5.0")
+    | dict.fromkeys(["mom_r1.csv", "mom_r1.json", "split_r2.csv", "split_r2.json", "mom_r1_ragged.csv",
+                     "mom_r1_ragged.json", "split_ragged.csv", "split_ragged.json"], "0.5.0")
 )
 
 

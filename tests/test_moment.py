@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -403,3 +404,64 @@ def test_log_lr_stack_matches_dense_spikes(d, r, gram):
     # one fixed factor set, broadcast over the observations
     fixed = _log_lr_stack(spec, ys, [chi[None, None] for chi in spec.factors], energy)
     np.testing.assert_allclose(fixed, [_dense_log_lr(spec, y, [spec.factors]) for y in ys], rtol=1e-12, atol=1e-12)
+
+
+def _per_chunk_reduction(chunks, count, sizes=None):
+    """(mean, stderr, log_domain_max) with one `_logsumexp` call per chunk:
+    the batch means as they were taken before chunks of equal length were
+    stacked."""
+    sizes = [len(c) for c in chunks] if sizes is None else sizes
+    exponents = np.concatenate(chunks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.exp(_logsumexp(exponents) - np.log(count))) if exponents.size else 0.0
+        batch_means = np.array([np.exp(_logsumexp(c) - np.log(s)) if c.size else 0.0 for c, s in zip(chunks, sizes)])
+        stderr = 0.0
+        if len(batch_means) >= 2:
+            stderr = float(np.std(batch_means, ddof=1) / np.sqrt(len(batch_means)))
+    return mean, stderr, float(np.max(exponents)) if exponents.size else -math.inf
+
+
+def _exponent_chunks(total, seed, scale=1.0):
+    gen = np.random.default_rng(seed)
+    return [scale * gen.standard_normal(size) for size in chunk_sizes(total, _N_STREAMS)]
+
+
+def _reduction_cases():
+    cases = {"equal_16": (_exponent_chunks(2000, 1, 3.0), 2000, None)}
+    ragged = _exponent_chunks(2001, 2, 3.0)
+    assert sorted({len(c) for c in ragged}) == [125, 126]
+    cases["ragged_126_125"] = (ragged, 2001, None)
+    # split-style buckets: the draws of each chunk above or below a level,
+    # with the chunks' draw counts; a high level leaves chunks empty
+    etas = _exponent_chunks(2001, 3)
+    sizes = [len(e) for e in etas]
+    for name, keep in (("bucket_high", lambda e: e > 2.8), ("bucket_low", lambda e: e <= 2.8),
+                       ("bucket_empty", lambda e: e > np.inf)):
+        cases[name] = ([16.0 * e[keep(e)] for e in etas], 2001, sizes)
+    assert any(c.size == 0 for c in cases["bucket_high"][0]) and not all(c.size == 0 for c in cases["bucket_high"][0])
+    assert all(c.size == 0 for c in cases["bucket_empty"][0])
+    with_inf = _exponent_chunks(2000, 4)
+    with_inf[5][17] = np.inf
+    cases["plus_inf"] = (with_inf, 2000, None)
+    ties = _exponent_chunks(2001, 5)
+    top = max(float(c.max()) for c in ties) + 1.0
+    ties[0][[3, 40]] = top
+    ties[9][7] = top
+    cases["ties_at_max"] = (ties, 2001, None)
+    overflow = _exponent_chunks(2000, 6)
+    overflow[2] += 710.0  # exp overflows in one batch mean and in the mean
+    cases["overflow"] = (overflow, 2000, None)
+    cases["single_chunk"] = ([np.random.default_rng(7).standard_normal(40)], 40, None)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_reduction_cases()))
+def test_mean_from_exponents_bit_identical_to_per_chunk_loop(name):
+    chunks, count, sizes = _reduction_cases()[name]
+    seed = st.SeedSpec(3, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _mean_from_exponents(chunks, seed, count, sizes)
+    expected = _per_chunk_reduction(chunks, count, sizes)
+    assert got.count == count
+    assert [float.hex(v) for v in (got.mean, got.stderr, got.log_domain_max)] == [float.hex(v) for v in expected]

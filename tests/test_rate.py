@@ -11,6 +11,7 @@ from spikedtensor.errors import DomainError, ParameterError
 import spikedtensor.rate as rate
 from spikedtensor.config import gram_matrices
 from spikedtensor.rate import _eta_hadamard_stack, _rate_stack, _sample_psi_stack
+from spikedtensor.rng import complex_normal
 
 
 def test_eta_expanded_identity_operators(gen):
@@ -317,3 +318,54 @@ def test_eta_hadamard_stack_matches_expanded_form(n, r, d, gram):
         stack.append(np.stack(psis.blocks))
     got = _eta_hadamard_stack(spec.lambdas, svd, np.array(stack))
     assert np.max(np.abs(got - np.array(expanded))) <= 1e-12
+
+
+def _kron_map(sig, v):
+    a = v * sig
+    return np.kron(a, a.conj()).T
+
+
+def _inline_kron_eta(lambdas, svd, psi_stack):
+    """The exponent kernel with each mode map built inline by `np.kron`, as
+    it was before `SpikeSvd` held the maps."""
+    count, _, r, _ = psi_stack.shape
+    had = None
+    for k, (sig, v) in enumerate(zip(svd.sigmas, svd.vs)):
+        core = psi_stack[:, k].reshape(count, r * r) @ _kron_map(sig, v)
+        had = core if had is None else had * core
+    return np.real(had @ np.outer(lambdas, lambdas).ravel())
+
+
+def _assert_maps_are_kron(svd):
+    assert len(svd.mode_maps) == len(svd.sigmas)
+    for m, sig, v in zip(svd.mode_maps, svd.sigmas, svd.vs):
+        ref = _kron_map(sig, v)
+        assert m.shape == ref.shape and m.strides == ref.strides and m.tobytes() == ref.tobytes()
+        assert not m.flags.writeable
+
+
+@pytest.mark.parametrize("r, d, gram", [
+    (r, d, gram)
+    for r in (1, 2, 3)
+    for d in (2, 3, 4)
+    for gram in ("identity", "two-eigenvalue:1.8,0.2", "random")
+    if gram != "two-eigenvalue:1.8,0.2" or r == 2
+])
+def test_mode_maps_and_exponent_match_inline_kron(r, d, gram):
+    n = r + 3
+    gen = st.SeedSpec(47, 100 * r + 10 * d).generator()
+    if gram == "random":
+        grams = st.GramSet(tuple(st.random_gram(r, gen) for _ in range(d)))
+    else:
+        grams = gram_matrices(gram, r, d)
+    spec = st.spec_from_grams(gen.uniform(0.3, 1.2, size=r), grams, n=n, rng=gen)
+    svd = st.spike_svd(spec)
+    _assert_maps_are_kron(svd)
+    stack = rate._haar_corner_sets(n, r, d, 300, gen)
+    assert _eta_hadamard_stack(spec.lambdas, svd, stack).tobytes() == _inline_kron_eta(spec.lambdas, svd, stack).tobytes()
+    # the spectra from full mode operators, as `eta_hadamard` takes them
+    block_svd, _ = st.psi_blocks_from_mode_operators(spec.factors, list(st.sample_haar_unitaries(n, d, gen)))
+    _assert_maps_are_kron(block_svd)
+    stack = complex_normal(gen, (50, d, r, r), np.sqrt(0.5))
+    got = _eta_hadamard_stack(spec.lambdas, block_svd, stack)
+    assert got.tobytes() == _inline_kron_eta(spec.lambdas, block_svd, stack).tobytes()
