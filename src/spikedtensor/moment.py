@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
-from .rate import _eta_hadamard_stack, _haar_corner_sets
+from .rate import _corner_cells, _eta_hadamard_stack, _haar_corner_sets
 from .rng import (
     SeedSpec,
     _orthonormalize,
@@ -170,8 +170,10 @@ def _eta_chunk(spec: SpikeSpec, svd: SpikeSvd, m: int, gen: np.random.Generator)
     chi_k* Theta chi_k = V_k Sigma_k (U_k* Theta U_k)[:r, :r] Sigma_k V_k*,
     and U_k* Theta U_k is Haar when Theta is, so its corner has the law of
     a Haar corner block: never the full tensors or the full unitaries.
-    `svd` is `spike_svd(spec)`.  A draw takes d Haar (n, r) frames: n r d
-    cells, the `cells` of `map_streams` for the Haar-set drivers.
+    `svd` is `spike_svd(spec)`.  A draw takes d corner stacks of
+    `_haar_corner_sets`, (r + min(r, n - r), r) each, from O(r^2) variates
+    at every n: `_corner_cells`, the `cells` of `map_streams` for the
+    Haar-set drivers.
     """
     return _eta_hadamard_stack(spec.lambdas, svd, _haar_corner_sets(spec.n, spec.r, spec.d, m, gen))
 
@@ -190,7 +192,8 @@ def second_moment_haar_mc(spec: SpikeSpec, samples: int, rng: SeedSpec, threads:
     def worker(m, gen):
         return scale * _eta_chunk(spec, svd, m, gen)
 
-    return _mean_from_exponents(map_streams(worker, samples, rng, threads, cells=spec.n * spec.r * spec.d), rng, samples)
+    chunks = map_streams(worker, samples, rng, threads, cells=_corner_cells(spec.n, spec.r, spec.d))
+    return _mean_from_exponents(chunks, rng, samples)
 
 
 def default_epsilon(spec: SpikeSpec) -> float:
@@ -231,7 +234,7 @@ def e1_e2_split(spec: SpikeSpec, epsilon: float, samples: int, rng: SeedSpec, th
     def worker(m, gen):
         return _eta_chunk(spec, svd, m, gen)
 
-    eta_chunks = map_streams(worker, samples, rng, threads, cells=spec.n * spec.r * spec.d)
+    eta_chunks = map_streams(worker, samples, rng, threads, cells=_corner_cells(spec.n, spec.r, spec.d))
     sizes = [len(c) for c in eta_chunks]
     exp_chunks = [scale * c for c in eta_chunks]
     total = _mean_from_exponents(exp_chunks, rng, samples)

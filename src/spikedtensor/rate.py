@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, ParameterError
-from .rng import SeedSpec, complex_normal, map_streams, sample_haar_unitaries
+from .rng import SeedSpec, _orthonormalize, complex_normal, map_streams
 from .spike import SpikeSpec, SpikeSvd, eta_max, gram_set, spike_svd
 
 _NORM_TOL = 1e-12
@@ -178,9 +178,40 @@ def grf_psi_rate(psis: PsiSet) -> float:
 
 def _haar_corner_sets(n: int, r: int, d: int, count: int, gen: np.random.Generator) -> np.ndarray:
     """`count` sets of d independent r x r corner blocks of Haar n x n
-    unitaries, shape (count, d, r, r): the top r rows of Haar (n, r)
-    frames, the first r columns of the unitaries."""
-    return sample_haar_unitaries(n, count * d, gen, columns=r)[:, :r, :].reshape(count, d, r, r)
+    unitaries, shape (count, d, r, r), from O(r^2) variates each at every n.
+
+    The corner is the top r rows of a Haar (n, r) frame Q = G R^-1, the
+    phase-corrected QR of a Ginibre G = [G1; G2].  R* R = G1* G1 + G2* G2,
+    so the corner G1 R^-1 sees G2 only through G2* G2, a complex Wishart
+    CW_r(n - r, I).  Its Bartlett form is B* B with B (k, r), k =
+    min(r, n - r), upper trapezoidal: B_ii^2 ~ Gamma(n - r - i) and B_ij,
+    j > i, complex normal with N(0, 1/2) parts.  So the corner is the top
+    r rows of the orthonormalized (r + k, r) stack [G1; B]; at n = r, k = 0
+    and the stack is the full Haar unitary.  Draw order per call: G1 for
+    all blocks, then B's off-diagonal entries, then its diagonal.
+    """
+    k = min(r, n - r)
+    m = count * d
+    stack = np.zeros((m, r + k, r), dtype=complex)
+    stack[:, :r] = complex_normal(gen, (m, r, r), np.sqrt(0.5))
+    rows, cols = np.nonzero(np.arange(r) > np.arange(k)[:, None])  # np.triu_indices(k, 1, r), at a seventh of its cost
+    stack[:, r + rows, cols] = complex_normal(gen, (m, rows.size), np.sqrt(0.5))
+    diag = np.arange(k)
+    stack[:, r + diag, diag] = np.sqrt(gen.standard_gamma(n - r - diag, size=(m, k)))
+    return _orthonormalize(stack)[:, :r].reshape(count, d, r, r)
+
+
+def _corner_cells(n: int, r: int, d: int) -> int:
+    """Cells of one draw of `_haar_corner_sets`, its d (r + k, r) stacks:
+    the `cells` of `map_streams` for the Haar moment and split."""
+    return d * r * (r + min(r, n - r))
+
+
+def _cloud_cells(n: int, r: int, d: int) -> int:
+    """Cells of one cloud draw: its (d, r, r) psi-set plus the largest
+    component array behind it, the Haar corner stack; the `cells` of
+    `map_streams` for the cloud."""
+    return d * r * r + _corner_cells(n, r, d)
 
 
 def _sample_psi_stack(r: int, n: int, d: int, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -198,20 +229,20 @@ def _sample_psi_stack(r: int, n: int, d: int, count: int, gen: np.random.Generat
       uniform.  Aligned sets like these are what reach exponent values
       comparable to the supremum; unstructured draws essentially never do,
       which would leave the outer envelope bins empty.
+
+    Each set's component is drawn first; then each component draws its
+    variates for its own sets only, in the order listed.
     """
     component = gen.integers(0, 3, size=count)
-    rhos = gen.random((count, d))
-    raw = complex_normal(gen, (count, d, r, r), np.sqrt(0.5))
-    scales = gen.random(count) ** (1.0 / d)
-    phases = np.exp(2j * np.pi * gen.random((count, d)))
-    ranks = gen.integers(1, r + 1, size=count)
-
     out = np.empty((count, d, r, r), dtype=complex)
 
     ginibre = component == 0
-    if np.any(ginibre):
-        top = np.linalg.svd(raw[ginibre], compute_uv=False)[..., 0]
-        out[ginibre] = raw[ginibre] * (np.sqrt(rhos[ginibre]) / top)[..., None, None]
+    n_ginibre = int(np.sum(ginibre))
+    if n_ginibre:
+        rhos = gen.random((n_ginibre, d))
+        raw = complex_normal(gen, (n_ginibre, d, r, r), np.sqrt(0.5))
+        top = np.linalg.svd(raw, compute_uv=False)[..., 0]
+        out[ginibre] = raw * (np.sqrt(rhos) / top)[..., None, None]
 
     from_haar = component == 1
     n_haar = int(np.sum(from_haar))
@@ -219,12 +250,15 @@ def _sample_psi_stack(r: int, n: int, d: int, count: int, gen: np.random.Generat
         out[from_haar] = _haar_corner_sets(n, r, d, n_haar, gen)
 
     ladder = component == 2
-    if np.any(ladder):
-        sub = np.zeros((int(np.sum(ladder)), d, r, r), dtype=complex)
-        active = np.arange(r)[None, :] < ranks[ladder][:, None]
-        diag = scales[ladder][:, None, None] * phases[ladder][:, :, None] * active[:, None, :]
+    n_ladder = int(np.sum(ladder))
+    if n_ladder:
+        scales = gen.random(n_ladder) ** (1.0 / d)
+        phases = np.exp(2j * np.pi * gen.random((n_ladder, d)))
+        ranks = gen.integers(1, r + 1, size=n_ladder)
+        sub = np.zeros((n_ladder, d, r, r), dtype=complex)
+        active = np.arange(r)[None, :] < ranks[:, None]
         idx = np.arange(r)
-        sub[:, :, idx, idx] = diag
+        sub[:, :, idx, idx] = scales[:, None, None] * phases[:, :, None] * active[:, None, :]
         out[ladder] = sub
     return out
 
@@ -247,7 +281,7 @@ def sample_grf_cloud(spec: SpikeSpec, count: int, rng: SeedSpec, bins: int, thre
         stack = _sample_psi_stack(spec.r, spec.n, spec.d, m, gen)
         return np.column_stack([_eta_hadamard_stack(spec.lambdas, svd, stack), _rate_stack(stack)])
 
-    points = np.concatenate(map_streams(worker, count, rng, threads, cells=spec.n * spec.r * spec.d))
+    points = np.concatenate(map_streams(worker, count, rng, threads, cells=_cloud_cells(spec.n, spec.r, spec.d)))
     x, y = points[:, 0], points[:, 1]
 
     width = 2.0 * emax / bins

@@ -127,9 +127,11 @@ def sample_haar_unitaries(n: int, count: int, rng, columns: int | None = None) -
 
 
 def _orthonormalize(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries or frames from a (count, n, c) stack of Ginibre
-    matrices with N(0, 1/2) components, by the two routes that
-    `sample_haar_unitaries` describes."""
+    """The phase-corrected QR factor Q of every matrix of a (count, n, c)
+    stack, by the two routes that `sample_haar_unitaries` describes: Haar
+    unitaries or frames when the stack is Ginibre with N(0, 1/2)
+    components, Haar corner stacks on the Bartlett stacks of
+    `rate._haar_corner_sets`."""
     n, columns = z.shape[-2:]
     if columns < n:
         q = np.ascontiguousarray(z.swapaxes(-1, -2))  # (count, c, n): one row per column

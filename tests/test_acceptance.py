@@ -14,7 +14,7 @@ from conftest import make_random_spec
 from spikedtensor.cli import main as cli_main
 from spikedtensor.config import gram_matrices
 from spikedtensor.moment import _eta_chunk
-from spikedtensor.rate import _sample_psi_stack
+from spikedtensor.rate import _cloud_cells, _sample_psi_stack
 from spikedtensor.rng import map_streams
 
 
@@ -128,7 +128,7 @@ def _replay_cloud_stacks(spec, count, seed):
     def draw(m, gen):
         return _sample_psi_stack(spec.r, spec.n, spec.d, m, gen)
 
-    return np.concatenate(map_streams(draw, count, seed, cells=spec.n * spec.r * spec.d))
+    return np.concatenate(map_streams(draw, count, seed, cells=_cloud_cells(spec.n, spec.r, spec.d)))
 
 
 def test_criterion_07_rate_bound_cloud():

@@ -18,6 +18,16 @@ Haar, cloud and `xi-tail` digests depend on `_BLOCK_CELLS`, because a
 block's Gaussians are drawn part by part.  BLAS and SIMD builds can in
 principle move a last digit; a failure on another platform should first be
 checked against that platform's output at the version the file was taken.
+
+The 0.6.0 break, Haar corner blocks from their Bartlett form
+(`rate._haar_corner_sets`: O(r^2) variates a block instead of an (n, r)
+frame) and cloud mixture variates drawn per component, re-took every
+output that reads Haar corners: the cloud's points and envelope, `mom_r1`,
+`mom_r1_ragged`, `mom_r2`, `split_r2`, `split_empty` and `split_ragged`.
+They were taken after the corner law tests in `test_rate.py` passed, and
+the `mom_r1` means are checked against the exact rank-one series below.
+`roc`, `direct`, `threshold`, `xi-tail`, the cloud's bound file and the
+library values keep their digests.
 """
 
 import hashlib
@@ -51,8 +61,9 @@ CLI_CASES = {
     "direct_d2_r1": "moment --method direct --d 2 --lambdas 0.7 --n 3,4 --outer 64 --inner 100 --seed 77",
 }
 
-# the larger cases take chunks above the thread threshold, so they run on
-# the pool at --threads 2
+# xi takes chunks above the thread threshold, so it runs on the pool at
+# --threads 2; since 0.6.0 the Haar cases stay on the calling thread (see
+# test_moment.py for a Haar estimate on the pool)
 ESTIMATE_CASES = {
     "thr_d2": "threshold --d 2 --lambdas 0.5,0.3",
     "thr_d3": "threshold --d 3 --lambdas 0.6,0.4 --gram two-eigenvalue:1.8,0.2",
@@ -88,31 +99,33 @@ GOLDEN = {
     "direct_n4_d3.json": "4deffdaf8584d74ee78d7f35c388fca08f6beb059ad0097ff347291a00e78c42",
     "direct_d2_r1.csv": "4db98aedfddff34fa0b55780f75053b397e6ee1ef2ec2e45c3dbaf2d1fb00707",
     "direct_d2_r1.json": "3973bb7655ac4953763c58948d1239876e4efa40f4d45fa6fab86c91963c6565",
-    # points re-taken when the block rate became a batched log-determinant
-    # and the exponent one product per mode; envelope and bound re-taken at
-    # 0.4.0 for the array-valued bound (last digits of the bound column)
-    "cloud.points.csv": "dab8ccf79fba9433c9dc7f9880fbf281044eca28182a037bbf2016fe21f31636",
-    "cloud.envelope.csv": "356cab377bb586ddcd227653f397d92d025681b001465e6552db5c4f222d461b",
+    # bound taken at 0.4.0 for the array-valued bound (last digits of the
+    # bound column); points and envelope re-taken at 0.6.0 for the Bartlett
+    # corner draw and the per-component mixture variates
+    "cloud.points.csv": "b6114be211aafcb5b24b3434b9385c91076558c5e5dc23d5c110ed976c309f5b",
+    "cloud.envelope.csv": "8467d1974b856d7e62ba685eda25cad3327e6d78dc5671c45079c35ae5edef50",
     "cloud.bound.csv": "7d8676b534e1b959c397b65af04d7ef2b239521a727e8448e3dd3414b1f19f95",
     # thr_* and xi taken from 0.3.0 before the one-emitter CLI
     "thr_d2.csv": "a71d26adb81b46b826b2e73b828da4f6cfbc1c0e64979a654319a77e27de53cb",
     "thr_d2.json": "a7b1d937e2fa5724259314349c5f430aefb183dd22dc4ad77e97aad01791b9cf",
     "thr_d3.csv": "c1fa7bcc1412eb100a78548142f985035d3d6fb98a64dcc0e253110509b39f6c",
     "thr_d3.json": "62a98276633980a5b5f1e78a5e289be63ed0374d93928b32605437c372d41178",
-    # mom_r1 and split_r2 re-taken at 0.5.0 for the one cell budget
-    "mom_r1.csv": "ce4902020395f7d71d15c6169f2e76429a5e755bf36b396f9085a51215c08861",
-    "mom_r1.json": "fa7b4a8e9361e7e0df0764955c1ae79e9045ce6289d09ba77e221dc8dfaa2575",
-    "mom_r2.csv": "aecf7c0ed1658b69ed9e3a7e0d45f8428737a577ee367f1b5b3e3c1d1ed7974a",
-    "mom_r2.json": "a9c3444050d2802821ff4f2100e8780b2b314ba26b4ca7ab5f73f813c43e9e21",
-    "split_r2.csv": "85ebd261f37738de6d656535d398b231cd57bc81360da93376df37fb6d19c103",
-    "split_r2.json": "17b7ee77fffc62f2a9f09b19a0643deff1322a92f3a6f4794a90389be59e454a",
-    "split_empty.csv": "07ba191e8167fd9be1630cfaf63204f08a2ba4c04ab881b020683bd6115a8693",
-    "split_empty.json": "c0ecbb3c970e8b86af6b8da655684533457ccfa4357cf3fb3adf6230676d4c36",
-    # taken at 0.5.0 before the stacked batch means of _mean_from_exponents
-    "mom_r1_ragged.csv": "5564e2f3266d500e9ae0cfe9ddf1bd06010bdc35381bca2243968ef53105bf87",
-    "mom_r1_ragged.json": "7179489605f47c264bd6bd1ad2a16576b1b3305e24c1255c1e4f9ed916b42b80",
-    "split_ragged.csv": "1790c7057d1b9834e2da0581dcc9523aeab295a47ed6b4cc9efae4ecaaaf794a",
-    "split_ragged.json": "099ff0088e3ff52de0e83f42b4a21860bd1a8fd32b58a8c4aeb8bdac15af0d59",
+    # the Haar moment and split cases re-taken at 0.6.0 for the Bartlett
+    # corner draw
+    "mom_r1.csv": "43b9d8af7957bd9b64531f681930bafe2f66c4d62a63d4a8603efbfe18b6f474",
+    "mom_r1.json": "763701413e96591ccce466f00dbb170c92fff56c4c2c02d8e21deec404260417",
+    "mom_r2.csv": "bbd4c5a580e062a5540c6e6d8406b7c6c3b23784d7e897e48daed7c393527ba0",
+    "mom_r2.json": "ff5b4da84b309f72a0ef4db6ed337b4d23a23ecfa5680f897ec7339f7a0b5c05",
+    "split_r2.csv": "5e3ec57aa8ee9247043be49aa43bd474434fa216c7cf5f27066abe4f23777d8b",
+    "split_r2.json": "951d3d05c6112442994ec78dd71cf80feb355e79252380aedefe0e108f65336a",
+    "split_empty.csv": "a2ccba204d650cc320618b5dc901cd7ce8ca4ee266fd8ef81661783aa84c1cbf",
+    "split_empty.json": "e641bb09731e0e3dcdf5da67856f710520f039dae54af574eafd1bf731bed02f",
+    # first taken at 0.5.0 before the stacked batch means of
+    # _mean_from_exponents, re-taken at 0.6.0
+    "mom_r1_ragged.csv": "6b87a6b29218d68cf4b6854dba5b206e8a0d8a8ae35ddd87c46a75709591f53e",
+    "mom_r1_ragged.json": "2a985f835a6be36ddbd2f4f80e5a161558266768d29740b5b758d1103516642e",
+    "split_ragged.csv": "700407b942eac789ba2a68945c8cd2a39cf41f8b3df002487d7f3036acc56cac",
+    "split_ragged.json": "8f0cf6ade05a1dfa93f6e7b8b42d4042561095467f492beb4f88a19b95ea6370",
     "xi.csv": "5fa09af1e56f9ce9634a7d1dee24b473a1016c5153af246c41d05223278ab1b0",
     "xi.json": "97c1b8053450445adb15704c4a3a66d8081b3bd3f7c01192b1768bc58edb155f",
 }
@@ -138,10 +151,11 @@ LIBRARY_SPECS = {
 # is checked and then swapped for that one before hashing
 PINNED_VERSION = (
     dict.fromkeys(GOLDEN, "0.4.0")
-    | dict.fromkeys(["cloud.points.csv", "thr_d2.csv", "thr_d2.json", "thr_d3.csv", "thr_d3.json", "xi.csv", "xi.json"],
+    | dict.fromkeys(["thr_d2.csv", "thr_d2.json", "thr_d3.csv", "thr_d3.json", "xi.csv", "xi.json"],
                     "0.3.0")
-    | dict.fromkeys(["mom_r1.csv", "mom_r1.json", "split_r2.csv", "split_r2.json", "mom_r1_ragged.csv",
-                     "mom_r1_ragged.json", "split_ragged.csv", "split_ragged.json"], "0.5.0")
+    | dict.fromkeys(["cloud.points.csv", "cloud.envelope.csv"]
+                    + [f"{name}.{ext}" for name in ("mom_r1", "mom_r1_ragged", "mom_r2", "split_r2", "split_empty",
+                                                    "split_ragged") for ext in ("csv", "json")], "0.6.0")
 )
 
 

@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -6,11 +7,12 @@ import pytest
 from scipy.special import gammaln, logsumexp
 
 import spikedtensor as st
+import spikedtensor.moment as moment
 from conftest import make_random_spec
 from spikedtensor.config import gram_matrices
 from spikedtensor.errors import ParameterError
 from spikedtensor.moment import _log_lr_stack, _logsumexp, _mean_from_exponents, _rotate, _thin_r
-from spikedtensor.rng import _N_STREAMS, chunk_sizes, complex_normal
+from spikedtensor.rng import _N_STREAMS, chunk_sizes, complex_normal, map_streams
 
 
 def zero_spec(n=4, d=3, r=1):
@@ -124,6 +126,25 @@ def test_split_partition_identity_with_threads():
     total = st.second_moment_haar_mc(spec, 3000, seed, threads=4)
     e1, e2 = st.e1_e2_split(spec, 0.05, 3000, seed, threads=2)
     assert e1.mean + e2.mean == total.mean
+
+
+def test_haar_moment_on_the_pool_matches_one_thread(monkeypatch):
+    # r = 3, n = 64: chunks of 1250 draws of 54 corner cells reach the pool
+    spec = small_spec([0.4, 0.3, 0.2], n=64, d=3)
+    seed = st.SeedSpec(7, 3)
+    one = st.second_moment_haar_mc(spec, 20_000, seed)
+    idents = []
+
+    def recording(draw, *args, **kwargs):
+        def traced(m, gen):
+            idents.append(threading.get_ident())
+            return draw(m, gen)
+
+        return map_streams(traced, *args, **kwargs)
+
+    monkeypatch.setattr(moment, "map_streams", recording)
+    assert st.second_moment_haar_mc(spec, 20_000, seed, threads=2) == one
+    assert idents and threading.get_ident() not in idents
 
 
 def test_split_epsilon_above_eta_max_empties_first_bucket():

@@ -4,10 +4,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 
 import spikedtensor as st
 from conftest import make_random_spec
 from spikedtensor.errors import DomainError, ParameterError
+import spikedtensor.moment as moment
 import spikedtensor.rate as rate
 from spikedtensor.config import gram_matrices
 from spikedtensor.rate import _eta_hadamard_stack, _rate_stack, _sample_psi_stack
@@ -227,10 +229,12 @@ def test_cloud_envelope_and_bound_count_equal_per_point_loops(gen):
 
 
 def test_psi_stack_ginibre_draw_is_complex_normal():
-    # the Ginibre component comes from rng.complex_normal: the same bytes as
-    # the inline sqrt(1/2) * (a + 1j b), and a pinned digest of the whole
-    # mixture (rounded to 12 decimals so that last-bit differences between
-    # LAPACK builds do not trip it), taken from the inline form
+    # the Ginibre component and the Haar corners' normals come from
+    # rng.complex_normal: the same bytes as the inline sqrt(1/2) * (a + 1j b),
+    # and a pinned digest of the whole mixture (rounded to 12 decimals so
+    # that last-bit differences between LAPACK builds do not trip it),
+    # re-taken at 0.6.0 for the Bartlett corner draw and the per-component
+    # variates
     def inline(gen, shape, std):
         return std * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
 
@@ -239,7 +243,7 @@ def test_psi_stack_ginibre_draw_is_complex_normal():
         mp.setattr(rate, "complex_normal", inline)
         assert _sample_psi_stack(2, 4, 3, 750, st.SeedSpec(3).generator()).tobytes() == stack.tobytes()
     digest = hashlib.sha256(np.round(stack, 12).tobytes()).hexdigest()
-    assert digest == "40f7e4a49939e84906e67f3353c076bc079f815d72bbc4a166bd4a29b10e673b"
+    assert digest == "8f667f3ad5e968fca10f792f4658def58650955bc0b48d6958cfaf82ef897f83"
 
 
 def _mp_log_det(block) -> float:
@@ -257,7 +261,9 @@ def test_rate_stack_matches_high_precision_log_det(r, n, d, seed):
     # eps * cond, cond = sum_i s_i^2 / (1 - s_i^2); the batched
     # log-determinant stays within 0.6 eps * cond on these blocks, while the
     # former route through singular values, log1p(-s^2), reached 2-3.4.
-    blocks = _sample_psi_stack(r, n, d, 750, st.SeedSpec(seed).generator()).reshape(-1, r, r)
+    # 3000 sets: the 0.6.0 draw order left no block above cond 1e3 among
+    # 750 sets at r = 4.
+    blocks = _sample_psi_stack(r, n, d, 3000, st.SeedSpec(seed).generator()).reshape(-1, r, r)
     s = np.linalg.svd(blocks, compute_uv=False)
     cond = np.sum(s * s / (1.0 - s * s), axis=1)
     worst = np.argsort(-cond)[:20]
@@ -293,6 +299,91 @@ def test_rate_stack_is_minus_inf_on_haar_corners_below_2r(r):
         stack = rate._haar_corner_sets(n, r, 3, 4000, st.SeedSpec(8, n).generator())
         got = _rate_stack(stack)
         assert np.all(got == -math.inf) if n < 2 * r else np.all(np.isfinite(got))
+
+
+def _frame_corner_sets(n, r, d, count, gen):
+    """Haar corner sets by the frame route: the top r rows of Haar (n, r)
+    frames, as `_haar_corner_sets` drew them before 0.6.0."""
+    return st.sample_haar_unitaries(n, count * d, gen, columns=r)[:, :r].reshape(count, d, r, r)
+
+
+@pytest.mark.parametrize("n", [2, 4, 32, 512])
+def test_rank_one_haar_corner_is_beta_distributed(n):
+    # |U_11|^2 of a Haar n x n unitary is Beta(1, n - 1)
+    corners = rate._haar_corner_sets(n, 1, 4, 5000, st.SeedSpec(61, n).generator())
+    assert stats.kstest(np.abs(corners.ravel()) ** 2, stats.beta(1, n - 1).cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("offset", ["r+1", "2r", "2r+3", "64"])
+def test_haar_corner_singular_values_match_the_frame_route(r, offset):
+    # two-sample KS on each singular value, against corners of Haar frames;
+    # rounded to 1e-10 so that the r - k values of exactly 1 at n < 2r tie
+    n = {"r+1": r + 1, "2r": 2 * r, "2r+3": 2 * r + 3, "64": 64}[offset]
+    corners = rate._haar_corner_sets(n, r, 2, 3000, st.SeedSpec(62, 10 * n + r).generator())
+    frames = _frame_corner_sets(n, r, 2, 3000, st.SeedSpec(63, 10 * n + r).generator())
+    s_new = np.round(np.linalg.svd(corners, compute_uv=False).reshape(-1, r), 10)
+    s_ref = np.round(np.linalg.svd(frames, compute_uv=False).reshape(-1, r), 10)
+    for i in range(r):
+        assert stats.ks_2samp(s_new[:, i], s_ref[:, i]).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n, r", [(1, 1), (5, 1), (2, 2), (7, 2), (3, 3), (40, 3)])
+def test_haar_corner_entry_phases_are_uniform(n, r):
+    corners = rate._haar_corner_sets(n, r, 3, 3000, st.SeedSpec(64, 10 * n + r).generator())
+    phases = np.angle(corners).reshape(-1, r * r)
+    for entry in phases.T:
+        assert stats.kstest(entry, stats.uniform(-np.pi, 2 * np.pi).cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+def test_haar_corners_at_n_equal_r_are_unitary(r):
+    corners = rate._haar_corner_sets(r, r, 3, 500, st.SeedSpec(65, r).generator())
+    assert st.unitarity_defect(corners) < 1e-12
+
+
+def test_rank_two_haar_moment_matches_the_frame_route(monkeypatch):
+    spec = st.spec_from_grams([0.4, 0.2], gram_matrices("two-eigenvalue:1.8,0.2", 2, 3), n=8)
+    corner = st.second_moment_haar_mc(spec, 20_000, st.SeedSpec(66, 0))
+    monkeypatch.setattr(moment, "_haar_corner_sets", _frame_corner_sets)
+    frame = st.second_moment_haar_mc(spec, 20_000, st.SeedSpec(66, 1))
+    assert abs(corner.mean - frame.mean) <= 4 * math.hypot(corner.stderr, frame.stderr)
+
+
+class _CountingGenerator:
+    """A generator that counts the variates each of its methods returns."""
+
+    def __init__(self, gen):
+        self._gen = gen
+        self.variates = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._gen, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.variates += np.size(out)
+            return out
+
+        return counted
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_haar_corner_draw_count_does_not_grow_with_n(monkeypatch, r):
+    requested = []
+
+    def counting_normal(gen, shape, std):
+        requested.append(math.prod(shape))
+        return complex_normal(gen, shape, std)
+
+    monkeypatch.setattr(rate, "complex_normal", counting_normal)
+    counts = []
+    for n in (2 * r + 1, 4096):
+        requested.clear()
+        gen = _CountingGenerator(st.SeedSpec(67, n).generator())
+        assert rate._haar_corner_sets(n, r, 3, 10, gen).shape == (10, 3, r, r)
+        counts.append((sum(requested), gen.variates))
+    assert counts[0] == counts[1] and counts[0][1] > 0
 
 
 @pytest.mark.parametrize("n, r, d, gram", [
