@@ -43,18 +43,19 @@ _EXIT_INVARIANT = 2
 # taking hours.  The Haar corner draw of `moment`, `split` and `cloud` takes
 # O(r^2) variates a block at every n (`rate._haar_corner_sets`): at r=2,
 # d=3 on one core of a 2-vCPU VM, 20k moment draws take about 0.12 s at
-# n=512 and 60k cloud draws about 0.8 s at n=1024.  The n caps were set for
-# an (n, r) frame a block, 4.5 s and 8.9 s at those sizes; raising them is a
-# change of its own.  The list caps bound what one run multiplies:
-# `bound.csv` has a row per bin (10^5 bins: 4 MB and 0.6 s; at the sample
-# cap still 20 points a bin), `xi-tail` compares every sample with every t
-# (1000 t at 1M samples: 1.1 s) and `moment` runs once per n (32 n from 4
-# to 128 at 20k samples, r=2: 4.4 s).  `draw_cells` bounds one `roc` or
-# `direct` draw: the largest of its likelihood contraction
-# (`moment._draw_cells`), its n^d noise tensor and the d n r inner cells of
-# a likelihood's rotation draws, which outgrow the contraction when
-# n^(d-2) < d.  At the cap, one-thread peak RSS was 0.29 GB for `roc` at
-# d=3, n=4 (0.9 s a trial).
+# n=512, and 60k cloud draws about 0.35 s at n=1024 with the CSV output
+# (0.44-0.51 s with a LAPACK call per block for the rate and Ginibre norm).
+# The n caps were set for an (n, r) frame a block, 4.5 s and 8.9 s at those
+# sizes; raising them is a change of its own.  The list caps bound what one
+# run multiplies: `bound.csv` has a row per bin (10^5 bins: 4 MB and 0.6 s;
+# at the sample cap still 20 points a bin), `xi-tail` compares every
+# sample with every t (1000 t at 1M samples: 1.1 s) and `moment` runs once
+# per n (32 n from 4 to 128 at 20k samples, r=2: 4.4 s).  `draw_cells`
+# bounds one `roc` or `direct` draw: the largest of its likelihood
+# contraction (`moment._draw_cells`), its n^d noise tensor and the d n r
+# inner cells of a likelihood's rotation draws, which outgrow the
+# contraction when n^(d-2) < d.  At the cap, one-thread peak RSS was
+# 0.29 GB for `roc` at d=3, n=4 (0.9 s a trial).
 _LIMITS = {
     "bins": 100_000,
     "t_count": 1000,

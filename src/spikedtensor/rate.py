@@ -10,10 +10,11 @@ stand-in for the constrained optimization that has no closed form.
 
 Both quantities have one kernel each, over (count, d, r, r) stacks of
 psi-sets; the scalar forms call it on a one-set stack, and the Haar
-second-moment estimators score Haar corner sets with the exponent's.  The block rate is
-one batched log-determinant of I - psi* psi, and the exponent one
+second-moment estimators score Haar corner sets with the exponent's.  The
+block rate is the sum of the log pivots of an r-step elimination of
+I - psi* psi, vectorized over the stack, and the exponent one
 (count, r^2) @ (r^2, r^2) product per mode, followed by one product with
-vec(lambda lambda^T).
+vec(lambda lambda^T).  Neither calls LAPACK once per block.
 """
 
 from __future__ import annotations
@@ -148,25 +149,56 @@ def grf_lower_bound(x, eta_max_value: float, d: int):
     return float(bound) if np.ndim(bound) == 0 else bound
 
 
+def _gram_stack(psi_stack: np.ndarray) -> np.ndarray:
+    """psi* psi for every r x r block of a (..., r, r) stack, with the stack
+    axes last: shape (r, r, ...).  In that layout each of the r products is
+    one array operation that runs along the whole stack."""
+    p = np.ascontiguousarray(np.moveaxis(psi_stack, (-2, -1), (0, 1)))
+    c = p.conj()
+    gram = c[0, :, None] * p[0, None, :]
+    for i in range(1, p.shape[0]):
+        gram += c[i, :, None] * p[i, None, :]
+    return gram
+
+
 def _rate_stack(psi_stack: np.ndarray) -> np.ndarray:
     """Summed block rate sum_k log det(I - psi_k* psi_k) for every psi-set
-    of a (count, d, r, r) stack, from one batched log-determinant; -inf as
-    soon as one block has a singular value of 1 or more, where the
-    determinant is zero or its sign is not positive.
+    of a (count, d, r, r) stack; -inf as soon as one block has a singular
+    value of 1 or more.
+
+    The log-determinant is the sum of the log pivots of an r-step
+    elimination of A = I - psi* psi (Cholesky without square roots: after
+    step j the trailing block holds the Schur complement, whose leading
+    entry is pivot j + 1), each step one array operation over the whole
+    stack.  A pivot that is not positive, where A is singular or
+    indefinite, has a log of -inf or nan, and so has its block's sum,
+    which then gives -inf.
 
     A determinant within its rounding error of zero counts as zero.  Each
-    entry of I - psi* psi is off by a few r eps, and as its eigenvalues lie
-    in [0, 1] no cofactor exceeds 1, so the determinant is off by a small
-    multiple of r^3 eps; the floor is 16 r^3 eps.  At n < 2r every Haar
-    corner block has a singular value of exactly 1: such blocks measured
-    |det| <= 5.5 eps (r = 1..3, 200k blocks each), while blocks at n = 2r
-    stayed above e^-16 (log 16 r^3 eps is about -33 at r = 1, -30 at r = 3).
+    entry of I - psi* psi is off by a few r eps.  By the backward-error
+    bound of the elimination, the computed pivots are the exact ones of
+    some A + E with |E_ij| <= (r + 1) eps (|L| |D| |L*|)_ij, and for a
+    positive semi-definite A that product is at most sqrt(A_ii A_jj) <= 1
+    (Cauchy-Schwarz).  As the eigenvalues of A lie in [0, 1], no cofactor
+    exceeds 1, so the product of the pivots is off by a small multiple of
+    r^3 eps; the floor is 16 r^3 eps.  At n < 2r every Haar corner block
+    has a singular value of exactly 1: 52-91 % of such blocks met a pivot
+    that is not positive and the rest measured a pivot product <= 5.5 eps
+    (r = 1..3, 200k blocks each), while blocks at n = 2r stayed above
+    e^-16 (log 16 r^3 eps is about -33 at r = 1, -30 at r = 3).
     """
     r = psi_stack.shape[-1]
-    gram = np.vecdot(psi_stack[..., :, :, None], psi_stack[..., :, None, :], axis=-3)  # psi* psi
-    sign, logdet = np.linalg.slogdet(np.eye(r) - gram)
+    a = -_gram_stack(psi_stack)  # (r, r, count, d)
+    diag = np.arange(r)
+    a[diag, diag] += 1.0
+    logdet = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(r):
+            pivot = a[j, j].real
+            logdet = logdet + np.log(pivot)
+            a[j + 1:, j + 1:] -= a[j + 1:, j, None] * (a[None, j, j + 1:] / pivot)
     floor = math.log(16 * r**3 * np.finfo(float).eps)
-    return np.sum(np.where((sign.real > 0) & (logdet > floor), logdet, -np.inf), axis=1)
+    return np.sum(np.where(logdet > floor, logdet, -np.inf), axis=1)
 
 
 def grf_psi_rate(psis: PsiSet) -> float:
@@ -221,7 +253,9 @@ def _sample_psi_stack(r: int, n: int, d: int, count: int, gen: np.random.Generat
     model; all three components stay inside the spectral unit ball:
 
     - complex Ginibre rescaled to spectral norm sqrt(rho), rho uniform on
-      [0,1]: fills the outer norm shells with unstructured directions;
+      [0,1]: fills the outer norm shells with unstructured directions.  The
+      norm is the square root of the top eigenvalue of each block's Gram
+      raw* raw, which the stacked `eigvalsh` gives without an SVD;
     - corner blocks of Haar n x n unitaries (`_haar_corner_sets`): the
       typical scale 1/sqrt(n);
     - scaled rank ladder, one set-wide rank m and scale per set:
@@ -241,7 +275,7 @@ def _sample_psi_stack(r: int, n: int, d: int, count: int, gen: np.random.Generat
     if n_ginibre:
         rhos = gen.random((n_ginibre, d))
         raw = complex_normal(gen, (n_ginibre, d, r, r), np.sqrt(0.5))
-        top = np.linalg.svd(raw, compute_uv=False)[..., 0]
+        top = np.sqrt(np.linalg.eigvalsh(np.moveaxis(_gram_stack(raw), (0, 1), (-2, -1)))[..., -1])
         out[ginibre] = raw * (np.sqrt(rhos) / top)[..., None, None]
 
     from_haar = component == 1

@@ -28,6 +28,16 @@ They were taken after the corner law tests in `test_rate.py` passed, and
 the `mom_r1` means are checked against the exact rank-one series below.
 `roc`, `direct`, `threshold`, `xi-tail`, the cloud's bound file and the
 library values keep their digests.
+
+The 0.7.0 break, cloud kernels without a LAPACK call per block (the block
+rate as the log pivots of a stacked elimination, the Ginibre norm as the
+root of its Gram's top eigenvalue, on the same variates), re-took the
+cloud's points and envelope: 1923 of the 4000 points moved, by at most
+1e-13 relative in x (Ginibre rows) and 5.5e-14 in y, and 7 of the 30
+envelope maxima in their last two digits.  They were taken after the oracle
+tests in `test_rate.py` (the batched `slogdet` rate and the SVD rescale)
+passed.  The cloud's bound file and every other digest hold at `--threads`
+1 and 2.
 """
 
 import hashlib
@@ -41,6 +51,7 @@ import pytest
 
 import spikedtensor as st
 import spikedtensor.moment as moment
+import spikedtensor.rate as rate
 import spikedtensor.rng as rng
 from spikedtensor.cli import main
 from spikedtensor.rng import map_streams
@@ -101,9 +112,10 @@ GOLDEN = {
     "direct_d2_r1.json": "3973bb7655ac4953763c58948d1239876e4efa40f4d45fa6fab86c91963c6565",
     # bound taken at 0.4.0 for the array-valued bound (last digits of the
     # bound column); points and envelope re-taken at 0.6.0 for the Bartlett
-    # corner draw and the per-component mixture variates
-    "cloud.points.csv": "b6114be211aafcb5b24b3434b9385c91076558c5e5dc23d5c110ed976c309f5b",
-    "cloud.envelope.csv": "8467d1974b856d7e62ba685eda25cad3327e6d78dc5671c45079c35ae5edef50",
+    # corner draw and the per-component mixture variates, then at 0.7.0 for
+    # the stacked block-rate and Ginibre-norm kernels (last digits)
+    "cloud.points.csv": "d66df292e6da1d17fc313c108696ea0267f3e03e442d03d9c8ae2c4fe456a1f2",
+    "cloud.envelope.csv": "5d0e18d1a8a9aedb11ccb7c694d2089b03d28384ad13a67078d612b0c44bd0da",
     "cloud.bound.csv": "7d8676b534e1b959c397b65af04d7ef2b239521a727e8448e3dd3414b1f19f95",
     # thr_* and xi taken from 0.3.0 before the one-emitter CLI
     "thr_d2.csv": "a71d26adb81b46b826b2e73b828da4f6cfbc1c0e64979a654319a77e27de53cb",
@@ -153,9 +165,9 @@ PINNED_VERSION = (
     dict.fromkeys(GOLDEN, "0.4.0")
     | dict.fromkeys(["thr_d2.csv", "thr_d2.json", "thr_d3.csv", "thr_d3.json", "xi.csv", "xi.json"],
                     "0.3.0")
-    | dict.fromkeys(["cloud.points.csv", "cloud.envelope.csv"]
-                    + [f"{name}.{ext}" for name in ("mom_r1", "mom_r1_ragged", "mom_r2", "split_r2", "split_empty",
-                                                    "split_ragged") for ext in ("csv", "json")], "0.6.0")
+    | dict.fromkeys([f"{name}.{ext}" for name in ("mom_r1", "mom_r1_ragged", "mom_r2", "split_r2", "split_empty",
+                                                  "split_ragged") for ext in ("csv", "json")], "0.6.0")
+    | dict.fromkeys(["cloud.points.csv", "cloud.envelope.csv"], "0.7.0")
 )
 
 
@@ -237,6 +249,31 @@ def test_cloud_outputs_are_pinned(tmp_path, monkeypatch, threads):
     monkeypatch.chdir(tmp_path)
     assert main(CLOUD.split() + ["--threads", str(threads)]) == 0
     assert _digests(tmp_path) == {name: GOLDEN[name] for name in ("cloud.bound.csv", "cloud.envelope.csv", "cloud.points.csv")}
+
+
+def test_cloud_on_the_pool_matches_one_thread(tmp_path, monkeypatch):
+    # 32k draws at n=8, r=2: chunks of 2000 draws of 36 cells reach the pool
+    # at --threads 2 (the pinned 4000-draw cloud stays on the calling thread)
+    command = CLOUD.replace("--samples 4000", "--samples 32000").split()
+    idents = []
+
+    def recording(draw, *args, **kwargs):
+        def traced(m, gen):
+            idents.append(threading.get_ident())
+            return draw(m, gen)
+
+        return map_streams(traced, *args, **kwargs)
+
+    monkeypatch.setattr(rate, "map_streams", recording)
+    files = {}
+    for threads in (1, 2):
+        (tmp_path / str(threads)).mkdir()
+        monkeypatch.chdir(tmp_path / str(threads))
+        idents.clear()
+        assert main(command + ["--threads", str(threads)]) == 0
+        files[threads] = {name: Path(name).read_bytes() for name in ("cloud.points.csv", "cloud.envelope.csv")}
+    assert idents and threading.get_ident() not in idents
+    assert files[1] == files[2]
 
 
 def _library_digest(name: str) -> str:

@@ -301,6 +301,82 @@ def test_rate_stack_is_minus_inf_on_haar_corners_below_2r(r):
         assert np.all(got == -math.inf) if n < 2 * r else np.all(np.isfinite(got))
 
 
+def _slogdet_rate(psi_stack):
+    """The block rate by one batched LAPACK log-determinant, as `_rate_stack`
+    computed it before 0.7.0."""
+    r = psi_stack.shape[-1]
+    gram = np.vecdot(psi_stack[..., :, :, None], psi_stack[..., :, None, :], axis=-3)
+    sign, logdet = np.linalg.slogdet(np.eye(r) - gram)
+    floor = math.log(16 * r**3 * np.finfo(float).eps)
+    return np.sum(np.where((sign.real > 0) & (logdet > floor), logdet, -np.inf), axis=1)
+
+
+def _assert_rate_matches_slogdet(blocks):
+    # per block: the same -inf set, and agreement within twice eps (r + cond),
+    # cond = sum_i s_i^2 / (1 - s_i^2).  r + cond = tr (I - psi* psi)^-1 is
+    # how far log det moves for an entry error of eps in I - psi* psi, which
+    # both routes make when they form it, so each stays within about that
+    # of the exact value and the two within twice it; where they differ
+    # most, the new kernel is held to eps (r + cond) of a 40-digit value
+    r = blocks.shape[-1]
+    got, ref = _rate_stack(blocks[:, None]), _slogdet_rate(blocks[:, None])
+    finite = np.isfinite(ref)
+    assert np.array_equal(np.isfinite(got), finite) and np.all(got[~finite] == -math.inf)
+    if not np.any(finite):
+        return
+    blocks, got, ref = blocks[finite], got[finite], ref[finite]
+    s = np.linalg.svd(blocks, compute_uv=False)
+    scale = np.finfo(float).eps * (r + np.sum(s * s / (1.0 - s * s), axis=1))
+    assert np.all(np.abs(got - ref) <= 2 * scale)
+    worst = np.argsort(-np.abs(got - ref) / scale)[:5]
+    exact = np.array([_mp_log_det(b) for b in blocks[worst]])
+    assert np.all(np.abs(got[worst] - exact) <= scale[worst])
+
+
+@pytest.mark.parametrize("r, n", sorted({(r, n) for r in (1, 2, 3, 4) for n in (r, 2 * r - 1, 2 * r, 16)}))
+def test_rate_stack_matches_the_slogdet_route_on_mixture_stacks(r, n):
+    blocks = _sample_psi_stack(r, n, 3, 3000, st.SeedSpec(68, 10 * n + r).generator()).reshape(-1, r, r)
+    _assert_rate_matches_slogdet(blocks)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_rate_stack_matches_the_slogdet_route_on_haar_corners(r):
+    # below 2r every block is -inf on both routes, at 2r none is
+    for n in sorted({r, 2 * r - 1, 2 * r}):
+        blocks = rate._haar_corner_sets(n, r, 3, 2000, st.SeedSpec(69, n).generator()).reshape(-1, r, r)
+        _assert_rate_matches_slogdet(blocks)
+        got = _rate_stack(blocks[:, None])
+        assert np.all(got == -math.inf) if n < 2 * r else np.all(np.isfinite(got))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_psi_stack_ginibre_norm_matches_the_svd_rescale(r):
+    # the same variates replayed: the Ginibre sets come first in the draw
+    # order, and the SVD rescale is how they were normalized before 0.7.0
+    d, count = 3, 2000
+    stack = _sample_psi_stack(r, 8, d, count, st.SeedSpec(70, r).generator())
+    gen = st.SeedSpec(70, r).generator()
+    ginibre = gen.integers(0, 3, size=count) == 0
+    rhos = gen.random((int(np.sum(ginibre)), d))
+    raw = complex_normal(gen, (int(np.sum(ginibre)), d, r, r), np.sqrt(0.5))
+    ref = raw * (np.sqrt(rhos) / np.linalg.svd(raw, compute_uv=False)[..., 0])[..., None, None]
+    assert np.max(np.abs(stack[ginibre] - ref)) <= 1e-13
+    assert np.max(np.abs(np.linalg.norm(stack[ginibre], 2, axis=(-2, -1)) ** 2 - rhos)) <= 1e-13
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_cloud_path_calls_no_svd_or_slogdet(monkeypatch, gen, r):
+    spec = make_random_spec(gen, d=3, r=r, n=r + 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-matrix LAPACK call on the cloud path")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "slogdet", refuse)
+    cloud = st.sample_grf_cloud(spec, 2000, st.SeedSpec(71, r), bins=20)
+    assert cloud.points.shape == (2000, 2) and st.cloud_bound_violations(cloud) == 0
+
+
 def _frame_corner_sets(n, r, d, count, gen):
     """Haar corner sets by the frame route: the top r rows of Haar (n, r)
     frames, as `_haar_corner_sets` drew them before 0.6.0."""
