@@ -49,11 +49,11 @@ _EXIT_INVARIANT = 2
 # sizes; raising them is a change of its own.  The list caps bound what one
 # run multiplies: `bound.csv` has a row per bin (10^5 bins: 4 MB and 0.6 s;
 # at the sample cap still 20 points a bin), `xi-tail` compares every
-# sample with every t (1000 t at 1M samples: 1.1 s) and `moment` runs once
-# per n (32 n from 4 to 128 at 20k samples, r=2: 4.4 s).  `draw_cells`
-# bounds one `roc` or `direct` draw: the largest of its likelihood
-# contraction (`moment._draw_cells`), its n^d noise tensor and the d n r
-# inner cells of a likelihood's rotation draws, which outgrow the
+# sample with every t (1000 t at 1M samples, n=8: 0.74 s) and `moment`
+# runs once per n (32 n from 4 to 128 at 20k samples, r=2: 4.4 s).
+# `draw_cells` bounds one `roc` or `direct` draw: the largest of its
+# likelihood contraction (`moment._draw_cells`), its n^d noise tensor and
+# the d n r inner cells of a likelihood's rotation draws, which outgrow the
 # contraction when n^(d-2) < d.  At the cap, one-thread peak RSS was
 # 0.29 GB for `roc` at d=3, n=4 (0.9 s a trial).
 _LIMITS = {

@@ -326,7 +326,15 @@ def xi_tail_probability(t: float, n: int) -> float:
 def xi_empirical_tail(n: int, ts, samples: int, rng: SeedSpec, threads: int = 1) -> list[MCEstimate]:
     """Empirical frequencies of |v_1| >= t, one estimate per t in `ts`, all
     counted on one set of uniform sphere samples, with binomial standard
-    errors."""
+    errors.
+
+    A sample is a standard complex Gaussian v in C^n, which normalized is
+    uniform on the sphere; |v_1| / |v| does not depend on scale, so a block
+    counts ``|v_1|^2 / |v|^2 >= t^2`` on the squared moduli of the normals
+    ``complex_normal(gen, (m, n), .)`` would take, real parts then
+    imaginary parts, without forming the complex array, its norm or a
+    square root.  The counts equal those of ``|v_1| / |v| >= t`` on the
+    complex array unless a ratio falls within a few ulps of t^2."""
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ParameterError(f"need a non-empty sequence of t, got {ts!r}")
@@ -336,10 +344,14 @@ def xi_empirical_tail(n: int, ts, samples: int, rng: SeedSpec, threads: int = 1)
     if n < 2 or samples < 1:
         raise ParameterError(f"need n >= 2 and samples >= 1, got n={n}, samples={samples}")
 
+    squares = ts * ts
+
     def worker(m, gen):
-        v = complex_normal(gen, (m, n), np.sqrt(0.5))
-        frac = np.abs(v[:, 0]) / np.linalg.norm(v, axis=1)
-        return np.array([[np.count_nonzero(frac >= t) for t in ts]])  # one t at a time: no (m, t) temporary
+        x = gen.standard_normal((2, m, n))  # the real parts, then the imaginary parts
+        np.square(x, out=x)
+        s = np.add(x[0], x[1], out=x[0])  # |v_j|^2
+        ratio = s[:, 0] / s.sum(axis=1)
+        return np.array([[np.count_nonzero(ratio >= t2) for t2 in squares]])  # one t at a time: no (m, t) temporary
 
     hits = np.concatenate(map_streams(worker, samples, rng, threads, cells=n)).sum(axis=0)
     freqs = [int(h) / samples for h in hits]

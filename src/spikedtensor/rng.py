@@ -169,14 +169,15 @@ def unitarity_defect(m: np.ndarray) -> float:
 # One thread on a 2-core machine, medians of seven calls: 12k cloud draws
 # at n=16, r=2 (chunks of 750 draws, 72k cells) took 126 ms at a budget of
 # 2^16 (blocks of 682 + 68 draws) and 105 ms at 2^17 (one block); xi-tail
-# at n=16, 150k samples took 152 ms at 2^15 and 127-129 ms from 2^16 on;
-# roc, direct and the Haar moment moved within noise from 2^15 to 2^18,
-# while the traced peak of `direct` at n=4, inner=2000 doubled with each
-# step up to 5.4 MB at 2^17.  The chunks go to the pool from 2^16 cells a
-# chunk: with the pool forced on, 2 threads took 0.56-0.68x the one-thread
-# time on roc, cloud, Haar-moment and xi-tail chunks of 72k-120k cells, but
-# 1.17x on `direct` at n=4, inner=2000 (four 32k-cell draws a chunk), and
-# 0.68-0.89x on chunks of 36k-60k cells, a gain this threshold leaves unused.
+# at n=16, 150k samples took 99-103 ms at every budget from 2^15 to 2^18
+# (medians of 15, the budgets interleaved); roc, direct and the Haar moment
+# moved within noise from 2^15 to 2^18, while the traced peak of `direct`
+# at n=4, inner=2000 doubled with each step up to 5.4 MB at 2^17.  The
+# chunks go to the pool from 2^16 cells a chunk: with the pool forced on, 2
+# threads took 0.56-0.68x the one-thread time on roc, cloud, Haar-moment
+# and xi-tail chunks of 72k-120k cells, but 1.17x on `direct` at n=4,
+# inner=2000 (four 32k-cell draws a chunk), and 0.68-0.89x on chunks of
+# 36k-60k cells, a gain this threshold leaves unused.
 _N_STREAMS = 16
 _BLOCK_CELLS = 2**17
 

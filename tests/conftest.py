@@ -1,5 +1,7 @@
 """Shared builders for randomized checks; everything is seeded."""
 
+import math
+
 import pytest
 
 import spikedtensor as st
@@ -15,6 +17,17 @@ def make_random_spec(gen, d=None, r=None, n=None, lam_low=0.1, lam_high=1.5):
     lambdas = gen.uniform(lam_low, lam_high, size=r)
     factors = st.factors_from_grams(grams, n)
     return st.SpikeSpec(d=d, n=n, r=r, lambdas=lambdas, factors=factors)
+
+
+def rank_one_second_moment(n, d, lam):
+    """E[exp(2 n eta)] at r=1 by its exact series,
+    sum_j (n lambda^2)^(2j) / (j!)^2 * C(n+j-1, j)^(-d)."""
+    log_terms, j = [], 0
+    while not log_terms or log_terms[-1] > max(log_terms) - 40:  # the terms are log-concave in j
+        log_terms.append(2 * j * math.log(n * lam * lam) - 2 * math.lgamma(j + 1)
+                         - d * (math.lgamma(n + j) - math.lgamma(j + 1) - math.lgamma(n)))
+        j += 1
+    return math.fsum(math.exp(t) for t in log_terms)
 
 
 @pytest.fixture

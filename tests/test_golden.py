@@ -42,7 +42,6 @@ passed.  The cloud's bound file and every other digest hold at `--threads`
 
 import hashlib
 import json
-import math
 import threading
 from pathlib import Path
 
@@ -53,6 +52,7 @@ import spikedtensor as st
 import spikedtensor.moment as moment
 import spikedtensor.rate as rate
 import spikedtensor.rng as rng
+from conftest import rank_one_second_moment
 from spikedtensor.cli import main
 from spikedtensor.rng import map_streams
 
@@ -227,21 +227,13 @@ def test_estimate_outputs_are_pinned(tmp_path, monkeypatch, name, threads):
 
 
 def test_rank_one_haar_means_match_the_exact_series(tmp_path, monkeypatch):
-    # the re-taken mom_r1 means are checked in law, not only re-pinned:
-    # E[exp(2 n eta)] at r=1 is sum_j (n lambda^2)^(2j) / (j!)^2 * C(n+j-1, j)^(-d)
+    # the re-taken mom_r1 means are checked in law, not only re-pinned, on
+    # the exact rank-one series
     _run_case(tmp_path, monkeypatch, f"{ESTIMATE_CASES['mom_r1']} --out mom_r1", 1)
     estimates = json.loads((tmp_path / "mom_r1.json").read_text())["estimates"]
     assert [e["n"] for e in estimates] == [4, 8, 32]
-    d, lam = 3, 0.3
     for e in estimates:
-        n = e["n"]
-        log_terms, j = [], 0
-        while not log_terms or log_terms[-1] > max(log_terms) - 40:  # the terms are log-concave in j
-            log_terms.append(2 * j * math.log(n * lam * lam) - 2 * math.lgamma(j + 1)
-                             - d * (math.lgamma(n + j) - math.lgamma(j + 1) - math.lgamma(n)))
-            j += 1
-        exact = math.fsum(math.exp(t) for t in log_terms)
-        assert abs(e["mean"] - exact) <= 3 * e["stderr"]
+        assert abs(e["mean"] - rank_one_second_moment(e["n"], 3, 0.3)) <= 3 * e["stderr"]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -8,7 +8,7 @@ from scipy.special import gammaln, logsumexp
 
 import spikedtensor as st
 import spikedtensor.moment as moment
-from conftest import make_random_spec
+from conftest import make_random_spec, rank_one_second_moment
 from spikedtensor.config import gram_matrices
 from spikedtensor.errors import ParameterError
 from spikedtensor.moment import _log_lr_stack, _logsumexp, _mean_from_exponents, _rotate, _thin_r
@@ -99,6 +99,21 @@ def test_direct_mc_fixed_spike_matches_closed_form():
     spec = small_spec([0.3], n=4, d=3)
     est = st.second_moment_direct_mc(spec, 40_000, 1, st.SeedSpec(9, 0), rotate=False)
     target = math.exp(2 * 4 * 0.09)
+    assert abs(est.mean - target) <= 3 * est.stderr
+
+
+@pytest.mark.parametrize("inner", [1, 4])
+def test_direct_mc_matches_the_rank_one_series_plus_its_inner_bias(inner):
+    # the estimate averages Lhat^2, Lhat the mean of `inner` likelihoods
+    # L_m: over the noise, E[L_m L_m'] = exp(2 n Re<X_m, X_m'>), whose mean
+    # over two independent rotations is the series m2, and
+    # E[L_m^2] = exp(2 n |X|^2) = exp(2 n lambda^2) for the 1/inner share of
+    # equal pairs; that bias term is about 18 stderr here
+    n, d, lam = 4, 3, 0.3
+    m2 = rank_one_second_moment(n, d, lam)
+    target = m2 + (math.exp(2 * n * lam * lam) - m2) / inner
+    est = st.second_moment_direct_mc(small_spec([lam], n=n, d=d), 20_000, inner, st.SeedSpec(29, inner))
+    assert (target - m2) >= 5 * est.stderr
     assert abs(est.mean - target) <= 3 * est.stderr
 
 
@@ -213,6 +228,58 @@ def test_xi_empirical_stderr_scaling():
     (b,) = st.xi_empirical_tail(5, [0.4], 40_000, st.SeedSpec(13, 1))
     ratio = a.stderr / b.stderr
     assert abs(ratio - 2.0) <= 0.4  # factor-4 samples halves the stderr within 20%
+
+
+def _complex_xi_counts(m, gen, n, ts):
+    """A block's counts by the complex route of 0.7.0: |v_1| / |v| >= t on a
+    circular complex Gaussian array."""
+    v = complex_normal(gen, (m, n), np.sqrt(0.5))
+    frac = np.abs(v[:, 0]) / np.linalg.norm(v, axis=1)
+    return np.array([[np.count_nonzero(frac >= t) for t in ts]])
+
+
+def _xi_block(monkeypatch, n, ts):
+    """The block function that `xi_empirical_tail` hands to `map_streams`."""
+    blocks = []
+
+    def recording(draw, *args, **kwargs):
+        blocks.append(draw)
+        return map_streams(draw, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(moment, "map_streams", recording)
+        st.xi_empirical_tail(n, ts, 1, st.SeedSpec(0))
+    return blocks[0]
+
+
+XI_TS = [0.0, 0.3, 0.5, 0.7, 1.0]  # 0.3 and 0.7 have inexact squares
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 64])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_xi_block_counts_and_draws_equal_the_complex_route(monkeypatch, n, seed):
+    block, m = _xi_block(monkeypatch, n, XI_TS), 5000
+    got_gen, ref_gen = st.SeedSpec(seed, n).generator(), st.SeedSpec(seed, n).generator()
+    counts = block(m, got_gen)
+    assert np.array_equal(counts, _complex_xi_counts(m, ref_gen, n, XI_TS))
+    assert counts[0, 0] == m
+    # the same number of normals in the same order: the stream is unchanged
+    assert got_gen.bit_generator.state == ref_gen.bit_generator.state
+    # and through the driver, over several blocks a chunk at n=64
+    samples, spec = 40_000, st.SeedSpec(seed, 0)
+    hits = np.concatenate(map_streams(lambda m, gen: _complex_xi_counts(m, gen, n, XI_TS), samples, spec, cells=n))
+    assert [e.mean for e in st.xi_empirical_tail(n, XI_TS, samples, spec)] == [int(h) / samples for h in hits.sum(axis=0)]
+
+
+def test_xi_tail_builds_no_complex_array_or_norm(monkeypatch):
+    expected = st.xi_empirical_tail(16, XI_TS, 20_000, st.SeedSpec(5, 0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex array or norm on the xi-tail path")
+
+    monkeypatch.setattr(moment, "complex_normal", refuse)
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    assert st.xi_empirical_tail(16, XI_TS, 20_000, st.SeedSpec(5, 0)) == expected
 
 
 def test_simulate_observation_energies(gen):
