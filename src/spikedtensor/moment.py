@@ -222,7 +222,11 @@ def e1_e2_split(spec: SpikeSpec, epsilon: float, samples: int, rng: SeedSpec, th
     Runs on the same stream layout as `second_moment_haar_mc`, so with equal
     arguments the two bucket means add up to that estimator's mean exactly:
     the first bucket is scored as is and the second is defined as its exact
-    complement (at most one ulp from its own log-sum-exp value).
+    complement (at most one ulp from its own log-sum-exp value).  Where no
+    such complement exists (the second mean in the total's binade, the first
+    half an ulp off that grid, so that every sum rounds to even past the
+    total), the roles swap: the second bucket is scored as is, and the first
+    is total - e2, exact by Sterbenz's lemma since e2 >= total / 2 there.
     """
     if epsilon <= 0:
         raise ParameterError(f"need epsilon > 0, got {epsilon}")
@@ -240,7 +244,11 @@ def e1_e2_split(spec: SpikeSpec, epsilon: float, samples: int, rng: SeedSpec, th
     total = _mean_from_exponents(exp_chunks, rng, samples)
     e1 = _mean_from_exponents([c[e > epsilon] for c, e in zip(exp_chunks, eta_chunks)], rng, samples, sizes)
     e2 = _mean_from_exponents([c[e <= epsilon] for c, e in zip(exp_chunks, eta_chunks)], rng, samples, sizes)
-    return e1, replace(e2, mean=_complement(total.mean, e1.mean))
+    try:
+        e2 = replace(e2, mean=_complement(total.mean, e1.mean))
+    except ArithmeticError:
+        e1 = replace(e1, mean=_complement(total.mean, e2.mean))
+    return e1, e2
 
 
 def _log_lr_stack(spec: SpikeSpec, ys: np.ndarray, factors, energy: float) -> np.ndarray:

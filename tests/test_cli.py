@@ -112,6 +112,21 @@ def test_split_empty_bucket_writes_null_log_domain_max(tmp_path):
     assert math.isfinite(payload["e2"]["log_domain_max"])
 
 
+@pytest.mark.parametrize("flags, epsilon", [
+    ("--d 3 --lambdas 0.1 --n 8 --samples 2000 --seed 88", "0.001"),
+    ("--lambdas 0.3 --n 2 --samples 3", "1e-300"),
+])
+def test_split_without_a_complement_of_e1_scores_e2(tmp_path, flags, epsilon):
+    # here no double v has e1 + v == total: e2 is scored as is and e1 is its
+    # exact complement, so the partition still holds bit for bit
+    split, mom = tmp_path / "split", tmp_path / "mom"
+    assert run(["split", *flags.split(), "--epsilon", epsilon, "--out", split]) == 0
+    assert run(["moment", *flags.split(), "--out", mom]) == 0
+    payload = json.loads(split.with_suffix(".json").read_text())
+    total = json.loads(mom.with_suffix(".json").read_text())["estimates"][0]["mean"]
+    assert payload["e1"]["mean"] + payload["e2"]["mean"] == payload["total_mean"] == total
+
+
 def _overflow_exits_two(tmp_path, capsys, fmt):
     # log m2 is about 2600 here, so the mean overflows to inf and the
     # batch-means stderr is NaN: JSON holds neither, CSV no NaN

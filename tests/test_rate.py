@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -12,7 +13,7 @@ from spikedtensor.errors import DomainError, ParameterError
 import spikedtensor.moment as moment
 import spikedtensor.rate as rate
 from spikedtensor.config import gram_matrices
-from spikedtensor.rate import _eta_hadamard_stack, _rate_stack, _sample_psi_stack
+from spikedtensor.rate import _eta_hadamard_stack, _gram_stack, _rate_stack, _sample_psi_stack, _top_eigenvalue
 from spikedtensor.rng import complex_normal
 
 
@@ -364,15 +365,53 @@ def test_psi_stack_ginibre_norm_matches_the_svd_rescale(r):
     assert np.max(np.abs(np.linalg.norm(stack[ginibre], 2, axis=(-2, -1)) ** 2 - rhos)) <= 1e-13
 
 
+def _oracle_grams(kind, r, count, gen):
+    """(r, r, count) stacks of Hermitian positive semi-definite blocks."""
+    if kind == "ginibre":
+        return _gram_stack(complex_normal(gen, (count, r, r), np.sqrt(0.5)))
+    if kind == "rank-one":
+        return _gram_stack(complex_normal(gen, (count, 1, r), 1.0))
+    gram = np.zeros((r, r, count), dtype=complex)
+    if kind == "equal-diagonal":
+        gram[np.arange(r), np.arange(r)] = gen.random(count) + 0.5
+    return gram
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+@pytest.mark.parametrize("kind", ["ginibre", "equal-diagonal", "rank-one", "zero"])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_top_eigenvalue_matches_eigvalsh(r, kind, scale):
+    gram = scale * _oracle_grams(kind, r, 2000, st.SeedSpec(72, r).generator())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _top_eigenvalue(gram)
+    ref = np.linalg.eigvalsh(np.moveaxis(gram, (0, 1), (-2, -1)))[..., -1]
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 4 * r * np.finfo(float).eps * np.abs(ref))
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
-def test_cloud_path_calls_no_svd_or_slogdet(monkeypatch, gen, r):
+def test_cloud_path_calls_no_per_block_lapack(monkeypatch, gen, r):
     spec = make_random_spec(gen, d=3, r=r, n=r + 2)
 
     def refuse(*args, **kwargs):
         raise AssertionError("per-matrix LAPACK call on the cloud path")
 
+    def refuse_stacked(name):
+        # the spike's own 2-D calls (`spike.py`'s Gram eigendecompositions) stay allowed
+        original = getattr(np.linalg, name)
+
+        def guarded(a, *args, **kwargs):
+            if np.ndim(a) > 2:
+                raise AssertionError(f"stacked np.linalg.{name} on the cloud path")
+            return original(a, *args, **kwargs)
+
+        return guarded
+
     monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(np.linalg, "slogdet", refuse)
+    for name in ("eigvalsh", "eigh", "qr"):
+        monkeypatch.setattr(np.linalg, name, refuse_stacked(name))
     cloud = st.sample_grf_cloud(spec, 2000, st.SeedSpec(71, r), bins=20)
     assert cloud.points.shape == (2000, 2) and st.cloud_bound_violations(cloud) == 0
 
