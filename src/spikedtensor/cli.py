@@ -43,9 +43,7 @@ _EXIT_INVARIANT = 2
 # taking hours.  The Haar corner draw of `moment`, `split` and `cloud` takes
 # O(r^2) variates a block at every n (`rate._haar_corner_sets`): at r=2,
 # d=3 on one core of a 2-vCPU VM, 20k moment draws take about 0.12 s at
-# n=512, and 60k cloud draws about 0.23 s at n=1024 with the CSV output
-# (0.27 s with a LAPACK call per block for the Ginibre norm, as in 0.7.0;
-# medians of 8 processes of 7 runs each, quartiles 0.21-0.24 s).
+# n=512, and 60k cloud draws about 0.23 s at n=1024 with the CSV output.
 # The n caps were set for an (n, r) frame a block, 4.5 s and 8.9 s at those
 # sizes; raising them is a change of its own.  The list caps bound what one
 # run multiplies: `bound.csv` has a row per bin (10^5 bins: 4 MB and 0.6 s;

@@ -14,9 +14,10 @@ second-moment estimators score Haar corner sets with the exponent's.  The
 block rate is the sum of the log pivots of an r-step elimination of
 I - psi* psi, vectorized over the stack, and the exponent one
 (count, r^2) @ (r^2, r^2) product per mode, followed by one product with
-vec(lambda lambda^T).  The cloud's Ginibre component is scaled by the top
-eigenvalue of its Gram, from Jacobi rotations that each run over the whole
-stack.  No kernel of the cloud calls LAPACK once per block.
+vec(lambda lambda^T).  Neither calls LAPACK once per block.  The cloud's
+Ginibre component is scaled by the top eigenvalue of its Gram, in closed form
+over the whole stack at r <= 2 and by one LAPACK call per block at r >= 3;
+at n = r the Haar corner stack is a full unitary from LAPACK's QR.
 """
 
 from __future__ import annotations
@@ -168,18 +169,10 @@ def _top_eigenvalue(gram: np.ndarray) -> np.ndarray:
     block of a stack-last (r, r, ...) stack, the layout of `_gram_stack`.
 
     At r = 1 it is the entry itself, and at r = 2 the closed form
-    (a + c)/2 + hypot((a - c)/2, |b|).  At r >= 3 cyclic complex Jacobi
-    sweeps run until every off-diagonal entry is negligible, at most eps
-    times the larger of its two diagonal entries; the diagonal then holds
-    the eigenvalues (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).
-    Each rotation is a few array operations over the whole stack.  Its
-    tangent is the smaller root of t^2 + 2 (h / |a_pq|) t - 1 = 0, h =
-    (a_qq - a_pp)/2, taken as t = sign(h) |a_pq| / (|h| + hypot(h, |a_pq|))
-    so that no step divides by |a_pq|; a block whose entry is already
-    negligible skips the rotation.  No step multiplies two entries, so the
-    result scales with the Gram from 1e-150 to 1e150.  Cyclic Jacobi
-    converges quadratically: Ginibre Grams at r = 3 and 4 take 4 and 5
-    sweeps with rotations.
+    (a + c)/2 + hypot((a - c)/2, |b|), a few array operations over the
+    whole stack; neither multiplies two entries, so the result scales with
+    the Gram from 1e-150 to 1e150.  At r >= 3 it is the stacked `eigvalsh`,
+    one LAPACK call per block.
     """
     r = gram.shape[0]
     if r == 1:
@@ -187,38 +180,7 @@ def _top_eigenvalue(gram: np.ndarray) -> np.ndarray:
     if r == 2:
         a, c = gram[0, 0].real, gram[1, 1].real
         return (a + c) / 2 + np.hypot((a - c) / 2, np.abs(gram[0, 1]))
-    g = gram.copy()
-    diag = g[np.arange(r), np.arange(r)].real.copy()
-    pairs = [(p, q, [k for k in range(r) if k not in (p, q)]) for p in range(r - 1) for q in range(p + 1, r)]
-    eps = np.finfo(float).eps
-    turned = True
-    while turned:
-        turned = False
-        for p, q, others in pairs:
-            b = g[p, q]
-            mod = np.abs(b)
-            rot = mod > eps * np.maximum(np.abs(diag[p]), np.abs(diag[q]))
-            if not rot.any():
-                continue
-            turned = True
-            half = (diag[q] - diag[p]) / 2
-            w = np.divide(b, np.copysign(np.abs(half) + np.hypot(half, mod), half), out=np.zeros_like(b), where=rot)
-            t = np.abs(w)  # |tan| of the angle, at most 1
-            cos = 1 / np.sqrt(1 + t * t)
-            sin = w * cos
-            conj_sin = sin.conj()
-            for k in others:  # A <- J* A J on rows and columns p, q; J = [[cos, sin], [-conj(sin), cos]]
-                akp, akq = g[k, p], g[k, q]
-                new = cos * akp - conj_sin * akq
-                g[k, q] = sin * akp + cos * akq
-                g[k, p] = new
-                np.conjugate(g[k, p], out=g[p, k])
-                np.conjugate(g[k, q], out=g[q, k])
-            shift = np.copysign(t * mod, half)
-            diag[p] -= shift
-            diag[q] += shift
-            g[p, q] = g[q, p] = 0
-    return diag.max(axis=0)
+    return np.linalg.eigvalsh(np.moveaxis(gram, (0, 1), (-2, -1)))[..., -1]
 
 
 def _rate_stack(psi_stack: np.ndarray) -> np.ndarray:
@@ -315,8 +277,8 @@ def _sample_psi_stack(r: int, n: int, d: int, count: int, gen: np.random.Generat
     - complex Ginibre rescaled to spectral norm sqrt(rho), rho uniform on
       [0,1]: fills the outer norm shells with unstructured directions.  The
       norm is the square root of the top eigenvalue of each block's Gram
-      raw* raw, which `_top_eigenvalue` gives for the whole stack at once,
-      with no SVD and no LAPACK call per block;
+      raw* raw, which `_top_eigenvalue` gives with no SVD (in closed form
+      over the whole stack at r <= 2);
     - corner blocks of Haar n x n unitaries (`_haar_corner_sets`): the
       typical scale 1/sqrt(n);
     - scaled rank ladder, one set-wide rank m and scale per set:

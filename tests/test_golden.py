@@ -40,8 +40,8 @@ passed.  The cloud's bound file and every other digest hold at `--threads`
 1 and 2.
 
 The 0.8.0 break, the Ginibre norm from a stacked top-eigenvalue kernel
-(`rate._top_eigenvalue`: closed form at r = 2, Jacobi rotations at r >= 3,
-in place of one LAPACK `heevd` per block, on the same variates), re-took
+(`rate._top_eigenvalue`: closed form at r = 2 in place of one LAPACK
+`heevd` per block, on the same variates; r >= 3 keeps `eigvalsh`), re-took
 the cloud's points only: 655 of the 4000 rows moved, all Ginibre rows, by
 at most 9.2e-15 relative in x and 5.7e-14 in y.  The envelope and bound
 files kept their bytes, and so did every other digest, at `--threads` 1
