@@ -54,8 +54,10 @@ _EXIT_INVARIANT = 2
 # likelihood contraction (`moment._draw_cells`), its n^d noise tensor and
 # the d n r inner cells of a likelihood's rotation draws, which outgrow the
 # contraction when n^(d-2) < d.  At the cap, one-thread peak RSS was
-# 0.29 GB for `roc` at d=3, n=4 (0.9 s a trial).
+# 0.29 GB for `roc` at d=3, n=4 (0.9 s a trial).  `d` bounds the Grams and
+# factors every run builds first; at d=1024, `threshold` took 0.14 s (31 MB).
 _LIMITS = {
+    "d": 1024,
     "bins": 100_000,
     "t_count": 1000,
     "n_count": 64,
@@ -307,12 +309,14 @@ def main(argv=None) -> int:
         if args.config:
             file_values = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
         config = resolve_config(args.kind, file_values, overrides)
+        _refuse(config.d > _LIMITS["d"], f"d {config.d} > {_LIMITS['d']}")
         _refuse(config.bins > _LIMITS["bins"], f"bins {config.bins} > {_LIMITS['bins']}")
         _refuse(len(config.t) > _LIMITS["t_count"], f"{len(config.t)} t values > {_LIMITS['t_count']}")
         _refuse(len(config.n) > _LIMITS["n_count"], f"{len(config.n)} n values > {_LIMITS['n_count']}")
         _spec_for(config, n=config.r)  # refuses a bad spike before any work, in every subcommand
         _RUNNERS[args.kind](config)
-    except (ConfigError, ParameterError, DomainError, DimensionError) as exc:
+    # OSError, UnicodeDecodeError: a --config not readable as text, an --out not writable
+    except (ConfigError, ParameterError, DomainError, DimensionError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except ArithmeticError as exc:  # a cloud bound breach, moment._complement, a refused file, or a float fault

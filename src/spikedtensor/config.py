@@ -6,10 +6,12 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
+from .rng import _U64
 from .spike import GramSet
 
 KINDS = ("threshold", "cloud", "moment", "split", "xi-tail", "roc")
@@ -145,7 +147,8 @@ def _parse_seq(field: str, text: str, parse_one) -> tuple:
 
 
 def resolve_config(kind: str, file_values: dict[str, str] | None = None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Merge defaults <- config file <- flags and validate field by field."""
+    """Merge defaults <- config file <- flags and validate field by field,
+    building nothing d-sized: `cli.main` checks the Gram spec after its caps."""
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {KINDS}")
     merged = dict(_DEFAULTS)
@@ -188,9 +191,14 @@ def resolve_config(kind: str, file_values: dict[str, str] | None = None, overrid
     threads = _parse_int("threads", merged["threads"]) if merged["threads"] else (os.cpu_count() or 1)
     if threads < 1:
         raise ConfigError(f"field 'threads': must be >= 1, got {threads}")
+    for f in ("seed", "stream"):
+        if not 0 <= _parse_int(f, merged[f]) < _U64:
+            raise ConfigError(f"field {f!r}: must be an unsigned 64-bit integer, got {merged[f]}")
     out = merged["out"] or f"{kind.replace('-', '_')}_result"
+    if not Path(out).name:
+        raise ConfigError(f"field 'out': {out!r} names no file")
 
-    config = ExperimentConfig(
+    return ExperimentConfig(
         kind=kind,
         d=d,
         r=r,
@@ -211,8 +219,6 @@ def resolve_config(kind: str, file_values: dict[str, str] | None = None, overrid
         format=fmt,
         threads=threads,
     )
-    gram_matrices(config.gram, config.r, config.d)  # fail fast on bad gram specs
-    return config
 
 
 def gram_matrices(gram_spec: str, r: int, d: int) -> GramSet:

@@ -1,6 +1,6 @@
 """Monte-Carlo estimation of the squared likelihood ratio's second moment,
-the two-piece split of that expectation, sphere-coordinate tail laws, and a
-small likelihood-ratio testing simulator.
+the two-piece split of that expectation, sphere-coordinate tail laws, and
+the empirical ROC of the likelihood-ratio test.
 
 All exponential averages are accumulated in log-sum-exp form, and every
 estimate reports the largest exponent seen (`log_domain_max`).  Near the
@@ -19,16 +19,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .rate import _corner_cells, _eta_hadamard_stack, _haar_corner_sets
-from .rng import (
-    SeedSpec,
-    _orthonormalize,
-    as_generator,
-    complex_normal,
-    complex_normal_rounds,
-    map_streams,
-    sample_gaussian_tensor,
-)
-from .spike import SpikeSpec, SpikeSvd, _spike_tensors, build_spike, eta_max, gram_set, spike_svd
+from .rng import SeedSpec, _orthonormalize, complex_normal_rounds, map_streams
+from .spike import SpikeSpec, SpikeSvd, _spike_tensors, eta_max, gram_set, spike_svd
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -54,16 +46,6 @@ class MCEstimate:
             "log_domain_max": None if self.log_domain_max == -math.inf else self.log_domain_max,
             "seed": self.seed.to_dict(),
         }
-
-
-@dataclass(frozen=True, eq=False)
-class HypothesisSample:
-    """One simulated observation; `spike_used` holds the Haar-rotated spike
-    realization under the alternative and is None under the null."""
-
-    tensor: np.ndarray
-    hypothesis: str
-    spike_used: SpikeSpec | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,12 +136,6 @@ def _rotation_parts(spec: SpikeSpec, m: int) -> list:
     """(shape, std) of the Ginibre draws of `m` rotations of every factor,
     in draw order: a `complex_normal_rounds` layout."""
     return [((m, spec.n, spec.r), np.sqrt(0.5))] * spec.d
-
-
-def _rotated_factors(spec: SpikeSpec, m: int, gen: np.random.Generator) -> list:
-    """`m` independent Haar rotations Theta_k chi_k of every factor; one
-    (m, n, r) array per mode."""
-    return _rotate(_thin_r(spec), [complex_normal(gen, shape, std) for shape, std in _rotation_parts(spec, m)])
 
 
 def _eta_chunk(spec: SpikeSpec, svd: SpikeSvd, m: int, gen: np.random.Generator) -> np.ndarray:
@@ -275,7 +251,8 @@ def _log_lr_stack(spec: SpikeSpec, ys: np.ndarray, factors, energy: float) -> np
 
 
 def _noise_part(spec: SpikeSpec) -> tuple:
-    """(shape, std) of the draw of `sample_gaussian_tensor(n, d, .)`, as a
+    """(shape, std) of one noise tensor, i.i.d. circular complex Gaussian
+    entries of variance 1/n (each real component N(0, 1/(2n))), as a
     `complex_normal_rounds` layout part."""
     return ((spec.n,) * spec.d, np.sqrt(1.0 / (2.0 * spec.n)))
 
@@ -369,43 +346,14 @@ def xi_empirical_tail(n: int, ts, samples: int, rng: SeedSpec, threads: int = 1)
     ]
 
 
-def simulate_observation(spec: SpikeSpec, hypothesis: str, rng) -> HypothesisSample:
-    """Draw one observation: pure noise under "H0", Haar-rotated spike plus
-    noise under "H1"."""
-    if hypothesis not in ("H0", "H1"):
-        raise ParameterError(f"hypothesis must be 'H0' or 'H1', got {hypothesis!r}")
-    gen = as_generator(rng)
-    if hypothesis == "H0":
-        return HypothesisSample(tensor=sample_gaussian_tensor(spec.n, spec.d, gen), hypothesis="H0")
-    rotated = replace(
-        spec,
-        factors=tuple(f[0] for f in _rotated_factors(spec, 1, gen)),
-    )
-    noise = sample_gaussian_tensor(spec.n, spec.d, gen)
-    return HypothesisSample(tensor=build_spike(rotated) + noise, hypothesis="H1", spike_used=rotated)
-
-
-def log_lr_mc(y: HypothesisSample, spec: SpikeSpec, inner: int, rng, rotate: bool = True) -> float:
-    """Log of the inner-Monte-Carlo likelihood-ratio estimate
-    log (1/inner) sum_m exp(2 n Re<Y, X_m> - n |X_m|_F^2),
-    with X_m drawn from the rotation prior (or held at the unrotated spike
-    when `rotate` is False, in which case inner=1 gives the exact value)."""
-    if inner < 1:
-        raise ParameterError(f"need inner >= 1, got {inner}")
-    gen = as_generator(rng)
-    factors = [f[None] for f in _rotated_factors(spec, inner, gen)] if rotate else [chi[None, None] for chi in spec.factors]
-    return float(_log_lr_stack(spec, y.tensor[None], factors, eta_max(spec.lambdas, gram_set(spec)))[0])
-
-
 def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, threads: int = 1) -> RocCurve:
     """Empirical ROC of the likelihood-ratio statistic over `trials` draws
     per hypothesis; the statistic is the Neyman-Pearson optimal one, which
     makes the random-guessing regime maximally visible."""
     if trials < 2 or inner < 1:
         raise ParameterError(f"need trials >= 2 and inner >= 1, got trials={trials}, inner={inner}")
-    # per draw, in the order of the one-draw calls: the null observation and
-    # its likelihood's rotations, then the alternative's spike rotations,
-    # noise and likelihood rotations
+    # per draw: the null observation and its likelihood's rotations, then
+    # the alternative's spike rotations, noise and likelihood rotations
     noise, likelihood = _noise_part(spec), _rotation_parts(spec, inner)
     layout = [noise, *likelihood, *_rotation_parts(spec, 1), noise, *likelihood]
     d = spec.d

@@ -1,5 +1,5 @@
-"""Seeded random sampling: complex Gaussian tensors, Haar unitaries and
-their leading-column frames, and sphere vectors.
+"""Seeded random sampling: complex Gaussian arrays, Haar unitaries and
+their leading-column frames, and the Monte-Carlo drivers' chunk layout.
 
 All sampling is driven by :class:`SeedSpec`, a (master_seed, stream_id) pair
 that fully determines the generator state.  Parallel drivers derive disjoint
@@ -89,15 +89,6 @@ def complex_normal_rounds(gen: np.random.Generator, count: int, layout) -> list[
     return parts
 
 
-def sample_gaussian_tensor(n: int, d: int, rng) -> np.ndarray:
-    """Order-d tensor with i.i.d. circular complex Gaussian entries of
-    variance 1/n (so each real component has variance 1/(2n))."""
-    if n < 1 or d < 2:
-        raise ParameterError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
-    gen = as_generator(rng)
-    return complex_normal(gen, (n,) * d, np.sqrt(1.0 / (2.0 * n)))
-
-
 def sample_haar_unitaries(n: int, count: int, rng, columns: int | None = None) -> np.ndarray:
     """Stack of `count` independent Haar unitaries, shape (count, n, n), or
     of their first `columns` columns only, shape (count, n, columns).
@@ -146,21 +137,6 @@ def _orthonormalize(z: np.ndarray) -> np.ndarray:
     diag = np.einsum("...ii->...i", r)
     phase = diag / np.abs(diag)
     return q * phase[..., None, :]
-
-
-def sample_unit_sphere(n: int, rng) -> np.ndarray:
-    """Uniform point on the unit sphere of C^n (normalized complex Gaussian)."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got n={n}")
-    gen = as_generator(rng)
-    v = complex_normal(gen, (n,), np.sqrt(0.5))
-    return v / np.linalg.norm(v)
-
-
-def unitarity_defect(m: np.ndarray) -> float:
-    """max |M* M - I|, zero for an exactly unitary matrix."""
-    n = m.shape[-1]
-    return float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(n))))
 
 
 # The chunk layout of every Monte-Carlo driver, owned by `map_streams`: its

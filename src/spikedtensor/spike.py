@@ -29,8 +29,8 @@ class SpikeSpec:
     """Rank-r spike: amplitudes `lambdas` (length r, positive) and d factor
     matrices of shape (n, r) with unit-norm columns.
 
-    `allow_zero` relaxes the strict positivity of the amplitudes; it exists
-    only so tests can exercise the degenerate zero-signal limit.
+    `allow_zero` admits the zero-signal limit; the CLI sets it for any zero
+    amplitude, which `moment` and `roc` run and `threshold` and `cloud` refuse.
     """
 
     d: int

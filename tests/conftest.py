@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import spikedtensor as st
@@ -28,6 +29,13 @@ def rank_one_second_moment(n, d, lam):
                          - d * (math.lgamma(n + j) - math.lgamma(j + 1) - math.lgamma(n)))
         j += 1
     return math.fsum(math.exp(t) for t in log_terms)
+
+
+def unitarity_defect(m):
+    """max |M* M - I| over a matrix or a stack of them, zero for matrices
+    with exactly orthonormal columns."""
+    n = m.shape[-1]
+    return float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(n))))
 
 
 @pytest.fixture

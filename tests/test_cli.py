@@ -259,6 +259,45 @@ def test_observation_drivers_cap_one_draw(tmp_path, capsys, args):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("case", ["missing_config", "config_is_a_directory", "config_not_utf8", "out_dir_missing",
+                                  "out_names_no_file"])
+def test_bad_path_exits_one_without_a_traceback(tmp_path, capsys, case):
+    (tmp_path / "bad.cfg").write_bytes(b"\xff")
+    args = {
+        "missing_config": ["--config", tmp_path / "nonexistent.cfg", "--out", tmp_path / "o"],
+        "config_is_a_directory": ["--config", tmp_path, "--out", tmp_path / "o"],
+        "config_not_utf8": ["--config", tmp_path / "bad.cfg", "--out", tmp_path / "o"],
+        "out_dir_missing": ["--out", tmp_path / "nonexistent_dir" / "x"],
+        "out_names_no_file": ["--out", "."],
+    }[case]
+    assert run(["threshold", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_d_cap_refuses_before_any_gram_is_built(tmp_path, monkeypatch, capsys, kind):
+    cap = cli._LIMITS["d"]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "gram_matrices", lambda *args: pytest.fail("Gram matrices built past the d cap"))
+        assert run([kind, "--d", cap + 1, "--lambdas", 0.3, "--n", 4, "--samples", 10, "--out", tmp_path / "o"]) == 1
+    assert f"desk-scale limit exceeded: d {cap + 1} > {cap}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    if kind == "threshold":
+        assert run([kind, "--d", cap, "--lambdas", 0.3, "--out", tmp_path / "o"]) == 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_seed_and_stream_outside_u64_exit_one(tmp_path, capsys, kind):
+    for flag, value in (("--seed", 2**64), ("--seed", 99999999999999999999999), ("--stream", -1)):
+        assert run([kind, flag, value, "--n", 4, "--samples", 10, "--out", tmp_path / "o"]) == 1
+        assert f"field '{flag[2:]}': must be an unsigned 64-bit integer" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    if kind == "threshold":
+        assert run([kind, "--seed", 2**64 - 1, "--stream", 2**64 - 1, "--out", tmp_path / "o"]) == 0
+
+
 def test_reproducibility_and_thread_independence(tmp_path):
     out = tmp_path / "mom"
     base = ["moment", "--d", 3, "--lambdas", "0.3", "--n", 4, "--samples", 600, "--seed", 11, "--out", out]

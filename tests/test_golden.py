@@ -154,12 +154,14 @@ GOLDEN = {
 
 CLOUD = "cloud --d 3 --lambdas 1.0,1.0 --n 8 --samples 4000 --bins 30 --seed 5 --out cloud"
 
-# simulate_observation, log_lr_mc (rotated and fixed) and the fixed-spike
-# second_moment_direct_mc, hashed together per spike (see _library_digest)
+# roc_experiment's points and tv proxy and the fixed-spike
+# second_moment_direct_mc, hashed together per spike (see _library_digest);
+# taken at 0.8.0, when they replaced the digests of the per-observation
+# route (simulate_observation, log_lr_mc), which no driver called
 LIBRARY_GOLDEN = {
-    "d3n3r2": "3b0cd74ea27665233083c58e04d450e4efa4ebf02f25574ce29261250f0feb97",
-    "d2n4r1": "0ed78b62f4e8a796cdea4160036125202c77fc6e22c33a52f417c4017d816723",
-    "d3n2r2": "97db5de044b2a7c73fdcfa4fca6deafeda7f234b59b06337b07c523111cc13ce",
+    "d3n3r2": "408e8573a06b1235055b6cbc07b206bf68011229eff313fc9164c1b7130a966f",
+    "d2n4r1": "e132351148715a041db62f8c1838e26f6610314874ea9b4dab0d8599037026f2",
+    "d3n2r2": "12fe1674e28bbb5289cfadcd6bb86fcf868a61563ad194e62081cd2dde71ca36",
 }
 
 LIBRARY_SPECS = {
@@ -281,17 +283,10 @@ def test_cloud_on_the_pool_matches_one_thread(tmp_path, monkeypatch):
 def _library_digest(name: str) -> str:
     lambdas, d, n, gram = LIBRARY_SPECS[name]
     spec = st.spec_from_grams(lambdas, st.GramSet((gram,) * d), n=n)
-    gen = st.SeedSpec(123, 4).generator()
     h = hashlib.sha256()
-    for _ in range(3):
-        for hypothesis in ("H0", "H1"):
-            y = st.simulate_observation(spec, hypothesis, gen)
-            h.update(y.tensor.tobytes())
-            if y.spike_used is not None:
-                for chi in y.spike_used.factors:
-                    h.update(chi.tobytes())
-            h.update(np.float64(st.log_lr_mc(y, spec, 37, gen)).tobytes())
-            h.update(np.float64(st.log_lr_mc(y, spec, 1, gen, rotate=False)).tobytes())
+    roc = st.roc_experiment(spec, 40, 37, st.SeedSpec(123, 4))
+    h.update(roc.points.tobytes())
+    h.update(np.float64(roc.tv_proxy).tobytes())
     est = st.second_moment_direct_mc(spec, 40, 1, st.SeedSpec(9, 0), rotate=False)
     h.update(np.array([est.mean, est.stderr, est.log_domain_max]).tobytes())
     return h.hexdigest()

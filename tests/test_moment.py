@@ -4,15 +4,25 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import gammaln, logsumexp
+from scipy.special import logsumexp
 
 import spikedtensor as st
 import spikedtensor.moment as moment
+import spikedtensor.rng as rng
 from conftest import make_random_spec, rank_one_second_moment
 from spikedtensor.config import gram_matrices
 from spikedtensor.errors import ParameterError
-from spikedtensor.moment import _log_lr_stack, _logsumexp, _mean_from_exponents, _rotate, _thin_r
-from spikedtensor.rng import _N_STREAMS, chunk_sizes, complex_normal, map_streams
+from spikedtensor.moment import (
+    _log_lr_stack,
+    _logsumexp,
+    _mean_from_exponents,
+    _noise_part,
+    _rotate,
+    _rotation_parts,
+    _thin_r,
+)
+from spikedtensor.rng import _N_STREAMS, chunk_sizes, complex_normal, complex_normal_rounds, map_streams
+from spikedtensor.spike import _spike_tensors
 
 
 def zero_spec(n=4, d=3, r=1):
@@ -60,15 +70,6 @@ def test_logsumexp_bit_identical_to_scipy(a, axis):
     got = _logsumexp(a, axis=axis)
     assert np.shape(got) == np.shape(want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-
-
-def rank_one_second_moment(n, d, lam, terms=400):
-    """Exact E[exp(2 n eta)] at r=1:
-    sum_j (n lambda^2)^(2j) / (j!)^2 * C(n+j-1, j)^(-d), in log-sum-exp form."""
-    j = np.arange(terms)
-    log_binom = gammaln(n + j) - gammaln(j + 1) - gammaln(n)
-    log_terms = 2 * j * math.log(n * lam * lam) - 2 * gammaln(j + 1) - d * log_binom
-    return float(np.exp(logsumexp(log_terms)))
 
 
 @pytest.mark.parametrize("n", [8, 32])
@@ -160,6 +161,18 @@ def test_haar_moment_on_the_pool_matches_one_thread(monkeypatch):
     monkeypatch.setattr(moment, "map_streams", recording)
     assert st.second_moment_haar_mc(spec, 20_000, seed, threads=2) == one
     assert idents and threading.get_ident() not in idents
+
+
+@pytest.mark.parametrize("lam, n", [(0.3, 8), (0.5, 8), (0.6, 16)])
+def test_split_total_matches_exact_rank_one_series(lam, n):
+    # epsilon = eta_max / 100 leaves draws in both buckets; the stderr of
+    # their total is that of the Haar estimate on the same stream layout
+    spec = small_spec([lam], n=n, d=3)
+    seed = st.SeedSpec(55, 0)
+    e1, e2 = st.e1_e2_split(spec, lam * lam / 100, 20_000, seed)
+    total = st.second_moment_haar_mc(spec, 20_000, seed)
+    assert e1.mean > 0 and e2.mean > 0 and e1.mean + e2.mean == total.mean
+    assert abs(e1.mean + e2.mean - rank_one_second_moment(n, 3, lam)) <= 3 * total.stderr
 
 
 def test_split_epsilon_above_eta_max_empties_first_bucket():
@@ -277,67 +290,96 @@ def test_xi_tail_builds_no_complex_array_or_norm(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("complex array or norm on the xi-tail path")
 
-    monkeypatch.setattr(moment, "complex_normal", refuse)
+    monkeypatch.setattr(rng, "complex_normal", refuse)
+    monkeypatch.setattr(moment, "complex_normal_rounds", refuse)
     monkeypatch.setattr(np.linalg, "norm", refuse)
     assert st.xi_empirical_tail(16, XI_TS, 20_000, st.SeedSpec(5, 0)) == expected
 
 
+# Observations as `roc_experiment` draws them: its stream layout through
+# `complex_normal_rounds`, its rotations and spikes, scored by the same
+# `_log_lr_stack`; the first test below pins this to the driver's worker.
+
+
+def roc_layout(spec, inner):
+    noise, likelihood = _noise_part(spec), _rotation_parts(spec, inner)
+    return [noise, *likelihood, *_rotation_parts(spec, 1), noise, *likelihood]
+
+
+def roc_observations(spec, m, inner, gen):
+    """`m` draws of `roc_experiment`: ((Y0, factors0), (Y1, factors1)), the
+    null and alternative observations, each with the rotated factors of
+    its likelihood's `inner` spike samples."""
+    d = spec.d
+    parts = complex_normal_rounds(gen, m, roc_layout(spec, inner))
+    r_factors = _thin_r(spec)
+    spikes = _spike_tensors(spec.lambdas, [f[:, 0] for f in _rotate(r_factors, parts[d + 1 : 2 * d + 1])])
+    return ((parts[0], _rotate(r_factors, parts[1 : d + 1])),
+            (spikes + parts[2 * d + 1], _rotate(r_factors, parts[2 * d + 2 :])))
+
+
+def test_roc_observations_score_as_the_roc_worker(monkeypatch):
+    spec = small_spec([0.9, 0.4], n=3, d=3)
+    workers = []
+
+    def recording(draw, *args, **kwargs):
+        workers.append(draw)
+        return map_streams(draw, *args, **kwargs)
+
+    monkeypatch.setattr(moment, "map_streams", recording)
+    st.roc_experiment(spec, 2, 7, st.SeedSpec(0))
+    energy = st.eta_max(spec.lambdas, st.gram_set(spec))
+    (y0, f0), (y1, f1) = roc_observations(spec, 5, 7, st.SeedSpec(3).generator())
+    expected = np.column_stack([_log_lr_stack(spec, y0, f0, energy), _log_lr_stack(spec, y1, f1, energy)])
+    assert workers[0](5, st.SeedSpec(3).generator()).tobytes() == expected.tobytes()
+
+
 def test_simulate_observation_energies(gen):
+    # E|Y0|^2 = n^(d-1) and E|Y1|^2 = n^(d-1) + eta_max
     spec = small_spec([0.9], n=4, d=3)
     emax = st.eta_max(spec.lambdas, st.gram_set(spec))
     reps = 3000
-    e0 = np.empty(reps)
-    e1 = np.empty(reps)
-    for i in range(reps):
-        e0[i] = np.sum(np.abs(st.simulate_observation(spec, "H0", gen).tensor) ** 2)
-        e1[i] = np.sum(np.abs(st.simulate_observation(spec, "H1", gen).tensor) ** 2)
+    (y0, _), (y1, _) = roc_observations(spec, reps, 1, gen)
+    e0 = np.sum(np.abs(y0) ** 2, axis=(1, 2, 3))
+    e1 = np.sum(np.abs(y1) ** 2, axis=(1, 2, 3))
     n_target = 4**2
     assert abs(np.mean(e0) - n_target) <= 3 * np.std(e0) / np.sqrt(reps)
     assert abs(np.mean(e1) - (n_target + emax)) <= 3 * np.std(e1) / np.sqrt(reps)
 
 
-def test_simulate_observation_bookkeeping(gen):
-    spec = small_spec([0.5], n=3, d=3)
-    h0 = st.simulate_observation(spec, "H0", gen)
-    assert h0.spike_used is None and h0.hypothesis == "H0"
-    h1 = st.simulate_observation(spec, "H1", gen)
-    assert h1.spike_used is not None
-    for chi in h1.spike_used.factors:
-        assert np.max(np.abs(np.linalg.norm(chi, axis=0) - 1)) < 1e-10
-    with pytest.raises(ParameterError):
-        st.simulate_observation(spec, "H2", gen)
-
-
-def test_simulate_observation_zero_signal_is_pure_noise(gen):
+def test_simulate_observation_zero_signal_is_pure_noise():
     # with zero amplitudes the alternative adds an exactly-zero spike
-    h1 = st.simulate_observation(zero_spec(n=3), "H1", gen)
-    assert np.count_nonzero(st.build_spike(h1.spike_used)) == 0
-    energy = np.sum(np.abs(h1.tensor) ** 2)
-    assert 0 < energy < 100  # plain noise scale, nothing added
+    spec, m, inner = zero_spec(n=3), 50, 4
+    _, (y1, _) = roc_observations(spec, m, inner, st.SeedSpec(21).generator())
+    parts = complex_normal_rounds(st.SeedSpec(21).generator(), m, roc_layout(spec, inner))
+    assert np.array_equal(y1, parts[2 * spec.d + 1])
 
 
 def test_log_lr_zero_signal_is_exactly_zero(gen):
     spec = zero_spec(n=3)
-    y = st.simulate_observation(spec, "H0", gen)
-    assert st.log_lr_mc(y, spec, 32, gen) == 0.0
+    (y0, f0), (y1, f1) = roc_observations(spec, 8, 32, gen)
+    for y, factors in ((y0, f0), (y1, f1)):
+        assert np.all(_log_lr_stack(spec, y, factors, 0.0) == 0.0)
 
 
 def test_log_lr_deterministic_closed_form(gen):
+    # the fixed spike of `second_moment_direct_mc(..., rotate=False)`:
+    # log L(Y) = 2 n Re<X0, Y> - n |X0|_F^2 exactly
     spec = small_spec([0.4], n=3, d=3)
-    y = st.simulate_observation(spec, "H0", gen)
+    (y0, _), (y1, _) = roc_observations(spec, 4, 1, gen)
+    ys = np.concatenate([y0, y1])
     x0 = st.build_spike(spec)
-    expected = 2 * 3 * np.real(np.vdot(x0, y.tensor)) - 3 * np.linalg.norm(x0) ** 2
-    got = st.log_lr_mc(y, spec, 1, gen, rotate=False)
-    assert got == pytest.approx(expected, rel=1e-12)
+    expected = [2 * 3 * np.real(np.vdot(x0, y)) - 3 * np.linalg.norm(x0) ** 2 for y in ys]
+    got = _log_lr_stack(spec, ys, [chi[None, None] for chi in spec.factors], st.eta_max(spec.lambdas, st.gram_set(spec)))
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
 def test_likelihood_ratio_has_unit_null_mean(gen):
     spec = small_spec([0.45], n=3, d=3)
     reps, inner = 400, 300
-    values = np.empty(reps)
-    for i in range(reps):
-        y = st.simulate_observation(spec, "H0", gen)
-        values[i] = math.exp(st.log_lr_mc(y, spec, inner, gen))
+    energy = st.eta_max(spec.lambdas, st.gram_set(spec))
+    values = np.concatenate([np.exp(_log_lr_stack(spec, *roc_observations(spec, 100, inner, gen)[0], energy))
+                             for _ in range(reps // 100)])
     assert abs(np.mean(values) - 1.0) <= 3 * np.std(values) / np.sqrt(reps)
 
 

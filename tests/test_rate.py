@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 import spikedtensor as st
-from conftest import make_random_spec
+from conftest import make_random_spec, unitarity_defect
 from spikedtensor.errors import DomainError, ParameterError
 import spikedtensor.moment as moment
 import spikedtensor.rate as rate
@@ -454,7 +454,7 @@ def test_haar_corner_entry_phases_are_uniform(n, r):
 @pytest.mark.parametrize("r", [1, 2, 3, 5])
 def test_haar_corners_at_n_equal_r_are_unitary(r):
     corners = rate._haar_corner_sets(r, r, 3, 500, st.SeedSpec(65, r).generator())
-    assert st.unitarity_defect(corners) < 1e-12
+    assert unitarity_defect(corners) < 1e-12
 
 
 def test_rank_two_haar_moment_matches_the_frame_route(monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import threading
 
 import numpy as np
@@ -6,15 +7,23 @@ import pytest
 from scipy import stats
 
 import spikedtensor as st
+from conftest import unitarity_defect
 from spikedtensor.config import gram_matrices
 from spikedtensor.errors import ParameterError
-from spikedtensor.moment import _eta_chunk
+from spikedtensor.moment import _eta_chunk, _noise_part
 from spikedtensor.rng import _BLOCK_CELLS, chunk_sizes, complex_normal, complex_normal_rounds, map_streams
 
 
+def noise_tensors(n, d, m, gen):
+    """`m` noise tensors drawn as the observation drivers draw them."""
+    spec = st.spec_from_grams([1.0], st.GramSet((np.eye(1),) * d), n=n)
+    (y,) = complex_normal_rounds(gen, m, [_noise_part(spec)])
+    return y
+
+
 def test_seedspec_determinism():
-    a = st.sample_gaussian_tensor(4, 3, st.SeedSpec(123, 5))
-    b = st.sample_gaussian_tensor(4, 3, st.SeedSpec(123, 5))
+    a = noise_tensors(4, 3, 2, st.SeedSpec(123, 5).generator())
+    b = noise_tensors(4, 3, 2, st.SeedSpec(123, 5).generator())
     assert np.array_equal(a, b)
 
 
@@ -37,8 +46,7 @@ def test_seedspec_validation():
 
 def test_gaussian_tensor_moments():
     n, d = 10, 5  # one draw gives 1e5 entry samples
-    z = st.sample_gaussian_tensor(n, d, st.SeedSpec(1, 0))
-    flat = z.ravel()
+    flat = noise_tensors(n, d, 1, st.SeedSpec(1, 0).generator()).ravel()
     count = flat.size
     assert count == 10**5
     # entries are N_C(0, 1/n): component std sqrt(1/2n), |z|^2 mean 1/n
@@ -51,8 +59,7 @@ def test_gaussian_tensor_moments():
 
 def test_gaussian_tensor_total_energy():
     n, d, reps = 4, 3, 4000
-    gen = st.SeedSpec(2, 0).generator()
-    norms = np.array([np.sum(np.abs(st.sample_gaussian_tensor(n, d, gen)) ** 2) for _ in range(reps)])
+    norms = np.sum(np.abs(noise_tensors(n, d, reps, st.SeedSpec(2, 0).generator())) ** 2, axis=(1, 2, 3))
     target = n ** (d - 1)
     assert abs(np.mean(norms) - target) < 3 * np.std(norms) / np.sqrt(reps)
 
@@ -62,7 +69,7 @@ def test_haar_unitarity():
     for n in (1, 2, 5, 9):
         for _ in range(10):
             u = st.sample_haar_unitaries(n, 1, gen)[0]
-            assert st.unitarity_defect(u) <= 1e-10
+            assert unitarity_defect(u) <= 1e-10
 
 
 def test_haar_frames_have_orthonormal_columns():
@@ -70,7 +77,7 @@ def test_haar_frames_have_orthonormal_columns():
     for n, r in ((1, 1), (5, 1), (5, 2), (9, 3), (9, 9), (64, 2), (300, 4)):
         w = st.sample_haar_unitaries(n, 10, gen, columns=r)
         assert w.shape == (10, n, r)
-        assert st.unitarity_defect(w) <= 1e-10
+        assert unitarity_defect(w) <= 1e-10
     for bad in (0, 6):
         with pytest.raises(ParameterError):
             st.sample_haar_unitaries(5, 1, gen, columns=bad)
@@ -108,7 +115,7 @@ def test_haar_frames_orthonormal_at_worst_conditioning(c):
     # Two Gram-Schmidt passes keep the defect at a few ulps; a single pass
     # leaves about 3e-14 at c = 16.
     frames = st.sample_haar_unitaries(c + 1, 10_000, st.SeedSpec(18, c), columns=c)
-    assert st.unitarity_defect(frames) <= 1e-14
+    assert unitarity_defect(frames) <= 1e-14
 
 
 def test_complex_normal_draw_order_is_pinned():
@@ -181,28 +188,14 @@ def test_haar_invariance_of_traces():
             assert p > 0.01
 
 
-def test_sphere_vector():
-    gen = st.SeedSpec(6, 0).generator()
-    for n in (1, 3, 8):
-        v = st.sample_unit_sphere(n, gen)
-        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-
-
 def test_sphere_first_coordinate_moment():
+    # E|v_1|^2 = 1/n on the xi-tail sphere samples: the integral of
+    # 2t P(|v_1| >= t) over [0, 1], from the counts of one sample set
     n, reps = 6, 20000
-    gen = st.SeedSpec(7, 0).generator()
-    sq = np.array([np.abs(st.sample_unit_sphere(n, gen)[0]) ** 2 for _ in range(reps)])
-    assert abs(np.mean(sq) - 1.0 / n) < 3 * np.std(sq) / np.sqrt(reps)
-
-
-def test_sphere_tail_matches_polar_law():
-    # P(|v1| >= t) = (1 - t^2)^(n-1) at t = 0.5, n = 4
-    n, t, reps = 4, 0.5, 40000
-    gen = st.SeedSpec(8, 0).generator()
-    hits = np.array([np.abs(st.sample_unit_sphere(n, gen)[0]) >= t for _ in range(reps)])
-    p = np.mean(hits)
-    target = (1 - t * t) ** (n - 1)
-    assert abs(p - target) < 3 * np.sqrt(target * (1 - target) / reps)
+    ts = np.linspace(0.0, 1.0, 1001)
+    tail = np.array([e.mean for e in st.xi_empirical_tail(n, ts, reps, st.SeedSpec(7, 0))])
+    sd = math.sqrt((n - 1) / (n * n * (n + 1)))  # |v_1|^2 ~ Beta(1, n - 1)
+    assert abs(np.trapezoid(2 * ts * tail, ts) - 1.0 / n) < 3 * sd / math.sqrt(reps)
 
 
 def test_psi_block_norm_and_edges():
@@ -212,7 +205,7 @@ def test_psi_block_norm_and_edges():
         b = st.sample_haar_unitaries(6, 1, gen, columns=3)[0, :3]
         assert np.linalg.norm(b, 2) <= 1.0 + 1e-12
     full = st.sample_haar_unitaries(4, 1, gen, columns=4)[0, :4]
-    assert st.unitarity_defect(full) <= 1e-10
+    assert unitarity_defect(full) <= 1e-10
     with pytest.raises(ParameterError):
         st.sample_haar_unitaries(3, 1, gen, columns=4)
 

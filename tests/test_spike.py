@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import spikedtensor as st
-from conftest import make_random_spec
+from conftest import make_random_spec, unitarity_defect
 from spikedtensor.errors import DimensionError, ParameterError
 
 
@@ -81,7 +81,7 @@ def test_factors_from_grams_edge_cases():
     grams = st.GramSet((np.eye(3), np.eye(3)))
     factors = st.factors_from_grams(grams, 3)
     for chi in factors:
-        assert st.unitarity_defect(chi) <= 1e-10
+        assert unitarity_defect(chi) <= 1e-10
 
     j = st.GramSet((np.ones((2, 2)), np.ones((2, 2))))
     for chi in st.factors_from_grams(j, 4):
