@@ -48,8 +48,11 @@ _EXIT_INVARIANT = 2
 # sizes; raising them is a change of its own.  The list caps bound what one
 # run multiplies: `bound.csv` has a row per bin (10^5 bins: 4 MB and 0.6 s;
 # at the sample cap still 20 points a bin), `xi-tail` compares every
-# sample with every t (1000 t at 1M samples, n=8: 0.74 s) and `moment`
-# runs once per n (32 n from 4 to 128 at 20k samples, r=2: 4.4 s).
+# sample with every t (1000 t at 1M samples, n=8: 0.53 s, median of five)
+# and `moment` runs once per n (32 n from 4 to 128 at 20k samples, r=2:
+# 4.4 s).  One `xi-tail` sample holds n exponentials: at `--samples 1`,
+# one-thread peak RSS was 36 MB at n=8, 44 MB at the cap n=2^20 (0.04 s),
+# 68 MB at 2^22 and 164 MB at 2^24.
 # `draw_cells` bounds one `roc` or `direct` draw: the largest of its
 # likelihood contraction (`moment._draw_cells`), its n^d noise tensor and
 # the d n r inner cells of a likelihood's rotation draws, which outgrow the
@@ -72,6 +75,7 @@ _LIMITS = {
     "roc_work": 20_000_000,
     "draw_cells": 2**22,
     "xi_samples": 20_000_000,
+    "xi_n": 2**20,
 }
 
 
@@ -220,6 +224,7 @@ def run_split(config: ExperimentConfig) -> None:
 
 def run_xi_tail(config: ExperimentConfig) -> None:
     n = config.n[0]
+    _refuse(n > _LIMITS["xi_n"], f"xi-tail n {n} > {_LIMITS['xi_n']}")
     _refuse(config.samples > _LIMITS["xi_samples"], f"samples {config.samples} > {_LIMITS['xi_samples']}")
     seed = SeedSpec(config.seed, config.stream)
     estimates = xi_empirical_tail(n, config.t, config.samples, seed, threads=config.threads)

@@ -15,6 +15,8 @@ from .rng import _U64
 from .spike import GramSet
 
 KINDS = ("threshold", "cloud", "moment", "split", "xi-tail", "roc")
+# the kinds that run at one n: `moment` loops over a list, `threshold` reads none
+_ONE_N_KINDS = ("cloud", "split", "xi-tail", "roc")
 
 _DEFAULTS = {
     "d": "3",
@@ -177,6 +179,8 @@ def resolve_config(kind: str, file_values: dict[str, str] | None = None, overrid
     n = _parse_seq("n", merged["n"], _parse_int)
     if any(v < 1 for v in n):
         raise ConfigError(f"field 'n': dimensions must be >= 1, got {n}")
+    if len(n) > 1 and kind in _ONE_N_KINDS:
+        raise ConfigError(f"field 'n': {kind} takes one dimension, got {len(n)}")
     fmt = merged["format"] or _DEFAULT_FORMAT[kind]
     if fmt not in ("csv", "json"):
         raise ConfigError(f"field 'format': expected csv or json, got {fmt!r}")
@@ -195,8 +199,11 @@ def resolve_config(kind: str, file_values: dict[str, str] | None = None, overrid
         if not 0 <= _parse_int(f, merged[f]) < _U64:
             raise ConfigError(f"field {f!r}: must be an unsigned 64-bit integer, got {merged[f]}")
     out = merged["out"] or f"{kind.replace('-', '_')}_result"
-    if not Path(out).name:
+    stem = Path(out)
+    if not stem.name:
         raise ConfigError(f"field 'out': {out!r} names no file")
+    if not stem.parent.is_dir():  # found before any sampling, not at the first write
+        raise ConfigError(f"field 'out': {str(stem.parent)!r} is not a directory")
 
     return ExperimentConfig(
         kind=kind,

@@ -309,17 +309,18 @@ def xi_tail_probability(t: float, n: int) -> float:
 
 
 def xi_empirical_tail(n: int, ts, samples: int, rng: SeedSpec, threads: int = 1) -> list[MCEstimate]:
-    """Empirical frequencies of |v_1| >= t, one estimate per t in `ts`, all
-    counted on one set of uniform sphere samples, with binomial standard
-    errors.
+    """Empirical frequencies of |u_1| >= t, one estimate per t in `ts`, all
+    counted on one set of uniform sphere samples u in C^n, with binomial
+    standard errors.
 
-    A sample is a standard complex Gaussian v in C^n, which normalized is
-    uniform on the sphere; |v_1| / |v| does not depend on scale, so a block
-    counts ``|v_1|^2 / |v|^2 >= t^2`` on the squared moduli of the normals
-    ``complex_normal(gen, (m, n), .)`` would take, real parts then
-    imaginary parts, without forming the complex array, its norm or a
-    square root.  The counts equal those of ``|v_1| / |v| >= t`` on the
-    complex array unless a ratio falls within a few ulps of t^2."""
+    A sample is n independent Exp(1) variates e_j, the law of the squared
+    moduli |v_j|^2 of a standard complex Gaussian v, whose normalization is
+    uniform on the sphere.  So (e_1, ..., e_n) / sum_j e_j is
+    Dirichlet(1, ..., 1), the law of (|u_1|^2, ..., |u_n|^2), and a block
+    counts ``e_1 / sum_j e_j >= t^2``: n variates a sample, no complex
+    array, norm or square root.  Every coordinate is drawn, so the check
+    does not rest on the Beta(1, n - 1) law of |u_1|^2 that the analytic
+    tail comes from."""
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ParameterError(f"need a non-empty sequence of t, got {ts!r}")
@@ -332,10 +333,8 @@ def xi_empirical_tail(n: int, ts, samples: int, rng: SeedSpec, threads: int = 1)
     squares = ts * ts
 
     def worker(m, gen):
-        x = gen.standard_normal((2, m, n))  # the real parts, then the imaginary parts
-        np.square(x, out=x)
-        s = np.add(x[0], x[1], out=x[0])  # |v_j|^2
-        ratio = s[:, 0] / s.sum(axis=1)
+        e = gen.standard_exponential((m, n))  # |v_j|^2, one Exp(1) a coordinate
+        ratio = e[:, 0] / e.sum(axis=1)
         return np.array([[np.count_nonzero(ratio >= t2) for t2 in squares]])  # one t at a time: no (m, t) temporary
 
     hits = np.concatenate(map_streams(worker, samples, rng, threads, cells=n)).sum(axis=0)

@@ -373,10 +373,12 @@ def _list_cap_args(key, count):
         return ["cloud", "--d", 3, "--lambdas", "1.0", "--n", 4, "--samples", 200, "--bins", count]
     if key == "t_count":
         return ["xi-tail", "--n", 4, "--samples", 100, "--t", ",".join(str(i / count) for i in range(count))]
+    if key == "xi_n":
+        return ["xi-tail", "--n", count, "--samples", 1, "--t", 0.5]
     return ["moment", "--d", 3, "--lambdas", "0.3", "--samples", 4, "--n", ",".join(str(2 + i) for i in range(count))]
 
 
-@pytest.mark.parametrize("key", ["bins", "t_count", "n_count"])
+@pytest.mark.parametrize("key", ["bins", "t_count", "n_count", "xi_n"])
 def test_list_caps(tmp_path, capsys, key):
     from spikedtensor.cli import _LIMITS
 
@@ -387,6 +389,27 @@ def test_list_caps(tmp_path, capsys, key):
     assert run(_list_cap_args(key, cap + 1) + ["--out", tmp_path / "over", "--threads", 1]) == 1
     assert "desk-scale" in capsys.readouterr().err
     assert not list(tmp_path.glob("over*"))
+
+
+@pytest.mark.parametrize("kind, sampler", [("cloud", "sample_grf_cloud"), ("split", "e1_e2_split"),
+                                          ("xi-tail", "xi_empirical_tail"), ("roc", "roc_experiment")])
+def test_one_n_kinds_refuse_a_list_of_n(tmp_path, monkeypatch, capsys, kind, sampler):
+    # each of these runs at config.n[0]: a second n would be dropped unseen
+    monkeypatch.setattr(cli, sampler, lambda *args, **kwargs: pytest.fail(f"{kind} ran with a list of n"))
+    assert run([kind, "--d", 3, "--n", "4,8", "--samples", 100, "--trials", 10, "--inner", 10,
+                "--out", tmp_path / "o"]) == 1
+    assert f"config error: field 'n': {kind} takes one dimension, got 2" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_unwritable_out_exits_one_before_any_draw(tmp_path, monkeypatch, capsys, kind):
+    monkeypatch.setitem(cli._RUNNERS, kind, lambda config: pytest.fail(f"{kind} ran with an unwritable --out"))
+    (tmp_path / "file").write_text("")
+    for parent in (tmp_path / "nonexistent_dir", tmp_path / "file"):
+        assert run([kind, "--n", 4, "--samples", 100, "--out", parent / "x"]) == 1
+        assert f"config error: field 'out': {str(parent)!r} is not a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 _FLAGS = ("--config", "--d", "--r", "--lambdas", "--gram", "--n", "--samples", "--outer", "--inner", "--method",

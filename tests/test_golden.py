@@ -47,6 +47,16 @@ at most 9.2e-15 relative in x and 5.7e-14 in y.  The envelope and bound
 files kept their bytes, and so did every other digest, at `--threads` 1
 and 2.  The points were taken after the kernel's `eigvalsh` oracle test and
 the SVD-rescale test in `test_rate.py` passed.
+
+The 0.9.0 break, `xi-tail` from exponential squared moduli (a sample is n
+Exp(1) variates, the law of the squared moduli of a standard complex
+Gaussian, in place of its 2n normals; a new draw order, the same law), re-took `xi.csv` and
+`xi.json` only.  At t = 0.2, 0.5, 0.7 the new frequencies sit -1.2, -1.2
+and -0.3 stderr from (1 - t^2)^7, against -0.7, -1.6 and -1.6 at 0.8.0.
+They were taken after the law tests of `test_moment.py` passed (the counts
+against the complex route on disjoint seeds, a KS test of the ratios
+against Beta(1, n - 1)), and they hold at `--threads` 1 and 2; every other
+digest holds.
 """
 
 import hashlib
@@ -127,7 +137,7 @@ GOLDEN = {
     "cloud.points.csv": "51341b037f101da5f37ee7fe5a0c8c5f81ab62d77410a3172223ca6a9c292e8a",
     "cloud.envelope.csv": "5d0e18d1a8a9aedb11ccb7c694d2089b03d28384ad13a67078d612b0c44bd0da",
     "cloud.bound.csv": "7d8676b534e1b959c397b65af04d7ef2b239521a727e8448e3dd3414b1f19f95",
-    # thr_* and xi taken from 0.3.0 before the one-emitter CLI
+    # thr_* taken from 0.3.0 before the one-emitter CLI
     "thr_d2.csv": "a71d26adb81b46b826b2e73b828da4f6cfbc1c0e64979a654319a77e27de53cb",
     "thr_d2.json": "a7b1d937e2fa5724259314349c5f430aefb183dd22dc4ad77e97aad01791b9cf",
     "thr_d3.csv": "c1fa7bcc1412eb100a78548142f985035d3d6fb98a64dcc0e253110509b39f6c",
@@ -148,8 +158,9 @@ GOLDEN = {
     "mom_r1_ragged.json": "2a985f835a6be36ddbd2f4f80e5a161558266768d29740b5b758d1103516642e",
     "split_ragged.csv": "700407b942eac789ba2a68945c8cd2a39cf41f8b3df002487d7f3036acc56cac",
     "split_ragged.json": "8f0cf6ade05a1dfa93f6e7b8b42d4042561095467f492beb4f88a19b95ea6370",
-    "xi.csv": "5fa09af1e56f9ce9634a7d1dee24b473a1016c5153af246c41d05223278ab1b0",
-    "xi.json": "97c1b8053450445adb15704c4a3a66d8081b3bd3f7c01192b1768bc58edb155f",
+    # xi re-taken at 0.9.0 for the exponential squared moduli
+    "xi.csv": "c791aef348147cfdadf578285370fe4b177174444c14810a64a837334fcdadcb",
+    "xi.json": "6a38c91dd122e3c17a2e4f41b4fbd975a1df6886939900e4bf7b45c06ac7019a",
 }
 
 CLOUD = "cloud --d 3 --lambdas 1.0,1.0 --n 8 --samples 4000 --bins 30 --seed 5 --out cloud"
@@ -175,11 +186,10 @@ LIBRARY_SPECS = {
 # is checked and then swapped for that one before hashing
 PINNED_VERSION = (
     dict.fromkeys(GOLDEN, "0.4.0")
-    | dict.fromkeys(["thr_d2.csv", "thr_d2.json", "thr_d3.csv", "thr_d3.json", "xi.csv", "xi.json"],
-                    "0.3.0")
+    | dict.fromkeys(["thr_d2.csv", "thr_d2.json", "thr_d3.csv", "thr_d3.json"], "0.3.0")
     | dict.fromkeys([f"{name}.{ext}" for name in ("mom_r1", "mom_r1_ragged", "mom_r2", "split_r2", "split_empty",
                                                   "split_ragged") for ext in ("csv", "json")], "0.6.0")
-    | {"cloud.envelope.csv": "0.7.0", "cloud.points.csv": "0.8.0"}
+    | {"cloud.envelope.csv": "0.7.0", "cloud.points.csv": "0.8.0", "xi.csv": "0.9.0", "xi.json": "0.9.0"}
 )
 
 

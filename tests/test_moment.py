@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import logsumexp
 
 import spikedtensor as st
@@ -244,8 +245,8 @@ def test_xi_empirical_stderr_scaling():
 
 
 def _complex_xi_counts(m, gen, n, ts):
-    """A block's counts by the complex route of 0.7.0: |v_1| / |v| >= t on a
-    circular complex Gaussian array."""
+    """A block's counts by the complex route of 0.7.0 and 0.8.0: |v_1| / |v|
+    >= t on a circular complex Gaussian array, the reference in law."""
     v = complex_normal(gen, (m, n), np.sqrt(0.5))
     frac = np.abs(v[:, 0]) / np.linalg.norm(v, axis=1)
     return np.array([[np.count_nonzero(frac >= t) for t in ts]])
@@ -265,23 +266,67 @@ def _xi_block(monkeypatch, n, ts):
     return blocks[0]
 
 
+class _ExponentialsOnly:
+    """A generator that offers only `standard_exponential`, and records the
+    shape and a copy of every draw."""
+
+    def __init__(self, seed):
+        self._gen = np.random.default_rng(seed)
+        self.shapes, self.draws = [], []
+
+    def standard_exponential(self, shape):
+        out = self._gen.standard_exponential(shape)
+        self.shapes.append(shape)
+        self.draws.append(out.copy())
+        return out
+
+
 XI_TS = [0.0, 0.3, 0.5, 0.7, 1.0]  # 0.3 and 0.7 have inexact squares
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 64])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_xi_block_counts_and_draws_equal_the_complex_route(monkeypatch, n, seed):
-    block, m = _xi_block(monkeypatch, n, XI_TS), 5000
-    got_gen, ref_gen = st.SeedSpec(seed, n).generator(), st.SeedSpec(seed, n).generator()
-    counts = block(m, got_gen)
-    assert np.array_equal(counts, _complex_xi_counts(m, ref_gen, n, XI_TS))
-    assert counts[0, 0] == m
-    # the same number of normals in the same order: the stream is unchanged
-    assert got_gen.bit_generator.state == ref_gen.bit_generator.state
+    # equal in law since 0.9.0, no longer in bytes: the exponential counts
+    # against the complex route's, on disjoint seeds
+    block, m = _xi_block(monkeypatch, n, XI_TS), 20_000
+    counts = block(m, st.SeedSpec(seed, n).generator())[0]
+    reference = _complex_xi_counts(m, st.SeedSpec(seed + 3, n).generator(), n, XI_TS)[0]
+    assert counts[0] == reference[0] == m
+    for a, b in zip(counts, reference):
+        pooled = (a + b) / (2 * m)
+        se = math.sqrt(pooled * (1 - pooled) * 2 / m)
+        if se == 0:
+            assert a == b  # t=1, or a tail far below 1/m at n=64
+        else:
+            assert abs(a - b) / m <= 4 * se  # two-proportion z within 4
     # and through the driver, over several blocks a chunk at n=64
     samples, spec = 40_000, st.SeedSpec(seed, 0)
-    hits = np.concatenate(map_streams(lambda m, gen: _complex_xi_counts(m, gen, n, XI_TS), samples, spec, cells=n))
+    hits = np.concatenate(map_streams(block, samples, spec, cells=n))
     assert [e.mean for e in st.xi_empirical_tail(n, XI_TS, samples, spec)] == [int(h) / samples for h in hits.sum(axis=0)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_xi_block_ratios_follow_the_beta_law(monkeypatch, n):
+    # |u_1|^2 ~ Beta(1, n - 1): KS test of one block's ratios against its CDF
+    ts = np.linspace(0.0, 1.0, 41)
+    block, gen = _xi_block(monkeypatch, n, ts), _ExponentialsOnly(100 + n)
+    counts = block(20_000, gen)[0]
+    (e,) = gen.draws
+    ratios = e[:, 0] / e.sum(axis=1)
+    assert np.array_equal(counts, [np.count_nonzero(ratios >= t * t) for t in ts])
+    assert stats.kstest(ratios, lambda x: 1.0 - (1.0 - x) ** (n - 1)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 16, 64])
+def test_xi_block_draws_n_exponentials_a_sample(monkeypatch, n):
+    # one (m, n) draw a block, from a generator that has no other sampler:
+    # no normals, no Gamma(n - 1) or Beta shortcut for the other coordinates
+    block = _xi_block(monkeypatch, n, XI_TS)
+    for m in (1, 7):
+        gen = _ExponentialsOnly(n)
+        assert block(m, gen)[0, 0] == m
+        assert gen.shapes == [(m, n)]
 
 
 def test_xi_tail_builds_no_complex_array_or_norm(monkeypatch):
