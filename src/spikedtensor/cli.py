@@ -52,15 +52,24 @@ _EXIT_INVARIANT = 2
 # and `moment` runs once per n (32 n from 4 to 128 at 20k samples, r=2:
 # 4.4 s).  One `xi-tail` sample holds n exponentials: at `--samples 1`,
 # one-thread peak RSS was 36 MB at n=8, 44 MB at the cap n=2^20 (0.04 s),
-# 68 MB at 2^22 and 164 MB at 2^24.
+# 68 MB at 2^22 and 164 MB at 2^24.  `xi_work` bounds its n x samples
+# exponentials: 2^27 of them took 1.36 s at one thread at n=2^20 (128
+# samples, 44 MB) and 1.60 s at n=6, the largest n the sample cap reaches
+# (medians of five).
 # `draw_cells` bounds one `roc` or `direct` draw: the largest of its
 # likelihood contraction (`moment._draw_cells`), its n^d noise tensor and
 # the d n r inner cells of a likelihood's rotation draws, which outgrow the
 # contraction when n^(d-2) < d.  At the cap, one-thread peak RSS was
 # 0.29 GB for `roc` at d=3, n=4 (0.9 s a trial).  `d` bounds the Grams and
 # factors every run builds first; at d=1024, `threshold` took 0.14 s (31 MB).
+# `r` bounds the spike every run builds at n = r before its own checks, whose
+# cost grows as about r^3 (`threshold` took 3.5 ms at r=32, 0.17 s at 64 and
+# 1.1 s at 512, 77 MB), and the d (r^2, r^2) complex mode maps of `moment`,
+# `split` and `cloud` (`spike.SpikeSvd`), which grow as r^4: 16 MB a mode at
+# r=32, where `moment --n 32 --samples 10` peaked at 102 MB, and 268 MB at 64.
 _LIMITS = {
     "d": 1024,
+    "r": 32,
     "bins": 100_000,
     "t_count": 1000,
     "n_count": 64,
@@ -76,6 +85,7 @@ _LIMITS = {
     "draw_cells": 2**22,
     "xi_samples": 20_000_000,
     "xi_n": 2**20,
+    "xi_work": 2**27,
 }
 
 
@@ -176,22 +186,29 @@ def run_cloud(config: ExperimentConfig) -> None:
 
 
 def run_moment(config: ExperimentConfig) -> None:
-    seed = SeedSpec(config.seed, config.stream)
-    records = []
+    # every n meets every cap before the first estimate
+    haar = config.method == "haar"
+    if haar:
+        _refuse(config.samples > _LIMITS["moment_samples"], f"samples {config.samples} > {_LIMITS['moment_samples']}")
+    else:
+        _refuse(config.d > _LIMITS["direct_d"], f"direct method d {config.d} > {_LIMITS['direct_d']}")
+        _refuse(config.outer * config.inner > _LIMITS["direct_work"],
+                f"outer*inner = {config.outer * config.inner} > {_LIMITS['direct_work']}")
+    specs = []
     for n in config.n:
         _refuse(n > _LIMITS["moment_n"], f"moment n {n} > {_LIMITS['moment_n']}")
-        spec = _spec_for(config, n=n)
-        if config.method == "haar":
-            _refuse(config.samples > _LIMITS["moment_samples"], f"samples {config.samples} > {_LIMITS['moment_samples']}")
-            est = second_moment_haar_mc(spec, config.samples, seed, threads=config.threads)
-        else:
-            _refuse(n > _LIMITS["direct_n"], f"direct method n {n} > {_LIMITS['direct_n']}")
-            _refuse(config.d > _LIMITS["direct_d"], f"direct method d {config.d} > {_LIMITS['direct_d']}")
-            _refuse(config.outer * config.inner > _LIMITS["direct_work"],
-                    f"outer*inner = {config.outer * config.inner} > {_LIMITS['direct_work']}")
-            _refuse_draw(spec, config.inner)
-            est = second_moment_direct_mc(spec, config.outer, config.inner, seed, threads=config.threads)
-        records.append((n, est))
+        _refuse(not haar and n > _LIMITS["direct_n"], f"direct method n {n} > {_LIMITS['direct_n']}")
+        specs.append(_spec_for(config, n=n))
+        if not haar:
+            _refuse_draw(specs[-1], config.inner)
+    seed = SeedSpec(config.seed, config.stream)
+
+    def estimate(spec):
+        if haar:
+            return second_moment_haar_mc(spec, config.samples, seed, threads=config.threads)
+        return second_moment_direct_mc(spec, config.outer, config.inner, seed, threads=config.threads)
+
+    records = [(spec.n, estimate(spec)) for spec in specs]
 
     _emit(
         config,
@@ -226,6 +243,7 @@ def run_xi_tail(config: ExperimentConfig) -> None:
     n = config.n[0]
     _refuse(n > _LIMITS["xi_n"], f"xi-tail n {n} > {_LIMITS['xi_n']}")
     _refuse(config.samples > _LIMITS["xi_samples"], f"samples {config.samples} > {_LIMITS['xi_samples']}")
+    _refuse(n * config.samples > _LIMITS["xi_work"], f"n*samples = {n * config.samples} > {_LIMITS['xi_work']}")
     seed = SeedSpec(config.seed, config.stream)
     estimates = xi_empirical_tail(n, config.t, config.samples, seed, threads=config.threads)
     header = ["n", "t", "count", "analytic", "empirical", "stderr"]
@@ -315,6 +333,7 @@ def main(argv=None) -> int:
             file_values = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
         config = resolve_config(args.kind, file_values, overrides)
         _refuse(config.d > _LIMITS["d"], f"d {config.d} > {_LIMITS['d']}")
+        _refuse(config.r > _LIMITS["r"], f"r {config.r} > {_LIMITS['r']}")
         _refuse(config.bins > _LIMITS["bins"], f"bins {config.bins} > {_LIMITS['bins']}")
         _refuse(len(config.t) > _LIMITS["t_count"], f"{len(config.t)} t values > {_LIMITS['t_count']}")
         _refuse(len(config.n) > _LIMITS["n_count"], f"{len(config.n)} n values > {_LIMITS['n_count']}")

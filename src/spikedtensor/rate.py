@@ -14,10 +14,10 @@ second-moment estimators score Haar corner sets with the exponent's.  The
 block rate is the sum of the log pivots of an r-step elimination of
 I - psi* psi, vectorized over the stack, and the exponent one
 (count, r^2) @ (r^2, r^2) product per mode, followed by one product with
-vec(lambda lambda^T).  Neither calls LAPACK once per block.  The cloud's
-Ginibre component is scaled by the top eigenvalue of its Gram, in closed form
-over the whole stack at r <= 2 and by one LAPACK call per block at r >= 3;
-at n = r the Haar corner stack is a full unitary from LAPACK's QR.
+vec(lambda lambda^T).  Neither calls LAPACK once per block, and no draw of
+the cloud calls an eigen- or QR solver: its Ginibre component is scaled by
+its Frobenius norm, and its Haar corner stacks are orthonormalized by
+Gram-Schmidt at every n, n = r included.
 """
 
 from __future__ import annotations
@@ -164,25 +164,6 @@ def _gram_stack(psi_stack: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _top_eigenvalue(gram: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of every Hermitian positive semi-definite r x r
-    block of a stack-last (r, r, ...) stack, the layout of `_gram_stack`.
-
-    At r = 1 it is the entry itself, and at r = 2 the closed form
-    (a + c)/2 + hypot((a - c)/2, |b|), a few array operations over the
-    whole stack; neither multiplies two entries, so the result scales with
-    the Gram from 1e-150 to 1e150.  At r >= 3 it is the stacked `eigvalsh`,
-    one LAPACK call per block.
-    """
-    r = gram.shape[0]
-    if r == 1:
-        return gram[0, 0].real
-    if r == 2:
-        a, c = gram[0, 0].real, gram[1, 1].real
-        return (a + c) / 2 + np.hypot((a - c) / 2, np.abs(gram[0, 1]))
-    return np.linalg.eigvalsh(np.moveaxis(gram, (0, 1), (-2, -1)))[..., -1]
-
-
 def _rate_stack(psi_stack: np.ndarray) -> np.ndarray:
     """Summed block rate sum_k log det(I - psi_k* psi_k) for every psi-set
     of a (count, d, r, r) stack; -inf as soon as one block has a singular
@@ -274,11 +255,10 @@ def _sample_psi_stack(r: int, n: int, d: int, count: int, gen: np.random.Generat
     The law is a three-way mixture chosen for envelope coverage, not as a
     model; all three components stay inside the spectral unit ball:
 
-    - complex Ginibre rescaled to spectral norm sqrt(rho), rho uniform on
-      [0,1]: fills the outer norm shells with unstructured directions.  The
-      norm is the square root of the top eigenvalue of each block's Gram
-      raw* raw, which `_top_eigenvalue` gives with no SVD (in closed form
-      over the whole stack at r <= 2);
+    - complex Ginibre rescaled to Frobenius norm sqrt(rho), rho uniform on
+      [0,1]: fills the norm shells with unstructured directions.  The
+      spectral norm is at most the Frobenius norm, so it is at most
+      sqrt(rho), and the scale is one stacked sum of squared moduli;
     - corner blocks of Haar n x n unitaries (`_haar_corner_sets`): the
       typical scale 1/sqrt(n);
     - scaled rank ladder, one set-wide rank m and scale per set:
@@ -298,8 +278,8 @@ def _sample_psi_stack(r: int, n: int, d: int, count: int, gen: np.random.Generat
     if n_ginibre:
         rhos = gen.random((n_ginibre, d))
         raw = complex_normal(gen, (n_ginibre, d, r, r), np.sqrt(0.5))
-        top = np.sqrt(_top_eigenvalue(_gram_stack(raw)))
-        out[ginibre] = raw * (np.sqrt(rhos) / top)[..., None, None]
+        frobenius = np.sqrt(np.sum(raw.real**2 + raw.imag**2, axis=(-2, -1)))
+        out[ginibre] = raw * (np.sqrt(rhos) / frobenius)[..., None, None]
 
     from_haar = component == 1
     n_haar = int(np.sum(from_haar))

@@ -93,23 +93,14 @@ def sample_haar_unitaries(n: int, count: int, rng, columns: int | None = None) -
     """Stack of `count` independent Haar unitaries, shape (count, n, n), or
     of their first `columns` columns only, shape (count, n, columns).
 
-    Construction: complex Ginibre matrix, QR factorization, then each column
-    of Q is multiplied by the phase of the matching diagonal entry of R so
-    that R's diagonal becomes real positive.  Plain QR is *not* Haar; the
-    phase correction is what removes the factorization's sign ambiguity
-    (Mezzadri, Notices AMS 54, 2007).  Leaving `columns` out draws the full
-    unitaries.
-
-    With `columns` = c < n the Ginibre matrix is (n, c) and the result is
-    uniform on the Stiefel manifold of orthonormal c-frames in C^n, the law
-    of the first c columns of a Haar unitary, at O(n c^2) cost.  The thin
-    QR is then taken by two passes of classical Gram-Schmidt over the whole
-    stack at once, c steps of a few NumPy calls each instead of one LAPACK
-    call per matrix.  Dividing each column by its real positive norm makes
-    R's diagonal real positive by construction, so this is the
-    phase-corrected thin QR of the same draws, equal to the LAPACK route up
-    to rounding; the second pass keeps the columns orthonormal to machine
-    precision (Giraud, Langou, Rozloznik, Comput. Math. Appl. 50, 2005).
+    Construction: a complex Ginibre (n, c) matrix, c = `columns` (n when
+    left out), and the Q factor of its QR factorization with R's diagonal
+    real positive.  That normalization is what makes Q Haar: it fixes the
+    phases that the factorization leaves free (Mezzadri, Notices AMS 54,
+    2007).  The result is uniform on the Stiefel manifold of orthonormal
+    c-frames in C^n, the law of the first c columns of a Haar unitary, at
+    O(n c^2) cost.  Q is taken by `_orthonormalize`, two passes of
+    classical Gram-Schmidt over the whole stack at once.
     """
     columns = n if columns is None else columns
     if not (1 <= columns <= n):
@@ -118,25 +109,26 @@ def sample_haar_unitaries(n: int, count: int, rng, columns: int | None = None) -
 
 
 def _orthonormalize(z: np.ndarray) -> np.ndarray:
-    """The phase-corrected QR factor Q of every matrix of a (count, n, c)
-    stack, by the two routes that `sample_haar_unitaries` describes: Haar
-    unitaries or frames when the stack is Ginibre with N(0, 1/2)
-    components, Haar corner stacks on the Bartlett stacks of
-    `rate._haar_corner_sets`."""
-    n, columns = z.shape[-2:]
-    if columns < n:
-        q = np.ascontiguousarray(z.swapaxes(-1, -2))  # (count, c, n): one row per column
-        for j in range(columns):
-            v = q[:, j]
-            basis = q[:, :j]
-            for _ in range(2 if j else 0):
-                v -= np.matmul(np.vecdot(basis, v[:, None, :])[:, None, :], basis)[:, 0]
-            v /= np.sqrt(np.vecdot(v, v).real)[:, None]
-        return q.swapaxes(-1, -2)
-    q, r = np.linalg.qr(z)
-    diag = np.einsum("...ii->...i", r)
-    phase = diag / np.abs(diag)
-    return q * phase[..., None, :]
+    """The Q factor, with R's diagonal real positive, of every matrix of a
+    (count, n, c) stack, c <= n: Haar unitaries or frames when the stack is
+    Ginibre with N(0, 1/2) components, Haar corner stacks on the Bartlett
+    stacks of `rate._haar_corner_sets`.
+
+    Two passes of classical Gram-Schmidt, c steps of a few NumPy calls each
+    over the whole stack, with no LAPACK call.  Dividing each column by its
+    real positive norm makes R's diagonal real positive by construction, so
+    no phase correction follows; the second pass keeps the columns
+    orthonormal to machine precision, square stacks included (Giraud,
+    Langou, Rozloznik, Comput. Math. Appl. 50, 2005).
+    """
+    q = np.ascontiguousarray(z.swapaxes(-1, -2))  # (count, c, n): one row per column
+    for j in range(q.shape[-2]):
+        v = q[:, j]
+        basis = q[:, :j]
+        for _ in range(2 if j else 0):
+            v -= np.matmul(np.vecdot(basis, v[:, None, :])[:, None, :], basis)[:, 0]
+        v /= np.sqrt(np.vecdot(v, v).real)[:, None]
+    return q.swapaxes(-1, -2)
 
 
 # The chunk layout of every Monte-Carlo driver, owned by `map_streams`: its

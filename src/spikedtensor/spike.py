@@ -87,6 +87,8 @@ class GramSet:
         for k, g in enumerate(self.grams):
             if g.shape != (r, r):
                 raise DimensionError(f"gram {k} has shape {g.shape}, expected {(r, r)}")
+            if not np.all(np.isfinite(g)):  # NaN passes every comparison below
+                raise ParameterError(f"gram {k} has a non-finite entry")
             if np.max(np.abs(g - g.conj().T)) > _HERMITIAN_TOL:
                 raise ParameterError(f"gram {k} is not Hermitian within {_HERMITIAN_TOL}")
             if np.max(np.abs(np.diagonal(g) - 1.0)) > _DIAGONAL_TOL:

@@ -38,6 +38,44 @@ def unitarity_defect(m):
     return float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(n))))
 
 
+def refuse_linalg_in_draws(monkeypatch, module) -> list:
+    """Make every np.linalg function raise while a draw that `module` takes
+    through `map_streams` runs: no eigen-, QR or other solver, stacked or
+    per block, inside a Monte-Carlo draw.  The per-run set-up outside the
+    draws (the spike's Gram eigendecompositions, `moment._thin_r`) stays
+    allowed.  Returns the list that collects the size of every draw taken."""
+    inside, drawn = [], []
+
+    def guard(name):
+        original = getattr(np.linalg, name)
+
+        def guarded(*args, **kwargs):
+            if inside:
+                raise AssertionError(f"np.linalg.{name} inside a draw")
+            return original(*args, **kwargs)
+
+        return guarded
+
+    for name in np.linalg.__all__:
+        value = getattr(np.linalg, name)
+        if callable(value) and not isinstance(value, type):
+            monkeypatch.setattr(np.linalg, name, guard(name))
+    map_streams = module.map_streams
+
+    def guarded_streams(draw, *args, **kwargs):
+        def traced(m, generator):
+            inside.append(m)
+            try:
+                return draw(m, generator)
+            finally:
+                drawn.append(inside.pop())
+
+        return map_streams(traced, *args, **kwargs)
+
+    monkeypatch.setattr(module, "map_streams", guarded_streams)
+    return drawn
+
+
 @pytest.fixture
 def gen():
     return st.SeedSpec(20240809, 0).generator()

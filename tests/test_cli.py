@@ -234,6 +234,21 @@ def test_overflowing_spike_exits_one_before_any_file(tmp_path, capsys, kind):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("literal", ["[[1,NaN],[NaN,1]]", "[[1,Infinity],[Infinity,1]]", "[[NaN,0],[0,1]]"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_non_finite_gram_literal_exits_one_before_any_draw(tmp_path, monkeypatch, capsys, kind, literal):
+    # every comparison of the Gram checks is False on NaN, and an infinity
+    # warns in the Hermitian check: a non-finite entry is refused first
+    monkeypatch.setitem(cli._RUNNERS, kind, lambda config: pytest.fail(f"{kind} ran with a non-finite Gram"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([kind, "--lambdas", "0.5,0.3", "--gram", literal, "--n", 4, "--samples", 100,
+                    "--out", tmp_path / "o"]) == 1
+    assert [str(w.message) for w in caught] == []
+    assert "config error: field 'gram': gram 0 has a non-finite entry" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("args", [
     ["roc", "--n", 3, "--trials", 4, "--inner", 0],
     ["moment", "--method", "direct", "--n", 3, "--outer", 4, "--inner", 0],
@@ -286,6 +301,36 @@ def test_d_cap_refuses_before_any_gram_is_built(tmp_path, monkeypatch, capsys, k
     assert not list(tmp_path.iterdir())
     if kind == "threshold":
         assert run([kind, "--d", cap, "--lambdas", 0.3, "--out", tmp_path / "o"]) == 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_r_cap_refuses_before_any_gram_is_built(tmp_path, monkeypatch, capsys, kind):
+    cap = cli._LIMITS["r"]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "gram_matrices", lambda *args: pytest.fail("Gram matrices built past the r cap"))
+        assert run([kind, "--lambdas", ",".join(["0.01"] * (cap + 1)), "--n", 64, "--samples", 10,
+                    "--out", tmp_path / "o"]) == 1
+    assert f"desk-scale limit exceeded: r {cap + 1} > {cap}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    if kind == "threshold":
+        assert run([kind, "--lambdas", ",".join(["0.01"] * cap), "--out", tmp_path / "o"]) == 0
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n", "64,513", "--samples", 400_000], "moment n 513 > 512"),
+    (["--n", "4,8", "--samples", 2_000_001], "samples 2000001 > 2000000"),
+    (["--method", "direct", "--n", "3,5", "--outer", 2000, "--inner", 500], "direct method n 5 > 4"),
+    (["--method", "direct", "--d", 4, "--n", "3,4", "--outer", 20, "--inner", 5], "direct method d 4 > 3"),
+    (["--method", "direct", "--n", "3,4", "--outer", 2000, "--inner", 10_001], "outer*inner = 20002000 > 20000000"),
+    # one n = 4 draw holds 300000 * 4^2 cells > 2^22, one n = 3 draw 300000 * 3^2
+    (["--method", "direct", "--n", "3,4", "--outer", 2, "--inner", 300_000], "one draw holds 4800000 cells > 4194304"),
+])
+def test_moment_checks_every_n_before_the_first_estimate(tmp_path, monkeypatch, capsys, args, message):
+    for estimator in ("second_moment_haar_mc", "second_moment_direct_mc"):
+        monkeypatch.setattr(cli, estimator, lambda *a, **k: pytest.fail("an estimate ran before a refused n"))
+    assert run(["moment", "--d", 3, "--lambdas", 0.3] + args + ["--out", tmp_path / "o"]) == 1
+    assert f"desk-scale limit exceeded: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -375,10 +420,14 @@ def _list_cap_args(key, count):
         return ["xi-tail", "--n", 4, "--samples", 100, "--t", ",".join(str(i / count) for i in range(count))]
     if key == "xi_n":
         return ["xi-tail", "--n", count, "--samples", 1, "--t", 0.5]
+    if key == "xi_work":  # n * samples = count: 2^20 * 2^7 at the cap, 81 * 1657009 one above it
+        n = 2**20 if count % 2**20 == 0 else 81
+        assert n * (count // n) == count
+        return ["xi-tail", "--n", n, "--samples", count // n, "--t", 0.5]
     return ["moment", "--d", 3, "--lambdas", "0.3", "--samples", 4, "--n", ",".join(str(2 + i) for i in range(count))]
 
 
-@pytest.mark.parametrize("key", ["bins", "t_count", "n_count", "xi_n"])
+@pytest.mark.parametrize("key", ["bins", "t_count", "n_count", "xi_n", "xi_work"])
 def test_list_caps(tmp_path, capsys, key):
     from spikedtensor.cli import _LIMITS
 

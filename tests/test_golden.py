@@ -57,6 +57,19 @@ They were taken after the law tests of `test_moment.py` passed (the counts
 against the complex route on disjoint seeds, a KS test of the ratios
 against Beta(1, n - 1)), and they hold at `--threads` 1 and 2; every other
 digest holds.
+
+The 0.10.0 break, one route per sampling kernel, re-took the cloud's
+points, `roc_full_qr`, `direct_full_qr` and the library `d3n2r2` (and the
+mixture digest of `test_rate.py`).  The cloud's Ginibre component is scaled to Frobenius norm sqrt(rho) in place of
+spectral norm sqrt(rho), a new law whose spectral norm is at most sqrt(rho):
+of the cloud's 4000 points exactly its 1314 Ginibre rows moved, each to a
+rate no lower than before, and the envelope and bound files kept their
+bytes.  Square stacks (n = r) are orthonormalized by the Gram-Schmidt of the
+frames in place of LAPACK's QR and its phase fix, the same draws and the
+same Q up to rounding: against 0.9.0, `roc_full_qr` moved by at most 7.8e-14
+relative, `direct_full_qr` by 3.1e-16 and the library values of `d3n2r2` by
+2.4e-14, all within 1e-12, before they were re-taken.  Every other digest
+holds at `--threads` 1 and 2.
 """
 
 import hashlib
@@ -82,7 +95,8 @@ CLI_CASES = {
     "roc_r2_d2": "roc --d 2 --lambdas 0.5,0.3 --n 4 --trials 40 --inner 50 --seed 77",
     "direct_r2_d2": "moment --method direct --d 2 --lambdas 0.5,0.3 --gram two-eigenvalue:1.8,0.2 --n 3,4 "
                     "--outer 40 --inner 30 --seed 77",
-    # n = r: full unitaries through the LAPACK QR path
+    # n = r: every draw orthonormalizes square (full-unitary) stacks, by the
+    # frames' Gram-Schmidt; re-taken at 0.10.0, when it replaced LAPACK's QR
     "roc_full_qr": "roc --d 3 --lambdas 0.6,0.4 --n 2 --trials 30 --inner 20 --seed 5",
     "direct_full_qr": "moment --method direct --d 3 --lambdas 0.6,0.4 --gram all-ones --n 2 --outer 30 --inner 20 --seed 5",
     # one draw fills a chunk above the thread threshold: runs on the pool at --threads 2
@@ -119,10 +133,10 @@ GOLDEN = {
     "roc_r2_d2.json": "0848a0928ba867d12a775eac1ee62232ebd60d17aa80b91d00b7824de7dff607",
     "direct_r2_d2.csv": "735b2a30526cdaa7eed59c2bfb8d200249726f9224573d8b54c7bf2921858534",
     "direct_r2_d2.json": "8656ec0dd60b43c5ec7d2c567fbe92485fcae791046087f5ce93f9a94c385183",
-    "roc_full_qr.csv": "00923e003b522ad6653e81fefcb87ffc8cd8cae4ac7e71a2c9ef50b549327856",
-    "roc_full_qr.json": "e61c288740164c80affa9bcde5d6d9da1e08cc6b3d56e65b159891f47772ee18",
-    "direct_full_qr.csv": "4a80c123c69da78abc89f770e5aa62df46373fe9c8989c1931bfafd8228d26a1",
-    "direct_full_qr.json": "7e60e4df0411711a40467292b44d7b2fb63b49d40f4ff1f01cb98cc016ff8508",
+    "roc_full_qr.csv": "2d927146f9a52b5ce0dbfd60bebe26b508ab2a2680c21bcd5a6f5f959a83c595",
+    "roc_full_qr.json": "2008046d48b8875d0c3eaf662473e42e7994563a3bab5fd172c8050532c05b1e",
+    "direct_full_qr.csv": "f5b84ca58a53dbcf0ddc696a481a081dae0a96994cd9c85c96651fc8ca545d1e",
+    "direct_full_qr.json": "e37686443f67827e81655c4e7673b30d2461345a5e598418c0a13dd5c76bef70",
     "roc_n4_d3.csv": "789e2709b0d5a2ef957aa965e6278f1f2821187f31f3d5a29161e75f23610fb1",
     "roc_n4_d3.json": "f5364422531ec6889cced56796c60a377246f1a8a142f89fe81729dfc03d8dc5",
     "direct_n4_d3.csv": "1ebddfe29b9086d64f092b17c2692e244ef7f92a234773264919032b9f45d799",
@@ -133,8 +147,9 @@ GOLDEN = {
     # bound column); points and envelope re-taken at 0.6.0 for the Bartlett
     # corner draw and the per-component mixture variates, then at 0.7.0 for
     # the stacked block-rate and Ginibre-norm kernels (last digits); points
-    # re-taken at 0.8.0 for the stacked top-eigenvalue kernel (last digits)
-    "cloud.points.csv": "51341b037f101da5f37ee7fe5a0c8c5f81ab62d77410a3172223ca6a9c292e8a",
+    # re-taken at 0.8.0 for the stacked top-eigenvalue kernel (last digits),
+    # and at 0.10.0 for the Frobenius-scaled Ginibre rows (a new law)
+    "cloud.points.csv": "255df59927a6f3dc49b126292349e07d54bba451a630c2b324104711fbb143ac",
     "cloud.envelope.csv": "5d0e18d1a8a9aedb11ccb7c694d2089b03d28384ad13a67078d612b0c44bd0da",
     "cloud.bound.csv": "7d8676b534e1b959c397b65af04d7ef2b239521a727e8448e3dd3414b1f19f95",
     # thr_* taken from 0.3.0 before the one-emitter CLI
@@ -168,11 +183,12 @@ CLOUD = "cloud --d 3 --lambdas 1.0,1.0 --n 8 --samples 4000 --bins 30 --seed 5 -
 # roc_experiment's points and tv proxy and the fixed-spike
 # second_moment_direct_mc, hashed together per spike (see _library_digest);
 # taken at 0.8.0, when they replaced the digests of the per-observation
-# route (simulate_observation, log_lr_mc), which no driver called
+# route (simulate_observation, log_lr_mc), which no subcommand called; d3n2r2
+# (n = r) re-taken at 0.10.0 for the Gram-Schmidt square stacks
 LIBRARY_GOLDEN = {
     "d3n3r2": "408e8573a06b1235055b6cbc07b206bf68011229eff313fc9164c1b7130a966f",
     "d2n4r1": "e132351148715a041db62f8c1838e26f6610314874ea9b4dab0d8599037026f2",
-    "d3n2r2": "12fe1674e28bbb5289cfadcd6bb86fcf868a61563ad194e62081cd2dde71ca36",
+    "d3n2r2": "dffb161691f0ea76afd9c3467cb2bb100409fe1c0d0a2e0d00307fde03af72e5",
 }
 
 LIBRARY_SPECS = {
@@ -189,7 +205,9 @@ PINNED_VERSION = (
     | dict.fromkeys(["thr_d2.csv", "thr_d2.json", "thr_d3.csv", "thr_d3.json"], "0.3.0")
     | dict.fromkeys([f"{name}.{ext}" for name in ("mom_r1", "mom_r1_ragged", "mom_r2", "split_r2", "split_empty",
                                                   "split_ragged") for ext in ("csv", "json")], "0.6.0")
-    | {"cloud.envelope.csv": "0.7.0", "cloud.points.csv": "0.8.0", "xi.csv": "0.9.0", "xi.json": "0.9.0"}
+    | {"cloud.envelope.csv": "0.7.0", "xi.csv": "0.9.0", "xi.json": "0.9.0"}
+    | dict.fromkeys(["cloud.points.csv"] + [f"{name}.{ext}" for name in ("roc_full_qr", "direct_full_qr")
+                                             for ext in ("csv", "json")], "0.10.0")
 )
 
 

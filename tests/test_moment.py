@@ -10,7 +10,7 @@ from scipy.special import logsumexp
 import spikedtensor as st
 import spikedtensor.moment as moment
 import spikedtensor.rng as rng
-from conftest import make_random_spec, rank_one_second_moment
+from conftest import make_random_spec, rank_one_second_moment, refuse_linalg_in_draws
 from spikedtensor.config import gram_matrices
 from spikedtensor.errors import ParameterError
 from spikedtensor.moment import (
@@ -457,6 +457,26 @@ def test_roc_thread_invariance():
     b = st.roc_experiment(spec, 100, 50, st.SeedSpec(34, 0), threads=3)
     assert np.array_equal(a.points, b.points)
     assert a.tv_proxy == b.tv_proxy
+
+
+_ESTIMATORS = {
+    "moment": lambda spec, seed: st.second_moment_haar_mc(spec, 400, seed),
+    "split": lambda spec, seed: st.e1_e2_split(spec, 0.05, 400, seed),
+    "roc": lambda spec, seed: st.roc_experiment(spec, 20, 5, seed),
+    "direct": lambda spec, seed: st.second_moment_direct_mc(spec, 20, 5, seed),
+}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(_ESTIMATORS))
+def test_estimator_draws_call_no_linalg(monkeypatch, gen, kind, r):
+    # at n = r every Haar draw orthonormalizes square stacks, and at n > r
+    # frames or Bartlett corner stacks, by Gram-Schmidt with no solver
+    specs = [make_random_spec(gen, d=3, r=r, n=n) for n in (r, r + 1)]
+    drawn = refuse_linalg_in_draws(monkeypatch, moment)
+    for spec in specs:
+        _ESTIMATORS[kind](spec, st.SeedSpec(73, r))
+    assert drawn
 
 
 # The 0.3.0 per-draw loops of `roc_experiment` and `second_moment_direct_mc`,

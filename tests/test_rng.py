@@ -100,10 +100,11 @@ def _phase_corrected_qr(z):
     return q * (diag / np.abs(diag))[..., None, :]
 
 
-@pytest.mark.parametrize("n, c", [(2, 1), (3, 2), (4, 1), (8, 2), (16, 3), (32, 2), (64, 8)])
+@pytest.mark.parametrize("n, c", [(2, 1), (3, 2), (4, 1), (8, 2), (16, 3), (32, 2), (64, 8),
+                                  (1, 1), (2, 2), (5, 5), (16, 16)])
 def test_haar_frames_match_phase_corrected_qr(n, c):
     # the frames orthonormalize the same Ginibre stack that complex_normal
-    # draws first from the generator
+    # draws first from the generator; at c = n they are full unitaries
     frames = st.sample_haar_unitaries(n, 200, st.SeedSpec(17, n), columns=c)
     z = complex_normal(st.SeedSpec(17, n).generator(), (200, n, c), np.sqrt(0.5))
     assert np.max(np.abs(frames - _phase_corrected_qr(z))) <= 1e-12
@@ -111,11 +112,12 @@ def test_haar_frames_match_phase_corrected_qr(n, c):
 
 @pytest.mark.parametrize("c", [1, 2, 4, 8, 16])
 def test_haar_frames_orthonormal_at_worst_conditioning(c):
-    # n = c + 1 gives the Ginibre stacks with the smallest singular values.
-    # Two Gram-Schmidt passes keep the defect at a few ulps; a single pass
-    # leaves about 3e-14 at c = 16.
-    frames = st.sample_haar_unitaries(c + 1, 10_000, st.SeedSpec(18, c), columns=c)
-    assert unitarity_defect(frames) <= 1e-14
+    # n = c, then n = c + 1, give the Ginibre stacks with the smallest
+    # singular values.  Two Gram-Schmidt passes keep the defect at a few
+    # ulps; a single pass leaves about 3e-14 at c = 16, n = c + 1.
+    for n in (c, c + 1):
+        frames = st.sample_haar_unitaries(n, 10_000, st.SeedSpec(18, c), columns=c)
+        assert unitarity_defect(frames) <= 1e-14
 
 
 def test_complex_normal_draw_order_is_pinned():
