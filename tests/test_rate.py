@@ -12,7 +12,7 @@ from spikedtensor.errors import DomainError, ParameterError
 import spikedtensor.moment as moment
 import spikedtensor.rate as rate
 from spikedtensor.config import gram_matrices
-from spikedtensor.rate import _eta_hadamard_stack, _rate_stack, _sample_psi_stack
+from spikedtensor.rate import _eta_hadamard_stack, _gram_stack, _rate_stack, _sample_psi_stack
 from spikedtensor.rng import complex_normal
 
 
@@ -372,6 +372,46 @@ def test_psi_stack_ginibre_norm_matches_the_svd_rescale(r):
         assert np.max(np.abs(spectral - np.sqrt(rhos))) <= 1e-13
     else:
         assert np.all(spectral < np.sqrt(rhos))
+
+
+def _oracle_psis(kind, r, count, gen):
+    """(count, rows, r) psi stacks whose Grams psi* psi are Ginibre Grams,
+    rank one, a multiple of I (the top eigenvalue repeated r times) or zero."""
+    if kind == "ginibre":
+        return complex_normal(gen, (count, r, r), np.sqrt(0.5))
+    if kind == "rank-one":
+        return complex_normal(gen, (count, 1, r), 1.0)
+    psi = np.zeros((count, r, r), dtype=complex)
+    if kind == "equal-diagonal":
+        psi[:, np.arange(r), np.arange(r)] = np.sqrt(gen.random(count) + 0.5)[:, None]
+    return psi
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+@pytest.mark.parametrize("kind", ["ginibre", "equal-diagonal", "rank-one", "zero"])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_top_eigenvalue_matches_eigvalsh(r, kind, scale):
+    # `_gram_stack` (the Gram stack `_rate_stack` factors) against the SVD:
+    # the top eigenvalue of each block, by `eigvalsh`, is the squared
+    # spectral norm of its psi, and it is at most the trace, the squared
+    # Frobenius norm the Ginibre component is scaled by, with equality
+    # exactly where the Gram has rank at most one.  The Gram product,
+    # `eigvalsh` and the squared SVD are each off by a few r eps
+    psi = np.sqrt(scale) * _oracle_psis(kind, r, 2000, st.SeedSpec(72, r).generator())
+    gram = _gram_stack(psi)
+    assert gram.shape == (r, r, psi.shape[0])
+    top = np.linalg.eigvalsh(np.moveaxis(gram, (0, 1), (-2, -1)))[..., -1]
+    spectral = np.linalg.svd(psi, compute_uv=False)[..., 0]
+    tol = 8 * r * np.finfo(float).eps
+    assert np.all(np.abs(top - spectral**2) <= tol * spectral**2)
+    trace = np.trace(gram).real
+    frobenius = np.sum(psi.real**2 + psi.imag**2, axis=(-2, -1))
+    assert np.all(np.abs(trace - frobenius) <= tol * frobenius)
+    assert np.all(top <= trace * (1 + tol))
+    if r == 1 or kind in ("rank-one", "zero"):
+        assert np.all(np.abs(trace - top) <= tol * trace)
+    else:
+        assert np.all(top < trace * (1 - tol))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
