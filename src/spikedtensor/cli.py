@@ -56,17 +56,18 @@ _EXIT_INVARIANT = 2
 # exponentials: 2^27 of them took 1.36 s at one thread at n=2^20 (128
 # samples, 44 MB) and 1.60 s at n=6, the largest n the sample cap reaches
 # (medians of five).
-# `draw_cells` bounds one `roc` or `direct` draw: the largest of its
-# likelihood contraction (`moment._draw_cells`), its n^d noise tensor and
-# the d n r inner cells of a likelihood's rotation draws, which outgrow the
-# contraction when n^(d-2) < d.  At the cap, one-thread peak RSS was
-# 0.29 GB for `roc` at d=3, n=4 (0.9 s a trial).  `d` bounds the Grams and
+# `draw_cells` bounds the largest array of one `roc` or `direct` draw
+# (`moment._draw_cells`).  At the cap, one-thread peak RSS was 0.29 GB for
+# `roc` at d=3, n=4 (0.9 s a trial).  `d` bounds the Grams and
 # factors every run builds first; at d=1024, `threshold` took 0.14 s (31 MB).
 # `r` bounds the spike every run builds at n = r before its own checks, whose
 # cost grows as about r^3 (`threshold` took 3.5 ms at r=32, 0.17 s at 64 and
 # 1.1 s at 512, 77 MB), and the d (r^2, r^2) complex mode maps of `moment`,
 # `split` and `cloud` (`spike.SpikeSvd`), which grow as r^4: 16 MB a mode at
 # r=32, where `moment --n 32 --samples 10` peaked at 102 MB, and 268 MB at 64.
+# `mode_map_cells` caps their d r^4 cells: at the cap (d=16, r=32), one-thread
+# peak RSS was 310-313 MB for `moment`, `split` and `cloud`, at 10 or 2000
+# draws; d=1024 at r=32 would hold 16 GiB of maps.
 _LIMITS = {
     "d": 1024,
     "r": 32,
@@ -83,6 +84,7 @@ _LIMITS = {
     "roc_n": 6,
     "roc_work": 20_000_000,
     "draw_cells": 2**22,
+    "mode_map_cells": 2**24,
     "xi_samples": 20_000_000,
     "xi_n": 2**20,
     "xi_work": 2**27,
@@ -149,7 +151,7 @@ def _refuse(condition: bool, message: str) -> None:
 
 
 def _refuse_draw(spec, inner: int) -> None:
-    cells = max(_draw_cells(spec, inner), spec.n**spec.d, spec.d * spec.n * spec.r * inner)
+    cells = _draw_cells(spec, inner)
     _refuse(cells > _LIMITS["draw_cells"], f"one draw holds {cells} cells > {_LIMITS['draw_cells']}")
 
 
@@ -225,6 +227,8 @@ def run_split(config: ExperimentConfig) -> None:
     _refuse(config.samples > _LIMITS["moment_samples"], f"samples {config.samples} > {_LIMITS['moment_samples']}")
     spec = _spec_for(config, n=n)
     epsilon = config.epsilon if config.epsilon is not None else default_epsilon(spec)
+    if epsilon <= 0 and config.epsilon is None:
+        raise ConfigError("the default epsilon rule gives 0 for a zero spike: set --epsilon > 0")
     seed = SeedSpec(config.seed, config.stream)
     e1, e2 = e1_e2_split(spec, epsilon, config.samples, seed, threads=config.threads)
 
@@ -334,6 +338,9 @@ def main(argv=None) -> int:
         config = resolve_config(args.kind, file_values, overrides)
         _refuse(config.d > _LIMITS["d"], f"d {config.d} > {_LIMITS['d']}")
         _refuse(config.r > _LIMITS["r"], f"r {config.r} > {_LIMITS['r']}")
+        if args.kind in ("split", "cloud") or (args.kind == "moment" and config.method == "haar"):
+            maps = config.d * config.r**4
+            _refuse(maps > _LIMITS["mode_map_cells"], f"d*r^4 = {maps} mode-map cells > {_LIMITS['mode_map_cells']}")
         _refuse(config.bins > _LIMITS["bins"], f"bins {config.bins} > {_LIMITS['bins']}")
         _refuse(len(config.t) > _LIMITS["t_count"], f"{len(config.t)} t values > {_LIMITS['t_count']}")
         _refuse(len(config.n) > _LIMITS["n_count"], f"{len(config.n)} n values > {_LIMITS['n_count']}")

@@ -2,12 +2,13 @@
 the two-piece split of that expectation, sphere-coordinate tail laws, and
 the empirical ROC of the likelihood-ratio test.
 
-All exponential averages are accumulated in log-sum-exp form, and every
-estimate reports the largest exponent seen (`log_domain_max`).  Near the
-detectability threshold exp(2 n eta) has enormous relative variance: the
-reported means are then dominated by rare draws and the asymptotic values
-are not reachable by sampling at desk scale.  The estimators report honest
-batch-means standard errors instead of hiding this.
+All exponential averages are taken in one log-domain pass, shifted by
+the largest exponent, and every estimate reports that exponent
+(`log_domain_max`).  Near the detectability threshold exp(2 n eta) has
+enormous relative variance: the reported means are then dominated by rare
+draws and the asymptotic values are not reachable by sampling at desk
+scale.  The estimators report honest batch-means standard errors instead
+of hiding this.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import ParameterError
 from .rate import _corner_cells, _eta_hadamard_stack, _haar_corner_sets
 from .rng import SeedSpec, _orthonormalize, complex_normal_rounds, map_streams
-from .spike import SpikeSpec, SpikeSvd, _spike_tensors, eta_max, gram_set, spike_svd
+from .spike import SpikeSpec, _spike_tensors, eta_max, gram_set, spike_svd
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -57,61 +58,33 @@ class RocCurve:
     tv_proxy: float
 
 
-def _logsumexp(a, axis=None):
-    """log(sum(exp(a))) over `axis` (all of a non-empty float array when
-    None), step for step as scipy.special.logsumexp computes it for real
-    input, so the last bits match: the m entries equal to the maximum are
-    taken out of the shifted sum s, s is divided by m, and the result is
-    log1p(s) + log(m) + max.  A result that is not finite (an all -inf
-    slice, an inf or NaN entry) is replaced by the direct log(sum(exp(a))).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    axis = tuple(range(a.ndim)) if axis is None else axis
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=axis, keepdims=True)
-        at_max = a == a_max
-        m = np.sum(at_max, axis=axis, keepdims=True, dtype=np.float64)
-        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
-    out = np.squeeze(out, axis=axis)
-    return out[()] if out.ndim == 0 else out
-
-
 def _mean_from_exponents(chunks, seed: SeedSpec, count: int, sizes=None) -> MCEstimate:
-    """Combine per-chunk exponent arrays into mean / batch-means stderr.
+    """Combine per-chunk exponent arrays into mean / batch-means stderr in
+    one log-domain pass.
 
-    `sizes` are the chunks' (positive) draw counts when the chunks hold
-    only the draws of one bucket; an empty chunk or bucket then adds
-    exp(-inf) = 0.  The batch means take one log-sum-exp per distinct chunk
-    length, over the stack of the chunks of that length; a row of the stack
-    is reduced as the chunk alone would be, so the bits do not depend on
-    the grouping.  The exponentials overflow to inf where the mean is not a
-    finite float; the writers refuse that, so NumPy need not warn of it.
+    The exponentials are shifted by the largest exponent `top` (by 0 when
+    it is not finite) and summed per chunk by one `np.bincount`; the mean
+    and each batch mean are exp(log(sum) + shift - log(draws)).  `sizes`
+    are the chunks' (positive) draw counts when the chunks hold only the
+    draws of one bucket; an empty chunk or bucket then sums to 0.  A chunk
+    more than about 708 below `top` in log flushes to 0, and its share of
+    the stderr is below 1e-300.  The exponentials overflow to inf where the
+    mean is not a finite float; the writers refuse that, so NumPy need not
+    warn of it.
     """
     lengths = [len(c) for c in chunks]
-    sizes = lengths if sizes is None else sizes
     exponents = np.concatenate(chunks)
-    lse = np.full(len(chunks), -np.inf)
-    for length in set(lengths) - {0}:
-        group = [i for i, n in enumerate(lengths) if n == length]
-        lse[group] = _logsumexp(np.stack([chunks[i] for i in group]), axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.exp(_logsumexp(exponents) - np.log(count))) if exponents.size else 0.0
-        batch_means = np.exp(lse - np.log(sizes))
+    top = float(np.max(exponents)) if exponents.size else -math.inf
+    shift = top if math.isfinite(top) else 0.0
+    owner = np.repeat(np.arange(len(chunks)), lengths)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sums = np.bincount(owner, weights=np.exp(exponents - shift), minlength=len(chunks))
+        mean = float(np.exp(np.log(np.sum(sums)) + shift - np.log(count)))
+        batch_means = np.exp(np.log(sums) + shift - np.log(lengths if sizes is None else sizes))
         stderr = 0.0
         if len(batch_means) >= 2:
             stderr = float(np.std(batch_means, ddof=1) / np.sqrt(len(batch_means)))
-    return MCEstimate(
-        count=count,
-        mean=mean,
-        stderr=stderr,
-        log_domain_max=float(np.max(exponents)) if exponents.size else -math.inf,
-        seed=seed,
-    )
+    return MCEstimate(count=count, mean=mean, stderr=stderr, log_domain_max=top, seed=seed)
 
 
 def _thin_r(spec: SpikeSpec) -> np.ndarray:
@@ -138,20 +111,26 @@ def _rotation_parts(spec: SpikeSpec, m: int) -> list:
     return [((m, spec.n, spec.r), np.sqrt(0.5))] * spec.d
 
 
-def _eta_chunk(spec: SpikeSpec, svd: SpikeSvd, m: int, gen: np.random.Generator) -> np.ndarray:
-    """One block of `m` draws of the alignment exponent under i.i.d. Haar
-    rotations, scored by the cloud's block-form kernel on Haar corner sets.
+def _haar_eta_chunks(spec: SpikeSpec, samples: int, rng: SeedSpec, threads: int) -> list:
+    """`samples` draws of the alignment exponent under i.i.d. Haar
+    rotations, one array per `map_streams` chunk, scored by the cloud's
+    block-form kernel on Haar corner sets.
 
     With chi_k = U_k [Sigma_k; 0] V_k*, the mode overlap is
     chi_k* Theta chi_k = V_k Sigma_k (U_k* Theta U_k)[:r, :r] Sigma_k V_k*,
     and U_k* Theta U_k is Haar when Theta is, so its corner has the law of
-    a Haar corner block: never the full tensors or the full unitaries.
-    `svd` is `spike_svd(spec)`.  A draw takes d corner stacks of
-    `_haar_corner_sets`, (r + min(r, n - r), r) each, from O(r^2) variates
-    at every n: `_corner_cells`, the `cells` of `map_streams` for the
-    Haar-set drivers.
+    a Haar corner block: never the full tensors or the full unitaries.  A
+    draw takes d corner stacks of `_haar_corner_sets`, (r + min(r, n - r), r)
+    each, from O(r^2) variates at every n (`_corner_cells`).
     """
-    return _eta_hadamard_stack(spec.lambdas, svd, _haar_corner_sets(spec.n, spec.r, spec.d, m, gen))
+    if samples < 2:
+        raise ParameterError(f"need samples >= 2, got {samples}")
+    svd = spike_svd(spec)
+
+    def worker(m, gen):
+        return _eta_hadamard_stack(spec.lambdas, svd, _haar_corner_sets(spec.n, spec.r, spec.d, m, gen))
+
+    return map_streams(worker, samples, rng, threads, cells=_corner_cells(spec.n, spec.r, spec.d))
 
 
 def second_moment_haar_mc(spec: SpikeSpec, samples: int, rng: SeedSpec, threads: int = 1) -> MCEstimate:
@@ -160,15 +139,7 @@ def second_moment_haar_mc(spec: SpikeSpec, samples: int, rng: SeedSpec, threads:
     This equals the second moment of the likelihood ratio under the null
     once the spike prior is the Haar rotation of a fixed spike.
     """
-    if samples < 2:
-        raise ParameterError(f"need samples >= 2, got {samples}")
-    scale = 2.0 * spec.n
-    svd = spike_svd(spec)
-
-    def worker(m, gen):
-        return scale * _eta_chunk(spec, svd, m, gen)
-
-    chunks = map_streams(worker, samples, rng, threads, cells=_corner_cells(spec.n, spec.r, spec.d))
+    chunks = [2.0 * spec.n * c for c in _haar_eta_chunks(spec, samples, rng, threads)]
     return _mean_from_exponents(chunks, rng, samples)
 
 
@@ -198,25 +169,17 @@ def e1_e2_split(spec: SpikeSpec, epsilon: float, samples: int, rng: SeedSpec, th
     Runs on the same stream layout as `second_moment_haar_mc`, so with equal
     arguments the two bucket means add up to that estimator's mean exactly:
     the first bucket is scored as is and the second is defined as its exact
-    complement (at most one ulp from its own log-sum-exp value).  Where no
-    such complement exists (the second mean in the total's binade, the first
-    half an ulp off that grid, so that every sum rounds to even past the
-    total), the roles swap: the second bucket is scored as is, and the first
+    complement (its own one-pass value up to the rounding of the other two
+    means).  Where no such complement exists (the second mean in the
+    total's binade, the first half an ulp off that grid, so that every sum
+    rounds to even past the total), the roles swap: the second bucket is scored as is, and the first
     is total - e2, exact by Sterbenz's lemma since e2 >= total / 2 there.
     """
     if epsilon <= 0:
         raise ParameterError(f"need epsilon > 0, got {epsilon}")
-    if samples < 2:
-        raise ParameterError(f"need samples >= 2, got {samples}")
-    scale = 2.0 * spec.n
-    svd = spike_svd(spec)
-
-    def worker(m, gen):
-        return _eta_chunk(spec, svd, m, gen)
-
-    eta_chunks = map_streams(worker, samples, rng, threads, cells=_corner_cells(spec.n, spec.r, spec.d))
+    eta_chunks = _haar_eta_chunks(spec, samples, rng, threads)
     sizes = [len(c) for c in eta_chunks]
-    exp_chunks = [scale * c for c in eta_chunks]
+    exp_chunks = [2.0 * spec.n * c for c in eta_chunks]
     total = _mean_from_exponents(exp_chunks, rng, samples)
     e1 = _mean_from_exponents([c[e > epsilon] for c, e in zip(exp_chunks, eta_chunks)], rng, samples, sizes)
     e2 = _mean_from_exponents([c[e <= epsilon] for c, e in zip(exp_chunks, eta_chunks)], rng, samples, sizes)
@@ -247,7 +210,8 @@ def _log_lr_stack(spec: SpikeSpec, ys: np.ndarray, factors, energy: float) -> np
     for f in factors[-2::-1]:
         t = np.einsum("b...jmi,bmji->b...mi", t, f)
     a = 2.0 * n * np.real(t @ spec.lambdas) - n * energy
-    return _logsumexp(a, axis=1) - np.log(inner)
+    top = np.max(a, axis=1)
+    return np.log(np.sum(np.exp(a - top[:, None]), axis=1)) + top - np.log(inner)
 
 
 def _noise_part(spec: SpikeSpec) -> tuple:
@@ -258,10 +222,12 @@ def _noise_part(spec: SpikeSpec) -> tuple:
 
 
 def _draw_cells(spec: SpikeSpec, inner: int) -> int:
-    """Cells of one draw's first likelihood contraction against `inner`
-    factor sets, (n^(d-1), inner * r): the `cells` of `map_streams` for the
+    """Cells of the largest array of one observation draw against `inner`
+    factor sets: its first likelihood contraction (n^(d-1), inner * r), its
+    n^d noise tensor, or its d (inner, n, r) rotation draws, which outgrow
+    the contraction when n^(d-2) < d.  The `cells` of `map_streams` for the
     observation drivers."""
-    return inner * spec.r * spec.n ** (spec.d - 1)
+    return max(inner * spec.r * spec.n ** (spec.d - 1), spec.n**spec.d, spec.d * spec.n * spec.r * inner)
 
 
 def second_moment_direct_mc(

@@ -30,7 +30,8 @@ class SpikeSpec:
     matrices of shape (n, r) with unit-norm columns.
 
     `allow_zero` admits the zero-signal limit; the CLI sets it for any zero
-    amplitude, which `moment` and `roc` run and `threshold` and `cloud` refuse.
+    amplitude, which `moment`, `split` and `roc` run and `threshold` and
+    `cloud` refuse.
     """
 
     d: int

@@ -13,7 +13,7 @@ import spikedtensor as st
 from conftest import make_random_spec, rank_one_second_moment
 from spikedtensor.cli import main as cli_main
 from spikedtensor.config import gram_matrices
-from spikedtensor.moment import _eta_chunk
+from spikedtensor.moment import _haar_eta_chunks
 from spikedtensor.rate import _cloud_cells, _sample_psi_stack
 from spikedtensor.rng import map_streams
 
@@ -70,7 +70,7 @@ def test_criterion_04_eta_boundedness_and_spike_energy():
         emax = st.eta_max(spec.lambdas, st.gram_set(spec))
         energy = np.linalg.norm(st.build_spike(spec)) ** 2
         assert abs(energy - emax) <= 1e-10 * max(emax, 1.0)
-        etas = _eta_chunk(spec, st.spike_svd(spec), draws_per_spec, st.SeedSpec(404, i + 1).generator())
+        etas = np.concatenate(_haar_eta_chunks(spec, draws_per_spec, st.SeedSpec(404, i + 1), 1))
         assert np.all(np.abs(etas) <= emax + 1e-9)
     _passed(4, "10 specs x 1e4 Haar draws: |eta| <= eta_max + 1e-9, spike energy = eta_max")
 

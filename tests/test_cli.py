@@ -22,13 +22,24 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy.special alone costs about 0.3 s of start-up per CLI call
+def test_cli_import_loads_no_scipy(tmp_path):
+    # scipy.special alone costs about 0.3 s of start-up per CLI call; the
+    # estimates, their reduction and the likelihood ratios run without it too
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, spikedtensor.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    code = (
+        "import sys, spikedtensor.cli as cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        "for kind in ('moment', 'split', 'roc'):\n"
+        "    args = ['--n', '4', '--samples', '100', '--trials', '10', '--inner', '5', '--format', 'csv']\n"
+        "    assert cli.main([kind, *args, '--out', kind]) == 0\n"
+        "print(loaded())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
+    lines = out.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["moment.csv", "roc.csv", "split.csv"]
 
 
 def test_threshold_small_amplitude(tmp_path):
@@ -99,6 +110,18 @@ def test_split_epsilon_above_eta_max_records_zero(tmp_path):
     payload = json.loads(out.with_suffix(".json").read_text())
     assert payload["e1"]["mean"] == 0.0
     assert payload["total_mean"] == payload["e2"]["mean"]
+
+
+def test_split_zero_spike_needs_an_epsilon(tmp_path, capsys):
+    out = tmp_path / "split0"
+    assert run(["split", "--lambdas", 0, "--n", 4, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "config error: the default epsilon rule gives 0 for a zero spike: set --epsilon > 0" in err
+    assert not list(tmp_path.iterdir())
+    # with an epsilon every draw has eta = 0 <= epsilon: all of the mean, 1, is E2
+    assert run(["split", "--lambdas", 0, "--n", 4, "--samples", 200, "--epsilon", 0.1, "--out", out]) == 0
+    doc = json.loads(out.with_suffix(".json").read_text())
+    assert (doc["e1"]["mean"], doc["e2"]["mean"], doc["total_mean"]) == (0.0, 1.0, 1.0)
 
 
 def test_split_empty_bucket_writes_null_log_domain_max(tmp_path):
@@ -314,6 +337,22 @@ def test_r_cap_refuses_before_any_gram_is_built(tmp_path, monkeypatch, capsys, k
     assert not list(tmp_path.iterdir())
     if kind == "threshold":
         assert run([kind, "--lambdas", ",".join(["0.01"] * cap), "--out", tmp_path / "o"]) == 0
+
+
+@pytest.mark.parametrize("kind", ["moment", "split", "cloud"])
+def test_mode_map_cap_refuses_before_any_spike_is_built(tmp_path, monkeypatch, capsys, kind):
+    cap, r = cli._LIMITS["mode_map_cells"], 32
+    d = cap // r**4 + 1  # the least d above the cap at r = 32
+    lambdas = ",".join(["0.01"] * r)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "gram_matrices", lambda *args: pytest.fail("Gram matrices built past the mode-map cap"))
+        assert run([kind, "--d", d, "--lambdas", lambdas, "--n", 64, "--samples", 10, "--epsilon", 0.1,
+                    "--out", tmp_path / "o"]) == 1
+    assert f"desk-scale limit exceeded: d*r^4 = {d * r**4} mode-map cells > {cap}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    if kind == "moment":  # the direct method builds no mode map: its own d cap refuses it
+        assert run([kind, "--method", "direct", "--d", d, "--lambdas", lambdas, "--n", 64, "--out", tmp_path / "o"]) == 1
+        assert f"desk-scale limit exceeded: direct method d {d} > 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args, message", [

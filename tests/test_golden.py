@@ -70,6 +70,19 @@ same Q up to rounding: against 0.9.0, `roc_full_qr` moved by at most 7.8e-14
 relative, `direct_full_qr` by 3.1e-16 and the library values of `d3n2r2` by
 2.4e-14, all within 1e-12, before they were re-taken.  Every other digest
 holds at `--threads` 1 and 2.
+
+The 0.11.0 break, one log-domain pass for every Monte-Carlo mean (the
+exponentials shifted by the largest exponent and summed per chunk by one
+`np.bincount`, in place of a replica of scipy's log-sum-exp; the
+likelihood's inner average by the plain shifted log-sum-exp), re-took every
+`roc`, `direct`, Haar `moment` and `split` case and the three library
+values, on the same draws in the same order.  Against 0.10.0, before they
+were re-taken, means moved by at most 1.8e-15 relative, stderrs by 4.8e-13
+(`mom_r1`), `roc` thresholds by 3.0e-14 and the library values by 2.2e-14;
+fpr, tpr, `tv_proxy`, counts, `log_domain_max` and the split means did not
+move.  `roc_n4_d3`, `direct_n4_d3`, `direct_full_qr`, `threshold`,
+`xi-tail` and the three cloud files keep their digests at `--threads` 1
+and 2.
 """
 
 import hashlib
@@ -97,6 +110,7 @@ CLI_CASES = {
                     "--outer 40 --inner 30 --seed 77",
     # n = r: every draw orthonormalizes square (full-unitary) stacks, by the
     # frames' Gram-Schmidt; re-taken at 0.10.0, when it replaced LAPACK's QR
+    # (roc_full_qr again at 0.11.0, with the other moved cases)
     "roc_full_qr": "roc --d 3 --lambdas 0.6,0.4 --n 2 --trials 30 --inner 20 --seed 5",
     "direct_full_qr": "moment --method direct --d 3 --lambdas 0.6,0.4 --gram all-ones --n 2 --outer 30 --inner 20 --seed 5",
     # one draw fills a chunk above the thread threshold: runs on the pool at --threads 2
@@ -123,26 +137,26 @@ ESTIMATE_CASES = {
 }
 
 GOLDEN = {
-    "roc_readme.csv": "527ba4f76d34c79769c70263dbdf49cb1fb3320209ece01d3f8530ea6304f99a",
-    "roc_readme.json": "a5678667a5e4a476f7f7c1c2a21939b8821e811955bf6ed8e5d91335ff26fe12",
-    "roc_bench.csv": "c1742fedc3ee2a1830877e8d6d6562cc353797934d43f8c4be36de583957531f",
-    "roc_bench.json": "dda768a7565e958adf31ed50b3db64148acf6eb372ebbf0f2f28a699747cf5a5",
-    "direct_bench.csv": "a130204edc0ad4fb26cab7c0666dba0da33a9c927a6828447564269cc588be7f",
-    "direct_bench.json": "dccf123f95fcf9469c33782795ad4fa5225a439d9e5be6444cb36b73eea95578",
-    "roc_r2_d2.csv": "ba5aaf62ffe520630acc6206e250486b18c007d1f37f01ade408ee987148c878",
-    "roc_r2_d2.json": "0848a0928ba867d12a775eac1ee62232ebd60d17aa80b91d00b7824de7dff607",
-    "direct_r2_d2.csv": "735b2a30526cdaa7eed59c2bfb8d200249726f9224573d8b54c7bf2921858534",
-    "direct_r2_d2.json": "8656ec0dd60b43c5ec7d2c567fbe92485fcae791046087f5ce93f9a94c385183",
-    "roc_full_qr.csv": "2d927146f9a52b5ce0dbfd60bebe26b508ab2a2680c21bcd5a6f5f959a83c595",
-    "roc_full_qr.json": "2008046d48b8875d0c3eaf662473e42e7994563a3bab5fd172c8050532c05b1e",
+    "roc_readme.csv": "ac3f4ee88afd927eb5dd243c1bfd6a5ab7e3822b4bcaebe9e6bab1944d126b03",
+    "roc_readme.json": "5ba92cc01d28af0c5f2b0c39b9877907dcffd251f33e6747830488b405765654",
+    "roc_bench.csv": "fe8e56c2ba62e6ba43eebf716557a9ba42c98b5726a36e24b288b6285db8fa29",
+    "roc_bench.json": "cee9537e2fe2ce641726b604e5dcb7297b2adc1c987dac89fefab3aff39df71a",
+    "direct_bench.csv": "f64773191dc4bb972ef9bf9c4bb4788ae0991efd22a573d1b154422f415c13ee",
+    "direct_bench.json": "d02c9b54519d8630f167152f2d2a85b8e5343c6cd42e545f082f364b0f3b858e",
+    "roc_r2_d2.csv": "db9651d1a58e3b7d3acce22c81ec2e84aecb80bd419a08ba28b581c5ce0d0fd2",
+    "roc_r2_d2.json": "37edfd1f805f7cd9cfcfc47d7274bd91fe3d381b19d2cb1dd8d18be6340eb499",
+    "direct_r2_d2.csv": "8f9b99178c15fd9a223d6ba83263cc11922419e2f0411d16c22e567ebb9e7ad8",
+    "direct_r2_d2.json": "954fb0f78e9d69bbe5c3f8c33303c4973ee26b5157db5f6b6b8b846064c28959",
+    "roc_full_qr.csv": "855d5e5bd868d5d5e8680a9fcee7e18f4633d781409ab23a349cc09b0a4ad44e",
+    "roc_full_qr.json": "5c6d11957e6110c5cee0e6df42ea514f4fe9bd943a126b1c07cc5343dc0f6bee",
     "direct_full_qr.csv": "f5b84ca58a53dbcf0ddc696a481a081dae0a96994cd9c85c96651fc8ca545d1e",
     "direct_full_qr.json": "e37686443f67827e81655c4e7673b30d2461345a5e598418c0a13dd5c76bef70",
     "roc_n4_d3.csv": "789e2709b0d5a2ef957aa965e6278f1f2821187f31f3d5a29161e75f23610fb1",
     "roc_n4_d3.json": "f5364422531ec6889cced56796c60a377246f1a8a142f89fe81729dfc03d8dc5",
     "direct_n4_d3.csv": "1ebddfe29b9086d64f092b17c2692e244ef7f92a234773264919032b9f45d799",
     "direct_n4_d3.json": "4deffdaf8584d74ee78d7f35c388fca08f6beb059ad0097ff347291a00e78c42",
-    "direct_d2_r1.csv": "4db98aedfddff34fa0b55780f75053b397e6ee1ef2ec2e45c3dbaf2d1fb00707",
-    "direct_d2_r1.json": "3973bb7655ac4953763c58948d1239876e4efa40f4d45fa6fab86c91963c6565",
+    "direct_d2_r1.csv": "a45090152e7d89ed5c7a790dcf2cdb2a1c7f36536949066031f2786729370fdd",
+    "direct_d2_r1.json": "d3f03dbb22244a54a54b1a394b27a025674a8511af8eae978fa8a0759bfa9deb",
     # bound taken at 0.4.0 for the array-valued bound (last digits of the
     # bound column); points and envelope re-taken at 0.6.0 for the Bartlett
     # corner draw and the per-component mixture variates, then at 0.7.0 for
@@ -158,21 +172,23 @@ GOLDEN = {
     "thr_d3.csv": "c1fa7bcc1412eb100a78548142f985035d3d6fb98a64dcc0e253110509b39f6c",
     "thr_d3.json": "62a98276633980a5b5f1e78a5e289be63ed0374d93928b32605437c372d41178",
     # the Haar moment and split cases re-taken at 0.6.0 for the Bartlett
-    # corner draw
-    "mom_r1.csv": "43b9d8af7957bd9b64531f681930bafe2f66c4d62a63d4a8603efbfe18b6f474",
-    "mom_r1.json": "763701413e96591ccce466f00dbb170c92fff56c4c2c02d8e21deec404260417",
-    "mom_r2.csv": "bbd4c5a580e062a5540c6e6d8406b7c6c3b23784d7e897e48daed7c393527ba0",
-    "mom_r2.json": "ff5b4da84b309f72a0ef4db6ed337b4d23a23ecfa5680f897ec7339f7a0b5c05",
-    "split_r2.csv": "5e3ec57aa8ee9247043be49aa43bd474434fa216c7cf5f27066abe4f23777d8b",
-    "split_r2.json": "951d3d05c6112442994ec78dd71cf80feb355e79252380aedefe0e108f65336a",
-    "split_empty.csv": "a2ccba204d650cc320618b5dc901cd7ce8ca4ee266fd8ef81661783aa84c1cbf",
-    "split_empty.json": "e641bb09731e0e3dcdf5da67856f710520f039dae54af574eafd1bf731bed02f",
+    # corner draw; these, roc_readme, roc_bench, roc_r2_d2 and the direct
+    # cases above but direct_n4_d3 and direct_full_qr re-taken at 0.11.0 for
+    # the one-pass reduction (last digits)
+    "mom_r1.csv": "7bdca34993f547cd65c64bc3500fb7f356a4ffc87db6c38fa551680dce65818b",
+    "mom_r1.json": "fe731bca8bde7d7547610995e3cbdeacdccf8d6d12ae338cacba454997934037",
+    "mom_r2.csv": "cbe01dd04355ae8987adeeebf38a38891731cd54c1f67a14c220db0a5addb110",
+    "mom_r2.json": "6aa265b5b6b2b2df3e52be512df5ddee2cc779830949ed6a01fb61fb55289e25",
+    "split_r2.csv": "cffd96d3c09ae5bad08182a1d857f13110f9f319f551d642d0c38c704e585efe",
+    "split_r2.json": "5b40b6872a62240e0a02a391babc481d862b795c8f12472c5e50c2de944153c9",
+    "split_empty.csv": "ad6fafe10de2d60a3b1942435f9ce76cd4de15da7310ca9e1570916b34cad743",
+    "split_empty.json": "423c00b59ccfe5781a59f9189d14cd16757b36729f04bafdcc1a67888191e8dd",
     # first taken at 0.5.0 before the stacked batch means of
-    # _mean_from_exponents, re-taken at 0.6.0
-    "mom_r1_ragged.csv": "6b87a6b29218d68cf4b6854dba5b206e8a0d8a8ae35ddd87c46a75709591f53e",
-    "mom_r1_ragged.json": "2a985f835a6be36ddbd2f4f80e5a161558266768d29740b5b758d1103516642e",
-    "split_ragged.csv": "700407b942eac789ba2a68945c8cd2a39cf41f8b3df002487d7f3036acc56cac",
-    "split_ragged.json": "8f0cf6ade05a1dfa93f6e7b8b42d4042561095467f492beb4f88a19b95ea6370",
+    # _mean_from_exponents, re-taken at 0.6.0 and 0.11.0
+    "mom_r1_ragged.csv": "6f236c516c9e19de776f8e7d21b53663bc4f2a8991a106a1db30ef2a544d635b",
+    "mom_r1_ragged.json": "a5d953842291322b8bb0865d80a5c99b25a8e91438283043b86c06b5833fd7b6",
+    "split_ragged.csv": "4e905fc81b3ce8c766e5497e12f9996b269220d3eb3facc0a89e2a08c475f28a",
+    "split_ragged.json": "d1b6a53cfe65ac1b6f8fab89faf9de5f5503ee846049efdf0eca108df5efe87c",
     # xi re-taken at 0.9.0 for the exponential squared moduli
     "xi.csv": "c791aef348147cfdadf578285370fe4b177174444c14810a64a837334fcdadcb",
     "xi.json": "6a38c91dd122e3c17a2e4f41b4fbd975a1df6886939900e4bf7b45c06ac7019a",
@@ -184,11 +200,12 @@ CLOUD = "cloud --d 3 --lambdas 1.0,1.0 --n 8 --samples 4000 --bins 30 --seed 5 -
 # second_moment_direct_mc, hashed together per spike (see _library_digest);
 # taken at 0.8.0, when they replaced the digests of the per-observation
 # route (simulate_observation, log_lr_mc), which no subcommand called; d3n2r2
-# (n = r) re-taken at 0.10.0 for the Gram-Schmidt square stacks
+# (n = r) re-taken at 0.10.0 for the Gram-Schmidt square stacks, and all
+# three at 0.11.0 for the plain shifted log-sum-exp (last digits)
 LIBRARY_GOLDEN = {
-    "d3n3r2": "408e8573a06b1235055b6cbc07b206bf68011229eff313fc9164c1b7130a966f",
-    "d2n4r1": "e132351148715a041db62f8c1838e26f6610314874ea9b4dab0d8599037026f2",
-    "d3n2r2": "dffb161691f0ea76afd9c3467cb2bb100409fe1c0d0a2e0d00307fde03af72e5",
+    "d3n3r2": "17f5f2ce69cc5f19056f2e717fa6e1dd990c4a23afc10e275f81fc2605563b4e",
+    "d2n4r1": "ca13d17beddf428e2efe7355f01cd46abd2d011e261df1c8de78f7077c0f7036",
+    "d3n2r2": "daddd2237da19d3b6f23dc3a1d1bf1c267f00468b97747da76745dab18599bb0",
 }
 
 LIBRARY_SPECS = {
@@ -208,6 +225,10 @@ PINNED_VERSION = (
     | {"cloud.envelope.csv": "0.7.0", "xi.csv": "0.9.0", "xi.json": "0.9.0"}
     | dict.fromkeys(["cloud.points.csv"] + [f"{name}.{ext}" for name in ("roc_full_qr", "direct_full_qr")
                                              for ext in ("csv", "json")], "0.10.0")
+    | dict.fromkeys([f"{name}.{ext}" for name in ("roc_readme", "roc_bench", "direct_bench", "roc_r2_d2",
+                                                  "direct_r2_d2", "roc_full_qr", "direct_d2_r1", "mom_r1",
+                                                  "mom_r1_ragged", "mom_r2", "split_r2", "split_empty",
+                                                  "split_ragged") for ext in ("csv", "json")], "0.11.0")
 )
 
 

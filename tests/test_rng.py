@@ -10,7 +10,7 @@ import spikedtensor as st
 from conftest import unitarity_defect
 from spikedtensor.config import gram_matrices
 from spikedtensor.errors import ParameterError
-from spikedtensor.moment import _eta_chunk, _noise_part
+from spikedtensor.moment import _haar_eta_chunks, _noise_part
 from spikedtensor.rng import _BLOCK_CELLS, chunk_sizes, complex_normal, complex_normal_rounds, map_streams
 
 
@@ -150,7 +150,7 @@ def test_full_haar_draw_order_is_pinned():
 
 def _eta_full_unitaries(spec, size, gen):
     """The exponent from full Haar unitaries, thetas @ chi: the reference
-    that the frame-based `_eta_chunk` must match in law."""
+    that the corner-based `_haar_eta_chunks` must match in law."""
     had = None
     for chi in spec.factors:
         thetas = st.sample_haar_unitaries(spec.n, size, gen)
@@ -164,9 +164,9 @@ def _eta_full_unitaries(spec, size, gen):
 def test_eta_from_frames_matches_full_unitaries(n, gram):
     # all-ones Grams are rank one: the thin QR of the factor is rank deficient
     spec = st.spec_from_grams([0.4, 0.2], gram_matrices(gram, 2, 3), n)
-    frames = _eta_chunk(spec, st.spike_svd(spec), 4000, st.SeedSpec(14, n).generator())
+    corners = np.concatenate(_haar_eta_chunks(spec, 4000, st.SeedSpec(14, n), 1))
     full = _eta_full_unitaries(spec, 4000, st.SeedSpec(15, n).generator())
-    assert stats.ks_2samp(frames, full).pvalue > 0.01
+    assert stats.ks_2samp(corners, full).pvalue > 0.01
 
 
 def test_haar_first_entry_moment():
