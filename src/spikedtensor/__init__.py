@@ -1,9 +1,9 @@
 """Detectability thresholds and seeded Monte-Carlo experiments for rank-r
 spiked complex Gaussian tensor models."""
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
-from .errors import ConfigError, DimensionError, DomainError, ParameterError
+from .errors import ConfigError, ParameterError
 from .moment import (
     MCEstimate,
     RocCurve,
@@ -17,7 +17,6 @@ from .moment import (
 )
 from .rate import (
     GrfCloud,
-    PsiSet,
     cloud_bound_violations,
     envelope_gap_median,
     eta_expanded,
@@ -52,13 +51,10 @@ from .thresholds import (
 
 __all__ = [
     "ConfigError",
-    "DimensionError",
-    "DomainError",
     "GramSet",
     "GrfCloud",
     "MCEstimate",
     "ParameterError",
-    "PsiSet",
     "RocCurve",
     "SeedSpec",
     "SpikeSpec",

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import KINDS, ExperimentConfig, gram_matrices, parse_config_text, resolve_config
-from .errors import ConfigError, DimensionError, DomainError, ParameterError
+from .config import FIELDS, KINDS, ExperimentConfig, gram_matrices, parse_config_text, resolve_config
+from .errors import ConfigError, ParameterError
 from .moment import (
     _draw_cells,
     default_epsilon,
@@ -280,36 +280,19 @@ def run_roc(config: ExperimentConfig) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """One flat parser: the experiment kind and the flags, which every kind
-    takes alike (a kind ignores the fields it does not read)."""
+    """One flat parser: the experiment kind, `--config` and a flag per field
+    of `config.FIELDS`, which every kind takes alike.  A kind leaves unread
+    the fields it has no use for, but `main` resolves and checks every field
+    and builds the spike in every kind, so a bad value of any field is
+    refused in every kind."""
     parser = argparse.ArgumentParser(
         prog="spikedtensor",
         description="Detectability thresholds and seeded experiments for spiked complex Gaussian tensor models.",
     )
     parser.add_argument("kind", choices=KINDS, help="experiment to run")
-    flag_specs = [
-        ("--config", "path to a key=value config file"),
-        ("--d", "tensor order"),
-        ("--r", "spike rank (defaults to the number of amplitudes)"),
-        ("--lambdas", "comma-separated spike amplitudes"),
-        ("--gram", "gram preset (identity | all-ones | two-eigenvalue:a,b) or JSON matrix"),
-        ("--n", "mode dimension(s), comma-separated"),
-        ("--samples", "Monte-Carlo sample count"),
-        ("--outer", "outer sample count (direct moment method)"),
-        ("--inner", "inner sample count (direct moment / likelihood ratio)"),
-        ("--method", "moment estimator: haar | direct"),
-        ("--epsilon", "split level (default: estimator rule)"),
-        ("--bins", "envelope bin count"),
-        ("--trials", "ROC trials per hypothesis"),
-        ("--t", "tail threshold(s), comma-separated"),
-        ("--seed", "master seed (u64)"),
-        ("--stream", "stream id (u64)"),
-        ("--out", "output path stem"),
-        ("--format", "output format: csv | json"),
-        ("--threads", "worker threads (results do not depend on this)"),
-    ]
-    for flag, help_text in flag_specs:
-        parser.add_argument(flag, help=help_text)
+    parser.add_argument("--config", help="path to a key=value config file")
+    for name, field in FIELDS.items():
+        parser.add_argument(f"--{name}", help=field.help)
     return parser
 
 
@@ -347,7 +330,7 @@ def main(argv=None) -> int:
         _spec_for(config, n=config.r)  # refuses a bad spike before any work, in every subcommand
         _RUNNERS[args.kind](config)
     # OSError, UnicodeDecodeError: a --config not readable as text, an --out not writable
-    except (ConfigError, ParameterError, DomainError, DimensionError, OSError, UnicodeDecodeError) as exc:
+    except (ConfigError, ParameterError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except ArithmeticError as exc:  # a cloud bound breach, moment._complement, a refused file, or a float fault

@@ -5,8 +5,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import fields, make_dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -18,58 +19,149 @@ KINDS = ("threshold", "cloud", "moment", "split", "xi-tail", "roc")
 # the kinds that run at one n: `moment` loops over a list, `threshold` reads none
 _ONE_N_KINDS = ("cloud", "split", "xi-tail", "roc")
 
-_DEFAULTS = {
-    "d": "3",
-    "r": "",  # derived from lambdas when empty
-    "lambdas": "1.0",
-    "gram": "identity",
-    "n": "8",
-    "samples": "20000",
-    "outer": "500",
-    "inner": "500",
-    "method": "haar",
-    "epsilon": "",  # empty -> estimator default
-    "bins": "60",
-    "trials": "500",
-    "t": "0.3,0.5,0.7",
-    "seed": "0",
-    "stream": "0",
-    "out": "",
-    "format": "",  # empty -> per-kind default
-    "threads": "",  # empty -> core count
+# The field parsers: (text, kind) -> value, the generic ones ignoring the
+# kind.  A ValueError refuses the text; `resolve_config` puts the field's
+# name in front of its message.
+
+
+def _integer(text: str, kind: str = "") -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected integer, got {text!r}") from None
+
+
+def _float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"expected number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _list(text: str, kind: str = "", parse_one=_float) -> tuple:
+    parts = [p.strip() for p in text.split(",") if p.strip()]
+    if not parts:
+        raise ValueError(f"expected a comma-separated list, got {text!r}")
+    return tuple(parse_one(p) for p in parts)
+
+
+def _gram_spec(text: str, kind: str) -> str:
+    return text  # `gram_matrices` checks it, once r and d are known
+
+
+def _order(text: str, kind: str) -> int:
+    d = _integer(text)
+    if d < 2:
+        raise ValueError(f"order must be >= 2, got {d}")
+    return d
+
+
+def _rank(text: str, kind: str) -> int | None:
+    return _integer(text) if text else None  # `resolve_config` matches it to the amplitudes
+
+
+def _amplitudes(text: str, kind: str) -> tuple:
+    # zero amplitudes are allowed as a degenerate test mode for the
+    # Monte-Carlo drivers; negative ones never are
+    lambdas = _list(text)
+    if any(v < 0 for v in lambdas):
+        raise ValueError("amplitudes must be non-negative")
+    return lambdas
+
+
+def _dimensions(text: str, kind: str) -> tuple:
+    n = _list(text, parse_one=_integer)
+    if any(v < 1 for v in n):
+        raise ValueError(f"dimensions must be >= 1, got {n}")
+    if len(n) > 1 and kind in _ONE_N_KINDS:
+        raise ValueError(f"{kind} takes one dimension, got {len(n)}")
+    return n
+
+
+def _method(text: str, kind: str) -> str:
+    if text not in ("haar", "direct"):
+        raise ValueError(f"expected haar or direct, got {text!r}")
+    return text
+
+
+def _epsilon(text: str, kind: str) -> float | None:
+    epsilon = _float(text) if text else None  # None: the estimator's default rule
+    if epsilon is not None and epsilon <= 0:
+        raise ValueError(f"must be positive, got {epsilon}")
+    return epsilon
+
+
+def _u64(text: str, kind: str) -> int:
+    value = _integer(text)
+    if not 0 <= value < _U64:
+        raise ValueError(f"must be an unsigned 64-bit integer, got {text}")
+    return value
+
+
+def _out(text: str, kind: str) -> str:
+    out = text or f"{kind.replace('-', '_')}_result"
+    stem = Path(out)
+    if not stem.name:
+        raise ValueError(f"{out!r} names no file")
+    if not stem.parent.is_dir():  # found before any sampling, not at the first write
+        raise ValueError(f"{str(stem.parent)!r} is not a directory")
+    return out
+
+
+def _format(text: str, kind: str) -> str:
+    fmt = text or ("json" if kind in ("threshold", "moment", "split") else "csv")
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"expected csv or json, got {fmt!r}")
+    if kind == "cloud" and fmt == "json":
+        raise ValueError("cloud writes csv only")
+    return fmt
+
+
+def _threads(text: str, kind: str) -> int:
+    threads = _integer(text) if text else (os.cpu_count() or 1)
+    if threads < 1:
+        raise ValueError(f"must be >= 1, got {threads}")
+    return threads
+
+
+class Field(NamedTuple):
+    default: str  # the text an unset field parses
+    parse: Callable[[str, str], object]
+    help: str  # the line `--help` prints for its flag
+
+
+# Every experiment field, in `--help` order, which is the order
+# `resolve_config` parses them in: the attributes of `ExperimentConfig`, the
+# keys of a config file and the flags of the CLI.  Only r, epsilon, out,
+# format and threads read an empty text as unset; every other parser refuses it.
+FIELDS = {
+    "d": Field("3", _order, "tensor order"),
+    "r": Field("", _rank, "spike rank (defaults to the number of amplitudes)"),
+    "lambdas": Field("1.0", _amplitudes, "comma-separated spike amplitudes"),
+    "gram": Field("identity", _gram_spec, "gram preset (identity | all-ones | two-eigenvalue:a,b) or JSON matrix"),
+    "n": Field("8", _dimensions, "mode dimension(s), comma-separated"),
+    "samples": Field("20000", _integer, "Monte-Carlo sample count"),
+    "outer": Field("500", _integer, "outer sample count (direct moment method)"),
+    "inner": Field("500", _integer, "inner sample count (direct moment / likelihood ratio)"),
+    "method": Field("haar", _method, "moment estimator: haar | direct"),
+    "epsilon": Field("", _epsilon, "split level (default: estimator rule)"),
+    "bins": Field("60", _integer, "envelope bin count"),
+    "trials": Field("500", _integer, "ROC trials per hypothesis"),
+    "t": Field("0.3,0.5,0.7", _list, "tail threshold(s), comma-separated"),
+    "seed": Field("0", _u64, "master seed (u64)"),
+    "stream": Field("0", _u64, "stream id (u64)"),
+    "out": Field("", _out, "output path stem"),
+    "format": Field("", _format, "output format: csv | json"),
+    "threads": Field("", _threads, "worker threads (results do not depend on this)"),
 }
 
-_DEFAULT_FORMAT = {
-    "threshold": "json",
-    "cloud": "csv",
-    "moment": "json",
-    "split": "json",
-    "xi-tail": "csv",
-    "roc": "csv",
-}
 
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    kind: str
-    d: int
-    r: int
-    lambdas: tuple
-    gram: str
-    n: tuple
-    samples: int
-    outer: int
-    inner: int
-    method: str
-    epsilon: float | None
-    bins: int
-    trials: int
-    t: tuple
-    seed: int
-    stream: int
-    out: str
-    format: str
-    threads: int
+class ExperimentConfig(make_dataclass("ExperimentConfig", ["kind", *FIELDS], frozen=True)):
+    """A resolved experiment: its `kind`, then one attribute per `FIELDS`
+    entry, the value that field's parser returned."""
 
     def canonical_items(self) -> list[tuple[str, str]]:
         """Sorted (key, value) pairs identifying the experiment.
@@ -84,11 +176,11 @@ class ExperimentConfig:
                 continue
             value = getattr(self, f)
             if isinstance(value, tuple):
-                text = ",".join(_fmt_scalar(v) for v in value)
+                text = ",".join(map(str, value))
             elif value is None:
                 text = ""
             else:
-                text = _fmt_scalar(value)
+                text = str(value)
             items.append((f, text))
         return items
 
@@ -97,14 +189,6 @@ class ExperimentConfig:
 
     def one_line(self) -> str:
         return " ".join(f"{k}={v}" for k, v in self.canonical_items())
-
-
-def _fmt_scalar(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -118,42 +202,18 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in _DEFAULTS and key != "kind":
+        if key not in FIELDS and key != "kind":
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = value.strip()
     return values
 
 
-def _parse_int(field: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"field {field!r}: expected integer, got {text!r}") from None
-
-
-def _parse_float(field: str, text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"field {field!r}: expected number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"field {field!r}: expected a finite number, got {text!r}")
-    return value
-
-
-def _parse_seq(field: str, text: str, parse_one) -> tuple:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"field {field!r}: expected a comma-separated list, got {text!r}")
-    return tuple(parse_one(field, p) for p in parts)
-
-
 def resolve_config(kind: str, file_values: dict[str, str] | None = None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Merge defaults <- config file <- flags and validate field by field,
+    """Merge defaults <- config file <- flags and parse field by field,
     building nothing d-sized: `cli.main` checks the Gram spec after its caps."""
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {KINDS}")
-    merged = dict(_DEFAULTS)
+    merged = {name: field.default for name, field in FIELDS.items()}
     for source in (file_values or {}), (overrides or {}):
         for key, value in source.items():
             if key == "kind":
@@ -164,68 +224,18 @@ def resolve_config(kind: str, file_values: dict[str, str] | None = None, overrid
                 raise ConfigError(f"unknown field {key!r}")
             if value is not None:
                 merged[key] = str(value)
-
-    # zero amplitudes are allowed as a degenerate test mode for the
-    # Monte-Carlo drivers; negative ones never are
-    lambdas = _parse_seq("lambdas", merged["lambdas"], _parse_float)
-    if any(v < 0 for v in lambdas):
-        raise ConfigError("field 'lambdas': amplitudes must be non-negative")
-    r = _parse_int("r", merged["r"]) if merged["r"] else len(lambdas)
-    if r != len(lambdas):
-        raise ConfigError(f"field 'r': got r={r} but {len(lambdas)} amplitudes")
-    d = _parse_int("d", merged["d"])
-    if d < 2:
-        raise ConfigError(f"field 'd': order must be >= 2, got {d}")
-    n = _parse_seq("n", merged["n"], _parse_int)
-    if any(v < 1 for v in n):
-        raise ConfigError(f"field 'n': dimensions must be >= 1, got {n}")
-    if len(n) > 1 and kind in _ONE_N_KINDS:
-        raise ConfigError(f"field 'n': {kind} takes one dimension, got {len(n)}")
-    fmt = merged["format"] or _DEFAULT_FORMAT[kind]
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"field 'format': expected csv or json, got {fmt!r}")
-    if kind == "cloud" and fmt == "json":
-        raise ConfigError("field 'format': cloud writes csv only")
-    method = merged["method"]
-    if method not in ("haar", "direct"):
-        raise ConfigError(f"field 'method': expected haar or direct, got {method!r}")
-    epsilon = _parse_float("epsilon", merged["epsilon"]) if merged["epsilon"] else None
-    if epsilon is not None and epsilon <= 0:
-        raise ConfigError(f"field 'epsilon': must be positive, got {epsilon}")
-    threads = _parse_int("threads", merged["threads"]) if merged["threads"] else (os.cpu_count() or 1)
-    if threads < 1:
-        raise ConfigError(f"field 'threads': must be >= 1, got {threads}")
-    for f in ("seed", "stream"):
-        if not 0 <= _parse_int(f, merged[f]) < _U64:
-            raise ConfigError(f"field {f!r}: must be an unsigned 64-bit integer, got {merged[f]}")
-    out = merged["out"] or f"{kind.replace('-', '_')}_result"
-    stem = Path(out)
-    if not stem.name:
-        raise ConfigError(f"field 'out': {out!r} names no file")
-    if not stem.parent.is_dir():  # found before any sampling, not at the first write
-        raise ConfigError(f"field 'out': {str(stem.parent)!r} is not a directory")
-
-    return ExperimentConfig(
-        kind=kind,
-        d=d,
-        r=r,
-        lambdas=lambdas,
-        gram=merged["gram"],
-        n=n,
-        samples=_parse_int("samples", merged["samples"]),
-        outer=_parse_int("outer", merged["outer"]),
-        inner=_parse_int("inner", merged["inner"]),
-        method=method,
-        epsilon=epsilon,
-        bins=_parse_int("bins", merged["bins"]),
-        trials=_parse_int("trials", merged["trials"]),
-        t=_parse_seq("t", merged["t"], _parse_float),
-        seed=_parse_int("seed", merged["seed"]),
-        stream=_parse_int("stream", merged["stream"]),
-        out=out,
-        format=fmt,
-        threads=threads,
-    )
+    values = {}
+    for name, field in FIELDS.items():
+        try:
+            values[name] = field.parse(merged[name], kind)
+        except ValueError as exc:
+            raise ConfigError(f"field {name!r}: {exc}") from None
+    amplitudes = len(values["lambdas"])
+    if values["r"] is None:
+        values["r"] = amplitudes
+    if values["r"] != amplitudes:
+        raise ConfigError(f"field 'r': got r={values['r']} but {amplitudes} amplitudes")
+    return ExperimentConfig(kind=kind, **values)
 
 
 def gram_matrices(gram_spec: str, r: int, d: int) -> GramSet:
@@ -244,44 +254,42 @@ def gram_matrices(gram_spec: str, r: int, d: int) -> GramSet:
         elif text.startswith("two-eigenvalue:"):
             g = _two_eigenvalue_gram(text, r)
         elif text.startswith("["):
-            return _literal_grams(text, r, d)
+            g = _literal_grams(text, r, d)
         else:
-            raise ConfigError(f"field 'gram': unknown preset {gram_spec!r}")
-        return GramSet(tuple(g.copy() for _ in range(d)))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"field 'gram': {exc}") from exc
+            raise ValueError(f"unknown preset {gram_spec!r}")
+        return GramSet(tuple(g) if g.ndim == 3 else tuple(g.copy() for _ in range(d)))
+    # TypeError: a JSON literal with an entry that is no number, such as null
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field 'gram': {exc}") from None
 
 
 def _two_eigenvalue_gram(text: str, r: int) -> np.ndarray:
     if r != 2:
-        raise ConfigError(f"field 'gram': two-eigenvalue preset requires r=2, got r={r}")
+        raise ValueError(f"two-eigenvalue preset requires r=2, got r={r}")
     body = text.removeprefix("two-eigenvalue:")
     parts = [p.strip() for p in body.split(",")]
     if len(parts) != 2:
-        raise ConfigError(f"field 'gram': expected two-eigenvalue:a,b, got {text!r}")
-    a, b = (_parse_float("gram", p) for p in parts)
+        raise ValueError(f"expected two-eigenvalue:a,b, got {text!r}")
+    a, b = (_float(p) for p in parts)
     if abs(a + b - 2.0) > 1e-9:
-        raise ConfigError(f"field 'gram': eigenvalues must sum to 2 to keep a unit diagonal, got {a}+{b}")
+        raise ValueError(f"eigenvalues must sum to 2 to keep a unit diagonal, got {a}+{b}")
     if b < 0 or a < 0:
-        raise ConfigError(f"field 'gram': eigenvalues must be non-negative, got {a}, {b}")
+        raise ValueError(f"eigenvalues must be non-negative, got {a}, {b}")
     off = (a - b) / 2.0
     return np.array([[1.0, off], [off, 1.0]])
 
 
-def _literal_grams(text: str, r: int, d: int) -> GramSet:
+def _literal_grams(text: str, r: int, d: int) -> np.ndarray:
+    """One r x r matrix, for every mode, or a (d, r, r) stack of them."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"field 'gram': invalid JSON literal ({exc})") from exc
+        raise ValueError(f"invalid JSON literal ({exc})") from None
     arr = np.asarray(data, dtype=complex)
-    if arr.ndim == 2:
-        if arr.shape != (r, r):
-            raise ConfigError(f"field 'gram': matrix must be {r}x{r}, got {arr.shape}")
-        return GramSet(tuple(arr.copy() for _ in range(d)))
-    if arr.ndim == 3:
-        if arr.shape != (d, r, r):
-            raise ConfigError(f"field 'gram': need {d} matrices of shape {r}x{r}, got {arr.shape}")
-        return GramSet(tuple(arr))
-    raise ConfigError(f"field 'gram': expected a matrix or a list of matrices, got ndim={arr.ndim}")
+    if arr.ndim == 2 and arr.shape != (r, r):
+        raise ValueError(f"matrix must be {r}x{r}, got {arr.shape}")
+    if arr.ndim == 3 and arr.shape != (d, r, r):
+        raise ValueError(f"need {d} matrices of shape {r}x{r}, got {arr.shape}")
+    if arr.ndim not in (2, 3):
+        raise ValueError(f"expected a matrix or a list of matrices, got ndim={arr.ndim}")
+    return arr

@@ -1,16 +1,8 @@
 """Exception types shared across the package."""
 
 
-class DimensionError(ValueError):
-    """Shapes of tensor or matrix arguments do not match."""
-
-
 class ParameterError(ValueError):
-    """A scalar or structural argument is outside its admissible range."""
-
-
-class DomainError(ValueError):
-    """A value lies outside the mathematical domain of the operation."""
+    """An argument is outside its admissible range, shape or domain."""
 
 
 class ConfigError(ValueError):

@@ -27,27 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParameterError
+from .errors import ParameterError
 from .rng import SeedSpec, _orthonormalize, complex_normal, map_streams
 from .spike import SpikeSpec, SpikeSvd, eta_max, gram_set, spike_svd
 
 _NORM_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class PsiSet:
-    """d complex r x r matrices with spectral norms at most 1."""
-
-    blocks: tuple
-    norms: np.ndarray
-
-    @classmethod
-    def from_blocks(cls, blocks) -> "PsiSet":
-        blocks = tuple(np.asarray(b, dtype=complex) for b in blocks)
-        norms = np.array([np.linalg.norm(b, 2) for b in blocks])
-        if np.any(norms > 1.0 + _NORM_TOL):
-            raise ParameterError(f"spectral norms must be <= 1, got max {np.max(norms):.15g}")
-        return cls(blocks=blocks, norms=norms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,11 +50,11 @@ def eta_expanded(spec: SpikeSpec, thetas) -> float:
     Re sum_{i,j} lambda_i lambda_j prod_k <Theta_k x^(k,i), x^(k,j)>."""
     thetas = [np.asarray(t) for t in thetas]
     if len(thetas) != spec.d:
-        raise DimensionError(f"need {spec.d} mode operators, got {len(thetas)}")
+        raise ParameterError(f"need {spec.d} mode operators, got {len(thetas)}")
     had = None
     for chi, theta in zip(spec.factors, thetas):
         if theta.shape != (spec.n, spec.n):
-            raise DimensionError(f"operator has shape {theta.shape}, expected {(spec.n, spec.n)}")
+            raise ParameterError(f"operator has shape {theta.shape}, expected {(spec.n, spec.n)}")
         m = chi.conj().T @ theta @ chi
         had = m if had is None else had * m
     return float(np.real(spec.lambdas @ had @ spec.lambdas))
@@ -95,18 +79,19 @@ def _eta_hadamard_stack(lambdas, svd: SpikeSvd, psi_stack: np.ndarray) -> np.nda
     return np.real(had @ np.outer(lam, lam).ravel())
 
 
-def eta_hadamard(lambdas, svd: SpikeSvd, psis: PsiSet) -> float:
-    """Block form of the exponent for one psi-set (see `_eta_hadamard_stack`)."""
-    return float(_eta_hadamard_stack(lambdas, svd, np.stack(psis.blocks)[None])[0])
+def eta_hadamard(lambdas, svd: SpikeSvd, psis) -> float:
+    """Block form of the exponent for one (d, r, r) psi-set (see `_eta_hadamard_stack`)."""
+    return float(_eta_hadamard_stack(lambdas, svd, np.asarray(psis, dtype=complex)[None])[0])
 
 
-def psi_blocks_from_mode_operators(factors, thetas) -> tuple[SpikeSvd, PsiSet]:
+def psi_blocks_from_mode_operators(factors, thetas) -> tuple[SpikeSvd, np.ndarray]:
     """Reduce full mode operators to corner blocks.
 
     For each mode, from the SVD chi = U [Sigma; 0] V* the operator enters the
     exponent only through the top-left r x r block of U* Theta U; returning
     the matching (Sigma_k, V_k) alongside the blocks makes `eta_hadamard`
-    reproduce `eta_expanded` on the same operators.
+    reproduce `eta_expanded` on the same operators.  The blocks come back
+    as one (d, r, r) psi-set.
     """
     sigmas, vs, blocks = [], [], []
     for chi, theta in zip(factors, thetas):
@@ -116,7 +101,7 @@ def psi_blocks_from_mode_operators(factors, thetas) -> tuple[SpikeSvd, PsiSet]:
         blocks.append(rotated[:r, :r])
         sigmas.append(s)
         vs.append(vh.conj().T)
-    return SpikeSvd(sigmas=tuple(sigmas), vs=tuple(vs)), PsiSet.from_blocks(blocks)
+    return SpikeSvd(sigmas=tuple(sigmas), vs=tuple(vs)), np.array(blocks)
 
 
 def lemma_sup_bound(lambdas, mats, alphas) -> float:
@@ -204,11 +189,14 @@ def _rate_stack(psi_stack: np.ndarray) -> np.ndarray:
     return np.sum(np.where(logdet > floor, logdet, -np.inf), axis=1)
 
 
-def grf_psi_rate(psis: PsiSet) -> float:
-    """Summed block rate of one psi-set (see `_rate_stack`)."""
-    if np.any(psis.norms > 1.0 + _NORM_TOL):
-        raise DomainError(f"spectral norms must be <= 1, got max {np.max(psis.norms):.15g}")
-    return float(_rate_stack(np.stack(psis.blocks)[None])[0])
+def grf_psi_rate(psis) -> float:
+    """Summed block rate of one (d, r, r) psi-set (see `_rate_stack`),
+    whose blocks must have spectral norms at most 1."""
+    psis = np.asarray(psis, dtype=complex)
+    norms = np.linalg.norm(psis, 2, axis=(-2, -1))
+    if np.any(norms > 1.0 + _NORM_TOL):
+        raise ParameterError(f"spectral norms must be <= 1, got max {np.max(norms):.15g}")
+    return float(_rate_stack(psis[None])[0])
 
 
 def _haar_corner_sets(n: int, r: int, d: int, count: int, gen: np.random.Generator) -> np.ndarray:

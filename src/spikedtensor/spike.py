@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
-from .rng import SeedSpec, as_generator, sample_haar_unitaries
+from .errors import ParameterError
+from .rng import as_generator
 
 _COLUMN_NORM_TOL = 1e-10
 _HERMITIAN_TOL = 1e-12
@@ -29,9 +29,9 @@ class SpikeSpec:
     """Rank-r spike: amplitudes `lambdas` (length r, positive) and d factor
     matrices of shape (n, r) with unit-norm columns.
 
-    `allow_zero` admits the zero-signal limit; the CLI sets it for any zero
-    amplitude, which `moment`, `split` and `roc` run and `threshold` and
-    `cloud` refuse.
+    `allow_zero` admits zero amplitudes; the CLI sets it for any zero one.
+    `threshold` refuses any zero amplitude, `cloud` only an all-zero spike
+    (`eta_max must be positive`), and every other subcommand runs both.
     """
 
     d: int
@@ -46,8 +46,6 @@ class SpikeSpec:
         object.__setattr__(self, "factors", tuple(np.asarray(f, dtype=complex) for f in self.factors))
         if self.d < 2:
             raise ParameterError(f"order d must be >= 2, got {self.d}")
-        if self.n < 1:
-            raise ParameterError(f"dimension n must be >= 1, got {self.n}")
         if not (1 <= self.r <= self.n):
             raise ParameterError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
         if self.lambdas.shape != (self.r,):
@@ -68,7 +66,7 @@ class SpikeSpec:
             raise ParameterError(f"need {self.d} factor matrices, got {len(self.factors)}")
         for k, chi in enumerate(self.factors):
             if chi.shape != (self.n, self.r):
-                raise DimensionError(f"factor {k} has shape {chi.shape}, expected {(self.n, self.r)}")
+                raise ParameterError(f"factor {k} has shape {chi.shape}, expected {(self.n, self.r)}")
             norms = np.linalg.norm(chi, axis=0)
             if np.max(np.abs(norms - 1.0)) > _COLUMN_NORM_TOL:
                 raise ParameterError(f"factor {k} columns must be unit norm (max deviation {np.max(np.abs(norms - 1.0)):.3e})")
@@ -87,7 +85,7 @@ class GramSet:
         r = self.grams[0].shape[0]
         for k, g in enumerate(self.grams):
             if g.shape != (r, r):
-                raise DimensionError(f"gram {k} has shape {g.shape}, expected {(r, r)}")
+                raise ParameterError(f"gram {k} has shape {g.shape}, expected {(r, r)}")
             if not np.all(np.isfinite(g)):  # NaN passes every comparison below
                 raise ParameterError(f"gram {k} has a non-finite entry")
             if np.max(np.abs(g - g.conj().T)) > _HERMITIAN_TOL:
@@ -142,45 +140,28 @@ def gram_set(spec: SpikeSpec) -> GramSet:
 
 
 def _psd_sqrt(g: np.ndarray) -> np.ndarray:
-    """Hermitian square root with tiny negative eigenvalues clipped to 0."""
+    """Hermitian square root of a Gram that `GramSet` found PSD within
+    _PSD_TOL, its tiny negative eigenvalues clipped to 0."""
     evals, vecs = np.linalg.eigh(g)
-    if np.min(evals) < -_PSD_TOL:
-        raise ParameterError(f"matrix is not PSD within {_PSD_TOL} (min eigenvalue {np.min(evals):.3e})")
     evals = np.clip(evals, 0.0, None)
     return (vecs * np.sqrt(evals)) @ vecs.conj().T
 
 
-def factors_from_grams(grams: GramSet, n: int, rng: SeedSpec | None = None) -> tuple:
-    """Factor matrices chi_k of shape (n, r) whose Grams reproduce `grams`.
-
-    The Hermitian square root of each Gram fills the top r rows; rows below
-    are zero.  When `rng` is given each factor is instead a Haar (n, r)
-    frame times that square root, which is the square-root embedding
-    left-multiplied by an independent Haar unitary: the embedding direction
-    is randomized.
-    """
+def factors_from_grams(grams: GramSet, n: int) -> tuple:
+    """Factor matrices chi_k of shape (n, r) whose Grams reproduce `grams`:
+    the Hermitian square root of each Gram fills the top r rows, and the
+    rows below are zero."""
     r = grams.r
     if n < r:
         raise ParameterError(f"need n >= r, got n={n}, r={r}")
-    gen = None if rng is None else as_generator(rng)
-    factors = []
-    for g in grams.grams:
-        root = _psd_sqrt(g)
-        if gen is None:
-            chi = np.zeros((n, r), dtype=complex)
-            chi[:r, :] = root
-        else:
-            chi = sample_haar_unitaries(n, 1, gen, columns=r)[0] @ root
-        factors.append(chi)
-    return tuple(factors)
+    chi = np.zeros((grams.d, n, r), dtype=complex)
+    chi[:, :r] = [_psd_sqrt(g) for g in grams.grams]
+    return tuple(chi)
 
 
-def spec_from_grams(lambdas, grams: GramSet, n: int, rng: SeedSpec | None = None, allow_zero: bool = False) -> SpikeSpec:
+def spec_from_grams(lambdas, grams: GramSet, n: int, allow_zero: bool = False) -> SpikeSpec:
     """Convenience: synthesize a SpikeSpec at dimension n from Gram targets."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.shape != (grams.r,):
-        raise ParameterError(f"lambdas must have length {grams.r}, got shape {lambdas.shape}")
-    factors = factors_from_grams(grams, n, rng)
+    factors = factors_from_grams(grams, n)
     return SpikeSpec(d=grams.d, n=n, r=grams.r, lambdas=lambdas, factors=factors, allow_zero=allow_zero)
 
 

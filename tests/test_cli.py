@@ -14,7 +14,7 @@ from hypothesis import strategies as hst
 import spikedtensor as st
 import spikedtensor.cli as cli
 from spikedtensor.cli import _fmt, main
-from spikedtensor.config import KINDS
+from spikedtensor.config import KINDS, resolve_config
 from spikedtensor.errors import ConfigError
 
 
@@ -40,6 +40,11 @@ def test_cli_import_loads_no_scipy(tmp_path):
     lines = out.stdout.splitlines()
     assert lines[0] == lines[-1] == "[]"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["moment.csv", "roc.csv", "split.csv"]
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in st.__all__ if not hasattr(st, name)] == []
+    assert len(set(st.__all__)) == len(st.__all__)
 
 
 def test_threshold_small_amplitude(tmp_path):
@@ -419,6 +424,16 @@ def test_threshold_rejects_zero_amplitude(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cloud_runs_a_partly_zero_spike_and_refuses_an_all_zero_one(tmp_path, capsys):
+    args = ["cloud", "--d", 3, "--n", 4, "--samples", 100]
+    assert run(args + ["--lambdas", "1.0,0", "--out", tmp_path / "c"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bound.csv", "c.envelope.csv", "c.points.csv"]
+    capsys.readouterr()
+    assert run(args + ["--lambdas", "0,0", "--out", tmp_path / "z"]) == 1
+    assert "config error: eta_max must be positive" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bound.csv", "c.envelope.csv", "c.points.csv"]
+
+
 def test_cloud_bound_breach_exits_two(tmp_path, monkeypatch, capsys):
     def doctored(spec, count, rng, bins, threads=1):
         cloud = st.sample_grf_cloud(spec, count, rng, bins, threads=threads)
@@ -560,6 +575,41 @@ def test_every_kind_parses_its_flags_to_the_same_overrides(tmp_path, monkeypatch
     # without --config, no file values
     assert main([kind, *flags.split()]) == 1
     assert calls[1] == (kind, {}, overrides)
+
+
+@pytest.mark.parametrize("kind", sorted(_SURFACE))
+def test_config_file_resolves_like_the_flags(tmp_path, monkeypatch, kind):
+    # the same settings as flags and as a --config file, each through `main`
+    monkeypatch.chdir(tmp_path)
+    resolved = []
+
+    def resolving(kind, file_values, overrides):
+        resolved.append(resolve_config(kind, file_values, overrides))
+        raise ConfigError("resolved")
+
+    monkeypatch.setattr(cli, "resolve_config", resolving)
+    flags, overrides = _SURFACE[kind]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("".join(f"{key}={value}\n" for key, value in overrides.items()))
+    assert main([kind, *flags.split()]) == 1
+    assert main([kind, "--config", str(cfg)]) == 1
+    assert resolved[0] == resolved[1] != resolve_config(kind)
+
+
+@pytest.mark.parametrize("flag", [flag for flag in _FLAGS if flag != "--config"])
+def test_an_empty_value_is_refused_unless_it_means_unset(tmp_path, monkeypatch, capsys, flag):
+    # r is derived from the amplitudes, epsilon from the estimator rule,
+    # out and format from the kind, threads from the core count
+    monkeypatch.chdir(tmp_path)
+    code = main(["moment", "--n", "4", "--samples", "100", f"{flag}="])
+    err = capsys.readouterr().err
+    if flag in ("--r", "--epsilon", "--out", "--format", "--threads"):
+        assert (code, err) == (0, "")
+        assert [p.name for p in tmp_path.iterdir()] == ["moment_result.json"]
+    else:
+        assert code == 1
+        assert err.startswith(f"config error: field '{flag[2:]}'")
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["moment", "--help"]])

@@ -83,6 +83,12 @@ def test_gram_errors():
         gram_matrices("[[1.0, 1.5], [1.5, 1.0]]", 2, 3)  # not PSD
 
 
+@pytest.mark.parametrize("literal", ['[[{"a": 1}]]', "[[null]]"])
+def test_gram_literal_of_non_numbers_is_a_config_error(literal):
+    with pytest.raises(ConfigError, match="field 'gram'"):
+        gram_matrices(literal, 1, 3)
+
+
 def test_two_eigenvalue_preset_matches_eta_max():
     grams = gram_matrices("two-eigenvalue:1.8,0.2", 2, 3)
     emax = st.eta_max([1.0, 1.0], grams)

@@ -8,7 +8,7 @@ from scipy import stats
 
 import spikedtensor as st
 from conftest import make_random_spec, refuse_linalg_in_draws, unitarity_defect
-from spikedtensor.errors import DomainError, ParameterError
+from spikedtensor.errors import ParameterError
 import spikedtensor.moment as moment
 import spikedtensor.rate as rate
 from spikedtensor.config import gram_matrices
@@ -43,9 +43,9 @@ def test_eta_bounded_by_eta_max(gen):
 def test_eta_hadamard_zero_and_identity(gen):
     spec = make_random_spec(gen)
     svd = st.spike_svd(spec)
-    zeros = st.PsiSet.from_blocks([np.zeros((spec.r, spec.r))] * spec.d)
+    zeros = np.zeros((spec.d, spec.r, spec.r))
     assert st.eta_hadamard(spec.lambdas, svd, zeros) == 0.0
-    eyes = st.PsiSet.from_blocks([np.eye(spec.r)] * spec.d)
+    eyes = np.array([np.eye(spec.r)] * spec.d)
     emax = st.eta_max(spec.lambdas, st.gram_set(spec))
     assert st.eta_hadamard(spec.lambdas, svd, eyes) == pytest.approx(emax, rel=1e-12)
 
@@ -122,26 +122,24 @@ def test_grf_lower_bound_is_elementwise():
 
 def test_grf_psi_rate_cases(gen):
     r = 3
-    zeros = st.PsiSet.from_blocks([np.zeros((r, r))] * 2)
+    zeros = np.zeros((2, r, r))
     assert st.grf_psi_rate(zeros) == 0.0
 
     # one unit singular value makes the rate -inf
     block = np.diag([1.0, 0.3, 0.0]).astype(complex)
-    psis = st.PsiSet.from_blocks([block, np.zeros((r, r))])
+    psis = np.array([block, np.zeros((r, r))])
     assert st.grf_psi_rate(psis) == -math.inf
 
     diag = np.diag([0.5, 0.2, 0.9]).astype(complex)
-    psis = st.PsiSet.from_blocks([diag])
+    psis = np.array([diag])
     expected = sum(math.log(1 - s * s) for s in (0.5, 0.2, 0.9))
     assert st.grf_psi_rate(psis) == pytest.approx(expected, rel=1e-12)
 
 
 def test_psi_set_rejects_large_norms():
+    good = np.array([np.eye(2)])
+    bad = np.array([1.5 * np.eye(2)])
     with pytest.raises(ParameterError):
-        st.PsiSet.from_blocks([1.5 * np.eye(2)])
-    good = st.PsiSet.from_blocks([np.eye(2)])
-    bad = st.PsiSet(blocks=(1.5 * np.eye(2),), norms=np.array([1.5]))
-    with pytest.raises(DomainError):
         st.grf_psi_rate(bad)
     assert st.grf_psi_rate(good) == -math.inf
 
@@ -278,7 +276,7 @@ def test_rate_stack_matches_high_precision_log_det(r, n, d, seed):
 def test_rate_stack_exact_cases():
     sv = np.array([0.5, 0.2, 0.9])
     zero, diag = np.zeros((3, 3)), np.diag(sv)
-    # a unit singular value, and one just above 1 (within PsiSet's norm
+    # a unit singular value, and one just above 1 (within grf_psi_rate's norm
     # tolerance), where the determinant is zero or negative: both -inf
     above = np.diag([1.0 + 1e-13, 0.3, 0.0])
     stack = np.array([[zero, zero], [diag, zero], [diag, diag], [np.eye(3), zero], [np.diag([1.0, 0.3, 0.0]), diag],
@@ -289,7 +287,7 @@ def test_rate_stack_exact_cases():
     assert got[1] == pytest.approx(one, rel=1e-15)
     assert got[2] == pytest.approx(2 * one, rel=1e-15)
     assert got[3] == -math.inf and got[4] == -math.inf and got[5] == -math.inf
-    assert st.grf_psi_rate(st.PsiSet.from_blocks([above])) == -math.inf
+    assert st.grf_psi_rate(np.array([above])) == -math.inf
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -531,7 +529,7 @@ def test_eta_hadamard_stack_matches_expanded_form(n, r, d, gram):
         thetas = list(st.sample_haar_unitaries(n, d, gen))
         expanded.append(st.eta_expanded(spec, thetas))
         svd, psis = st.psi_blocks_from_mode_operators(spec.factors, thetas)
-        stack.append(np.stack(psis.blocks))
+        stack.append(psis)
     got = _eta_hadamard_stack(spec.lambdas, svd, np.array(stack))
     assert np.max(np.abs(got - np.array(expanded))) <= 1e-12
 
@@ -574,7 +572,7 @@ def test_mode_maps_and_exponent_match_inline_kron(r, d, gram):
         grams = st.GramSet(tuple(st.random_gram(r, gen) for _ in range(d)))
     else:
         grams = gram_matrices(gram, r, d)
-    spec = st.spec_from_grams(gen.uniform(0.3, 1.2, size=r), grams, n=n, rng=gen)
+    spec = st.spec_from_grams(gen.uniform(0.3, 1.2, size=r), grams, n=n)
     svd = st.spike_svd(spec)
     _assert_maps_are_kron(svd)
     stack = rate._haar_corner_sets(n, r, d, 300, gen)
