@@ -1,9 +1,9 @@
 """Detectability thresholds and seeded Monte-Carlo experiments for rank-r
 spiked complex Gaussian tensor models."""
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
-from .errors import ConfigError, ParameterError
+from .errors import ParameterError
 from .moment import (
     MCEstimate,
     RocCurve,
@@ -50,7 +50,6 @@ from .thresholds import (
 )
 
 __all__ = [
-    "ConfigError",
     "GramSet",
     "GrfCloud",
     "MCEstimate",

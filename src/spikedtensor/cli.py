@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import FIELDS, KINDS, ExperimentConfig, gram_matrices, parse_config_text, resolve_config
-from .errors import ConfigError, ParameterError
+from .errors import ParameterError
 from .moment import (
     _draw_cells,
     default_epsilon,
@@ -147,7 +147,7 @@ def _emit(config: ExperimentConfig, document, tables) -> None:
 
 def _refuse(condition: bool, message: str) -> None:
     if condition:
-        raise ConfigError(f"desk-scale limit exceeded: {message}")
+        raise ParameterError(f"desk-scale limit exceeded: {message}")
 
 
 def _refuse_draw(spec, inner: int) -> None:
@@ -157,8 +157,7 @@ def _refuse_draw(spec, inner: int) -> None:
 
 def _spec_for(config: ExperimentConfig, n: int):
     grams = gram_matrices(config.gram, config.r, config.d)
-    allow_zero = any(v == 0 for v in config.lambdas)
-    return spec_from_grams(np.array(config.lambdas), grams, n=n, allow_zero=allow_zero)
+    return spec_from_grams(np.array(config.lambdas), grams, n=n)
 
 
 def run_threshold(config: ExperimentConfig) -> None:
@@ -227,8 +226,8 @@ def run_split(config: ExperimentConfig) -> None:
     _refuse(config.samples > _LIMITS["moment_samples"], f"samples {config.samples} > {_LIMITS['moment_samples']}")
     spec = _spec_for(config, n=n)
     epsilon = config.epsilon if config.epsilon is not None else default_epsilon(spec)
-    if epsilon <= 0 and config.epsilon is None:
-        raise ConfigError("the default epsilon rule gives 0 for a zero spike: set --epsilon > 0")
+    if epsilon <= 0:
+        raise ParameterError("the default epsilon rule gives 0 for a zero spike: set --epsilon > 0")
     seed = SeedSpec(config.seed, config.stream)
     e1, e2 = e1_e2_split(spec, epsilon, config.samples, seed, threads=config.threads)
 
@@ -330,7 +329,7 @@ def main(argv=None) -> int:
         _spec_for(config, n=config.r)  # refuses a bad spike before any work, in every subcommand
         _RUNNERS[args.kind](config)
     # OSError, UnicodeDecodeError: a --config not readable as text, an --out not writable
-    except (ConfigError, ParameterError, OSError, UnicodeDecodeError) as exc:
+    except (ParameterError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except ArithmeticError as exc:  # a cloud bound breach, moment._complement, a refused file, or a float fault

@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ParameterError
 from .rng import _U64
 from .spike import GramSet
 
@@ -199,11 +199,11 @@ def parse_config_text(text: str) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
+            raise ParameterError(f"line {lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
         if key not in FIELDS and key != "kind":
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ParameterError(f"line {lineno}: unknown key {key!r}")
         values[key] = value.strip()
     return values
 
@@ -212,16 +212,16 @@ def resolve_config(kind: str, file_values: dict[str, str] | None = None, overrid
     """Merge defaults <- config file <- flags and parse field by field,
     building nothing d-sized: `cli.main` checks the Gram spec after its caps."""
     if kind not in KINDS:
-        raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {KINDS}")
+        raise ParameterError(f"unknown experiment kind {kind!r}; expected one of {KINDS}")
     merged = {name: field.default for name, field in FIELDS.items()}
     for source in (file_values or {}), (overrides or {}):
         for key, value in source.items():
             if key == "kind":
                 if value != kind:
-                    raise ConfigError(f"field 'kind': config says {value!r} but the subcommand is {kind!r}")
+                    raise ParameterError(f"field 'kind': config says {value!r} but the subcommand is {kind!r}")
                 continue
             if key not in merged:
-                raise ConfigError(f"unknown field {key!r}")
+                raise ParameterError(f"unknown field {key!r}")
             if value is not None:
                 merged[key] = str(value)
     values = {}
@@ -229,12 +229,12 @@ def resolve_config(kind: str, file_values: dict[str, str] | None = None, overrid
         try:
             values[name] = field.parse(merged[name], kind)
         except ValueError as exc:
-            raise ConfigError(f"field {name!r}: {exc}") from None
+            raise ParameterError(f"field {name!r}: {exc}") from None
     amplitudes = len(values["lambdas"])
     if values["r"] is None:
         values["r"] = amplitudes
     if values["r"] != amplitudes:
-        raise ConfigError(f"field 'r': got r={values['r']} but {amplitudes} amplitudes")
+        raise ParameterError(f"field 'r': got r={values['r']} but {amplitudes} amplitudes")
     return ExperimentConfig(kind=kind, **values)
 
 
@@ -260,7 +260,7 @@ def gram_matrices(gram_spec: str, r: int, d: int) -> GramSet:
         return GramSet(tuple(g) if g.ndim == 3 else tuple(g.copy() for _ in range(d)))
     # TypeError: a JSON literal with an entry that is no number, such as null
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'gram': {exc}") from None
+        raise ParameterError(f"field 'gram': {exc}") from None
 
 
 def _two_eigenvalue_gram(text: str, r: int) -> np.ndarray:

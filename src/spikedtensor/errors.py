@@ -2,8 +2,5 @@
 
 
 class ParameterError(ValueError):
-    """An argument is outside its admissible range, shape or domain."""
-
-
-class ConfigError(ValueError):
-    """An experiment configuration file or flag set is invalid."""
+    """An argument, a configuration field or a flag is outside its
+    admissible range, shape or domain."""

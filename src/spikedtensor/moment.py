@@ -58,15 +58,15 @@ class RocCurve:
     tv_proxy: float
 
 
-def _mean_from_exponents(chunks, seed: SeedSpec, count: int, sizes=None) -> MCEstimate:
+def _mean_from_exponents(chunks, seed: SeedSpec, count: int) -> MCEstimate:
     """Combine per-chunk exponent arrays into mean / batch-means stderr in
     one log-domain pass.
 
     The exponentials are shifted by the largest exponent `top` (by 0 when
     it is not finite) and summed per chunk by one `np.bincount`; the mean
-    and each batch mean are exp(log(sum) + shift - log(draws)).  `sizes`
-    are the chunks' (positive) draw counts when the chunks hold only the
-    draws of one bucket; an empty chunk or bucket then sums to 0.  A chunk
+    and each batch mean are exp(log(sum) + shift - log(draws)).  A draw
+    outside a bucket has the exponent -inf, which adds an exact 0 to its
+    chunk's sum: a chunk or bucket with no other draw sums to 0.  A chunk
     more than about 708 below `top` in log flushes to 0, and its share of
     the stderr is below 1e-300.  The exponentials overflow to inf where the
     mean is not a finite float; the writers refuse that, so NumPy need not
@@ -74,13 +74,13 @@ def _mean_from_exponents(chunks, seed: SeedSpec, count: int, sizes=None) -> MCEs
     """
     lengths = [len(c) for c in chunks]
     exponents = np.concatenate(chunks)
-    top = float(np.max(exponents)) if exponents.size else -math.inf
+    top = float(np.max(exponents))
     shift = top if math.isfinite(top) else 0.0
     owner = np.repeat(np.arange(len(chunks)), lengths)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         sums = np.bincount(owner, weights=np.exp(exponents - shift), minlength=len(chunks))
         mean = float(np.exp(np.log(np.sum(sums)) + shift - np.log(count)))
-        batch_means = np.exp(np.log(sums) + shift - np.log(lengths if sizes is None else sizes))
+        batch_means = np.exp(np.log(sums) + shift - np.log(lengths))
         stderr = 0.0
         if len(batch_means) >= 2:
             stderr = float(np.std(batch_means, ddof=1) / np.sqrt(len(batch_means)))
@@ -178,11 +178,10 @@ def e1_e2_split(spec: SpikeSpec, epsilon: float, samples: int, rng: SeedSpec, th
     if epsilon <= 0:
         raise ParameterError(f"need epsilon > 0, got {epsilon}")
     eta_chunks = _haar_eta_chunks(spec, samples, rng, threads)
-    sizes = [len(c) for c in eta_chunks]
     exp_chunks = [2.0 * spec.n * c for c in eta_chunks]
     total = _mean_from_exponents(exp_chunks, rng, samples)
-    e1 = _mean_from_exponents([c[e > epsilon] for c, e in zip(exp_chunks, eta_chunks)], rng, samples, sizes)
-    e2 = _mean_from_exponents([c[e <= epsilon] for c, e in zip(exp_chunks, eta_chunks)], rng, samples, sizes)
+    e1 = _mean_from_exponents([np.where(e > epsilon, c, -np.inf) for c, e in zip(exp_chunks, eta_chunks)], rng, samples)
+    e2 = _mean_from_exponents([np.where(e <= epsilon, c, -np.inf) for c, e in zip(exp_chunks, eta_chunks)], rng, samples)
     try:
         e2 = replace(e2, mean=_complement(total.mean, e1.mean))
     except ArithmeticError:

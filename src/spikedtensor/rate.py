@@ -256,35 +256,33 @@ def _sample_psi_stack(r: int, n: int, d: int, count: int, gen: np.random.Generat
       which would leave the outer envelope bins empty.
 
     Each set's component is drawn first; then each component draws its
-    variates for its own sets only, in the order listed.
+    variates for its own sets only, in the order listed.  A component that
+    no set drew takes zero-size draws, which leave the generator as it is.
     """
     component = gen.integers(0, 3, size=count)
     out = np.empty((count, d, r, r), dtype=complex)
 
     ginibre = component == 0
     n_ginibre = int(np.sum(ginibre))
-    if n_ginibre:
-        rhos = gen.random((n_ginibre, d))
-        raw = complex_normal(gen, (n_ginibre, d, r, r), np.sqrt(0.5))
-        frobenius = np.sqrt(np.sum(raw.real**2 + raw.imag**2, axis=(-2, -1)))
-        out[ginibre] = raw * (np.sqrt(rhos) / frobenius)[..., None, None]
+    rhos = gen.random((n_ginibre, d))
+    raw = complex_normal(gen, (n_ginibre, d, r, r), np.sqrt(0.5))
+    frobenius = np.sqrt(np.sum(raw.real**2 + raw.imag**2, axis=(-2, -1)))
+    out[ginibre] = raw * (np.sqrt(rhos) / frobenius)[..., None, None]
 
     from_haar = component == 1
     n_haar = int(np.sum(from_haar))
-    if n_haar:
-        out[from_haar] = _haar_corner_sets(n, r, d, n_haar, gen)
+    out[from_haar] = _haar_corner_sets(n, r, d, n_haar, gen)
 
     ladder = component == 2
     n_ladder = int(np.sum(ladder))
-    if n_ladder:
-        scales = gen.random(n_ladder) ** (1.0 / d)
-        phases = np.exp(2j * np.pi * gen.random((n_ladder, d)))
-        ranks = gen.integers(1, r + 1, size=n_ladder)
-        sub = np.zeros((n_ladder, d, r, r), dtype=complex)
-        active = np.arange(r)[None, :] < ranks[:, None]
-        idx = np.arange(r)
-        sub[:, :, idx, idx] = scales[:, None, None] * phases[:, :, None] * active[:, None, :]
-        out[ladder] = sub
+    scales = gen.random(n_ladder) ** (1.0 / d)
+    phases = np.exp(2j * np.pi * gen.random((n_ladder, d)))
+    ranks = gen.integers(1, r + 1, size=n_ladder)
+    sub = np.zeros((n_ladder, d, r, r), dtype=complex)
+    active = np.arange(r)[None, :] < ranks[:, None]
+    idx = np.arange(r)
+    sub[:, :, idx, idx] = scales[:, None, None] * phases[:, :, None] * active[:, None, :]
+    out[ladder] = sub
     return out
 
 

@@ -46,15 +46,6 @@ class SeedSpec:
         return {"master_seed": self.master_seed, "stream_id": self.stream_id}
 
 
-def as_generator(rng) -> np.random.Generator:
-    """Accept either a SeedSpec or an already-constructed Generator."""
-    if isinstance(rng, SeedSpec):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise ParameterError(f"expected SeedSpec or numpy Generator, got {type(rng).__name__}")
-
-
 def complex_normal(gen: np.random.Generator, shape, component_std: float) -> np.ndarray:
     """Circular complex Gaussian array; real and imaginary parts are
     independent N(0, component_std**2) each."""
@@ -89,7 +80,7 @@ def complex_normal_rounds(gen: np.random.Generator, count: int, layout) -> list[
     return parts
 
 
-def sample_haar_unitaries(n: int, count: int, rng, columns: int | None = None) -> np.ndarray:
+def sample_haar_unitaries(n: int, count: int, gen: np.random.Generator, columns: int | None = None) -> np.ndarray:
     """Stack of `count` independent Haar unitaries, shape (count, n, n), or
     of their first `columns` columns only, shape (count, n, columns).
 
@@ -105,7 +96,7 @@ def sample_haar_unitaries(n: int, count: int, rng, columns: int | None = None) -
     columns = n if columns is None else columns
     if not (1 <= columns <= n):
         raise ParameterError(f"need 1 <= columns <= n, got columns={columns}, n={n}")
-    return _orthonormalize(complex_normal(as_generator(rng), (count, n, columns), np.sqrt(0.5)))
+    return _orthonormalize(complex_normal(gen, (count, n, columns), np.sqrt(0.5)))
 
 
 def _orthonormalize(z: np.ndarray) -> np.ndarray:

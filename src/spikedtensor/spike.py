@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .rng import as_generator
 
 _COLUMN_NORM_TOL = 1e-10
 _HERMITIAN_TOL = 1e-12
@@ -26,12 +25,12 @@ _PSD_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class SpikeSpec:
-    """Rank-r spike: amplitudes `lambdas` (length r, positive) and d factor
-    matrices of shape (n, r) with unit-norm columns.
+    """Rank-r spike: amplitudes `lambdas` (length r, non-negative) and d
+    factor matrices of shape (n, r) with unit-norm columns.
 
-    `allow_zero` admits zero amplitudes; the CLI sets it for any zero one.
-    `threshold` refuses any zero amplitude, `cloud` only an all-zero spike
-    (`eta_max must be positive`), and every other subcommand runs both.
+    A zero amplitude lowers the rank; the all-zero spike is the null.  Of
+    the subcommands, `threshold` refuses a zero amplitude, and `cloud` and
+    `split` without `--epsilon` an all-zero spike; the others run both.
     """
 
     d: int
@@ -39,7 +38,6 @@ class SpikeSpec:
     r: int
     lambdas: np.ndarray
     factors: tuple
-    allow_zero: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas", np.asarray(self.lambdas, dtype=float))
@@ -50,11 +48,8 @@ class SpikeSpec:
             raise ParameterError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
         if self.lambdas.shape != (self.r,):
             raise ParameterError(f"lambdas must have length r={self.r}, got shape {self.lambdas.shape}")
-        if self.allow_zero:
-            if np.any(self.lambdas < 0):
-                raise ParameterError("amplitudes must be non-negative")
-        elif np.any(self.lambdas <= 0):
-            raise ParameterError("amplitudes must be strictly positive; drop zero components instead")
+        if np.any(self.lambdas < 0):
+            raise ParameterError("amplitudes must be non-negative")
         # eta_max <= sum(lambdas)^2, so 2 n sum(lambdas)^2 bounds every
         # exponent a driver forms: 2 n eta in `moment`, 2 eta_max in `cloud`
         with np.errstate(over="ignore"):
@@ -159,10 +154,10 @@ def factors_from_grams(grams: GramSet, n: int) -> tuple:
     return tuple(chi)
 
 
-def spec_from_grams(lambdas, grams: GramSet, n: int, allow_zero: bool = False) -> SpikeSpec:
+def spec_from_grams(lambdas, grams: GramSet, n: int) -> SpikeSpec:
     """Convenience: synthesize a SpikeSpec at dimension n from Gram targets."""
     factors = factors_from_grams(grams, n)
-    return SpikeSpec(d=grams.d, n=n, r=grams.r, lambdas=lambdas, factors=factors, allow_zero=allow_zero)
+    return SpikeSpec(d=grams.d, n=n, r=grams.r, lambdas=lambdas, factors=factors)
 
 
 def spike_svd(spec: SpikeSpec) -> SpikeSvd:
@@ -211,12 +206,11 @@ def _spike_tensors(lambdas, factors) -> np.ndarray:
     return out
 
 
-def random_gram(r: int, rng) -> np.ndarray:
+def random_gram(r: int, gen: np.random.Generator) -> np.ndarray:
     """Random Hermitian PSD r x r matrix with unit diagonal (a normalized
     complex Wishart draw); handy for randomized checks and experiments."""
     if r < 1:
         raise ParameterError(f"need r >= 1, got {r}")
-    gen = as_generator(rng)
     a = gen.standard_normal((r, 2 * r)) + 1j * gen.standard_normal((r, 2 * r))
     g = a @ a.conj().T
     scale = 1.0 / np.sqrt(np.real(np.diagonal(g)))

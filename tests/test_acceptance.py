@@ -216,7 +216,7 @@ def test_criterion_12_trend_checks():
         assert abs(est.mean - rank_one_second_moment(n, 3, lam)) <= 3 * est.stderr
 
     factors = tuple(np.eye(3, 1, dtype=complex) for _ in range(3))
-    zero = st.SpikeSpec(d=3, n=3, r=1, lambdas=[0.0], factors=factors, allow_zero=True)
+    zero = st.SpikeSpec(d=3, n=3, r=1, lambdas=[0.0], factors=factors)
     roc = st.roc_experiment(zero, 2000, 1, st.SeedSpec(120, 0))
     assert roc.tv_proxy <= 3 * math.sqrt(1.0 / 2000)
     _passed(12, f"means {[f'{m:.3f}' for m in means]} non-increasing, n=16 in [1, 1.5], "

@@ -15,7 +15,7 @@ import spikedtensor as st
 import spikedtensor.cli as cli
 from spikedtensor.cli import _fmt, main
 from spikedtensor.config import KINDS, resolve_config
-from spikedtensor.errors import ConfigError
+from spikedtensor.errors import ParameterError
 
 
 def run(args):
@@ -424,6 +424,34 @@ def test_threshold_rejects_zero_amplitude(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# A zero amplitude lowers the rank and the all-zero spike is the null.  Only
+# `threshold` (`hoelder_condition`), an all-zero `cloud` and an all-zero
+# `split` without `--epsilon` refuse one.
+_ZERO_AMPLITUDE_RUNS = [
+    ("roc --lambdas 0 --n 3 --trials 20 --inner 10", ""),
+    ("roc --lambdas 0.4,0 --n 3 --trials 20 --inner 10", ""),
+    ("moment --lambdas 0.4,0 --n 4,8 --samples 200", ""),
+    ("moment --method direct --lambdas 0.4,0 --n 3 --outer 20 --inner 10", ""),
+    ("split --lambdas 0,0 --epsilon 0.1 --n 4 --samples 200", ""),
+    ("split --lambdas 0.5,0 --n 4 --samples 200", ""),
+    ("xi-tail --lambdas 0 --n 4 --samples 200", ""),
+    ("cloud --lambdas 1.0,0 --n 4 --samples 100", ""),
+    ("threshold --lambdas 0", "config error: amplitudes must be strictly positive\n"),
+    ("threshold --lambdas 1,0", "config error: amplitudes must be strictly positive\n"),
+    ("cloud --lambdas 0,0 --n 4 --samples 100", "config error: eta_max must be positive to normalize the cloud\n"),
+    ("split --lambdas 0,0 --n 4 --samples 200",
+     "config error: the default epsilon rule gives 0 for a zero spike: set --epsilon > 0\n"),
+]
+
+
+@pytest.mark.parametrize("args, err", _ZERO_AMPLITUDE_RUNS, ids=[args for args, _ in _ZERO_AMPLITUDE_RUNS])
+def test_zero_amplitudes_in_every_kind(tmp_path, monkeypatch, capsys, args, err):
+    monkeypatch.chdir(tmp_path)
+    assert main(args.split()) == (1 if err else 0)
+    assert capsys.readouterr().err == err
+    assert bool(list(tmp_path.iterdir())) == (not err)
+
+
 def test_cloud_runs_a_partly_zero_spike_and_refuses_an_all_zero_one(tmp_path, capsys):
     args = ["cloud", "--d", 3, "--n", 4, "--samples", 100]
     assert run(args + ["--lambdas", "1.0,0", "--out", tmp_path / "c"]) == 0
@@ -566,7 +594,7 @@ def test_every_kind_parses_its_flags_to_the_same_overrides(tmp_path, monkeypatch
 
     def recording(kind, file_values, overrides):
         calls.append((kind, file_values, overrides))
-        raise ConfigError("recorded")
+        raise ParameterError("recorded")
 
     monkeypatch.setattr(cli, "resolve_config", recording)
     flags, overrides = _SURFACE[kind]
@@ -585,7 +613,7 @@ def test_config_file_resolves_like_the_flags(tmp_path, monkeypatch, kind):
 
     def resolving(kind, file_values, overrides):
         resolved.append(resolve_config(kind, file_values, overrides))
-        raise ConfigError("resolved")
+        raise ParameterError("resolved")
 
     monkeypatch.setattr(cli, "resolve_config", resolving)
     flags, overrides = _SURFACE[kind]

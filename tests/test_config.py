@@ -3,7 +3,7 @@ import pytest
 
 import spikedtensor as st
 from spikedtensor.config import gram_matrices, parse_config_text, resolve_config
-from spikedtensor.errors import ConfigError
+from spikedtensor.errors import ParameterError
 
 
 def test_parse_key_value_lines():
@@ -13,9 +13,9 @@ def test_parse_key_value_lines():
 
 
 def test_parse_reports_line_numbers():
-    with pytest.raises(ConfigError, match="line 2"):
+    with pytest.raises(ParameterError, match="line 2"):
         parse_config_text("d=3\nnot a pair\n")
-    with pytest.raises(ConfigError, match="line 1"):
+    with pytest.raises(ParameterError, match="line 1"):
         parse_config_text("mystery=1\n")
 
 
@@ -36,15 +36,15 @@ def test_flags_override_file_values():
 
 
 def test_resolve_validates_fields():
-    with pytest.raises(ConfigError, match="'d'"):
+    with pytest.raises(ParameterError, match="'d'"):
         resolve_config("threshold", {"d": "1"})
-    with pytest.raises(ConfigError, match="'lambdas'"):
+    with pytest.raises(ParameterError, match="'lambdas'"):
         resolve_config("threshold", {"lambdas": "0.5,-0.1"})
-    with pytest.raises(ConfigError, match="'r'"):
+    with pytest.raises(ParameterError, match="'r'"):
         resolve_config("threshold", {"lambdas": "0.5,0.2", "r": "3"})
-    with pytest.raises(ConfigError, match="'format'"):
+    with pytest.raises(ParameterError, match="'format'"):
         resolve_config("threshold", {"format": "xml"})
-    with pytest.raises(ConfigError, match="kind"):
+    with pytest.raises(ParameterError, match="kind"):
         resolve_config("nonsense")
 
 
@@ -69,23 +69,23 @@ def test_gram_literal_json():
 
 
 def test_gram_errors():
-    with pytest.raises(ConfigError, match="gram"):
+    with pytest.raises(ParameterError, match="gram"):
         gram_matrices("mystery", 2, 3)
-    with pytest.raises(ConfigError, match="sum to 2"):
+    with pytest.raises(ParameterError, match="sum to 2"):
         gram_matrices("two-eigenvalue:1.5,0.2", 2, 3)
-    with pytest.raises(ConfigError, match="r=2"):
+    with pytest.raises(ParameterError, match="r=2"):
         gram_matrices("two-eigenvalue:1.8,0.2", 3, 3)
-    with pytest.raises(ConfigError, match="JSON"):
+    with pytest.raises(ParameterError, match="JSON"):
         gram_matrices("[[1.0, 0.5]", 2, 3)
-    with pytest.raises(ConfigError, match="2x2"):
+    with pytest.raises(ParameterError, match="2x2"):
         gram_matrices("[[1.0]]", 2, 3)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ParameterError):
         gram_matrices("[[1.0, 1.5], [1.5, 1.0]]", 2, 3)  # not PSD
 
 
 @pytest.mark.parametrize("literal", ['[[{"a": 1}]]', "[[null]]"])
 def test_gram_literal_of_non_numbers_is_a_config_error(literal):
-    with pytest.raises(ConfigError, match="field 'gram'"):
+    with pytest.raises(ParameterError, match="field 'gram'"):
         gram_matrices(literal, 1, 3)
 
 

@@ -329,6 +329,27 @@ def test_cloud_on_the_pool_matches_one_thread(tmp_path, monkeypatch):
     assert files[1] == files[2]
 
 
+# Clouds whose blocks lack mixture components: at 16 draws every chunk is
+# one draw, so each block draws one component and none of the other two;
+# at 17 and 40 a chunk holds one to three draws.  Hashed with 30 one-set
+# `_sample_psi_stack` calls on one generator, for an identity r=2 and an
+# all-ones r=3 spike at d=3, n=16; taken at 0.12.0, when an empty
+# component's draws were still skipped by a guard
+SPARSE_CLOUD_GOLDEN = "14193a099ae1435e9bde31f43b72a972f968c07c146e14f7a81eed64736221a2"
+
+
+def test_cloud_blocks_without_some_components_are_pinned():
+    h = hashlib.sha256()
+    for lambdas, gram in (([1.0, 0.5], np.eye(2)), ([0.5, 0.3, 0.2], np.ones((3, 3)))):
+        spec = st.spec_from_grams(lambdas, st.GramSet((gram,) * 3), n=16)
+        for samples in (16, 17, 40):
+            h.update(st.sample_grf_cloud(spec, samples, st.SeedSpec(7, samples), bins=10).points.tobytes())
+        gen = st.SeedSpec(8, spec.r).generator()
+        for _ in range(30):
+            h.update(rate._sample_psi_stack(spec.r, spec.n, spec.d, 1, gen).tobytes())
+    assert h.hexdigest() == SPARSE_CLOUD_GOLDEN
+
+
 def _library_digest(name: str) -> str:
     lambdas, d, n, gram = LIBRARY_SPECS[name]
     spec = st.spec_from_grams(lambdas, st.GramSet((gram,) * d), n=n)

@@ -27,7 +27,7 @@ from spikedtensor.spike import _spike_tensors
 
 def zero_spec(n=4, d=3, r=1):
     factors = tuple(np.eye(n, r, dtype=complex) for _ in range(d))
-    return st.SpikeSpec(d=d, n=n, r=r, lambdas=np.zeros(r), factors=factors, allow_zero=True)
+    return st.SpikeSpec(d=d, n=n, r=r, lambdas=np.zeros(r), factors=factors)
 
 
 def small_spec(lambdas, n=4, d=3):
@@ -571,18 +571,17 @@ def test_log_lr_stack_matches_dense_spikes(d, r, gram):
     np.testing.assert_allclose(fixed, [_dense_log_lr(spec, y, [spec.factors]) for y in ys], rtol=1e-12, atol=1e-12)
 
 
-def _scipy_reduction(chunks, count, sizes=None):
+def _scipy_reduction(chunks, count):
     """(mean, stderr, log_domain_max) with scipy's `logsumexp` per chunk as
     the oracle."""
-    sizes = [len(c) for c in chunks] if sizes is None else sizes
     exponents = np.concatenate(chunks)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.exp(logsumexp(exponents) - np.log(count))) if exponents.size else 0.0
-        batch_means = np.array([np.exp(logsumexp(c) - np.log(s)) if c.size else 0.0 for c, s in zip(chunks, sizes)])
+        mean = float(np.exp(logsumexp(exponents) - np.log(count)))
+        batch_means = np.array([np.exp(logsumexp(c) - np.log(len(c))) for c in chunks])
         stderr = 0.0
         if len(batch_means) >= 2:
             stderr = float(np.std(batch_means, ddof=1) / np.sqrt(len(batch_means)))
-    return mean, stderr, float(np.max(exponents)) if exponents.size else -math.inf
+    return mean, stderr, float(np.max(exponents))
 
 
 def _exponent_chunks(total, seed, scale=1.0):
@@ -591,41 +590,41 @@ def _exponent_chunks(total, seed, scale=1.0):
 
 
 def _reduction_cases():
-    cases = {"equal_16": (_exponent_chunks(2000, 1, 3.0), 2000, None)}
+    cases = {"equal_16": (_exponent_chunks(2000, 1, 3.0), 2000)}
     ragged = _exponent_chunks(2001, 2, 3.0)
     assert sorted({len(c) for c in ragged}) == [125, 126]
-    cases["ragged_126_125"] = (ragged, 2001, None)
-    # split-style buckets: the draws of each chunk above or below a level,
-    # with the chunks' draw counts; a high level leaves chunks empty
+    cases["ragged_126_125"] = (ragged, 2001)
+    # split-style buckets: each chunk's draws above or below a level, the
+    # others masked to -inf; a high level leaves chunks with no draw
     etas = _exponent_chunks(2001, 3)
-    sizes = [len(e) for e in etas]
     for name, keep in (("bucket_high", lambda e: e > 2.8), ("bucket_low", lambda e: e <= 2.8),
                        ("bucket_empty", lambda e: e > np.inf)):
-        cases[name] = ([16.0 * e[keep(e)] for e in etas], 2001, sizes)
-    assert any(c.size == 0 for c in cases["bucket_high"][0]) and not all(c.size == 0 for c in cases["bucket_high"][0])
-    assert all(c.size == 0 for c in cases["bucket_empty"][0])
+        cases[name] = ([np.where(keep(e), 16.0 * e, -np.inf) for e in etas], 2001)
+    emptied = [np.all(c == -np.inf) for c in cases["bucket_high"][0]]
+    assert any(emptied) and not all(emptied)
+    assert all(np.all(c == -np.inf) for c in cases["bucket_empty"][0])
     with_inf = _exponent_chunks(2000, 4)
     with_inf[5][17] = np.inf
-    cases["plus_inf"] = (with_inf, 2000, None)
+    cases["plus_inf"] = (with_inf, 2000)
     ties = _exponent_chunks(2001, 5)
     top = max(float(c.max()) for c in ties) + 1.0
     ties[0][[3, 40]] = top
     ties[9][7] = top
-    cases["ties_at_max"] = (ties, 2001, None)
+    cases["ties_at_max"] = (ties, 2001)
     overflow = _exponent_chunks(2000, 6)
     overflow[2] += 710.0  # exp overflows in one batch mean and in the mean
-    cases["overflow"] = (overflow, 2000, None)
-    cases["single_chunk"] = ([np.random.default_rng(7).standard_normal(40)], 40, None)
+    cases["overflow"] = (overflow, 2000)
+    cases["single_chunk"] = ([np.random.default_rng(7).standard_normal(40)], 40)
     return cases
 
 
 @pytest.mark.parametrize("name", sorted(_reduction_cases()))
 def test_mean_from_exponents_matches_scipy_per_chunk(name):
-    chunks, count, sizes = _reduction_cases()[name]
+    chunks, count = _reduction_cases()[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _mean_from_exponents(chunks, st.SeedSpec(3, 0), count, sizes)
-    mean, stderr, top = _scipy_reduction(chunks, count, sizes)
+        got = _mean_from_exponents(chunks, st.SeedSpec(3, 0), count)
+    mean, stderr, top = _scipy_reduction(chunks, count)
     assert got.count == count
     assert got.log_domain_max == top
     # infinities and NaN where the oracle has them, rounding-level gaps elsewhere

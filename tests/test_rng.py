@@ -87,7 +87,7 @@ def test_haar_frames_have_orthonormal_columns():
 def test_haar_frame_entry_is_beta(r):
     # |W_11|^2 of a Haar frame, as of a Haar unitary, is Beta(1, n - 1)
     n, reps = 5, 20000
-    w = st.sample_haar_unitaries(n, reps, st.SeedSpec(13, r), columns=r)
+    w = st.sample_haar_unitaries(n, reps, st.SeedSpec(13, r).generator(), columns=r)
     sq = np.abs(w[:, 0, 0]) ** 2
     assert stats.kstest(sq, stats.beta(1, n - 1).cdf).pvalue > 0.01
 
@@ -105,7 +105,7 @@ def _phase_corrected_qr(z):
 def test_haar_frames_match_phase_corrected_qr(n, c):
     # the frames orthonormalize the same Ginibre stack that complex_normal
     # draws first from the generator; at c = n they are full unitaries
-    frames = st.sample_haar_unitaries(n, 200, st.SeedSpec(17, n), columns=c)
+    frames = st.sample_haar_unitaries(n, 200, st.SeedSpec(17, n).generator(), columns=c)
     z = complex_normal(st.SeedSpec(17, n).generator(), (200, n, c), np.sqrt(0.5))
     assert np.max(np.abs(frames - _phase_corrected_qr(z))) <= 1e-12
 
@@ -116,7 +116,7 @@ def test_haar_frames_orthonormal_at_worst_conditioning(c):
     # singular values.  Two Gram-Schmidt passes keep the defect at a few
     # ulps; a single pass leaves about 3e-14 at c = 16, n = c + 1.
     for n in (c, c + 1):
-        frames = st.sample_haar_unitaries(n, 10_000, st.SeedSpec(18, c), columns=c)
+        frames = st.sample_haar_unitaries(n, 10_000, st.SeedSpec(18, c).generator(), columns=c)
         assert unitarity_defect(frames) <= 1e-14
 
 
@@ -143,7 +143,7 @@ def test_full_haar_draw_order_is_pinned():
     # The draw order of full unitaries is part of the released behaviour:
     # changing it is a versioned break.  Rounding keeps last-bit differences
     # between LAPACK builds from tripping the hash.
-    u = st.sample_haar_unitaries(5, 3, st.SeedSpec(1, 0))
+    u = st.sample_haar_unitaries(5, 3, st.SeedSpec(1, 0).generator())
     digest = hashlib.sha256(np.round(u, 12).tobytes()).hexdigest()
     assert digest == "d7ee5bf8effc55c0fb4ec5c121a5c8cf3b6c8673fc95900cdd469c12c9bdeb12"
 
@@ -171,7 +171,7 @@ def test_eta_from_frames_matches_full_unitaries(n, gram):
 
 def test_haar_first_entry_moment():
     n, reps = 4, 20000
-    us = st.sample_haar_unitaries(n, reps, st.SeedSpec(4, 0))
+    us = st.sample_haar_unitaries(n, reps, st.SeedSpec(4, 0).generator())
     sq = np.abs(us[:, 0, 0]) ** 2
     assert abs(np.mean(sq) - 1.0 / n) < 3 * np.std(sq) / np.sqrt(reps)
 

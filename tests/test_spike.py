@@ -16,8 +16,6 @@ def orthonormal_factors(n, r, d):
 
 def test_spec_validation_rejects_bad_inputs():
     with pytest.raises(ParameterError):
-        st.SpikeSpec(d=3, n=4, r=1, lambdas=[0.0], factors=orthonormal_factors(4, 1, 3))
-    with pytest.raises(ParameterError):
         st.SpikeSpec(d=3, n=4, r=1, lambdas=[-0.5], factors=orthonormal_factors(4, 1, 3))
     with pytest.raises(ParameterError):
         st.SpikeSpec(d=3, n=2, r=3, lambdas=[1, 1, 1], factors=orthonormal_factors(2, 3, 3))
@@ -35,7 +33,7 @@ def test_spec_validation_rejects_bad_inputs():
 
 
 def test_spec_allow_zero_mode():
-    spec = st.SpikeSpec(d=3, n=4, r=1, lambdas=[0.0], factors=orthonormal_factors(4, 1, 3), allow_zero=True)
+    spec = st.SpikeSpec(d=3, n=4, r=1, lambdas=[0.0], factors=orthonormal_factors(4, 1, 3))
     assert spec.lambdas[0] == 0.0
 
 
