@@ -57,9 +57,11 @@ _EXIT_INVARIANT = 2
 # samples, 44 MB) and 1.60 s at n=6, the largest n the sample cap reaches
 # (medians of five).
 # `draw_cells` bounds the largest array of one `roc` or `direct` draw
-# (`moment._draw_cells`).  At the cap, one-thread peak RSS was 0.29 GB for
-# `roc` at d=3, n=4 (0.9 s a trial).  `d` bounds the Grams and
-# factors every run builds first; at d=1024, `threshold` took 0.14 s (31 MB).
+# (`moment._draw_cells`), `roc`'s one prior set included.  At the cap,
+# one-thread peak RSS (ru_maxrss) was 269 MiB for `roc` at d=3, n=4, inner
+# 2^18 (about 0.2 s for the prior set and 0.1 s a trial) and 220 MiB at
+# d=2, n=6, r=2, inner 174762.  `d` bounds the Grams and factors every run
+# builds first; at d=1024, `threshold` took 0.14 s (31 MB).
 # `r` bounds the spike every run builds at n = r before its own checks, whose
 # cost grows as about r^3 (`threshold` took 3.5 ms at r=32, 0.17 s at 64 and
 # 1.1 s at 512, 77 MB), and the d (r^2, r^2) complex mode maps of `moment`,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .rate import _corner_cells, _eta_hadamard_stack, _haar_corner_sets
-from .rng import SeedSpec, _orthonormalize, complex_normal_rounds, map_streams
+from .rng import _PRIOR_LANE, SeedSpec, _orthonormalize, complex_normal_rounds, map_streams
 from .spike import SpikeSpec, _spike_tensors, eta_max, gram_set, spike_svd
 
 @dataclass(frozen=True)
@@ -223,8 +223,10 @@ def _noise_part(spec: SpikeSpec) -> tuple:
 def _draw_cells(spec: SpikeSpec, inner: int) -> int:
     """Cells of the largest array of one observation draw against `inner`
     factor sets: its first likelihood contraction (n^(d-1), inner * r), its
-    n^d noise tensor, or its d (inner, n, r) rotation draws, which outgrow
-    the contraction when n^(d-2) < d.  The `cells` of `map_streams` for the
+    n^d noise tensor, or the d (inner, n, r) rotations, which outgrow the
+    contraction when n^(d-2) < d.  `direct` draws those rotations for every
+    observation; `roc` holds them once, as its prior set, which the CLI's
+    cap on one draw bounds too.  The `cells` of `map_streams` for the
     observation drivers."""
     return max(inner * spec.r * spec.n ** (spec.d - 1), spec.n**spec.d, spec.d * spec.n * spec.r * inner)
 
@@ -310,26 +312,41 @@ def xi_empirical_tail(n: int, ts, samples: int, rng: SeedSpec, threads: int = 1)
     ]
 
 
+def _prior_set(spec: SpikeSpec, r_factors: np.ndarray, inner: int, rng: SeedSpec) -> list:
+    """The one set S of `inner` prior rotations of every factor that `roc`
+    scores each observation against: one (1, inner, n, r) array per mode,
+    the `_rotate` of one round of `_rotation_parts` drawn from the lane
+    `_PRIOR_LANE` of `rng`.  It depends on the seed and the spike only,
+    never on the trial count, the threads or the block size."""
+    return _rotate(r_factors, complex_normal_rounds(rng.generator(_PRIOR_LANE), 1, _rotation_parts(spec, inner)))
+
+
 def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, threads: int = 1) -> RocCurve:
     """Empirical ROC of the likelihood-ratio statistic over `trials` draws
-    per hypothesis; the statistic is the Neyman-Pearson optimal one, which
-    makes the random-guessing regime maximally visible."""
+    per hypothesis.
+
+    Every null and alternative observation is scored against one seeded set
+    S of `inner` prior rotations (`_prior_set`), so the statistic
+    T_S(Y) = log (1/inner) sum_{X in S} exp(2 n Re<Y, X> - n |X|_F^2) is one
+    fixed function of Y and the trials are i.i.d. given S: the curve is the
+    ROC of that one test, and |tpr - fpr| <= TV(P0, P1) holds for it with
+    no randomization argument.  For a finite S the statistic is a
+    Monte-Carlo approximation of the Neyman-Pearson optimal one, the
+    likelihood ratio averaged over the whole Haar prior.
+    """
     if trials < 2 or inner < 1:
         raise ParameterError(f"need trials >= 2 and inner >= 1, got trials={trials}, inner={inner}")
-    # per draw: the null observation and its likelihood's rotations, then
-    # the alternative's spike rotations, noise and likelihood rotations
-    noise, likelihood = _noise_part(spec), _rotation_parts(spec, inner)
-    layout = [noise, *likelihood, *_rotation_parts(spec, 1), noise, *likelihood]
-    d = spec.d
+    # per draw: the null noise, the alternative's spike rotations and noise
+    noise = _noise_part(spec)
+    layout = [noise, *_rotation_parts(spec, 1), noise]
     r_factors = _thin_r(spec)
     energy = eta_max(spec.lambdas, gram_set(spec))
+    prior = _prior_set(spec, r_factors, inner, rng)
 
     def worker(m, gen):
-        parts = complex_normal_rounds(gen, m, layout)
-        s0 = _log_lr_stack(spec, parts[0], _rotate(r_factors, parts[1 : d + 1]), energy)
-        spikes = _spike_tensors(spec.lambdas, [f[:, 0] for f in _rotate(r_factors, parts[d + 1 : 2 * d + 1])])
-        s1 = _log_lr_stack(spec, spikes + parts[2 * d + 1], _rotate(r_factors, parts[2 * d + 2 :]), energy)
-        return np.column_stack([s0, s1])
+        y0, *rotations, noise1 = complex_normal_rounds(gen, m, layout)
+        y1 = _spike_tensors(spec.lambdas, [f[:, 0] for f in _rotate(r_factors, rotations)]) + noise1
+        return _log_lr_stack(spec, np.concatenate([y0, y1]), prior, energy).reshape(2, m).T
 
     scores = np.concatenate(map_streams(worker, trials, rng, threads, cells=_draw_cells(spec, inner)))
     s0 = np.sort(scores[:, 0])

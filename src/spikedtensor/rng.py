@@ -48,11 +48,15 @@ class SeedSpec:
 
 def complex_normal(gen: np.random.Generator, shape, component_std: float) -> np.ndarray:
     """Circular complex Gaussian array; real and imaginary parts are
-    independent N(0, component_std**2) each."""
+    independent N(0, component_std**2) each.
+
+    Each part is scaled as it is written, one real product a normal: for a
+    finite normal x and a positive std, x * std is the real part of the
+    complex product (x + iy) * (std + 0j), so this gives the bytes of
+    scaling the whole complex array afterwards, without that second pass."""
     out = np.empty(shape, dtype=complex)
-    out.real = gen.standard_normal(shape)
-    out.imag = gen.standard_normal(shape)
-    out *= component_std
+    np.multiply(gen.standard_normal(shape), component_std, out=out.real)
+    np.multiply(gen.standard_normal(shape), component_std, out=out.imag)
     return out
 
 
@@ -61,20 +65,22 @@ def complex_normal_rounds(gen: np.random.Generator, count: int, layout) -> list[
     ``(shape, std)`` of `layout` in turn, taken from one `standard_normal`
     call; one (count, *shape) array per part.
 
-    A Generator gives the same normals from one call as from many, so the
-    result equals the part-by-part, round-by-round calls byte for byte.  It
-    holds all 2 * count * cells normals at once, which is why
-    `complex_normal` does not go through it.
+    A Generator gives the same normals from one call as from many, and each
+    normal is scaled by one real product, as in `complex_normal` (one pass
+    over all the normals, then plain copies into the parts), so the result
+    equals the part-by-part, round-by-round calls byte for byte.  It holds
+    all 2 * count * cells normals at once, which is why `complex_normal`
+    does not go through it.
     """
     sizes = [math.prod(shape) for shape, _ in layout]
     normals = gen.standard_normal((count, 2 * sum(sizes)))
+    normals *= np.repeat([std for _, std in layout], [2 * size for size in sizes])  # one contiguous pass
     parts = []
     start = 0
-    for (shape, std), size in zip(layout, sizes):
+    for (shape, _), size in zip(layout, sizes):
         out = np.empty((count, *shape), dtype=complex)
         out.real = normals[:, start : start + size].reshape(out.shape)
         out.imag = normals[:, start + size : start + 2 * size].reshape(out.shape)
-        out *= std
         parts.append(out)
         start += 2 * size
     return parts
@@ -139,6 +145,10 @@ def _orthonormalize(z: np.ndarray) -> np.ndarray:
 # 36k-60k cells, a gain this threshold leaves unused.
 _N_STREAMS = 16
 _BLOCK_CELLS = 2**17
+# The child stream of a draw taken once per run and shared by every chunk
+# (the prior set of `roc`): past the chunk lanes 0 .. _N_STREAMS - 1, so it
+# shares no stream with them and does not move with the chunk layout.
+_PRIOR_LANE = _N_STREAMS
 
 
 def chunk_sizes(total: int, chunks: int) -> list[int]:

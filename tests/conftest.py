@@ -38,12 +38,16 @@ def unitarity_defect(m):
     return float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(n))))
 
 
-def refuse_linalg_in_draws(monkeypatch, module) -> list:
+def refuse_linalg_in_draws(monkeypatch, module, *run_draws) -> list:
     """Make every np.linalg function raise while a draw that `module` takes
     through `map_streams` runs: no eigen-, QR or other solver, stacked or
-    per block, inside a Monte-Carlo draw.  The per-run set-up outside the
-    draws (the spike's Gram eigendecompositions, `moment._thin_r`) stays
-    allowed.  Returns the list that collects the size of every draw taken."""
+    per block, inside a Monte-Carlo draw.  `run_draws` names functions of
+    `module` that draw once a run, outside `map_streams` (`moment._prior_set`,
+    the prior set that `roc` shares between its trials): every call of one
+    is guarded as a draw too.  The per-run set-up outside the draws (the
+    spike's Gram eigendecompositions, `moment._thin_r`) stays allowed.
+    Returns the list that collects the size of every draw taken through
+    `map_streams` and the name of every run draw."""
     inside, drawn = [], []
 
     def guard(name):
@@ -73,6 +77,21 @@ def refuse_linalg_in_draws(monkeypatch, module) -> list:
         return map_streams(traced, *args, **kwargs)
 
     monkeypatch.setattr(module, "map_streams", guarded_streams)
+
+    def guarded_run_draw(name):
+        function = getattr(module, name)
+
+        def traced(*args, **kwargs):
+            inside.append(name)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                drawn.append(inside.pop())
+
+        return traced
+
+    for name in run_draws:
+        monkeypatch.setattr(module, name, guarded_run_draw(name))
     return drawn
 
 

@@ -83,6 +83,22 @@ fpr, tpr, `tv_proxy`, counts, `log_domain_max` and the split means did not
 move.  `roc_n4_d3`, `direct_n4_d3`, `direct_full_qr`, `threshold`,
 `xi-tail` and the three cloud files keep their digests at `--threads` 1
 and 2.
+
+The 0.14.0 break, one prior set per `roc` run (`moment._prior_set`: the
+`inner` prior rotations drawn once, from the lane `rng._PRIOR_LANE` past the
+chunk lanes, and every null and alternative observation scored against
+them; a draw now takes the null noise, one spike rotation and the
+alternative noise), re-took the five `roc` cases and the three library
+values, whose `roc` half moved.  The statistic is now one fixed function
+of Y; against 0.13.0 it agrees in law, not in bytes: at d=3, n=4,
+lambda=1.0, 2000 trials, inner=200 and seeds 1-6, `tv_proxy` read
+0.096-0.132 and the AUC 0.559-0.585, against 0.110-0.132 and 0.566-0.585.
+The new `roc` digests were taken after the per-draw reference, the
+unit null mean of one fixed set and the second-moment bound on `tv_proxy`
+in `test_moment.py` passed; they hold at `--threads` 1 and 2 and for one
+draw a block.  Folding the normals' scale into one real product (the
+`rng` samplers) moved no byte: every other digest holds at `--threads` 1
+and 2.
 """
 
 import hashlib
@@ -110,7 +126,8 @@ CLI_CASES = {
                     "--outer 40 --inner 30 --seed 77",
     # n = r: every draw orthonormalizes square (full-unitary) stacks, by the
     # frames' Gram-Schmidt; re-taken at 0.10.0, when it replaced LAPACK's QR
-    # (roc_full_qr again at 0.11.0, with the other moved cases)
+    # (roc_full_qr again at 0.11.0, with the other moved cases; every roc
+    # case again at 0.14.0 for the one prior set a run)
     "roc_full_qr": "roc --d 3 --lambdas 0.6,0.4 --n 2 --trials 30 --inner 20 --seed 5",
     "direct_full_qr": "moment --method direct --d 3 --lambdas 0.6,0.4 --gram all-ones --n 2 --outer 30 --inner 20 --seed 5",
     # one draw fills a chunk above the thread threshold: runs on the pool at --threads 2
@@ -137,22 +154,22 @@ ESTIMATE_CASES = {
 }
 
 GOLDEN = {
-    "roc_readme.csv": "ac3f4ee88afd927eb5dd243c1bfd6a5ab7e3822b4bcaebe9e6bab1944d126b03",
-    "roc_readme.json": "5ba92cc01d28af0c5f2b0c39b9877907dcffd251f33e6747830488b405765654",
-    "roc_bench.csv": "fe8e56c2ba62e6ba43eebf716557a9ba42c98b5726a36e24b288b6285db8fa29",
-    "roc_bench.json": "cee9537e2fe2ce641726b604e5dcb7297b2adc1c987dac89fefab3aff39df71a",
+    "roc_readme.csv": "7cdcc3336a56f7f637edb565105ba65dcfc8fc030bdd22f4b7d54cb7609dd353",
+    "roc_readme.json": "2515765e222e572a6afadef3727ab325d1a8d65c4cf063a560a53e3f67948281",
+    "roc_bench.csv": "1bce1ee41b32a55589d2c2371b3d6054c467e4dcf93c60b1e4c92aeefd5764cd",
+    "roc_bench.json": "8388cbb13d1bcf75d8fc8f0ac5a4e0b7570ba5e80bdfb5dac66482eeb88e8c26",
     "direct_bench.csv": "f64773191dc4bb972ef9bf9c4bb4788ae0991efd22a573d1b154422f415c13ee",
     "direct_bench.json": "d02c9b54519d8630f167152f2d2a85b8e5343c6cd42e545f082f364b0f3b858e",
-    "roc_r2_d2.csv": "db9651d1a58e3b7d3acce22c81ec2e84aecb80bd419a08ba28b581c5ce0d0fd2",
-    "roc_r2_d2.json": "37edfd1f805f7cd9cfcfc47d7274bd91fe3d381b19d2cb1dd8d18be6340eb499",
+    "roc_r2_d2.csv": "f38f1085c7054026714b31095bb407d127c187ca24ffa62918a2b7d8c0a0217d",
+    "roc_r2_d2.json": "cda338f56f4aaf89647a79b195ce345433b78c46a9bb26cde77b7d452bce02b3",
     "direct_r2_d2.csv": "8f9b99178c15fd9a223d6ba83263cc11922419e2f0411d16c22e567ebb9e7ad8",
     "direct_r2_d2.json": "954fb0f78e9d69bbe5c3f8c33303c4973ee26b5157db5f6b6b8b846064c28959",
-    "roc_full_qr.csv": "855d5e5bd868d5d5e8680a9fcee7e18f4633d781409ab23a349cc09b0a4ad44e",
-    "roc_full_qr.json": "5c6d11957e6110c5cee0e6df42ea514f4fe9bd943a126b1c07cc5343dc0f6bee",
+    "roc_full_qr.csv": "dba6c5f08bc28a841080887f086c4c2f7d2f2287cdd5d4808126ad3450b7c974",
+    "roc_full_qr.json": "171457460076dac4280138e4d666fd2e943e96a0e0586d486eb6da329ed88515",
     "direct_full_qr.csv": "f5b84ca58a53dbcf0ddc696a481a081dae0a96994cd9c85c96651fc8ca545d1e",
     "direct_full_qr.json": "e37686443f67827e81655c4e7673b30d2461345a5e598418c0a13dd5c76bef70",
-    "roc_n4_d3.csv": "789e2709b0d5a2ef957aa965e6278f1f2821187f31f3d5a29161e75f23610fb1",
-    "roc_n4_d3.json": "f5364422531ec6889cced56796c60a377246f1a8a142f89fe81729dfc03d8dc5",
+    "roc_n4_d3.csv": "bdb0d023c75bef7fa55f534723f6a271aa40c57802d53a1053fb39c6745c9dad",
+    "roc_n4_d3.json": "4c41e4779640421cd8c827493ea1c4228c91ab033ac4e42c925b13047d49a0c9",
     "direct_n4_d3.csv": "1ebddfe29b9086d64f092b17c2692e244ef7f92a234773264919032b9f45d799",
     "direct_n4_d3.json": "4deffdaf8584d74ee78d7f35c388fca08f6beb059ad0097ff347291a00e78c42",
     "direct_d2_r1.csv": "a45090152e7d89ed5c7a790dcf2cdb2a1c7f36536949066031f2786729370fdd",
@@ -172,9 +189,9 @@ GOLDEN = {
     "thr_d3.csv": "c1fa7bcc1412eb100a78548142f985035d3d6fb98a64dcc0e253110509b39f6c",
     "thr_d3.json": "62a98276633980a5b5f1e78a5e289be63ed0374d93928b32605437c372d41178",
     # the Haar moment and split cases re-taken at 0.6.0 for the Bartlett
-    # corner draw; these, roc_readme, roc_bench, roc_r2_d2 and the direct
-    # cases above but direct_n4_d3 and direct_full_qr re-taken at 0.11.0 for
-    # the one-pass reduction (last digits)
+    # corner draw; these and the direct cases above but direct_n4_d3 and
+    # direct_full_qr re-taken at 0.11.0 for the one-pass reduction (last
+    # digits), as were the roc cases, re-taken again at 0.14.0
     "mom_r1.csv": "7bdca34993f547cd65c64bc3500fb7f356a4ffc87db6c38fa551680dce65818b",
     "mom_r1.json": "fe731bca8bde7d7547610995e3cbdeacdccf8d6d12ae338cacba454997934037",
     "mom_r2.csv": "cbe01dd04355ae8987adeeebf38a38891731cd54c1f67a14c220db0a5addb110",
@@ -200,12 +217,13 @@ CLOUD = "cloud --d 3 --lambdas 1.0,1.0 --n 8 --samples 4000 --bins 30 --seed 5 -
 # second_moment_direct_mc, hashed together per spike (see _library_digest);
 # taken at 0.8.0, when they replaced the digests of the per-observation
 # route (simulate_observation, log_lr_mc), which no subcommand called; d3n2r2
-# (n = r) re-taken at 0.10.0 for the Gram-Schmidt square stacks, and all
-# three at 0.11.0 for the plain shifted log-sum-exp (last digits)
+# (n = r) re-taken at 0.10.0 for the Gram-Schmidt square stacks, all
+# three at 0.11.0 for the plain shifted log-sum-exp (last digits), and all
+# three at 0.14.0 for `roc`'s one prior set a run
 LIBRARY_GOLDEN = {
-    "d3n3r2": "17f5f2ce69cc5f19056f2e717fa6e1dd990c4a23afc10e275f81fc2605563b4e",
-    "d2n4r1": "ca13d17beddf428e2efe7355f01cd46abd2d011e261df1c8de78f7077c0f7036",
-    "d3n2r2": "daddd2237da19d3b6f23dc3a1d1bf1c267f00468b97747da76745dab18599bb0",
+    "d3n3r2": "4b353d8bb2ac342b3b931aed80bbd6c1657a59488b069dec4b298f4d6cb3951e",
+    "d2n4r1": "1e180cdf03c136a1f0930a700ae6a1d6b1499f2d2d1191a8ca111a2545cf936f",
+    "d3n2r2": "ac04a527130962203d9868fe6649b0254e5fd612d589fdc38ddb473ff04ae2e2",
 }
 
 LIBRARY_SPECS = {
@@ -225,10 +243,11 @@ PINNED_VERSION = (
     | {"cloud.envelope.csv": "0.7.0", "xi.csv": "0.9.0", "xi.json": "0.9.0"}
     | dict.fromkeys(["cloud.points.csv"] + [f"{name}.{ext}" for name in ("roc_full_qr", "direct_full_qr")
                                              for ext in ("csv", "json")], "0.10.0")
-    | dict.fromkeys([f"{name}.{ext}" for name in ("roc_readme", "roc_bench", "direct_bench", "roc_r2_d2",
-                                                  "direct_r2_d2", "roc_full_qr", "direct_d2_r1", "mom_r1",
+    | dict.fromkeys([f"{name}.{ext}" for name in ("direct_bench", "direct_r2_d2", "direct_d2_r1", "mom_r1",
                                                   "mom_r1_ragged", "mom_r2", "split_r2", "split_empty",
                                                   "split_ragged") for ext in ("csv", "json")], "0.11.0")
+    | dict.fromkeys([f"{name}.{ext}" for name in ("roc_readme", "roc_bench", "roc_r2_d2", "roc_full_qr", "roc_n4_d3")
+                     for ext in ("csv", "json")], "0.14.0")
 )
 
 

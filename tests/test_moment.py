@@ -17,11 +17,19 @@ from spikedtensor.moment import (
     _log_lr_stack,
     _mean_from_exponents,
     _noise_part,
+    _prior_set,
     _rotate,
     _rotation_parts,
     _thin_r,
 )
-from spikedtensor.rng import _N_STREAMS, chunk_sizes, complex_normal, complex_normal_rounds, map_streams
+from spikedtensor.rng import (
+    _N_STREAMS,
+    _PRIOR_LANE,
+    chunk_sizes,
+    complex_normal,
+    complex_normal_rounds,
+    map_streams,
+)
 from spikedtensor.spike import _spike_tensors
 
 
@@ -312,25 +320,27 @@ def test_xi_tail_builds_no_complex_array_or_norm(monkeypatch):
 
 
 # Observations as `roc_experiment` draws them: its stream layout through
-# `complex_normal_rounds`, its rotations and spikes, scored by the same
-# `_log_lr_stack`; the first test below pins this to the driver's worker.
+# `complex_normal_rounds` and its rotated spikes, scored against its one
+# prior set by the same `_log_lr_stack`; the first test below pins this to
+# the driver's worker.
 
 
-def roc_layout(spec, inner):
-    noise, likelihood = _noise_part(spec), _rotation_parts(spec, inner)
-    return [noise, *likelihood, *_rotation_parts(spec, 1), noise, *likelihood]
+def roc_layout(spec):
+    noise = _noise_part(spec)
+    return [noise, *_rotation_parts(spec, 1), noise]
 
 
-def roc_observations(spec, m, inner, gen):
-    """`m` draws of `roc_experiment`: ((Y0, factors0), (Y1, factors1)), the
-    null and alternative observations, each with the rotated factors of
-    its likelihood's `inner` spike samples."""
-    d = spec.d
-    parts = complex_normal_rounds(gen, m, roc_layout(spec, inner))
-    r_factors = _thin_r(spec)
-    spikes = _spike_tensors(spec.lambdas, [f[:, 0] for f in _rotate(r_factors, parts[d + 1 : 2 * d + 1])])
-    return ((parts[0], _rotate(r_factors, parts[1 : d + 1])),
-            (spikes + parts[2 * d + 1], _rotate(r_factors, parts[2 * d + 2 :])))
+def roc_observations(spec, m, gen):
+    """`m` draws of `roc_experiment`: (Y0, Y1), the null and alternative
+    observations."""
+    y0, *rotations, noise1 = complex_normal_rounds(gen, m, roc_layout(spec))
+    spikes = _spike_tensors(spec.lambdas, [f[:, 0] for f in _rotate(_thin_r(spec), rotations)])
+    return y0, spikes + noise1
+
+
+def roc_prior(spec, inner, seed):
+    """The prior set that `roc_experiment` draws for `inner` and `seed`."""
+    return _prior_set(spec, _thin_r(spec), inner, seed)
 
 
 def test_roc_observations_score_as_the_roc_worker(monkeypatch):
@@ -344,9 +354,42 @@ def test_roc_observations_score_as_the_roc_worker(monkeypatch):
     monkeypatch.setattr(moment, "map_streams", recording)
     st.roc_experiment(spec, 2, 7, st.SeedSpec(0))
     energy = st.eta_max(spec.lambdas, st.gram_set(spec))
-    (y0, f0), (y1, f1) = roc_observations(spec, 5, 7, st.SeedSpec(3).generator())
-    expected = np.column_stack([_log_lr_stack(spec, y0, f0, energy), _log_lr_stack(spec, y1, f1, energy)])
+    prior = roc_prior(spec, 7, st.SeedSpec(0))
+    y0, y1 = roc_observations(spec, 5, st.SeedSpec(3).generator())
+    expected = np.column_stack([_log_lr_stack(spec, y0, prior, energy), _log_lr_stack(spec, y1, prior, energy)])
     assert workers[0](5, st.SeedSpec(3).generator()).tobytes() == expected.tobytes()
+
+
+def test_roc_prior_set_depends_on_the_seed_alone(monkeypatch):
+    # one draw of lane _PRIOR_LANE a run, whatever the trial count, the
+    # threads (inner=4200: chunks of two draws or more reach the pool at 3
+    # threads) or the block size, and never a chunk's lane
+    spec = small_spec([0.6], n=3, d=3)
+    seed, inner = st.SeedSpec(36, 2), 4200
+    expected = b"".join(f.tobytes() for f in roc_prior(spec, inner, seed))
+    priors, lanes = [], []
+    generator = st.SeedSpec.generator
+
+    def recording_lanes(self, *lane):
+        lanes.append(lane)
+        return generator(self, *lane)
+
+    def recording_priors(spec, ys, factors, energy):
+        priors.append(b"".join(f.tobytes() for f in factors))
+        return _log_lr_stack(spec, ys, factors, energy)
+
+    monkeypatch.setattr(st.SeedSpec, "generator", recording_lanes)
+    monkeypatch.setattr(moment, "_log_lr_stack", recording_priors)
+    runs = [(2, 1), (17, 1), (40, 1), (40, 3)]
+    for trials, threads in runs:
+        lanes.clear()
+        st.roc_experiment(spec, trials, inner, seed, threads=threads)
+        chunks = [lane for lane in lanes if lane != (_PRIOR_LANE,)]
+        assert lanes.count((_PRIOR_LANE,)) == 1
+        assert sorted(chunks) == [(i,) for i in range(min(trials, _N_STREAMS))]
+    monkeypatch.setattr(rng, "_BLOCK_CELLS", 1)
+    st.roc_experiment(spec, 40, inner, seed)
+    assert len(priors) >= len(runs) + 1 and set(priors) == {expected}
 
 
 def test_simulate_observation_energies(gen):
@@ -354,7 +397,7 @@ def test_simulate_observation_energies(gen):
     spec = small_spec([0.9], n=4, d=3)
     emax = st.eta_max(spec.lambdas, st.gram_set(spec))
     reps = 3000
-    (y0, _), (y1, _) = roc_observations(spec, reps, 1, gen)
+    y0, y1 = roc_observations(spec, reps, gen)
     e0 = np.sum(np.abs(y0) ** 2, axis=(1, 2, 3))
     e1 = np.sum(np.abs(y1) ** 2, axis=(1, 2, 3))
     n_target = 4**2
@@ -364,25 +407,24 @@ def test_simulate_observation_energies(gen):
 
 def test_simulate_observation_zero_signal_is_pure_noise():
     # with zero amplitudes the alternative adds an exactly-zero spike
-    spec, m, inner = zero_spec(n=3), 50, 4
-    _, (y1, _) = roc_observations(spec, m, inner, st.SeedSpec(21).generator())
-    parts = complex_normal_rounds(st.SeedSpec(21).generator(), m, roc_layout(spec, inner))
-    assert np.array_equal(y1, parts[2 * spec.d + 1])
+    spec, m = zero_spec(n=3), 50
+    _, y1 = roc_observations(spec, m, st.SeedSpec(21).generator())
+    parts = complex_normal_rounds(st.SeedSpec(21).generator(), m, roc_layout(spec))
+    assert np.array_equal(y1, parts[-1])
 
 
 def test_log_lr_zero_signal_is_exactly_zero(gen):
     spec = zero_spec(n=3)
-    (y0, f0), (y1, f1) = roc_observations(spec, 8, 32, gen)
-    for y, factors in ((y0, f0), (y1, f1)):
-        assert np.all(_log_lr_stack(spec, y, factors, 0.0) == 0.0)
+    prior = roc_prior(spec, 32, st.SeedSpec(22))
+    for y in roc_observations(spec, 8, gen):
+        assert np.all(_log_lr_stack(spec, y, prior, 0.0) == 0.0)
 
 
 def test_log_lr_deterministic_closed_form(gen):
     # the fixed spike of `second_moment_direct_mc(..., rotate=False)`:
     # log L(Y) = 2 n Re<X0, Y> - n |X0|_F^2 exactly
     spec = small_spec([0.4], n=3, d=3)
-    (y0, _), (y1, _) = roc_observations(spec, 4, 1, gen)
-    ys = np.concatenate([y0, y1])
+    ys = np.concatenate(roc_observations(spec, 4, gen))
     x0 = st.build_spike(spec)
     expected = [2 * 3 * np.real(np.vdot(x0, y)) - 3 * np.linalg.norm(x0) ** 2 for y in ys]
     got = _log_lr_stack(spec, ys, [chi[None, None] for chi in spec.factors], st.eta_max(spec.lambdas, st.gram_set(spec)))
@@ -390,12 +432,16 @@ def test_log_lr_deterministic_closed_form(gen):
 
 
 def test_likelihood_ratio_has_unit_null_mean(gen):
+    # E0[exp(2 n Re<Y, X> - n |X|_F^2)] = 1 for every fixed X, so the
+    # statistic of one fixed prior set S has E0[L_S(Y)] = 1 exactly: checked
+    # for each of three sets, each over its own null observations
     spec = small_spec([0.45], n=3, d=3)
-    reps, inner = 400, 300
+    reps, inner = 4000, 300
     energy = st.eta_max(spec.lambdas, st.gram_set(spec))
-    values = np.concatenate([np.exp(_log_lr_stack(spec, *roc_observations(spec, 100, inner, gen)[0], energy))
-                             for _ in range(reps // 100)])
-    assert abs(np.mean(values) - 1.0) <= 3 * np.std(values) / np.sqrt(reps)
+    for stream in range(3):
+        prior = roc_prior(spec, inner, st.SeedSpec(37, stream))
+        values = np.exp(_log_lr_stack(spec, roc_observations(spec, reps, gen)[0], prior, energy))
+        assert abs(np.mean(values) - 1.0) <= 3 * np.std(values) / np.sqrt(reps)
 
 
 def test_roc_zero_signal_is_diagonal():
@@ -412,13 +458,18 @@ def test_roc_strong_spike_separates():
     assert np.all((fpr >= 0) & (fpr <= 1) & (tpr >= 0) & (tpr <= 1))
 
 
-def test_roc_tv_shrinks_with_n_below_threshold():
-    means = []
-    for n in (3, 4):
-        spec = small_spec([0.35], n=n, d=3)
-        roc = st.roc_experiment(spec, 300, 200, st.SeedSpec(33, 0))
-        means.append(roc.tv_proxy)
-    assert means[1] <= means[0]
+@pytest.mark.parametrize("lam, n", [(0.4, 3), (0.8, 3), (0.6, 4), (1.2, 3), (0.35, 4), (1.0, 6)])
+def test_roc_tv_proxy_within_the_second_moment_bound(lam, n):
+    # any test has |tpr - fpr| <= TV(P0, P1) <= (1/2) sqrt(m2 - 1); with S
+    # fixed the statistic is one function of Y, so this holds for the ROC's
+    # population rates with no randomization argument, and each empirical
+    # rate is within the DKW slack sqrt(log(2/delta) / (2 trials)) of its
+    # own, uniformly over thresholds, with probability 1 - delta; at 10^4
+    # trials the two slacks add 0.054
+    trials, delta = 10_000, 1e-6
+    roc = st.roc_experiment(small_spec([lam], n=n, d=3), trials, 200, st.SeedSpec(33, n))
+    m2 = rank_one_second_moment(n, 3, lam)
+    assert roc.tv_proxy <= 0.5 * math.sqrt(m2 - 1) + 2 * math.sqrt(math.log(2 / delta) / (2 * trials))
 
 
 def test_roc_thread_invariance():
@@ -441,20 +492,23 @@ _ESTIMATORS = {
 @pytest.mark.parametrize("kind", sorted(_ESTIMATORS))
 def test_estimator_draws_call_no_linalg(monkeypatch, gen, kind, r):
     # at n = r every Haar draw orthonormalizes square stacks, and at n > r
-    # frames or Bartlett corner stacks, by Gram-Schmidt with no solver
+    # frames or Bartlett corner stacks, by Gram-Schmidt with no solver; so
+    # does `roc`'s prior set, drawn once a run outside the chunks
     specs = [make_random_spec(gen, d=3, r=r, n=n) for n in (r, r + 1)]
-    drawn = refuse_linalg_in_draws(monkeypatch, moment)
+    drawn = refuse_linalg_in_draws(monkeypatch, moment, "_prior_set")
     for spec in specs:
         _ESTIMATORS[kind](spec, st.SeedSpec(73, r))
     assert drawn
+    assert drawn.count("_prior_set") == (len(specs) if kind == "roc" else 0)
 
 
 # The 0.3.0 per-draw loops of `roc_experiment` and `second_moment_direct_mc`,
 # spelled out on the rng primitives with dense spike tensors: the oracles of
 # the batched contraction drivers, which take the same normals in the same
-# order.  Contracting Y mode by mode and using |X_m|_F^2 = eta_max moves the
-# last digits of each log-likelihood ratio, so the values agree to rtol
-# 1e-12 and the ROC rates exactly.
+# order (since 0.14.0 `roc` scores every observation against one prior set,
+# drawn first from the lane `_PRIOR_LANE`).  Contracting Y mode by mode and
+# using |X_m|_F^2 = eta_max moves the last digits of each log-likelihood
+# ratio, so the values agree to rtol 1e-12 and the ROC rates exactly.
 
 
 def _reference_rotations(spec, m, gen):
@@ -502,14 +556,15 @@ def _noise(spec, gen):
 def test_roc_equals_per_draw_reference(lambdas, n, d):
     spec = small_spec(lambdas, n=n, d=d)
     trials, inner, seed = 20, 30, st.SeedSpec(41, 2)
+    prior = _reference_stack(spec, _reference_rotations(spec, inner, seed.generator(_PRIOR_LANE)))
     s0, s1 = [], []
     for gen, size in _reference_chunks(trials, seed):
         for _ in range(size):
             y0 = _noise(spec, gen)
-            s0.append(_reference_log_lr(y0, _reference_stack(spec, _reference_rotations(spec, inner, gen)), n))
+            s0.append(_reference_log_lr(y0, prior, n))
             spike = _reference_spike(spec, [f[0] for f in _reference_rotations(spec, 1, gen)])
             y1 = (spike + _noise(spec, gen).reshape(spike.shape)).ravel()
-            s1.append(_reference_log_lr(y1, _reference_stack(spec, _reference_rotations(spec, inner, gen)), n))
+            s1.append(_reference_log_lr(y1, prior, n))
     s0, s1 = np.sort(s0), np.sort(s1)
     thresholds = np.unique(np.concatenate([s0, s1]))
     fpr = 1.0 - np.searchsorted(s0, thresholds, side="left") / trials
