@@ -48,18 +48,21 @@ _EXIT_INVARIANT = 2
 # sizes; raising them is a change of its own.  The list caps bound what one
 # run multiplies: `bound.csv` has a row per bin (10^5 bins: 4 MB and 0.6 s;
 # at the sample cap still 20 points a bin), `xi-tail` compares every
-# sample with every t (1000 t at 1M samples, n=8: 0.53 s, median of five)
-# and `moment` runs once per n (32 n from 4 to 128 at 20k samples, r=2:
-# 4.4 s).  One `xi-tail` sample holds n exponentials: at `--samples 1`,
-# one-thread peak RSS was 36 MB at n=8, 44 MB at the cap n=2^20 (0.04 s),
-# 68 MB at 2^22 and 164 MB at 2^24.  `xi_work` bounds its n x samples
-# exponentials: 2^27 of them took 1.36 s at one thread at n=2^20 (128
-# samples, 44 MB) and 1.60 s at n=6, the largest n the sample cap reaches
-# (medians of five).
+# sample with every t (1000 t at 1M samples, n=8: 0.50-0.51 s, medians of
+# five) and `moment` runs once per n (32 n from 4 to 128 at 20k samples,
+# r=2: 4.4 s).  One `xi-tail` sample holds n exponentials: at `--samples
+# 1`, one-thread peak RSS was 36 MB at n=8, 52 MB at the cap n=2^20 (0.03
+# s; 44 MB before its row sum was a gemv, which OpenBLAS runs on two
+# threads at that length), 68 MB at 2^22 and 164 MB at 2^24.  `xi_work`
+# bounds its n x samples exponentials: 2^27 of them took 1.16-1.33 s at
+# n=2^20 (128 samples, 60 MB; 2.3-2.6 s of CPU, the gemv's second BLAS
+# thread), and 1.2 * 10^8 took 1.07 s at n=6, the largest n the sample cap
+# reaches (medians of five, `--threads 1`).
 # `draw_cells` bounds the largest array of one `roc` or `direct` draw
 # (`moment._draw_cells`), `roc`'s one prior set included.  At the cap,
 # one-thread peak RSS (ru_maxrss) was 269 MiB for `roc` at d=3, n=4, inner
-# 2^18 (about 0.2 s for the prior set and 0.1 s a trial) and 220 MiB at
+# 2^18 (0.23-0.25 s for the prior set, medians of seven, and about 0.1 s
+# a trial) and 220 MiB at
 # d=2, n=6, r=2, inner 174762.  `d` bounds the Grams and factors every run
 # builds first; at d=1024, `threshold` took 0.14 s (31 MB).
 # `r` bounds the spike every run builds at n = r before its own checks, whose

@@ -311,7 +311,7 @@ def sample_grf_cloud(spec: SpikeSpec, count: int, rng: SeedSpec, bins: int, thre
     idx = np.clip(((x + emax) / width).astype(int), 0, bins - 1)
     top = np.full(bins, -np.inf)
     np.maximum.at(top, idx, y)
-    filled = np.unique(idx)
+    filled = np.flatnonzero(np.bincount(idx, minlength=bins))
     return GrfCloud(
         points=points,
         eta_max=emax,

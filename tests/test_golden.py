@@ -151,6 +151,12 @@ ESTIMATE_CASES = {
     "mom_r1_ragged": "moment --d 3 --lambdas 0.3 --n 4,8 --samples 2001 --seed 3",
     "split_ragged": "split --d 3 --lambdas 0.4,0.2 --n 8 --epsilon 0.005 --samples 2001 --seed 3",
     "xi": "xi-tail --n 8 --t 0.2,0.5,0.7 --samples 150000 --seed 3",
+    # NumPy's pairwise row sum adds fewer than 8 terms one after another and
+    # 8 or more in 8 interleaved partial sums, so n=4 and n=16 group their
+    # additions unlike n=8, one term a partial sum; n=4 stays on the calling
+    # thread at --threads 2, n=16 reaches the pool
+    "xi_n4": "xi-tail --n 4 --t 0.2,0.5,0.7 --samples 150000 --seed 3",
+    "xi_n16": "xi-tail --n 16 --t 0.2,0.35,0.5 --samples 150000 --seed 3",
 }
 
 GOLDEN = {
@@ -209,6 +215,12 @@ GOLDEN = {
     # xi re-taken at 0.9.0 for the exponential squared moduli
     "xi.csv": "c791aef348147cfdadf578285370fe4b177174444c14810a64a837334fcdadcb",
     "xi.json": "6a38c91dd122e3c17a2e4f41b4fbd975a1df6886939900e4bf7b45c06ac7019a",
+    # xi_n4 and xi_n16 taken at 0.14.0 by the per-row sums, before the
+    # one-gemv row sums that must keep them
+    "xi_n4.csv": "e4e913a78505ae166bb3e5c2b0a96e0ae2575948751f1224924e3e33e85e8903",
+    "xi_n4.json": "ad44ca86991e37e5ab39ccb4a02724609d929a33d0bb1234f014bff08b5583c0",
+    "xi_n16.csv": "79273d2e714100ad7c140719e7986472f9c9062417bf1d1f7771c374ba08f869",
+    "xi_n16.json": "4fabaea7b10853f60966e257980dfe4bf6699ffbf732616761a3dc9cbfe7150b",
 }
 
 CLOUD = "cloud --d 3 --lambdas 1.0,1.0 --n 8 --samples 4000 --bins 30 --seed 5 --out cloud"
@@ -248,6 +260,7 @@ PINNED_VERSION = (
                                                   "split_ragged") for ext in ("csv", "json")], "0.11.0")
     | dict.fromkeys([f"{name}.{ext}" for name in ("roc_readme", "roc_bench", "roc_r2_d2", "roc_full_qr", "roc_n4_d3")
                      for ext in ("csv", "json")], "0.14.0")
+    | dict.fromkeys([f"{name}.{ext}" for name in ("xi_n4", "xi_n16") for ext in ("csv", "json")], "0.14.0")
 )
 
 

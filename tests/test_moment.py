@@ -25,6 +25,7 @@ from spikedtensor.moment import (
 from spikedtensor.rng import (
     _N_STREAMS,
     _PRIOR_LANE,
+    _orthonormalize,
     chunk_sizes,
     complex_normal,
     complex_normal_rounds,
@@ -220,6 +221,18 @@ def test_xi_empirical_stderr_scaling():
     (b,) = st.xi_empirical_tail(5, [0.4], 40_000, st.SeedSpec(13, 1))
     ratio = a.stderr / b.stderr
     assert abs(ratio - 2.0) <= 0.4  # factor-4 samples halves the stderr within 20%
+
+
+def test_xi_gemv_row_sums_match_the_pairwise_sums_to_rounding():
+    # `xi_empirical_tail` takes each block's row sums as one gemv; NumPy's
+    # row sum adds them pairwise.  Either sum of n positive terms is within
+    # about n eps of the exact one, so the ratios agree within 4 n eps.
+    eps = np.finfo(float).eps
+    for n in range(2, 65):
+        e = st.SeedSpec(14, n).generator().standard_exponential((2000, n))
+        gemv = e[:, 0] / (e @ np.ones(n))
+        rows = e[:, 0] / e.sum(axis=1)
+        assert np.all(np.abs(gemv - rows) <= 4 * n * eps * rows)
 
 
 def _complex_xi_counts(m, gen, n, ts):
@@ -595,6 +608,23 @@ def test_direct_mc_equals_per_draw_reference(lambdas, n, d, rotate):
     assert got.count == expected.count
     for field in ("mean", "stderr", "log_domain_max"):
         assert getattr(got, field) == pytest.approx(getattr(expected, field), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_rotate_is_the_per_frame_product(d, r):
+    # one (count * n, r) @ (r, r) product a mode gives the bytes of one
+    # (n, r) @ (r, r) product a frame
+    gen = st.SeedSpec(62, 10 * d + r).generator()
+    for n in range(r, 7):
+        grams = st.GramSet(tuple(st.random_gram(r, gen) for _ in range(d)))
+        r_factors = _thin_r(st.spec_from_grams(np.linspace(0.7, 0.3, r), grams, n=n))
+        ginibre = [complex_normal(gen, (3, 7, n, r), np.sqrt(0.5)) for _ in range(d)]
+        frames = [_orthonormalize(z.reshape(-1, n, r).copy()) for z in ginibre]
+        rotated = _rotate(r_factors, [z.copy() for z in ginibre])
+        for got, w, r_k in zip(rotated, frames, r_factors):
+            assert got.shape == (3, 7, n, r)
+            assert got.tobytes() == np.stack([q @ r_k for q in w]).tobytes()
 
 
 def _dense_log_lr(spec, y, factor_sets):

@@ -7,11 +7,19 @@ import pytest
 from scipy import stats
 
 import spikedtensor as st
+import spikedtensor.rate as rate
 from conftest import unitarity_defect
 from spikedtensor.config import gram_matrices
 from spikedtensor.errors import ParameterError
 from spikedtensor.moment import _haar_eta_chunks, _noise_part
-from spikedtensor.rng import _BLOCK_CELLS, chunk_sizes, complex_normal, complex_normal_rounds, map_streams
+from spikedtensor.rng import (
+    _BLOCK_CELLS,
+    _orthonormalize,
+    chunk_sizes,
+    complex_normal,
+    complex_normal_rounds,
+    map_streams,
+)
 
 
 def noise_tensors(n, d, m, gen):
@@ -108,6 +116,45 @@ def test_haar_frames_match_phase_corrected_qr(n, c):
     frames = st.sample_haar_unitaries(n, 200, st.SeedSpec(17, n).generator(), columns=c)
     z = complex_normal(st.SeedSpec(17, n).generator(), (200, n, c), np.sqrt(0.5))
     assert np.max(np.abs(frames - _phase_corrected_qr(z))) <= 1e-12
+
+
+def _divided_gram_schmidt(z):
+    """`_orthonormalize` with each column divided by its real norm as one
+    complex quotient: the reference that its reciprocal product must equal
+    byte for byte."""
+    q = np.ascontiguousarray(z.swapaxes(-1, -2))
+    for j in range(q.shape[-2]):
+        v = q[:, j]
+        basis = q[:, :j]
+        for _ in range(2 if j else 0):
+            v -= np.matmul(np.vecdot(basis, v[:, None, :])[:, None, :], basis)[:, 0]
+        v /= np.sqrt(np.vecdot(v, v).real)[:, None]
+    return q.swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("n, c", [(1, 1), (2, 1), (3, 2), (4, 4), (6, 1), (6, 3), (9, 4), (16, 2), (16, 16)])
+def test_orthonormalize_is_the_complex_division_on_ginibre_stacks(n, c):
+    # NumPy divides a complex a + ib by a real c as (a + b * 0) * (1 / c)
+    # and (b - a * 0) * (1 / c): the real parts times the reciprocal norm
+    z = complex_normal(st.SeedSpec(19, 10 * n + c).generator(), (300, n, c), np.sqrt(0.5))
+    assert _orthonormalize(z.copy()).tobytes() == _divided_gram_schmidt(z).tobytes()
+
+
+@pytest.mark.parametrize("n, r", [(2, 2), (3, 2), (4, 2), (5, 3), (8, 3), (7, 4), (64, 4)])
+def test_orthonormalize_is_the_complex_division_on_bartlett_stacks(monkeypatch, n, r):
+    # the stacks of the Haar corner draw, with exact zeros below B's diagonal
+    stacks = []
+
+    def recording(stack):
+        stacks.append(stack.copy())
+        return _orthonormalize(stack)
+
+    monkeypatch.setattr(rate, "_orthonormalize", recording)
+    rate._haar_corner_sets(n, r, 3, 100, st.SeedSpec(20, 10 * n + r).generator())
+    (stack,) = stacks
+    k = min(r, n - r)  # B is (k, r) upper trapezoidal: k (k - 1) / 2 zeros a stack
+    assert np.count_nonzero(stack == 0) == 300 * k * (k - 1) // 2
+    assert _orthonormalize(stack.copy()).tobytes() == _divided_gram_schmidt(stack).tobytes()
 
 
 @pytest.mark.parametrize("c", [1, 2, 4, 8, 16])
