@@ -1,7 +1,7 @@
 """Detectability thresholds and seeded Monte-Carlo experiments for rank-r
 spiked complex Gaussian tensor models."""
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 from .errors import ParameterError
 from .moment import (
@@ -27,7 +27,7 @@ from .rate import (
     psi_blocks_from_mode_operators,
     sample_grf_cloud,
 )
-from .rng import SeedSpec, sample_haar_unitaries
+from .rng import SeedSpec
 from .spike import (
     GramSet,
     SpikeSpec,
@@ -80,7 +80,6 @@ __all__ = [
     "random_gram",
     "roc_experiment",
     "sample_grf_cloud",
-    "sample_haar_unitaries",
     "second_moment_direct_mc",
     "second_moment_haar_mc",
     "spec_from_grams",

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .rng import SeedSpec, _orthonormalize, complex_normal, map_streams
-from .spike import SpikeSpec, SpikeSvd, eta_max, gram_set, spike_svd
+from .rng import SeedSpec, _orthonormalize, complex_normal_rounds, map_streams
+from .spike import SpikeSpec, SpikeSvd, _hadamard_form, eta_max, gram_set, spike_svd
 
 _NORM_TOL = 1e-12
 
@@ -109,16 +109,11 @@ def lemma_sup_bound(lambdas, mats, alphas) -> float:
     psi_k with spectral norm alpha_k:
     (prod_k alpha_k) * lambda^T (hadamard_k A_k A_k*) lambda,
     attained at psi_k = alpha_k * I."""
-    lam = np.asarray(lambdas, dtype=float)
     alphas = np.asarray(alphas, dtype=float)
     if np.any(alphas < 0):
         raise ParameterError("spectral norms must be non-negative")
-    had = None
-    for a in mats:
-        a = np.asarray(a, dtype=complex)
-        core = a @ a.conj().T
-        had = core if had is None else had * core
-    return float(np.prod(alphas) * np.real(lam @ had @ lam))
+    mats = [np.asarray(a, dtype=complex) for a in mats]
+    return float(np.prod(alphas) * _hadamard_form(lambdas, [a @ a.conj().T for a in mats]))
 
 
 def grf_lower_bound(x, eta_max_value: float, d: int):
@@ -211,14 +206,16 @@ def _haar_corner_sets(n: int, r: int, d: int, count: int, gen: np.random.Generat
     j > i, complex normal with N(0, 1/2) parts.  So the corner is the top
     r rows of the orthonormalized (r + k, r) stack [G1; B]; at n = r, k = 0
     and the stack is the full Haar unitary.  Draw order per call: G1 for
-    all blocks, then B's off-diagonal entries, then its diagonal.
+    all blocks, then B's off-diagonal entries (one round of both parts),
+    then its diagonal.
     """
     k = min(r, n - r)
     m = count * d
     stack = np.zeros((m, r + k, r), dtype=complex)
-    stack[:, :r] = complex_normal(gen, (m, r, r), np.sqrt(0.5))
     rows, cols = np.nonzero(np.arange(r) > np.arange(k)[:, None])  # np.triu_indices(k, 1, r), at a seventh of its cost
-    stack[:, r + rows, cols] = complex_normal(gen, (m, rows.size), np.sqrt(0.5))
+    g1, upper = complex_normal_rounds(gen, 1, [((m, r, r), np.sqrt(0.5)), ((m, rows.size), np.sqrt(0.5))])
+    stack[:, :r] = g1[0]
+    stack[:, r + rows, cols] = upper[0]
     diag = np.arange(k)
     stack[:, r + diag, diag] = np.sqrt(gen.standard_gamma(n - r - diag, size=(m, k)))
     return _orthonormalize(stack)[:, :r].reshape(count, d, r, r)
@@ -265,7 +262,7 @@ def _sample_psi_stack(r: int, n: int, d: int, count: int, gen: np.random.Generat
     ginibre = component == 0
     n_ginibre = int(np.sum(ginibre))
     rhos = gen.random((n_ginibre, d))
-    raw = complex_normal(gen, (n_ginibre, d, r, r), np.sqrt(0.5))
+    raw = complex_normal_rounds(gen, 1, [((n_ginibre, d, r, r), np.sqrt(0.5))])[0][0]
     frobenius = np.sqrt(np.sum(raw.real**2 + raw.imag**2, axis=(-2, -1)))
     out[ginibre] = raw * (np.sqrt(rhos) / frobenius)[..., None, None]
 
@@ -320,20 +317,22 @@ def sample_grf_cloud(spec: SpikeSpec, count: int, rng: SeedSpec, bins: int, thre
     )
 
 
-def cloud_bound_violations(cloud: GrfCloud, tol: float = 1e-9) -> int:
-    """Number of cloud points sitting above the negated closed-form bound."""
+def cloud_bound_violations(cloud: GrfCloud) -> int:
+    """Number of cloud points more than 1e-9 above the negated closed-form
+    bound."""
     bound = -grf_lower_bound(cloud.points[:, 0], cloud.eta_max, cloud.d)
-    return int(np.sum(cloud.points[:, 1] > bound + tol))
+    return int(np.sum(cloud.points[:, 1] > bound + 1e-9))
 
 
-def envelope_gap_median(cloud: GrfCloud, lo: float = 0.3, hi: float = 0.8, window_bins: int = 25) -> float:
-    """Median over `window_bins` sub-bins of the closest pointwise approach
-    to the bound, restricted to |x|/eta_max in [lo, hi].
+def envelope_gap_median(cloud: GrfCloud) -> float:
+    """Median over 25 sub-bins of the closest pointwise approach to the
+    bound, restricted to |x|/eta_max in [0.3, 0.8].
 
     Each point is compared against the bound at its own x; comparing bin
     maxima against the bound at bin centers would charge the bound's slope
     across a bin to the gap.  NaN when the window holds no point.
     """
+    lo, hi, window_bins = 0.3, 0.8, 25
     frac = np.abs(cloud.points[:, 0]) / cloud.eta_max
     keep = (frac >= lo) & (frac <= hi) & (frac < 1.0)
     if not np.any(keep):

@@ -1,5 +1,13 @@
-"""Seeded random sampling: complex Gaussian arrays, Haar unitaries and
-their leading-column frames, and the Monte-Carlo drivers' chunk layout.
+"""Seeded random sampling: the one complex-Gaussian sampler, the Haar
+frames orthonormalized from its Ginibre draws, and the Monte-Carlo
+drivers' chunk layout.
+
+The model has two random objects, and each has one sampler.  Circular
+complex Gaussian arrays, the noise tensors and the Ginibre stacks alike,
+come from `complex_normal_rounds`.  Haar frames, the leading columns of
+Haar unitaries, are `_orthonormalize` of a Ginibre draw from it
+(`moment._rotate`), and Haar corner blocks the same kernel on the Bartlett
+stacks of `rate._haar_corner_sets`.
 
 All sampling is driven by :class:`SeedSpec`, a (master_seed, stream_id) pair
 that fully determines the generator state.  Parallel drivers derive disjoint
@@ -10,6 +18,7 @@ scheduled across threads.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,7 +38,11 @@ class SeedSpec:
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
             value = getattr(self, name)
-            if not (0 <= int(value) < _U64):
+            try:
+                valid = 0 <= operator.index(value) < _U64
+            except TypeError:  # not an integer: a float, a string, None
+                valid = False
+            if not valid:
                 raise ParameterError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
 
     def generator(self, *lane: int) -> np.random.Generator:
@@ -46,70 +59,44 @@ class SeedSpec:
         return {"master_seed": self.master_seed, "stream_id": self.stream_id}
 
 
-def complex_normal(gen: np.random.Generator, shape, component_std: float) -> np.ndarray:
-    """Circular complex Gaussian array; real and imaginary parts are
-    independent N(0, component_std**2) each.
-
-    Each part is scaled as it is written, one real product a normal: for a
-    finite normal x and a positive std, x * std is the real part of the
-    complex product (x + iy) * (std + 0j), so this gives the bytes of
-    scaling the whole complex array afterwards, without that second pass."""
-    out = np.empty(shape, dtype=complex)
-    np.multiply(gen.standard_normal(shape), component_std, out=out.real)
-    np.multiply(gen.standard_normal(shape), component_std, out=out.imag)
-    return out
-
-
 def complex_normal_rounds(gen: np.random.Generator, count: int, layout) -> list[np.ndarray]:
-    """`count` rounds of ``complex_normal(gen, shape, std)`` for each
-    ``(shape, std)`` of `layout` in turn, taken from one `standard_normal`
-    call; one (count, *shape) array per part.
+    """`count` rounds of circular complex Gaussian arrays, one (count, *shape)
+    array per ``(shape, std)`` part of `layout`, whose real and imaginary
+    parts are independent N(0, std**2) each: the package's one sampler of
+    complex normals.
 
-    A Generator gives the same normals from one call as from many, and each
-    normal is scaled by one real product, as in `complex_normal` (one pass
-    over all the normals, then plain copies into the parts), so the result
-    equals the part-by-part, round-by-round calls byte for byte.  It holds
-    all 2 * count * cells normals at once, which is why `complex_normal`
-    does not go through it.
+    The normals come from one `standard_normal` call, in the order round by
+    round, part by part, and within a part first all real then all
+    imaginary parts.  A Generator gives the same normals from one call as
+    from many, so a one-round layout of one part, ``count = 1``, is the
+    array of two `standard_normal(shape)` calls.  Each part is scaled as it
+    is written, one real product a normal: for a finite normal x and a
+    positive std, x * std is the real part of the complex product
+    (x + iy) * (std + 0j), so this gives the bytes of scaling the whole
+    complex array afterwards, without that second pass.
     """
     sizes = [math.prod(shape) for shape, _ in layout]
     normals = gen.standard_normal((count, 2 * sum(sizes)))
-    normals *= np.repeat([std for _, std in layout], [2 * size for size in sizes])  # one contiguous pass
     parts = []
     start = 0
-    for (shape, _), size in zip(layout, sizes):
+    for (shape, std), size in zip(layout, sizes):
         out = np.empty((count, *shape), dtype=complex)
-        out.real = normals[:, start : start + size].reshape(out.shape)
-        out.imag = normals[:, start + size : start + 2 * size].reshape(out.shape)
+        np.multiply(normals[:, start : start + size].reshape(out.shape), std, out=out.real)
+        np.multiply(normals[:, start + size : start + 2 * size].reshape(out.shape), std, out=out.imag)
         parts.append(out)
         start += 2 * size
     return parts
-
-
-def sample_haar_unitaries(n: int, count: int, gen: np.random.Generator, columns: int | None = None) -> np.ndarray:
-    """Stack of `count` independent Haar unitaries, shape (count, n, n), or
-    of their first `columns` columns only, shape (count, n, columns).
-
-    Construction: a complex Ginibre (n, c) matrix, c = `columns` (n when
-    left out), and the Q factor of its QR factorization with R's diagonal
-    real positive.  That normalization is what makes Q Haar: it fixes the
-    phases that the factorization leaves free (Mezzadri, Notices AMS 54,
-    2007).  The result is uniform on the Stiefel manifold of orthonormal
-    c-frames in C^n, the law of the first c columns of a Haar unitary, at
-    O(n c^2) cost.  Q is taken by `_orthonormalize`, two passes of
-    classical Gram-Schmidt over the whole stack at once.
-    """
-    columns = n if columns is None else columns
-    if not (1 <= columns <= n):
-        raise ParameterError(f"need 1 <= columns <= n, got columns={columns}, n={n}")
-    return _orthonormalize(complex_normal(gen, (count, n, columns), np.sqrt(0.5)))
 
 
 def _orthonormalize(z: np.ndarray) -> np.ndarray:
     """The Q factor, with R's diagonal real positive, of every matrix of a
     (count, n, c) stack, c <= n: Haar unitaries or frames when the stack is
     Ginibre with N(0, 1/2) components, Haar corner stacks on the Bartlett
-    stacks of `rate._haar_corner_sets`.
+    stacks of `rate._haar_corner_sets`.  R's real positive diagonal is what
+    makes Q Haar: it fixes the phases that the factorization leaves free
+    (Mezzadri, Notices AMS 54, 2007), and the first c columns of a Haar
+    unitary are uniform on the Stiefel manifold of c-frames in C^n, so an
+    (n, c) Ginibre stack gives them at O(n c^2) cost.
 
     Two passes of classical Gram-Schmidt, c steps of a few NumPy calls each
     over the whole stack, with no LAPACK call.  Dividing each column by its

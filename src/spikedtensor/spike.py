@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
+from .rng import complex_normal_rounds
 
 _COLUMN_NORM_TOL = 1e-10
 _HERMITIAN_TOL = 1e-12
@@ -181,8 +182,14 @@ def eta_max(lambdas, grams: GramSet) -> float:
     modulus of the alignment exponent; it is real and non-negative because
     the Hadamard product of PSD matrices is PSD.
     """
+    return _hadamard_form(lambdas, grams.grams)
+
+
+def _hadamard_form(lambdas, mats) -> float:
+    """Re lambda^T (hadamard product of the r x r `mats`, in order) lambda:
+    the quadratic form of `eta_max` and `rate.lemma_sup_bound`."""
     lam = np.asarray(lambdas, dtype=float)
-    had = functools.reduce(operator.mul, grams.grams)
+    had = functools.reduce(operator.mul, mats)
     return float(np.real(lam @ had @ lam))
 
 
@@ -211,7 +218,7 @@ def random_gram(r: int, gen: np.random.Generator) -> np.ndarray:
     complex Wishart draw); handy for randomized checks and experiments."""
     if r < 1:
         raise ParameterError(f"need r >= 1, got {r}")
-    a = gen.standard_normal((r, 2 * r)) + 1j * gen.standard_normal((r, 2 * r))
+    a = complex_normal_rounds(gen, 1, [((r, 2 * r), 1.0)])[0][0]
     g = a @ a.conj().T
     scale = 1.0 / np.sqrt(np.real(np.diagonal(g)))
     g = g * scale[:, None] * scale[None, :]

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
 import spikedtensor as st
+from spikedtensor.rng import complex_normal_rounds
 
 
 def make_random_spec(gen, d=None, r=None, n=None, lam_low=0.1, lam_high=1.5):
@@ -29,6 +31,19 @@ def rank_one_second_moment(n, d, lam):
                          - d * (math.lgamma(n + j) - math.lgamma(j + 1) - math.lgamma(n)))
         j += 1
     return math.fsum(math.exp(t) for t in log_terms)
+
+
+def complex_gaussian(gen, shape, std):
+    """One circular complex Gaussian array of `shape`, component std `std`,
+    from the package's sampler: a one-round layout of one part."""
+    return complex_normal_rounds(gen, 1, [(shape, std)])[0][0]
+
+
+def haar_unitaries(n, count, gen):
+    """`count` Haar n x n unitaries, shape (count, n, n), by scipy's
+    phase-corrected LAPACK QR: an oracle built independently of the
+    package's Gram-Schmidt frames."""
+    return unitary_group.rvs(n, size=count, random_state=gen).reshape(count, n, n)
 
 
 def unitarity_defect(m):

@@ -10,7 +10,7 @@ from scipy.special import logsumexp
 import spikedtensor as st
 import spikedtensor.moment as moment
 import spikedtensor.rng as rng
-from conftest import make_random_spec, rank_one_second_moment, refuse_linalg_in_draws
+from conftest import complex_gaussian, make_random_spec, rank_one_second_moment, refuse_linalg_in_draws
 from spikedtensor.config import gram_matrices
 from spikedtensor.errors import ParameterError
 from spikedtensor.moment import (
@@ -27,7 +27,6 @@ from spikedtensor.rng import (
     _PRIOR_LANE,
     _orthonormalize,
     chunk_sizes,
-    complex_normal,
     complex_normal_rounds,
     map_streams,
 )
@@ -238,7 +237,7 @@ def test_xi_gemv_row_sums_match_the_pairwise_sums_to_rounding():
 def _complex_xi_counts(m, gen, n, ts):
     """A block's counts by the complex route of 0.7.0 and 0.8.0: |v_1| / |v|
     >= t on a circular complex Gaussian array, the reference in law."""
-    v = complex_normal(gen, (m, n), np.sqrt(0.5))
+    v = complex_gaussian(gen, (m, n), np.sqrt(0.5))
     frac = np.abs(v[:, 0]) / np.linalg.norm(v, axis=1)
     return np.array([[np.count_nonzero(frac >= t) for t in ts]])
 
@@ -326,7 +325,7 @@ def test_xi_tail_builds_no_complex_array_or_norm(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("complex array or norm on the xi-tail path")
 
-    monkeypatch.setattr(rng, "complex_normal", refuse)
+    monkeypatch.setattr(rng, "complex_normal_rounds", refuse)
     monkeypatch.setattr(moment, "complex_normal_rounds", refuse)
     monkeypatch.setattr(np.linalg, "norm", refuse)
     assert st.xi_empirical_tail(16, XI_TS, 20_000, st.SeedSpec(5, 0)) == expected
@@ -526,7 +525,7 @@ def test_estimator_draws_call_no_linalg(monkeypatch, gen, kind, r):
 
 def _reference_rotations(spec, m, gen):
     r_factors = np.linalg.qr(np.asarray(spec.factors), mode="r")
-    return [st.sample_haar_unitaries(spec.n, m, gen, columns=spec.r) @ r_k for r_k in r_factors]
+    return [_orthonormalize(complex_gaussian(gen, (m, spec.n, spec.r), np.sqrt(0.5))) @ r_k for r_k in r_factors]
 
 
 def _reference_stack(spec, rotated):
@@ -562,7 +561,7 @@ def _reference_chunks(trials, seed):
 
 
 def _noise(spec, gen):
-    return complex_normal(gen, (spec.n,) * spec.d, np.sqrt(1.0 / (2.0 * spec.n))).ravel()
+    return complex_gaussian(gen, (spec.n,) * spec.d, np.sqrt(1.0 / (2.0 * spec.n))).ravel()
 
 
 @pytest.mark.parametrize("lambdas, n, d", [([0.9, 0.4], 3, 3), ([0.7, 0.5], 2, 3), ([1.2], 4, 2)])
@@ -619,7 +618,7 @@ def test_rotate_is_the_per_frame_product(d, r):
     for n in range(r, 7):
         grams = st.GramSet(tuple(st.random_gram(r, gen) for _ in range(d)))
         r_factors = _thin_r(st.spec_from_grams(np.linspace(0.7, 0.3, r), grams, n=n))
-        ginibre = [complex_normal(gen, (3, 7, n, r), np.sqrt(0.5)) for _ in range(d)]
+        ginibre = [complex_gaussian(gen, (3, 7, n, r), np.sqrt(0.5)) for _ in range(d)]
         frames = [_orthonormalize(z.reshape(-1, n, r).copy()) for z in ginibre]
         rotated = _rotate(r_factors, [z.copy() for z in ginibre])
         for got, w, r_k in zip(rotated, frames, r_factors):
@@ -645,8 +644,8 @@ def test_log_lr_stack_matches_dense_spikes(d, r, gram):
     n, b, inner = 4, 3, 5
     spec = st.spec_from_grams(np.linspace(0.7, 0.3, r), gram_matrices(gram, r, d), n=n)
     gen = st.SeedSpec(61, 10 * d + r).generator()
-    ys = complex_normal(gen, (b,) + (n,) * d, np.sqrt(1.0 / (2.0 * n)))
-    rotated = _rotate(_thin_r(spec), [complex_normal(gen, (b, inner, n, r), np.sqrt(0.5)) for _ in range(d)])
+    ys = complex_gaussian(gen, (b,) + (n,) * d, np.sqrt(1.0 / (2.0 * n)))
+    rotated = _rotate(_thin_r(spec), [complex_gaussian(gen, (b, inner, n, r), np.sqrt(0.5)) for _ in range(d)])
     energy = st.eta_max(spec.lambdas, st.gram_set(spec))
     got = _log_lr_stack(spec, ys, rotated, energy)
     expected = [_dense_log_lr(spec, ys[i], [[f[i, m] for f in rotated] for m in range(inner)]) for i in range(b)]

@@ -6,12 +6,14 @@ tracer wraps the functions of the modules in `tracing.MODULES`; the
 self-test patches the functions named in `selftest.INJECTED`.  Renaming any
 of them breaks the benchmark while every other test still passes.  These
 tests only read `perfbench/`: its names are taken from the source text, and
-the set-up child runs without writing bytecode.
+the set-up child and the tracer run without writing bytecode.
 """
 
 import ast
 import importlib
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -61,3 +63,37 @@ def test_selftest_injection_targets_exist():
     assert targets == [("rate", "_rate_stack"), ("moment", "_mean_from_exponents")]
     for module, name in targets:
         assert callable(getattr(importlib.import_module(f"spikedtensor.{module}"), name))
+
+
+# One small command per workload, the kinds of the benchmark's rounds.
+TRACED_OPS = {
+    "cloud": ["cloud", "--d", "3", "--lambdas", "1.0,1.0", "--gram", "identity", "--n", "4",
+              "--samples", "300", "--bins", "10"],
+    "moment": ["moment", "--d", "3", "--lambdas", "0.3", "--n", "4", "--samples", "200"],
+    "observe": ["roc", "--d", "3", "--lambdas", "0.4", "--n", "3", "--trials", "8", "--inner", "10"],
+    "tails": ["xi-tail", "--n", "4", "--t", "0.3,0.5", "--samples", "1000"],
+}
+
+
+def test_traced_round_gives_declared_finite_metrics(tmp_path, monkeypatch, capsys):
+    # the benchmark's per-layer pass: a full tracer over one round at one
+    # thread, which must still run and read only declared, finite metrics
+    import spikedtensor.cli as cli
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tuple(TRACED_OPS) == WORKLOADS
+    tracer = tracing.Tracer(full=True).install()
+    try:
+        for workload, argv in TRACED_OPS.items():
+            out = str(tmp_path / workload)
+            assert cli.main([*argv, "--seed", "1", "--threads", "1", "--out", out]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    declared = json.loads((BENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    metrics = tracer.layer_metrics(1)
+    assert metrics and set(metrics) <= {m["name"] for m in declared}
+    assert all(math.isfinite(value) for value in metrics.values())

@@ -7,13 +7,13 @@ import pytest
 from scipy import stats
 
 import spikedtensor as st
-from conftest import make_random_spec, refuse_linalg_in_draws, unitarity_defect
+from conftest import complex_gaussian, haar_unitaries, make_random_spec, refuse_linalg_in_draws, unitarity_defect
 from spikedtensor.errors import ParameterError
 import spikedtensor.moment as moment
 import spikedtensor.rate as rate
 from spikedtensor.config import gram_matrices
 from spikedtensor.rate import _eta_hadamard_stack, _gram_stack, _rate_stack, _sample_psi_stack
-from spikedtensor.rng import complex_normal
+from spikedtensor.rng import complex_normal_rounds
 
 
 def test_eta_expanded_identity_operators(gen):
@@ -25,7 +25,7 @@ def test_eta_expanded_identity_operators(gen):
 
 def test_eta_expanded_rank_one_product_form(gen):
     spec = make_random_spec(gen, r=1, n=5)
-    thetas = [st.sample_haar_unitaries(5, 1, gen)[0] for _ in range(spec.d)]
+    thetas = list(haar_unitaries(5, spec.d, gen))
     xis = [np.vdot(chi[:, 0], th @ chi[:, 0]) for chi, th in zip(spec.factors, thetas)]
     expected = spec.lambdas[0] ** 2 * np.real(np.prod(xis))
     assert st.eta_expanded(spec, thetas) == pytest.approx(expected, rel=1e-12)
@@ -36,7 +36,7 @@ def test_eta_bounded_by_eta_max(gen):
         spec = make_random_spec(gen)
         emax = st.eta_max(spec.lambdas, st.gram_set(spec))
         for _ in range(50):
-            thetas = list(st.sample_haar_unitaries(spec.n, spec.d, gen))
+            thetas = list(haar_unitaries(spec.n, spec.d, gen))
             assert abs(st.eta_expanded(spec, thetas)) <= emax + 1e-9
 
 
@@ -53,7 +53,7 @@ def test_eta_hadamard_zero_and_identity(gen):
 def test_eta_forms_agree_via_block_extraction(gen):
     for _ in range(60):
         spec = make_random_spec(gen)
-        thetas = list(st.sample_haar_unitaries(spec.n, spec.d, gen))
+        thetas = list(haar_unitaries(spec.n, spec.d, gen))
         full = st.eta_expanded(spec, thetas)
         svd, psis = st.psi_blocks_from_mode_operators(spec.factors, thetas)
         reduced = st.eta_hadamard(spec.lambdas, svd, psis)
@@ -228,19 +228,22 @@ def test_cloud_envelope_and_bound_count_equal_per_point_loops(gen):
 
 def test_psi_stack_ginibre_draw_is_complex_normal():
     # the Ginibre component and the Haar corners' normals come from
-    # rng.complex_normal: the same bytes as the inline sqrt(1/2) * (a + 1j b),
+    # rng.complex_normal_rounds: the same bytes as the inline
+    # sqrt(1/2) * (a + 1j b) a part, round by round,
     # and a pinned digest of the whole mixture (rounded to 12 decimals so
     # that last-bit differences between LAPACK builds do not trip it),
     # re-taken at 0.6.0 for the Bartlett corner draw and the per-component
     # variates, and at 0.10.0 for the Frobenius-scaled Ginibre sets (only
     # the Ginibre sets moved, each to Frobenius norm = its 0.9.0 spectral
     # norm within 5e-16)
-    def inline(gen, shape, std):
-        return std * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+    def inline(gen, count, layout):
+        rounds = [[std * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) for shape, std in layout]
+                  for _ in range(count)]
+        return [np.stack(part) for part in zip(*rounds)]
 
     stack = _sample_psi_stack(2, 4, 3, 750, st.SeedSpec(3).generator())
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rate, "complex_normal", inline)
+        mp.setattr(rate, "complex_normal_rounds", inline)
         assert _sample_psi_stack(2, 4, 3, 750, st.SeedSpec(3).generator()).tobytes() == stack.tobytes()
     digest = hashlib.sha256(np.round(stack, 12).tobytes()).hexdigest()
     assert digest == "ffac11848abc82eefeccc0e894d89a19d5553cea670ec43fea2e1f6203eaa167"
@@ -360,7 +363,7 @@ def test_psi_stack_ginibre_norm_matches_the_svd_rescale(r):
     gen = st.SeedSpec(70, r).generator()
     ginibre = gen.integers(0, 3, size=count) == 0
     rhos = gen.random((int(np.sum(ginibre)), d))
-    raw = complex_normal(gen, (int(np.sum(ginibre)), d, r, r), np.sqrt(0.5))
+    raw = complex_gaussian(gen, (int(np.sum(ginibre)), d, r, r), np.sqrt(0.5))
     ref = raw * (np.sqrt(rhos) / np.linalg.norm(raw, axis=(-2, -1)))[..., None, None]
     assert np.max(np.abs(stack[ginibre] - ref)) <= 1e-13
     assert np.max(np.abs(np.linalg.norm(stack[ginibre], axis=(-2, -1)) - np.sqrt(rhos))) <= 1e-13
@@ -376,9 +379,9 @@ def _oracle_psis(kind, r, count, gen):
     """(count, rows, r) psi stacks whose Grams psi* psi are Ginibre Grams,
     rank one, a multiple of I (the top eigenvalue repeated r times) or zero."""
     if kind == "ginibre":
-        return complex_normal(gen, (count, r, r), np.sqrt(0.5))
+        return complex_gaussian(gen, (count, r, r), np.sqrt(0.5))
     if kind == "rank-one":
-        return complex_normal(gen, (count, 1, r), 1.0)
+        return complex_gaussian(gen, (count, 1, r), 1.0)
     psi = np.zeros((count, r, r), dtype=complex)
     if kind == "equal-diagonal":
         psi[:, np.arange(r), np.arange(r)] = np.sqrt(gen.random(count) + 0.5)[:, None]
@@ -425,9 +428,10 @@ def test_cloud_path_calls_no_per_block_lapack(monkeypatch, gen, r):
 
 
 def _frame_corner_sets(n, r, d, count, gen):
-    """Haar corner sets by the frame route: the top r rows of Haar (n, r)
-    frames, as `_haar_corner_sets` drew them before 0.6.0."""
-    return st.sample_haar_unitaries(n, count * d, gen, columns=r)[:, :r].reshape(count, d, r, r)
+    """Haar corner sets by an independent route: the top-left r x r blocks
+    of scipy's Haar unitaries, drawn 500 at a time to bound the memory."""
+    blocks = [haar_unitaries(n, min(500, count * d - start), gen)[:, :r, :r] for start in range(0, count * d, 500)]
+    return np.concatenate(blocks).reshape(count, d, r, r)
 
 
 @pytest.mark.parametrize("n", [2, 4, 32, 512])
@@ -495,11 +499,11 @@ class _CountingGenerator:
 def test_haar_corner_draw_count_does_not_grow_with_n(monkeypatch, r):
     requested = []
 
-    def counting_normal(gen, shape, std):
-        requested.append(math.prod(shape))
-        return complex_normal(gen, shape, std)
+    def counting_normal(gen, count, layout):
+        requested.append(count * sum(math.prod(shape) for shape, _ in layout))
+        return complex_normal_rounds(gen, count, layout)
 
-    monkeypatch.setattr(rate, "complex_normal", counting_normal)
+    monkeypatch.setattr(rate, "complex_normal_rounds", counting_normal)
     counts = []
     for n in (2 * r + 1, 4096):
         requested.clear()
@@ -526,7 +530,7 @@ def test_eta_hadamard_stack_matches_expanded_form(n, r, d, gram):
     spec = st.spec_from_grams(gen.uniform(0.3, 1.2, size=r), grams, n=n)
     expanded, stack = [], []
     for _ in range(40):
-        thetas = list(st.sample_haar_unitaries(n, d, gen))
+        thetas = list(haar_unitaries(n, d, gen))
         expanded.append(st.eta_expanded(spec, thetas))
         svd, psis = st.psi_blocks_from_mode_operators(spec.factors, thetas)
         stack.append(psis)
@@ -578,8 +582,8 @@ def test_mode_maps_and_exponent_match_inline_kron(r, d, gram):
     stack = rate._haar_corner_sets(n, r, d, 300, gen)
     assert _eta_hadamard_stack(spec.lambdas, svd, stack).tobytes() == _inline_kron_eta(spec.lambdas, svd, stack).tobytes()
     # the spectra from full mode operators, as `eta_hadamard` takes them
-    block_svd, _ = st.psi_blocks_from_mode_operators(spec.factors, list(st.sample_haar_unitaries(n, d, gen)))
+    block_svd, _ = st.psi_blocks_from_mode_operators(spec.factors, list(haar_unitaries(n, d, gen)))
     _assert_maps_are_kron(block_svd)
-    stack = complex_normal(gen, (50, d, r, r), np.sqrt(0.5))
+    stack = complex_gaussian(gen, (50, d, r, r), np.sqrt(0.5))
     got = _eta_hadamard_stack(spec.lambdas, block_svd, stack)
     assert got.tobytes() == _inline_kron_eta(spec.lambdas, block_svd, stack).tobytes()

@@ -8,7 +8,7 @@ from scipy import stats
 
 import spikedtensor as st
 import spikedtensor.rate as rate
-from conftest import unitarity_defect
+from conftest import complex_gaussian, unitarity_defect
 from spikedtensor.config import gram_matrices
 from spikedtensor.errors import ParameterError
 from spikedtensor.moment import _haar_eta_chunks, _noise_part
@@ -16,10 +16,16 @@ from spikedtensor.rng import (
     _BLOCK_CELLS,
     _orthonormalize,
     chunk_sizes,
-    complex_normal,
     complex_normal_rounds,
     map_streams,
 )
+
+
+def haar_frames(n, count, gen, columns=None):
+    """`count` Haar (n, c) frames by the package's one route, c = `columns`
+    (n when left out): `_orthonormalize` of a Ginibre draw of the sampler,
+    as `moment._rotate` takes them."""
+    return _orthonormalize(complex_gaussian(gen, (count, n, n if columns is None else columns), np.sqrt(0.5)))
 
 
 def noise_tensors(n, d, m, gen):
@@ -52,6 +58,20 @@ def test_seedspec_validation():
         st.SeedSpec(0, 2**64)
 
 
+@pytest.mark.parametrize("bad", [1.5, 3.0, "3", None, np.float64(2.0)])
+def test_seedspec_refuses_non_integers(bad):
+    # refused at construction, not by numpy's TypeError at `generator()`
+    for args in ((bad, 0), (0, bad)):
+        with pytest.raises(ParameterError, match="unsigned 64-bit integer"):
+            st.SeedSpec(*args)
+
+
+def test_seedspec_takes_integer_types():
+    for value in (np.uint64(2**64 - 1), np.int32(7)):
+        spec = st.SeedSpec(value, value)
+        spec.generator(1).standard_normal()
+
+
 def test_gaussian_tensor_moments():
     n, d = 10, 5  # one draw gives 1e5 entry samples
     flat = noise_tensors(n, d, 1, st.SeedSpec(1, 0).generator()).ravel()
@@ -76,26 +96,23 @@ def test_haar_unitarity():
     gen = st.SeedSpec(3, 0).generator()
     for n in (1, 2, 5, 9):
         for _ in range(10):
-            u = st.sample_haar_unitaries(n, 1, gen)[0]
+            u = haar_frames(n, 1, gen)[0]
             assert unitarity_defect(u) <= 1e-10
 
 
 def test_haar_frames_have_orthonormal_columns():
     gen = st.SeedSpec(12, 0).generator()
     for n, r in ((1, 1), (5, 1), (5, 2), (9, 3), (9, 9), (64, 2), (300, 4)):
-        w = st.sample_haar_unitaries(n, 10, gen, columns=r)
+        w = haar_frames(n, 10, gen, columns=r)
         assert w.shape == (10, n, r)
         assert unitarity_defect(w) <= 1e-10
-    for bad in (0, 6):
-        with pytest.raises(ParameterError):
-            st.sample_haar_unitaries(5, 1, gen, columns=bad)
 
 
 @pytest.mark.parametrize("r", [1, 2])
 def test_haar_frame_entry_is_beta(r):
     # |W_11|^2 of a Haar frame, as of a Haar unitary, is Beta(1, n - 1)
     n, reps = 5, 20000
-    w = st.sample_haar_unitaries(n, reps, st.SeedSpec(13, r).generator(), columns=r)
+    w = haar_frames(n, reps, st.SeedSpec(13, r).generator(), columns=r)
     sq = np.abs(w[:, 0, 0]) ** 2
     assert stats.kstest(sq, stats.beta(1, n - 1).cdf).pvalue > 0.01
 
@@ -111,10 +128,10 @@ def _phase_corrected_qr(z):
 @pytest.mark.parametrize("n, c", [(2, 1), (3, 2), (4, 1), (8, 2), (16, 3), (32, 2), (64, 8),
                                   (1, 1), (2, 2), (5, 5), (16, 16)])
 def test_haar_frames_match_phase_corrected_qr(n, c):
-    # the frames orthonormalize the same Ginibre stack that complex_normal
-    # draws first from the generator; at c = n they are full unitaries
-    frames = st.sample_haar_unitaries(n, 200, st.SeedSpec(17, n).generator(), columns=c)
-    z = complex_normal(st.SeedSpec(17, n).generator(), (200, n, c), np.sqrt(0.5))
+    # the frames orthonormalize the same Ginibre stack that LAPACK's QR
+    # factors; at c = n they are full unitaries
+    z = complex_gaussian(st.SeedSpec(17, n).generator(), (200, n, c), np.sqrt(0.5))
+    frames = _orthonormalize(z.copy())
     assert np.max(np.abs(frames - _phase_corrected_qr(z))) <= 1e-12
 
 
@@ -136,7 +153,7 @@ def _divided_gram_schmidt(z):
 def test_orthonormalize_is_the_complex_division_on_ginibre_stacks(n, c):
     # NumPy divides a complex a + ib by a real c as (a + b * 0) * (1 / c)
     # and (b - a * 0) * (1 / c): the real parts times the reciprocal norm
-    z = complex_normal(st.SeedSpec(19, 10 * n + c).generator(), (300, n, c), np.sqrt(0.5))
+    z = complex_gaussian(st.SeedSpec(19, 10 * n + c).generator(), (300, n, c), np.sqrt(0.5))
     assert _orthonormalize(z.copy()).tobytes() == _divided_gram_schmidt(z).tobytes()
 
 
@@ -163,22 +180,28 @@ def test_haar_frames_orthonormal_at_worst_conditioning(c):
     # singular values.  Two Gram-Schmidt passes keep the defect at a few
     # ulps; a single pass leaves about 3e-14 at c = 16, n = c + 1.
     for n in (c, c + 1):
-        frames = st.sample_haar_unitaries(n, 10_000, st.SeedSpec(18, c).generator(), columns=c)
+        frames = haar_frames(n, 10_000, st.SeedSpec(18, c).generator(), columns=c)
         assert unitarity_defect(frames) <= 1e-14
 
 
 def test_complex_normal_draw_order_is_pinned():
-    z = complex_normal(st.SeedSpec(1, 0).generator(), (4, 5, 3), np.sqrt(0.5))
+    z = complex_gaussian(st.SeedSpec(1, 0).generator(), (4, 5, 3), np.sqrt(0.5))
     digest = hashlib.sha256(z.tobytes()).hexdigest()
     assert digest == "af28cd9e0c95e03578934e4d6d0cecbe249547abae1dcd5b29c9652690b594ed"
 
 
+def _inline_complex_normal(gen, shape, std):
+    """std * (a + ib) from two `standard_normal(shape)` calls: the plain
+    construction that the sampler's scaled writes must equal in bytes."""
+    return std * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+
+
 def test_complex_normal_rounds_equal_sequential_calls():
-    layout = [((3, 3), 0.25), ((5, 4, 2), np.sqrt(0.5)), ((1, 4, 2), np.sqrt(0.5)), ((7,), 2.0)]
+    layout = [((3, 3), 0.25), ((5, 4, 2), np.sqrt(0.5)), ((1, 4, 2), np.sqrt(0.5)), ((7,), 2.0), ((2, 0), 1.0)]
     gen = st.SeedSpec(19, 1).generator()
     parts = complex_normal_rounds(gen, 6, layout)
     ref = st.SeedSpec(19, 1).generator()
-    expected = [[complex_normal(ref, shape, std) for shape, std in layout] for _ in range(6)]
+    expected = [[_inline_complex_normal(ref, shape, std) for shape, std in layout] for _ in range(6)]
     for k, (shape, _) in enumerate(layout):
         assert parts[k].shape == (6, *shape)
         assert parts[k].tobytes() == np.stack([row[k] for row in expected]).tobytes()
@@ -189,8 +212,8 @@ def test_complex_normal_rounds_equal_sequential_calls():
 def test_full_haar_draw_order_is_pinned():
     # The draw order of full unitaries is part of the released behaviour:
     # changing it is a versioned break.  Rounding keeps last-bit differences
-    # between LAPACK builds from tripping the hash.
-    u = st.sample_haar_unitaries(5, 3, st.SeedSpec(1, 0).generator())
+    # between BLAS builds from tripping the hash.
+    u = haar_frames(5, 3, st.SeedSpec(1, 0).generator())
     digest = hashlib.sha256(np.round(u, 12).tobytes()).hexdigest()
     assert digest == "d7ee5bf8effc55c0fb4ec5c121a5c8cf3b6c8673fc95900cdd469c12c9bdeb12"
 
@@ -200,7 +223,7 @@ def _eta_full_unitaries(spec, size, gen):
     that the corner-based `_haar_eta_chunks` must match in law."""
     had = None
     for chi in spec.factors:
-        thetas = st.sample_haar_unitaries(spec.n, size, gen)
+        thetas = haar_frames(spec.n, size, gen)
         overlap = np.einsum("ni,bnj->bij", np.conj(chi), thetas @ chi)
         had = overlap if had is None else had * overlap
     return np.real(np.einsum("i,bij,j->b", spec.lambdas, had, spec.lambdas))
@@ -218,7 +241,7 @@ def test_eta_from_frames_matches_full_unitaries(n, gram):
 
 def test_haar_first_entry_moment():
     n, reps = 4, 20000
-    us = st.sample_haar_unitaries(n, reps, st.SeedSpec(4, 0).generator())
+    us = haar_frames(n, reps, st.SeedSpec(4, 0).generator())
     sq = np.abs(us[:, 0, 0]) ** 2
     assert abs(np.mean(sq) - 1.0 / n) < 3 * np.std(sq) / np.sqrt(reps)
 
@@ -227,10 +250,10 @@ def test_haar_invariance_of_traces():
     # traces of V @ U, U @ V and U should all be indistinguishable in law
     n, reps = 5, 4000
     gen = st.SeedSpec(5, 0).generator()
-    v = st.sample_haar_unitaries(n, 1, gen)[0]
-    t_plain = np.einsum("bii->b", st.sample_haar_unitaries(n, reps, gen))
-    t_left = np.einsum("bii->b", v @ st.sample_haar_unitaries(n, reps, gen))
-    t_right = np.einsum("bii->b", st.sample_haar_unitaries(n, reps, gen) @ v)
+    v = haar_frames(n, 1, gen)[0]
+    t_plain = np.einsum("bii->b", haar_frames(n, reps, gen))
+    t_left = np.einsum("bii->b", v @ haar_frames(n, reps, gen))
+    t_right = np.einsum("bii->b", haar_frames(n, reps, gen) @ v)
     for rotated in (t_left, t_right):
         for part in (np.real, np.imag):
             p = stats.mannwhitneyu(part(t_plain), part(rotated)).pvalue
@@ -251,18 +274,16 @@ def test_psi_block_norm_and_edges():
     gen = st.SeedSpec(9, 0).generator()
     # the top r x r block of a Haar unitary is the first r rows of a Haar (n, r) frame
     for _ in range(50):
-        b = st.sample_haar_unitaries(6, 1, gen, columns=3)[0, :3]
+        b = haar_frames(6, 1, gen, columns=3)[0, :3]
         assert np.linalg.norm(b, 2) <= 1.0 + 1e-12
-    full = st.sample_haar_unitaries(4, 1, gen, columns=4)[0, :4]
+    full = haar_frames(4, 1, gen, columns=4)[0, :4]
     assert unitarity_defect(full) <= 1e-10
-    with pytest.raises(ParameterError):
-        st.sample_haar_unitaries(3, 1, gen, columns=4)
 
 
 def test_psi_block_r1_is_sphere_coordinate():
     n, reps = 5, 20000
     gen = st.SeedSpec(10, 0).generator()
-    sq = np.abs(st.sample_haar_unitaries(n, reps, gen)[:, 0, 0]) ** 2
+    sq = np.abs(haar_frames(n, reps, gen)[:, 0, 0]) ** 2
     assert abs(np.mean(sq) - 1.0 / n) < 3 * np.std(sq) / np.sqrt(reps)
 
 

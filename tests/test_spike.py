@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import spikedtensor as st
-from conftest import make_random_spec, unitarity_defect
+from conftest import haar_unitaries, make_random_spec, unitarity_defect
 from spikedtensor.errors import ParameterError
 
 
@@ -169,7 +169,7 @@ def test_build_spike_orthogonal_energy(gen):
 def test_build_spike_commutes_with_mode_rotations(gen):
     # rotating every mode of the spike tensor rotates its factors
     spec = make_random_spec(gen, d=3, r=2, n=4)
-    ops = [st.sample_haar_unitaries(4, 1, gen)[0] for _ in range(3)]
+    ops = list(haar_unitaries(4, 3, gen))
     rotated = st.SpikeSpec(
         d=spec.d, n=spec.n, r=spec.r, lambdas=spec.lambdas,
         factors=tuple(op @ chi for op, chi in zip(ops, spec.factors)),
