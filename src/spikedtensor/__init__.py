@@ -1,7 +1,7 @@
 """Detectability thresholds and seeded Monte-Carlo experiments for rank-r
 spiked complex Gaussian tensor models."""
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 from .errors import ParameterError
 from .moment import (
@@ -34,10 +34,7 @@ from .spike import (
     SpikeSvd,
     build_spike,
     eta_max,
-    factors_from_grams,
-    gram_set,
     random_gram,
-    spec_from_grams,
     spike_svd,
 )
 from .thresholds import (
@@ -68,8 +65,6 @@ __all__ = [
     "eta_expanded",
     "eta_hadamard",
     "eta_max",
-    "factors_from_grams",
-    "gram_set",
     "grf_lower_bound",
     "grf_psi_rate",
     "hoelder_condition",
@@ -82,7 +77,6 @@ __all__ = [
     "sample_grf_cloud",
     "second_moment_direct_mc",
     "second_moment_haar_mc",
-    "spec_from_grams",
     "spike_svd",
     "threshold_report",
     "xi_empirical_tail",

@@ -32,7 +32,7 @@ from .moment import (
 )
 from .rate import cloud_bound_violations, grf_lower_bound, sample_grf_cloud
 from .rng import SeedSpec
-from .spike import spec_from_grams
+from .spike import SpikeSpec
 from .thresholds import threshold_report
 
 _EXIT_OK = 0
@@ -63,8 +63,8 @@ _EXIT_INVARIANT = 2
 # one-thread peak RSS (ru_maxrss) was 269 MiB for `roc` at d=3, n=4, inner
 # 2^18 (0.23-0.25 s for the prior set, medians of seven, and about 0.1 s
 # a trial) and 220 MiB at
-# d=2, n=6, r=2, inner 174762.  `d` bounds the Grams and factors every run
-# builds first; at d=1024, `threshold` took 0.14 s (31 MB).
+# d=2, n=6, r=2, inner 174762.  `d` bounds the Grams every run builds
+# first; at d=1024, `threshold` took 0.09 s (33 MB, medians of five).
 # `r` bounds the spike every run builds at n = r before its own checks, whose
 # cost grows as about r^3 (`threshold` took 3.5 ms at r=32, 0.17 s at 64 and
 # 1.1 s at 512, 77 MB), and the d (r^2, r^2) complex mode maps of `moment`,
@@ -162,7 +162,7 @@ def _refuse_draw(spec, inner: int) -> None:
 
 def _spec_for(config: ExperimentConfig, n: int):
     grams = gram_matrices(config.gram, config.r, config.d)
-    return spec_from_grams(np.array(config.lambdas), grams, n=n)
+    return SpikeSpec(np.array(config.lambdas), grams, n=n)
 
 
 def run_threshold(config: ExperimentConfig) -> None:

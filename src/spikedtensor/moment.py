@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ParameterError
 from .rate import _corner_cells, _eta_hadamard_stack, _haar_corner_sets
 from .rng import _PRIOR_LANE, SeedSpec, _orthonormalize, complex_normal_rounds, map_streams
-from .spike import SpikeSpec, _spike_tensors, eta_max, gram_set, spike_svd
+from .spike import SpikeSpec, _spike_tensors, eta_max, spike_svd
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -159,7 +159,7 @@ def default_epsilon(spec: SpikeSpec) -> float:
     """Split level min(eta_max / 4, r^2 * max_ij lambda_i lambda_j), small
     enough for the tail argument the split feeds."""
     lam = spec.lambdas
-    return min(eta_max(lam, gram_set(spec)) / 4.0, spec.r**2 * float(np.max(lam)) ** 2)
+    return min(eta_max(lam, spec.grams) / 4.0, spec.r**2 * float(np.max(lam)) ** 2)
 
 
 def _complement(total: float, part: float) -> float:
@@ -267,7 +267,7 @@ def second_moment_direct_mc(
     layout = [_noise_part(spec), *(_rotation_parts(spec, inner) if rotate else [])]
     fixed = [chi[None, None] for chi in spec.factors]
     r_factors = _thin_r(spec)
-    energy = eta_max(spec.lambdas, gram_set(spec))
+    energy = eta_max(spec.lambdas, spec.grams)
 
     def worker(m, gen):
         y, *ginibre = complex_normal_rounds(gen, m, layout)
@@ -360,7 +360,7 @@ def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, thre
     noise = _noise_part(spec)
     layout = [noise, *_rotation_parts(spec, 1), noise]
     r_factors = _thin_r(spec)
-    energy = eta_max(spec.lambdas, gram_set(spec))
+    energy = eta_max(spec.lambdas, spec.grams)
     prior = _prior_set(spec, r_factors, inner, rng)
 
     def worker(m, gen):

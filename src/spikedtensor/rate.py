@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .rng import SeedSpec, _orthonormalize, complex_normal_rounds, map_streams
-from .spike import SpikeSpec, SpikeSvd, _hadamard_form, eta_max, gram_set, spike_svd
+from .spike import SpikeSpec, SpikeSvd, _hadamard_form, eta_max, spike_svd
 
 _NORM_TOL = 1e-12
 
@@ -292,7 +292,7 @@ def sample_grf_cloud(spec: SpikeSpec, count: int, rng: SeedSpec, bins: int, thre
     """
     if count < 1 or bins < 1:
         raise ParameterError(f"need count >= 1 and bins >= 1, got count={count}, bins={bins}")
-    emax = eta_max(spec.lambdas, gram_set(spec))
+    emax = eta_max(spec.lambdas, spec.grams)
     if emax <= 0:
         raise ParameterError("eta_max must be positive to normalize the cloud")
     svd = spike_svd(spec)

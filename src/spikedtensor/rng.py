@@ -139,7 +139,12 @@ def _orthonormalize(z: np.ndarray) -> np.ndarray:
 # threads took 0.56-0.68x the one-thread time on roc, cloud, Haar-moment
 # and xi-tail chunks of 72k-120k cells, but 1.17x on `direct` at n=4,
 # inner=2000 (four 32k-cell draws a chunk), and 0.68-0.89x on chunks of
-# 36k-60k cells, a gain this threshold leaves unused.
+# 36k-60k cells, a gain this threshold leaves unused.  A chunk above the
+# threshold is not sure to gain, because OpenBLAS's own threads compete
+# with the pool: on a 2-vCPU VM (three sets of medians of five calls),
+# whole `cloud --n 16 --samples 100000` runs took 0.73-1.12x as fast on 2
+# threads as on 1, and `split --n 8 --samples 200000` 0.82-1.17x; with
+# OPENBLAS_NUM_THREADS=1 they took 1.15-1.39x and 1.73-2.11x.
 _N_STREAMS = 16
 _BLOCK_CELLS = 2**17
 # The child stream of a draw taken once per run and shared by every chunk

@@ -1,10 +1,11 @@
-"""Rank-r spike parameterization: amplitudes, per-mode factor matrices,
-their Gram matrices, and the Gram spectra everything downstream runs on.
+"""Rank-r spike parameterization: amplitudes, per-mode Gram matrices, the
+factor matrices they embed at dimension n, and the Gram spectra everything
+downstream runs on.
 
 The Gram matrices are the canonical experiment parameters: they do not
-depend on the ambient dimension n, so experiments are specified by Gram
-targets and factor matrices are synthesized at whatever n a simulation
-needs.
+depend on the ambient dimension n, so a spike is its amplitudes, its Grams
+and n, and its factor matrices are derived at n only where a driver reads
+them.
 """
 
 from __future__ import annotations
@@ -18,54 +19,9 @@ import numpy as np
 from .errors import ParameterError
 from .rng import complex_normal_rounds
 
-_COLUMN_NORM_TOL = 1e-10
 _HERMITIAN_TOL = 1e-12
 _DIAGONAL_TOL = 1e-12
 _PSD_TOL = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class SpikeSpec:
-    """Rank-r spike: amplitudes `lambdas` (length r, non-negative) and d
-    factor matrices of shape (n, r) with unit-norm columns.
-
-    A zero amplitude lowers the rank; the all-zero spike is the null.  Of
-    the subcommands, `threshold` refuses a zero amplitude, and `cloud` and
-    `split` without `--epsilon` an all-zero spike; the others run both.
-    """
-
-    d: int
-    n: int
-    r: int
-    lambdas: np.ndarray
-    factors: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "lambdas", np.asarray(self.lambdas, dtype=float))
-        object.__setattr__(self, "factors", tuple(np.asarray(f, dtype=complex) for f in self.factors))
-        if self.d < 2:
-            raise ParameterError(f"order d must be >= 2, got {self.d}")
-        if not (1 <= self.r <= self.n):
-            raise ParameterError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
-        if self.lambdas.shape != (self.r,):
-            raise ParameterError(f"lambdas must have length r={self.r}, got shape {self.lambdas.shape}")
-        if np.any(self.lambdas < 0):
-            raise ParameterError("amplitudes must be non-negative")
-        # eta_max <= sum(lambdas)^2, so 2 n sum(lambdas)^2 bounds every
-        # exponent a driver forms: 2 n eta in `moment`, 2 eta_max in `cloud`
-        with np.errstate(over="ignore"):
-            total = np.sum(self.lambdas)
-            top = 2.0 * self.n * total**2
-        if not np.isfinite(top):
-            raise ParameterError(f"2 n sum(lambdas)^2 must be a finite float, got sum(lambdas) = {total:.6g}")
-        if len(self.factors) != self.d:
-            raise ParameterError(f"need {self.d} factor matrices, got {len(self.factors)}")
-        for k, chi in enumerate(self.factors):
-            if chi.shape != (self.n, self.r):
-                raise ParameterError(f"factor {k} has shape {chi.shape}, expected {(self.n, self.r)}")
-            norms = np.linalg.norm(chi, axis=0)
-            if np.max(np.abs(norms - 1.0)) > _COLUMN_NORM_TOL:
-                raise ParameterError(f"factor {k} columns must be unit norm (max deviation {np.max(np.abs(norms - 1.0)):.3e})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,6 +59,60 @@ class GramSet:
 
 
 @dataclass(frozen=True, eq=False)
+class SpikeSpec:
+    """Rank-r spike at dimension n: amplitudes `lambdas` (length r,
+    non-negative) and the d factor Grams `grams`, a `GramSet`.
+
+    A zero amplitude lowers the rank; the all-zero spike is the null.  Of
+    the subcommands, `threshold` refuses a zero amplitude, and `cloud` and
+    `split` without `--epsilon` an all-zero spike; the others run both.
+    """
+
+    lambdas: np.ndarray
+    grams: GramSet
+    n: int
+
+    def __post_init__(self):
+        if not isinstance(self.grams, GramSet):
+            raise ParameterError(f"grams must be a GramSet, got {type(self.grams).__name__}")
+        object.__setattr__(self, "lambdas", np.asarray(self.lambdas, dtype=float))
+        if self.d < 2:
+            raise ParameterError(f"order d must be >= 2, got {self.d}")
+        if not (1 <= self.r <= self.n):
+            raise ParameterError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
+        if self.lambdas.shape != (self.r,):
+            raise ParameterError(f"lambdas must have length r={self.r}, got shape {self.lambdas.shape}")
+        if np.any(self.lambdas < 0):
+            raise ParameterError("amplitudes must be non-negative")
+        # eta_max <= sum(lambdas)^2, so 2 n sum(lambdas)^2 bounds every
+        # exponent a driver forms: 2 n eta in `moment`, 2 eta_max in `cloud`
+        with np.errstate(over="ignore"):
+            total = np.sum(self.lambdas)
+            top = 2.0 * self.n * total**2
+        if not np.isfinite(top):
+            raise ParameterError(f"2 n sum(lambdas)^2 must be a finite float, got sum(lambdas) = {total:.6g}")
+
+    @property
+    def d(self) -> int:
+        return self.grams.d
+
+    @property
+    def r(self) -> int:
+        return self.grams.r
+
+    @functools.cached_property
+    def factors(self) -> tuple:
+        """The d factor matrices chi_k of shape (n, r) with chi_k* chi_k =
+        gram_k: the Hermitian square root of each Gram fills the top r rows,
+        and the rows below are zero.  Built once, on first read, and
+        read-only."""
+        chi = np.zeros((self.d, self.n, self.r), dtype=complex)
+        chi[:, : self.r] = [_psd_sqrt(g) for g in self.grams.grams]
+        chi.flags.writeable = False
+        return tuple(chi)
+
+
+@dataclass(frozen=True, eq=False)
 class SpikeSvd:
     """Per-mode Gram spectra: `sigmas[k]` holds the diagonal of the
     descending non-negative r x r matrix Sigma_k and `vs[k]` the matching
@@ -130,11 +140,6 @@ class SpikeSvd:
         object.__setattr__(self, "mode_maps", tuple(maps))
 
 
-def gram_set(spec: SpikeSpec) -> GramSet:
-    """The d Gram matrices chi_k* chi_k of a spike."""
-    return GramSet(tuple(chi.conj().T @ chi for chi in spec.factors))
-
-
 def _psd_sqrt(g: np.ndarray) -> np.ndarray:
     """Hermitian square root of a Gram that `GramSet` found PSD within
     _PSD_TOL, its tiny negative eigenvalues clipped to 0."""
@@ -143,30 +148,12 @@ def _psd_sqrt(g: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(evals)) @ vecs.conj().T
 
 
-def factors_from_grams(grams: GramSet, n: int) -> tuple:
-    """Factor matrices chi_k of shape (n, r) whose Grams reproduce `grams`:
-    the Hermitian square root of each Gram fills the top r rows, and the
-    rows below are zero."""
-    r = grams.r
-    if n < r:
-        raise ParameterError(f"need n >= r, got n={n}, r={r}")
-    chi = np.zeros((grams.d, n, r), dtype=complex)
-    chi[:, :r] = [_psd_sqrt(g) for g in grams.grams]
-    return tuple(chi)
-
-
-def spec_from_grams(lambdas, grams: GramSet, n: int) -> SpikeSpec:
-    """Convenience: synthesize a SpikeSpec at dimension n from Gram targets."""
-    factors = factors_from_grams(grams, n)
-    return SpikeSpec(d=grams.d, n=n, r=grams.r, lambdas=lambdas, factors=factors)
-
-
 def spike_svd(spec: SpikeSpec) -> SpikeSvd:
     """Gram spectra (Sigma_k, V_k), computed from the r x r Grams so the
     result does not depend on n.  Singular values are sorted descending;
     Gram eigenvalues in [-1e-10, 0) are clipped to 0."""
     sigmas, vs = [], []
-    for g in gram_set(spec).grams:
+    for g in spec.grams.grams:
         evals, vecs = np.linalg.eigh(g)
         order = np.argsort(-evals, kind="stable")
         evals = np.clip(evals[order], 0.0, None)

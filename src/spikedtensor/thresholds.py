@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .spike import GramSet, SpikeSpec, eta_max, gram_set, _psd_sqrt
+from .spike import GramSet, SpikeSpec, eta_max, _psd_sqrt
 
 
 def beta_d_second(d: int) -> float:
@@ -72,7 +72,7 @@ def matrix_case_mu_max(spec: SpikeSpec) -> float:
     """
     if spec.d != 2:
         raise ParameterError(f"matrix-case statistic requires d=2, got d={spec.d}")
-    g1, g2 = gram_set(spec).grams
+    g1, g2 = spec.grams.grams
     lam = np.diag(spec.lambdas)
     root = _psd_sqrt(g1)
     core = root @ lam @ np.conj(g2) @ lam @ root
@@ -106,9 +106,8 @@ class ThresholdReport:
 
 def threshold_report(spec: SpikeSpec) -> ThresholdReport:
     """Evaluate every applicable threshold condition for one spike."""
-    grams = gram_set(spec)
     hoelder_ok, hoelder_margin = hoelder_condition(spec.lambdas, spec.d)
-    main_ok, main_margin = main_condition(spec.lambdas, grams, spec.d)
+    main_ok, main_margin = main_condition(spec.lambdas, spec.grams, spec.d)
     d2_mu_max = d2_ok = None
     if spec.d == 2:
         d2_mu_max = matrix_case_mu_max(spec)
@@ -117,7 +116,7 @@ def threshold_report(spec: SpikeSpec) -> ThresholdReport:
         d=spec.d,
         beta_d=beta_d_second(spec.d),
         sum_lambda=float(np.sum(spec.lambdas)),
-        eta_max=eta_max(spec.lambdas, grams),
+        eta_max=eta_max(spec.lambdas, spec.grams),
         hoelder_ok=hoelder_ok,
         hoelder_margin=hoelder_margin,
         main_ok=main_ok,

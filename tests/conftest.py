@@ -18,8 +18,7 @@ def make_random_spec(gen, d=None, r=None, n=None, lam_low=0.1, lam_high=1.5):
     n = n if n is not None else int(gen.integers(r, 17))
     grams = st.GramSet(tuple(st.random_gram(r, gen) for _ in range(d)))
     lambdas = gen.uniform(lam_low, lam_high, size=r)
-    factors = st.factors_from_grams(grams, n)
-    return st.SpikeSpec(d=d, n=n, r=r, lambdas=lambdas, factors=factors)
+    return st.SpikeSpec(lambdas, grams, n=n)
 
 
 def rank_one_second_moment(n, d, lam):

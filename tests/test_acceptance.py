@@ -67,7 +67,7 @@ def test_criterion_04_eta_boundedness_and_spike_energy():
     draws_per_spec = 10_000
     for i in range(10):
         spec = make_random_spec(gen, n=int(gen.integers(2, 7)), d=int(gen.integers(2, 4)))
-        emax = st.eta_max(spec.lambdas, st.gram_set(spec))
+        emax = st.eta_max(spec.lambdas, spec.grams)
         energy = np.linalg.norm(st.build_spike(spec)) ** 2
         assert abs(energy - emax) <= 1e-10 * max(emax, 1.0)
         etas = np.concatenate(_haar_eta_chunks(spec, draws_per_spec, st.SeedSpec(404, i + 1), 1))
@@ -137,7 +137,7 @@ def test_criterion_07_rate_bound_cloud():
     gaps = {}
     for preset in ("identity", "two-eigenvalue:1.8,0.2"):
         grams = gram_matrices(preset, 2, 3)
-        spec = st.spec_from_grams([1.0, 1.0], grams, n=16)
+        spec = st.SpikeSpec([1.0, 1.0], grams, n=16)
         seed = st.SeedSpec(707, 0)
         cloud = st.sample_grf_cloud(spec, count, seed, bins=60)
         assert cloud_points_ok(cloud)
@@ -170,8 +170,7 @@ def test_criterion_08_xi_tail_law():
 
 
 def test_criterion_09_deterministic_second_moment():
-    factors = tuple(np.eye(4, 1, dtype=complex) for _ in range(3))
-    spec = st.SpikeSpec(d=3, n=4, r=1, lambdas=[0.3], factors=factors)
+    spec = st.SpikeSpec([0.3], st.GramSet((np.eye(1),) * 3), n=4)
     est = st.second_moment_direct_mc(spec, 100_000, 1, st.SeedSpec(909, 0), rotate=False)
     target = math.exp(0.72)
     assert abs(est.mean - target) <= 3 * est.stderr
@@ -181,7 +180,7 @@ def test_criterion_09_deterministic_second_moment():
 def test_criterion_10_estimator_cross_check():
     gen = st.SeedSpec(100, 0).generator()
     grams = st.GramSet(tuple(st.random_gram(2, gen) for _ in range(3)))
-    spec = st.spec_from_grams([0.3, 0.2], grams, n=3)
+    spec = st.SpikeSpec([0.3, 0.2], grams, n=3)
     haar = st.second_moment_haar_mc(spec, 20_000, st.SeedSpec(101, 0))
     direct = st.second_moment_direct_mc(spec, 1000, 1000, st.SeedSpec(102, 0))
     combined = math.hypot(haar.stderr, direct.stderr)
@@ -190,13 +189,12 @@ def test_criterion_10_estimator_cross_check():
 
 
 def test_criterion_11_partition_identity():
-    factors = tuple(np.eye(4, 2, dtype=complex) for _ in range(3))
-    spec = st.SpikeSpec(d=3, n=4, r=2, lambdas=[0.5, 0.3], factors=factors)
+    spec = st.SpikeSpec([0.5, 0.3], st.GramSet((np.eye(2),) * 3), n=4)
     seed = st.SeedSpec(111, 0)
     total = st.second_moment_haar_mc(spec, 5000, seed)
     e1, e2 = st.e1_e2_split(spec, 0.05, 5000, seed)
     assert e1.mean + e2.mean == total.mean
-    emax = st.eta_max(spec.lambdas, st.gram_set(spec))
+    emax = st.eta_max(spec.lambdas, spec.grams)
     e1_empty, e2_full = st.e1_e2_split(spec, emax, 5000, seed)
     assert e1_empty.mean == 0.0
     assert e1_empty.mean + e2_full.mean == total.mean
@@ -207,7 +205,7 @@ def test_criterion_12_trend_checks():
     lam = 0.8 * math.sqrt(1.5) * st.beta_d_second(3)
     g = st.GramSet((np.eye(1),) * 3)
     ns = (4, 8, 16)
-    estimates = [st.second_moment_haar_mc(st.spec_from_grams([lam], g, n=n), 20_000, st.SeedSpec(0, 0)) for n in ns]
+    estimates = [st.second_moment_haar_mc(st.SpikeSpec([lam], g, n=n), 20_000, st.SeedSpec(0, 0)) for n in ns]
     means = [est.mean for est in estimates]
     assert means[0] >= means[1] >= means[2]
     assert 1.0 <= means[2] <= 1.5
@@ -215,8 +213,7 @@ def test_criterion_12_trend_checks():
     for n, est in zip(ns, estimates):
         assert abs(est.mean - rank_one_second_moment(n, 3, lam)) <= 3 * est.stderr
 
-    factors = tuple(np.eye(3, 1, dtype=complex) for _ in range(3))
-    zero = st.SpikeSpec(d=3, n=3, r=1, lambdas=[0.0], factors=factors)
+    zero = st.SpikeSpec([0.0], g, n=3)
     roc = st.roc_experiment(zero, 2000, 1, st.SeedSpec(120, 0))
     assert roc.tv_proxy <= 3 * math.sqrt(1.0 / 2000)
     _passed(12, f"means {[f'{m:.3f}' for m in means]} non-increasing, n=16 in [1, 1.5], "

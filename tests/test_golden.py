@@ -99,6 +99,25 @@ in `test_moment.py` passed; they hold at `--threads` 1 and 2 and for one
 draw a block.  Folding the normals' scale into one real product (the
 `rng` samplers) moved no byte: every other digest holds at `--threads` 1
 and 2.
+
+The 0.16.0 break, a Gram-native `SpikeSpec` (amplitudes, Grams and n; the
+factor matrices derived from the Grams, and no Grams rebuilt from them),
+re-took the outputs that read a non-identity Gram: `thr_d3`, `mom_r2`,
+`direct_r2_d2`, `direct_full_qr`, the library `d3n2r2` and the sparse
+cloud hash, whose all-ones r=3 spike moved.  Their draws did not move, only
+the arithmetic on the Grams.  Against 0.15.0, before they were re-taken:
+`thr_d3`'s `eta_max` reads 0.7657600000000001, the exact 0.76576 to one
+ulp, where it read 0.7657599999999994, and its margins moved by at most
+8.7e-16 relative; the `direct` means, stderrs and `log_domain_max` by
+3.5e-15; `mom_r2`'s mean did not move, its stderr moved by 2.1e-14 and its
+`log_domain_max` by 1.1e-15; the `d3n2r2` roc thresholds by at most 1.8e-15
+absolute, 1.2e-15 of the largest, with fpr, tpr and `tv_proxy` unmoved,
+and its fixed-spike estimate by 2.7e-15.  The all-ones r=3 cloud points
+moved in x by at most 7.7e-10 absolute on an `eta_max` of 1: the Grams'
+zero eigenvalues enter `spike_svd` as square roots of rounding (2.6e-8
+from the rebuilt Grams, 3.0e-9 from the given ones), and its y values and
+the identity r=2 points kept their bytes.  Every other digest holds at
+`--threads` 1 and 2.
 """
 
 import hashlib
@@ -168,12 +187,12 @@ GOLDEN = {
     "direct_bench.json": "d02c9b54519d8630f167152f2d2a85b8e5343c6cd42e545f082f364b0f3b858e",
     "roc_r2_d2.csv": "f38f1085c7054026714b31095bb407d127c187ca24ffa62918a2b7d8c0a0217d",
     "roc_r2_d2.json": "cda338f56f4aaf89647a79b195ce345433b78c46a9bb26cde77b7d452bce02b3",
-    "direct_r2_d2.csv": "8f9b99178c15fd9a223d6ba83263cc11922419e2f0411d16c22e567ebb9e7ad8",
-    "direct_r2_d2.json": "954fb0f78e9d69bbe5c3f8c33303c4973ee26b5157db5f6b6b8b846064c28959",
+    "direct_r2_d2.csv": "5854f7cb46ad534d0ff86bb886904d4052daa3f790ca2a66960da036309c495b",
+    "direct_r2_d2.json": "04ad86c6773060c72ec73f960be788c6690c180ce125295fad10a755a1ade909",
     "roc_full_qr.csv": "dba6c5f08bc28a841080887f086c4c2f7d2f2287cdd5d4808126ad3450b7c974",
     "roc_full_qr.json": "171457460076dac4280138e4d666fd2e943e96a0e0586d486eb6da329ed88515",
-    "direct_full_qr.csv": "f5b84ca58a53dbcf0ddc696a481a081dae0a96994cd9c85c96651fc8ca545d1e",
-    "direct_full_qr.json": "e37686443f67827e81655c4e7673b30d2461345a5e598418c0a13dd5c76bef70",
+    "direct_full_qr.csv": "f07cb43e585c4bee4d3088d3324faa4740c6949f22122c650a39a309413a659c",
+    "direct_full_qr.json": "c822c165060364a6adb13239af94d9a178d1303f5bc2f2a424602b357e1d14e1",
     "roc_n4_d3.csv": "bdb0d023c75bef7fa55f534723f6a271aa40c57802d53a1053fb39c6745c9dad",
     "roc_n4_d3.json": "4c41e4779640421cd8c827493ea1c4228c91ab033ac4e42c925b13047d49a0c9",
     "direct_n4_d3.csv": "1ebddfe29b9086d64f092b17c2692e244ef7f92a234773264919032b9f45d799",
@@ -189,19 +208,21 @@ GOLDEN = {
     "cloud.points.csv": "255df59927a6f3dc49b126292349e07d54bba451a630c2b324104711fbb143ac",
     "cloud.envelope.csv": "5d0e18d1a8a9aedb11ccb7c694d2089b03d28384ad13a67078d612b0c44bd0da",
     "cloud.bound.csv": "7d8676b534e1b959c397b65af04d7ef2b239521a727e8448e3dd3414b1f19f95",
-    # thr_* taken from 0.3.0 before the one-emitter CLI
+    # thr_* taken from 0.3.0 before the one-emitter CLI, thr_d3 re-taken at
+    # 0.16.0 for the Grams read as given
     "thr_d2.csv": "a71d26adb81b46b826b2e73b828da4f6cfbc1c0e64979a654319a77e27de53cb",
     "thr_d2.json": "a7b1d937e2fa5724259314349c5f430aefb183dd22dc4ad77e97aad01791b9cf",
-    "thr_d3.csv": "c1fa7bcc1412eb100a78548142f985035d3d6fb98a64dcc0e253110509b39f6c",
-    "thr_d3.json": "62a98276633980a5b5f1e78a5e289be63ed0374d93928b32605437c372d41178",
+    "thr_d3.csv": "ceb0aabb6903868eb8228957570c89beb6159009c8fcd1d8c7eb5289ea28634e",
+    "thr_d3.json": "93325ad49df8a163f0d8c43e2cf5621314675d51ce111488e08492b8c2d2447c",
     # the Haar moment and split cases re-taken at 0.6.0 for the Bartlett
     # corner draw; these and the direct cases above but direct_n4_d3 and
     # direct_full_qr re-taken at 0.11.0 for the one-pass reduction (last
-    # digits), as were the roc cases, re-taken again at 0.14.0
+    # digits), as were the roc cases, re-taken again at 0.14.0; mom_r2,
+    # direct_r2_d2 and direct_full_qr re-taken at 0.16.0 (last digits)
     "mom_r1.csv": "7bdca34993f547cd65c64bc3500fb7f356a4ffc87db6c38fa551680dce65818b",
     "mom_r1.json": "fe731bca8bde7d7547610995e3cbdeacdccf8d6d12ae338cacba454997934037",
-    "mom_r2.csv": "cbe01dd04355ae8987adeeebf38a38891731cd54c1f67a14c220db0a5addb110",
-    "mom_r2.json": "6aa265b5b6b2b2df3e52be512df5ddee2cc779830949ed6a01fb61fb55289e25",
+    "mom_r2.csv": "7e6ff250882ef24c75207fdae50a6eada53982b7316e8e58824b9221d487cb03",
+    "mom_r2.json": "b8b11411e1c844e86310c41135609660ed9f2e5df84c44035a1fa8fe307168b5",
     "split_r2.csv": "cffd96d3c09ae5bad08182a1d857f13110f9f319f551d642d0c38c704e585efe",
     "split_r2.json": "5b40b6872a62240e0a02a391babc481d862b795c8f12472c5e50c2de944153c9",
     "split_empty.csv": "ad6fafe10de2d60a3b1942435f9ce76cd4de15da7310ca9e1570916b34cad743",
@@ -230,12 +251,13 @@ CLOUD = "cloud --d 3 --lambdas 1.0,1.0 --n 8 --samples 4000 --bins 30 --seed 5 -
 # taken at 0.8.0, when they replaced the digests of the per-observation
 # route (simulate_observation, log_lr_mc), which no subcommand called; d3n2r2
 # (n = r) re-taken at 0.10.0 for the Gram-Schmidt square stacks, all
-# three at 0.11.0 for the plain shifted log-sum-exp (last digits), and all
-# three at 0.14.0 for `roc`'s one prior set a run
+# three at 0.11.0 for the plain shifted log-sum-exp (last digits), all
+# three at 0.14.0 for `roc`'s one prior set a run, and d3n2r2 at 0.16.0
+# for its Gram read as given (last digits)
 LIBRARY_GOLDEN = {
     "d3n3r2": "4b353d8bb2ac342b3b931aed80bbd6c1657a59488b069dec4b298f4d6cb3951e",
     "d2n4r1": "1e180cdf03c136a1f0930a700ae6a1d6b1499f2d2d1191a8ca111a2545cf936f",
-    "d3n2r2": "ac04a527130962203d9868fe6649b0254e5fd612d589fdc38ddb473ff04ae2e2",
+    "d3n2r2": "95d288582fd68e6165427d84eec0f6b9a58b4ee54b560feee8673383a8d98520",
 }
 
 LIBRARY_SPECS = {
@@ -261,6 +283,8 @@ PINNED_VERSION = (
     | dict.fromkeys([f"{name}.{ext}" for name in ("roc_readme", "roc_bench", "roc_r2_d2", "roc_full_qr", "roc_n4_d3")
                      for ext in ("csv", "json")], "0.14.0")
     | dict.fromkeys([f"{name}.{ext}" for name in ("xi_n4", "xi_n16") for ext in ("csv", "json")], "0.14.0")
+    | dict.fromkeys([f"{name}.{ext}" for name in ("direct_r2_d2", "direct_full_qr", "mom_r2", "thr_d3")
+                     for ext in ("csv", "json")], "0.16.0")
 )
 
 
@@ -366,14 +390,15 @@ def test_cloud_on_the_pool_matches_one_thread(tmp_path, monkeypatch):
 # at 17 and 40 a chunk holds one to three draws.  Hashed with 30 one-set
 # `_sample_psi_stack` calls on one generator, for an identity r=2 and an
 # all-ones r=3 spike at d=3, n=16; taken at 0.12.0, when an empty
-# component's draws were still skipped by a guard
-SPARSE_CLOUD_GOLDEN = "14193a099ae1435e9bde31f43b72a972f968c07c146e14f7a81eed64736221a2"
+# component's draws were still skipped by a guard, and re-taken at 0.16.0
+# for the all-ones spike's Grams read as given
+SPARSE_CLOUD_GOLDEN = "bcfbdb604f80229f4d330388751859791f76e23d037b31b5ab128566b61eb05c"
 
 
 def test_cloud_blocks_without_some_components_are_pinned():
     h = hashlib.sha256()
     for lambdas, gram in (([1.0, 0.5], np.eye(2)), ([0.5, 0.3, 0.2], np.ones((3, 3)))):
-        spec = st.spec_from_grams(lambdas, st.GramSet((gram,) * 3), n=16)
+        spec = st.SpikeSpec(lambdas, st.GramSet((gram,) * 3), n=16)
         for samples in (16, 17, 40):
             h.update(st.sample_grf_cloud(spec, samples, st.SeedSpec(7, samples), bins=10).points.tobytes())
         gen = st.SeedSpec(8, spec.r).generator()
@@ -384,7 +409,7 @@ def test_cloud_blocks_without_some_components_are_pinned():
 
 def _library_digest(name: str) -> str:
     lambdas, d, n, gram = LIBRARY_SPECS[name]
-    spec = st.spec_from_grams(lambdas, st.GramSet((gram,) * d), n=n)
+    spec = st.SpikeSpec(lambdas, st.GramSet((gram,) * d), n=n)
     h = hashlib.sha256()
     roc = st.roc_experiment(spec, 40, 37, st.SeedSpec(123, 4))
     h.update(roc.points.tobytes())
@@ -408,7 +433,7 @@ def test_one_draw_blocks_give_the_same_bytes(tmp_path, monkeypatch, name):
 
 
 def test_one_draw_blocks_fixed_spike(monkeypatch):
-    spec = st.spec_from_grams([0.6, 0.3], st.GramSet((np.eye(2),) * 3), n=3)
+    spec = st.SpikeSpec([0.6, 0.3], st.GramSet((np.eye(2),) * 3), n=3)
     batched = st.second_moment_direct_mc(spec, 300, 1, st.SeedSpec(9, 1), rotate=False)
     monkeypatch.setattr(rng, "_BLOCK_CELLS", 1)
     assert st.second_moment_direct_mc(spec, 300, 1, st.SeedSpec(9, 1), rotate=False) == batched

@@ -34,14 +34,11 @@ from spikedtensor.spike import _spike_tensors
 
 
 def zero_spec(n=4, d=3, r=1):
-    factors = tuple(np.eye(n, r, dtype=complex) for _ in range(d))
-    return st.SpikeSpec(d=d, n=n, r=r, lambdas=np.zeros(r), factors=factors)
+    return st.SpikeSpec(np.zeros(r), st.GramSet((np.eye(r),) * d), n=n)
 
 
 def small_spec(lambdas, n=4, d=3):
-    r = len(lambdas)
-    factors = tuple(np.eye(n, r, dtype=complex) for _ in range(d))
-    return st.SpikeSpec(d=d, n=n, r=r, lambdas=np.asarray(lambdas, float), factors=factors)
+    return st.SpikeSpec(np.asarray(lambdas, float), st.GramSet((np.eye(len(lambdas)),) * d), n=n)
 
 
 def test_haar_mc_zero_signal_is_exactly_one():
@@ -99,7 +96,7 @@ def test_direct_mc_matches_the_rank_one_series_plus_its_inner_bias(inner):
 
 def test_estimator_cross_check(gen):
     grams = st.GramSet(tuple(st.random_gram(2, gen) for _ in range(3)))
-    spec = st.spec_from_grams([0.3, 0.2], grams, n=3)
+    spec = st.SpikeSpec([0.3, 0.2], grams, n=3)
     haar = st.second_moment_haar_mc(spec, 10_000, st.SeedSpec(101, 0))
     direct = st.second_moment_direct_mc(spec, 400, 400, st.SeedSpec(102, 0))
     combined = math.hypot(haar.stderr, direct.stderr)
@@ -156,7 +153,7 @@ def test_split_total_matches_exact_rank_one_series(lam, n):
 
 def test_split_epsilon_above_eta_max_empties_first_bucket():
     spec = small_spec([0.5, 0.3], n=4, d=3)
-    emax = st.eta_max(spec.lambdas, st.gram_set(spec))
+    emax = st.eta_max(spec.lambdas, spec.grams)
     e1, e2 = st.e1_e2_split(spec, emax, 2000, st.SeedSpec(8, 0))
     assert e1.mean == 0.0
     assert e1.log_domain_max == -math.inf
@@ -172,7 +169,7 @@ def test_split_validates_epsilon():
 
 def test_default_epsilon_rule():
     spec = small_spec([0.5, 0.3], n=4, d=3)
-    emax = st.eta_max(spec.lambdas, st.gram_set(spec))
+    emax = st.eta_max(spec.lambdas, spec.grams)
     assert st.default_epsilon(spec) == min(emax / 4, 4 * 0.25)
 
 
@@ -365,7 +362,7 @@ def test_roc_observations_score_as_the_roc_worker(monkeypatch):
 
     monkeypatch.setattr(moment, "map_streams", recording)
     st.roc_experiment(spec, 2, 7, st.SeedSpec(0))
-    energy = st.eta_max(spec.lambdas, st.gram_set(spec))
+    energy = st.eta_max(spec.lambdas, spec.grams)
     prior = roc_prior(spec, 7, st.SeedSpec(0))
     y0, y1 = roc_observations(spec, 5, st.SeedSpec(3).generator())
     expected = np.column_stack([_log_lr_stack(spec, y0, prior, energy), _log_lr_stack(spec, y1, prior, energy)])
@@ -407,7 +404,7 @@ def test_roc_prior_set_depends_on_the_seed_alone(monkeypatch):
 def test_simulate_observation_energies(gen):
     # E|Y0|^2 = n^(d-1) and E|Y1|^2 = n^(d-1) + eta_max
     spec = small_spec([0.9], n=4, d=3)
-    emax = st.eta_max(spec.lambdas, st.gram_set(spec))
+    emax = st.eta_max(spec.lambdas, spec.grams)
     reps = 3000
     y0, y1 = roc_observations(spec, reps, gen)
     e0 = np.sum(np.abs(y0) ** 2, axis=(1, 2, 3))
@@ -439,7 +436,7 @@ def test_log_lr_deterministic_closed_form(gen):
     ys = np.concatenate(roc_observations(spec, 4, gen))
     x0 = st.build_spike(spec)
     expected = [2 * 3 * np.real(np.vdot(x0, y)) - 3 * np.linalg.norm(x0) ** 2 for y in ys]
-    got = _log_lr_stack(spec, ys, [chi[None, None] for chi in spec.factors], st.eta_max(spec.lambdas, st.gram_set(spec)))
+    got = _log_lr_stack(spec, ys, [chi[None, None] for chi in spec.factors], st.eta_max(spec.lambdas, spec.grams))
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
@@ -449,7 +446,7 @@ def test_likelihood_ratio_has_unit_null_mean(gen):
     # for each of three sets, each over its own null observations
     spec = small_spec([0.45], n=3, d=3)
     reps, inner = 4000, 300
-    energy = st.eta_max(spec.lambdas, st.gram_set(spec))
+    energy = st.eta_max(spec.lambdas, spec.grams)
     for stream in range(3):
         prior = roc_prior(spec, inner, st.SeedSpec(37, stream))
         values = np.exp(_log_lr_stack(spec, roc_observations(spec, reps, gen)[0], prior, energy))
@@ -617,7 +614,7 @@ def test_rotate_is_the_per_frame_product(d, r):
     gen = st.SeedSpec(62, 10 * d + r).generator()
     for n in range(r, 7):
         grams = st.GramSet(tuple(st.random_gram(r, gen) for _ in range(d)))
-        r_factors = _thin_r(st.spec_from_grams(np.linspace(0.7, 0.3, r), grams, n=n))
+        r_factors = _thin_r(st.SpikeSpec(np.linspace(0.7, 0.3, r), grams, n=n))
         ginibre = [complex_gaussian(gen, (3, 7, n, r), np.sqrt(0.5)) for _ in range(d)]
         frames = [_orthonormalize(z.reshape(-1, n, r).copy()) for z in ginibre]
         rotated = _rotate(r_factors, [z.copy() for z in ginibre])
@@ -628,10 +625,10 @@ def test_rotate_is_the_per_frame_product(d, r):
 
 def _dense_log_lr(spec, y, factor_sets):
     """log (1/inner) sum_m exp(2 n Re<Y, X_m> - n |X_m|_F^2) with every X_m
-    assembled densely by `build_spike`."""
+    assembled densely by `_spike_tensors`, the kernel of `build_spike`."""
     a = []
     for factors in factor_sets:
-        x = st.build_spike(st.SpikeSpec(d=spec.d, n=spec.n, r=spec.r, lambdas=spec.lambdas, factors=factors))
+        x = _spike_tensors(spec.lambdas, factors)
         a.append(2 * spec.n * np.real(np.vdot(x, y)) - spec.n * np.linalg.norm(x) ** 2)
     return logsumexp(a) - np.log(len(a))
 
@@ -642,11 +639,11 @@ def _dense_log_lr(spec, y, factor_sets):
 def test_log_lr_stack_matches_dense_spikes(d, r, gram):
     # all-ones Grams are rank one: the thin QR of each factor is rank deficient
     n, b, inner = 4, 3, 5
-    spec = st.spec_from_grams(np.linspace(0.7, 0.3, r), gram_matrices(gram, r, d), n=n)
+    spec = st.SpikeSpec(np.linspace(0.7, 0.3, r), gram_matrices(gram, r, d), n=n)
     gen = st.SeedSpec(61, 10 * d + r).generator()
     ys = complex_gaussian(gen, (b,) + (n,) * d, np.sqrt(1.0 / (2.0 * n)))
     rotated = _rotate(_thin_r(spec), [complex_gaussian(gen, (b, inner, n, r), np.sqrt(0.5)) for _ in range(d)])
-    energy = st.eta_max(spec.lambdas, st.gram_set(spec))
+    energy = st.eta_max(spec.lambdas, spec.grams)
     got = _log_lr_stack(spec, ys, rotated, energy)
     expected = [_dense_log_lr(spec, ys[i], [[f[i, m] for f in rotated] for m in range(inner)]) for i in range(b)]
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)

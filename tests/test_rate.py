@@ -19,7 +19,7 @@ from spikedtensor.rng import complex_normal_rounds
 def test_eta_expanded_identity_operators(gen):
     spec = make_random_spec(gen)
     eye = [np.eye(spec.n)] * spec.d
-    emax = st.eta_max(spec.lambdas, st.gram_set(spec))
+    emax = st.eta_max(spec.lambdas, spec.grams)
     assert st.eta_expanded(spec, eye) == pytest.approx(emax, rel=1e-12)
 
 
@@ -34,7 +34,7 @@ def test_eta_expanded_rank_one_product_form(gen):
 def test_eta_bounded_by_eta_max(gen):
     for _ in range(10):
         spec = make_random_spec(gen)
-        emax = st.eta_max(spec.lambdas, st.gram_set(spec))
+        emax = st.eta_max(spec.lambdas, spec.grams)
         for _ in range(50):
             thetas = list(haar_unitaries(spec.n, spec.d, gen))
             assert abs(st.eta_expanded(spec, thetas)) <= emax + 1e-9
@@ -46,7 +46,7 @@ def test_eta_hadamard_zero_and_identity(gen):
     zeros = np.zeros((spec.d, spec.r, spec.r))
     assert st.eta_hadamard(spec.lambdas, svd, zeros) == 0.0
     eyes = np.array([np.eye(spec.r)] * spec.d)
-    emax = st.eta_max(spec.lambdas, st.gram_set(spec))
+    emax = st.eta_max(spec.lambdas, spec.grams)
     assert st.eta_hadamard(spec.lambdas, svd, eyes) == pytest.approx(emax, rel=1e-12)
 
 
@@ -174,7 +174,7 @@ def test_cloud_scaling_covariance(gen):
     seed = st.SeedSpec(22, 0)
     cloud1 = st.sample_grf_cloud(spec, 4000, seed, bins=30)
     c = 1.7
-    scaled = st.SpikeSpec(d=spec.d, n=spec.n, r=spec.r, lambdas=c * spec.lambdas, factors=spec.factors)
+    scaled = st.SpikeSpec(c * spec.lambdas, spec.grams, n=spec.n)
     cloud2 = st.sample_grf_cloud(scaled, 4000, seed, bins=30)
     assert cloud2.eta_max == pytest.approx(c**2 * cloud1.eta_max, rel=1e-12)
     assert np.allclose(cloud2.points[:, 0], c**2 * cloud1.points[:, 0], rtol=1e-10, atol=1e-12)
@@ -470,7 +470,7 @@ def test_haar_corners_at_n_equal_r_are_unitary(r):
 
 
 def test_rank_two_haar_moment_matches_the_frame_route(monkeypatch):
-    spec = st.spec_from_grams([0.4, 0.2], gram_matrices("two-eigenvalue:1.8,0.2", 2, 3), n=8)
+    spec = st.SpikeSpec([0.4, 0.2], gram_matrices("two-eigenvalue:1.8,0.2", 2, 3), n=8)
     corner = st.second_moment_haar_mc(spec, 20_000, st.SeedSpec(66, 0))
     monkeypatch.setattr(moment, "_haar_corner_sets", _frame_corner_sets)
     frame = st.second_moment_haar_mc(spec, 20_000, st.SeedSpec(66, 1))
@@ -527,7 +527,7 @@ def test_eta_hadamard_stack_matches_expanded_form(n, r, d, gram):
         grams = st.GramSet(tuple(st.random_gram(r, gen) for _ in range(d)))
     else:
         grams = gram_matrices(gram, r, d)
-    spec = st.spec_from_grams(gen.uniform(0.3, 1.2, size=r), grams, n=n)
+    spec = st.SpikeSpec(gen.uniform(0.3, 1.2, size=r), grams, n=n)
     expanded, stack = [], []
     for _ in range(40):
         thetas = list(haar_unitaries(n, d, gen))
@@ -576,7 +576,7 @@ def test_mode_maps_and_exponent_match_inline_kron(r, d, gram):
         grams = st.GramSet(tuple(st.random_gram(r, gen) for _ in range(d)))
     else:
         grams = gram_matrices(gram, r, d)
-    spec = st.spec_from_grams(gen.uniform(0.3, 1.2, size=r), grams, n=n)
+    spec = st.SpikeSpec(gen.uniform(0.3, 1.2, size=r), grams, n=n)
     svd = st.spike_svd(spec)
     _assert_maps_are_kron(svd)
     stack = rate._haar_corner_sets(n, r, d, 300, gen)

@@ -30,7 +30,7 @@ def haar_frames(n, count, gen, columns=None):
 
 def noise_tensors(n, d, m, gen):
     """`m` noise tensors drawn as the observation drivers draw them."""
-    spec = st.spec_from_grams([1.0], st.GramSet((np.eye(1),) * d), n=n)
+    spec = st.SpikeSpec([1.0], st.GramSet((np.eye(1),) * d), n=n)
     (y,) = complex_normal_rounds(gen, m, [_noise_part(spec)])
     return y
 
@@ -233,7 +233,7 @@ def _eta_full_unitaries(spec, size, gen):
 @pytest.mark.parametrize("gram", ["two-eigenvalue:1.8,0.2", "all-ones"])
 def test_eta_from_frames_matches_full_unitaries(n, gram):
     # all-ones Grams are rank one: the thin QR of the factor is rank deficient
-    spec = st.spec_from_grams([0.4, 0.2], gram_matrices(gram, 2, 3), n)
+    spec = st.SpikeSpec([0.4, 0.2], gram_matrices(gram, 2, 3), n)
     corners = np.concatenate(_haar_eta_chunks(spec, 4000, st.SeedSpec(14, n), 1))
     full = _eta_full_unitaries(spec, 4000, st.SeedSpec(15, n).generator())
     assert stats.ks_2samp(corners, full).pvalue > 0.01

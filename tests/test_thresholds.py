@@ -7,6 +7,7 @@ from scipy.special import lambertw
 
 import spikedtensor as st
 from conftest import make_random_spec
+from spikedtensor.config import gram_matrices
 from spikedtensor.errors import ParameterError
 
 
@@ -124,14 +125,12 @@ def test_hoelder_implies_main(gen):
 
 
 def test_mu_max_rank_one():
-    factors = tuple(np.eye(4, 1, dtype=complex) for _ in range(2))
-    spec = st.SpikeSpec(d=2, n=4, r=1, lambdas=[0.5], factors=factors)
+    spec = st.SpikeSpec([0.5], st.GramSet((np.eye(1),) * 2), n=4)
     assert st.matrix_case_mu_max(spec) == pytest.approx(0.25, abs=1e-14)
 
 
 def test_mu_max_orthonormal_columns():
-    factors = tuple(np.eye(5, 2, dtype=complex) for _ in range(2))
-    spec = st.SpikeSpec(d=2, n=5, r=2, lambdas=[0.9, 0.4], factors=factors)
+    spec = st.SpikeSpec([0.9, 0.4], st.GramSet((np.eye(2),) * 2), n=5)
     assert st.matrix_case_mu_max(spec) == pytest.approx(0.81, rel=1e-12)
 
 
@@ -159,3 +158,17 @@ def test_threshold_report_fields(gen):
     report3 = st.threshold_report(spec3)
     assert report3.d2_mu_max is None and report3.d2_ok is None
     assert report3.to_dict()["beta_d"] == pytest.approx(st.beta_d_second(3))
+
+
+@pytest.mark.parametrize("case", ["two-eigenvalue", "random"])
+def test_threshold_report_reads_the_grams_it_was_given(case):
+    # the report's eta_max is the closed form of the Grams themselves, bit
+    # for bit, not of Grams rebuilt from factor matrices (0.7657599999999994
+    # in place of 0.7657600000000001 for the two-eigenvalue spike)
+    if case == "two-eigenvalue":
+        lambdas, grams = [0.6, 0.4], gram_matrices("two-eigenvalue:1.8,0.2", 2, 3)
+    else:
+        gen = st.SeedSpec(27, 0).generator()
+        lambdas, grams = [0.5, 0.3, 0.2], st.GramSet(tuple(st.random_gram(3, gen) for _ in range(3)))
+    report = st.threshold_report(st.SpikeSpec(lambdas, grams, n=5))
+    assert report.eta_max == st.eta_max(lambdas, grams)
