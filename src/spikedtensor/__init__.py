@@ -1,7 +1,7 @@
 """Detectability thresholds and seeded Monte-Carlo experiments for rank-r
 spiked complex Gaussian tensor models."""
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 from .errors import ParameterError
 from .moment import (
@@ -35,7 +35,6 @@ from .spike import (
     build_spike,
     eta_max,
     random_gram,
-    spike_svd,
 )
 from .thresholds import (
     ThresholdReport,
@@ -77,7 +76,6 @@ __all__ = [
     "sample_grf_cloud",
     "second_moment_direct_mc",
     "second_moment_haar_mc",
-    "spike_svd",
     "threshold_report",
     "xi_empirical_tail",
     "xi_tail_probability",

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -63,13 +64,15 @@ _EXIT_INVARIANT = 2
 # one-thread peak RSS (ru_maxrss) was 269 MiB for `roc` at d=3, n=4, inner
 # 2^18 (0.23-0.25 s for the prior set, medians of seven, and about 0.1 s
 # a trial) and 220 MiB at
-# d=2, n=6, r=2, inner 174762.  `d` bounds the Grams every run builds
-# first; at d=1024, `threshold` took 0.09 s (33 MB, medians of five).
+# d=2, n=6, r=2, inner 174762.  `d` bounds the Grams every run factors first
+# by one stacked `eigh`: at d=1024, `threshold` took 0.03 s at r=1 and 0.10 s
+# at r=32 (medians of seven), peaking at 31 and 104 MB with the eigenvectors.
 # `r` bounds the spike every run builds at n = r before its own checks, whose
 # cost grows as about r^3 (`threshold` took 3.5 ms at r=32, 0.17 s at 64 and
-# 1.1 s at 512, 77 MB), and the d (r^2, r^2) complex mode maps of `moment`,
-# `split` and `cloud` (`spike.SpikeSvd`), which grow as r^4: 16 MB a mode at
-# r=32, where `moment --n 32 --samples 10` peaked at 102 MB, and 268 MB at 64.
+# 1.1 s at 512, 77 MB), and the d (r^2, r^2) complex mode maps that only
+# `moment`, `split` and `cloud` build (`spike.SpikeSvd`), which grow as r^4:
+# 16 MB a mode at r=32, where `moment --n 32 --samples 10` peaked at 102 MB,
+# and 268 MB at 64.
 # `mode_map_cells` caps their d r^4 cells: at the cap (d=16, r=32), one-thread
 # peak RSS was 310-313 MB for `moment`, `split` and `cloud`, at 10 or 2000
 # draws; d=1024 at r=32 would hold 16 GiB of maps.
@@ -165,16 +168,16 @@ def _spec_for(config: ExperimentConfig, n: int):
     return SpikeSpec(np.array(config.lambdas), grams, n=n)
 
 
-def run_threshold(config: ExperimentConfig) -> None:
-    record = threshold_report(_spec_for(config, n=config.r)).to_dict()
+def run_threshold(config: ExperimentConfig, spike: SpikeSpec) -> None:
+    record = threshold_report(spike).to_dict()
     row = ["" if v is None else v for v in record.values()]
     _emit(config, lambda: {"report": record}, [(".csv", list(record), [row], [])])
 
 
-def run_cloud(config: ExperimentConfig) -> None:
+def run_cloud(config: ExperimentConfig, spike: SpikeSpec) -> None:
     _refuse(config.samples > _LIMITS["cloud_samples"], f"cloud samples {config.samples} > {_LIMITS['cloud_samples']}")
     _refuse(config.n[0] > _LIMITS["cloud_n"], f"cloud n {config.n[0]} > {_LIMITS['cloud_n']}")
-    spec = _spec_for(config, n=config.n[0])
+    spec = replace(spike, n=config.n[0])
     seed = SeedSpec(config.seed, config.stream)
     cloud = sample_grf_cloud(spec, config.samples, seed, config.bins, threads=config.threads)
     width = 2.0 * cloud.eta_max / config.bins
@@ -191,7 +194,7 @@ def run_cloud(config: ExperimentConfig) -> None:
         raise ArithmeticError(f"{violations} cloud points above the closed-form bound")
 
 
-def run_moment(config: ExperimentConfig) -> None:
+def run_moment(config: ExperimentConfig, spike: SpikeSpec) -> None:
     # every n meets every cap before the first estimate
     haar = config.method == "haar"
     if haar:
@@ -204,7 +207,7 @@ def run_moment(config: ExperimentConfig) -> None:
     for n in config.n:
         _refuse(n > _LIMITS["moment_n"], f"moment n {n} > {_LIMITS['moment_n']}")
         _refuse(not haar and n > _LIMITS["direct_n"], f"direct method n {n} > {_LIMITS['direct_n']}")
-        specs.append(_spec_for(config, n=n))
+        specs.append(replace(spike, n=n))
         if not haar:
             _refuse_draw(specs[-1], config.inner)
     seed = SeedSpec(config.seed, config.stream)
@@ -225,11 +228,11 @@ def run_moment(config: ExperimentConfig) -> None:
     )
 
 
-def run_split(config: ExperimentConfig) -> None:
+def run_split(config: ExperimentConfig, spike: SpikeSpec) -> None:
     n = config.n[0]
     _refuse(n > _LIMITS["moment_n"], f"split n {n} > {_LIMITS['moment_n']}")
     _refuse(config.samples > _LIMITS["moment_samples"], f"samples {config.samples} > {_LIMITS['moment_samples']}")
-    spec = _spec_for(config, n=n)
+    spec = replace(spike, n=n)
     epsilon = config.epsilon if config.epsilon is not None else default_epsilon(spec)
     if epsilon <= 0:
         raise ParameterError("the default epsilon rule gives 0 for a zero spike: set --epsilon > 0")
@@ -247,7 +250,7 @@ def run_split(config: ExperimentConfig) -> None:
     )
 
 
-def run_xi_tail(config: ExperimentConfig) -> None:
+def run_xi_tail(config: ExperimentConfig, spike: SpikeSpec) -> None:
     n = config.n[0]
     _refuse(n > _LIMITS["xi_n"], f"xi-tail n {n} > {_LIMITS['xi_n']}")
     _refuse(config.samples > _LIMITS["xi_samples"], f"samples {config.samples} > {_LIMITS['xi_samples']}")
@@ -262,12 +265,12 @@ def run_xi_tail(config: ExperimentConfig) -> None:
     _emit(config, lambda: {"rows": [dict(zip(header, row)) for row in rows]}, [(".csv", header, rows, [])])
 
 
-def run_roc(config: ExperimentConfig) -> None:
+def run_roc(config: ExperimentConfig, spike: SpikeSpec) -> None:
     n = config.n[0]
     _refuse(n > _LIMITS["roc_n"], f"roc n {n} > {_LIMITS['roc_n']}")
     _refuse(2 * config.trials * config.inner > _LIMITS["roc_work"],
             f"2*trials*inner = {2 * config.trials * config.inner} > {_LIMITS['roc_work']}")
-    spec = _spec_for(config, n=n)
+    spec = replace(spike, n=n)
     _refuse_draw(spec, config.inner)
     seed = SeedSpec(config.seed, config.stream)
     roc = roc_experiment(spec, config.trials, config.inner, seed, threads=config.threads)
@@ -331,8 +334,8 @@ def main(argv=None) -> int:
         _refuse(config.bins > _LIMITS["bins"], f"bins {config.bins} > {_LIMITS['bins']}")
         _refuse(len(config.t) > _LIMITS["t_count"], f"{len(config.t)} t values > {_LIMITS['t_count']}")
         _refuse(len(config.n) > _LIMITS["n_count"], f"{len(config.n)} n values > {_LIMITS['n_count']}")
-        _spec_for(config, n=config.r)  # refuses a bad spike before any work, in every subcommand
-        _RUNNERS[args.kind](config)
+        spike = _spec_for(config, n=config.r)  # refuses a bad spike before any work
+        _RUNNERS[args.kind](config, spike)
     # OSError, UnicodeDecodeError: a --config not readable as text, an --out not writable
     except (ParameterError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ParameterError
 from .rate import _corner_cells, _eta_hadamard_stack, _haar_corner_sets
 from .rng import _PRIOR_LANE, SeedSpec, _orthonormalize, complex_normal_rounds, map_streams
-from .spike import SpikeSpec, _spike_tensors, eta_max, spike_svd
+from .spike import SpikeSpec, _spike_tensors, eta_max
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -87,24 +87,15 @@ def _mean_from_exponents(chunks, seed: SeedSpec, count: int) -> MCEstimate:
     return MCEstimate(count=count, mean=mean, stderr=stderr, log_domain_max=top, seed=seed)
 
 
-def _thin_r(spec: SpikeSpec) -> np.ndarray:
-    """The r x r factors R_k of the thin QRs chi_k = Q_k R_k, shape (d, r, r).
-
-    For a Haar Theta, Theta Q_k is uniform on the Stiefel manifold of
-    (n, r) frames, so W @ R_k with W a Haar frame has the law of
-    Theta @ chi_k.  Q_k has orthonormal columns even when the Gram of chi_k
-    is singular, so this holds for every spike.
-    """
-    return np.linalg.qr(np.asarray(spec.factors), mode="r")
-
-
-def _rotate(r_factors: np.ndarray, ginibre) -> list:
-    """Haar rotations Theta_k chi_k of every factor, as W_k R_k with R_k
-    from `_thin_r` and W_k the Haar frames of the mode's (..., n, r)
-    Ginibre stack in `ginibre`; one array per mode, shaped like its stack.
+def _rotate(roots: np.ndarray, ginibre) -> list:
+    """Haar rotations Theta_k chi_k of every factor, as W_k S_k with S_k
+    the Hermitian root of gram_k (`GramSet.roots`) and W_k the Haar frames
+    of the mode's (..., n, r) Ginibre stack in `ginibre`; one array per
+    mode, shaped like its stack.  As chi_k = [S_k; 0], Theta chi_k is the
+    first r columns of Theta times S_k, and those columns are a Haar frame.
 
     Every frame row of a mode goes through one 2-D product, the
-    (count * n, r) stack of rows @ R_k, not one (n, r) @ (r, r) product
+    (count * n, r) stack of rows @ S_k, not one (n, r) @ (r, r) product
     per frame: the same BLAS kernel over the same rows, so the same bytes.
     On a `direct` block of 3200 frames (n = 3, one thread, 2-vCPU VM) a
     mode's product took 39 us against 61 us at r = 1, and 193 us against
@@ -112,8 +103,8 @@ def _rotate(r_factors: np.ndarray, ginibre) -> list:
     `_orthonormalize` overwrites them, so pass fresh draws.
     """
     return [
-        (_orthonormalize(z.reshape(-1, *z.shape[-2:])).reshape(-1, z.shape[-1]) @ r_k).reshape(z.shape)
-        for z, r_k in zip(ginibre, r_factors)
+        (_orthonormalize(z.reshape(-1, *z.shape[-2:])).reshape(-1, z.shape[-1]) @ s_k).reshape(z.shape)
+        for z, s_k in zip(ginibre, roots)
     ]
 
 
@@ -137,10 +128,10 @@ def _haar_eta_chunks(spec: SpikeSpec, samples: int, rng: SeedSpec, threads: int)
     """
     if samples < 2:
         raise ParameterError(f"need samples >= 2, got {samples}")
-    svd = spike_svd(spec)
+    maps = spec.grams.svd.mode_maps  # built here, once, not in the pool threads
 
     def worker(m, gen):
-        return _eta_hadamard_stack(spec.lambdas, svd, _haar_corner_sets(spec.n, spec.r, spec.d, m, gen))
+        return _eta_hadamard_stack(spec.lambdas, maps, _haar_corner_sets(spec.n, spec.r, spec.d, m, gen))
 
     return map_streams(worker, samples, rng, threads, cells=_corner_cells(spec.n, spec.r, spec.d))
 
@@ -266,12 +257,12 @@ def second_moment_direct_mc(
     stacked = inner if rotate else 1
     layout = [_noise_part(spec), *(_rotation_parts(spec, inner) if rotate else [])]
     fixed = [chi[None, None] for chi in spec.factors]
-    r_factors = _thin_r(spec)
+    roots = spec.grams.roots  # built here, once, not in the pool threads
     energy = eta_max(spec.lambdas, spec.grams)
 
     def worker(m, gen):
         y, *ginibre = complex_normal_rounds(gen, m, layout)
-        return 2.0 * _log_lr_stack(spec, y, _rotate(r_factors, ginibre) if rotate else fixed, energy)
+        return 2.0 * _log_lr_stack(spec, y, _rotate(roots, ginibre) if rotate else fixed, energy)
 
     chunks = map_streams(worker, outer, rng, threads, cells=_draw_cells(spec, stacked))
     return _mean_from_exponents(chunks, rng, outer)
@@ -332,13 +323,13 @@ def xi_empirical_tail(n: int, ts, samples: int, rng: SeedSpec, threads: int = 1)
     ]
 
 
-def _prior_set(spec: SpikeSpec, r_factors: np.ndarray, inner: int, rng: SeedSpec) -> list:
+def _prior_set(spec: SpikeSpec, inner: int, rng: SeedSpec) -> list:
     """The one set S of `inner` prior rotations of every factor that `roc`
     scores each observation against: one (1, inner, n, r) array per mode,
     the `_rotate` of one round of `_rotation_parts` drawn from the lane
     `_PRIOR_LANE` of `rng`.  It depends on the seed and the spike only,
     never on the trial count, the threads or the block size."""
-    return _rotate(r_factors, complex_normal_rounds(rng.generator(_PRIOR_LANE), 1, _rotation_parts(spec, inner)))
+    return _rotate(spec.grams.roots, complex_normal_rounds(rng.generator(_PRIOR_LANE), 1, _rotation_parts(spec, inner)))
 
 
 def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, threads: int = 1) -> RocCurve:
@@ -359,13 +350,13 @@ def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, thre
     # per draw: the null noise, the alternative's spike rotations and noise
     noise = _noise_part(spec)
     layout = [noise, *_rotation_parts(spec, 1), noise]
-    r_factors = _thin_r(spec)
+    roots = spec.grams.roots  # built here, once, not in the pool threads
     energy = eta_max(spec.lambdas, spec.grams)
-    prior = _prior_set(spec, r_factors, inner, rng)
+    prior = _prior_set(spec, inner, rng)
 
     def worker(m, gen):
         y0, *rotations, noise1 = complex_normal_rounds(gen, m, layout)
-        y1 = _spike_tensors(spec.lambdas, [f[:, 0] for f in _rotate(r_factors, rotations)]) + noise1
+        y1 = _spike_tensors(spec.lambdas, [f[:, 0] for f in _rotate(roots, rotations)]) + noise1
         return _log_lr_stack(spec, np.concatenate([y0, y1]), prior, energy).reshape(2, m).T
 
     scores = np.concatenate(map_streams(worker, trials, rng, threads, cells=_draw_cells(spec, inner)))

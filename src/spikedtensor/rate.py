@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .rng import SeedSpec, _orthonormalize, complex_normal_rounds, map_streams
-from .spike import SpikeSpec, SpikeSvd, _hadamard_form, eta_max, spike_svd
+from .spike import SpikeSpec, SpikeSvd, _hadamard_form, eta_max
 
 _NORM_TOL = 1e-12
 
@@ -60,20 +60,20 @@ def eta_expanded(spec: SpikeSpec, thetas) -> float:
     return float(np.real(spec.lambdas @ had @ spec.lambdas))
 
 
-def _eta_hadamard_stack(lambdas, svd: SpikeSvd, psi_stack: np.ndarray) -> np.ndarray:
+def _eta_hadamard_stack(lambdas, mode_maps, psi_stack: np.ndarray) -> np.ndarray:
     """Block form of the exponent for every psi-set of a (count, d, r, r)
     stack: Re[ lambda^T (hadamard_k  V_k Sigma_k psi_k Sigma_k V_k*) lambda ].
 
     With row-major vec, vec(A psi A*) = (A kron conj(A)) vec(psi), so with
     A_k = V_k Sigma_k each mode's core is one (count, r^2) @ (r^2, r^2)
-    product with the mode map `svd.mode_maps[k]`, which `SpikeSvd` computes
-    once per spike, and the quadratic form in lambda is one product with
+    product with the mode map `mode_maps[k]` of a `SpikeSvd`, built once
+    per spike, and the quadratic form in lambda is one product with
     vec(lambda lambda^T).
     """
     lam = np.asarray(lambdas, dtype=float)
     count, _, r, _ = psi_stack.shape
     had = None
-    for k, mode_map in enumerate(svd.mode_maps):
+    for k, mode_map in enumerate(mode_maps):
         core = psi_stack[:, k].reshape(count, r * r) @ mode_map
         had = core if had is None else had * core
     return np.real(had @ np.outer(lam, lam).ravel())
@@ -81,7 +81,7 @@ def _eta_hadamard_stack(lambdas, svd: SpikeSvd, psi_stack: np.ndarray) -> np.nda
 
 def eta_hadamard(lambdas, svd: SpikeSvd, psis) -> float:
     """Block form of the exponent for one (d, r, r) psi-set (see `_eta_hadamard_stack`)."""
-    return float(_eta_hadamard_stack(lambdas, svd, np.asarray(psis, dtype=complex)[None])[0])
+    return float(_eta_hadamard_stack(lambdas, svd.mode_maps, np.asarray(psis, dtype=complex)[None])[0])
 
 
 def psi_blocks_from_mode_operators(factors, thetas) -> tuple[SpikeSvd, np.ndarray]:
@@ -295,11 +295,11 @@ def sample_grf_cloud(spec: SpikeSpec, count: int, rng: SeedSpec, bins: int, thre
     emax = eta_max(spec.lambdas, spec.grams)
     if emax <= 0:
         raise ParameterError("eta_max must be positive to normalize the cloud")
-    svd = spike_svd(spec)
+    maps = spec.grams.svd.mode_maps  # built here, once, not in the pool threads
 
     def worker(m, gen):
         stack = _sample_psi_stack(spec.r, spec.n, spec.d, m, gen)
-        return np.column_stack([_eta_hadamard_stack(spec.lambdas, svd, stack), _rate_stack(stack)])
+        return np.column_stack([_eta_hadamard_stack(spec.lambdas, maps, stack), _rate_stack(stack)])
 
     points = np.concatenate(map_streams(worker, count, rng, threads, cells=_cloud_cells(spec.n, spec.r, spec.d)))
     x, y = points[:, 0], points[:, 1]

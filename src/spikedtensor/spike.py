@@ -25,10 +25,41 @@ _PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
+class SpikeSvd:
+    """Per-mode Gram spectra: `sigmas[k]` holds the diagonal of the
+    descending non-negative r x r matrix Sigma_k and `vs[k]` the matching
+    r x r unitary, so gram_k = V_k diag(sigma_k^2) V_k*.
+
+    `mode_maps[k]` is (A_k kron conj(A_k))^T with A_k = V_k Sigma_k, the
+    (r^2, r^2) map of the block-form exponent (`rate._eta_hadamard_stack`).
+    It is built on first read, once per spike, and read-only: `cloud` and
+    the Haar moments read it before they start their pool threads.
+    """
+
+    sigmas: tuple
+    vs: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "sigmas", tuple(np.asarray(s, dtype=float) for s in self.sigmas))
+        object.__setattr__(self, "vs", tuple(np.asarray(v, dtype=complex) for v in self.vs))
+
+    @functools.cached_property
+    def mode_maps(self) -> tuple:
+        maps = tuple(np.kron(v * sig, np.conj(v * sig)).T for sig, v in zip(self.sigmas, self.vs))
+        for m in maps:
+            m.flags.writeable = False
+        return maps
+
+
+@dataclass(frozen=True, eq=False)
 class GramSet:
-    """d Hermitian PSD r x r matrices with unit diagonal."""
+    """d Hermitian PSD r x r matrices with unit diagonal, factored once: the
+    eigenvalues of one stacked `np.linalg.eigh` are the PSD check, and sorted
+    descending (stably) they give `svd`, whence the mode maps and the roots.
+    An eigenvalue at most 16 r eps times its Gram's largest counts as 0."""
 
     grams: tuple
+    svd: SpikeSvd = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "grams", tuple(np.asarray(g, dtype=complex) for g in self.grams))
@@ -44,10 +75,26 @@ class GramSet:
                 raise ParameterError(f"gram {k} is not Hermitian within {_HERMITIAN_TOL}")
             if np.max(np.abs(np.diagonal(g) - 1.0)) > _DIAGONAL_TOL:
                 raise ParameterError(f"gram {k} diagonal must be 1 within {_DIAGONAL_TOL}")
-            if np.min(np.linalg.eigvalsh(g)) < -_PSD_TOL:
+        evals, vecs = np.linalg.eigh(np.array(self.grams))  # ascending, one stacked call
+        for k, g in enumerate(self.grams):
+            if evals[k, 0] < -_PSD_TOL:
                 raise ParameterError(f"gram {k} is not PSD within {_PSD_TOL}")
             if np.max(np.abs(g)) > 1.0 + _PSD_TOL:
                 raise ParameterError(f"gram {k} has off-diagonal modulus exceeding 1")
+        order = np.argsort(-evals, axis=-1, kind="stable")
+        evals = np.take_along_axis(evals, order, axis=-1)
+        vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+        sigmas = np.sqrt(np.where(evals > 16 * r * np.finfo(float).eps * evals[:, :1], evals, 0.0))
+        sigmas.flags.writeable = vecs.flags.writeable = False
+        object.__setattr__(self, "svd", SpikeSvd(sigmas=tuple(sigmas), vs=tuple(vecs)))
+
+    @functools.cached_property
+    def roots(self) -> np.ndarray:
+        """The Hermitian square roots V_k diag(sigma_k) V_k* of the Grams,
+        shape (d, r, r), built on first read and read-only."""
+        roots = np.array([(v * sig) @ v.conj().T for sig, v in zip(self.svd.sigmas, self.svd.vs)])
+        roots.flags.writeable = False
+        return roots
 
     @property
     def r(self) -> int:
@@ -103,63 +150,13 @@ class SpikeSpec:
     @functools.cached_property
     def factors(self) -> tuple:
         """The d factor matrices chi_k of shape (n, r) with chi_k* chi_k =
-        gram_k: the Hermitian square root of each Gram fills the top r rows,
-        and the rows below are zero.  Built once, on first read, and
-        read-only."""
+        gram_k: the Hermitian square root of each Gram (`GramSet.roots`)
+        fills the top r rows, and the rows below are zero.  Built once, on
+        first read, and read-only."""
         chi = np.zeros((self.d, self.n, self.r), dtype=complex)
-        chi[:, : self.r] = [_psd_sqrt(g) for g in self.grams.grams]
+        chi[:, : self.r] = self.grams.roots
         chi.flags.writeable = False
         return tuple(chi)
-
-
-@dataclass(frozen=True, eq=False)
-class SpikeSvd:
-    """Per-mode Gram spectra: `sigmas[k]` holds the diagonal of the
-    descending non-negative r x r matrix Sigma_k and `vs[k]` the matching
-    r x r unitary, so gram_k = V_k diag(sigma_k^2) V_k*.
-
-    `mode_maps[k]` is (A_k kron conj(A_k))^T with A_k = V_k Sigma_k, the
-    (r^2, r^2) map of the block-form exponent (`rate._eta_hadamard_stack`).
-    It is built here, once per spike, and read-only, so the pool threads of
-    a run share it without building it themselves.
-    """
-
-    sigmas: tuple
-    vs: tuple
-    mode_maps: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigmas", tuple(np.asarray(s, dtype=float) for s in self.sigmas))
-        object.__setattr__(self, "vs", tuple(np.asarray(v, dtype=complex) for v in self.vs))
-        maps = []
-        for sig, v in zip(self.sigmas, self.vs):
-            a = v * sig
-            m = np.kron(a, a.conj()).T
-            m.flags.writeable = False
-            maps.append(m)
-        object.__setattr__(self, "mode_maps", tuple(maps))
-
-
-def _psd_sqrt(g: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a Gram that `GramSet` found PSD within
-    _PSD_TOL, its tiny negative eigenvalues clipped to 0."""
-    evals, vecs = np.linalg.eigh(g)
-    evals = np.clip(evals, 0.0, None)
-    return (vecs * np.sqrt(evals)) @ vecs.conj().T
-
-
-def spike_svd(spec: SpikeSpec) -> SpikeSvd:
-    """Gram spectra (Sigma_k, V_k), computed from the r x r Grams so the
-    result does not depend on n.  Singular values are sorted descending;
-    Gram eigenvalues in [-1e-10, 0) are clipped to 0."""
-    sigmas, vs = [], []
-    for g in spec.grams.grams:
-        evals, vecs = np.linalg.eigh(g)
-        order = np.argsort(-evals, kind="stable")
-        evals = np.clip(evals[order], 0.0, None)
-        sigmas.append(np.sqrt(evals))
-        vs.append(vecs[:, order])
-    return SpikeSvd(sigmas=tuple(sigmas), vs=tuple(vs))
 
 
 def eta_max(lambdas, grams: GramSet) -> float:

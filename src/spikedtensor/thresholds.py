@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .spike import GramSet, SpikeSpec, eta_max, _psd_sqrt
+from .spike import GramSet, SpikeSpec, eta_max
 
 
 def beta_d_second(d: int) -> float:
@@ -43,24 +43,30 @@ def beta_d_second(d: int) -> float:
     return math.sqrt(math.log(z) * math.exp(-a * math.log1p(-1.0 / z)))
 
 
-def hoelder_condition(lambdas, d: int) -> tuple[bool, float]:
-    """Strict test  sum(lambda) < sqrt(d/2) * beta_d_second(d); the margin is
-    threshold minus statistic (positive means satisfied)."""
+def _verdict(bound: float, statistic: float) -> tuple[bool, float]:
+    """(statistic < bound, bound - statistic) at bound = sqrt(d/2) * beta_d."""
+    margin = bound - statistic
+    return margin > 0.0, margin
+
+
+def _amplitude_sum(lambdas) -> float:
     lam = np.asarray(lambdas, dtype=float)
     if np.any(lam <= 0):
         raise ParameterError("amplitudes must be strictly positive")
-    threshold = math.sqrt(d / 2.0) * beta_d_second(d)
-    margin = threshold - float(np.sum(lam))
-    return margin > 0.0, margin
+    return float(np.sum(lam))
 
 
-def main_condition(lambdas, grams: GramSet, d: int) -> tuple[bool, float]:
-    """Strict test  sqrt(eta_max) < sqrt(d/2) * beta_d_second(d); margin as in
-    `hoelder_condition`.  Always at least as permissive as the Hoelder test
-    since eta_max <= (sum lambda)^2."""
-    threshold = math.sqrt(d / 2.0) * beta_d_second(d)
-    margin = threshold - math.sqrt(eta_max(lambdas, grams))
-    return margin > 0.0, margin
+def hoelder_condition(lambdas, d: int) -> tuple[bool, float]:
+    """Strict test  sum(lambda) < sqrt(d/2) * beta_d_second(d); the margin is
+    threshold minus statistic (positive means satisfied)."""
+    return _verdict(math.sqrt(d / 2.0) * beta_d_second(d), _amplitude_sum(lambdas))
+
+
+def main_condition(lambdas, grams: GramSet) -> tuple[bool, float]:
+    """Strict test  sqrt(eta_max) < sqrt(d/2) * beta_d_second(d), with d the
+    order of `grams`; margin as in `hoelder_condition`.  Always at least as
+    permissive as the Hoelder test since eta_max <= (sum lambda)^2."""
+    return _verdict(math.sqrt(grams.d / 2.0) * beta_d_second(grams.d), math.sqrt(eta_max(lambdas, grams)))
 
 
 def matrix_case_mu_max(spec: SpikeSpec) -> float:
@@ -72,10 +78,9 @@ def matrix_case_mu_max(spec: SpikeSpec) -> float:
     """
     if spec.d != 2:
         raise ParameterError(f"matrix-case statistic requires d=2, got d={spec.d}")
-    g1, g2 = spec.grams.grams
     lam = np.diag(spec.lambdas)
-    root = _psd_sqrt(g1)
-    core = root @ lam @ np.conj(g2) @ lam @ root
+    root = spec.grams.roots[0]
+    core = root @ lam @ np.conj(spec.grams.grams[1]) @ lam @ root
     return float(np.max(np.linalg.eigvalsh(core)))
 
 
@@ -106,17 +111,21 @@ class ThresholdReport:
 
 def threshold_report(spec: SpikeSpec) -> ThresholdReport:
     """Evaluate every applicable threshold condition for one spike."""
-    hoelder_ok, hoelder_margin = hoelder_condition(spec.lambdas, spec.d)
-    main_ok, main_margin = main_condition(spec.lambdas, spec.grams, spec.d)
+    beta_d = beta_d_second(spec.d)
+    bound = math.sqrt(spec.d / 2.0) * beta_d
+    sum_lambda = _amplitude_sum(spec.lambdas)
+    emax = eta_max(spec.lambdas, spec.grams)
+    hoelder_ok, hoelder_margin = _verdict(bound, sum_lambda)
+    main_ok, main_margin = _verdict(bound, math.sqrt(emax))
     d2_mu_max = d2_ok = None
     if spec.d == 2:
         d2_mu_max = matrix_case_mu_max(spec)
         d2_ok = d2_mu_max < 1.0
     return ThresholdReport(
         d=spec.d,
-        beta_d=beta_d_second(spec.d),
-        sum_lambda=float(np.sum(spec.lambdas)),
-        eta_max=eta_max(spec.lambdas, spec.grams),
+        beta_d=beta_d,
+        sum_lambda=sum_lambda,
+        eta_max=emax,
         hoelder_ok=hoelder_ok,
         hoelder_margin=hoelder_margin,
         main_ok=main_ok,

@@ -59,7 +59,8 @@ def refuse_linalg_in_draws(monkeypatch, module, *run_draws) -> list:
     `module` that draw once a run, outside `map_streams` (`moment._prior_set`,
     the prior set that `roc` shares between its trials): every call of one
     is guarded as a draw too.  The per-run set-up outside the draws (the
-    spike's Gram eigendecompositions, `moment._thin_r`) stays allowed.
+    one stacked eigendecomposition of the spike's Grams in `GramSet`)
+    stays allowed.
     Returns the list that collects the size of every draw taken through
     `map_streams` and the name of every run draw."""
     inside, drawn = [], []

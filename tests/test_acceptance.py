@@ -87,7 +87,7 @@ def test_criterion_05_hoelder_dominance():
         ones = st.GramSet((np.ones((r, r)),) * d)
         assert abs(st.eta_max(lam, ones) - np.sum(lam) ** 2) <= 1e-12
         ok_h, _ = st.hoelder_condition(lam, d)
-        ok_m, _ = st.main_condition(lam, grams, d)
+        ok_m, _ = st.main_condition(lam, grams)
         if ok_h:
             assert ok_m
     _passed(5, "1000 instances: eta_max <= (sum lambda)^2, all-ones equality, hoelder => main")

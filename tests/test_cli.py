@@ -267,7 +267,7 @@ def test_overflowing_spike_exits_one_before_any_file(tmp_path, capsys, kind):
 def test_non_finite_gram_literal_exits_one_before_any_draw(tmp_path, monkeypatch, capsys, kind, literal):
     # every comparison of the Gram checks is False on NaN, and an infinity
     # warns in the Hermitian check: a non-finite entry is refused first
-    monkeypatch.setitem(cli._RUNNERS, kind, lambda config: pytest.fail(f"{kind} ran with a non-finite Gram"))
+    monkeypatch.setitem(cli._RUNNERS, kind, lambda config, spike: pytest.fail(f"{kind} ran with a non-finite Gram"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run([kind, "--lambdas", "0.5,0.3", "--gram", literal, "--n", 4, "--samples", 100,
@@ -358,6 +358,51 @@ def test_mode_map_cap_refuses_before_any_spike_is_built(tmp_path, monkeypatch, c
     if kind == "moment":  # the direct method builds no mode map: its own d cap refuses it
         assert run([kind, "--method", "direct", "--d", d, "--lambdas", lambdas, "--n", 64, "--out", tmp_path / "o"]) == 1
         assert f"desk-scale limit exceeded: direct method d {d} > 3" in capsys.readouterr().err
+
+
+# One stacked `eigh` of the Grams a run serves every Gram-derived quantity:
+# the PSD check, the roots that embed and rotate the factors, and the
+# spectra of the mode maps, which only `cloud` and the Haar moments build
+# (one `np.kron` a mode).  At d = 2 `threshold` adds the `eigvalsh` of the
+# matrix-case statistic.
+_SOLVER_RUNS = {
+    "moment_haar": (["moment", "--d", 3, "--lambdas", 0.3, "--n", "4,8,16,32", "--samples", 200],
+                    {"eigh": 1}, 3),
+    "cloud": (["cloud", "--d", 3, "--lambdas", "1.0,1.0", "--gram", "two-eigenvalue:1.8,0.2", "--n", 8,
+               "--samples", 300, "--bins", 10], {"eigh": 1}, 3),
+    "roc": (["roc", "--d", 3, "--lambdas", "0.4,0.2", "--gram", "two-eigenvalue:1.8,0.2", "--n", 3,
+             "--trials", 8, "--inner", 10], {"eigh": 1}, 0),
+    "moment_direct": (["moment", "--method", "direct", "--d", 3, "--lambdas", 0.4, "--n", "3,4",
+                       "--outer", 8, "--inner", 10], {"eigh": 1}, 0),
+    "threshold_d3": (["threshold", "--d", 3, "--lambdas", "0.5,0.3", "--gram", "two-eigenvalue:1.8,0.2"],
+                     {"eigh": 1}, 0),
+    "threshold_d2": (["threshold", "--d", 2, "--lambdas", "0.5,0.3", "--gram", "two-eigenvalue:1.8,0.2"],
+                     {"eigh": 1, "eigvalsh": 1}, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SOLVER_RUNS))
+def test_one_stacked_eigh_a_run(tmp_path, monkeypatch, capsys, name):
+    argv, expected, maps = _SOLVER_RUNS[name]
+    calls, krons = [], []
+
+    def counted(fn_name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((fn_name, np.ndim(args[0])))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn_name in np.linalg.__all__:
+        value = getattr(np.linalg, fn_name)
+        if callable(value) and not isinstance(value, type):
+            monkeypatch.setattr(np.linalg, fn_name, counted(fn_name, value))
+    monkeypatch.setattr(np, "kron", counted("kron", np.kron))
+    assert run([*argv, "--threads", 2, "--out", tmp_path / "o"]) == 0
+    capsys.readouterr()
+    solvers = [call for call in calls if call[0] != "kron"]
+    assert {fn: sum(c[0] == fn for c in solvers) for fn, _ in solvers} == expected
+    assert ("eigh", 3) in solvers  # stacked over the d Grams
+    assert len(calls) - len(solvers) == maps
 
 
 @pytest.mark.parametrize("args, message", [
@@ -535,7 +580,7 @@ def test_one_n_kinds_refuse_a_list_of_n(tmp_path, monkeypatch, capsys, kind, sam
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_unwritable_out_exits_one_before_any_draw(tmp_path, monkeypatch, capsys, kind):
-    monkeypatch.setitem(cli._RUNNERS, kind, lambda config: pytest.fail(f"{kind} ran with an unwritable --out"))
+    monkeypatch.setitem(cli._RUNNERS, kind, lambda config, spike: pytest.fail(f"{kind} ran with an unwritable --out"))
     (tmp_path / "file").write_text("")
     for parent in (tmp_path / "nonexistent_dir", tmp_path / "file"):
         assert run([kind, "--n", 4, "--samples", 100, "--out", parent / "x"]) == 1

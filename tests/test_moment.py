@@ -20,7 +20,6 @@ from spikedtensor.moment import (
     _prior_set,
     _rotate,
     _rotation_parts,
-    _thin_r,
 )
 from spikedtensor.rng import (
     _N_STREAMS,
@@ -343,13 +342,13 @@ def roc_observations(spec, m, gen):
     """`m` draws of `roc_experiment`: (Y0, Y1), the null and alternative
     observations."""
     y0, *rotations, noise1 = complex_normal_rounds(gen, m, roc_layout(spec))
-    spikes = _spike_tensors(spec.lambdas, [f[:, 0] for f in _rotate(_thin_r(spec), rotations)])
+    spikes = _spike_tensors(spec.lambdas, [f[:, 0] for f in _rotate(spec.grams.roots, rotations)])
     return y0, spikes + noise1
 
 
 def roc_prior(spec, inner, seed):
     """The prior set that `roc_experiment` draws for `inner` and `seed`."""
-    return _prior_set(spec, _thin_r(spec), inner, seed)
+    return _prior_set(spec, inner, seed)
 
 
 def test_roc_observations_score_as_the_roc_worker(monkeypatch):
@@ -521,8 +520,9 @@ def test_estimator_draws_call_no_linalg(monkeypatch, gen, kind, r):
 
 
 def _reference_rotations(spec, m, gen):
-    r_factors = np.linalg.qr(np.asarray(spec.factors), mode="r")
-    return [_orthonormalize(complex_gaussian(gen, (m, spec.n, spec.r), np.sqrt(0.5))) @ r_k for r_k in r_factors]
+    # chi_k = [S_k; 0], so Theta chi_k is a Haar frame times the top block S_k
+    return [_orthonormalize(complex_gaussian(gen, (m, spec.n, spec.r), np.sqrt(0.5))) @ chi[: spec.r]
+            for chi in spec.factors]
 
 
 def _reference_stack(spec, rotated):
@@ -614,13 +614,13 @@ def test_rotate_is_the_per_frame_product(d, r):
     gen = st.SeedSpec(62, 10 * d + r).generator()
     for n in range(r, 7):
         grams = st.GramSet(tuple(st.random_gram(r, gen) for _ in range(d)))
-        r_factors = _thin_r(st.SpikeSpec(np.linspace(0.7, 0.3, r), grams, n=n))
+        roots = st.SpikeSpec(np.linspace(0.7, 0.3, r), grams, n=n).grams.roots
         ginibre = [complex_gaussian(gen, (3, 7, n, r), np.sqrt(0.5)) for _ in range(d)]
         frames = [_orthonormalize(z.reshape(-1, n, r).copy()) for z in ginibre]
-        rotated = _rotate(r_factors, [z.copy() for z in ginibre])
-        for got, w, r_k in zip(rotated, frames, r_factors):
+        rotated = _rotate(roots, [z.copy() for z in ginibre])
+        for got, w, s_k in zip(rotated, frames, roots):
             assert got.shape == (3, 7, n, r)
-            assert got.tobytes() == np.stack([q @ r_k for q in w]).tobytes()
+            assert got.tobytes() == np.stack([q @ s_k for q in w]).tobytes()
 
 
 def _dense_log_lr(spec, y, factor_sets):
@@ -637,12 +637,12 @@ def _dense_log_lr(spec, y, factor_sets):
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_log_lr_stack_matches_dense_spikes(d, r, gram):
-    # all-ones Grams are rank one: the thin QR of each factor is rank deficient
+    # all-ones Grams are rank one, and so are their roots, which rotate the factors
     n, b, inner = 4, 3, 5
     spec = st.SpikeSpec(np.linspace(0.7, 0.3, r), gram_matrices(gram, r, d), n=n)
     gen = st.SeedSpec(61, 10 * d + r).generator()
     ys = complex_gaussian(gen, (b,) + (n,) * d, np.sqrt(1.0 / (2.0 * n)))
-    rotated = _rotate(_thin_r(spec), [complex_gaussian(gen, (b, inner, n, r), np.sqrt(0.5)) for _ in range(d)])
+    rotated = _rotate(spec.grams.roots, [complex_gaussian(gen, (b, inner, n, r), np.sqrt(0.5)) for _ in range(d)])
     energy = st.eta_max(spec.lambdas, spec.grams)
     got = _log_lr_stack(spec, ys, rotated, energy)
     expected = [_dense_log_lr(spec, ys[i], [[f[i, m] for f in rotated] for m in range(inner)]) for i in range(b)]

@@ -6,7 +6,8 @@ tracer wraps the functions of the modules in `tracing.MODULES`; the
 self-test patches the functions named in `selftest.INJECTED`.  Renaming any
 of them breaks the benchmark while every other test still passes.  These
 tests only read `perfbench/`: its names are taken from the source text, and
-the set-up child and the tracer run without writing bytecode.
+the set-up child, the tracer and the self-test run without writing
+bytecode.
 """
 
 import ast
@@ -97,3 +98,15 @@ def test_traced_round_gives_declared_finite_metrics(tmp_path, monkeypatch, capsy
     metrics = tracer.layer_metrics(1)
     assert metrics and set(metrics) <= {m["name"] for m in declared}
     assert all(math.isfinite(value) for value in metrics.values())
+
+
+def test_selftest_passes():
+    # the benchmark's own self-test: every workload's outputs pass its
+    # checks, doctored outputs and injected faults are caught, and the
+    # printed metrics are the declared ones; it writes only under the
+    # gitignored perfbench/_out/ and perfbench/_trace/
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, str(BENCH / "selftest.py")], cwd=BENCH.parent, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "selftest passed" in proc.stdout

@@ -42,7 +42,7 @@ def test_eta_bounded_by_eta_max(gen):
 
 def test_eta_hadamard_zero_and_identity(gen):
     spec = make_random_spec(gen)
-    svd = st.spike_svd(spec)
+    svd = spec.grams.svd
     zeros = np.zeros((spec.d, spec.r, spec.r))
     assert st.eta_hadamard(spec.lambdas, svd, zeros) == 0.0
     eyes = np.array([np.eye(spec.r)] * spec.d)
@@ -534,7 +534,7 @@ def test_eta_hadamard_stack_matches_expanded_form(n, r, d, gram):
         expanded.append(st.eta_expanded(spec, thetas))
         svd, psis = st.psi_blocks_from_mode_operators(spec.factors, thetas)
         stack.append(psis)
-    got = _eta_hadamard_stack(spec.lambdas, svd, np.array(stack))
+    got = _eta_hadamard_stack(spec.lambdas, svd.mode_maps, np.array(stack))
     assert np.max(np.abs(got - np.array(expanded))) <= 1e-12
 
 
@@ -577,13 +577,14 @@ def test_mode_maps_and_exponent_match_inline_kron(r, d, gram):
     else:
         grams = gram_matrices(gram, r, d)
     spec = st.SpikeSpec(gen.uniform(0.3, 1.2, size=r), grams, n=n)
-    svd = st.spike_svd(spec)
+    svd = spec.grams.svd
     _assert_maps_are_kron(svd)
     stack = rate._haar_corner_sets(n, r, d, 300, gen)
-    assert _eta_hadamard_stack(spec.lambdas, svd, stack).tobytes() == _inline_kron_eta(spec.lambdas, svd, stack).tobytes()
+    got = _eta_hadamard_stack(spec.lambdas, svd.mode_maps, stack)
+    assert got.tobytes() == _inline_kron_eta(spec.lambdas, svd, stack).tobytes()
     # the spectra from full mode operators, as `eta_hadamard` takes them
     block_svd, _ = st.psi_blocks_from_mode_operators(spec.factors, list(haar_unitaries(n, d, gen)))
     _assert_maps_are_kron(block_svd)
     stack = complex_gaussian(gen, (50, d, r, r), np.sqrt(0.5))
-    got = _eta_hadamard_stack(spec.lambdas, block_svd, stack)
+    got = _eta_hadamard_stack(spec.lambdas, block_svd.mode_maps, stack)
     assert got.tobytes() == _inline_kron_eta(spec.lambdas, block_svd, stack).tobytes()

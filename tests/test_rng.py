@@ -232,7 +232,7 @@ def _eta_full_unitaries(spec, size, gen):
 @pytest.mark.parametrize("n", [4, 16])
 @pytest.mark.parametrize("gram", ["two-eigenvalue:1.8,0.2", "all-ones"])
 def test_eta_from_frames_matches_full_unitaries(n, gram):
-    # all-ones Grams are rank one: the thin QR of the factor is rank deficient
+    # all-ones Grams are rank one: so are the factors and their Gram roots
     spec = st.SpikeSpec([0.4, 0.2], gram_matrices(gram, 2, 3), n)
     corners = np.concatenate(_haar_eta_chunks(spec, 4000, st.SeedSpec(14, n), 1))
     full = _eta_full_unitaries(spec, 4000, st.SeedSpec(15, n).generator())

@@ -95,15 +95,15 @@ def test_factors_edge_cases():
         assert np.max(np.abs(chi[:, 0] - chi[:, 1])) < 1e-9
 
 
-def test_spike_svd_identity_and_all_ones():
+def test_gram_svd_identity_and_all_ones():
     spec = st.SpikeSpec([1, 1], identity_grams(2, 2), n=4)
-    svd = st.spike_svd(spec)
+    svd = spec.grams.svd
     for sig, v in zip(svd.sigmas, svd.vs):
         assert np.allclose(sig, np.ones(2))
         assert np.allclose(v, np.eye(2))
 
     spec = st.SpikeSpec([1, 1], st.GramSet((np.ones((2, 2)),) * 2), n=4)
-    svd = st.spike_svd(spec)
+    svd = spec.grams.svd
     for sig in svd.sigmas:
         # eigenvalues of the all-ones 2x2 matrix are (2, 0)
         assert np.allclose(sig**2, [2.0, 0.0], atol=1e-12)
@@ -116,13 +116,49 @@ def test_spike_svd_identity_and_all_ones():
     assert x[0, 0] == 2.0 and np.count_nonzero(x) == 1
 
 
-def test_spike_svd_reconstruction(gen):
+def test_gram_svd_reconstruction(gen):
     for _ in range(20):
         spec = make_random_spec(gen)
-        svd = st.spike_svd(spec)
+        svd = spec.grams.svd
         for g, sig, v in zip(spec.grams.grams, svd.sigmas, svd.vs):
             assert np.max(np.abs(v @ np.diag(sig**2) @ v.conj().T - g)) < 1e-10
         assert all(np.all(np.diff(sig) <= 1e-15) for sig in svd.sigmas)  # descending
+
+
+def test_gram_svd_floors_rounding_eigenvalues_to_zero():
+    # the all-ones Gram has eigenvalues (r, 0, ..., 0); LAPACK returns the
+    # zeros as rounding (-4.5e-16 at r = 3), whose roots would be 3e-9
+    grams = st.GramSet((np.ones((3, 3)),) * 3)
+    for sig in grams.svd.sigmas:
+        assert sig.tolist() == [np.sqrt(3.0), 0.0, 0.0]
+    assert np.max(np.abs(grams.roots - 1 / np.sqrt(3.0))) < 1e-15
+
+
+def test_gram_set_roots_and_factors(gen):
+    for r in range(1, 5):
+        for _ in range(5):
+            d = int(gen.integers(2, 5))
+            grams = st.GramSet(tuple(st.random_gram(r, gen) for _ in range(d)))
+            roots = grams.roots
+            assert roots.shape == (d, r, r) and not roots.flags.writeable
+            assert np.max(np.abs(roots - roots.conj().swapaxes(-1, -2))) < 1e-15
+            assert np.max(np.abs(roots @ roots - np.array(grams.grams))) < 1e-12
+            spec = st.SpikeSpec(np.ones(r), grams, n=r + 2)
+            for chi, s_k in zip(spec.factors, roots):
+                assert np.array_equal(chi[:r], s_k) and not np.any(chi[r:])
+
+
+def test_roots_rotate_the_thin_qr_factor(gen):
+    # the thin QR chi = Q R of a factor has R = U* S with U unitary, S the
+    # Gram's root, so a Haar frame W gives W R = (W U*) S, again a Haar
+    # frame times S: rotating by the roots keeps the law of the rotated spike
+    for r in range(1, 5):
+        for _ in range(5):
+            grams = st.GramSet(tuple(st.random_gram(r, gen) for _ in range(3)))
+            spec = st.SpikeSpec(np.ones(r), grams, n=r + 2)
+            r_factors = np.linalg.qr(np.asarray(spec.factors), mode="r")
+            u = r_factors @ np.linalg.inv(grams.roots)
+            assert unitarity_defect(u) < 1e-12
 
 
 def test_eta_max_closed_forms():

@@ -96,7 +96,7 @@ def test_main_condition_reduces_to_hoelder_for_all_ones():
     lam = [0.4, 0.3]
     j = st.GramSet((np.ones((2, 2)),) * 3)
     ok_h, margin_h = st.hoelder_condition(lam, 3)
-    ok_m, margin_m = st.main_condition(lam, j, 3)
+    ok_m, margin_m = st.main_condition(lam, j)
     assert ok_h == ok_m
     assert margin_m == pytest.approx(margin_h, abs=1e-12)
 
@@ -104,12 +104,22 @@ def test_main_condition_reduces_to_hoelder_for_all_ones():
 def test_main_condition_orthogonal_grams_weaker():
     a = 0.8
     i = st.GramSet((np.eye(2),) * 3)
-    _, margin_m = st.main_condition([a, a], i, 3)
+    _, margin_m = st.main_condition([a, a], i)
     _, margin_h = st.hoelder_condition([a, a], 3)
     # eta_max = 2 a^2, so the statistic is a*sqrt(2) < 2a
     threshold = math.sqrt(1.5) * st.beta_d_second(3)
     assert margin_m == pytest.approx(threshold - a * math.sqrt(2), abs=1e-12)
     assert margin_m > margin_h
+
+
+def test_main_condition_reads_the_order_of_its_grams():
+    lam = [0.5, 0.3]
+    emax = 0.5**2 + 0.3**2
+    for d in (2, 3, 5):
+        _, margin = st.main_condition(lam, st.GramSet((np.eye(2),) * d))
+        assert margin == math.sqrt(d / 2) * st.beta_d_second(d) - math.sqrt(emax)
+    with pytest.raises(TypeError):
+        st.main_condition(lam, st.GramSet((np.eye(2),) * 3), 2)
 
 
 def test_hoelder_implies_main(gen):
@@ -119,7 +129,7 @@ def test_hoelder_implies_main(gen):
         grams = st.GramSet(tuple(st.random_gram(r, gen) for _ in range(d)))
         lam = gen.uniform(0.05, 1.2, size=r)
         ok_h, _ = st.hoelder_condition(lam, d)
-        ok_m, _ = st.main_condition(lam, grams, d)
+        ok_m, _ = st.main_condition(lam, grams)
         if ok_h:
             assert ok_m
 
