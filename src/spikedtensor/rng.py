@@ -17,8 +17,14 @@ scheduled across threads.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
 import operator
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -134,17 +140,21 @@ def _orthonormalize(z: np.ndarray) -> np.ndarray:
 # at n=16, 150k samples took 99-103 ms at every budget from 2^15 to 2^18
 # (medians of 15, the budgets interleaved); roc, direct and the Haar moment
 # moved within noise from 2^15 to 2^18, while the traced peak of `direct`
-# at n=4, inner=2000 doubled with each step up to 5.4 MB at 2^17.  The
-# chunks go to the pool from 2^16 cells a chunk: with the pool forced on, 2
-# threads took 0.56-0.68x the one-thread time on roc, cloud, Haar-moment
-# and xi-tail chunks of 72k-120k cells, but 1.17x on `direct` at n=4,
-# inner=2000 (four 32k-cell draws a chunk), and 0.68-0.89x on chunks of
-# 36k-60k cells, a gain this threshold leaves unused.  A chunk above the
-# threshold is not sure to gain, because OpenBLAS's own threads compete
-# with the pool: on a 2-vCPU VM (three sets of medians of five calls),
-# whole `cloud --n 16 --samples 100000` runs took 0.73-1.12x as fast on 2
-# threads as on 1, and `split --n 8 --samples 200000` 0.82-1.17x; with
-# OPENBLAS_NUM_THREADS=1 they took 1.15-1.39x and 1.73-2.11x.
+# at n=4, inner=2000 doubled with each step up to 5.4 MB at 2^17.
+#
+# The chunks go to the pool from `_POOL_CELLS` cells a chunk, and each pool
+# worker runs its BLAS calls on one thread (`_one_blas_thread`), so the
+# pool's threads and OpenBLAS's own do not compete for the cores.  Chunks
+# that small gain because half of their time is RNG fill and BLAS, which
+# release the GIL: `direct` at n=3 (16 chunks of 28.8k cells).  On a 2-vCPU
+# VM (in-process CLI calls, medians of 31, `--threads 2` against 1),
+# `cloud --n 16 --samples 100000`, `split --samples 200000` and `direct
+# --n 4 --inner 2000` ran 1.18-1.54x as fast, against 0.78-0.89x with the
+# pool from 2^16 cells and OpenBLAS's threads left alone.  Runs of a few
+# ms gain less (the README table): two workers take about 0.45 ms to start,
+# and an OpenBLAS worker left spinning by a threaded BLAS call on the
+# calling thread competes with the pool for about 0.1 s.
+_POOL_CELLS = 2**14
 _N_STREAMS = 16
 _BLOCK_CELLS = 2**17
 # The child stream of a draw taken once per run and shared by every chunk
@@ -164,6 +174,61 @@ def chunk_sizes(total: int, chunks: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(chunks)]
 
 
+@functools.cache
+def _blas_threads_setter():
+    """OpenBLAS's `openblas_set_num_threads_local(n)`, which sets the BLAS
+    thread count of the calling thread and returns the count before, from
+    the OpenBLAS that NumPy loaded: the one in NumPy's wheel libraries, or
+    one mapped into this process.  None where neither has the symbol (an
+    older OpenBLAS, another BLAS); the pool then runs as it is."""
+    paths = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*"))
+    with contextlib.suppress(OSError):
+        with open("/proc/self/maps") as maps:
+            fields = (line.split(maxsplit=5) for line in maps)
+            paths += [f[5].strip() for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])]
+    for path in dict.fromkeys(paths):
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+        return setter
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_pools = 0  # pooled `map_streams` calls running
+_blas_before = 0  # the BLAS thread count they restore when the last ends
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold BLAS to one thread while a pool runs, and give the calling
+    thread its count back afterwards; yields the pool workers' initializer,
+    the setter called with 1, or None where there is no setter.  A
+    thread-local OpenBLAS (OpenMP builds) needs the call on every worker; a
+    pthreads build keeps one count for the whole process, so the calling
+    thread's count is set too, and restored when the last pooled call
+    running ends."""
+    global _blas_pools, _blas_before
+    setter = _blas_threads_setter()
+    if setter is None:
+        yield None
+        return
+    with _blas_lock:
+        if _blas_pools == 0:
+            _blas_before = setter(1)
+        _blas_pools += 1
+    try:
+        yield setter
+    finally:
+        with _blas_lock:
+            _blas_pools -= 1
+            if _blas_pools == 0:
+                setter(_blas_before)
+
+
 def map_streams(draw, total: int, seed: SeedSpec, threads: int = 1, *, cells: int) -> list:
     """Take `total` draws in the chunk layout and return one array per
     chunk, in chunk order.
@@ -173,9 +238,12 @@ def map_streams(draw, total: int, seed: SeedSpec, threads: int = 1, *, cells: in
     ``draw(m, generator)``, and its array is their results concatenated
     along axis 0; so the output is byte-identical for any `threads` value.
     `cells` is the size, in array cells, of one draw: a call takes as many
-    draws as fit in `_BLOCK_CELLS` cells, at least one, and the chunks run
-    on the calling thread, whatever `threads` is, while the largest chunk
-    holds fewer than `_BLOCK_CELLS // 2` cells.
+    draws as fit in `_BLOCK_CELLS` cells, at least one.  The chunks run on
+    a pool of `threads` workers when there is more than one and the
+    largest holds at least `_POOL_CELLS` cells, and on the calling thread
+    otherwise.  Pool workers run their BLAS calls on one thread each, and
+    the calling thread's BLAS thread count is the same after the call as
+    before.
     """
     if threads < 1:
         raise ParameterError(f"need threads >= 1, got {threads}")
@@ -187,7 +255,7 @@ def map_streams(draw, total: int, seed: SeedSpec, threads: int = 1, *, cells: in
         return np.concatenate([draw(min(block, sizes[i] - start), gen) for start in range(0, sizes[i], block)])
 
     indices = range(len(sizes))
-    if threads == 1 or len(sizes) == 1 or sizes[0] * cells < _BLOCK_CELLS // 2:
+    if threads == 1 or len(sizes) == 1 or sizes[0] * cells < _POOL_CELLS:
         return [run(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with _one_blas_thread() as init, ThreadPoolExecutor(max_workers=threads, initializer=init, initargs=(1,)) as pool:
         return list(pool.map(run, indices))

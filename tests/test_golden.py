@@ -171,15 +171,16 @@ CLI_CASES = {
     # case again at 0.14.0 for the one prior set a run)
     "roc_full_qr": "roc --d 3 --lambdas 0.6,0.4 --n 2 --trials 30 --inner 20 --seed 5",
     "direct_full_qr": "moment --method direct --d 3 --lambdas 0.6,0.4 --gram all-ones --n 2 --outer 30 --inner 20 --seed 5",
-    # one draw fills a chunk above the thread threshold: runs on the pool at --threads 2
+    # one draw fills a chunk above the pool threshold: runs on the pool at --threads 2
     "roc_n4_d3": "roc --d 3 --lambdas 0.3 --n 4 --trials 24 --inner 4200 --seed 77",
     "direct_n4_d3": "moment --method direct --d 3 --lambdas 0.5,0.2 --n 4 --outer 20 --inner 2400 --seed 1",
     "direct_d2_r1": "moment --method direct --d 2 --lambdas 0.7 --n 3,4 --outer 64 --inner 100 --seed 77",
 }
 
-# xi takes chunks above the thread threshold, so it runs on the pool at
-# --threads 2; since 0.6.0 the Haar cases stay on the calling thread (see
-# test_moment.py for a Haar estimate on the pool)
+# the xi cases and split_r2 (1250 draws of 24 cells a chunk) take chunks
+# above the pool threshold, so they run on the pool at --threads 2; the
+# other Haar cases stay on the calling thread (mom_r1: 1250 draws of 6
+# cells)
 ESTIMATE_CASES = {
     "thr_d2": "threshold --d 2 --lambdas 0.5,0.3",
     "thr_d3": "threshold --d 3 --lambdas 0.6,0.4 --gram two-eigenvalue:1.8,0.2",
@@ -194,8 +195,8 @@ ESTIMATE_CASES = {
     "xi": "xi-tail --n 8 --t 0.2,0.5,0.7 --samples 150000 --seed 3",
     # NumPy's pairwise row sum adds fewer than 8 terms one after another and
     # 8 or more in 8 interleaved partial sums, so n=4 and n=16 group their
-    # additions unlike n=8, one term a partial sum; n=4 stays on the calling
-    # thread at --threads 2, n=16 reaches the pool
+    # additions unlike n=8, one term a partial sum; both reach the pool at
+    # --threads 2 (n=4 with 37.5k cells a chunk)
     "xi_n4": "xi-tail --n 4 --t 0.2,0.5,0.7 --samples 150000 --seed 3",
     "xi_n16": "xi-tail --n 16 --t 0.2,0.35,0.5 --samples 150000 --seed 3",
 }
@@ -345,8 +346,8 @@ def test_observation_outputs_are_pinned_at_two_threads(tmp_path, monkeypatch, na
     assert got == {f"{name}.{ext}": GOLDEN[f"{name}.{ext}"] for ext in ("csv", "json")}
 
 
-@pytest.mark.parametrize("name", ["roc_n4_d3", "direct_n4_d3"])
-def test_pool_cases_reach_the_pool(tmp_path, monkeypatch, name):
+def _draw_threads(tmp_path, monkeypatch, name) -> list:
+    """The threads that ran the draws of CLI case `name` at --threads 2."""
     idents = []
 
     def recording(draw, *args, **kwargs):
@@ -358,7 +359,20 @@ def test_pool_cases_reach_the_pool(tmp_path, monkeypatch, name):
 
     monkeypatch.setattr(moment, "map_streams", recording)
     _run_case(tmp_path, monkeypatch, f"{CLI_CASES[name]} --out {name}", 2)
+    return idents
+
+
+# chunks of 28.8k cells (direct_bench: 16 draws of 1800) and 57.6k
+# (roc_readme: 32 draws) and one draw over the pool threshold
+@pytest.mark.parametrize("name", ["roc_n4_d3", "direct_n4_d3", "direct_bench", "roc_readme"])
+def test_pool_cases_reach_the_pool(tmp_path, monkeypatch, name):
+    idents = _draw_threads(tmp_path, monkeypatch, name)
     assert idents and threading.get_ident() not in idents
+
+
+def test_small_chunks_stay_on_the_calling_thread(tmp_path, monkeypatch):
+    # roc_bench: chunks of 4 draws of 1800 cells, 7.2k cells
+    assert set(_draw_threads(tmp_path, monkeypatch, "roc_bench")) == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import threading
 
 import numpy as np
@@ -14,6 +15,8 @@ from spikedtensor.errors import ParameterError
 from spikedtensor.moment import _haar_eta_chunks, _noise_part
 from spikedtensor.rng import (
     _BLOCK_CELLS,
+    _POOL_CELLS,
+    _blas_threads_setter,
     _orthonormalize,
     chunk_sizes,
     complex_normal_rounds,
@@ -332,8 +335,8 @@ def test_map_streams_threads_only_large_steps():
         return out, {m for m, _ in calls}, {ident for _, ident in calls}
 
     # 16 draws: one a chunk, so a chunk holds `cells` cells
-    small, _, small_idents = run(16, _BLOCK_CELLS // 2 - 1)
-    large, _, large_idents = run(16, _BLOCK_CELLS // 2)
+    small, _, small_idents = run(16, _POOL_CELLS - 1)
+    large, _, large_idents = run(16, _POOL_CELLS)
     assert small_idents == {caller}
     assert caller not in large_idents
     assert np.array_equal(small, large)
@@ -342,3 +345,63 @@ def test_map_streams_threads_only_large_steps():
     assert over_sizes == {1}
     assert caller not in over_idents
     assert np.array_equal(over, run(64, 1)[0])
+
+
+def test_pool_workers_run_blas_on_one_thread():
+    setter = _blas_threads_setter()
+    if setter is None:
+        pytest.skip("NumPy's BLAS has no openblas_set_num_threads_local")
+    caller = threading.get_ident()
+    before = setter(2)  # the calling thread at two BLAS threads
+    try:
+        seen = []
+
+        def draw(m, gen):
+            count = setter(1)  # the worker's count before this call
+            setter(count)
+            seen.append((threading.get_ident(), count))
+            return gen.standard_normal(m)
+
+        map_streams(draw, 16, st.SeedSpec(3, 0), threads=2, cells=_POOL_CELLS)
+        assert seen and all(ident != caller and count == 1 for ident, count in seen)
+        assert setter(2) == 2  # the calling thread's count is its own again
+        map_streams(draw, 16, st.SeedSpec(3, 0), threads=1, cells=_POOL_CELLS)
+        assert seen[-1] == (caller, 2)  # one thread: the calling thread's BLAS is left as it is
+    finally:
+        setter(before)
+
+
+def test_concurrent_pooled_calls_give_the_blas_count_back():
+    # four callers, each pooling at two threads: the count they restore is
+    # the one from before the first of them started
+    setter = _blas_threads_setter()
+    if setter is None:
+        pytest.skip("NumPy's BLAS has no openblas_set_num_threads_local")
+    seed = st.SeedSpec(5, 0)
+
+    def draw(m, gen):
+        return gen.standard_normal(m)
+
+    expected = np.concatenate(map_streams(draw, 16, seed, cells=_POOL_CELLS))
+    outputs = []
+
+    def caller():
+        for _ in range(20):
+            out = map_streams(draw, 16, seed, threads=2, cells=_POOL_CELLS)
+            outputs.append(np.array_equal(np.concatenate(out), expected))
+
+    before = setter(2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in callers)
+        assert outputs == [True] * 80
+        assert setter(2) == 2
+    finally:
+        sys.setswitchinterval(interval)
+        setter(before)
