@@ -60,11 +60,16 @@ _EXIT_INVARIANT = 2
 # thread), and 1.2 * 10^8 took 1.07 s at n=6, the largest n the sample cap
 # reaches (medians of five, `--threads 1`).
 # `draw_cells` bounds the largest array of one `roc` or `direct` draw
-# (`moment._draw_cells`), `roc`'s one prior set included.  At the cap,
-# one-thread peak RSS (ru_maxrss) was 269 MiB for `roc` at d=3, n=4, inner
-# 2^18 (0.23-0.25 s for the prior set, medians of seven, and about 0.1 s
-# a trial) and 220 MiB at
-# d=2, n=6, r=2, inner 174762.  `d` bounds the Grams every run factors first
+# (`moment._draw_cells`), `roc`'s one prior set included, and for `roc`
+# the inner n^d cells of its prior dictionary (`moment._prior_dictionary`)
+# on top, counted once a run.  Before the dictionary, the cap admitted
+# `roc` at d=3, n=4, inner 2^18 and at d=2, n=6, r=2, inner 174762, where
+# one-thread peak RSS (ru_maxrss) was 269 MiB and 220 MiB; with it, these
+# hold 21.0M and 10.5M cells and are refused, and the largest admitted
+# inner is 52428 at d=3, n=4 (16 + 64 cells an inner draw) and 69905 at
+# d=2, n=6, r=2 (24 + 36).  The default inner of 500 fits at d=3 up to
+# n=19, past the `roc_n` cap.
+# `d` bounds the Grams every run factors first
 # by one stacked `eigh`: at d=1024, `threshold` took 0.03 s at r=1 and 0.10 s
 # at r=32 (medians of seven), peaking at 31 and 104 MB with the eigenvectors.
 # `r` bounds the spike every run builds at n = r before its own checks, whose
@@ -158,8 +163,11 @@ def _refuse(condition: bool, message: str) -> None:
         raise ParameterError(f"desk-scale limit exceeded: {message}")
 
 
-def _refuse_draw(spec, inner: int) -> None:
-    cells = _draw_cells(spec, inner)
+def _refuse_draw(spec, inner: int, once: int = 0) -> None:
+    """Refuse a run whose one draw against `inner` factor sets and the
+    `once` cells it holds for the whole run hold more than the
+    `draw_cells` cap."""
+    cells = _draw_cells(spec, inner) + once
     _refuse(cells > _LIMITS["draw_cells"], f"one draw holds {cells} cells > {_LIMITS['draw_cells']}")
 
 
@@ -271,7 +279,7 @@ def run_roc(config: ExperimentConfig, spike: SpikeSpec) -> None:
     _refuse(2 * config.trials * config.inner > _LIMITS["roc_work"],
             f"2*trials*inner = {2 * config.trials * config.inner} > {_LIMITS['roc_work']}")
     spec = replace(spike, n=n)
-    _refuse_draw(spec, config.inner)
+    _refuse_draw(spec, config.inner, once=config.inner * n**config.d)  # the prior dictionary
     seed = SeedSpec(config.seed, config.stream)
     roc = roc_experiment(spec, config.trials, config.inner, seed, threads=config.threads)
 

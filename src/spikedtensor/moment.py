@@ -211,9 +211,49 @@ def _log_lr_stack(spec: SpikeSpec, ys: np.ndarray, factors, energy: float) -> np
     t = (np.conj(ys).reshape(b, -1, n) @ cols).reshape(b, *(n,) * (spec.d - 1), inner, spec.r)
     for f in factors[-2::-1]:
         t = np.einsum("b...jmi,bmji->b...mi", t, f)
-    a = 2.0 * n * np.real(t @ spec.lambdas) - n * energy
+    return _log_mean_exp(2.0 * n * np.real(t @ spec.lambdas) - n * energy)
+
+
+def _log_mean_exp(a: np.ndarray) -> np.ndarray:
+    """log (1/inner) sum_m exp(a[:, m]) for each row of a (b, inner) stack
+    of exponents, shifted by the row's largest."""
     top = np.max(a, axis=1)
-    return np.log(np.sum(np.exp(a - top[:, None]), axis=1)) + top - np.log(inner)
+    return np.log(np.sum(np.exp(a - top[:, None]), axis=1)) + top - np.log(a.shape[1])
+
+
+# Rows of one `roc` scoring GEMM: an observation block is scored in slabs of
+# this many rows, the last padded with zero rows, so that every GEMM has one
+# shape and a score's bytes do not depend on the block it was drawn in.
+# OpenBLAS's rows of Y @ D can differ in their last digits with the height
+# of Y: without the padding, `roc` at d=3, n=6 gave other bytes with one
+# draw a block than with the default blocks.
+_SLAB_ROWS = 16
+
+
+def _prior_dictionary(spec: SpikeSpec, prior) -> np.ndarray:
+    """The prior set S of `roc` (`_prior_set`) as one real matrix, built
+    once a run: row m is the real view of the spike X_m, the real and
+    imaginary part of each of its n^d cells side by side, shape
+    (inner, 2 n^d).  Its transpose is D = [Re X; Im X] with the two halves'
+    rows interleaved, and Re<Y, X_m> = Re<X_m, Y> is the real view of Y
+    times D: one real GEMM for a block, whatever r.  It holds the bytes of
+    inner n^d complex cells, which the CLI's cap on one draw counts."""
+    spikes = _spike_tensors(spec.lambdas, [f[0] for f in prior])
+    return spikes.reshape(len(spikes), -1).view(float)
+
+
+def _dictionary_log_lr(spec: SpikeSpec, ys: np.ndarray, dictionary: np.ndarray, energy: float) -> np.ndarray:
+    """`_log_lr_stack` of a stack of observations `ys` (b, n, ..., n)
+    against one prior set, given as its `_prior_dictionary`: the real view
+    of each Y times D, in slabs of `_SLAB_ROWS` rows (one GEMM a slab), then
+    the same shifted log-sum-exp over the set.  At r = 1 the GEMM takes half
+    the real multiply-adds of `_log_lr_stack`'s first contraction, and its
+    cost does not grow with r."""
+    b, (inner, k) = len(ys), dictionary.shape
+    slabs = np.zeros((-(-b // _SLAB_ROWS), _SLAB_ROWS, k))
+    slabs.reshape(-1, k)[:b] = ys.reshape(b, -1).view(float)
+    dots = np.matmul(slabs, dictionary.T).reshape(-1, inner)[:b]
+    return _log_mean_exp(2.0 * spec.n * dots - spec.n * energy)
 
 
 def _noise_part(spec: SpikeSpec) -> tuple:
@@ -230,7 +270,9 @@ def _draw_cells(spec: SpikeSpec, inner: int) -> int:
     contraction when n^(d-2) < d.  `direct` draws those rotations for every
     observation; `roc` holds them once, as its prior set, which the CLI's
     cap on one draw bounds too.  The `cells` of `map_streams` for the
-    observation drivers."""
+    observation drivers: a size a draw, which for `roc` leaves out the
+    inner n^d cells of its prior dictionary (`_prior_dictionary`), held
+    once a run and counted on top of this by the CLI's cap alone."""
     return max(inner * spec.r * spec.n ** (spec.d - 1), spec.n**spec.d, spec.d * spec.n * spec.r * inner)
 
 
@@ -352,12 +394,12 @@ def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, thre
     layout = [noise, *_rotation_parts(spec, 1), noise]
     roots = spec.grams.roots  # built here, once, not in the pool threads
     energy = eta_max(spec.lambdas, spec.grams)
-    prior = _prior_set(spec, inner, rng)
+    dictionary = _prior_dictionary(spec, _prior_set(spec, inner, rng))
 
     def worker(m, gen):
         y0, *rotations, noise1 = complex_normal_rounds(gen, m, layout)
         y1 = _spike_tensors(spec.lambdas, [f[:, 0] for f in _rotate(roots, rotations)]) + noise1
-        return _log_lr_stack(spec, np.concatenate([y0, y1]), prior, energy).reshape(2, m).T
+        return _dictionary_log_lr(spec, np.concatenate([y0, y1]), dictionary, energy).reshape(2, m).T
 
     scores = np.concatenate(map_streams(worker, trials, rng, threads, cells=_draw_cells(spec, inner)))
     s0 = np.sort(scores[:, 0])

@@ -114,7 +114,12 @@ def _orthonormalize(z: np.ndarray) -> np.ndarray:
     reciprocal norm, the bytes of NumPy's complex quotient by a real
     divisor, (a + b * 0) * (1 / c) and (b - a * 0) * (1 / c): at c = 1,
     3200 frames of n = 3 took 148 us against 188 us by the quotient (one
-    thread, 2-vCPU VM).
+    thread, 2-vCPU VM).  The squared norms are one real-view `einsum`, the
+    sum of the squared real and imaginary parts of each column, and the
+    Gram-Schmidt coefficients one `einsum` of the conjugated basis with the
+    column, not the `np.vecdot` gufunc: 3200 frames of n = 3, c = 1 took
+    58 us against 114 us, and 1125 Ginibre (4, 2) stacks 219 us against
+    266 us (one thread, 2-vCPU VM).
 
     The stack `z` is consumed: at c = 1 the (count, c, n) copy is `z`'s own
     memory, so `z` is overwritten and the result shares it.  Pass a fresh
@@ -126,8 +131,8 @@ def _orthonormalize(z: np.ndarray) -> np.ndarray:
         v = q[:, j]
         basis = q[:, :j]
         for _ in range(2 if j else 0):
-            v -= np.matmul(np.vecdot(basis, v[:, None, :])[:, None, :], basis)[:, 0]
-        parts[:, j] *= (1.0 / np.sqrt(np.vecdot(v, v).real))[:, None]
+            v -= np.matmul(np.einsum("cjk,ck->cj", basis.conj(), v)[:, None, :], basis)[:, 0]
+        parts[:, j] *= (1.0 / np.sqrt(np.einsum("ck,ck->c", parts[:, j], parts[:, j])))[:, None]
     return q.swapaxes(-1, -2)
 
 
@@ -142,9 +147,14 @@ def _orthonormalize(z: np.ndarray) -> np.ndarray:
 # moved within noise from 2^15 to 2^18, while the traced peak of `direct`
 # at n=4, inner=2000 doubled with each step up to 5.4 MB at 2^17.
 #
-# The chunks go to the pool from `_POOL_CELLS` cells a chunk, and each pool
-# worker runs its BLAS calls on one thread (`_one_blas_thread`), so the
-# pool's threads and OpenBLAS's own do not compete for the cores.  Chunks
+# The chunks go to the pool from `_POOL_CELLS` cells a chunk.  Every draw
+# runs its BLAS calls on one thread (`_one_blas_thread`), on a pool worker
+# and on the calling thread alike, so the pool's threads and OpenBLAS's own
+# do not compete for the cores, and a BLAS result does not depend on which
+# thread took the draw: a threaded GEMM may split its sums unlike a
+# one-thread GEMM, and with the calling thread's GEMMs left on two threads
+# `roc` thresholds at d=3, n=6 moved by up to 8.9e-15 between `--threads`
+# 1 and 2.  Chunks
 # that small gain because half of their time is RNG fill and BLAS, which
 # release the GIL: `direct` at n=3 (16 chunks of 28.8k cells).  On a 2-vCPU
 # VM (in-process CLI calls, medians of 31, `--threads 2` against 1),
@@ -152,8 +162,8 @@ def _orthonormalize(z: np.ndarray) -> np.ndarray:
 # --n 4 --inner 2000` ran 1.18-1.54x as fast, against 0.78-0.89x with the
 # pool from 2^16 cells and OpenBLAS's threads left alone.  Runs of a few
 # ms gain less (the README table): two workers take about 0.45 ms to start,
-# and an OpenBLAS worker left spinning by a threaded BLAS call on the
-# calling thread competes with the pool for about 0.1 s.
+# and an OpenBLAS worker left spinning by a threaded BLAS call that the
+# calling thread took before the run competes with the pool for about 0.1 s.
 _POOL_CELLS = 2**14
 _N_STREAMS = 16
 _BLOCK_CELLS = 2**17
@@ -198,34 +208,34 @@ def _blas_threads_setter():
 
 
 _blas_lock = threading.Lock()
-_blas_pools = 0  # pooled `map_streams` calls running
+_blas_runs = 0  # `map_streams` calls running
 _blas_before = 0  # the BLAS thread count they restore when the last ends
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Hold BLAS to one thread while a pool runs, and give the calling
-    thread its count back afterwards; yields the pool workers' initializer,
-    the setter called with 1, or None where there is no setter.  A
-    thread-local OpenBLAS (OpenMP builds) needs the call on every worker; a
-    pthreads build keeps one count for the whole process, so the calling
-    thread's count is set too, and restored when the last pooled call
+    """Hold BLAS to one thread while a `map_streams` call runs, and give
+    the calling thread its count back afterwards; yields the pool workers'
+    initializer, the setter called with 1, or None where there is no
+    setter.  A thread-local OpenBLAS (OpenMP builds) needs the call on every
+    worker; a pthreads build keeps one count for the whole process, so the
+    calling thread's count is set too, and restored when the last call
     running ends."""
-    global _blas_pools, _blas_before
+    global _blas_runs, _blas_before
     setter = _blas_threads_setter()
     if setter is None:
         yield None
         return
     with _blas_lock:
-        if _blas_pools == 0:
+        if _blas_runs == 0:
             _blas_before = setter(1)
-        _blas_pools += 1
+        _blas_runs += 1
     try:
         yield setter
     finally:
         with _blas_lock:
-            _blas_pools -= 1
-            if _blas_pools == 0:
+            _blas_runs -= 1
+            if _blas_runs == 0:
                 setter(_blas_before)
 
 
@@ -241,9 +251,9 @@ def map_streams(draw, total: int, seed: SeedSpec, threads: int = 1, *, cells: in
     draws as fit in `_BLOCK_CELLS` cells, at least one.  The chunks run on
     a pool of `threads` workers when there is more than one and the
     largest holds at least `_POOL_CELLS` cells, and on the calling thread
-    otherwise.  Pool workers run their BLAS calls on one thread each, and
-    the calling thread's BLAS thread count is the same after the call as
-    before.
+    otherwise.  Every draw runs its BLAS calls on one thread, on a pool
+    worker or on the calling thread, and the calling thread's BLAS thread
+    count is the same after the call as before.
     """
     if threads < 1:
         raise ParameterError(f"need threads >= 1, got {threads}")
@@ -255,7 +265,8 @@ def map_streams(draw, total: int, seed: SeedSpec, threads: int = 1, *, cells: in
         return np.concatenate([draw(min(block, sizes[i] - start), gen) for start in range(0, sizes[i], block)])
 
     indices = range(len(sizes))
-    if threads == 1 or len(sizes) == 1 or sizes[0] * cells < _POOL_CELLS:
-        return [run(i) for i in indices]
-    with _one_blas_thread() as init, ThreadPoolExecutor(max_workers=threads, initializer=init, initargs=(1,)) as pool:
-        return list(pool.map(run, indices))
+    with _one_blas_thread() as init:
+        if threads == 1 or len(sizes) == 1 or sizes[0] * cells < _POOL_CELLS:
+            return [run(i) for i in indices]
+        with ThreadPoolExecutor(max_workers=threads, initializer=init, initargs=(1,)) as pool:
+            return list(pool.map(run, indices))

@@ -295,11 +295,34 @@ def test_observation_drivers_refuse_zero_inner(tmp_path, capsys, args):
     ["roc", "--d", 12, "--n", 5, "--trials", 2, "--inner", 1],
     # a contraction of 4,194,300 cells, under the cap, but rotation draws of d n r inner = 8,388,600
     ["roc", "--d", 2, "--n", 6, "--lambdas", "0.3,0.2", "--trials", 4, "--inner", 349525],
+    # admitted by the one-draw cap alone (4,194,304 and 4,194,288 cells), but
+    # with roc's prior dictionary, inner n^d cells, 20,971,520 and 10,485,720
+    ["roc", "--d", 3, "--n", 4, "--trials", 2, "--inner", 262144],
+    ["roc", "--d", 2, "--n", 6, "--lambdas", "0.3,0.2", "--trials", 2, "--inner", 174762],
 ])
 def test_observation_drivers_cap_one_draw(tmp_path, capsys, args):
     assert run(args + ["--out", tmp_path / "o"]) == 1
     assert "desk-scale limit exceeded: one draw holds" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("d, n, lambdas, largest", [(3, 4, "0.3", 52428), (2, 6, "0.3,0.2", 69905)])
+def test_roc_cap_edge(tmp_path, monkeypatch, capsys, d, n, lambdas, largest):
+    # (n^(d-1) r or d n r) + n^d cells an inner draw: the largest admitted
+    # inner reaches the driver, one more is refused
+    def reached(*args, **kwargs):
+        raise ParameterError("reached the driver")
+
+    monkeypatch.setattr(cli, "roc_experiment", reached)
+    for inner, message in ((largest, "reached the driver"), (largest + 1, "one draw holds")):
+        args = ["roc", "--d", d, "--n", n, "--lambdas", lambdas, "--trials", 2, "--inner", inner]
+        assert run(args + ["--out", tmp_path / "o"]) == 1
+        assert message in capsys.readouterr().err
+
+
+def test_roc_default_inner_is_admitted_at_the_largest_n(tmp_path, capsys):
+    assert run(["roc", "--d", 3, "--n", cli._LIMITS["roc_n"], "--trials", 2, "--out", tmp_path / "o"]) == 0
+    assert (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("case", ["missing_config", "config_is_a_directory", "config_not_utf8", "out_dir_missing",

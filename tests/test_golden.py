@@ -140,6 +140,28 @@ at most 4.4e-11 absolute, and their y values and the identity r=2 points
 kept their bytes.  They were re-taken after the law and reference tests
 of `direct` and `roc` in `test_moment.py` passed unchanged; every other
 digest holds at `--threads` 1 and 2.
+
+The 0.18.0 break, `roc` scored by one real GEMM against its prior
+dictionary (`moment._dictionary_log_lr`, in fixed slabs of 16 rows, with
+BLAS held to one thread on every thread that draws) and Gram-Schmidt inner
+products by `einsum` in place of `np.vecdot` (`rng._orthonormalize`), re-took
+every `roc` and `direct` case, `split_r2`, `split_ragged`, the cloud's
+points, the sparse cloud hash and the three library values, on the same
+draws in the same order.  Against 0.17.0, before they were re-taken: `roc`'s
+fpr, tpr and `tv_proxy` did not move in any case, and its thresholds moved
+by at most 2.1e-14 absolute and 1.5e-14 of the largest threshold (the
+thresholds nearest 0, such as 7e-4 in `roc_bench`, by up to 1.3e-12 of
+their own size); the `direct` means kept their bytes but one, which moved
+by 9.0e-16 relative, and their stderrs and `log_domain_max` moved by at
+most 9.7e-16; the split means kept their bytes and the stderrs moved by at
+most 5.2e-15; 883 of the cloud's 4000 points moved, by at most 3.4e-14
+relative in x and 7.5e-16 in y, none lies above the bound, and the
+envelope and bound files kept their bytes; the library fixed-spike
+estimates kept theirs.  `mom_r1`, `mom_r1_ragged`, `mom_r2` and
+`split_empty` kept their digests.  The new `roc_n6_r1` and `roc_n6_r2`
+cases (a slab GEMM that OpenBLAS threads unless held to one thread) were
+taken with the others; every `roc` digest holds at `--threads` 1 and 2 and
+for one draw a block.
 """
 
 import hashlib
@@ -168,12 +190,18 @@ CLI_CASES = {
     # n = r: every draw orthonormalizes square (full-unitary) stacks, by the
     # frames' Gram-Schmidt; re-taken at 0.10.0, when it replaced LAPACK's QR
     # (roc_full_qr again at 0.11.0, with the other moved cases; every roc
-    # case again at 0.14.0 for the one prior set a run)
+    # case again at 0.14.0 for the one prior set a run, and every case here
+    # at 0.18.0)
     "roc_full_qr": "roc --d 3 --lambdas 0.6,0.4 --n 2 --trials 30 --inner 20 --seed 5",
     "direct_full_qr": "moment --method direct --d 3 --lambdas 0.6,0.4 --gram all-ones --n 2 --outer 30 --inner 20 --seed 5",
     # one draw fills a chunk above the pool threshold: runs on the pool at --threads 2
     "roc_n4_d3": "roc --d 3 --lambdas 0.3 --n 4 --trials 24 --inner 4200 --seed 77",
     "direct_n4_d3": "moment --method direct --d 3 --lambdas 0.5,0.2 --n 4 --outer 20 --inner 2400 --seed 1",
+    # a slab GEMM of 16 x 432 x 500, large enough for OpenBLAS to thread on
+    # the calling thread unless `map_streams` holds it to one; chunks of 12
+    # or 13 draws reach the pool at --threads 2
+    "roc_n6_r1": "roc --d 3 --lambdas 1.0 --n 6 --trials 200 --inner 500 --seed 7",
+    "roc_n6_r2": "roc --d 3 --lambdas 1.0,0.5 --n 6 --trials 200 --inner 500 --seed 7",
     "direct_d2_r1": "moment --method direct --d 2 --lambdas 0.7 --n 3,4 --outer 64 --inner 100 --seed 77",
 }
 
@@ -202,33 +230,38 @@ ESTIMATE_CASES = {
 }
 
 GOLDEN = {
-    "roc_readme.csv": "7cdcc3336a56f7f637edb565105ba65dcfc8fc030bdd22f4b7d54cb7609dd353",
-    "roc_readme.json": "2515765e222e572a6afadef3727ab325d1a8d65c4cf063a560a53e3f67948281",
-    "roc_bench.csv": "1bce1ee41b32a55589d2c2371b3d6054c467e4dcf93c60b1e4c92aeefd5764cd",
-    "roc_bench.json": "8388cbb13d1bcf75d8fc8f0ac5a4e0b7570ba5e80bdfb5dac66482eeb88e8c26",
-    "direct_bench.csv": "f64773191dc4bb972ef9bf9c4bb4788ae0991efd22a573d1b154422f415c13ee",
-    "direct_bench.json": "d02c9b54519d8630f167152f2d2a85b8e5343c6cd42e545f082f364b0f3b858e",
-    "roc_r2_d2.csv": "f38f1085c7054026714b31095bb407d127c187ca24ffa62918a2b7d8c0a0217d",
-    "roc_r2_d2.json": "cda338f56f4aaf89647a79b195ce345433b78c46a9bb26cde77b7d452bce02b3",
-    "direct_r2_d2.csv": "8158ec4b6838da461010098d81b11a37a1a379c2627740d381644d94a5cab81c",
-    "direct_r2_d2.json": "631f7f2c254a38994c56de3182908413569966651cfd5f34ed5c7fae832d02cc",
-    "roc_full_qr.csv": "dba6c5f08bc28a841080887f086c4c2f7d2f2287cdd5d4808126ad3450b7c974",
-    "roc_full_qr.json": "171457460076dac4280138e4d666fd2e943e96a0e0586d486eb6da329ed88515",
-    "direct_full_qr.csv": "0cf8967fafd6b6ba0eaf8e6683ea911953debe2db7105b423b4dbb1a7ca3f434",
-    "direct_full_qr.json": "99ee5f8b98f147bfeccbe737ea0940067a78305cd55a0f414d0b3da962a665b6",
-    "roc_n4_d3.csv": "bdb0d023c75bef7fa55f534723f6a271aa40c57802d53a1053fb39c6745c9dad",
-    "roc_n4_d3.json": "4c41e4779640421cd8c827493ea1c4228c91ab033ac4e42c925b13047d49a0c9",
-    "direct_n4_d3.csv": "1ebddfe29b9086d64f092b17c2692e244ef7f92a234773264919032b9f45d799",
-    "direct_n4_d3.json": "4deffdaf8584d74ee78d7f35c388fca08f6beb059ad0097ff347291a00e78c42",
-    "direct_d2_r1.csv": "a45090152e7d89ed5c7a790dcf2cdb2a1c7f36536949066031f2786729370fdd",
-    "direct_d2_r1.json": "d3f03dbb22244a54a54b1a394b27a025674a8511af8eae978fa8a0759bfa9deb",
+    "roc_readme.csv": "861581daf46d28613c050d65cb40128b2df64a08fa14e99450d060c19a49a505",
+    "roc_readme.json": "d0f4f6d2e7a994a1872e555ecdeaf0ca54688a8d58812df9a5486557abeff35a",
+    "roc_bench.csv": "8ab8b7834450c882e5c2fe10ac002fc44a65d6c31f490322993a42578527919a",
+    "roc_bench.json": "654114322e71dd24fc9c0a04b9b8563318bd5f0a19b953296529b7e3281a048c",
+    "direct_bench.csv": "86dcdd9312b315728bc8bade9b6dc314209d146dbe0cb791b3f85a0dddcfb09e",
+    "direct_bench.json": "40e25ee8c6ce03a548d58fa03961a97bbbd495e805cc9b0a2d275ac02ae4a932",
+    "roc_r2_d2.csv": "706a966368efe00f9441a4b14e866072bcfa551380d62ba91b86f071c604d883",
+    "roc_r2_d2.json": "c07fc73fd34040a85181f6e80dddd95a5f3996c7bb0bc950fd758ae5da3572ef",
+    "direct_r2_d2.csv": "8354eb064686a414ebc480d49b216cc85af921ef594c06695e638d0968b38414",
+    "direct_r2_d2.json": "f4ddb3c57bbc338d316ab5a963c60c7b4ea238e807bef7b7829b1ea2eab316f5",
+    "roc_full_qr.csv": "a5b5b6934daae9831e09c1ce0d68ee4edb38d5e85f03a5b5227ed5c5db073955",
+    "roc_full_qr.json": "5b2818f0d5ae1d201d52e7c690b6a411bc77889befec420d3fceb385f0a52eb6",
+    "direct_full_qr.csv": "c8ef16084017f279061a6228fa4ee86ee0c2dabdb13ebc3d36c9d9adc62e2a06",
+    "direct_full_qr.json": "2ec3ed9e146f2aad2d3b699cffb877ef78b582c5284bcbecbd15cb7689150308",
+    "roc_n4_d3.csv": "108af69b1da00a1294e20a86062dfca5f552a56259b74559227e2cd6a774f73c",
+    "roc_n4_d3.json": "c3395526cd7df4b41e31d2ccbfa2a7dc1a827f642b541604d943bdee4ce1a3b5",
+    "direct_n4_d3.csv": "725af608fa174708ed9d7d03a1c282f8dc92e7629a669a403544ef2bf0afe010",
+    "direct_n4_d3.json": "0f2cd17ebe36d23417b692bbb485f6dc0f534ce395c9b60d05db9843b890284e",
+    "direct_d2_r1.csv": "41ce5e0f1cfc91b93f26bfc8daaf8f8cc3ccc778b9e30784308b387addb19ea3",
+    "direct_d2_r1.json": "37c65eff4631ec635a2a2bdf6c205ff667bcb87d15f376acecda6760e786fb49",
+    "roc_n6_r1.csv": "5a94ea174557e9aaed2cfe3a026aca032cfbcf8ab1257a2a54503683cca19f2e",
+    "roc_n6_r1.json": "c0efa43c39b6ee5e3e545643a23c2b07bcfb3d7546e9b75b10cd62faaef53692",
+    "roc_n6_r2.csv": "d430e2d7211779a58e8c35dc089350dbdcf6124f22ea3cf2e90982a50c06ce0b",
+    "roc_n6_r2.json": "9f6d15dbb690bff0cb42273e7ddee2b6e98f26849f04e08cff8a93f2aee1e1c3",
     # bound taken at 0.4.0 for the array-valued bound (last digits of the
     # bound column); points and envelope re-taken at 0.6.0 for the Bartlett
     # corner draw and the per-component mixture variates, then at 0.7.0 for
     # the stacked block-rate and Ginibre-norm kernels (last digits); points
     # re-taken at 0.8.0 for the stacked top-eigenvalue kernel (last digits),
-    # and at 0.10.0 for the Frobenius-scaled Ginibre rows (a new law)
-    "cloud.points.csv": "255df59927a6f3dc49b126292349e07d54bba451a630c2b324104711fbb143ac",
+    # at 0.10.0 for the Frobenius-scaled Ginibre rows (a new law) and at
+    # 0.18.0 for the Gram-Schmidt inner products (last digits)
+    "cloud.points.csv": "83be77150ed6e8eeacc54e79c72527297b1cce7ba8a052e3d98313152e1e8dd8",
     "cloud.envelope.csv": "5d0e18d1a8a9aedb11ccb7c694d2089b03d28384ad13a67078d612b0c44bd0da",
     "cloud.bound.csv": "7d8676b534e1b959c397b65af04d7ef2b239521a727e8448e3dd3414b1f19f95",
     # thr_* taken from 0.3.0 before the one-emitter CLI, thr_d3 re-taken at
@@ -242,21 +275,23 @@ GOLDEN = {
     # direct_full_qr re-taken at 0.11.0 for the one-pass reduction (last
     # digits), as were the roc cases, re-taken again at 0.14.0; mom_r2,
     # direct_r2_d2 and direct_full_qr re-taken at 0.16.0 (last digits), and
-    # the last two at 0.17.0 for the rotations by the Gram roots
+    # the last two at 0.17.0 for the rotations by the Gram roots; split_r2
+    # and split_ragged re-taken at 0.18.0 for the Gram-Schmidt inner
+    # products (last digits)
     "mom_r1.csv": "7bdca34993f547cd65c64bc3500fb7f356a4ffc87db6c38fa551680dce65818b",
     "mom_r1.json": "fe731bca8bde7d7547610995e3cbdeacdccf8d6d12ae338cacba454997934037",
     "mom_r2.csv": "7e6ff250882ef24c75207fdae50a6eada53982b7316e8e58824b9221d487cb03",
     "mom_r2.json": "b8b11411e1c844e86310c41135609660ed9f2e5df84c44035a1fa8fe307168b5",
-    "split_r2.csv": "cffd96d3c09ae5bad08182a1d857f13110f9f319f551d642d0c38c704e585efe",
-    "split_r2.json": "5b40b6872a62240e0a02a391babc481d862b795c8f12472c5e50c2de944153c9",
+    "split_r2.csv": "2f802ab84473b827c0639af2ed34192626acdcb3b863cb52db00fcc3a826a753",
+    "split_r2.json": "57823d5b767981e67379d67a6deb5fbfc3e080b3cb031067cf2e76bf2d1f4ef4",
     "split_empty.csv": "ad6fafe10de2d60a3b1942435f9ce76cd4de15da7310ca9e1570916b34cad743",
     "split_empty.json": "423c00b59ccfe5781a59f9189d14cd16757b36729f04bafdcc1a67888191e8dd",
     # first taken at 0.5.0 before the stacked batch means of
     # _mean_from_exponents, re-taken at 0.6.0 and 0.11.0
     "mom_r1_ragged.csv": "6f236c516c9e19de776f8e7d21b53663bc4f2a8991a106a1db30ef2a544d635b",
     "mom_r1_ragged.json": "a5d953842291322b8bb0865d80a5c99b25a8e91438283043b86c06b5833fd7b6",
-    "split_ragged.csv": "4e905fc81b3ce8c766e5497e12f9996b269220d3eb3facc0a89e2a08c475f28a",
-    "split_ragged.json": "d1b6a53cfe65ac1b6f8fab89faf9de5f5503ee846049efdf0eca108df5efe87c",
+    "split_ragged.csv": "d1948f441381bcbb231944ebc02925b4a2549d0b6817f7b714e6533c2782088f",
+    "split_ragged.json": "5db12f36d96ee5965370decd3b4f45593de37f2d84817cb8f61f83b1197f879b",
     # xi re-taken at 0.9.0 for the exponential squared moduli
     "xi.csv": "c791aef348147cfdadf578285370fe4b177174444c14810a64a837334fcdadcb",
     "xi.json": "6a38c91dd122e3c17a2e4f41b4fbd975a1df6886939900e4bf7b45c06ac7019a",
@@ -278,11 +313,13 @@ CLOUD = "cloud --d 3 --lambdas 1.0,1.0 --n 8 --samples 4000 --bins 30 --seed 5 -
 # three at 0.11.0 for the plain shifted log-sum-exp (last digits), all
 # three at 0.14.0 for `roc`'s one prior set a run, and d3n2r2 at 0.16.0
 # for its Gram read as given (last digits) and at 0.17.0 for the rotations
-# by the Gram roots (new rotations, the same law)
+# by the Gram roots (new rotations, the same law); all three at 0.18.0
+# for `roc`'s dictionary GEMM and the Gram-Schmidt inner products (last
+# digits)
 LIBRARY_GOLDEN = {
-    "d3n3r2": "4b353d8bb2ac342b3b931aed80bbd6c1657a59488b069dec4b298f4d6cb3951e",
-    "d2n4r1": "1e180cdf03c136a1f0930a700ae6a1d6b1499f2d2d1191a8ca111a2545cf936f",
-    "d3n2r2": "5e437f78589f4ca463992cf8571d288d58742b9fb7edc17c05824910eb3fddb5",
+    "d3n3r2": "38333918f0df9bf13c86153da32b705a4dbd793f0f55e6962693b82923ab4dae",
+    "d2n4r1": "94a1be118f77966fb7b320af709c8f806d11c5eb7c37348a58d029d2d2124706",
+    "d3n2r2": "ea5984d104ede7331de9fe3a438889ce7eab9361021267fdfc60b2f1b11da9e8",
 }
 
 LIBRARY_SPECS = {
@@ -311,6 +348,8 @@ PINNED_VERSION = (
     | dict.fromkeys([f"{name}.{ext}" for name in ("mom_r2", "thr_d3") for ext in ("csv", "json")], "0.16.0")
     | dict.fromkeys([f"{name}.{ext}" for name in ("direct_r2_d2", "direct_full_qr") for ext in ("csv", "json")],
                     "0.17.0")
+    | dict.fromkeys(["cloud.points.csv"] + [f"{name}.{ext}" for name in (*CLI_CASES, "split_r2", "split_ragged")
+                                             for ext in ("csv", "json")], "0.18.0")
 )
 
 
@@ -340,7 +379,8 @@ def test_observation_outputs_are_pinned(tmp_path, monkeypatch, name):
     assert got == {f"{name}.{ext}": GOLDEN[f"{name}.{ext}"] for ext in ("csv", "json")}
 
 
-@pytest.mark.parametrize("name", ["roc_bench", "direct_bench", "roc_full_qr", "roc_n4_d3", "direct_n4_d3"])
+@pytest.mark.parametrize("name", ["roc_bench", "direct_bench", "roc_full_qr", "roc_n4_d3", "direct_n4_d3", "roc_n6_r1",
+                                  "roc_n6_r2"])
 def test_observation_outputs_are_pinned_at_two_threads(tmp_path, monkeypatch, name):
     got = _run_case(tmp_path, monkeypatch, f"{CLI_CASES[name]} --out {name}", 2)
     assert got == {f"{name}.{ext}": GOLDEN[f"{name}.{ext}"] for ext in ("csv", "json")}
@@ -430,9 +470,10 @@ def test_cloud_on_the_pool_matches_one_thread(tmp_path, monkeypatch):
 # `_sample_psi_stack` calls on one generator, for an identity r=2 and an
 # all-ones r=3 spike at d=3, n=16; taken at 0.12.0, when an empty
 # component's draws were still skipped by a guard, re-taken at 0.16.0 for
-# the all-ones spike's Grams read as given and at 0.17.0 for their zero
-# eigenvalues floored to exactly 0
-SPARSE_CLOUD_GOLDEN = "09ac43db85bb12f81fde6db50318746c6ac46ef27f786e3f57cbc9f196af350e"
+# the all-ones spike's Grams read as given, at 0.17.0 for their zero
+# eigenvalues floored to exactly 0 and at 0.18.0 for the Gram-Schmidt
+# inner products (last digits)
+SPARSE_CLOUD_GOLDEN = "9a485b1d222d663f5ec4d748614adc9b84264464ef65109f93ab7e341bbdd8e7"
 
 
 def test_cloud_blocks_without_some_components_are_pinned():
@@ -464,7 +505,7 @@ def test_observation_library_values_are_pinned(name):
     assert _library_digest(name) == LIBRARY_GOLDEN[name]
 
 
-@pytest.mark.parametrize("name", ["roc_bench", "roc_r2_d2", "direct_bench", "direct_d2_r1"])
+@pytest.mark.parametrize("name", ["roc_bench", "roc_r2_d2", "direct_bench", "direct_d2_r1", "roc_n6_r1", "roc_n6_r2"])
 def test_one_draw_blocks_give_the_same_bytes(tmp_path, monkeypatch, name):
     # a budget below one draw makes every block hold a single draw
     monkeypatch.setattr(rng, "_BLOCK_CELLS", 1)

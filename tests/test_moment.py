@@ -14,9 +14,12 @@ from conftest import complex_gaussian, make_random_spec, rank_one_second_moment,
 from spikedtensor.config import gram_matrices
 from spikedtensor.errors import ParameterError
 from spikedtensor.moment import (
+    _SLAB_ROWS,
+    _dictionary_log_lr,
     _log_lr_stack,
     _mean_from_exponents,
     _noise_part,
+    _prior_dictionary,
     _prior_set,
     _rotate,
     _rotation_parts,
@@ -329,8 +332,8 @@ def test_xi_tail_builds_no_complex_array_or_norm(monkeypatch):
 
 # Observations as `roc_experiment` draws them: its stream layout through
 # `complex_normal_rounds` and its rotated spikes, scored against its one
-# prior set by the same `_log_lr_stack`; the first test below pins this to
-# the driver's worker.
+# prior set by the same `_dictionary_log_lr`; the first test below pins this
+# to the driver's worker.
 
 
 def roc_layout(spec):
@@ -362,9 +365,10 @@ def test_roc_observations_score_as_the_roc_worker(monkeypatch):
     monkeypatch.setattr(moment, "map_streams", recording)
     st.roc_experiment(spec, 2, 7, st.SeedSpec(0))
     energy = st.eta_max(spec.lambdas, spec.grams)
-    prior = roc_prior(spec, 7, st.SeedSpec(0))
+    dictionary = _prior_dictionary(spec, roc_prior(spec, 7, st.SeedSpec(0)))
     y0, y1 = roc_observations(spec, 5, st.SeedSpec(3).generator())
-    expected = np.column_stack([_log_lr_stack(spec, y0, prior, energy), _log_lr_stack(spec, y1, prior, energy)])
+    expected = np.column_stack([_dictionary_log_lr(spec, y0, dictionary, energy),
+                                _dictionary_log_lr(spec, y1, dictionary, energy)])
     assert workers[0](5, st.SeedSpec(3).generator()).tobytes() == expected.tobytes()
 
 
@@ -374,7 +378,7 @@ def test_roc_prior_set_depends_on_the_seed_alone(monkeypatch):
     # threads) or the block size, and never a chunk's lane
     spec = small_spec([0.6], n=3, d=3)
     seed, inner = st.SeedSpec(36, 2), 4200
-    expected = b"".join(f.tobytes() for f in roc_prior(spec, inner, seed))
+    expected = _prior_dictionary(spec, roc_prior(spec, inner, seed)).tobytes()
     priors, lanes = [], []
     generator = st.SeedSpec.generator
 
@@ -382,12 +386,12 @@ def test_roc_prior_set_depends_on_the_seed_alone(monkeypatch):
         lanes.append(lane)
         return generator(self, *lane)
 
-    def recording_priors(spec, ys, factors, energy):
-        priors.append(b"".join(f.tobytes() for f in factors))
-        return _log_lr_stack(spec, ys, factors, energy)
+    def recording_priors(spec, ys, dictionary, energy):
+        priors.append(dictionary.tobytes())
+        return _dictionary_log_lr(spec, ys, dictionary, energy)
 
     monkeypatch.setattr(st.SeedSpec, "generator", recording_lanes)
-    monkeypatch.setattr(moment, "_log_lr_stack", recording_priors)
+    monkeypatch.setattr(moment, "_dictionary_log_lr", recording_priors)
     runs = [(2, 1), (17, 1), (40, 1), (40, 3)]
     for trials, threads in runs:
         lanes.clear()
@@ -424,8 +428,45 @@ def test_simulate_observation_zero_signal_is_pure_noise():
 def test_log_lr_zero_signal_is_exactly_zero(gen):
     spec = zero_spec(n=3)
     prior = roc_prior(spec, 32, st.SeedSpec(22))
+    dictionary = _prior_dictionary(spec, prior)
     for y in roc_observations(spec, 8, gen):
         assert np.all(_log_lr_stack(spec, y, prior, 0.0) == 0.0)
+        assert np.all(_dictionary_log_lr(spec, y, dictionary, 0.0) == 0.0)
+
+
+@pytest.mark.parametrize("gram", ["identity", "all-ones"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_dictionary_scores_match_the_mode_contractions(d, r, gram):
+    # on the same prior set S, `roc`'s one GEMM against D gives the scores
+    # of `_log_lr_stack`'s mode-by-mode contractions; a score is the log of
+    # a mean near 1 and can lie near 0, so the gap is taken relative to the
+    # stack's largest score
+    n = {2: 6, 3: 4, 4: 3}[d]
+    spec = st.SpikeSpec(np.linspace(0.7, 0.3, r), gram_matrices(gram, r, d), n=n)
+    seed = st.SeedSpec(63, 10 * d + r)
+    prior = roc_prior(spec, 200, seed)
+    energy = st.eta_max(spec.lambdas, spec.grams)
+    ys = np.concatenate(roc_observations(spec, 20, seed.generator(0)))
+    expected = _log_lr_stack(spec, ys, prior, energy)
+    got = _dictionary_log_lr(spec, ys, _prior_dictionary(spec, prior), energy)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("d, n", [(3, 3), (2, 6), (3, 6)])
+def test_dictionary_scores_do_not_depend_on_the_block(d, n):
+    # every slab GEMM has one shape, so a row's score has the same bytes in
+    # any block, at any place in its slab
+    spec = small_spec([0.8, 0.4], n=n, d=d)
+    seed = st.SeedSpec(64, n)
+    energy = st.eta_max(spec.lambdas, spec.grams)
+    dictionary = _prior_dictionary(spec, roc_prior(spec, 200, seed))
+    ys = np.concatenate(roc_observations(spec, 2 * _SLAB_ROWS + 3, seed.generator(0)))
+    whole = _dictionary_log_lr(spec, ys, dictionary, energy)
+    for height in range(1, len(ys) + 1):
+        for start in range(0, len(ys) - height + 1, 5):
+            block = _dictionary_log_lr(spec, ys[start : start + height], dictionary, energy)
+            assert block.tobytes() == whole[start : start + height].tobytes()
 
 
 def test_log_lr_deterministic_closed_form(gen):
