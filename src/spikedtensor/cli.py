@@ -105,6 +105,8 @@ _LIMITS = {
 
 
 def _fmt(x) -> str:
+    if x is None:  # no value: an empty cell
+        return ""
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (float, np.floating)):
@@ -178,8 +180,7 @@ def _spec_for(config: ExperimentConfig, n: int):
 
 def run_threshold(config: ExperimentConfig, spike: SpikeSpec) -> None:
     record = threshold_report(spike).to_dict()
-    row = ["" if v is None else v for v in record.values()]
-    _emit(config, lambda: {"report": record}, [(".csv", list(record), [row], [])])
+    _emit(config, lambda: {"report": record}, [(".csv", list(record), [list(record.values())], [])])
 
 
 def run_cloud(config: ExperimentConfig, spike: SpikeSpec) -> None:

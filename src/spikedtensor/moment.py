@@ -27,15 +27,22 @@ from .spike import SpikeSpec, _spike_tensors, eta_max
 class MCEstimate:
     """Monte-Carlo mean with batch-means standard error.
 
+    `stderr` is the standard error of the mean of the 16 batch means, one a
+    `map_streams` chunk (fewer below 16 draws); `xi_empirical_tail`'s
+    frequencies carry the binomial one instead.  With 16 batches, mean ±
+    1.96 stderr is about a 93 % interval even for light tails (Student t
+    with 15 degrees of freedom), and mean ± 2.131 stderr a 95 % one; a
+    heavy tail that the draws missed widens both unseen.
     `log_domain_max` is the largest exponent that entered the average; a
     value of order log(count) or more signals the heavy-tail regime where
-    the mean is driven by a handful of draws.  An empty bucket has none:
-    -inf here, null in `to_dict`.
+    the mean is driven by a handful of draws.  An empty bucket (a `split`
+    bucket that no draw entered) has neither: its `stderr` is None and its
+    `log_domain_max` -inf, both null in `to_dict`.
     """
 
     count: int
     mean: float
-    stderr: float
+    stderr: float | None
     log_domain_max: float
     seed: SeedSpec
 
@@ -68,9 +75,9 @@ def _mean_from_exponents(chunks, seed: SeedSpec, count: int) -> MCEstimate:
     outside a bucket has the exponent -inf, which adds an exact 0 to its
     chunk's sum: a chunk or bucket with no other draw sums to 0.  A chunk
     more than about 708 below `top` in log flushes to 0, and its share of
-    the stderr is below 1e-300.  The exponentials overflow to inf where the
-    mean is not a finite float; the writers refuse that, so NumPy need not
-    warn of it.
+    the stderr is below 1e-300.  A bucket that no draw entered has no
+    stderr (None).  The exponentials overflow to inf where the mean is not a
+    finite float; the writers refuse that, so NumPy need not warn of it.
     """
     lengths = [len(c) for c in chunks]
     exponents = np.concatenate(chunks)
@@ -81,8 +88,8 @@ def _mean_from_exponents(chunks, seed: SeedSpec, count: int) -> MCEstimate:
         sums = np.bincount(owner, weights=np.exp(exponents - shift), minlength=len(chunks))
         mean = float(np.exp(np.log(np.sum(sums)) + shift - np.log(count)))
         batch_means = np.exp(np.log(sums) + shift - np.log(lengths))
-        stderr = 0.0
-        if len(batch_means) >= 2:
+        stderr = None if top == -math.inf else 0.0
+        if stderr is not None and len(batch_means) >= 2:
             stderr = float(np.std(batch_means, ddof=1) / np.sqrt(len(batch_means)))
     return MCEstimate(count=count, mean=mean, stderr=stderr, log_domain_max=top, seed=seed)
 
@@ -99,13 +106,19 @@ def _rotate(roots: np.ndarray, ginibre) -> list:
     per frame: the same BLAS kernel over the same rows, so the same bytes.
     On a `direct` block of 3200 frames (n = 3, one thread, 2-vCPU VM) a
     mode's product took 39 us against 61 us at r = 1, and 193 us against
-    1141 us at r = 2.  The stacks in `ginibre` are consumed: at r = 1
-    `_orthonormalize` overwrites them, so pass fresh draws.
+    1141 us at r = 2.  A root that is exactly the identity (every r = 1
+    spike and every identity Gram) takes no product: W @ I gives W's bytes.
+    The stacks in `ginibre` are consumed: at r = 1 `_orthonormalize`
+    overwrites them, so pass fresh draws.
     """
-    return [
-        (_orthonormalize(z.reshape(-1, *z.shape[-2:])).reshape(-1, z.shape[-1]) @ s_k).reshape(z.shape)
-        for z, s_k in zip(ginibre, roots)
-    ]
+    identity = np.eye(roots.shape[-1])
+    rotated = []
+    for z, s_k in zip(ginibre, roots):
+        w = _orthonormalize(z.reshape(-1, *z.shape[-2:]))
+        if not np.array_equal(s_k, identity):
+            w = w.reshape(-1, z.shape[-1]) @ s_k
+        rotated.append(w.reshape(z.shape))
+    return rotated
 
 
 def _rotation_parts(spec: SpikeSpec, m: int) -> list:
@@ -200,9 +213,14 @@ def _log_lr_stack(spec: SpikeSpec, ys: np.ndarray, factors, energy: float) -> np
 
     Re<X_m, Y> = Re<Y, X_m> is taken by contracting conj(Y) with the
     factors, last mode first: one batched matmul with r folded into the
-    columns, then one einsum per remaining mode, never forming the spikes.
-    Every X_m has the factor Grams of `spec`, so |X_m|_F^2 is their
-    `energy` = eta_max.
+    columns, then for each remaining mode its factors broadcast into the
+    contraction in place and summed over that mode's axis, never forming
+    the spikes.  Every X_m has the factor Grams of `spec`, so |X_m|_F^2 is
+    their `energy` = eta_max.  Since 0.19.0 the broadcast products replace
+    an ellipsis `einsum` a mode, a rounding-level change: on a `direct`
+    block of 16 observations against 200 sets at d = 3, n = 3 (one thread,
+    2-vCPU VM) the two modes took 78 us against 113 us at r = 1, and 308 us
+    against 936 us at r = 2.
     """
     n, b = spec.n, ys.shape[0]
     last = factors[-1]
@@ -210,7 +228,9 @@ def _log_lr_stack(spec: SpikeSpec, ys: np.ndarray, factors, energy: float) -> np
     cols = last.transpose(0, 2, 1, 3).reshape(last.shape[0], n, inner * spec.r)
     t = (np.conj(ys).reshape(b, -1, n) @ cols).reshape(b, *(n,) * (spec.d - 1), inner, spec.r)
     for f in factors[-2::-1]:
-        t = np.einsum("b...jmi,bmji->b...mi", t, f)
+        # f as (., 1, ..., 1, n, inner, r): its n axis lines up with t's last
+        t *= f.transpose(0, 2, 1, 3).reshape(f.shape[0], *(1,) * (t.ndim - 4), n, inner, spec.r)
+        t = t.sum(axis=-3)
     return _log_mean_exp(2.0 * n * np.real(t @ spec.lambdas) - n * energy)
 
 
@@ -223,11 +243,20 @@ def _log_mean_exp(a: np.ndarray) -> np.ndarray:
 
 # Rows of one `roc` scoring GEMM: an observation block is scored in slabs of
 # this many rows, the last padded with zero rows, so that every GEMM has one
-# shape and a score's bytes do not depend on the block it was drawn in.
+# shape and a score's bytes depend neither on the block it was drawn in nor
+# on the chunks it is scored with (`rng.map_streams`' score step).
 # OpenBLAS's rows of Y @ D can differ in their last digits with the height
 # of Y: without the padding, `roc` at d=3, n=6 gave other bytes with one
-# draw a block than with the default blocks.
-_SLAB_ROWS = 16
+# draw a block than with the default blocks.  Within one shape they can
+# differ with a row's place in the slab: under one BLAS thread (OpenBLAS
+# 0.3.31, SkylakeX kernel), a 16-row slab gave a row other bytes at another
+# place for most inner from 197 on (243 of 354 (inner, k) pairs, inner 1 to
+# 5000, k = 54 and 432), and `roc` at inner 500 moved with the block size.
+# An 8-row slab gave every place the same bytes in all of them, and so did
+# 4, 12 and 24 rows at k from 32 to 1024 and inner 200 and 500, where 32
+# did not.  The price: 8-row slabs ran at 25-27 GFLOP/s against 36-37 for
+# 16 rows (256 rows, k = 432, inner 500, 2-vCPU VM).
+_SLAB_ROWS = 8
 
 
 def _prior_dictionary(spec: SpikeSpec, prior) -> np.ndarray:
@@ -264,15 +293,16 @@ def _noise_part(spec: SpikeSpec) -> tuple:
 
 
 def _draw_cells(spec: SpikeSpec, inner: int) -> int:
-    """Cells of the largest array of one observation draw against `inner`
+    """Cells of the largest array of one `direct` draw against `inner`
     factor sets: its first likelihood contraction (n^(d-1), inner * r), its
     n^d noise tensor, or the d (inner, n, r) rotations, which outgrow the
-    contraction when n^(d-2) < d.  `direct` draws those rotations for every
-    observation; `roc` holds them once, as its prior set, which the CLI's
-    cap on one draw bounds too.  The `cells` of `map_streams` for the
-    observation drivers: a size a draw, which for `roc` leaves out the
-    inner n^d cells of its prior dictionary (`_prior_dictionary`), held
-    once a run and counted on top of this by the CLI's cap alone."""
+    contraction when n^(d-2) < d.  The `cells` of `direct`'s `map_streams`
+    call, and the size that the CLI's cap on one draw reads for both
+    observation drivers.  `roc` holds its d (inner, n, r) rotations once,
+    as its prior set, and its inner n^d cells of prior dictionary
+    (`_prior_dictionary`), which the cap counts on top of this.  Its
+    `map_streams` blocks count what one trial holds instead
+    (`roc_experiment`): `roc` forms no first contraction."""
     return max(inner * spec.r * spec.n ** (spec.d - 1), spec.n**spec.d, spec.d * spec.n * spec.r * inner)
 
 
@@ -396,12 +426,17 @@ def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, thre
     energy = eta_max(spec.lambdas, spec.grams)
     dictionary = _prior_dictionary(spec, _prior_set(spec, inner, rng))
 
-    def worker(m, gen):
-        y0, *rotations, noise1 = complex_normal_rounds(gen, m, layout)
-        y1 = _spike_tensors(spec.lambdas, [f[:, 0] for f in _rotate(roots, rotations)]) + noise1
-        return _dictionary_log_lr(spec, np.concatenate([y0, y1]), dictionary, energy).reshape(2, m).T
+    def draw(m, gen):
+        return complex_normal_rounds(gen, m, layout)
 
-    scores = np.concatenate(map_streams(worker, trials, rng, threads, cells=_draw_cells(spec, inner)))
+    def score(y0, *parts):
+        *rotations, noise1 = parts
+        y1 = _spike_tensors(spec.lambdas, [f[:, 0] for f in _rotate(roots, rotations)]) + noise1
+        return _dictionary_log_lr(spec, np.concatenate([y0, y1]), dictionary, energy).reshape(2, -1).T
+
+    # a trial holds its two observations, its d (n, r) rotations and its two scores
+    cells = 2 * spec.n**spec.d + spec.d * spec.n * spec.r + 2 * inner
+    scores = np.concatenate(map_streams(draw, trials, rng, threads, cells=cells, score=score))
     s0 = np.sort(scores[:, 0])
     s1 = np.sort(scores[:, 1])
     thresholds = np.unique(np.concatenate([s0, s1]))

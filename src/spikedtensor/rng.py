@@ -239,7 +239,7 @@ def _one_blas_thread():
                 setter(_blas_before)
 
 
-def map_streams(draw, total: int, seed: SeedSpec, threads: int = 1, *, cells: int) -> list:
+def map_streams(draw, total: int, seed: SeedSpec, threads: int = 1, *, cells: int, score=None) -> list:
     """Take `total` draws in the chunk layout and return one array per
     chunk, in chunk order.
 
@@ -249,24 +249,76 @@ def map_streams(draw, total: int, seed: SeedSpec, threads: int = 1, *, cells: in
     along axis 0; so the output is byte-identical for any `threads` value.
     `cells` is the size, in array cells, of one draw: a call takes as many
     draws as fit in `_BLOCK_CELLS` cells, at least one.  The chunks run on
-    a pool of `threads` workers when there is more than one and the
+    a pool of `threads` workers when there is more than one task and the
     largest holds at least `_POOL_CELLS` cells, and on the calling thread
     otherwise.  Every draw runs its BLAS calls on one thread, on a pool
     worker or on the calling thread, and the calling thread's BLAS thread
     count is the same after the call as before.
+
+    Without `score` a task is one chunk.  A driver whose statistic is fixed
+    before any draw passes `score`: then ``draw(m, generator)`` returns a
+    sequence of arrays of m rows each, the same calls on the same streams
+    as without `score`, and ``score(*arrays)`` the output rows of the draws
+    given, row by row, each part concatenated over the draws it is passed.
+    Consecutive whole chunks are packed into one task while their draws
+    hold at most `_BLOCK_CELLS` cells, and a task calls `score` once a
+    `_BLOCK_CELLS` cells of draws, on a pool worker or on the calling
+    thread under the same one-BLAS-thread hold: the draws of several small
+    chunks are scored together, and a chunk above the budget block by
+    block, so memory stays bounded.  Scoring across chunks keeps the bytes
+    only where `score` gives a row the same bytes in any batch; for `roc`'s
+    dictionary GEMM that is what its fixed slabs are for
+    (`moment._SLAB_ROWS`).
     """
     if threads < 1:
         raise ParameterError(f"need threads >= 1, got {threads}")
     sizes = chunk_sizes(total, _N_STREAMS)
     block = max(1, _BLOCK_CELLS // cells)
 
-    def run(i: int):
+    def blocks(i: int):
         gen = seed.generator(i)
-        return np.concatenate([draw(min(block, sizes[i] - start), gen) for start in range(0, sizes[i], block)])
+        return (draw(min(block, sizes[i] - start), gen) for start in range(0, sizes[i], block))
 
-    indices = range(len(sizes))
+    def run(task: list) -> list:
+        if score is None:
+            return [np.concatenate(list(blocks(i))) for i in task]
+        out, pending, held = [], [], 0
+        for i in task:
+            for drawn in blocks(i):
+                pending.append(drawn)
+                held += len(drawn[0])
+                if held >= block:
+                    out.append(score(*_stacked(pending)))
+                    pending, held = [], 0
+        if pending:
+            out.append(score(*_stacked(pending)))
+        return np.split(np.concatenate(out), np.cumsum([sizes[i] for i in task[:-1]]))
+
+    tasks = [[i] for i in range(len(sizes))] if score is None else _packed(sizes, block)
+    largest = max(sum(sizes[i] for i in task) for task in tasks)
     with _one_blas_thread() as init:
-        if threads == 1 or len(sizes) == 1 or sizes[0] * cells < _POOL_CELLS:
-            return [run(i) for i in indices]
+        if threads == 1 or len(tasks) == 1 or largest * cells < _POOL_CELLS:
+            return [chunk for task in tasks for chunk in run(task)]
         with ThreadPoolExecutor(max_workers=threads, initializer=init, initargs=(1,)) as pool:
-            return list(pool.map(run, indices))
+            return [chunk for out in pool.map(run, tasks) for chunk in out]
+
+
+def _packed(sizes: list, block: int) -> list:
+    """Consecutive chunk indices grouped while their draws number at most
+    `block`; a chunk above it is a group of its own."""
+    tasks, held = [], block
+    for i, size in enumerate(sizes):
+        if held + size > block:
+            tasks.append([])
+            held = 0
+        tasks[-1].append(i)
+        held += size
+    return tasks
+
+
+def _stacked(pending: list) -> list:
+    """The parts of the draws in `pending`, each concatenated along axis 0;
+    one draw's own arrays when there is one, which saves a copy a block of
+    a chunk above the budget (`roc --d 3 --n 4 --trials 100000 --inner 100`
+    ran in 1.22-1.32 s against 1.32-1.41 s with the copy)."""
+    return pending[0] if len(pending) == 1 else [np.concatenate(part) for part in zip(*pending)]

@@ -130,14 +130,19 @@ def test_split_zero_spike_needs_an_epsilon(tmp_path, capsys):
 
 
 def test_split_empty_bucket_writes_null_log_domain_max(tmp_path):
-    # at the default epsilon no draw of this spike lands in E1
+    # at the default epsilon no draw of this spike lands in E1: it has no
+    # stderr and no largest exponent, null in JSON and an empty or -inf
+    # cell in CSV
     out = tmp_path / "split"
     assert run(["split", "--lambdas", "0.4,0.2", "--n", 8, "--out", out]) == 0
     text = out.with_suffix(".json").read_text()
     payload = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-finite JSON value {c}"))
     assert payload["e1"]["count"] > 0 and payload["e1"]["mean"] == 0.0
-    assert payload["e1"]["log_domain_max"] is None
-    assert math.isfinite(payload["e2"]["log_domain_max"])
+    assert payload["e1"]["log_domain_max"] is None and payload["e1"]["stderr"] is None
+    assert math.isfinite(payload["e2"]["log_domain_max"]) and payload["e2"]["stderr"] > 0
+    assert run(["split", "--lambdas", "0.4,0.2", "--n", 8, "--format", "csv", "--out", out]) == 0
+    rows = out.with_suffix(".csv").read_text().splitlines()
+    assert rows[-3].startswith("e1,") and rows[-3].endswith(",0,,-inf")
 
 
 @pytest.mark.parametrize("flags, epsilon", [

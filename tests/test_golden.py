@@ -1,5 +1,18 @@
 """Golden SHA-256 digests of outputs whose draws and arithmetic are fixed.
 
+What the bytes are relative to: the digests are pinned to OpenBLAS
+0.3.31's SkylakeX kernel (the one its runtime dispatch picks on an
+AVX-512 x86 CPU), NumPy 2.4, with BLAS held to one thread on every thread
+that draws (`rng._one_blas_thread`).  Another kernel sums in another
+order: at 0.19.0, with `OPENBLAS_CORETYPE=Haswell`, 18 of the 65 tests
+here fail (18 of 62 at 0.18.0), `thr_d3` among them, which draws nothing;
+so do the `roc` digests where `openblas_set_num_threads_local` is missing
+and OpenBLAS runs its GEMMs threaded.  On such a platform a failure says
+that bits moved, not values: check it against that platform's own output
+at the version the file was taken.  Within one platform every digest holds
+at every `--threads` value, and the `roc` and `direct` ones at every block
+size.
+
 The 0.4.0 break re-took the digests that one kernel per quantity moves:
 every `roc` and `moment --method direct` case (the likelihood by mode
 contractions), the Haar `moment` and `split` cases (the exponent of Haar
@@ -15,9 +28,7 @@ block instead of two, a new draw order, and `mom_r1` is checked against the
 exact rank-one series below.  Every digest holds at every `--threads` value.
 The `roc`, `direct` and library digests hold for any block size too; the
 Haar, cloud and `xi-tail` digests depend on `_BLOCK_CELLS`, because a
-block's Gaussians are drawn part by part.  BLAS and SIMD builds can in
-principle move a last digit; a failure on another platform should first be
-checked against that platform's output at the version the file was taken.
+block's Gaussians are drawn part by part.
 
 The 0.6.0 break, Haar corner blocks from their Bartlett form
 (`rate._haar_corner_sets`: O(r^2) variates a block instead of an (n, r)
@@ -162,6 +173,23 @@ estimates kept theirs.  `mom_r1`, `mom_r1_ragged`, `mom_r2` and
 cases (a slab GEMM that OpenBLAS threads unless held to one thread) were
 taken with the others; every `roc` digest holds at `--threads` 1 and 2 and
 for one draw a block.
+
+The 0.19.0 break, `roc` scored on 8-row slabs a whole group of chunks at a
+time (`map_streams`' score step) and `direct`'s mode contractions by
+broadcast products in place of an `einsum`, re-took `roc_n6_r1`,
+`roc_n6_r2` and the four `direct` cases but `direct_n4_d3`, on the same
+draws in the same order.  A row of a 16-row slab GEMM could take other
+bytes at another place in its slab, at inner 500; 8-row slabs showed no
+such dependence, and three `roc` runs at inner 500 now give the same bytes
+at `--threads` 1 and 2 and with one-draw blocks (below).  Against 0.18.0,
+before they were re-taken: `roc_n6_r1` and `roc_n6_r2` kept fpr, tpr and
+`tv_proxy`, and 4 and 6 of their 400 thresholds moved, by at most 8.9e-16
+and 2.7e-15; the `direct` means kept their bytes but one, which moved by
+9.0e-16 relative, and the stderrs and `log_domain_max` moved by at most
+7.9e-16 and 2.0e-15 relative.  `split_empty` was re-taken for its empty E1
+bucket's stderr, now null in JSON and an empty cell in CSV in place of 0.
+Every other digest, the library values included, holds at `--threads` 1
+and 2.
 """
 
 import hashlib
@@ -197,9 +225,9 @@ CLI_CASES = {
     # one draw fills a chunk above the pool threshold: runs on the pool at --threads 2
     "roc_n4_d3": "roc --d 3 --lambdas 0.3 --n 4 --trials 24 --inner 4200 --seed 77",
     "direct_n4_d3": "moment --method direct --d 3 --lambdas 0.5,0.2 --n 4 --outer 20 --inner 2400 --seed 1",
-    # a slab GEMM of 16 x 432 x 500, large enough for OpenBLAS to thread on
-    # the calling thread unless `map_streams` holds it to one; chunks of 12
-    # or 13 draws reach the pool at --threads 2
+    # slab GEMMs of 8 x 432 x 500, large enough for OpenBLAS to thread on
+    # the calling thread unless `map_streams` holds it to one; groups of
+    # chunks reach the pool at --threads 2
     "roc_n6_r1": "roc --d 3 --lambdas 1.0 --n 6 --trials 200 --inner 500 --seed 7",
     "roc_n6_r2": "roc --d 3 --lambdas 1.0,0.5 --n 6 --trials 200 --inner 500 --seed 7",
     "direct_d2_r1": "moment --method direct --d 2 --lambdas 0.7 --n 3,4 --outer 64 --inner 100 --seed 77",
@@ -215,7 +243,8 @@ ESTIMATE_CASES = {
     "mom_r1": "moment --d 3 --lambdas 0.3 --n 4,8,32 --samples 20000 --seed 3",
     "mom_r2": "moment --d 3 --lambdas 0.4,0.2 --gram two-eigenvalue:1.8,0.2 --n 8 --samples 2000 --seed 3",
     "split_r2": "split --d 3 --lambdas 0.4,0.2 --n 16 --epsilon 0.005 --samples 20000 --seed 3",
-    # the default epsilon leaves E1 empty: log_domain_max is null (JSON), -inf (CSV)
+    # the default epsilon leaves E1 empty: its stderr is null (JSON) or an
+    # empty cell (CSV), and its log_domain_max null (JSON) or -inf (CSV)
     "split_empty": "split --lambdas 0.4,0.2 --n 8 --samples 2000 --seed 4",
     # 2001 draws: chunks of 126 and 125, so the batch means average ragged chunks
     "mom_r1_ragged": "moment --d 3 --lambdas 0.3 --n 4,8 --samples 2001 --seed 3",
@@ -234,26 +263,26 @@ GOLDEN = {
     "roc_readme.json": "d0f4f6d2e7a994a1872e555ecdeaf0ca54688a8d58812df9a5486557abeff35a",
     "roc_bench.csv": "8ab8b7834450c882e5c2fe10ac002fc44a65d6c31f490322993a42578527919a",
     "roc_bench.json": "654114322e71dd24fc9c0a04b9b8563318bd5f0a19b953296529b7e3281a048c",
-    "direct_bench.csv": "86dcdd9312b315728bc8bade9b6dc314209d146dbe0cb791b3f85a0dddcfb09e",
-    "direct_bench.json": "40e25ee8c6ce03a548d58fa03961a97bbbd495e805cc9b0a2d275ac02ae4a932",
+    "direct_bench.csv": "9823f30a41c8b16908a9f787721f7921e8a64230e7fc10f92e3372e6e3602179",
+    "direct_bench.json": "6dc3f75dfb6294a904a41095989e9e0f7694a30891b7860c105d94251cb85523",
     "roc_r2_d2.csv": "706a966368efe00f9441a4b14e866072bcfa551380d62ba91b86f071c604d883",
     "roc_r2_d2.json": "c07fc73fd34040a85181f6e80dddd95a5f3996c7bb0bc950fd758ae5da3572ef",
-    "direct_r2_d2.csv": "8354eb064686a414ebc480d49b216cc85af921ef594c06695e638d0968b38414",
-    "direct_r2_d2.json": "f4ddb3c57bbc338d316ab5a963c60c7b4ea238e807bef7b7829b1ea2eab316f5",
+    "direct_r2_d2.csv": "b78bc234063ba25ea8370e8988910ae8f8d8c1ee08acd512cd9a1ab68303ef58",
+    "direct_r2_d2.json": "38bf9bcfb5513ea8b8874462081b5aa73152f61060c031fac47b62a2c081b009",
     "roc_full_qr.csv": "a5b5b6934daae9831e09c1ce0d68ee4edb38d5e85f03a5b5227ed5c5db073955",
     "roc_full_qr.json": "5b2818f0d5ae1d201d52e7c690b6a411bc77889befec420d3fceb385f0a52eb6",
-    "direct_full_qr.csv": "c8ef16084017f279061a6228fa4ee86ee0c2dabdb13ebc3d36c9d9adc62e2a06",
-    "direct_full_qr.json": "2ec3ed9e146f2aad2d3b699cffb877ef78b582c5284bcbecbd15cb7689150308",
+    "direct_full_qr.csv": "69dba8fde331e838d96cd07ac22bdf91a4822a9c5f9474e79ae2945e1597deb6",
+    "direct_full_qr.json": "8b6ed9678f54fe76befa3e20dd85fda7194ca2be71f45707b181e6deaffec30f",
     "roc_n4_d3.csv": "108af69b1da00a1294e20a86062dfca5f552a56259b74559227e2cd6a774f73c",
     "roc_n4_d3.json": "c3395526cd7df4b41e31d2ccbfa2a7dc1a827f642b541604d943bdee4ce1a3b5",
     "direct_n4_d3.csv": "725af608fa174708ed9d7d03a1c282f8dc92e7629a669a403544ef2bf0afe010",
     "direct_n4_d3.json": "0f2cd17ebe36d23417b692bbb485f6dc0f534ce395c9b60d05db9843b890284e",
-    "direct_d2_r1.csv": "41ce5e0f1cfc91b93f26bfc8daaf8f8cc3ccc778b9e30784308b387addb19ea3",
-    "direct_d2_r1.json": "37c65eff4631ec635a2a2bdf6c205ff667bcb87d15f376acecda6760e786fb49",
-    "roc_n6_r1.csv": "5a94ea174557e9aaed2cfe3a026aca032cfbcf8ab1257a2a54503683cca19f2e",
-    "roc_n6_r1.json": "c0efa43c39b6ee5e3e545643a23c2b07bcfb3d7546e9b75b10cd62faaef53692",
-    "roc_n6_r2.csv": "d430e2d7211779a58e8c35dc089350dbdcf6124f22ea3cf2e90982a50c06ce0b",
-    "roc_n6_r2.json": "9f6d15dbb690bff0cb42273e7ddee2b6e98f26849f04e08cff8a93f2aee1e1c3",
+    "direct_d2_r1.csv": "15e189954bf1d0de9ab2a87306214c61464b22df243def6ce95215cc351b88f6",
+    "direct_d2_r1.json": "e985cdf2ce9d221b52b05209856e394840a67a0a937aa25b5a355d8e189fb1bc",
+    "roc_n6_r1.csv": "fdfb55580a95878bf7ba6eab7a6dcca910c2557c6eea0f19d36638553ca1e27a",
+    "roc_n6_r1.json": "3f210104edef49cda0e85816676777a1433d4b8ec92358a1ec14107b078391d6",
+    "roc_n6_r2.csv": "a0c4fa08992974d7bdf7c53ca32124d4f1ffd4ce0c470be1670a2366e2a9e4d7",
+    "roc_n6_r2.json": "a66eef368c0ddeaaed8327427e7ad43caa8ee77e59cb0b9809e7e60f7f6dce1d",
     # bound taken at 0.4.0 for the array-valued bound (last digits of the
     # bound column); points and envelope re-taken at 0.6.0 for the Bartlett
     # corner draw and the per-component mixture variates, then at 0.7.0 for
@@ -284,8 +313,8 @@ GOLDEN = {
     "mom_r2.json": "b8b11411e1c844e86310c41135609660ed9f2e5df84c44035a1fa8fe307168b5",
     "split_r2.csv": "2f802ab84473b827c0639af2ed34192626acdcb3b863cb52db00fcc3a826a753",
     "split_r2.json": "57823d5b767981e67379d67a6deb5fbfc3e080b3cb031067cf2e76bf2d1f4ef4",
-    "split_empty.csv": "ad6fafe10de2d60a3b1942435f9ce76cd4de15da7310ca9e1570916b34cad743",
-    "split_empty.json": "423c00b59ccfe5781a59f9189d14cd16757b36729f04bafdcc1a67888191e8dd",
+    "split_empty.csv": "c24319fb779c4bd66fb2ed10460a851fa19a53cf8dedec3a5ed63f21e6c1d774",
+    "split_empty.json": "eca28478425585a00741ce98657adcd0126c15bd551446d1e7c18291258dbb6e",
     # first taken at 0.5.0 before the stacked batch means of
     # _mean_from_exponents, re-taken at 0.6.0 and 0.11.0
     "mom_r1_ragged.csv": "6f236c516c9e19de776f8e7d21b53663bc4f2a8991a106a1db30ef2a544d635b",
@@ -350,6 +379,9 @@ PINNED_VERSION = (
                     "0.17.0")
     | dict.fromkeys(["cloud.points.csv"] + [f"{name}.{ext}" for name in (*CLI_CASES, "split_r2", "split_ragged")
                                              for ext in ("csv", "json")], "0.18.0")
+    | dict.fromkeys([f"{name}.{ext}" for name in ("direct_bench", "direct_r2_d2", "direct_full_qr", "direct_d2_r1",
+                                                  "roc_n6_r1", "roc_n6_r2", "split_empty") for ext in ("csv", "json")],
+                    "0.19.0")
 )
 
 
@@ -511,6 +543,29 @@ def test_one_draw_blocks_give_the_same_bytes(tmp_path, monkeypatch, name):
     monkeypatch.setattr(rng, "_BLOCK_CELLS", 1)
     got = _run_case(tmp_path, monkeypatch, f"{CLI_CASES[name]} --out {name}", 1)
     assert got == {f"{name}.{ext}": GOLDEN[f"{name}.{ext}"] for ext in ("csv", "json")}
+
+
+# `roc` at the CLI default inner 500, at sizes where 16-row slabs moved
+# scores with the block size (13, 5 and 6 cells against one-draw blocks)
+ROC_INNER_500 = {
+    "d3_n6": "roc --d 3 --lambdas 1.0 --n 6 --trials 3000 --inner 500 --seed 1",
+    "d3_n4": "roc --d 3 --lambdas 1.0 --n 4 --trials 2000 --inner 500 --seed 1",
+    "d2_n6_r2": "roc --d 2 --lambdas 0.5,0.3 --n 6 --trials 2000 --inner 500 --seed 1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROC_INNER_500))
+def test_roc_at_inner_500_does_not_depend_on_threads_or_blocks(tmp_path, monkeypatch, name):
+    # the chunk groups that `map_streams` scores together depend on neither
+    # the thread count nor, row by row, the block size
+    runs = []
+    for threads, block_cells in ((1, rng._BLOCK_CELLS), (2, rng._BLOCK_CELLS), (1, 1)):
+        monkeypatch.setattr(rng, "_BLOCK_CELLS", block_cells)
+        (tmp_path / str(len(runs))).mkdir()
+        monkeypatch.chdir(tmp_path / str(len(runs)))
+        assert main(ROC_INNER_500[name].split() + ["--format", "csv", "--threads", str(threads), "--out", "roc"]) == 0
+        runs.append(Path("roc.csv").read_bytes())
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_one_draw_blocks_fixed_spike(monkeypatch):

@@ -350,6 +350,66 @@ def test_map_streams_threads_only_large_steps():
     assert np.array_equal(over, run(64, 1)[0])
 
 
+def _scored_reference(total, seed, cells, draw, score):
+    """One array per chunk, each block drawn and scored on its own: the
+    per-block path that `map_streams(..., score=)` must reproduce."""
+    block = max(1, _BLOCK_CELLS // cells)
+    out = []
+    for i, size in enumerate(chunk_sizes(total, 16)):
+        gen = seed.generator(i)
+        out.append(np.concatenate([score(*draw(min(block, size - start), gen)) for start in range(0, size, block)]))
+    return out
+
+
+# 64 draws pack all 16 chunks into one scoring call; 1000 draws at 40 a
+# block make chunks of two blocks; 300 draws at a budget of 50 pack two
+# chunks of 18 or 19 draws a task; one draw above the budget scores draw
+# by draw
+@pytest.mark.parametrize("total, cells", [(64, 1), (1000, _BLOCK_CELLS // 40), (300, _BLOCK_CELLS // 50),
+                                          (40, _BLOCK_CELLS + 1)])
+@pytest.mark.parametrize("threads", [1, 3])
+def test_map_streams_score_matches_per_block_scoring(total, cells, threads):
+    seed = st.SeedSpec(12, 0)
+    calls = []
+
+    def draw(m, gen):
+        return gen.standard_normal((m, 3)), gen.integers(0, 9, m)
+
+    def score(x, k):
+        calls.append(len(k))
+        return x.sum(axis=1) * k
+
+    expected = _scored_reference(total, seed, cells, draw, score)
+    calls.clear()
+    got = map_streams(draw, total, seed, threads, cells=cells, score=score)
+    assert len(got) == len(expected) == min(total, 16)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+    # a call scores at most one budget of draws, or one draw above it
+    assert calls and max(calls) * cells <= max(_BLOCK_CELLS, cells)
+    assert sum(calls) == total
+
+
+def test_map_streams_packs_chunks_into_scoring_calls():
+    seed = st.SeedSpec(13, 0)
+    calls = []
+
+    def draw(m, gen):
+        return (gen.standard_normal(m),)
+
+    def score(x):
+        calls.append(len(x))
+        return x
+
+    # every chunk fits: one call for all 64 draws
+    map_streams(draw, 64, seed, 2, cells=1, score=score)
+    assert calls == [64]
+    # 50 draws a budget, twelve chunks of 19 and four of 18: two whole
+    # chunks a call
+    calls.clear()
+    map_streams(draw, 300, seed, 1, cells=_BLOCK_CELLS // 50, score=score)
+    assert calls == [38] * 6 + [36] * 2
+
+
 def test_pool_workers_run_blas_on_one_thread():
     setter = _blas_threads_setter()
     if setter is None:
