@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, moment
 from .config import FIELDS, KINDS, ExperimentConfig, gram_matrices, parse_config_text, resolve_config
 from .errors import ParameterError
 from .moment import (
@@ -40,47 +40,52 @@ _EXIT_OK = 0
 _EXIT_CONFIG = 1
 _EXIT_INVARIANT = 2
 
-# Desk-scale ceilings; beyond them a run is refused instead of silently
-# taking hours.  The Haar corner draw of `moment`, `split` and `cloud` takes
-# O(r^2) variates a block at every n (`rate._haar_corner_sets`): at r=2,
-# d=3 on one core of a 2-vCPU VM, 20k moment draws take about 0.12 s at
-# n=512, and 60k cloud draws about 0.23 s at n=1024 with the CSV output.
-# The n caps were set for an (n, r) frame a block, 4.5 s and 8.9 s at those
-# sizes; raising them is a change of its own.  The list caps bound what one
-# run multiplies: `bound.csv` has a row per bin (10^5 bins: 4 MB and 0.6 s;
-# at the sample cap still 20 points a bin), `xi-tail` compares every
-# sample with every t (1000 t at 1M samples, n=8: 0.50-0.51 s, medians of
-# five) and `moment` runs once per n (32 n from 4 to 128 at 20k samples,
-# r=2: 4.4 s).  One `xi-tail` sample holds n exponentials: at `--samples
-# 1`, one-thread peak RSS was 36 MB at n=8, 52 MB at the cap n=2^20 (0.03
-# s; 44 MB before its row sum was a gemv, which OpenBLAS runs on two
-# threads at that length), 68 MB at 2^22 and 164 MB at 2^24.  `xi_work`
-# bounds its n x samples exponentials: 2^27 of them took 1.16-1.33 s at
-# n=2^20 (128 samples, 60 MB; 2.3-2.6 s of CPU, the gemv's second BLAS
-# thread), and 1.2 * 10^8 took 1.07 s at n=6, the largest n the sample cap
-# reaches (medians of five, `--threads 1`).
-# `draw_cells` bounds the largest array of one `roc` or `direct` draw
-# (`moment._draw_cells`), `roc`'s one prior set included, and for `roc`
-# the inner n^d cells of its prior dictionary (`moment._prior_dictionary`)
-# on top, counted once a run.  Before the dictionary, the cap admitted
-# `roc` at d=3, n=4, inner 2^18 and at d=2, n=6, r=2, inner 174762, where
-# one-thread peak RSS (ru_maxrss) was 269 MiB and 220 MiB; with it, these
-# hold 21.0M and 10.5M cells and are refused, and the largest admitted
-# inner is 52428 at d=3, n=4 (16 + 64 cells an inner draw) and 69905 at
-# d=2, n=6, r=2 (24 + 36).  The default inner of 500 fits at d=3 up to
-# n=19, past the `roc_n` cap.
-# `d` bounds the Grams every run factors first
-# by one stacked `eigh`: at d=1024, `threshold` took 0.03 s at r=1 and 0.10 s
-# at r=32 (medians of seven), peaking at 31 and 104 MB with the eigenvectors.
-# `r` bounds the spike every run builds at n = r before its own checks, whose
-# cost grows as about r^3 (`threshold` took 3.5 ms at r=32, 0.17 s at 64 and
-# 1.1 s at 512, 77 MB), and the d (r^2, r^2) complex mode maps that only
-# `moment`, `split` and `cloud` build (`spike.SpikeSvd`), which grow as r^4:
-# 16 MB a mode at r=32, where `moment --n 32 --samples 10` peaked at 102 MB,
-# and 268 MB at 64.
-# `mode_map_cells` caps their d r^4 cells: at the cap (d=16, r=32), one-thread
-# peak RSS was 310-313 MB for `moment`, `split` and `cloud`, at 10 or 2000
-# draws; d=1024 at r=32 would hold 16 GiB of maps.
+# Desk-scale caps: a run past one is refused with exit 1 before it draws,
+# not left to take minutes or gigabytes.  Each bounds a cost of today's
+# drivers, or for `direct` a scope; the wall time and peak RSS (ru_maxrss)
+# at each edge are from in-process `cli.main` at `--threads 1` on a
+# 2-vCPU VM, every other field at its default unless named.  No cap is on
+# n: the Haar corner draw of `moment`, `split` and `cloud` takes O(r^2)
+# variates a block at every n (`rate._haar_corner_sets`; 2000 `moment` or
+# `split` draws at n=2^20 took 0.013-0.017 s), and `config._N_MAX` bounds
+# n in every kind.
+# - `d`: every run first factors the Grams by one stacked `eigh`; `threshold
+#   --d 1024` took 0.02 s (31 MB) at r=1 and 0.08 s (88 MB) at r=32.  The
+#   Haar drivers' draws grow with d: `moment` and `cloud` at d=1024 took 2.5
+#   and 3.7 s (42 MB) for their default 20000 draws.
+# - `r`: every run builds its spike at n = r before its own checks, whose
+#   cost grows as about r^3, and `moment`, `split` and `cloud` build d
+#   (r^2, r^2) complex mode maps (`spike.SpikeSvd`): `moment --n 32
+#   --samples 10` at r=32 took 0.08 s (86 MB).
+# - `mode_map_cells` caps those maps' d r^4 cells: at d=16, r=32 the same
+#   `moment` took 0.47 s (295 MB); d=1024 at r=32 would hold 16 GiB.
+# - `bins`: `bound.csv` has a row per bin; `cloud --bins 100000` took
+#   0.16 s (56 MB).
+# - `t_count`: `xi-tail` compares every sample with every t; 1000 t took
+#   0.05 s (37 MB), 0.31 s at 1M samples and 4.7 s (52 MB) at n=6 and 20M,
+#   the sample cap.
+# - `n_count`: `moment` runs once per n; 64 n took 0.41 s (37 MB).
+# - `cloud_samples`: 2M points took 3.2 s (368 MB), most of it the CSV.
+# - `moment_samples`, for `moment` and `split`: 2M draws took 0.64 s
+#   (113 MB) and 3.9 s (145 MB).
+# - `direct_n` and `direct_d` set a scope, not a cost: `direct` estimates
+#   m2 with a bias of about e^{2 n |X|_F^2} / inner, which grows with n, so
+#   it is a cross-check of the Haar estimate at very small (n, d) only.  At
+#   the edge, n=4, d=3, it took 0.24 s (41 MB).
+# - `direct_work` caps `direct`'s outer * inner likelihood terms: 20M took
+#   8.6 s at n=3 and 13.8 s at n=4 (42 MB).
+# - `draw_cells` caps the largest array one draw holds: `direct`'s
+#   (`moment._draw_cells`: n=4, inner 262144 took 0.46 s, 165 MB), one
+#   `xi-tail` sample's n exponentials (n=2^22: 0.06 s, 100 MB) and what a
+#   `roc` run holds (`moment._roc_cost`: d=3, n=4, inner 55181 took 0.11 s,
+#   157 MB; d=2, n=682, inner 1, 0.12 s, 95 MB).
+# - `roc_work` caps `roc`'s work (`moment._roc_cost`), in multiply-adds of
+#   its scoring GEMM: at the edge, runs took 0.7-2.9 s and 46-307 MB, from
+#   d=3, n=3, inner 1 (116441 trials) and d=2, n=2, inner 2000 (35387) to
+#   d=3, n=16 and d=2, n=64 at inner 500 (1427) and d=7, n=6, inner 1 (99).
+# - `xi_samples` and `xi_work` cap `xi-tail`'s samples and its n x samples
+#   exponentials: 20M samples at n=6 took 0.80 s (37 MB), and 2^27
+#   exponentials at n=2^20 0.85 s (52 MB).
 _LIMITS = {
     "d": 1024,
     "r": 32,
@@ -88,18 +93,14 @@ _LIMITS = {
     "t_count": 1000,
     "n_count": 64,
     "cloud_samples": 2_000_000,
-    "cloud_n": 1024,
     "moment_samples": 2_000_000,
-    "moment_n": 512,
     "direct_n": 4,
     "direct_d": 3,
     "direct_work": 20_000_000,
-    "roc_n": 6,
-    "roc_work": 20_000_000,
+    "roc_work": 2**34,
     "draw_cells": 2**22,
     "mode_map_cells": 2**24,
     "xi_samples": 20_000_000,
-    "xi_n": 2**20,
     "xi_work": 2**27,
 }
 
@@ -165,14 +166,6 @@ def _refuse(condition: bool, message: str) -> None:
         raise ParameterError(f"desk-scale limit exceeded: {message}")
 
 
-def _refuse_draw(spec, inner: int, once: int = 0) -> None:
-    """Refuse a run whose one draw against `inner` factor sets and the
-    `once` cells it holds for the whole run hold more than the
-    `draw_cells` cap."""
-    cells = _draw_cells(spec, inner) + once
-    _refuse(cells > _LIMITS["draw_cells"], f"one draw holds {cells} cells > {_LIMITS['draw_cells']}")
-
-
 def _spec_for(config: ExperimentConfig, n: int):
     grams = gram_matrices(config.gram, config.r, config.d)
     return SpikeSpec(np.array(config.lambdas), grams, n=n)
@@ -185,7 +178,6 @@ def run_threshold(config: ExperimentConfig, spike: SpikeSpec) -> None:
 
 def run_cloud(config: ExperimentConfig, spike: SpikeSpec) -> None:
     _refuse(config.samples > _LIMITS["cloud_samples"], f"cloud samples {config.samples} > {_LIMITS['cloud_samples']}")
-    _refuse(config.n[0] > _LIMITS["cloud_n"], f"cloud n {config.n[0]} > {_LIMITS['cloud_n']}")
     spec = replace(spike, n=config.n[0])
     seed = SeedSpec(config.seed, config.stream)
     cloud = sample_grf_cloud(spec, config.samples, seed, config.bins, threads=config.threads)
@@ -214,11 +206,11 @@ def run_moment(config: ExperimentConfig, spike: SpikeSpec) -> None:
                 f"outer*inner = {config.outer * config.inner} > {_LIMITS['direct_work']}")
     specs = []
     for n in config.n:
-        _refuse(n > _LIMITS["moment_n"], f"moment n {n} > {_LIMITS['moment_n']}")
         _refuse(not haar and n > _LIMITS["direct_n"], f"direct method n {n} > {_LIMITS['direct_n']}")
         specs.append(replace(spike, n=n))
         if not haar:
-            _refuse_draw(specs[-1], config.inner)
+            cells = _draw_cells(specs[-1], config.inner)
+            _refuse(cells > _LIMITS["draw_cells"], f"one draw holds {cells} cells > {_LIMITS['draw_cells']}")
     seed = SeedSpec(config.seed, config.stream)
 
     def estimate(spec):
@@ -239,7 +231,6 @@ def run_moment(config: ExperimentConfig, spike: SpikeSpec) -> None:
 
 def run_split(config: ExperimentConfig, spike: SpikeSpec) -> None:
     n = config.n[0]
-    _refuse(n > _LIMITS["moment_n"], f"split n {n} > {_LIMITS['moment_n']}")
     _refuse(config.samples > _LIMITS["moment_samples"], f"samples {config.samples} > {_LIMITS['moment_samples']}")
     spec = replace(spike, n=n)
     epsilon = config.epsilon if config.epsilon is not None else default_epsilon(spec)
@@ -261,7 +252,7 @@ def run_split(config: ExperimentConfig, spike: SpikeSpec) -> None:
 
 def run_xi_tail(config: ExperimentConfig, spike: SpikeSpec) -> None:
     n = config.n[0]
-    _refuse(n > _LIMITS["xi_n"], f"xi-tail n {n} > {_LIMITS['xi_n']}")
+    _refuse(n > _LIMITS["draw_cells"], f"one xi-tail sample holds {n} cells > {_LIMITS['draw_cells']}")
     _refuse(config.samples > _LIMITS["xi_samples"], f"samples {config.samples} > {_LIMITS['xi_samples']}")
     _refuse(n * config.samples > _LIMITS["xi_work"], f"n*samples = {n * config.samples} > {_LIMITS['xi_work']}")
     seed = SeedSpec(config.seed, config.stream)
@@ -276,11 +267,11 @@ def run_xi_tail(config: ExperimentConfig, spike: SpikeSpec) -> None:
 
 def run_roc(config: ExperimentConfig, spike: SpikeSpec) -> None:
     n = config.n[0]
-    _refuse(n > _LIMITS["roc_n"], f"roc n {n} > {_LIMITS['roc_n']}")
-    _refuse(2 * config.trials * config.inner > _LIMITS["roc_work"],
-            f"2*trials*inner = {2 * config.trials * config.inner} > {_LIMITS['roc_work']}")
     spec = replace(spike, n=n)
-    _refuse_draw(spec, config.inner, once=config.inner * n**config.d)  # the prior dictionary
+    cost = moment._roc_cost(spec, config.trials, config.inner)
+    _refuse(cost.run_cells > _LIMITS["draw_cells"],
+            f"one roc run holds {cost.run_cells} cells > {_LIMITS['draw_cells']}")
+    _refuse(cost.work > _LIMITS["roc_work"], f"roc work {cost.work} > {_LIMITS['roc_work']}")
     seed = SeedSpec(config.seed, config.stream)
     roc = roc_experiment(spec, config.trials, config.inner, seed, threads=config.threads)
 

@@ -18,6 +18,11 @@ from .spike import GramSet
 KINDS = ("threshold", "cloud", "moment", "split", "xi-tail", "roc")
 # the kinds that run at one n: `moment` loops over a list, `threshold` reads none
 _ONE_N_KINDS = ("cloud", "split", "xi-tail", "roc")
+# The largest mode dimension, in every kind: 2^53 is the last n exact as a
+# float, and every driver takes n into float arithmetic (2 n eta, the
+# Gamma(n - r - i) shapes of `rate._haar_corner_sets`).  What a run at a
+# given n costs is capped by `cli._LIMITS`, not here.
+_N_MAX = 2**53
 
 # The field parsers: (text, kind) -> value, the generic ones ignoring the
 # kind.  A ValueError refuses the text; `resolve_config` puts the field's
@@ -76,6 +81,8 @@ def _dimensions(text: str, kind: str) -> tuple:
     n = _list(text, parse_one=_integer)
     if any(v < 1 for v in n):
         raise ValueError(f"dimensions must be >= 1, got {n}")
+    if any(v > _N_MAX for v in n):
+        raise ValueError(f"dimensions must be <= 2^53, got {max(n)}")
     if len(n) > 1 and kind in _ONE_N_KINDS:
         raise ValueError(f"{kind} takes one dimension, got {len(n)}")
     return n

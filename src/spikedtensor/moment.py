@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError
 from .rate import _corner_cells, _eta_hadamard_stack, _haar_corner_sets
-from .rng import _PRIOR_LANE, SeedSpec, _orthonormalize, complex_normal_rounds, map_streams
+from .rng import _PRIOR_LANE, SeedSpec, _block_draws, _orthonormalize, complex_normal_rounds, map_streams
 from .spike import SpikeSpec, _spike_tensors, eta_max
 
 @dataclass(frozen=True)
@@ -266,7 +267,7 @@ def _prior_dictionary(spec: SpikeSpec, prior) -> np.ndarray:
     (inner, 2 n^d).  Its transpose is D = [Re X; Im X] with the two halves'
     rows interleaved, and Re<Y, X_m> = Re<X_m, Y> is the real view of Y
     times D: one real GEMM for a block, whatever r.  It holds the bytes of
-    inner n^d complex cells, which the CLI's cap on one draw counts."""
+    inner n^d complex cells (`_roc_cost`)."""
     spikes = _spike_tensors(spec.lambdas, [f[0] for f in prior])
     return spikes.reshape(len(spikes), -1).view(float)
 
@@ -297,12 +298,7 @@ def _draw_cells(spec: SpikeSpec, inner: int) -> int:
     factor sets: its first likelihood contraction (n^(d-1), inner * r), its
     n^d noise tensor, or the d (inner, n, r) rotations, which outgrow the
     contraction when n^(d-2) < d.  The `cells` of `direct`'s `map_streams`
-    call, and the size that the CLI's cap on one draw reads for both
-    observation drivers.  `roc` holds its d (inner, n, r) rotations once,
-    as its prior set, and its inner n^d cells of prior dictionary
-    (`_prior_dictionary`), which the cap counts on top of this.  Its
-    `map_streams` blocks count what one trial holds instead
-    (`roc_experiment`): `roc` forms no first contraction."""
+    call, and the size that the CLI's cap on one draw reads for it."""
     return max(inner * spec.r * spec.n ** (spec.d - 1), spec.n**spec.d, spec.d * spec.n * spec.r * inner)
 
 
@@ -404,6 +400,53 @@ def _prior_set(spec: SpikeSpec, inner: int, rng: SeedSpec) -> list:
     return _rotate(spec.grams.roots, complex_normal_rounds(rng.generator(_PRIOR_LANE), 1, _rotation_parts(spec, inner)))
 
 
+# The weights of `_roc_cost`'s work, in multiply-adds of the scoring GEMM,
+# which ran at 8 G/s at d=3, n=16, inner 500 (one thread, 2-vCPU VM,
+# `roc_experiment` and `cli.main` calls, best of three):
+# - an exponential of a score's log-sum-exp took 10 ns, 80 multiply-adds
+#   (d=2, n=2, inner 2000, where the log-sum-exp is the work);
+# - a trial's n^d cell took 73-83 ns at inner 1, where the draws are the
+#   work (d=3, n=16; d=2, n=64; d=4, n=8), and a trial draws two n^d noise
+#   tensors and builds one rank-one term a rank: 200 multiply-adds a cell;
+# - a trial adds up to two rows to the curve, which the CLI sorts and
+#   writes: 3.4 us a trial in CSV and 17 us in JSON (d=3, n=3, inner 1,
+#   300000 trials), counted at the JSON price, 2^17 multiply-adds.
+_ROC_EXP_MADDS = 80
+_ROC_CELL_MADDS = 200
+_ROC_TRIAL_MADDS = 2**17
+
+
+class RocCost(NamedTuple):
+    """What one `roc` run costs (`_roc_cost`)."""
+
+    trial_cells: int  # what one trial holds when scored: the `cells` of its `map_streams` blocks
+    run_cells: int  # what the run holds throughout: its prior set, dictionary and a short block's slab
+    work: int  # the scoring GEMM's multiply-adds, and the rest of its work in their equivalents
+
+
+def _roc_cost(spec: SpikeSpec, trials: int, inner: int) -> RocCost:
+    """The one statement of what `roc_experiment` costs, which its blocks
+    and the CLI's caps read.
+
+    A trial holds its two observations (2 n^d), its spike's d (n, r)
+    rotations and its two score rows (2 inner).  A run holds its prior set
+    (d n r inner) and dictionary (inner n^d) throughout, and a score call's
+    one 8-row slab (8 n^d: `_dictionary_log_lr`) outgrows the block it
+    scores when the block has fewer than 4 trials.  Its work is the scoring
+    GEMM's multiply-adds on the padded slab rows of full blocks, and a
+    trial's 2 inner exponentials, the (2 + r) n^d cells it draws (its two
+    noise tensors) and builds (its spike, one rank-one term a rank) and its
+    rows of the curve, each weighted by its measured cost."""
+    cube = spec.n**spec.d
+    trial = 2 * cube + spec.d * spec.n * spec.r + 2 * inner
+    block = _block_draws(trial)
+    slab = _SLAB_ROWS * cube if 2 * block < _SLAB_ROWS else 0
+    rows = -(-trials // block) * _SLAB_ROWS * -(-2 * block // _SLAB_ROWS)
+    per_trial = _ROC_TRIAL_MADDS + _ROC_EXP_MADDS * 2 * inner + _ROC_CELL_MADDS * (2 + spec.r) * cube
+    work = rows * inner * 2 * cube + trials * per_trial
+    return RocCost(trial_cells=trial, run_cells=spec.d * spec.n * spec.r * inner + inner * cube + slab, work=work)
+
+
 def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, threads: int = 1) -> RocCurve:
     """Empirical ROC of the likelihood-ratio statistic over `trials` draws
     per hypothesis.
@@ -434,8 +477,7 @@ def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, thre
         y1 = _spike_tensors(spec.lambdas, [f[:, 0] for f in _rotate(roots, rotations)]) + noise1
         return _dictionary_log_lr(spec, np.concatenate([y0, y1]), dictionary, energy).reshape(2, -1).T
 
-    # a trial holds its two observations, its d (n, r) rotations and its two scores
-    cells = 2 * spec.n**spec.d + spec.d * spec.n * spec.r + 2 * inner
+    cells = _roc_cost(spec, trials, inner).trial_cells
     scores = np.concatenate(map_streams(draw, trials, rng, threads, cells=cells, score=score))
     s0 = np.sort(scores[:, 0])
     s1 = np.sort(scores[:, 1])

@@ -173,6 +173,12 @@ _BLOCK_CELLS = 2**17
 _PRIOR_LANE = _N_STREAMS
 
 
+def _block_draws(cells: int) -> int:
+    """Draws a block of `map_streams` takes when one draw holds `cells`
+    array cells: as many as fit in `_BLOCK_CELLS`, at least one."""
+    return max(1, _BLOCK_CELLS // cells)
+
+
 def chunk_sizes(total: int, chunks: int) -> list[int]:
     """Split `total` items into `chunks` nearly equal parts (first parts get
     the remainder).  The split depends only on `total` and `chunks`, never on
@@ -185,12 +191,11 @@ def chunk_sizes(total: int, chunks: int) -> list[int]:
 
 
 @functools.cache
-def _blas_threads_setter():
-    """OpenBLAS's `openblas_set_num_threads_local(n)`, which sets the BLAS
-    thread count of the calling thread and returns the count before, from
-    the OpenBLAS that NumPy loaded: the one in NumPy's wheel libraries, or
-    one mapped into this process.  None where neither has the symbol (an
-    older OpenBLAS, another BLAS); the pool then runs as it is."""
+def _openblas():
+    """The OpenBLAS that NumPy loaded, as a `ctypes.CDLL`: the one in
+    NumPy's wheel libraries, or one mapped into this process, that has
+    `openblas_set_num_threads_local`.  None where neither has the symbol
+    (an older OpenBLAS, another BLAS)."""
     paths = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*"))
     with contextlib.suppress(OSError):
         with open("/proc/self/maps") as maps:
@@ -198,13 +203,26 @@ def _blas_threads_setter():
             paths += [f[5].strip() for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])]
     for path in dict.fromkeys(paths):
         try:
-            setter = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (OSError, AttributeError):
+            library = ctypes.CDLL(path)
+        except OSError:
             continue
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = ctypes.c_int
-        return setter
+        if hasattr(library, "openblas_set_num_threads_local"):
+            return library
     return None
+
+
+@functools.cache
+def _blas_threads_setter():
+    """OpenBLAS's `openblas_set_num_threads_local(n)`, which sets the BLAS
+    thread count of the calling thread and returns the count before, from
+    `_openblas`.  None where there is none; the pool then runs as it is."""
+    library = _openblas()
+    if library is None:
+        return None
+    setter = library.openblas_set_num_threads_local
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = ctypes.c_int
+    return setter
 
 
 _blas_lock = threading.Lock()
@@ -273,7 +291,7 @@ def map_streams(draw, total: int, seed: SeedSpec, threads: int = 1, *, cells: in
     if threads < 1:
         raise ParameterError(f"need threads >= 1, got {threads}")
     sizes = chunk_sizes(total, _N_STREAMS)
-    block = max(1, _BLOCK_CELLS // cells)
+    block = _block_draws(cells)
 
     def blocks(i: int):
         gen = seed.generator(i)

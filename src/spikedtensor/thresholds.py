@@ -111,21 +111,17 @@ class ThresholdReport:
 
 def threshold_report(spec: SpikeSpec) -> ThresholdReport:
     """Evaluate every applicable threshold condition for one spike."""
-    beta_d = beta_d_second(spec.d)
-    bound = math.sqrt(spec.d / 2.0) * beta_d
-    sum_lambda = _amplitude_sum(spec.lambdas)
-    emax = eta_max(spec.lambdas, spec.grams)
-    hoelder_ok, hoelder_margin = _verdict(bound, sum_lambda)
-    main_ok, main_margin = _verdict(bound, math.sqrt(emax))
+    hoelder_ok, hoelder_margin = hoelder_condition(spec.lambdas, spec.d)
+    main_ok, main_margin = main_condition(spec.lambdas, spec.grams)
     d2_mu_max = d2_ok = None
     if spec.d == 2:
         d2_mu_max = matrix_case_mu_max(spec)
         d2_ok = d2_mu_max < 1.0
     return ThresholdReport(
         d=spec.d,
-        beta_d=beta_d,
-        sum_lambda=sum_lambda,
-        eta_max=emax,
+        beta_d=beta_d_second(spec.d),
+        sum_lambda=_amplitude_sum(spec.lambdas),
+        eta_max=eta_max(spec.lambdas, spec.grams),
         hoelder_ok=hoelder_ok,
         hoelder_margin=hoelder_margin,
         main_ok=main_ok,

@@ -244,8 +244,6 @@ def test_bad_config_exits_one(tmp_path, capsys):
     out = tmp_path / "x"
     assert run(["threshold", "--gram", "mystery", "--out", out]) == 1
     assert "config error" in capsys.readouterr().err
-    assert run(["moment", "--n", 513, "--samples", 100, "--out", out]) == 1
-    assert "desk-scale" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -293,41 +291,190 @@ def test_observation_drivers_refuse_zero_inner(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize("args", [
-    # within the work caps, but one draw's contraction holds 180M and 80M cells
+    # roc's prior dictionary holds 5M n^d = 1.08G cells, direct's first contraction 80M
     ["roc", "--d", 3, "--n", 6, "--trials", 2, "--inner", 5_000_000],
     ["moment", "--method", "direct", "--d", 3, "--n", 4, "--outer", 2, "--inner", 5_000_000],
-    # one draw's noise tensor holds 5^12 cells
+    # a block of one trial scores it in an 8-row slab of 8 * 5^12 cells
     ["roc", "--d", 12, "--n", 5, "--trials", 2, "--inner", 1],
-    # a contraction of 4,194,300 cells, under the cap, but rotation draws of d n r inner = 8,388,600
+    # a prior set of d n r inner = 8,388,600 cells
     ["roc", "--d", 2, "--n", 6, "--lambdas", "0.3,0.2", "--trials", 4, "--inner", 349525],
-    # admitted by the one-draw cap alone (4,194,304 and 4,194,288 cells), but
-    # with roc's prior dictionary, inner n^d cells, 20,971,520 and 10,485,720
+    # prior dictionaries of inner n^d = 16,777,216 and 6,291,432 cells
     ["roc", "--d", 3, "--n", 4, "--trials", 2, "--inner", 262144],
     ["roc", "--d", 2, "--n", 6, "--lambdas", "0.3,0.2", "--trials", 2, "--inner", 174762],
 ])
 def test_observation_drivers_cap_one_draw(tmp_path, capsys, args):
     assert run(args + ["--out", tmp_path / "o"]) == 1
-    assert "desk-scale limit exceeded: one draw holds" in capsys.readouterr().err
+    holds = "one draw holds" if args[0] == "moment" else "one roc run holds"
+    assert f"desk-scale limit exceeded: {holds}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("d, n, lambdas, largest", [(3, 4, "0.3", 52428), (2, 6, "0.3,0.2", 69905)])
-def test_roc_cap_edge(tmp_path, monkeypatch, capsys, d, n, lambdas, largest):
-    # (n^(d-1) r or d n r) + n^d cells an inner draw: the largest admitted
-    # inner reaches the driver, one more is refused
+class _Reached(Exception):
+    """Raised by a stubbed driver: the run was admitted."""
+
+
+def _stub_drivers(monkeypatch):
     def reached(*args, **kwargs):
-        raise ParameterError("reached the driver")
+        raise _Reached
 
-    monkeypatch.setattr(cli, "roc_experiment", reached)
-    for inner, message in ((largest, "reached the driver"), (largest + 1, "one draw holds")):
+    for name in ("threshold_report", "sample_grf_cloud", "second_moment_haar_mc", "second_moment_direct_mc",
+                 "e1_e2_split", "xi_empirical_tail", "roc_experiment"):
+        monkeypatch.setattr(cli, name, reached)
+
+
+# Every cap of `cli._LIMITS` at its edge: for each case, the command at the
+# largest admitted value v and the value itself.  v reaches the driver and
+# v + 1 is refused by that cap.  The `roc` values are where `_roc_cost` crosses
+# the cap: at d=3, n=4, 76 cells an inner draw (12 prior set, 64 dictionary)
+# and an 8-row slab of 512 give 4,194,268 cells at inner 55181 and 4,194,344
+# at 55182.
+_CAP_EDGES = {
+    "d": [(lambda v: f"threshold --d {v} --lambdas 0.3", 1024)],
+    "r": [(lambda v: "threshold --lambdas " + ",".join(["0.01"] * v), 32)],
+    "bins": [(lambda v: f"cloud --d 3 --n 4 --samples 200 --bins {v}", 100_000)],
+    "t_count": [(lambda v: "xi-tail --n 4 --samples 100 --t " + ",".join(str(i / v) for i in range(v)), 1000)],
+    "n_count": [(lambda v: "moment --samples 4 --n " + ",".join(str(2 + i) for i in range(v)), 64)],
+    "cloud_samples": [(lambda v: f"cloud --samples {v}", 2_000_000)],
+    "moment_samples": [(lambda v: f"moment --samples {v}", 2_000_000), (lambda v: f"split --samples {v}", 2_000_000)],
+    "direct_n": [(lambda v: f"moment --method direct --n {v}", 4)],
+    "direct_d": [(lambda v: f"moment --method direct --d {v} --n 3", 3)],
+    "direct_work": [(lambda v: f"moment --method direct --n 3 --outer 2000 --inner {v}", 10_000)],
+    "roc_work": [(lambda v: f"roc --d 3 --n 16 --inner 500 --trials {v}", 1427),
+                 (lambda v: f"roc --d 3 --n 3 --inner 1 --trials {v}", 116_441)],
+    "draw_cells": [(lambda v: f"moment --method direct --n 4 --outer 2 --inner {v}", 262_144),
+                   (lambda v: f"xi-tail --n {v} --samples 1", 2**22),
+                   (lambda v: f"roc --d 3 --n 4 --trials 2 --inner {v}", 55_181),
+                   (lambda v: f"roc --d 2 --n 6 --lambdas 0.3,0.2 --trials 2 --inner {v}", 69_900)],
+    "mode_map_cells": [(lambda v: f"moment --d {v} --n 64 --samples 10 --lambdas " + ",".join(["0.01"] * 32), 16)],
+    "xi_samples": [(lambda v: f"xi-tail --n 2 --samples {v}", 20_000_000)],
+    "xi_work": [(lambda v: f"xi-tail --n 1048576 --samples {v}", 128)],
+}
+
+
+def test_every_cap_has_an_edge_case():
+    assert sorted(_CAP_EDGES) == sorted(cli._LIMITS)
+
+
+@pytest.mark.parametrize("cap", sorted(_CAP_EDGES))
+def test_cap_edges(tmp_path, monkeypatch, capsys, cap):
+    _stub_drivers(monkeypatch)
+    for command, largest in _CAP_EDGES[cap]:
+        with pytest.raises(_Reached):
+            run(command(largest).split() + ["--out", tmp_path / "o"])
+        assert run(command(largest + 1).split() + ["--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: desk-scale limit exceeded: ") and err.endswith(f" > {cli._LIMITS[cap]}\n")
+        assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("d, n, lambdas, near", [(3, 4, "0.3", 52428), (2, 6, "0.3,0.2", 69905)])
+def test_roc_cap_edge(tmp_path, monkeypatch, capsys, d, n, lambdas, near):
+    # `near` is the edge of a count of an inner draw's cells alone, (n^(d-1) r
+    # or d n r) + n^d; the run's cost (`moment._roc_cost`) moves the edge off
+    # it.  The CLI refuses roc exactly when the run's cells pass `draw_cells`:
+    # at `near`, and at the edge, whose largest admitted inner reaches the
+    # driver while one more is refused.
+    import spikedtensor.moment as moment
+
+    _stub_drivers(monkeypatch)
+    r = lambdas.count(",") + 1
+    spec = st.SpikeSpec([0.3] * r, st.GramSet((np.eye(r),) * d), n=n)
+    cap = cli._LIMITS["draw_cells"]
+
+    def cells(inner):
+        return moment._roc_cost(spec, 2, inner).run_cells
+
+    lo, hi = 1, 2 * near
+    assert cells(lo) <= cap < cells(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if cells(mid) <= cap else (lo, mid)
+    assert abs(lo - near) < near // 10
+    for inner in (near, lo, lo + 1):
         args = ["roc", "--d", d, "--n", n, "--lambdas", lambdas, "--trials", 2, "--inner", inner]
-        assert run(args + ["--out", tmp_path / "o"]) == 1
-        assert message in capsys.readouterr().err
+        if cells(inner) <= cap:
+            with pytest.raises(_Reached):
+                run(args + ["--out", tmp_path / "o"])
+        else:
+            assert run(args + ["--out", tmp_path / "o"]) == 1
+            assert f"one roc run holds {cells(inner)} cells > {cap}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
-def test_roc_default_inner_is_admitted_at_the_largest_n(tmp_path, capsys):
-    assert run(["roc", "--d", 3, "--n", cli._LIMITS["roc_n"], "--trials", 2, "--out", tmp_path / "o"]) == 0
-    assert (tmp_path / "o.csv").exists()
+@pytest.mark.parametrize("command, admitted", [
+    ("roc --d 3 --n 16 --trials 1000 --inner 500", True),
+    ("roc --d 2 --n 64 --trials 1000 --inner 500", True),
+    # 20 trials took 3.9 s and 293 MB: one trial a block, scored in an 8-row slab of 8 * 6^8 cells
+    ("roc --d 8 --n 6 --trials 10000000 --inner 1", False),
+    # the prior dictionary alone holds 500 * 128^2 = 8.2M cells
+    ("roc --d 2 --n 128 --trials 500 --inner 500", False),
+])
+def test_roc_is_admitted_by_its_cost_not_its_n(tmp_path, monkeypatch, capsys, command, admitted):
+    _stub_drivers(monkeypatch)
+    if admitted:
+        with pytest.raises(_Reached):
+            run(command.split() + ["--out", tmp_path / "o"])
+    else:
+        assert run(command.split() + ["--out", tmp_path / "o"]) == 1
+        assert "config error: desk-scale limit exceeded: " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_roc_cost_statement_has_one_owner(tmp_path, monkeypatch, capsys):
+    # roc_experiment's block cells and the CLI's refusals both move with `moment._roc_cost`
+    import spikedtensor.moment as moment
+    from spikedtensor.rng import map_streams
+
+    cells = []
+
+    def recording(*args, **kwargs):
+        cells.append(kwargs["cells"])
+        return map_streams(*args, **kwargs)
+
+    monkeypatch.setattr(moment, "map_streams", recording)
+    args = ["roc", "--d", 3, "--n", 3, "--trials", 8, "--inner", 10, "--out", tmp_path / "o"]
+    assert run(args) == 0
+    monkeypatch.setattr(moment, "_roc_cost", lambda spec, trials, inner: moment.RocCost(5, 1, 1))
+    assert run(args) == 0
+    assert cells == [2 * 3**3 + 3 * 3 + 2 * 10, 5]
+    capsys.readouterr()
+    for cost, message in ((moment.RocCost(5, cli._LIMITS["draw_cells"] + 1, 1), "one roc run holds"),
+                          (moment.RocCost(5, 1, cli._LIMITS["roc_work"] + 1), "roc work")):
+        monkeypatch.setattr(moment, "_roc_cost", lambda spec, trials, inner, cost=cost: cost)
+        assert run(args) == 1
+        assert f"desk-scale limit exceeded: {message} " in capsys.readouterr().err
+    assert len(cells) == 2
+
+
+_N_BOUND = 2**53
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_refuses_n_past_the_bound(tmp_path, monkeypatch, capsys, kind):
+    # without the bound, n = 10^23 reached `standard_gamma` and exited 2
+    _stub_drivers(monkeypatch)
+    for n in (_N_BOUND + 1, 10**23):
+        assert run([kind, "--n", n, "--out", tmp_path / "o"]) == 1
+        assert "config error: field 'n': dimensions must be <= 2^53" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    at_bound = [kind, "--n", _N_BOUND, "--samples", 10, "--out", tmp_path / "o"]
+    if kind in ("xi-tail", "roc"):  # past the bound's check, refused by what one sample or run holds
+        assert run(at_bound) == 1
+        assert "config error: desk-scale limit exceeded: one " in capsys.readouterr().err
+    else:
+        with pytest.raises(_Reached):
+            run(at_bound)
+
+
+@pytest.mark.parametrize("command", [
+    "moment --d 3 --lambdas 0.01 --n 1048576 --samples 2000",
+    "split --d 3 --lambdas 0.4,0.2 --n 1048576 --epsilon 0.005 --samples 2000",
+    "cloud --d 3 --lambdas 1.0,1.0 --n 1048576 --samples 2000",
+    "xi-tail --n 4194304 --samples 1 --t 0.5",
+])
+def test_haar_drivers_and_xi_tail_run_at_large_n(tmp_path, command):
+    assert run(command.split() + ["--out", tmp_path / "o", "--threads", 1]) == 0
+    assert list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("case", ["missing_config", "config_is_a_directory", "config_not_utf8", "out_dir_missing",
@@ -434,7 +581,8 @@ def test_one_stacked_eigh_a_run(tmp_path, monkeypatch, capsys, name):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--n", "64,513", "--samples", 400_000], "moment n 513 > 512"),
+    # one n = 4 draw holds 262145 * 4^2 cells > 2^22, the n = 2 and 3 draws fit
+    (["--method", "direct", "--n", "2,3,4", "--outer", 2, "--inner", 262_145], "one draw holds 4194320 cells > 4194304"),
     (["--n", "4,8", "--samples", 2_000_001], "samples 2000001 > 2000000"),
     (["--method", "direct", "--n", "3,5", "--outer", 2000, "--inner", 500], "direct method n 5 > 4"),
     (["--method", "direct", "--d", 4, "--n", "3,4", "--outer", 20, "--inner", 5], "direct method d 4 > 3"),
@@ -586,7 +734,7 @@ def _list_cap_args(key, count):
 def test_list_caps(tmp_path, capsys, key):
     from spikedtensor.cli import _LIMITS
 
-    cap = _LIMITS[key]
+    cap = _LIMITS["draw_cells" if key == "xi_n" else key]  # xi-tail's n: the n cells one sample holds
     out = tmp_path / key
     assert run(_list_cap_args(key, cap) + ["--out", out, "--threads", 1]) == 0
     capsys.readouterr()

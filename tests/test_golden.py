@@ -9,7 +9,8 @@ here fail (18 of 62 at 0.18.0), `thr_d3` among them, which draws nothing;
 so do the `roc` digests where `openblas_set_num_threads_local` is missing
 and OpenBLAS runs its GEMMs threaded.  On such a platform a failure says
 that bits moved, not values: check it against that platform's own output
-at the version the file was taken.  Within one platform every digest holds
+at the version the file was taken.  Every digest mismatch names the
+OpenBLAS core and build config that it ran on (`_blas_platform`).  Within one platform every digest holds
 at every `--threads` value, and the `roc` and `direct` ones at every block
 size.
 
@@ -192,8 +193,10 @@ Every other digest, the library values included, holds at `--threads` 1
 and 2.
 """
 
+import ctypes
 import hashlib
 import json
+import re
 import threading
 from pathlib import Path
 
@@ -385,6 +388,29 @@ PINNED_VERSION = (
 )
 
 
+def _blas_platform() -> str:
+    """The core and build config of the OpenBLAS that `rng` holds to one
+    thread, as its own `scipy_openblas_get_corename64_` and
+    `scipy_openblas_get_config64_` report them; "unknown" for each that is
+    absent, as on another BLAS."""
+    library = rng._openblas()
+    names = []
+    for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_config64_"):
+        try:
+            query = getattr(library, symbol)  # AttributeError: no library, or no such symbol
+        except AttributeError:
+            names.append("unknown")
+            continue
+        query.argtypes = []
+        query.restype = ctypes.c_char_p
+        names.append(query().decode())
+    return f"OpenBLAS core {names[0]}, config {names[1]}"
+
+
+def _assert_pinned(got, expected) -> None:
+    assert got == expected, f"digests moved on {_blas_platform()}; the pins are SkylakeX's (module docstring)"
+
+
 def _digests(directory) -> dict:
     out = {}
     for p in sorted(directory.iterdir()):
@@ -408,14 +434,14 @@ def _run_case(tmp_path, monkeypatch, command: str, threads: int) -> dict:
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_observation_outputs_are_pinned(tmp_path, monkeypatch, name):
     got = _run_case(tmp_path, monkeypatch, f"{CLI_CASES[name]} --out {name}", 1)
-    assert got == {f"{name}.{ext}": GOLDEN[f"{name}.{ext}"] for ext in ("csv", "json")}
+    _assert_pinned(got, {f"{name}.{ext}": GOLDEN[f"{name}.{ext}"] for ext in ("csv", "json")})
 
 
 @pytest.mark.parametrize("name", ["roc_bench", "direct_bench", "roc_full_qr", "roc_n4_d3", "direct_n4_d3", "roc_n6_r1",
                                   "roc_n6_r2"])
 def test_observation_outputs_are_pinned_at_two_threads(tmp_path, monkeypatch, name):
     got = _run_case(tmp_path, monkeypatch, f"{CLI_CASES[name]} --out {name}", 2)
-    assert got == {f"{name}.{ext}": GOLDEN[f"{name}.{ext}"] for ext in ("csv", "json")}
+    _assert_pinned(got, {f"{name}.{ext}": GOLDEN[f"{name}.{ext}"] for ext in ("csv", "json")})
 
 
 def _draw_threads(tmp_path, monkeypatch, name) -> list:
@@ -451,7 +477,7 @@ def test_small_chunks_stay_on_the_calling_thread(tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", sorted(ESTIMATE_CASES))
 def test_estimate_outputs_are_pinned(tmp_path, monkeypatch, name, threads):
     got = _run_case(tmp_path, monkeypatch, f"{ESTIMATE_CASES[name]} --out {name}", threads)
-    assert got == {f"{name}.{ext}": GOLDEN[f"{name}.{ext}"] for ext in ("csv", "json")}
+    _assert_pinned(got, {f"{name}.{ext}": GOLDEN[f"{name}.{ext}"] for ext in ("csv", "json")})
 
 
 def test_rank_one_haar_means_match_the_exact_series(tmp_path, monkeypatch):
@@ -468,7 +494,8 @@ def test_rank_one_haar_means_match_the_exact_series(tmp_path, monkeypatch):
 def test_cloud_outputs_are_pinned(tmp_path, monkeypatch, threads):
     monkeypatch.chdir(tmp_path)
     assert main(CLOUD.split() + ["--threads", str(threads)]) == 0
-    assert _digests(tmp_path) == {name: GOLDEN[name] for name in ("cloud.bound.csv", "cloud.envelope.csv", "cloud.points.csv")}
+    _assert_pinned(_digests(tmp_path), {name: GOLDEN[name] for name in ("cloud.bound.csv", "cloud.envelope.csv",
+                                                                      "cloud.points.csv")})
 
 
 def test_cloud_on_the_pool_matches_one_thread(tmp_path, monkeypatch):
@@ -517,7 +544,7 @@ def test_cloud_blocks_without_some_components_are_pinned():
         gen = st.SeedSpec(8, spec.r).generator()
         for _ in range(30):
             h.update(rate._sample_psi_stack(spec.r, spec.n, spec.d, 1, gen).tobytes())
-    assert h.hexdigest() == SPARSE_CLOUD_GOLDEN
+    _assert_pinned(h.hexdigest(), SPARSE_CLOUD_GOLDEN)
 
 
 def _library_digest(name: str) -> str:
@@ -534,7 +561,7 @@ def _library_digest(name: str) -> str:
 
 @pytest.mark.parametrize("name", sorted(LIBRARY_SPECS))
 def test_observation_library_values_are_pinned(name):
-    assert _library_digest(name) == LIBRARY_GOLDEN[name]
+    _assert_pinned(_library_digest(name), LIBRARY_GOLDEN[name])
 
 
 @pytest.mark.parametrize("name", ["roc_bench", "roc_r2_d2", "direct_bench", "direct_d2_r1", "roc_n6_r1", "roc_n6_r2"])
@@ -542,7 +569,7 @@ def test_one_draw_blocks_give_the_same_bytes(tmp_path, monkeypatch, name):
     # a budget below one draw makes every block hold a single draw
     monkeypatch.setattr(rng, "_BLOCK_CELLS", 1)
     got = _run_case(tmp_path, monkeypatch, f"{CLI_CASES[name]} --out {name}", 1)
-    assert got == {f"{name}.{ext}": GOLDEN[f"{name}.{ext}"] for ext in ("csv", "json")}
+    _assert_pinned(got, {f"{name}.{ext}": GOLDEN[f"{name}.{ext}"] for ext in ("csv", "json")})
 
 
 # `roc` at the CLI default inner 500, at sizes where 16-row slabs moved
@@ -573,6 +600,14 @@ def test_one_draw_blocks_fixed_spike(monkeypatch):
     batched = st.second_moment_direct_mc(spec, 300, 1, st.SeedSpec(9, 1), rotate=False)
     monkeypatch.setattr(rng, "_BLOCK_CELLS", 1)
     assert st.second_moment_direct_mc(spec, 300, 1, st.SeedSpec(9, 1), rotate=False) == batched
+
+
+def test_a_digest_mismatch_names_the_blas_platform(monkeypatch):
+    with pytest.raises(AssertionError, match=re.escape(f"digests moved on {_blas_platform()}; ")):
+        _assert_pinned("a", "b")
+    assert _blas_platform().startswith("OpenBLAS core ")
+    monkeypatch.setattr(rng, "_openblas", lambda: None)  # another BLAS
+    assert _blas_platform() == "OpenBLAS core unknown, config unknown"
 
 
 def test_package_version_matches_pyproject():

@@ -469,6 +469,19 @@ def test_haar_corners_at_n_equal_r_are_unitary(r):
     assert unitarity_defect(corners) < 1e-12
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 32])
+def test_haar_corners_at_the_largest_n_are_finite_contractions(r):
+    # at n = 2^53, the largest n the CLI admits, the Bartlett diagonal is
+    # about 9.5e7 and the corner entries about 1e-8: still finite, of
+    # spectral norm at most 1, and sqrt(n) times an entry is close to a
+    # standard complex normal, whose mean modulus is sqrt(pi) / 2
+    n = 2**53
+    corners = rate._haar_corner_sets(n, r, 3, 200, st.SeedSpec(67, r).generator())
+    assert np.all(np.isfinite(corners))
+    assert np.max(np.linalg.norm(corners, ord=2, axis=(-2, -1))) <= 1 + 1e-12
+    assert abs(np.mean(np.abs(corners)) * math.sqrt(n) - math.sqrt(math.pi) / 2) < 0.06
+
+
 def test_rank_two_haar_moment_matches_the_frame_route(monkeypatch):
     spec = st.SpikeSpec([0.4, 0.2], gram_matrices("two-eigenvalue:1.8,0.2", 2, 3), n=8)
     corner = st.second_moment_haar_mc(spec, 20_000, st.SeedSpec(66, 0))
