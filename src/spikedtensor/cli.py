@@ -22,6 +22,7 @@ from . import __version__, moment
 from .config import FIELDS, KINDS, ExperimentConfig, gram_matrices, parse_config_text, resolve_config
 from .errors import ParameterError
 from .moment import (
+    _direct_work,
     _draw_cells,
     default_epsilon,
     e1_e2_split,
@@ -31,7 +32,7 @@ from .moment import (
     xi_empirical_tail,
     xi_tail_probability,
 )
-from .rate import cloud_bound_violations, grf_lower_bound, sample_grf_cloud
+from .rate import _haar_work, cloud_bound_violations, grf_lower_bound, sample_grf_cloud
 from .rng import SeedSpec
 from .spike import SpikeSpec
 from .thresholds import threshold_report
@@ -51,8 +52,7 @@ _EXIT_INVARIANT = 2
 # n in every kind.
 # - `d`: every run first factors the Grams by one stacked `eigh`; `threshold
 #   --d 1024` took 0.02 s (31 MB) at r=1 and 0.08 s (88 MB) at r=32.  The
-#   Haar drivers' draws grow with d: `moment` and `cloud` at d=1024 took 2.5
-#   and 3.7 s (42 MB) for their default 20000 draws.
+#   Haar drivers' draws grow with d and r, and `haar_work` caps them.
 # - `r`: every run builds its spike at n = r before its own checks, whose
 #   cost grows as about r^3, and `moment`, `split` and `cloud` build d
 #   (r^2, r^2) complex mode maps (`spike.SpikeSvd`): `moment --n 32
@@ -65,15 +65,27 @@ _EXIT_INVARIANT = 2
 #   0.05 s (37 MB), 0.31 s at 1M samples and 4.7 s (52 MB) at n=6 and 20M,
 #   the sample cap.
 # - `n_count`: `moment` runs once per n; 64 n took 0.41 s (37 MB).
-# - `cloud_samples`: 2M points took 3.2 s (368 MB), most of it the CSV.
-# - `moment_samples`, for `moment` and `split`: 2M draws took 0.64 s
-#   (113 MB) and 3.9 s (145 MB).
+# - `cloud_samples`: 2M points took 3.1 s (367 MB), most of it the CSV.
+# - `moment_samples`, for `moment`, `split` and `direct`'s outer draws, the
+#   draws that an estimate averages: 2M draws took 0.53 s (113 MB), 0.56 s
+#   (143 MB) and, at d=2, n=2, inner 1, 0.80 s (122 MB).
+# - `haar_work` caps the work of `moment`, `split` and `cloud`: samples x d x
+#   (r^4 + 256 r^2) over the n list (`rate._haar_work`).  At the edge,
+#   `moment` took 1.0-1.6 s, `split` 1.0-1.7 s and `cloud` 1.0-1.8 s (41-154
+#   MB), from d=1024 at r=1 (8160 draws) to d=3 at r=2, 8 and 32 (688296,
+#   34952 and 546 draws).  At d=3, r=1 the sample caps bind first.  The
+#   sample caps alone admit 2M draws at every d and r: `moment --d 3 --n 64
+#   --samples 1000` at r=32 took 2.3 s, so 2M would take about 1.3 h.
 # - `direct_n` and `direct_d` set a scope, not a cost: `direct` estimates
 #   m2 with a bias of about e^{2 n |X|_F^2} / inner, which grows with n, so
 #   it is a cross-check of the Haar estimate at very small (n, d) only.  At
 #   the edge, n=4, d=3, it took 0.24 s (41 MB).
-# - `direct_work` caps `direct`'s outer * inner likelihood terms: 20M took
-#   8.6 s at n=3 and 13.8 s at n=4 (42 MB).
+# - `direct_work` caps the cells that `direct`'s terms and outer draws
+#   touch over the n list (`moment._direct_work`): at the edge, outer 2000
+#   took 1.9-2.2 s (40-43 MB) at d=2 and 3, n=2..4, r=1 and 2, and inner 1
+#   0.8-2.3 s (54-122 MB).  Counted as outer * inner terms, it admitted
+#   runs of 8.6 s at n=3 and 13.8 s at n=4 (outer 2000, inner 10000), and
+#   16 s (325 MB) at inner 1.
 # - `draw_cells` caps the largest array one draw holds: `direct`'s
 #   (`moment._draw_cells`: n=4, inner 262144 took 0.46 s, 165 MB), one
 #   `xi-tail` sample's n exponentials (n=2^22: 0.06 s, 100 MB) and what a
@@ -96,7 +108,8 @@ _LIMITS = {
     "moment_samples": 2_000_000,
     "direct_n": 4,
     "direct_d": 3,
-    "direct_work": 20_000_000,
+    "direct_work": 2**26,
+    "haar_work": 2**31,
     "roc_work": 2**34,
     "draw_cells": 2**22,
     "mode_map_cells": 2**24,
@@ -166,6 +179,14 @@ def _refuse(condition: bool, message: str) -> None:
         raise ParameterError(f"desk-scale limit exceeded: {message}")
 
 
+def _refuse_haar_work(config: ExperimentConfig) -> None:
+    """The work cap of `moment`, `split` and `cloud`, checked after their
+    sample caps: `rate._haar_work` of every draw, one run an n for
+    `moment`."""
+    work = _haar_work(config.r, config.d, config.samples * len(config.n))
+    _refuse(work > _LIMITS["haar_work"], f"Haar work {work} > {_LIMITS['haar_work']}")
+
+
 def _spec_for(config: ExperimentConfig, n: int):
     grams = gram_matrices(config.gram, config.r, config.d)
     return SpikeSpec(np.array(config.lambdas), grams, n=n)
@@ -178,6 +199,7 @@ def run_threshold(config: ExperimentConfig, spike: SpikeSpec) -> None:
 
 def run_cloud(config: ExperimentConfig, spike: SpikeSpec) -> None:
     _refuse(config.samples > _LIMITS["cloud_samples"], f"cloud samples {config.samples} > {_LIMITS['cloud_samples']}")
+    _refuse_haar_work(config)
     spec = replace(spike, n=config.n[0])
     seed = SeedSpec(config.seed, config.stream)
     cloud = sample_grf_cloud(spec, config.samples, seed, config.bins, threads=config.threads)
@@ -200,10 +222,10 @@ def run_moment(config: ExperimentConfig, spike: SpikeSpec) -> None:
     haar = config.method == "haar"
     if haar:
         _refuse(config.samples > _LIMITS["moment_samples"], f"samples {config.samples} > {_LIMITS['moment_samples']}")
+        _refuse_haar_work(config)
     else:
+        _refuse(config.outer > _LIMITS["moment_samples"], f"outer {config.outer} > {_LIMITS['moment_samples']}")
         _refuse(config.d > _LIMITS["direct_d"], f"direct method d {config.d} > {_LIMITS['direct_d']}")
-        _refuse(config.outer * config.inner > _LIMITS["direct_work"],
-                f"outer*inner = {config.outer * config.inner} > {_LIMITS['direct_work']}")
     specs = []
     for n in config.n:
         _refuse(not haar and n > _LIMITS["direct_n"], f"direct method n {n} > {_LIMITS['direct_n']}")
@@ -211,6 +233,9 @@ def run_moment(config: ExperimentConfig, spike: SpikeSpec) -> None:
         if not haar:
             cells = _draw_cells(specs[-1], config.inner)
             _refuse(cells > _LIMITS["draw_cells"], f"one draw holds {cells} cells > {_LIMITS['draw_cells']}")
+    if not haar:
+        work = sum(_direct_work(spec, config.outer, config.inner) for spec in specs)
+        _refuse(work > _LIMITS["direct_work"], f"direct work {work} > {_LIMITS['direct_work']}")
     seed = SeedSpec(config.seed, config.stream)
 
     def estimate(spec):
@@ -232,6 +257,7 @@ def run_moment(config: ExperimentConfig, spike: SpikeSpec) -> None:
 def run_split(config: ExperimentConfig, spike: SpikeSpec) -> None:
     n = config.n[0]
     _refuse(config.samples > _LIMITS["moment_samples"], f"samples {config.samples} > {_LIMITS['moment_samples']}")
+    _refuse_haar_work(config)
     spec = replace(spike, n=n)
     epsilon = config.epsilon if config.epsilon is not None else default_epsilon(spec)
     if epsilon <= 0:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .rate import _corner_cells, _eta_hadamard_stack, _haar_corner_sets
+from .rate import _corner_cells, _eta_hadamard_stack, _haar_corner_sets, _pair_weights
 from .rng import _PRIOR_LANE, SeedSpec, _block_draws, _orthonormalize, complex_normal_rounds, map_streams
 from .spike import SpikeSpec, _spike_tensors, eta_max
 
@@ -143,9 +143,10 @@ def _haar_eta_chunks(spec: SpikeSpec, samples: int, rng: SeedSpec, threads: int)
     if samples < 2:
         raise ParameterError(f"need samples >= 2, got {samples}")
     maps = spec.grams.svd.mode_maps  # built here, once, not in the pool threads
+    weights = _pair_weights(spec.lambdas)
 
     def worker(m, gen):
-        return _eta_hadamard_stack(spec.lambdas, maps, _haar_corner_sets(spec.n, spec.r, spec.d, m, gen))
+        return _eta_hadamard_stack(weights, maps, _haar_corner_sets(spec.n, spec.r, spec.d, m, gen))
 
     return map_streams(worker, samples, rng, threads, cells=_corner_cells(spec.n, spec.r, spec.d))
 
@@ -300,6 +301,16 @@ def _draw_cells(spec: SpikeSpec, inner: int) -> int:
     contraction when n^(d-2) < d.  The `cells` of `direct`'s `map_streams`
     call, and the size that the CLI's cap on one draw reads for it."""
     return max(inner * spec.r * spec.n ** (spec.d - 1), spec.n**spec.d, spec.d * spec.n * spec.r * inner)
+
+
+def _direct_work(spec: SpikeSpec, outer: int, inner: int) -> int:
+    """The one statement of what `second_moment_direct_mc` costs, in array
+    cells touched, the work that the CLI's cap reads: each of its
+    outer x inner likelihood terms touches n^(d-1) r cells in the first
+    contraction and d n r in its rotations, and each outer draw twice its
+    n^d noise cells (drawn, then conjugated into the contraction), which
+    is what a run at inner 1 pays for."""
+    return outer * (inner * spec.r * (spec.n ** (spec.d - 1) + spec.d * spec.n) + 2 * spec.n**spec.d)
 
 
 def second_moment_direct_mc(

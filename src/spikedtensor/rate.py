@@ -22,8 +22,10 @@ Gram-Schmidt at every n, n = r included.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,28 +62,41 @@ def eta_expanded(spec: SpikeSpec, thetas) -> float:
     return float(np.real(spec.lambdas @ had @ spec.lambdas))
 
 
-def _eta_hadamard_stack(lambdas, mode_maps, psi_stack: np.ndarray) -> np.ndarray:
+def _pair_weights(lambdas) -> np.ndarray:
+    """vec(lambda lambda^T), the weights of `_eta_hadamard_stack`'s
+    quadratic form, as a read-only complex vector: the cast that the
+    complex product would make of a float one on every call, made once.
+    The drivers build it once a run, beside the spike's mode maps."""
+    lam = np.asarray(lambdas, dtype=float)
+    weights = np.outer(lam, lam).ravel().astype(complex)
+    weights.flags.writeable = False
+    return weights
+
+
+def _eta_hadamard_stack(weights: np.ndarray, mode_maps, psi_stack: np.ndarray) -> np.ndarray:
     """Block form of the exponent for every psi-set of a (count, d, r, r)
     stack: Re[ lambda^T (hadamard_k  V_k Sigma_k psi_k Sigma_k V_k*) lambda ].
 
     With row-major vec, vec(A psi A*) = (A kron conj(A)) vec(psi), so with
     A_k = V_k Sigma_k each mode's core is one (count, r^2) @ (r^2, r^2)
-    product with the mode map `mode_maps[k]` of a `SpikeSvd`, built once
-    per spike, and the quadratic form in lambda is one product with
-    vec(lambda lambda^T).
+    product with the mode map `mode_maps[k]` of a `SpikeSvd`, and the
+    quadratic form in lambda is one product with `weights`, the
+    `_pair_weights` vec(lambda lambda^T).  Neither depends on the draws:
+    `cloud` and the Haar moments build both once a run, before their pool
+    threads start, and a call does only the products.
     """
-    lam = np.asarray(lambdas, dtype=float)
     count, _, r, _ = psi_stack.shape
     had = None
     for k, mode_map in enumerate(mode_maps):
         core = psi_stack[:, k].reshape(count, r * r) @ mode_map
         had = core if had is None else had * core
-    return np.real(had @ np.outer(lam, lam).ravel())
+    return np.real(had @ weights)
 
 
 def eta_hadamard(lambdas, svd: SpikeSvd, psis) -> float:
     """Block form of the exponent for one (d, r, r) psi-set (see `_eta_hadamard_stack`)."""
-    return float(_eta_hadamard_stack(lambdas, svd.mode_maps, np.asarray(psis, dtype=complex)[None])[0])
+    psi_stack = np.asarray(psis, dtype=complex)[None]
+    return float(_eta_hadamard_stack(_pair_weights(lambdas), svd.mode_maps, psi_stack)[0])
 
 
 def psi_blocks_from_mode_operators(factors, thetas) -> tuple[SpikeSvd, np.ndarray]:
@@ -194,6 +209,41 @@ def grf_psi_rate(psis) -> float:
     return float(_rate_stack(psis[None])[0])
 
 
+class _Bartlett(NamedTuple):
+    """Where `_haar_corner_sets` puts the variates of an (r + k, r) stack
+    [G1; B], as positions among its (r + k) r cells in row-major order: the
+    same for every call at one (n, r), so built once (`_bartlett_layout`)."""
+
+    k: int  # B's rows, min(r, n - r)
+    normals: tuple  # (size, index) of each non-empty normal part: G1's r^2 cells, then B's strictly upper entries
+    diagonal: slice  # B's diagonal entries (i, i), r^2 + i (r + 1) for i < k
+    shapes: np.ndarray  # the Gamma shapes of B_ii^2, n - r - i; 0-d at k = 1
+
+
+@functools.lru_cache(maxsize=64)
+def _bartlett_layout(n: int, r: int) -> _Bartlett:
+    """The `_Bartlett` layout at (n, r), built on first use and kept for the
+    64 latest (n, r), as many as a `moment` run's n list; its arrays are
+    read-only.
+
+    A normal part without entries is left out of `normals`, so it takes no
+    `complex_normal_rounds` part and no scatter: B has no strictly upper
+    entry at r = 1, and no row at all at n = r.  Where B has one row, k = 1
+    (every r = 1 corner, and n = r + 1), the Gamma shape is 0-d: NumPy then
+    draws the same variates as from a one-element shape array, without
+    broadcasting it against the output, in about half the time (375 draws:
+    8 us against 15 us, one thread, 2-vCPU VM)."""
+    k = min(r, n - r)
+    rows, cols = np.triu_indices(k, 1, r)
+    upper = (r + rows) * r + cols
+    shapes = n - r - np.arange(k, dtype=float)
+    if k == 1:
+        shapes = shapes.reshape(())
+    upper.flags.writeable = shapes.flags.writeable = False
+    normals = tuple(part for part in ((r * r, slice(0, r * r)), (upper.size, upper)) if part[0])
+    return _Bartlett(k=k, normals=normals, diagonal=slice(r * r, None, r + 1), shapes=shapes)
+
+
 def _haar_corner_sets(n: int, r: int, d: int, count: int, gen: np.random.Generator) -> np.ndarray:
     """`count` sets of d independent r x r corner blocks of Haar n x n
     unitaries, shape (count, d, r, r), from O(r^2) variates each at every n.
@@ -206,18 +256,22 @@ def _haar_corner_sets(n: int, r: int, d: int, count: int, gen: np.random.Generat
     j > i, complex normal with N(0, 1/2) parts.  So the corner is the top
     r rows of the orthonormalized (r + k, r) stack [G1; B]; at n = r, k = 0
     and the stack is the full Haar unitary.  Draw order per call: G1 for
-    all blocks, then B's off-diagonal entries (one round of both parts),
+    all blocks, then B's strictly upper entries (one round of both parts),
     then its diagonal.
+
+    Where each variate goes depends on (n, r) only: the positions and the
+    Gamma shapes are built once per (n, r) (`_bartlett_layout`), so a call
+    draws, writes its draws into the zeroed stack and orthonormalizes.
     """
-    k = min(r, n - r)
+    k, normals, diagonal, shapes = _bartlett_layout(n, r)
     m = count * d
     stack = np.zeros((m, r + k, r), dtype=complex)
-    rows, cols = np.nonzero(np.arange(r) > np.arange(k)[:, None])  # np.triu_indices(k, 1, r), at a seventh of its cost
-    g1, upper = complex_normal_rounds(gen, 1, [((m, r, r), np.sqrt(0.5)), ((m, rows.size), np.sqrt(0.5))])
-    stack[:, :r] = g1[0]
-    stack[:, r + rows, cols] = upper[0]
-    diag = np.arange(k)
-    stack[:, r + diag, diag] = np.sqrt(gen.standard_gamma(n - r - diag, size=(m, k)))
+    cells = stack.reshape(m, (r + k) * r)
+    drawn = complex_normal_rounds(gen, 1, [((m, size), np.sqrt(0.5)) for size, _ in normals])
+    for (_, index), part in zip(normals, drawn):
+        cells[:, index] = part[0]
+    if k:
+        np.sqrt(gen.standard_gamma(shapes, size=(m, k)), out=cells[:, diagonal].real)
     return _orthonormalize(stack)[:, :r].reshape(count, d, r, r)
 
 
@@ -232,6 +286,26 @@ def _cloud_cells(n: int, r: int, d: int) -> int:
     component array behind it, the Haar corner stack; the `cells` of
     `map_streams` for the cloud."""
     return d * r * r + _corner_cells(n, r, d)
+
+
+# What one Haar-exponent draw of a mode costs in `moment`, `split` and
+# `cloud`, in complex multiply-adds of its (r^2, r^2) mode-map product: r^4
+# for the product, and `_CORNER_CELL_MADDS` for each of the r^2 cells of its
+# corner, which covers its variates, its Gram-Schmidt (about 2 r^3
+# multiply-adds, at most 64 r^2 up to the r cap of 32) and the per-cell
+# work of the stacked array calls.  Timed at the CLI's cap (in-process
+# `cli.main`, one thread, 2-vCPU VM), the three drivers took 0.42-0.85 ns
+# a unit from r = 1 to r = 32 (d = 3 at n = 2r, and d = 1024 at r = 1),
+# where r^4 alone would put r = 1 at about 200 times the cost a unit of
+# r = 32.  `cloud` adds its CSV row a draw, which its sample cap bounds.
+_CORNER_CELL_MADDS = 256
+
+
+def _haar_work(r: int, d: int, draws: int) -> int:
+    """The one statement of what `draws` Haar-exponent draws cost, the work
+    that the CLI's cap reads for `moment`, `split` and `cloud`: d modes a
+    draw, r^4 + 256 r^2 multiply-adds a mode (`_CORNER_CELL_MADDS`)."""
+    return draws * d * (r**4 + _CORNER_CELL_MADDS * r * r)
 
 
 def _sample_psi_stack(r: int, n: int, d: int, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -296,10 +370,11 @@ def sample_grf_cloud(spec: SpikeSpec, count: int, rng: SeedSpec, bins: int, thre
     if emax <= 0:
         raise ParameterError("eta_max must be positive to normalize the cloud")
     maps = spec.grams.svd.mode_maps  # built here, once, not in the pool threads
+    weights = _pair_weights(spec.lambdas)
 
     def worker(m, gen):
         stack = _sample_psi_stack(spec.r, spec.n, spec.d, m, gen)
-        return np.column_stack([_eta_hadamard_stack(spec.lambdas, maps, stack), _rate_stack(stack)])
+        return np.column_stack([_eta_hadamard_stack(weights, maps, stack), _rate_stack(stack)])
 
     points = np.concatenate(map_streams(worker, count, rng, threads, cells=_cloud_cells(spec.n, spec.r, spec.d)))
     x, y = points[:, 0], points[:, 1]

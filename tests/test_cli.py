@@ -327,7 +327,12 @@ def _stub_drivers(monkeypatch):
 # v + 1 is refused by that cap.  The `roc` values are where `_roc_cost` crosses
 # the cap: at d=3, n=4, 76 cells an inner draw (12 prior set, 64 dictionary)
 # and an 8-row slab of 512 give 4,194,268 cells at inner 55181 and 4,194,344
-# at 55182.
+# at 55182.  The `direct_work` values are where `moment._direct_work` crosses
+# 2^26: at d=3, n=3, r=1 a term holds 18 cells and an outer draw 54, so
+# 2000 x (1861 * 18 + 54) = 67,104,000.  The `haar_work` values are where
+# `rate._haar_work` crosses 2^31: r^4 + 256 r^2 = 257 a mode at r=1, so
+# 8160 x 1024 x 257 = 2,147,450,880, half as many draws for two n, and
+# 546 x 3 x 1,310,720 at r=32.
 _CAP_EDGES = {
     "d": [(lambda v: f"threshold --d {v} --lambdas 0.3", 1024)],
     "r": [(lambda v: "threshold --lambdas " + ",".join(["0.01"] * v), 32)],
@@ -335,10 +340,18 @@ _CAP_EDGES = {
     "t_count": [(lambda v: "xi-tail --n 4 --samples 100 --t " + ",".join(str(i / v) for i in range(v)), 1000)],
     "n_count": [(lambda v: "moment --samples 4 --n " + ",".join(str(2 + i) for i in range(v)), 64)],
     "cloud_samples": [(lambda v: f"cloud --samples {v}", 2_000_000)],
-    "moment_samples": [(lambda v: f"moment --samples {v}", 2_000_000), (lambda v: f"split --samples {v}", 2_000_000)],
+    "moment_samples": [(lambda v: f"moment --samples {v}", 2_000_000), (lambda v: f"split --samples {v}", 2_000_000),
+                       (lambda v: f"moment --method direct --d 2 --n 2 --inner 1 --outer {v}", 2_000_000)],
     "direct_n": [(lambda v: f"moment --method direct --n {v}", 4)],
     "direct_d": [(lambda v: f"moment --method direct --d {v} --n 3", 3)],
-    "direct_work": [(lambda v: f"moment --method direct --n 3 --outer 2000 --inner {v}", 10_000)],
+    "direct_work": [(lambda v: f"moment --method direct --n 3 --outer 2000 --inner {v}", 1861),
+                    (lambda v: f"moment --method direct --lambdas 0.4,0.2 --n 4 --outer 2000 --inner {v}", 596),
+                    (lambda v: f"moment --method direct --n 3 --inner 1 --outer {v}", 932_067)],
+    "haar_work": [(lambda v: f"moment --d 1024 --lambdas 0.3 --samples {v}", 8160),
+                  (lambda v: f"moment --d 1024 --lambdas 0.3 --n 4,8 --samples {v}", 4080),
+                  (lambda v: f"split --d 1024 --lambdas 0.3 --samples {v}", 8160),
+                  (lambda v: f"cloud --d 1024 --lambdas 0.3 --samples {v}", 8160),
+                  (lambda v: "moment --n 64 --lambdas " + ",".join(["0.01"] * 32) + f" --samples {v}", 546)],
     "roc_work": [(lambda v: f"roc --d 3 --n 16 --inner 500 --trials {v}", 1427),
                  (lambda v: f"roc --d 3 --n 3 --inner 1 --trials {v}", 116_441)],
     "draw_cells": [(lambda v: f"moment --method direct --n 4 --outer 2 --inner {v}", 262_144),
@@ -398,6 +411,32 @@ def test_roc_cap_edge(tmp_path, monkeypatch, capsys, d, n, lambdas, near):
         else:
             assert run(args + ["--out", tmp_path / "o"]) == 1
             assert f"one roc run holds {cells(inner)} cells > {cap}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, admitted", [
+    # 2000 x 10000 terms took 8.6 s at n=3 and 13.8 s at n=4 when a term was priced at 1
+    ("moment --method direct --n 3 --outer 2000 --inner 10000", False),
+    ("moment --method direct --n 4 --outer 2000 --inner 10000", False),
+    ("moment --method direct --n 4 --outer 2000 --inner 1000", True),
+    # an outer draw pays for its noise tensor: 2M draws at d=3, n=3 hold 72 cells each
+    ("moment --method direct --d 2 --n 2 --outer 2000000 --inner 1", True),
+    ("moment --method direct --n 3 --outer 2000000 --inner 1", False),
+    # the Haar drivers pay for d and r: 20000 draws took 2.5 s (`moment`) and 3.7 s (`cloud`) at d=1024
+    ("moment --d 1024 --lambdas 0.3", False),
+    ("cloud --d 1024 --lambdas 1.0", False),
+    ("split --d 1024 --lambdas 0.3 --samples 8000", True),
+    ("moment --d 3 --n 64 --samples 2000 --lambdas " + ",".join(["0.1"] * 32), False),
+    ("moment --d 3 --n 64 --samples 500 --lambdas " + ",".join(["0.1"] * 32), True),
+])
+def test_direct_and_haar_drivers_are_admitted_by_their_work(tmp_path, monkeypatch, capsys, command, admitted):
+    _stub_drivers(monkeypatch)
+    if admitted:
+        with pytest.raises(_Reached):
+            run(command.split() + ["--out", tmp_path / "o"])
+    else:
+        assert run(command.split() + ["--out", tmp_path / "o"]) == 1
+        assert "work" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -586,7 +625,8 @@ def test_one_stacked_eigh_a_run(tmp_path, monkeypatch, capsys, name):
     (["--n", "4,8", "--samples", 2_000_001], "samples 2000001 > 2000000"),
     (["--method", "direct", "--n", "3,5", "--outer", 2000, "--inner", 500], "direct method n 5 > 4"),
     (["--method", "direct", "--d", 4, "--n", "3,4", "--outer", 20, "--inner", 5], "direct method d 4 > 3"),
-    (["--method", "direct", "--n", "3,4", "--outer", 2000, "--inner", 10_001], "outer*inner = 20002000 > 20000000"),
+    # 2000 x 1500 terms of 18 cells at n = 3 and of 28 at n = 4: the run's work, not one n's
+    (["--method", "direct", "--n", "3,4", "--outer", 2000, "--inner", 1500], "direct work 138364000 > 67108864"),
     # one n = 4 draw holds 300000 * 4^2 cells > 2^22, one n = 3 draw 300000 * 3^2
     (["--method", "direct", "--n", "3,4", "--outer", 2, "--inner", 300_000], "one draw holds 4800000 cells > 4194304"),
 ])

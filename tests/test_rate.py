@@ -11,8 +11,9 @@ from conftest import complex_gaussian, haar_unitaries, make_random_spec, refuse_
 from spikedtensor.errors import ParameterError
 import spikedtensor.moment as moment
 import spikedtensor.rate as rate
+import spikedtensor.rng as rng_module
 from spikedtensor.config import gram_matrices
-from spikedtensor.rate import _eta_hadamard_stack, _gram_stack, _rate_stack, _sample_psi_stack
+from spikedtensor.rate import _eta_hadamard_stack, _gram_stack, _pair_weights, _rate_stack, _sample_psi_stack
 from spikedtensor.rng import complex_normal_rounds
 
 
@@ -526,6 +527,52 @@ def test_haar_corner_draw_count_does_not_grow_with_n(monkeypatch, r):
     assert counts[0] == counts[1] and counts[0][1] > 0
 
 
+def _corner_sets_in_draw_order(n, r, d, count, gen):
+    """The Haar corner sets of `rate._haar_corner_sets` built step by step
+    in its documented draw order: G1 for all blocks, then B's strictly
+    upper entries, row by row, in one `complex_normal_rounds` round (its
+    second part empty at r = 1), then B's diagonal by `standard_gamma`
+    (empty at n = r), then `_orthonormalize` of the (r + k, r) stacks."""
+    k, m = min(r, n - r), count * d
+    upper = [(i, j) for i in range(k) for j in range(i + 1, r)]
+    g1, b_upper = complex_normal_rounds(gen, 1, [((m, r, r), np.sqrt(0.5)), ((m, len(upper)), np.sqrt(0.5))])
+    stack = np.zeros((m, r + k, r), dtype=complex)
+    stack[:, :r] = g1[0]
+    for p, (i, j) in enumerate(upper):
+        stack[:, r + i, j] = b_upper[0][:, p]
+    diagonal = np.sqrt(gen.standard_gamma(n - r - np.arange(k), size=(m, k)))
+    for i in range(k):
+        stack[:, r + i, i] = diagonal[:, i]
+    return rng_module._orthonormalize(stack)[:, :r].reshape(count, d, r, r)
+
+
+@pytest.mark.parametrize("n, r, d, count", [
+    (4, 1, 3, 125),  # r = 1: B has no strictly upper entry
+    (32, 1, 3, 125),
+    (2, 2, 3, 50),  # n = r: k = 0, B has no row
+    (3, 3, 2, 40),
+    (3, 2, 3, 50),  # n = r + 1: k = 1 < r
+    (4, 3, 3, 40),
+    (8, 3, 3, 40),  # r = 3, k = 3: three upper entries
+    (16, 2, 3, 1),  # count = 1
+    (5, 2, 4, 1),
+])
+def test_haar_corner_sets_match_the_documented_draw_order(n, r, d, count):
+    gen, ref_gen = st.SeedSpec(71, 100 * n + r).generator(), st.SeedSpec(71, 100 * n + r).generator()
+    got = rate._haar_corner_sets(n, r, d, count, gen)
+    assert got.shape == (count, d, r, r)
+    assert got.tobytes() == _corner_sets_in_draw_order(n, r, d, count, ref_gen).tobytes()
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
+    layout = rate._bartlett_layout(n, r)
+    k = min(r, n - r)
+    upper = k * (2 * r - k - 1) // 2
+    assert layout.k == k
+    assert [size for size, _ in layout.normals] == [r * r] + ([upper] if upper else [])  # no empty part
+    for array in [layout.shapes] + [index for _, index in layout.normals if isinstance(index, np.ndarray)]:
+        assert not array.flags.writeable
+    assert rate._bartlett_layout(n, r) is layout  # built once per (n, r)
+
+
 @pytest.mark.parametrize("n, r, d, gram", [
     (2, 2, 3, "identity"),
     (5, 2, 3, "two-eigenvalue:1.8,0.2"),
@@ -547,7 +594,7 @@ def test_eta_hadamard_stack_matches_expanded_form(n, r, d, gram):
         expanded.append(st.eta_expanded(spec, thetas))
         svd, psis = st.psi_blocks_from_mode_operators(spec.factors, thetas)
         stack.append(psis)
-    got = _eta_hadamard_stack(spec.lambdas, svd.mode_maps, np.array(stack))
+    got = _eta_hadamard_stack(_pair_weights(spec.lambdas), svd.mode_maps, np.array(stack))
     assert np.max(np.abs(got - np.array(expanded))) <= 1e-12
 
 
@@ -593,11 +640,11 @@ def test_mode_maps_and_exponent_match_inline_kron(r, d, gram):
     svd = spec.grams.svd
     _assert_maps_are_kron(svd)
     stack = rate._haar_corner_sets(n, r, d, 300, gen)
-    got = _eta_hadamard_stack(spec.lambdas, svd.mode_maps, stack)
+    got = _eta_hadamard_stack(_pair_weights(spec.lambdas), svd.mode_maps, stack)
     assert got.tobytes() == _inline_kron_eta(spec.lambdas, svd, stack).tobytes()
     # the spectra from full mode operators, as `eta_hadamard` takes them
     block_svd, _ = st.psi_blocks_from_mode_operators(spec.factors, list(haar_unitaries(n, d, gen)))
     _assert_maps_are_kron(block_svd)
     stack = complex_gaussian(gen, (50, d, r, r), np.sqrt(0.5))
-    got = _eta_hadamard_stack(spec.lambdas, block_svd.mode_maps, stack)
+    got = _eta_hadamard_stack(_pair_weights(spec.lambdas), block_svd.mode_maps, stack)
     assert got.tobytes() == _inline_kron_eta(spec.lambdas, block_svd, stack).tobytes()
