@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import replace
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +67,7 @@ _EXIT_INVARIANT = 2
 #   0.05 s (37 MB), 0.31 s at 1M samples and 4.7 s (52 MB) at n=6 and 20M,
 #   the sample cap.
 # - `n_count`: `moment` runs once per n; 64 n took 0.41 s (37 MB).
-# - `cloud_samples`: 2M points took 3.1 s (367 MB), most of it the CSV.
+# - `cloud_samples`: 2M points took 3.7 s (114 MB).
 # - `moment_samples`, for `moment`, `split` and `direct`'s outer draws, the
 #   draws that an estimate averages: 2M draws took 0.53 s (113 MB), 0.56 s
 #   (143 MB) and, at d=2, n=2, inner 1, 0.80 s (122 MB).
@@ -92,9 +94,10 @@ _EXIT_INVARIANT = 2
 #   `roc` run holds (`moment._roc_cost`: d=3, n=4, inner 55181 took 0.11 s,
 #   157 MB; d=2, n=682, inner 1, 0.12 s, 95 MB).
 # - `roc_work` caps `roc`'s work (`moment._roc_cost`), in multiply-adds of
-#   its scoring GEMM: at the edge, runs took 0.7-2.9 s and 46-307 MB, from
+#   its scoring GEMM: at the edge, runs took 1.0-3.8 s and 44-112 MB, from
 #   d=3, n=3, inner 1 (116441 trials) and d=2, n=2, inner 2000 (35387) to
-#   d=3, n=16 and d=2, n=64 at inner 500 (1427) and d=7, n=6, inner 1 (99).
+#   d=3, n=16 and d=2, n=64 at inner 500 (1427) and d=7, n=6, inner 1 (99);
+#   the most, 112 MB, at d=3, n=3 in JSON, whose curve is a dict a row.
 # - `xi_samples` and `xi_work` cap `xi-tail`'s samples and its n x samples
 #   exponentials: 20M samples at n=6 took 0.80 s (37 MB), and 2^27
 #   exponentials at n=2^20 0.85 s (52 MB).
@@ -128,20 +131,44 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# Rows a CSV slab formats in one %-call, and encoder pieces a JSON write
+# joins: the writers hold one slab or batch, not the whole file.
+_SLAB_ROWS = 2048
+_JSON_BATCH = 1024
+
+
+def _write_text(path: Path, pieces) -> None:
+    """Write the strings of `pieces` to `path` whole or not at all: they
+    stream into a new hidden sibling, which then replaces `path`.  On any
+    failure the sibling is deleted, so an earlier `path` stays as it was.
+    Exclusive create gives the sibling the mode `open(path, "w")` gives a
+    new file."""
+    temporary = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    file = open(temporary, "x", encoding="utf-8")
+    try:
+        with file:
+            file.writelines(pieces)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path: Path, config: ExperimentConfig, header: list[str], rows, extra_comments: list[str]) -> None:
     lines = [f"# spikedtensor {__version__}", f"# config {config.one_line()}", *extra_comments, ",".join(header)]
-    text = "\n".join(lines) + "\n"
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
         has_nan = bool(np.isnan(rows).any())
-        # one %-call for the whole array; "%.17g" writes what _fmt writes
-        text += (",".join(["%.17g"] * rows.shape[1]) + "\n") * len(rows) % tuple(rows.ravel().tolist())
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        # one %-call a slab; "%.17g" writes what _fmt writes
+        slabs = (rows[i:i + _SLAB_ROWS] for i in range(0, len(rows), _SLAB_ROWS))
+        body = (line * len(slab) % tuple(slab.ravel().tolist()) for slab in slabs)
     else:
         cells = [[_fmt(v) for v in row] for row in rows]
         has_nan = any("nan" in row for row in cells)
-        text += "".join(",".join(row) + "\n" for row in cells)
+        body = ["".join(",".join(row) + "\n" for row in cells)]
     if has_nan:  # infinities stay: a block rate of exactly -inf is a value
         raise ArithmeticError(f"{path.name} not written: NaN in a row")
-    path.write_text(text, encoding="utf-8")
+    _write_text(path, chain(["\n".join(lines) + "\n"], body))
 
 
 def _write_json(path: Path, config: ExperimentConfig, payload: dict) -> None:
@@ -151,11 +178,18 @@ def _write_json(path: Path, config: ExperimentConfig, payload: dict) -> None:
         "seed": {"master_seed": config.seed, "stream_id": config.stream},
     }
     document.update(payload)
-    try:
-        text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:  # a NaN or an infinity, which JSON cannot hold
-        raise ArithmeticError(f"{path.name} not written: {exc}") from None
-    path.write_text(text + "\n", encoding="utf-8")
+    # the pieces join to json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+    pieces = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(document)
+
+    def batches():
+        try:
+            while batch := "".join(islice(pieces, _JSON_BATCH)):
+                yield batch
+        except ValueError as exc:  # a NaN or an infinity, which JSON cannot hold
+            raise ArithmeticError(f"{path.name} not written: {exc}") from None
+        yield "\n"
+
+    _write_text(path, batches())
 
 
 def _emit(config: ExperimentConfig, document, tables) -> None:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -164,6 +165,7 @@ def _overflow_exits_two(tmp_path, capsys, fmt):
     # log m2 is about 2600 here, so the mean overflows to inf and the
     # batch-means stderr is NaN: JSON holds neither, CSV no NaN
     out = tmp_path / "overflow"
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run(["moment", "--lambdas", 30, "--n", 8, "--samples", 2000, "--format", fmt, "--out", out]) == 2
@@ -171,7 +173,7 @@ def _overflow_exits_two(tmp_path, capsys, fmt):
     err = capsys.readouterr().err
     assert err.startswith(f"invariant violation: overflow.{fmt} not written")
     assert err.count("\n") == 1  # the one line, no traceback
-    assert not list(tmp_path.iterdir())
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # no temporary file either
 
 
 def test_non_finite_json_value_exits_two(tmp_path, capsys):
@@ -180,6 +182,35 @@ def test_non_finite_json_value_exits_two(tmp_path, capsys):
 
 def test_nan_csv_value_exits_two(tmp_path, capsys):
     _overflow_exits_two(tmp_path, capsys, "csv")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_refused_file_leaves_an_earlier_output_as_it_was(tmp_path, capsys, fmt):
+    # JSON refuses the inf part-way through the document, CSV the NaN
+    # before it opens a file; neither may touch the earlier output
+    (tmp_path / f"overflow.{fmt}").write_text("an earlier output\n")
+    _overflow_exits_two(tmp_path, capsys, fmt)
+
+
+def test_written_files_take_the_mode_of_open_and_replace_what_was_there(tmp_path):
+    out = tmp_path / "thr"
+    target = tmp_path / "elsewhere.csv"
+    target.write_text("not an output\n")
+    out.with_suffix(".csv").symlink_to(target)
+    previous = os.umask(0o027)
+    try:
+        with open(tmp_path / "reference", "w"):
+            pass
+        for _ in range(2):  # over a symlink, then over a read-only file
+            assert run(["threshold", "--lambdas", "0.1", "--format", "csv", "--out", out]) == 0
+            path = out.with_suffix(".csv")
+            assert not path.is_symlink() and path.read_text().startswith("# spikedtensor ")
+            assert path.stat().st_mode == (tmp_path / "reference").stat().st_mode
+            path.chmod(0o444)
+    finally:
+        os.umask(previous)
+    assert target.read_text() == "not an output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["elsewhere.csv", "reference", "thr.csv"]
 
 
 def test_cloud_json_exits_one(tmp_path, capsys):
@@ -228,6 +259,63 @@ def test_percent_format_matches_fmt(x):
     # the array path of the CSV writer formats with one %-call; it must
     # write the same text as the per-value path
     assert "%.17g" % x == _fmt(x) == _fmt(np.float64(x))
+
+
+_SLAB = cli._SLAB_ROWS
+
+
+@pytest.mark.parametrize("m", [1, _SLAB - 1, _SLAB, _SLAB + 1, 3 * _SLAB + 7])
+@pytest.mark.parametrize("k", [1, 3])
+def test_csv_slabs_write_the_text_of_one_percent_call(tmp_path, m, k):
+    values = np.array([-np.inf, np.inf, -0.0, 0.0, 5e-324, 1e308, 3.0, -12.0, 2.0**53, 0.1])
+    rng = np.random.default_rng(m * k)
+    rows = np.where(rng.random((m, k)) < 0.5, rng.choice(values, (m, k)), rng.standard_normal((m, k)))
+    config = resolve_config("cloud", {}, {"out": str(tmp_path / "o")})
+    path = tmp_path / "o.points.csv"
+    cli._write_csv(path, config, ["x"] * k, rows, ["# a comment"])
+    head = f"# spikedtensor {st.__version__}\n# config {config.one_line()}\n# a comment\n{','.join(['x'] * k)}\n"
+    body = (",".join(["%.17g"] * k) + "\n") * m % tuple(rows.ravel().tolist())
+    assert path.read_bytes() == (head + body).encode("utf-8")
+
+
+def test_csv_writer_holds_a_slab_not_the_file(tmp_path):
+    rows = np.random.default_rng(0).standard_normal((200_000, 2))
+    config = resolve_config("cloud", {}, {"out": str(tmp_path / "o")})
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "o.points.csv", config, ["x", "y"], rows, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # a whole-file string and tuple of floats take 24 MB here
+
+
+_JSON_RUNS = {
+    "threshold": "--d 3 --lambdas 0.3,0.2",
+    "moment": "--lambdas 0.3 --n 4,8 --samples 500",
+    "split": "--lambdas 0.3 --n 8 --samples 500",
+    "xi-tail": "--n 8 --t 0.1,0.5,0.9 --samples 500",
+    "roc": "--lambdas 0.4 --n 3 --trials 400 --inner 20",  # about 800 curve rows: several batches
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_JSON_RUNS))
+def test_json_streams_the_bytes_of_dumps(tmp_path, monkeypatch, kind):
+    documents = []
+    write = cli._write_json
+
+    def spy(path, config, payload):
+        documents.append({"version": st.__version__, "config": dict(config.canonical_items()),
+                          "seed": {"master_seed": config.seed, "stream_id": config.stream}, **payload})
+        write(path, config, payload)
+
+    monkeypatch.setattr(cli, "_write_json", spy)
+    out = tmp_path / "o"
+    assert run([kind, *_JSON_RUNS[kind].split(), "--format", "json", "--threads", 1, "--out", out]) == 0
+    [document] = documents
+    text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert out.with_suffix(".json").read_bytes() == text.encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["o.json"]
 
 
 def test_config_file_and_flag_overrides(tmp_path):
