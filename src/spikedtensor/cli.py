@@ -91,13 +91,15 @@ _EXIT_INVARIANT = 2
 # - `draw_cells` caps the largest array one draw holds: `direct`'s
 #   (`moment._draw_cells`: n=4, inner 262144 took 0.46 s, 165 MB), one
 #   `xi-tail` sample's n exponentials (n=2^22: 0.06 s, 100 MB) and what a
-#   `roc` run holds (`moment._roc_cost`: d=3, n=4, inner 55181 took 0.11 s,
-#   157 MB; d=2, n=682, inner 1, 0.12 s, 95 MB).
+#   `roc` run holds (`moment._roc_cost`: d=3, n=4, inner 53771 took 0.2 s,
+#   155 MB; d=2, n=1181, inner 1, 0.4 s, 186 MB).
 # - `roc_work` caps `roc`'s work (`moment._roc_cost`), in multiply-adds of
-#   its scoring GEMM: at the edge, runs took 1.0-3.8 s and 44-112 MB, from
-#   d=3, n=3, inner 1 (116441 trials) and d=2, n=2, inner 2000 (35387) to
-#   d=3, n=16 and d=2, n=64 at inner 500 (1427) and d=7, n=6, inner 1 (99);
-#   the most, 112 MB, at d=3, n=3 in JSON, whose curve is a dict a row.
+#   its scoring GEMM and their equivalents: at the edge, runs took 0.7-3.8 s
+#   in CSV and 1.4-3.2 s in JSON, and 42-137 MB, from d=3, n=3, inner 1
+#   (108022 trials) and d=2, n=2, inner 2000 (21284) to d=3, n=16 and d=2,
+#   n=64 at inner 500 (1356), d=7, n=6, inner 1 (59) and d=2, n=256, inner
+#   50 (214), the slowest and the largest; 0.21.0's edges read 0.8-4.0 s
+#   and 2.1-3.6 s in the same alternating runs (one thread, 2-vCPU VM).
 # - `xi_samples` and `xi_work` cap `xi-tail`'s samples and its n x samples
 #   exponentials: 20M samples at n=6 took 0.80 s (37 MB), and 2^27
 #   exponentials at n=2^20 0.85 s (52 MB).

@@ -113,6 +113,8 @@ def _out(text: str, kind: str) -> str:
     stem = Path(out)
     if not stem.name:
         raise ValueError(f"{out!r} names no file")
+    if "\0" in out:  # a config file can carry one; no path can
+        raise ValueError(f"{out!r} holds a NUL byte")
     if not stem.parent.is_dir():  # found before any sampling, not at the first write
         raise ValueError(f"{str(stem.parent)!r} is not a directory")
     return out

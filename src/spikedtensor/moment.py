@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .rate import _corner_cells, _eta_hadamard_stack, _haar_corner_sets, _pair_weights
-from .rng import _PRIOR_LANE, SeedSpec, _block_draws, _orthonormalize, complex_normal_rounds, map_streams
+from .rng import _PRIOR_LANE, SeedSpec, _orthonormalize, complex_normal_rounds, map_streams
 from .spike import SpikeSpec, _spike_tensors, eta_max
 
 @dataclass(frozen=True)
@@ -243,24 +243,6 @@ def _log_mean_exp(a: np.ndarray) -> np.ndarray:
     return np.log(np.sum(np.exp(a - top[:, None]), axis=1)) + top - np.log(a.shape[1])
 
 
-# Rows of one `roc` scoring GEMM: an observation block is scored in slabs of
-# this many rows, the last padded with zero rows, so that every GEMM has one
-# shape and a score's bytes depend neither on the block it was drawn in nor
-# on the chunks it is scored with (`rng.map_streams`' score step).
-# OpenBLAS's rows of Y @ D can differ in their last digits with the height
-# of Y: without the padding, `roc` at d=3, n=6 gave other bytes with one
-# draw a block than with the default blocks.  Within one shape they can
-# differ with a row's place in the slab: under one BLAS thread (OpenBLAS
-# 0.3.31, SkylakeX kernel), a 16-row slab gave a row other bytes at another
-# place for most inner from 197 on (243 of 354 (inner, k) pairs, inner 1 to
-# 5000, k = 54 and 432), and `roc` at inner 500 moved with the block size.
-# An 8-row slab gave every place the same bytes in all of them, and so did
-# 4, 12 and 24 rows at k from 32 to 1024 and inner 200 and 500, where 32
-# did not.  The price: 8-row slabs ran at 25-27 GFLOP/s against 36-37 for
-# 16 rows (256 rows, k = 432, inner 500, 2-vCPU VM).
-_SLAB_ROWS = 8
-
-
 def _prior_dictionary(spec: SpikeSpec, prior) -> np.ndarray:
     """The prior set S of `roc` (`_prior_set`) as one real matrix, built
     once a run: row m is the real view of the spike X_m, the real and
@@ -276,14 +258,14 @@ def _prior_dictionary(spec: SpikeSpec, prior) -> np.ndarray:
 def _dictionary_log_lr(spec: SpikeSpec, ys: np.ndarray, dictionary: np.ndarray, energy: float) -> np.ndarray:
     """`_log_lr_stack` of a stack of observations `ys` (b, n, ..., n)
     against one prior set, given as its `_prior_dictionary`: the real view
-    of each Y times D, in slabs of `_SLAB_ROWS` rows (one GEMM a slab), then
-    the same shifted log-sum-exp over the set.  At r = 1 the GEMM takes half
-    the real multiply-adds of `_log_lr_stack`'s first contraction, and its
-    cost does not grow with r."""
-    b, (inner, k) = len(ys), dictionary.shape
-    slabs = np.zeros((-(-b // _SLAB_ROWS), _SLAB_ROWS, k))
-    slabs.reshape(-1, k)[:b] = ys.reshape(b, -1).view(float)
-    dots = np.matmul(slabs, dictionary.T).reshape(-1, inner)[:b]
+    of the stack times D, one GEMM of b rows, then the same shifted
+    log-sum-exp over the set.  At r = 1 the GEMM takes half the real
+    multiply-adds of `_log_lr_stack`'s first contraction, and its cost does
+    not grow with r.  OpenBLAS can give a row other last digits in a stack
+    of another height, so a score's bytes depend on the batch it is scored
+    in, which `map_streams` fixes from the chunk layout and the trial cells
+    of `_roc_cost`."""
+    dots = ys.reshape(len(ys), -1).view(float) @ dictionary.T
     return _log_mean_exp(2.0 * spec.n * dots - spec.n * energy)
 
 
@@ -411,19 +393,28 @@ def _prior_set(spec: SpikeSpec, inner: int, rng: SeedSpec) -> list:
     return _rotate(spec.grams.roots, complex_normal_rounds(rng.generator(_PRIOR_LANE), 1, _rotation_parts(spec, inner)))
 
 
-# The weights of `_roc_cost`'s work, in multiply-adds of the scoring GEMM,
-# which ran at 8 G/s at d=3, n=16, inner 500 (one thread, 2-vCPU VM,
-# `roc_experiment` and `cli.main` calls, best of three):
-# - an exponential of a score's log-sum-exp took 10 ns, 80 multiply-adds
+# The weights of `_roc_cost`'s work, in multiply-adds of the scoring GEMM
+# counted at 10 G/s, about the rate of a whole run at d=3, n=16, inner 500,
+# where the GEMM is most of the work (one thread, 2-vCPU VM,
+# `roc_experiment` and `cli.main` calls, best of three or five).  The GEMM
+# alone ran at 17 G/s there (28 rows a batch), and at 1.9 G/s at one trial
+# a batch against a dictionary larger than the cache (d=2, n=256, inner 50:
+# 52 MB read from memory for a trial's two rows), which the cell weight
+# covers:
+# - an exponential of a score's log-sum-exp took 16-19 ns, 160 multiply-adds
 #   (d=2, n=2, inner 2000, where the log-sum-exp is the work);
-# - a trial's n^d cell took 73-83 ns at inner 1, where the draws are the
-#   work (d=3, n=16; d=2, n=64; d=4, n=8), and a trial draws two n^d noise
-#   tensors and builds one rank-one term a rank: 200 multiply-adds a cell;
+# - a trial's n^d cell took 25-43 ns at inner 1, where the draws are the
+#   work (d=3, n=16; d=2, n=64; d=4, n=8; d=7, n=6; d=2, n=256; the spread
+#   is the VM's, between runs minutes apart), and a trial draws two n^d
+#   noise tensors and builds one rank-one term a rank: 340 multiply-adds a
+#   cell, from the top of that range, so that the d=2, n=256, inner 50
+#   edge, whose GEMM reads its dictionary from memory, stays within the
+#   cap's time;
 # - a trial adds up to two rows to the curve, which the CLI sorts and
-#   writes: 3.4 us a trial in CSV and 17 us in JSON (d=3, n=3, inner 1,
-#   300000 trials), counted at the JSON price, 2^17 multiply-adds.
-_ROC_EXP_MADDS = 80
-_ROC_CELL_MADDS = 200
+#   writes: 2.4 us a trial in CSV and 13 us in JSON (d=3, n=3, inner 1,
+#   100000 trials), counted at the JSON price, 2^17 multiply-adds.
+_ROC_EXP_MADDS = 160
+_ROC_CELL_MADDS = 340
 _ROC_TRIAL_MADDS = 2**17
 
 
@@ -431,7 +422,7 @@ class RocCost(NamedTuple):
     """What one `roc` run costs (`_roc_cost`)."""
 
     trial_cells: int  # what one trial holds when scored: the `cells` of its `map_streams` blocks
-    run_cells: int  # what the run holds throughout: its prior set, dictionary and a short block's slab
+    run_cells: int  # what the run holds throughout: its prior set and dictionary, and a trial being scored
     work: int  # the scoring GEMM's multiply-adds, and the rest of its work in their equivalents
 
 
@@ -441,21 +432,19 @@ def _roc_cost(spec: SpikeSpec, trials: int, inner: int) -> RocCost:
 
     A trial holds its two observations (2 n^d), its spike's d (n, r)
     rotations and its two score rows (2 inner).  A run holds its prior set
-    (d n r inner) and dictionary (inner n^d) throughout, and a score call's
-    one 8-row slab (8 n^d: `_dictionary_log_lr`) outgrows the block it
-    scores when the block has fewer than 4 trials.  Its work is the scoring
-    GEMM's multiply-adds on the padded slab rows of full blocks, and a
-    trial's 2 inner exponentials, the (2 + r) n^d cells it draws (its two
-    noise tensors) and builds (its spike, one rank-one term a rank) and its
-    rows of the curve, each weighted by its measured cost."""
+    (d n r inner) and dictionary (inner n^d) throughout, and at least one
+    trial while it scores, which outgrows the dictionary at inner 1.  Its
+    work is the scoring GEMM's multiply-adds, 2 inner 2 n^d a trial (two
+    rows against the dictionary: `_dictionary_log_lr`), and a trial's 2
+    inner exponentials, the (2 + r) n^d cells it draws (its two noise
+    tensors) and builds (its spike, one rank-one term a rank) and its rows
+    of the curve, each weighted by its measured cost."""
     cube = spec.n**spec.d
     trial = 2 * cube + spec.d * spec.n * spec.r + 2 * inner
-    block = _block_draws(trial)
-    slab = _SLAB_ROWS * cube if 2 * block < _SLAB_ROWS else 0
-    rows = -(-trials // block) * _SLAB_ROWS * -(-2 * block // _SLAB_ROWS)
+    gemm = 2 * inner * 2 * cube
     per_trial = _ROC_TRIAL_MADDS + _ROC_EXP_MADDS * 2 * inner + _ROC_CELL_MADDS * (2 + spec.r) * cube
-    work = rows * inner * 2 * cube + trials * per_trial
-    return RocCost(trial_cells=trial, run_cells=spec.d * spec.n * spec.r * inner + inner * cube + slab, work=work)
+    return RocCost(trial_cells=trial, run_cells=spec.d * spec.n * spec.r * inner + inner * cube + trial,
+                   work=trials * (gemm + per_trial))
 
 
 def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, threads: int = 1) -> RocCurve:

@@ -283,10 +283,11 @@ def map_streams(draw, total: int, seed: SeedSpec, threads: int = 1, *, cells: in
     `_BLOCK_CELLS` cells of draws, on a pool worker or on the calling
     thread under the same one-BLAS-thread hold: the draws of several small
     chunks are scored together, and a chunk above the budget block by
-    block, so memory stays bounded.  Scoring across chunks keeps the bytes
-    only where `score` gives a row the same bytes in any batch; for `roc`'s
-    dictionary GEMM that is what its fixed slabs are for
-    (`moment._SLAB_ROWS`).
+    block, so memory stays bounded.  The batches that `score` is given
+    depend on the chunk sizes and `cells` alone, never on `threads`, so the
+    output is byte-identical for any `threads` value even where a row's
+    bytes depend on its batch, as those of `roc`'s dictionary GEMM do
+    (`moment._dictionary_log_lr`); across block sizes it is not.
     """
     if threads < 1:
         raise ParameterError(f"need threads >= 1, got {threads}")

@@ -382,13 +382,16 @@ def test_observation_drivers_refuse_zero_inner(tmp_path, capsys, args):
     # roc's prior dictionary holds 5M n^d = 1.08G cells, direct's first contraction 80M
     ["roc", "--d", 3, "--n", 6, "--trials", 2, "--inner", 5_000_000],
     ["moment", "--method", "direct", "--d", 3, "--n", 4, "--outer", 2, "--inner", 5_000_000],
-    # a block of one trial scores it in an 8-row slab of 8 * 5^12 cells
+    # a dictionary of one prior spike holds 5^12 = 244M cells
     ["roc", "--d", 12, "--n", 5, "--trials", 2, "--inner", 1],
     # a prior set of d n r inner = 8,388,600 cells
     ["roc", "--d", 2, "--n", 6, "--lambdas", "0.3,0.2", "--trials", 4, "--inner", 349525],
     # prior dictionaries of inner n^d = 16,777,216 and 6,291,432 cells
     ["roc", "--d", 3, "--n", 4, "--trials", 2, "--inner", 262144],
     ["roc", "--d", 2, "--n", 6, "--lambdas", "0.3,0.2", "--trials", 2, "--inner", 174762],
+    # at inner 1 a trial outgrows the dictionary: 3 x 1182^2 cells and more
+    # (2047, the edge of the prior set and dictionary alone, peaked at 420 MB)
+    ["roc", "--d", 2, "--n", 1182, "--trials", 2, "--inner", 1],
 ])
 def test_observation_drivers_cap_one_draw(tmp_path, capsys, args):
     assert run(args + ["--out", tmp_path / "o"]) == 1
@@ -414,8 +417,11 @@ def _stub_drivers(monkeypatch):
 # largest admitted value v and the value itself.  v reaches the driver and
 # v + 1 is refused by that cap.  The `roc` values are where `_roc_cost` crosses
 # the cap: at d=3, n=4, 76 cells an inner draw (12 prior set, 64 dictionary)
-# and an 8-row slab of 512 give 4,194,268 cells at inner 55181 and 4,194,344
-# at 55182.  The `direct_work` values are where `moment._direct_work` crosses
+# and a trial of 128 + 12 + 2 inner give 4,194,278 cells at inner 53771 and
+# 4,194,356 at 53772; at d=3, n=16, inner 500 a trial's work of
+# 2 x 500 x 2 x 4096 GEMM multiply-adds and 4,468,992 in their equivalents
+# gives 17,168,305,152 at 1356 trials and 17,180,966,144 at 1357.  The
+# `direct_work` values are where `moment._direct_work` crosses
 # 2^26: at d=3, n=3, r=1 a term holds 18 cells and an outer draw 54, so
 # 2000 x (1861 * 18 + 54) = 67,104,000.  The `haar_work` values are where
 # `rate._haar_work` crosses 2^31: r^4 + 256 r^2 = 257 a mode at r=1, so
@@ -440,12 +446,12 @@ _CAP_EDGES = {
                   (lambda v: f"split --d 1024 --lambdas 0.3 --samples {v}", 8160),
                   (lambda v: f"cloud --d 1024 --lambdas 0.3 --samples {v}", 8160),
                   (lambda v: "moment --n 64 --lambdas " + ",".join(["0.01"] * 32) + f" --samples {v}", 546)],
-    "roc_work": [(lambda v: f"roc --d 3 --n 16 --inner 500 --trials {v}", 1427),
-                 (lambda v: f"roc --d 3 --n 3 --inner 1 --trials {v}", 116_441)],
+    "roc_work": [(lambda v: f"roc --d 3 --n 16 --inner 500 --trials {v}", 1356),
+                 (lambda v: f"roc --d 3 --n 3 --inner 1 --trials {v}", 108_022)],
     "draw_cells": [(lambda v: f"moment --method direct --n 4 --outer 2 --inner {v}", 262_144),
                    (lambda v: f"xi-tail --n {v} --samples 1", 2**22),
-                   (lambda v: f"roc --d 3 --n 4 --trials 2 --inner {v}", 55_181),
-                   (lambda v: f"roc --d 2 --n 6 --lambdas 0.3,0.2 --trials 2 --inner {v}", 69_900)],
+                   (lambda v: f"roc --d 3 --n 4 --trials 2 --inner {v}", 53_771),
+                   (lambda v: f"roc --d 2 --n 6 --lambdas 0.3,0.2 --trials 2 --inner {v}", 67_648)],
     "mode_map_cells": [(lambda v: f"moment --d {v} --n 64 --samples 10 --lambdas " + ",".join(["0.01"] * 32), 16)],
     "xi_samples": [(lambda v: f"xi-tail --n 2 --samples {v}", 20_000_000)],
     "xi_work": [(lambda v: f"xi-tail --n 1048576 --samples {v}", 128)],
@@ -471,9 +477,11 @@ def test_cap_edges(tmp_path, monkeypatch, capsys, cap):
 @pytest.mark.parametrize("d, n, lambdas, near", [(3, 4, "0.3", 52428), (2, 6, "0.3,0.2", 69905)])
 def test_roc_cap_edge(tmp_path, monkeypatch, capsys, d, n, lambdas, near):
     # `near` is the edge of a count of an inner draw's cells alone, (n^(d-1) r
-    # or d n r) + n^d; the run's cost (`moment._roc_cost`) moves the edge off
-    # it.  The CLI refuses roc exactly when the run's cells pass `draw_cells`:
-    # at `near`, and at the edge, whose largest admitted inner reaches the
+    # or d n r) + n^d, the larger of the two; the run holds d n r + n^d cells
+    # an inner draw (its prior set and dictionary) and a trial of 2 n^d +
+    # d n r + 2 inner (`moment._roc_cost`), which moves the edge off it.  The
+    # CLI refuses roc exactly when the run's cells pass `draw_cells`: at
+    # `near`, and at the edge, whose largest admitted inner reaches the
     # driver while one more is refused.
     import spikedtensor.moment as moment
 
@@ -490,7 +498,7 @@ def test_roc_cap_edge(tmp_path, monkeypatch, capsys, d, n, lambdas, near):
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if cells(mid) <= cap else (lo, mid)
-    assert abs(lo - near) < near // 10
+    assert abs(lo - near) < near // 10 and lo == (cap - 2 * n**d - d * n * r) // (d * n * r + n**d + 2)
     for inner in (near, lo, lo + 1):
         args = ["roc", "--d", d, "--n", n, "--lambdas", lambdas, "--trials", 2, "--inner", inner]
         if cells(inner) <= cap:
@@ -531,7 +539,7 @@ def test_direct_and_haar_drivers_are_admitted_by_their_work(tmp_path, monkeypatc
 @pytest.mark.parametrize("command, admitted", [
     ("roc --d 3 --n 16 --trials 1000 --inner 500", True),
     ("roc --d 2 --n 64 --trials 1000 --inner 500", True),
-    # 20 trials took 3.9 s and 293 MB: one trial a block, scored in an 8-row slab of 8 * 6^8 cells
+    # 20 trials of two 6^8-cell observations took 3.4-3.8 s and 241 MB in the library (293 MB at 0.21.0)
     ("roc --d 8 --n 6 --trials 10000000 --inner 1", False),
     # the prior dictionary alone holds 500 * 128^2 = 8.2M cells
     ("roc --d 2 --n 128 --trials 500 --inner 500", False),
@@ -605,20 +613,23 @@ def test_haar_drivers_and_xi_tail_run_at_large_n(tmp_path, command):
 
 
 @pytest.mark.parametrize("case", ["missing_config", "config_is_a_directory", "config_not_utf8", "out_dir_missing",
-                                  "out_names_no_file"])
+                                  "out_names_no_file", "out_holds_a_nul_byte"])
 def test_bad_path_exits_one_without_a_traceback(tmp_path, capsys, case):
     (tmp_path / "bad.cfg").write_bytes(b"\xff")
+    # a command-line argument cannot carry a NUL byte, but a config file can
+    (tmp_path / "nul.cfg").write_bytes(b"out=" + bytes(tmp_path / "a") + b"\0b\n")
     args = {
         "missing_config": ["--config", tmp_path / "nonexistent.cfg", "--out", tmp_path / "o"],
         "config_is_a_directory": ["--config", tmp_path, "--out", tmp_path / "o"],
         "config_not_utf8": ["--config", tmp_path / "bad.cfg", "--out", tmp_path / "o"],
         "out_dir_missing": ["--out", tmp_path / "nonexistent_dir" / "x"],
         "out_names_no_file": ["--out", "."],
+        "out_holds_a_nul_byte": ["--config", tmp_path / "nul.cfg"],
     }[case]
     assert run(["threshold", *args]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
-    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "nul.cfg"]
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -10,9 +10,15 @@ so do the `roc` digests where `openblas_set_num_threads_local` is missing
 and OpenBLAS runs its GEMMs threaded.  On such a platform a failure says
 that bits moved, not values: check it against that platform's own output
 at the version the file was taken.  Every digest mismatch names the
-OpenBLAS core and build config that it ran on (`_blas_platform`).  Within one platform every digest holds
-at every `--threads` value, and the `roc` and `direct` ones at every block
-size.
+OpenBLAS core and build config that it ran on (`_blas_platform`), and a
+`roc` case checks its fpr, tpr and `tv_proxy` apart from its thresholds
+first (`ROC_RATES_GOLDEN`), so that a failure says whether the curve moved
+or only threshold bits did.  Within one platform every digest holds on a
+rerun and at every `--threads` value.  The `direct` digests also hold at
+every block size; the Haar, cloud, `xi-tail` and, since 0.22.0, `roc`
+digests are pinned to the layout constants as well (`rng._BLOCK_CELLS`,
+and for `roc` the trial cells of `moment._roc_cost`), which fix the batch
+a draw is scored in.
 
 The 0.4.0 break re-took the digests that one kernel per quantity moves:
 every `roc` and `moment --method direct` case (the likelihood by mode
@@ -191,6 +197,22 @@ and 2.7e-15; the `direct` means kept their bytes but one, which moved by
 bucket's stderr, now null in JSON and an empty cell in CSV in place of 0.
 Every other digest, the library values included, holds at `--threads` 1
 and 2.
+
+The 0.22.0 break, `roc` scored by one plain GEMM a batch, at the batch's
+own height (`moment._dictionary_log_lr`, no zero-padded 8-row slabs),
+re-took `roc_r2_d2`, `roc_n6_r1`, `roc_n6_r2` and the library `d2n4r1` and
+`d3n3r2`, on the same draws in the same order.  OpenBLAS can give a row
+other last digits in a GEMM of another height, so `roc`'s bytes now depend
+on its block layout, as the Haar, cloud and `xi-tail` ones do, and no
+longer hold with one-draw blocks; they still hold on reruns and at
+`--threads` 1 and 2.  Against 0.21.0, before they were re-taken: fpr, tpr
+and `tv_proxy` did not move in any case (the `ROC_RATES_GOLDEN` digests
+equal 0.21.0's), and 4, 6 and 25 of the 400, 400 and 80 CLI thresholds
+moved, and 49 and 34 of the 80 library ones, by at most 2.4e-16, 4.0e-16,
+7.1e-16, 6.9e-16 and 1.9e-15 of the largest |threshold|; the library
+fixed-spike `direct` estimates kept their bytes.  `roc_readme`,
+`roc_bench`, `roc_full_qr`, `roc_n4_d3`, `d3n2r2` and every non-`roc`
+digest hold at `--threads` 1 and 2.
 """
 
 import ctypes
@@ -228,9 +250,9 @@ CLI_CASES = {
     # one draw fills a chunk above the pool threshold: runs on the pool at --threads 2
     "roc_n4_d3": "roc --d 3 --lambdas 0.3 --n 4 --trials 24 --inner 4200 --seed 77",
     "direct_n4_d3": "moment --method direct --d 3 --lambdas 0.5,0.2 --n 4 --outer 20 --inner 2400 --seed 1",
-    # slab GEMMs of 8 x 432 x 500, large enough for OpenBLAS to thread on
-    # the calling thread unless `map_streams` holds it to one; groups of
-    # chunks reach the pool at --threads 2
+    # scoring GEMMs of 72 to 172 rows by 432 by 500, large enough for
+    # OpenBLAS to thread on the calling thread unless `map_streams` holds it
+    # to one; groups of chunks reach the pool at --threads 2
     "roc_n6_r1": "roc --d 3 --lambdas 1.0 --n 6 --trials 200 --inner 500 --seed 7",
     "roc_n6_r2": "roc --d 3 --lambdas 1.0,0.5 --n 6 --trials 200 --inner 500 --seed 7",
     "direct_d2_r1": "moment --method direct --d 2 --lambdas 0.7 --n 3,4 --outer 64 --inner 100 --seed 77",
@@ -268,8 +290,8 @@ GOLDEN = {
     "roc_bench.json": "654114322e71dd24fc9c0a04b9b8563318bd5f0a19b953296529b7e3281a048c",
     "direct_bench.csv": "9823f30a41c8b16908a9f787721f7921e8a64230e7fc10f92e3372e6e3602179",
     "direct_bench.json": "6dc3f75dfb6294a904a41095989e9e0f7694a30891b7860c105d94251cb85523",
-    "roc_r2_d2.csv": "706a966368efe00f9441a4b14e866072bcfa551380d62ba91b86f071c604d883",
-    "roc_r2_d2.json": "c07fc73fd34040a85181f6e80dddd95a5f3996c7bb0bc950fd758ae5da3572ef",
+    "roc_r2_d2.csv": "47b87254555cca20fc9ad03ecf6b8e4938227f71c005acad0263acea4b397601",
+    "roc_r2_d2.json": "2425b0acc4dfa02639790870c7f936aea686bbc4dd555794b72fa90b5d844f99",
     "direct_r2_d2.csv": "b78bc234063ba25ea8370e8988910ae8f8d8c1ee08acd512cd9a1ab68303ef58",
     "direct_r2_d2.json": "38bf9bcfb5513ea8b8874462081b5aa73152f61060c031fac47b62a2c081b009",
     "roc_full_qr.csv": "a5b5b6934daae9831e09c1ce0d68ee4edb38d5e85f03a5b5227ed5c5db073955",
@@ -282,10 +304,10 @@ GOLDEN = {
     "direct_n4_d3.json": "0f2cd17ebe36d23417b692bbb485f6dc0f534ce395c9b60d05db9843b890284e",
     "direct_d2_r1.csv": "15e189954bf1d0de9ab2a87306214c61464b22df243def6ce95215cc351b88f6",
     "direct_d2_r1.json": "e985cdf2ce9d221b52b05209856e394840a67a0a937aa25b5a355d8e189fb1bc",
-    "roc_n6_r1.csv": "fdfb55580a95878bf7ba6eab7a6dcca910c2557c6eea0f19d36638553ca1e27a",
-    "roc_n6_r1.json": "3f210104edef49cda0e85816676777a1433d4b8ec92358a1ec14107b078391d6",
-    "roc_n6_r2.csv": "a0c4fa08992974d7bdf7c53ca32124d4f1ffd4ce0c470be1670a2366e2a9e4d7",
-    "roc_n6_r2.json": "a66eef368c0ddeaaed8327427e7ad43caa8ee77e59cb0b9809e7e60f7f6dce1d",
+    "roc_n6_r1.csv": "9ebbe18d343e8ed1b8797928af414c1dcb8897295ba9e037fe980256285efa93",
+    "roc_n6_r1.json": "18955e3b968c7e3a76715ad716c6c1661a16074e3b046ee395e16efabc89ea64",
+    "roc_n6_r2.csv": "84455bc1b81b3e77638731fe14db5e8eac7de043b43464345bee33663a487c02",
+    "roc_n6_r2.json": "8990b251e3529ce70ece19d36484428192f06bfce7c81b077981e1f3a4c97d04",
     # bound taken at 0.4.0 for the array-valued bound (last digits of the
     # bound column); points and envelope re-taken at 0.6.0 for the Bartlett
     # corner draw and the per-component mixture variates, then at 0.7.0 for
@@ -335,6 +357,20 @@ GOLDEN = {
     "xi_n16.json": "4fabaea7b10853f60966e257980dfe4bf6699ffbf732616761a3dc9cbfe7150b",
 }
 
+# fpr, tpr and tv_proxy of each `roc` case above, hashed without the
+# thresholds (`_rates_digest`), taken at 0.22.0: they depend on the order of
+# the scores, not on their last bits, so on another BLAS core a file digest
+# that fails while these hold says that only threshold bits moved
+ROC_RATES_GOLDEN = {
+    "roc_readme": "705c203e31a0dfc190e7308142f1369d0cfc85b32b0bbcd88560b08cae44bd84",
+    "roc_bench": "46e707c9561157908d5e85e402ed2d3fab2ddf185534dadc29577a070d26e45c",
+    "roc_r2_d2": "c5da19028d01bbbff76ad95eaccca6a61577ed019677bd54c24a9b704ffacc4d",
+    "roc_full_qr": "ea86c603ed86a86614456af0344d328e5f78fb81f299df9476bddbb7c6f4ddd9",
+    "roc_n4_d3": "7b66af279382d7f10d0d69da2d3c7949192abd85493eff185c62b17fdc965ac7",
+    "roc_n6_r1": "7d5bb685aacba1d33720f37dfd0ea2407187832c27a56c3a6faddc78add27139",
+    "roc_n6_r2": "5d656910414c6b23923ff37bb6bf9208db4df772a7e8ca55a52ddbf4c29b92b2",
+}
+
 CLOUD = "cloud --d 3 --lambdas 1.0,1.0 --n 8 --samples 4000 --bins 30 --seed 5 --out cloud"
 
 # roc_experiment's points and tv proxy and the fixed-spike
@@ -347,10 +383,11 @@ CLOUD = "cloud --d 3 --lambdas 1.0,1.0 --n 8 --samples 4000 --bins 30 --seed 5 -
 # for its Gram read as given (last digits) and at 0.17.0 for the rotations
 # by the Gram roots (new rotations, the same law); all three at 0.18.0
 # for `roc`'s dictionary GEMM and the Gram-Schmidt inner products (last
-# digits)
+# digits); d2n4r1 and d3n3r2 at 0.22.0 for `roc`'s GEMM at the height of
+# its batch (last digits)
 LIBRARY_GOLDEN = {
-    "d3n3r2": "38333918f0df9bf13c86153da32b705a4dbd793f0f55e6962693b82923ab4dae",
-    "d2n4r1": "94a1be118f77966fb7b320af709c8f806d11c5eb7c37348a58d029d2d2124706",
+    "d3n3r2": "63158cf98330777e31c98c0df3ec4595c19850fd198d179fc7a8bd489a331c9b",
+    "d2n4r1": "2835be7c4ebc989510be548344a8a01d57b883ef0b67b8f8c789e2a95446bf71",
     "d3n2r2": "ea5984d104ede7331de9fe3a438889ce7eab9361021267fdfc60b2f1b11da9e8",
 }
 
@@ -385,6 +422,8 @@ PINNED_VERSION = (
     | dict.fromkeys([f"{name}.{ext}" for name in ("direct_bench", "direct_r2_d2", "direct_full_qr", "direct_d2_r1",
                                                   "roc_n6_r1", "roc_n6_r2", "split_empty") for ext in ("csv", "json")],
                     "0.19.0")
+    | dict.fromkeys([f"{name}.{ext}" for name in ("roc_r2_d2", "roc_n6_r1", "roc_n6_r2") for ext in ("csv", "json")],
+                    "0.22.0")
 )
 
 
@@ -407,8 +446,16 @@ def _blas_platform() -> str:
     return f"OpenBLAS core {names[0]}, config {names[1]}"
 
 
-def _assert_pinned(got, expected) -> None:
-    assert got == expected, f"digests moved on {_blas_platform()}; the pins are SkylakeX's (module docstring)"
+def _assert_pinned(got, expected, what: str = "digests") -> None:
+    assert got == expected, f"{what} moved on {_blas_platform()}; the pins are SkylakeX's (module docstring)"
+
+
+def _rates_digest(path) -> str:
+    """SHA-256 of a `roc` JSON file's fpr and tpr, row by row, then its
+    tv_proxy, as float64 bytes."""
+    doc = json.loads(Path(path).read_text())
+    rates = [value for p in doc["points"] for value in (p["fpr"], p["tpr"])] + [doc["tv_proxy"]]
+    return hashlib.sha256(np.array(rates).tobytes()).hexdigest()
 
 
 def _digests(directory) -> dict:
@@ -434,11 +481,13 @@ def _run_case(tmp_path, monkeypatch, command: str, threads: int) -> dict:
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_observation_outputs_are_pinned(tmp_path, monkeypatch, name):
     got = _run_case(tmp_path, monkeypatch, f"{CLI_CASES[name]} --out {name}", 1)
+    if name in ROC_RATES_GOLDEN:  # first: whether the curve moved, or at most the thresholds' bits
+        _assert_pinned(_rates_digest(tmp_path / f"{name}.json"), ROC_RATES_GOLDEN[name], "fpr, tpr or tv_proxy")
     _assert_pinned(got, {f"{name}.{ext}": GOLDEN[f"{name}.{ext}"] for ext in ("csv", "json")})
 
 
-@pytest.mark.parametrize("name", ["roc_bench", "direct_bench", "roc_full_qr", "roc_n4_d3", "direct_n4_d3", "roc_n6_r1",
-                                  "roc_n6_r2"])
+@pytest.mark.parametrize("name", ["roc_readme", "roc_bench", "roc_r2_d2", "direct_bench", "roc_full_qr", "roc_n4_d3",
+                                  "direct_n4_d3", "roc_n6_r1", "roc_n6_r2"])
 def test_observation_outputs_are_pinned_at_two_threads(tmp_path, monkeypatch, name):
     got = _run_case(tmp_path, monkeypatch, f"{CLI_CASES[name]} --out {name}", 2)
     _assert_pinned(got, {f"{name}.{ext}": GOLDEN[f"{name}.{ext}"] for ext in ("csv", "json")})
@@ -564,7 +613,7 @@ def test_observation_library_values_are_pinned(name):
     _assert_pinned(_library_digest(name), LIBRARY_GOLDEN[name])
 
 
-@pytest.mark.parametrize("name", ["roc_bench", "roc_r2_d2", "direct_bench", "direct_d2_r1", "roc_n6_r1", "roc_n6_r2"])
+@pytest.mark.parametrize("name", ["direct_bench", "direct_d2_r1"])
 def test_one_draw_blocks_give_the_same_bytes(tmp_path, monkeypatch, name):
     # a budget below one draw makes every block hold a single draw
     monkeypatch.setattr(rng, "_BLOCK_CELLS", 1)
@@ -572,8 +621,10 @@ def test_one_draw_blocks_give_the_same_bytes(tmp_path, monkeypatch, name):
     _assert_pinned(got, {f"{name}.{ext}": GOLDEN[f"{name}.{ext}"] for ext in ("csv", "json")})
 
 
-# `roc` at the CLI default inner 500, at sizes where 16-row slabs moved
-# scores with the block size (13, 5 and 6 cells against one-draw blocks)
+# `roc` at the CLI default inner 500, where a BLAS result can depend on the
+# height of the GEMM and on a row's place in it: 16-row slabs moved 13, 5 and
+# 6 cells with the block size at 0.18.0, and since 0.22.0 a batch's height
+# is its own
 ROC_INNER_500 = {
     "d3_n6": "roc --d 3 --lambdas 1.0 --n 6 --trials 3000 --inner 500 --seed 1",
     "d3_n4": "roc --d 3 --lambdas 1.0 --n 4 --trials 2000 --inner 500 --seed 1",
@@ -582,12 +633,11 @@ ROC_INNER_500 = {
 
 
 @pytest.mark.parametrize("name", sorted(ROC_INNER_500))
-def test_roc_at_inner_500_does_not_depend_on_threads_or_blocks(tmp_path, monkeypatch, name):
-    # the chunk groups that `map_streams` scores together depend on neither
-    # the thread count nor, row by row, the block size
+def test_roc_at_inner_500_does_not_depend_on_threads_or_reruns(tmp_path, monkeypatch, name):
+    # the batches that `map_streams` scores depend on the layout alone, not
+    # on the thread count or the run
     runs = []
-    for threads, block_cells in ((1, rng._BLOCK_CELLS), (2, rng._BLOCK_CELLS), (1, 1)):
-        monkeypatch.setattr(rng, "_BLOCK_CELLS", block_cells)
+    for threads in (1, 2, 1):
         (tmp_path / str(len(runs))).mkdir()
         monkeypatch.chdir(tmp_path / str(len(runs)))
         assert main(ROC_INNER_500[name].split() + ["--format", "csv", "--threads", str(threads), "--out", "roc"]) == 0

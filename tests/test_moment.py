@@ -14,7 +14,6 @@ from conftest import complex_gaussian, make_random_spec, rank_one_second_moment,
 from spikedtensor.config import gram_matrices
 from spikedtensor.errors import ParameterError
 from spikedtensor.moment import (
-    _SLAB_ROWS,
     _dictionary_log_lr,
     _log_lr_stack,
     _mean_from_exponents,
@@ -455,24 +454,30 @@ def test_dictionary_scores_match_the_mode_contractions(d, r, gram):
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("d, n", [(3, 3), (2, 6), (3, 6), (3, 4)])
-def test_dictionary_scores_do_not_depend_on_the_block(d, n):
-    # every slab GEMM has one shape, so a row's score has the same bytes in
-    # any block, at any place in its slab; checked as `roc` runs, with BLAS
-    # held to one thread, at the README's inner 200 and the CLI default 500
-    # (16-row slabs failed this at inner 500 for (3, 6), (3, 4) and (2, 6))
-    spec = small_spec([0.8, 0.4], n=n, d=d)
-    seed = st.SeedSpec(64, n)
-    energy = st.eta_max(spec.lambdas, spec.grams)
-    ys = np.concatenate(roc_observations(spec, 2 * _SLAB_ROWS + 3, seed.generator(0)))
-    for inner in (200, 500):
-        dictionary = _prior_dictionary(spec, roc_prior(spec, inner, seed))
-        with rng._one_blas_thread():
-            whole = _dictionary_log_lr(spec, ys, dictionary, energy)
-            for height in range(1, len(ys) + 1):
-                for start in range(0, len(ys) - height + 1, 5):
-                    block = _dictionary_log_lr(spec, ys[start : start + height], dictionary, energy)
-                    assert block.tobytes() == whole[start : start + height].tobytes()
+@pytest.mark.parametrize("d, n, trials, inner, layout", [
+    (3, 32, 3, 2, "one trial a block"),
+    (3, 8, 2000, 100, "blocks within a chunk"),
+    (3, 3, 500, 20, "chunks packed into a group"),
+])
+def test_roc_cost_counts_the_gemm_multiply_adds(monkeypatch, d, n, trials, inner, layout):
+    # with its other weights at 0, `_roc_cost`'s work is its GEMM term; a
+    # score call's GEMM takes (rows, 2 n^d) @ (2 n^d, inner)
+    spec = small_spec([0.5], n=n, d=d)
+    heights, madds = [], []
+
+    def counting(spec, ys, dictionary, energy):
+        heights.append(len(ys))
+        madds.append(len(ys) * dictionary.shape[0] * dictionary.shape[1])
+        return _dictionary_log_lr(spec, ys, dictionary, energy)
+
+    monkeypatch.setattr(moment, "_dictionary_log_lr", counting)
+    st.roc_experiment(spec, trials, inner, st.SeedSpec(65))
+    for weight in ("_ROC_EXP_MADDS", "_ROC_CELL_MADDS", "_ROC_TRIAL_MADDS"):
+        monkeypatch.setattr(moment, weight, 0)
+    assert sum(madds) == moment._roc_cost(spec, trials, inner).work == 2 * trials * inner * 2 * n**d
+    chunk = 2 * max(chunk_sizes(trials, _N_STREAMS))  # the rows of the largest chunk
+    assert {"one trial a block": max(heights) == 2, "blocks within a chunk": 2 < max(heights) < chunk,
+            "chunks packed into a group": max(heights) > chunk}[layout]
 
 
 def test_log_lr_deterministic_closed_form(gen):
