@@ -24,8 +24,6 @@ from . import __version__, moment
 from .config import FIELDS, KINDS, ExperimentConfig, gram_matrices, parse_config_text, resolve_config
 from .errors import ParameterError
 from .moment import (
-    _direct_work,
-    _draw_cells,
     default_epsilon,
     e1_e2_split,
     roc_experiment,
@@ -70,7 +68,7 @@ _EXIT_INVARIANT = 2
 # - `cloud_samples`: 2M points took 3.7 s (114 MB).
 # - `moment_samples`, for `moment`, `split` and `direct`'s outer draws, the
 #   draws that an estimate averages: 2M draws took 0.53 s (113 MB), 0.56 s
-#   (143 MB) and, at d=2, n=2, inner 1, 0.80 s (122 MB).
+#   (143 MB) and, at d=2, n=2, inner 1, 0.39 s (116 MB).
 # - `haar_work` caps the work of `moment`, `split` and `cloud`: samples x d x
 #   (r^4 + 256 r^2) over the n list (`rate._haar_work`).  At the edge,
 #   `moment` took 1.0-1.6 s, `split` 1.0-1.7 s and `cloud` 1.0-1.8 s (41-154
@@ -81,18 +79,18 @@ _EXIT_INVARIANT = 2
 # - `direct_n` and `direct_d` set a scope, not a cost: `direct` estimates
 #   m2 with a bias of about e^{2 n |X|_F^2} / inner, which grows with n, so
 #   it is a cross-check of the Haar estimate at very small (n, d) only.  At
-#   the edge, n=4, d=3, it took 0.24 s (41 MB).
-# - `direct_work` caps the cells that `direct`'s terms and outer draws
-#   touch over the n list (`moment._direct_work`): at the edge, outer 2000
-#   took 1.9-2.2 s (40-43 MB) at d=2 and 3, n=2..4, r=1 and 2, and inner 1
-#   0.8-2.3 s (54-122 MB).  Counted as outer * inner terms, it admitted
-#   runs of 8.6 s at n=3 and 13.8 s at n=4 (outer 2000, inner 10000), and
-#   16 s (325 MB) at inner 1.
-# - `draw_cells` caps the largest array one draw holds: `direct`'s
-#   (`moment._draw_cells`: n=4, inner 262144 took 0.46 s, 165 MB), one
-#   `xi-tail` sample's n exponentials (n=2^22: 0.06 s, 100 MB) and what a
-#   `roc` run holds (`moment._roc_cost`: d=3, n=4, inner 53771 took 0.2 s,
-#   155 MB; d=2, n=1181, inner 1, 0.4 s, 186 MB).
+#   the edge, n=4, d=3, it took 0.03 s (38 MB).
+# - `direct_work` caps `direct`'s work over the n list, priced as `roc`'s
+#   is (`moment._direct_cost`): at the edge, d=3, outer 2000 took 1.0-1.2 s
+#   (71-73 MB) at n=3, r=1 (inner 27509) and n=4, r=2 (inner 12215), inner
+#   1 2.0 s (108 MB, n=3, outer 1828792), outer 16 1.1 s (142 MB, n=4,
+#   inner 41094) and d=2, n=4, r=4, outer 16 1.7 s (77 MB, inner 32703).
+# - `draw_cells` caps the largest array one draw holds: what a `direct`
+#   lane holds (`moment._direct_cost`: n=4, outer 2, inner 54470 took
+#   0.19 s, 176 MB, and 271 MB at `--threads 2`, which holds two lanes),
+#   one `xi-tail` sample's n exponentials (n=2^22: 0.06 s, 100 MB) and
+#   what a `roc` run holds (`moment._roc_cost`: d=3, n=4, inner 53771 took
+#   0.2 s, 155 MB; d=2, n=1181, inner 1, 0.4 s, 186 MB).
 # - `roc_work` caps `roc`'s work (`moment._roc_cost`), in multiply-adds of
 #   its scoring GEMM and their equivalents: at the edge, runs took 0.7-3.8 s
 #   in CSV and 1.4-3.2 s in JSON, and 42-137 MB, from d=3, n=3, inner 1
@@ -113,7 +111,7 @@ _LIMITS = {
     "moment_samples": 2_000_000,
     "direct_n": 4,
     "direct_d": 3,
-    "direct_work": 2**26,
+    "direct_work": 2**34,
     "haar_work": 2**31,
     "roc_work": 2**34,
     "draw_cells": 2**22,
@@ -267,10 +265,10 @@ def run_moment(config: ExperimentConfig, spike: SpikeSpec) -> None:
         _refuse(not haar and n > _LIMITS["direct_n"], f"direct method n {n} > {_LIMITS['direct_n']}")
         specs.append(replace(spike, n=n))
         if not haar:
-            cells = _draw_cells(specs[-1], config.inner)
-            _refuse(cells > _LIMITS["draw_cells"], f"one draw holds {cells} cells > {_LIMITS['draw_cells']}")
+            cells = moment._direct_cost(specs[-1], config.outer, config.inner).held_cells
+            _refuse(cells > _LIMITS["draw_cells"], f"one direct lane holds {cells} cells > {_LIMITS['draw_cells']}")
     if not haar:
-        work = sum(_direct_work(spec, config.outer, config.inner) for spec in specs)
+        work = sum(moment._direct_cost(spec, config.outer, config.inner).work for spec in specs)
         _refuse(work > _LIMITS["direct_work"], f"direct work {work} > {_LIMITS['direct_work']}")
     seed = SeedSpec(config.seed, config.stream)
 
@@ -331,8 +329,8 @@ def run_roc(config: ExperimentConfig, spike: SpikeSpec) -> None:
     n = config.n[0]
     spec = replace(spike, n=n)
     cost = moment._roc_cost(spec, config.trials, config.inner)
-    _refuse(cost.run_cells > _LIMITS["draw_cells"],
-            f"one roc run holds {cost.run_cells} cells > {_LIMITS['draw_cells']}")
+    _refuse(cost.held_cells > _LIMITS["draw_cells"],
+            f"one roc run holds {cost.held_cells} cells > {_LIMITS['draw_cells']}")
     _refuse(cost.work > _LIMITS["roc_work"], f"roc work {cost.work} > {_LIMITS['roc_work']}")
     seed = SeedSpec(config.seed, config.stream)
     roc = roc_experiment(spec, config.trials, config.inner, seed, threads=config.threads)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .rate import _corner_cells, _eta_hadamard_stack, _haar_corner_sets, _pair_weights
-from .rng import _PRIOR_LANE, SeedSpec, _orthonormalize, complex_normal_rounds, map_streams
+from .rng import _N_STREAMS, _PRIOR_LANE, SeedSpec, _orthonormalize, complex_normal_rounds, map_streams
 from .spike import SpikeSpec, _spike_tensors, eta_max
 
 @dataclass(frozen=True)
@@ -207,35 +207,6 @@ def e1_e2_split(spec: SpikeSpec, epsilon: float, samples: int, rng: SeedSpec, th
     return e1, e2
 
 
-def _log_lr_stack(spec: SpikeSpec, ys: np.ndarray, factors, energy: float) -> np.ndarray:
-    """log (1/inner) sum_m exp(2 n Re<Y, X_m> - n |X_m|_F^2) for each of a
-    stack of observations `ys` (b, n, ..., n), where X_m is the spike of
-    the m-th factor set: `factors` holds one (b, inner, n, r) array per
-    mode (a leading axis of 1 broadcasts one set to every observation).
-
-    Re<X_m, Y> = Re<Y, X_m> is taken by contracting conj(Y) with the
-    factors, last mode first: one batched matmul with r folded into the
-    columns, then for each remaining mode its factors broadcast into the
-    contraction in place and summed over that mode's axis, never forming
-    the spikes.  Every X_m has the factor Grams of `spec`, so |X_m|_F^2 is
-    their `energy` = eta_max.  Since 0.19.0 the broadcast products replace
-    an ellipsis `einsum` a mode, a rounding-level change: on a `direct`
-    block of 16 observations against 200 sets at d = 3, n = 3 (one thread,
-    2-vCPU VM) the two modes took 78 us against 113 us at r = 1, and 308 us
-    against 936 us at r = 2.
-    """
-    n, b = spec.n, ys.shape[0]
-    last = factors[-1]
-    inner = last.shape[1]
-    cols = last.transpose(0, 2, 1, 3).reshape(last.shape[0], n, inner * spec.r)
-    t = (np.conj(ys).reshape(b, -1, n) @ cols).reshape(b, *(n,) * (spec.d - 1), inner, spec.r)
-    for f in factors[-2::-1]:
-        # f as (., 1, ..., 1, n, inner, r): its n axis lines up with t's last
-        t *= f.transpose(0, 2, 1, 3).reshape(f.shape[0], *(1,) * (t.ndim - 4), n, inner, spec.r)
-        t = t.sum(axis=-3)
-    return _log_mean_exp(2.0 * n * np.real(t @ spec.lambdas) - n * energy)
-
-
 def _log_mean_exp(a: np.ndarray) -> np.ndarray:
     """log (1/inner) sum_m exp(a[:, m]) for each row of a (b, inner) stack
     of exponents, shifted by the row's largest."""
@@ -243,28 +214,36 @@ def _log_mean_exp(a: np.ndarray) -> np.ndarray:
     return np.log(np.sum(np.exp(a - top[:, None]), axis=1)) + top - np.log(a.shape[1])
 
 
+def _prior_set(spec: SpikeSpec, roots: np.ndarray, inner: int, gen: np.random.Generator) -> list:
+    """One set S of `inner` prior rotations of every factor, drawn from
+    `gen`: one (1, inner, n, r) array per mode, the `_rotate` by the Gram
+    `roots` of one round of `_rotation_parts`.  `roc` draws one a run, from
+    the lane `_PRIOR_LANE`; `direct` one a chunk lane, from its stream."""
+    return _rotate(roots, complex_normal_rounds(gen, 1, _rotation_parts(spec, inner)))
+
+
 def _prior_dictionary(spec: SpikeSpec, prior) -> np.ndarray:
-    """The prior set S of `roc` (`_prior_set`) as one real matrix, built
-    once a run: row m is the real view of the spike X_m, the real and
-    imaginary part of each of its n^d cells side by side, shape
-    (inner, 2 n^d).  Its transpose is D = [Re X; Im X] with the two halves'
-    rows interleaved, and Re<Y, X_m> = Re<X_m, Y> is the real view of Y
-    times D: one real GEMM for a block, whatever r.  It holds the bytes of
-    inner n^d complex cells (`_roc_cost`)."""
+    """A prior set S (`_prior_set`) as one real matrix: row m is the real
+    view of the spike X_m, the real and imaginary part of each of its n^d
+    cells side by side, shape (inner, 2 n^d).  Its transpose is
+    D = [Re X; Im X] with the two halves' rows interleaved, and
+    Re<Y, X_m> = Re<X_m, Y> is the real view of Y times D: one real GEMM
+    for a block, whatever r (`_dictionary_log_lr`).  It holds the bytes of
+    inner n^d complex cells (`_prior_cells`)."""
     spikes = _spike_tensors(spec.lambdas, [f[0] for f in prior])
     return spikes.reshape(len(spikes), -1).view(float)
 
 
 def _dictionary_log_lr(spec: SpikeSpec, ys: np.ndarray, dictionary: np.ndarray, energy: float) -> np.ndarray:
-    """`_log_lr_stack` of a stack of observations `ys` (b, n, ..., n)
-    against one prior set, given as its `_prior_dictionary`: the real view
-    of the stack times D, one GEMM of b rows, then the same shifted
-    log-sum-exp over the set.  At r = 1 the GEMM takes half the real
-    multiply-adds of `_log_lr_stack`'s first contraction, and its cost does
-    not grow with r.  OpenBLAS can give a row other last digits in a stack
-    of another height, so a score's bytes depend on the batch it is scored
-    in, which `map_streams` fixes from the chunk layout and the trial cells
-    of `_roc_cost`."""
+    """log (1/inner) sum_m exp(2 n Re<Y, X_m> - n |X_m|_F^2) for each of a
+    stack of observations `ys` (b, n, ..., n) against one prior set of
+    `inner` spikes X_m, given as its `_prior_dictionary`: the real view of
+    the stack times D, one GEMM of b rows whatever r, then a shifted
+    log-sum-exp over the set.  Every X_m has the factor Grams of `spec`, so
+    |X_m|_F^2 is their `energy` = eta_max.  OpenBLAS can give a row other
+    last digits in a stack of another height, so a score's bytes depend on
+    the batch it is scored in, which `map_streams` fixes from the chunk
+    layout and the draw cells of `_roc_cost` or `_direct_cost`."""
     dots = ys.reshape(len(ys), -1).view(float) @ dictionary.T
     return _log_mean_exp(2.0 * spec.n * dots - spec.n * energy)
 
@@ -276,23 +255,85 @@ def _noise_part(spec: SpikeSpec) -> tuple:
     return ((spec.n,) * spec.d, np.sqrt(1.0 / (2.0 * spec.n)))
 
 
-def _draw_cells(spec: SpikeSpec, inner: int) -> int:
-    """Cells of the largest array of one `direct` draw against `inner`
-    factor sets: its first likelihood contraction (n^(d-1), inner * r), its
-    n^d noise tensor, or the d (inner, n, r) rotations, which outgrow the
-    contraction when n^(d-2) < d.  The `cells` of `direct`'s `map_streams`
-    call, and the size that the CLI's cap on one draw reads for it."""
-    return max(inner * spec.r * spec.n ** (spec.d - 1), spec.n**spec.d, spec.d * spec.n * spec.r * inner)
+# The weights of `_roc_cost`'s and `_direct_cost`'s work, in multiply-adds
+# of the scoring GEMM counted at 10 G/s, about the rate of a whole `roc` run
+# at d=3, n=16, inner 500,
+# where the GEMM is most of the work (one thread, 2-vCPU VM,
+# `roc_experiment` and `cli.main` calls, best of three or five).  The GEMM
+# alone ran at 17 G/s there (28 rows a batch), and at 1.9 G/s at one trial
+# a batch against a dictionary larger than the cache (d=2, n=256, inner 50:
+# 52 MB read from memory for a trial's two rows), which the cell weight
+# covers:
+# - an exponential of a score's log-sum-exp took 16-19 ns, 160 multiply-adds
+#   (d=2, n=2, inner 2000, where the log-sum-exp is the work);
+# - a trial's n^d cell took 25-43 ns at inner 1, where the draws are the
+#   work (d=3, n=16; d=2, n=64; d=4, n=8; d=7, n=6; d=2, n=256; the spread
+#   is the VM's, between runs minutes apart), and a trial draws two n^d
+#   noise tensors and builds one rank-one term a rank: 340 multiply-adds a
+#   cell, from the top of that range, so that the d=2, n=256, inner 50
+#   edge, whose GEMM reads its dictionary from memory, stays within the
+#   cap's time;
+# - a trial adds up to two rows to the curve, which the CLI sorts and
+#   writes: 2.4 us a trial in CSV and 13 us in JSON (d=3, n=3, inner 1,
+#   100000 trials), counted at the JSON price, 2^17 multiply-adds.
+# On the first two, `direct` ran at 0.05-0.11 ns a unit (d=2, n=2 to d=3, n=4).
+_ROC_EXP_MADDS = 160
+_ROC_CELL_MADDS = 340
+_ROC_TRIAL_MADDS = 2**17
 
 
-def _direct_work(spec: SpikeSpec, outer: int, inner: int) -> int:
-    """The one statement of what `second_moment_direct_mc` costs, in array
-    cells touched, the work that the CLI's cap reads: each of its
-    outer x inner likelihood terms touches n^(d-1) r cells in the first
-    contraction and d n r in its rotations, and each outer draw twice its
-    n^d noise cells (drawn, then conjugated into the contraction), which
-    is what a run at inner 1 pays for."""
-    return outer * (inner * spec.r * (spec.n ** (spec.d - 1) + spec.d * spec.n) + 2 * spec.n**spec.d)
+class ScoreCost(NamedTuple):
+    """What one `roc` or `direct` run costs (`_roc_cost`, `_direct_cost`)."""
+
+    draw_cells: int  # what one draw holds when scored: the `cells` of its `map_streams` blocks
+    held_cells: int  # what a prior set's holder holds (a `roc` run, a `direct` lane): the set and a draw being scored
+    work: int  # the scoring GEMM's multiply-adds, and the rest of the work in their equivalents
+
+
+def _prior_cells(spec: SpikeSpec, inner: int) -> int:
+    """What one prior set holds while it scores: its d (inner, n, r)
+    rotations (`_prior_set`) and its dictionary of inner n^d complex cells
+    (`_prior_dictionary`)."""
+    return inner * (spec.d * spec.n * spec.r + spec.n**spec.d)
+
+
+def _roc_cost(spec: SpikeSpec, trials: int, inner: int) -> ScoreCost:
+    """The one statement of what `roc_experiment` costs, which its blocks
+    and the CLI's caps read.
+
+    A trial holds its two observations (2 n^d), its spike's d (n, r)
+    rotations and its two score rows (2 inner).  A run holds its prior set
+    (`_prior_cells`) throughout, and at least one trial while it scores,
+    which outgrows the set at inner 1.  Its work is the scoring GEMM's
+    multiply-adds, 2 inner 2 n^d a trial (two rows against the dictionary:
+    `_dictionary_log_lr`), and a trial's 2 inner exponentials, the
+    (2 + r) n^d cells it draws (its two noise tensors) and builds (its
+    spike, one rank-one term a rank) and its rows of the curve, each
+    weighted by its measured cost."""
+    cube = spec.n**spec.d
+    trial = 2 * cube + spec.d * spec.n * spec.r + 2 * inner
+    gemm = 2 * inner * 2 * cube
+    per_trial = _ROC_TRIAL_MADDS + _ROC_EXP_MADDS * 2 * inner + _ROC_CELL_MADDS * (2 + spec.r) * cube
+    return ScoreCost(draw_cells=trial, held_cells=_prior_cells(spec, inner) + trial, work=trials * (gemm + per_trial))
+
+
+def _direct_cost(spec: SpikeSpec, outer: int, inner: int) -> ScoreCost:
+    """The one statement of what `second_moment_direct_mc` costs, which its
+    blocks and the CLI's caps read.
+
+    An observation holds its n^d noise cells and its score row (inner).  A
+    chunk lane holds its prior set (`_prior_cells`) while it scores, and at
+    least one observation.  The work is the scoring GEMM's multiply-adds,
+    inner 2 n^d an observation (one row against its lane's dictionary:
+    `_dictionary_log_lr`), an observation's inner exponentials and the n^d
+    cells it draws, and each lane's prior set, the d n r inner cells it
+    draws and the r inner n^d it builds, weighted as in `_roc_cost`."""
+    cube = spec.n**spec.d
+    draw = cube + inner
+    per_draw = inner * 2 * cube + _ROC_EXP_MADDS * inner + _ROC_CELL_MADDS * cube
+    per_lane = _ROC_CELL_MADDS * inner * (spec.d * spec.n * spec.r + spec.r * cube)
+    return ScoreCost(draw_cells=draw, held_cells=_prior_cells(spec, inner) + draw,
+                     work=outer * per_draw + min(outer, _N_STREAMS) * per_lane)
 
 
 def second_moment_direct_mc(
@@ -307,25 +348,33 @@ def second_moment_direct_mc(
     estimate the likelihood ratio of each by inner sampling of the spike
     prior, and average the square.
 
-    The inner average makes this estimator biased by O(1/inner); it exists
-    as an independent cross-check of `second_moment_haar_mc` at very small
-    (n, d).  With `rotate=False` the spike is held fixed at its unrotated
-    value, which corresponds to the deterministic-signal model whose second
-    moment is exp(2 n |X0|_F^2).
+    Each `map_streams` chunk lane draws one prior set (`_prior_set`) from
+    its stream before its first observation and scores its observations
+    against it with `roc`'s kernel (`_dictionary_log_lr`); the lanes are
+    the batch-means batches, so they stay independent.  The inner average
+    makes this estimator biased by O(1/inner); it exists as an independent
+    cross-check of `second_moment_haar_mc` at very small (n, d).  With
+    `rotate=False` the spike is held fixed at its unrotated value, which
+    corresponds to the deterministic-signal model whose second moment is
+    exp(2 n |X0|_F^2).
     """
     if outer < 2 or inner < 1:
         raise ParameterError(f"need outer >= 2 and inner >= 1, got outer={outer}, inner={inner}")
-    stacked = inner if rotate else 1
-    layout = [_noise_part(spec), *(_rotation_parts(spec, inner) if rotate else [])]
-    fixed = [chi[None, None] for chi in spec.factors]
+    noise = [_noise_part(spec)]
     roots = spec.grams.roots  # built here, once, not in the pool threads
     energy = eta_max(spec.lambdas, spec.grams)
+    fixed = [chi[None, None] for chi in spec.factors]
 
-    def worker(m, gen):
-        y, *ginibre = complex_normal_rounds(gen, m, layout)
-        return 2.0 * _log_lr_stack(spec, y, _rotate(roots, ginibre) if rotate else fixed, energy)
+    def lane(gen):
+        return _prior_dictionary(spec, _prior_set(spec, roots, inner, gen) if rotate else fixed)
 
-    chunks = map_streams(worker, outer, rng, threads, cells=_draw_cells(spec, stacked))
+    def worker(m, gen, dictionary):
+        y, = complex_normal_rounds(gen, m, noise)
+        return 2.0 * _dictionary_log_lr(spec, y, dictionary, energy)
+
+    stacked = inner if rotate else 1
+    chunks = map_streams(worker, outer, rng, threads, cells=_direct_cost(spec, outer, stacked).draw_cells, lane=lane,
+                         lane_cells=_prior_cells(spec, stacked))
     return _mean_from_exponents(chunks, rng, outer)
 
 
@@ -384,69 +433,6 @@ def xi_empirical_tail(n: int, ts, samples: int, rng: SeedSpec, threads: int = 1)
     ]
 
 
-def _prior_set(spec: SpikeSpec, inner: int, rng: SeedSpec) -> list:
-    """The one set S of `inner` prior rotations of every factor that `roc`
-    scores each observation against: one (1, inner, n, r) array per mode,
-    the `_rotate` of one round of `_rotation_parts` drawn from the lane
-    `_PRIOR_LANE` of `rng`.  It depends on the seed and the spike only,
-    never on the trial count, the threads or the block size."""
-    return _rotate(spec.grams.roots, complex_normal_rounds(rng.generator(_PRIOR_LANE), 1, _rotation_parts(spec, inner)))
-
-
-# The weights of `_roc_cost`'s work, in multiply-adds of the scoring GEMM
-# counted at 10 G/s, about the rate of a whole run at d=3, n=16, inner 500,
-# where the GEMM is most of the work (one thread, 2-vCPU VM,
-# `roc_experiment` and `cli.main` calls, best of three or five).  The GEMM
-# alone ran at 17 G/s there (28 rows a batch), and at 1.9 G/s at one trial
-# a batch against a dictionary larger than the cache (d=2, n=256, inner 50:
-# 52 MB read from memory for a trial's two rows), which the cell weight
-# covers:
-# - an exponential of a score's log-sum-exp took 16-19 ns, 160 multiply-adds
-#   (d=2, n=2, inner 2000, where the log-sum-exp is the work);
-# - a trial's n^d cell took 25-43 ns at inner 1, where the draws are the
-#   work (d=3, n=16; d=2, n=64; d=4, n=8; d=7, n=6; d=2, n=256; the spread
-#   is the VM's, between runs minutes apart), and a trial draws two n^d
-#   noise tensors and builds one rank-one term a rank: 340 multiply-adds a
-#   cell, from the top of that range, so that the d=2, n=256, inner 50
-#   edge, whose GEMM reads its dictionary from memory, stays within the
-#   cap's time;
-# - a trial adds up to two rows to the curve, which the CLI sorts and
-#   writes: 2.4 us a trial in CSV and 13 us in JSON (d=3, n=3, inner 1,
-#   100000 trials), counted at the JSON price, 2^17 multiply-adds.
-_ROC_EXP_MADDS = 160
-_ROC_CELL_MADDS = 340
-_ROC_TRIAL_MADDS = 2**17
-
-
-class RocCost(NamedTuple):
-    """What one `roc` run costs (`_roc_cost`)."""
-
-    trial_cells: int  # what one trial holds when scored: the `cells` of its `map_streams` blocks
-    run_cells: int  # what the run holds throughout: its prior set and dictionary, and a trial being scored
-    work: int  # the scoring GEMM's multiply-adds, and the rest of its work in their equivalents
-
-
-def _roc_cost(spec: SpikeSpec, trials: int, inner: int) -> RocCost:
-    """The one statement of what `roc_experiment` costs, which its blocks
-    and the CLI's caps read.
-
-    A trial holds its two observations (2 n^d), its spike's d (n, r)
-    rotations and its two score rows (2 inner).  A run holds its prior set
-    (d n r inner) and dictionary (inner n^d) throughout, and at least one
-    trial while it scores, which outgrows the dictionary at inner 1.  Its
-    work is the scoring GEMM's multiply-adds, 2 inner 2 n^d a trial (two
-    rows against the dictionary: `_dictionary_log_lr`), and a trial's 2
-    inner exponentials, the (2 + r) n^d cells it draws (its two noise
-    tensors) and builds (its spike, one rank-one term a rank) and its rows
-    of the curve, each weighted by its measured cost."""
-    cube = spec.n**spec.d
-    trial = 2 * cube + spec.d * spec.n * spec.r + 2 * inner
-    gemm = 2 * inner * 2 * cube
-    per_trial = _ROC_TRIAL_MADDS + _ROC_EXP_MADDS * 2 * inner + _ROC_CELL_MADDS * (2 + spec.r) * cube
-    return RocCost(trial_cells=trial, run_cells=spec.d * spec.n * spec.r * inner + inner * cube + trial,
-                   work=trials * (gemm + per_trial))
-
-
 def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, threads: int = 1) -> RocCurve:
     """Empirical ROC of the likelihood-ratio statistic over `trials` draws
     per hypothesis.
@@ -467,7 +453,7 @@ def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, thre
     layout = [noise, *_rotation_parts(spec, 1), noise]
     roots = spec.grams.roots  # built here, once, not in the pool threads
     energy = eta_max(spec.lambdas, spec.grams)
-    dictionary = _prior_dictionary(spec, _prior_set(spec, inner, rng))
+    dictionary = _prior_dictionary(spec, _prior_set(spec, roots, inner, rng.generator(_PRIOR_LANE)))
 
     def draw(m, gen):
         return complex_normal_rounds(gen, m, layout)
@@ -477,7 +463,7 @@ def roc_experiment(spec: SpikeSpec, trials: int, inner: int, rng: SeedSpec, thre
         y1 = _spike_tensors(spec.lambdas, [f[:, 0] for f in _rotate(roots, rotations)]) + noise1
         return _dictionary_log_lr(spec, np.concatenate([y0, y1]), dictionary, energy).reshape(2, -1).T
 
-    cells = _roc_cost(spec, trials, inner).trial_cells
+    cells = _roc_cost(spec, trials, inner).draw_cells
     scores = np.concatenate(map_streams(draw, trials, rng, threads, cells=cells, score=score))
     s0 = np.sort(scores[:, 0])
     s1 = np.sort(scores[:, 1])

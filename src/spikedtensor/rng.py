@@ -257,7 +257,8 @@ def _one_blas_thread():
                 setter(_blas_before)
 
 
-def map_streams(draw, total: int, seed: SeedSpec, threads: int = 1, *, cells: int, score=None) -> list:
+def map_streams(draw, total: int, seed: SeedSpec, threads: int = 1, *, cells: int, score=None, lane=None,
+                lane_cells: int = 0) -> list:
     """Take `total` draws in the chunk layout and return one array per
     chunk, in chunk order.
 
@@ -288,6 +289,12 @@ def map_streams(draw, total: int, seed: SeedSpec, threads: int = 1, *, cells: in
     output is byte-identical for any `threads` value even where a row's
     bytes depend on its batch, as those of `roc`'s dictionary GEMM do
     (`moment._dictionary_log_lr`); across block sizes it is not.
+
+    A driver that draws a statistic once a chunk passes `lane`:
+    ``lane(generator)`` runs in the chunk's task before its first draw, and
+    its result is passed to each of the chunk's draws,
+    ``draw(m, generator, held)``; `lane_cells`, the cells it holds, count
+    toward the pool threshold.  At most `threads` are held at once.
     """
     if threads < 1:
         raise ParameterError(f"need threads >= 1, got {threads}")
@@ -296,7 +303,8 @@ def map_streams(draw, total: int, seed: SeedSpec, threads: int = 1, *, cells: in
 
     def blocks(i: int):
         gen = seed.generator(i)
-        return (draw(min(block, sizes[i] - start), gen) for start in range(0, sizes[i], block))
+        held = () if lane is None else (lane(gen),)
+        return (draw(min(block, sizes[i] - start), gen, *held) for start in range(0, sizes[i], block))
 
     def run(task: list) -> list:
         if score is None:
@@ -316,7 +324,7 @@ def map_streams(draw, total: int, seed: SeedSpec, threads: int = 1, *, cells: in
     tasks = [[i] for i in range(len(sizes))] if score is None else _packed(sizes, block)
     largest = max(sum(sizes[i] for i in task) for task in tasks)
     with _one_blas_thread() as init:
-        if threads == 1 or len(tasks) == 1 or largest * cells < _POOL_CELLS:
+        if threads == 1 or len(tasks) == 1 or largest * cells + lane_cells < _POOL_CELLS:
             return [chunk for task in tasks for chunk in run(task)]
         with ThreadPoolExecutor(max_workers=threads, initializer=init, initargs=(1,)) as pool:
             return [chunk for out in pool.map(run, tasks) for chunk in out]

@@ -56,9 +56,9 @@ def refuse_linalg_in_draws(monkeypatch, module, *run_draws) -> list:
     """Make every np.linalg function raise while a draw that `module` takes
     through `map_streams` runs: no eigen-, QR or other solver, stacked or
     per block, inside a Monte-Carlo draw.  `run_draws` names functions of
-    `module` that draw once a run, outside `map_streams` (`moment._prior_set`,
-    the prior set that `roc` shares between its trials): every call of one
-    is guarded as a draw too.  The per-run set-up outside the draws (the
+    `module` that draw outside the blocks of `map_streams` (`moment._prior_set`,
+    the prior set that `roc` draws once a run and `direct` once a chunk
+    lane): every call of one is guarded as a draw too.  The per-run set-up outside the draws (the
     one stacked eigendecomposition of the spike's Grams in `GramSet`)
     stays allowed.
     Returns the list that collects the size of every draw taken through
@@ -82,10 +82,10 @@ def refuse_linalg_in_draws(monkeypatch, module, *run_draws) -> list:
     map_streams = module.map_streams
 
     def guarded_streams(draw, *args, **kwargs):
-        def traced(m, generator):
+        def traced(m, generator, *held):
             inside.append(m)
             try:
-                return draw(m, generator)
+                return draw(m, generator, *held)
             finally:
                 drawn.append(inside.pop())
 

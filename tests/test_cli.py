@@ -379,7 +379,7 @@ def test_observation_drivers_refuse_zero_inner(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize("args", [
-    # roc's prior dictionary holds 5M n^d = 1.08G cells, direct's first contraction 80M
+    # roc's prior dictionary holds 5M n^d = 1.08G cells, a direct lane's set 5M (d n r + n^d) = 380M
     ["roc", "--d", 3, "--n", 6, "--trials", 2, "--inner", 5_000_000],
     ["moment", "--method", "direct", "--d", 3, "--n", 4, "--outer", 2, "--inner", 5_000_000],
     # a dictionary of one prior spike holds 5^12 = 244M cells
@@ -395,7 +395,7 @@ def test_observation_drivers_refuse_zero_inner(tmp_path, capsys, args):
 ])
 def test_observation_drivers_cap_one_draw(tmp_path, capsys, args):
     assert run(args + ["--out", tmp_path / "o"]) == 1
-    holds = "one draw holds" if args[0] == "moment" else "one roc run holds"
+    holds = "one direct lane holds" if args[0] == "moment" else "one roc run holds"
     assert f"desk-scale limit exceeded: {holds}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
@@ -421,9 +421,12 @@ def _stub_drivers(monkeypatch):
 # 4,194,356 at 53772; at d=3, n=16, inner 500 a trial's work of
 # 2 x 500 x 2 x 4096 GEMM multiply-adds and 4,468,992 in their equivalents
 # gives 17,168,305,152 at 1356 trials and 17,180,966,144 at 1357.  The
-# `direct_work` values are where `moment._direct_work` crosses
-# 2^26: at d=3, n=3, r=1 a term holds 18 cells and an outer draw 54, so
-# 2000 x (1861 * 18 + 54) = 67,104,000.  The `haar_work` values are where
+# `direct` values are where `moment._direct_cost` crosses its caps, which
+# count as `roc`'s do: at d=3, n=3, r=1, outer 2000, the work is
+# 17,179,574,560 at inner 27509 and 17,180,198,400 at 27510, over 2^34; at
+# d=3, n=4, r=1 a lane holds 12 + 64 cells an inner draw and an
+# observation of 64 + inner, 4,194,254 cells at inner 54470 and 4,194,331
+# at 54471, over 2^22.  The `haar_work` values are where
 # `rate._haar_work` crosses 2^31: r^4 + 256 r^2 = 257 a mode at r=1, so
 # 8160 x 1024 x 257 = 2,147,450,880, half as many draws for two n, and
 # 546 x 3 x 1,310,720 at r=32.
@@ -438,9 +441,9 @@ _CAP_EDGES = {
                        (lambda v: f"moment --method direct --d 2 --n 2 --inner 1 --outer {v}", 2_000_000)],
     "direct_n": [(lambda v: f"moment --method direct --n {v}", 4)],
     "direct_d": [(lambda v: f"moment --method direct --d {v} --n 3", 3)],
-    "direct_work": [(lambda v: f"moment --method direct --n 3 --outer 2000 --inner {v}", 1861),
-                    (lambda v: f"moment --method direct --lambdas 0.4,0.2 --n 4 --outer 2000 --inner {v}", 596),
-                    (lambda v: f"moment --method direct --n 3 --inner 1 --outer {v}", 932_067)],
+    "direct_work": [(lambda v: f"moment --method direct --n 3 --outer 2000 --inner {v}", 27509),
+                    (lambda v: f"moment --method direct --lambdas 0.4,0.2 --n 4 --outer 2000 --inner {v}", 12215),
+                    (lambda v: f"moment --method direct --n 3 --inner 1 --outer {v}", 1_828_792)],
     "haar_work": [(lambda v: f"moment --d 1024 --lambdas 0.3 --samples {v}", 8160),
                   (lambda v: f"moment --d 1024 --lambdas 0.3 --n 4,8 --samples {v}", 4080),
                   (lambda v: f"split --d 1024 --lambdas 0.3 --samples {v}", 8160),
@@ -448,7 +451,7 @@ _CAP_EDGES = {
                   (lambda v: "moment --n 64 --lambdas " + ",".join(["0.01"] * 32) + f" --samples {v}", 546)],
     "roc_work": [(lambda v: f"roc --d 3 --n 16 --inner 500 --trials {v}", 1356),
                  (lambda v: f"roc --d 3 --n 3 --inner 1 --trials {v}", 108_022)],
-    "draw_cells": [(lambda v: f"moment --method direct --n 4 --outer 2 --inner {v}", 262_144),
+    "draw_cells": [(lambda v: f"moment --method direct --n 4 --outer 2 --inner {v}", 54_470),
                    (lambda v: f"xi-tail --n {v} --samples 1", 2**22),
                    (lambda v: f"roc --d 3 --n 4 --trials 2 --inner {v}", 53_771),
                    (lambda v: f"roc --d 2 --n 6 --lambdas 0.3,0.2 --trials 2 --inner {v}", 67_648)],
@@ -491,7 +494,7 @@ def test_roc_cap_edge(tmp_path, monkeypatch, capsys, d, n, lambdas, near):
     cap = cli._LIMITS["draw_cells"]
 
     def cells(inner):
-        return moment._roc_cost(spec, 2, inner).run_cells
+        return moment._roc_cost(spec, 2, inner).held_cells
 
     lo, hi = 1, 2 * near
     assert cells(lo) <= cap < cells(hi)
@@ -511,11 +514,14 @@ def test_roc_cap_edge(tmp_path, monkeypatch, capsys, d, n, lambdas, near):
 
 
 @pytest.mark.parametrize("command, admitted", [
-    # 2000 x 10000 terms took 8.6 s at n=3 and 13.8 s at n=4 when a term was priced at 1
-    ("moment --method direct --n 3 --outer 2000 --inner 10000", False),
-    ("moment --method direct --n 4 --outer 2000 --inner 10000", False),
+    # 2000 x 10000 terms took 8.6 s at n=3 and 13.8 s at n=4 on 0.22.0's set
+    # an observation, which a cap priced at 1 a term refused; one set a lane
+    # takes 0.4 s and 0.7 s, under the edge's work
+    ("moment --method direct --n 3 --outer 2000 --inner 10000", True),
+    ("moment --method direct --n 4 --outer 2000 --inner 10000", True),
+    ("moment --method direct --n 3 --outer 2000 --inner 30000", False),
     ("moment --method direct --n 4 --outer 2000 --inner 1000", True),
-    # an outer draw pays for its noise tensor: 2M draws at d=3, n=3 hold 72 cells each
+    # an outer draw pays for its noise tensor: 2M draws at d=3, n=3 cost 21634 multiply-adds each
     ("moment --method direct --d 2 --n 2 --outer 2000000 --inner 1", True),
     ("moment --method direct --n 3 --outer 2000000 --inner 1", False),
     # the Haar drivers pay for d and r: 20000 draws took 2.5 s (`moment`) and 3.7 s (`cloud`) at d=1024
@@ -569,12 +575,12 @@ def test_roc_cost_statement_has_one_owner(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(moment, "map_streams", recording)
     args = ["roc", "--d", 3, "--n", 3, "--trials", 8, "--inner", 10, "--out", tmp_path / "o"]
     assert run(args) == 0
-    monkeypatch.setattr(moment, "_roc_cost", lambda spec, trials, inner: moment.RocCost(5, 1, 1))
+    monkeypatch.setattr(moment, "_roc_cost", lambda spec, trials, inner: moment.ScoreCost(5, 1, 1))
     assert run(args) == 0
     assert cells == [2 * 3**3 + 3 * 3 + 2 * 10, 5]
     capsys.readouterr()
-    for cost, message in ((moment.RocCost(5, cli._LIMITS["draw_cells"] + 1, 1), "one roc run holds"),
-                          (moment.RocCost(5, 1, cli._LIMITS["roc_work"] + 1), "roc work")):
+    for cost, message in ((moment.ScoreCost(5, cli._LIMITS["draw_cells"] + 1, 1), "one roc run holds"),
+                          (moment.ScoreCost(5, 1, cli._LIMITS["roc_work"] + 1), "roc work")):
         monkeypatch.setattr(moment, "_roc_cost", lambda spec, trials, inner, cost=cost: cost)
         assert run(args) == 1
         assert f"desk-scale limit exceeded: {message} " in capsys.readouterr().err
@@ -719,15 +725,17 @@ def test_one_stacked_eigh_a_run(tmp_path, monkeypatch, capsys, name):
 
 
 @pytest.mark.parametrize("args, message", [
-    # one n = 4 draw holds 262145 * 4^2 cells > 2^22, the n = 2 and 3 draws fit
-    (["--method", "direct", "--n", "2,3,4", "--outer", 2, "--inner", 262_145], "one draw holds 4194320 cells > 4194304"),
+    # an n = 4 lane holds 54471 (12 + 64 + 1) + 64 cells > 2^22, the n = 2 and 3 lanes fit
+    (["--method", "direct", "--n", "2,3,4", "--outer", 2, "--inner", 54_471],
+     "one direct lane holds 4194331 cells > 4194304"),
     (["--n", "4,8", "--samples", 2_000_001], "samples 2000001 > 2000000"),
     (["--method", "direct", "--n", "3,5", "--outer", 2000, "--inner", 500], "direct method n 5 > 4"),
     (["--method", "direct", "--d", 4, "--n", "3,4", "--outer", 20, "--inner", 5], "direct method d 4 > 3"),
-    # 2000 x 1500 terms of 18 cells at n = 3 and of 28 at n = 4: the run's work, not one n's
-    (["--method", "direct", "--n", "3,4", "--outer", 2000, "--inner", 1500], "direct work 138364000 > 67108864"),
-    # one n = 4 draw holds 300000 * 4^2 cells > 2^22, one n = 3 draw 300000 * 3^2
-    (["--method", "direct", "--n", "3,4", "--outer", 2, "--inner", 300_000], "one draw holds 4800000 cells > 4194304"),
+    # 7.5G multiply-adds at n = 3 and 11.9G at n = 4, each under 2^34: the run's work, not one n's
+    (["--method", "direct", "--n", "3,4", "--outer", 2000, "--inner", 12000], "direct work 19421240000 > 17179869184"),
+    # an n = 4 lane holds 60000 (12 + 64 + 1) + 64 cells > 2^22, an n = 3 lane 60000 (9 + 27 + 1) + 27
+    (["--method", "direct", "--n", "3,4", "--outer", 2, "--inner", 60_000],
+     "one direct lane holds 4620064 cells > 4194304"),
 ])
 def test_moment_checks_every_n_before_the_first_estimate(tmp_path, monkeypatch, capsys, args, message):
     for estimator in ("second_moment_haar_mc", "second_moment_direct_mc"):

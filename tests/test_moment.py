@@ -15,7 +15,6 @@ from spikedtensor.config import gram_matrices
 from spikedtensor.errors import ParameterError
 from spikedtensor.moment import (
     _dictionary_log_lr,
-    _log_lr_stack,
     _mean_from_exponents,
     _noise_part,
     _prior_dictionary,
@@ -93,6 +92,21 @@ def test_direct_mc_matches_the_rank_one_series_plus_its_inner_bias(inner):
     est = st.second_moment_direct_mc(small_spec([lam], n=n, d=d), 20_000, inner, st.SeedSpec(29, inner))
     assert (target - m2) >= 5 * est.stderr
     assert abs(est.mean - target) <= 3 * est.stderr
+
+
+@pytest.mark.parametrize("d, n, lam, outer, inner", [(2, 6, 0.6, 2000, 1000), (3, 4, 0.6, 2000, 200)])
+def test_one_prior_set_a_lane_keeps_the_exact_expectation(d, n, lam, outer, inner):
+    # a lane scores its observations against one shared set, so they are
+    # correlated within the lane, yet each has E[Lhat^2] = m2 +
+    # (e^{2 n lambda^2} - m2) / inner and the 16 lanes are independent
+    # batches: seeds 1-8 pooled, their batch-means stderrs combined
+    m2 = rank_one_second_moment(n, d, lam)
+    target = m2 + (math.exp(2 * n * lam * lam) - m2) / inner
+    spec = small_spec([lam], n=n, d=d)
+    estimates = [st.second_moment_direct_mc(spec, outer, inner, st.SeedSpec(seed, 0)) for seed in range(1, 9)]
+    mean = math.fsum(e.mean for e in estimates) / len(estimates)
+    stderr = math.sqrt(math.fsum(e.stderr**2 for e in estimates)) / len(estimates)
+    assert abs(mean - target) <= 3 * stderr
 
 
 def test_estimator_cross_check(gen):
@@ -350,7 +364,12 @@ def roc_observations(spec, m, gen):
 
 def roc_prior(spec, inner, seed):
     """The prior set that `roc_experiment` draws for `inner` and `seed`."""
-    return _prior_set(spec, inner, seed)
+    return _prior_set(spec, spec.grams.roots, inner, seed.generator(_PRIOR_LANE))
+
+
+def fixed_dictionary(spec):
+    """The one-row dictionary of `second_moment_direct_mc(..., rotate=False)`."""
+    return _prior_dictionary(spec, [chi[None, None] for chi in spec.factors])
 
 
 def test_roc_observations_score_as_the_roc_worker(monkeypatch):
@@ -429,19 +448,35 @@ def test_simulate_observation_zero_signal_is_pure_noise():
 def test_log_lr_zero_signal_is_exactly_zero(gen):
     spec = zero_spec(n=3)
     prior = roc_prior(spec, 32, st.SeedSpec(22))
-    dictionary = _prior_dictionary(spec, prior)
-    for y in roc_observations(spec, 8, gen):
-        assert np.all(_log_lr_stack(spec, y, prior, 0.0) == 0.0)
-        assert np.all(_dictionary_log_lr(spec, y, dictionary, 0.0) == 0.0)
+    for dictionary in (_prior_dictionary(spec, prior), fixed_dictionary(spec)):
+        for y in roc_observations(spec, 8, gen):
+            assert np.all(_dictionary_log_lr(spec, y, dictionary, 0.0) == 0.0)
+
+
+def _mode_contraction_log_lr(spec, ys, factors, energy):
+    """The scores of a stack of observations `ys` against one prior set,
+    `factors` one (1, inner, n, r) array a mode, by contracting conj(Y)
+    with the factors, last mode first: one matmul with r folded into the
+    columns, then each remaining mode's factors broadcast in and summed
+    over that mode's axis (the `direct` kernel of 0.19.0 to 0.22.0)."""
+    n, r, b = spec.n, spec.r, len(ys)
+    inner = factors[-1].shape[1]
+    cols = factors[-1][0].transpose(1, 0, 2).reshape(n, inner * r)
+    t = (np.conj(ys).reshape(b, -1, n) @ cols).reshape(b, *(n,) * (spec.d - 1), inner, r)
+    for f in factors[-2::-1]:
+        t = (t * f[0].transpose(1, 0, 2).reshape(*(1,) * (t.ndim - 3), n, inner, r)).sum(axis=-3)
+    a = 2.0 * n * np.real(t @ spec.lambdas) - n * energy
+    return logsumexp(a, axis=1) - np.log(inner)
 
 
 @pytest.mark.parametrize("gram", ["identity", "all-ones"])
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_dictionary_scores_match_the_mode_contractions(d, r, gram):
-    # on the same prior set S, `roc`'s one GEMM against D gives the scores
-    # of `_log_lr_stack`'s mode-by-mode contractions; a score is the log of
-    # a mean near 1 and can lie near 0, so the gap is taken relative to the
+    # on the same prior set S, the one GEMM against D gives the scores of
+    # the mode-by-mode contractions of Y with the factors, which never form
+    # a spike (`_mode_contraction_log_lr`); a score is the log of a mean
+    # near 1 and can lie near 0, so the gap is taken relative to the
     # stack's largest score
     n = {2: 6, 3: 4, 4: 3}[d]
     spec = st.SpikeSpec(np.linspace(0.7, 0.3, r), gram_matrices(gram, r, d), n=n)
@@ -449,7 +484,7 @@ def test_dictionary_scores_match_the_mode_contractions(d, r, gram):
     prior = roc_prior(spec, 200, seed)
     energy = st.eta_max(spec.lambdas, spec.grams)
     ys = np.concatenate(roc_observations(spec, 20, seed.generator(0)))
-    expected = _log_lr_stack(spec, ys, prior, energy)
+    expected = _mode_contraction_log_lr(spec, ys, prior, energy)
     got = _dictionary_log_lr(spec, ys, _prior_dictionary(spec, prior), energy)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
@@ -487,7 +522,7 @@ def test_log_lr_deterministic_closed_form(gen):
     ys = np.concatenate(roc_observations(spec, 4, gen))
     x0 = st.build_spike(spec)
     expected = [2 * 3 * np.real(np.vdot(x0, y)) - 3 * np.linalg.norm(x0) ** 2 for y in ys]
-    got = _log_lr_stack(spec, ys, [chi[None, None] for chi in spec.factors], st.eta_max(spec.lambdas, spec.grams))
+    got = _dictionary_log_lr(spec, ys, fixed_dictionary(spec), st.eta_max(spec.lambdas, spec.grams))
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
@@ -499,8 +534,8 @@ def test_likelihood_ratio_has_unit_null_mean(gen):
     reps, inner = 4000, 300
     energy = st.eta_max(spec.lambdas, spec.grams)
     for stream in range(3):
-        prior = roc_prior(spec, inner, st.SeedSpec(37, stream))
-        values = np.exp(_log_lr_stack(spec, roc_observations(spec, reps, gen)[0], prior, energy))
+        dictionary = _prior_dictionary(spec, roc_prior(spec, inner, st.SeedSpec(37, stream)))
+        values = np.exp(_dictionary_log_lr(spec, roc_observations(spec, reps, gen)[0], dictionary, energy))
         assert abs(np.mean(values) - 1.0) <= 3 * np.std(values) / np.sqrt(reps)
 
 
@@ -553,22 +588,25 @@ _ESTIMATORS = {
 def test_estimator_draws_call_no_linalg(monkeypatch, gen, kind, r):
     # at n = r every Haar draw orthonormalizes square stacks, and at n > r
     # frames or Bartlett corner stacks, by Gram-Schmidt with no solver; so
-    # does `roc`'s prior set, drawn once a run outside the chunks
+    # do the prior sets, one a run for `roc` and one a chunk lane (16 at
+    # 20 observations) for `direct`, drawn outside the blocks
     specs = [make_random_spec(gen, d=3, r=r, n=n) for n in (r, r + 1)]
     drawn = refuse_linalg_in_draws(monkeypatch, moment, "_prior_set")
     for spec in specs:
         _ESTIMATORS[kind](spec, st.SeedSpec(73, r))
     assert drawn
-    assert drawn.count("_prior_set") == (len(specs) if kind == "roc" else 0)
+    assert drawn.count("_prior_set") == len(specs) * {"roc": 1, "direct": _N_STREAMS}.get(kind, 0)
 
 
 # The 0.3.0 per-draw loops of `roc_experiment` and `second_moment_direct_mc`,
 # spelled out on the rng primitives with dense spike tensors: the oracles of
-# the batched contraction drivers, which take the same normals in the same
-# order (since 0.14.0 `roc` scores every observation against one prior set,
-# drawn first from the lane `_PRIOR_LANE`).  Contracting Y mode by mode and
-# using |X_m|_F^2 = eta_max moves the last digits of each log-likelihood
-# ratio, so the values agree to rtol 1e-12 and the ROC rates exactly.
+# the batched GEMM drivers, which take the same normals in the same order
+# (since 0.14.0 `roc` scores every observation against one prior set, drawn
+# first from the lane `_PRIOR_LANE`, and since 0.23.0 `direct` against one
+# set a chunk lane, drawn from the lane's stream before its observations).
+# Scoring Y by a GEMM and using |X_m|_F^2 = eta_max moves the last digits of
+# each log-likelihood ratio, so the values agree to rtol 1e-12 and the ROC
+# rates exactly.
 
 
 def _reference_rotations(spec, m, gen):
@@ -643,15 +681,11 @@ def test_direct_mc_equals_per_draw_reference(lambdas, n, d, rotate):
     fixed = _reference_spike(spec, spec.factors).ravel()[None, :]
     chunks = []
     for gen, size in _reference_chunks(outer, seed):
-        exponents = []
-        for _ in range(size):
-            y = _noise(spec, gen)
-            xs = _reference_stack(spec, _reference_rotations(spec, inner, gen)) if rotate else fixed
-            exponents.append(2.0 * _reference_log_lr(y, xs, n))
-        chunks.append(np.array(exponents))
+        xs = _reference_stack(spec, _reference_rotations(spec, inner, gen)) if rotate else fixed
+        chunks.append(np.array([2.0 * _reference_log_lr(_noise(spec, gen), xs, n) for _ in range(size)]))
     expected = _mean_from_exponents(chunks, seed, outer)
     got = st.second_moment_direct_mc(spec, outer, inner, seed, rotate=rotate)
-    if not rotate:  # one fixed factor set: the contraction gives the dense inner product's bits
+    if not rotate:  # one fixed spike, a one-row dictionary: the GEMM gives the dense inner product's bits
         assert got == expected
     assert got.count == expected.count
     for field in ("mean", "stderr", "log_domain_max"):
@@ -691,18 +725,21 @@ def _dense_log_lr(spec, y, factor_sets):
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_log_lr_stack_matches_dense_spikes(d, r, gram):
-    # all-ones Grams are rank one, and so are their roots, which rotate the factors
+    # the likelihood kernel of `roc` and `direct`, `_dictionary_log_lr`
+    # (named for `_log_lr_stack`, the contraction kernel it checked until
+    # 0.23.0); all-ones Grams are rank one, and so are their roots, which
+    # rotate the factors
     n, b, inner = 4, 3, 5
     spec = st.SpikeSpec(np.linspace(0.7, 0.3, r), gram_matrices(gram, r, d), n=n)
     gen = st.SeedSpec(61, 10 * d + r).generator()
     ys = complex_gaussian(gen, (b,) + (n,) * d, np.sqrt(1.0 / (2.0 * n)))
-    rotated = _rotate(spec.grams.roots, [complex_gaussian(gen, (b, inner, n, r), np.sqrt(0.5)) for _ in range(d)])
+    rotated = _rotate(spec.grams.roots, [complex_gaussian(gen, (1, inner, n, r), np.sqrt(0.5)) for _ in range(d)])
     energy = st.eta_max(spec.lambdas, spec.grams)
-    got = _log_lr_stack(spec, ys, rotated, energy)
-    expected = [_dense_log_lr(spec, ys[i], [[f[i, m] for f in rotated] for m in range(inner)]) for i in range(b)]
+    got = _dictionary_log_lr(spec, ys, _prior_dictionary(spec, rotated), energy)
+    expected = [_dense_log_lr(spec, y, [[f[0, m] for f in rotated] for m in range(inner)]) for y in ys]
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
-    # one fixed factor set, broadcast over the observations
-    fixed = _log_lr_stack(spec, ys, [chi[None, None] for chi in spec.factors], energy)
+    # the one-row dictionary of the fixed spike
+    fixed = _dictionary_log_lr(spec, ys, fixed_dictionary(spec), energy)
     np.testing.assert_allclose(fixed, [_dense_log_lr(spec, y, [spec.factors]) for y in ys], rtol=1e-12, atol=1e-12)
 
 
