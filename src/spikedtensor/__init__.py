@@ -1,7 +1,7 @@
 """Detectability thresholds and seeded Monte-Carlo experiments for rank-r
 spiked complex Gaussian tensor models."""
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"
 
 from .errors import ParameterError
 from .moment import (

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, moment
+from . import __version__, moment, rate
 from .config import FIELDS, KINDS, ExperimentConfig, gram_matrices, parse_config_text, resolve_config
 from .errors import ParameterError
 from .moment import (
@@ -32,8 +32,8 @@ from .moment import (
     xi_empirical_tail,
     xi_tail_probability,
 )
-from .rate import _haar_work, cloud_bound_violations, grf_lower_bound, sample_grf_cloud
-from .rng import SeedSpec
+from .rate import cloud_bound_violations, grf_lower_bound, sample_grf_cloud
+from .rng import _HELD_CELLS, SeedSpec
 from .spike import SpikeSpec
 from .thresholds import threshold_report
 
@@ -52,7 +52,7 @@ _EXIT_INVARIANT = 2
 # n in every kind.
 # - `d`: every run first factors the Grams by one stacked `eigh`; `threshold
 #   --d 1024` took 0.02 s (31 MB) at r=1 and 0.08 s (88 MB) at r=32.  The
-#   Haar drivers' draws grow with d and r, and `haar_work` caps them.
+#   Haar drivers' draws grow with d and r, and `work` caps them.
 # - `r`: every run builds its spike at n = r before its own checks, whose
 #   cost grows as about r^3, and `moment`, `split` and `cloud` build d
 #   (r^2, r^2) complex mode maps (`spike.SpikeSvd`): `moment --n 32
@@ -61,63 +61,61 @@ _EXIT_INVARIANT = 2
 #   `moment` took 0.47 s (295 MB); d=1024 at r=32 would hold 16 GiB.
 # - `bins`: `bound.csv` has a row per bin; `cloud --bins 100000` took
 #   0.16 s (56 MB).
-# - `t_count`: `xi-tail` compares every sample with every t; 1000 t took
-#   0.05 s (37 MB), 0.31 s at 1M samples and 4.7 s (52 MB) at n=6 and 20M,
-#   the sample cap.
+# - `t_count`: `xi-tail` compares every sample with every t, which its
+#   work prices; 1000 t took 0.05 s (37 MB) at 100 samples.
 # - `n_count`: `moment` runs once per n; 64 n took 0.41 s (37 MB).
-# - `cloud_samples`: 2M points took 3.7 s (114 MB).
-# - `moment_samples`, for `moment`, `split` and `direct`'s outer draws, the
-#   draws that an estimate averages: 2M draws took 0.53 s (113 MB), 0.56 s
-#   (143 MB) and, at d=2, n=2, inner 1, 0.39 s (116 MB).
-# - `haar_work` caps the work of `moment`, `split` and `cloud`: samples x d x
-#   (r^4 + 256 r^2) over the n list (`rate._haar_work`).  At the edge,
-#   `moment` took 1.0-1.6 s, `split` 1.0-1.7 s and `cloud` 1.0-1.8 s (41-154
-#   MB), from d=1024 at r=1 (8160 draws) to d=3 at r=2, 8 and 32 (688296,
-#   34952 and 546 draws).  At d=3, r=1 the sample caps bind first.  The
-#   sample caps alone admit 2M draws at every d and r: `moment --d 3 --n 64
-#   --samples 1000` at r=32 took 2.3 s, so 2M would take about 1.3 h.
+# - `samples` caps the draws whose per-draw arrays a run holds: `cloud`'s
+#   points, the Haar `moment` and `split` draws and `direct`'s outer draws.
+#   2M took 3.7 s (114 MB) in `cloud`, 0.53 s (113 MB) in `moment`, 0.56 s
+#   (143 MB) in `split` and 0.39 s (116 MB) in `direct` at d=2, n=2, inner 1.
 # - `direct_n` and `direct_d` set a scope, not a cost: `direct` estimates
 #   m2 with a bias of about e^{2 n |X|_F^2} / inner, which grows with n, so
 #   it is a cross-check of the Haar estimate at very small (n, d) only.  At
 #   the edge, n=4, d=3, it took 0.03 s (38 MB).
-# - `direct_work` caps `direct`'s work over the n list, priced as `roc`'s
-#   is (`moment._direct_cost`): at the edge, d=3, outer 2000 took 1.0-1.2 s
-#   (71-73 MB) at n=3, r=1 (inner 27509) and n=4, r=2 (inner 12215), inner
-#   1 2.0 s (108 MB, n=3, outer 1828792), outer 16 1.1 s (142 MB, n=4,
-#   inner 41094) and d=2, n=4, r=4, outer 16 1.7 s (77 MB, inner 32703).
 # - `draw_cells` caps the largest array one draw holds: what a `direct`
 #   lane holds (`moment._direct_cost`: n=4, outer 2, inner 54470 took
-#   0.19 s, 176 MB, and 271 MB at `--threads 2`, which holds two lanes),
+#   0.19 s, 176 MB, at every `--threads`, as `rng.map_streams` holds no
+#   more lanes at once than fit in the cap),
 #   one `xi-tail` sample's n exponentials (n=2^22: 0.06 s, 100 MB) and
 #   what a `roc` run holds (`moment._roc_cost`: d=3, n=4, inner 53771 took
 #   0.2 s, 155 MB; d=2, n=1181, inner 1, 0.4 s, 186 MB).
-# - `roc_work` caps `roc`'s work (`moment._roc_cost`), in multiply-adds of
-#   its scoring GEMM and their equivalents: at the edge, runs took 0.7-3.8 s
-#   in CSV and 1.4-3.2 s in JSON, and 42-137 MB, from d=3, n=3, inner 1
-#   (108022 trials) and d=2, n=2, inner 2000 (21284) to d=3, n=16 and d=2,
-#   n=64 at inner 500 (1356), d=7, n=6, inner 1 (59) and d=2, n=256, inner
-#   50 (214), the slowest and the largest; 0.21.0's edges read 0.8-4.0 s
-#   and 2.1-3.6 s in the same alternating runs (one thread, 2-vCPU VM).
-# - `xi_samples` and `xi_work` cap `xi-tail`'s samples and its n x samples
-#   exponentials: 20M samples at n=6 took 0.80 s (37 MB), and 2^27
-#   exponentials at n=2^20 0.85 s (52 MB).
+# - `work` caps a run's time.  Its unit is a multiply-add of the scoring
+#   GEMM of `roc` and `direct`, about 0.1 ns (0.05-0.11 ns measured in every
+#   driver), and each driver states its work in it beside its own code:
+#   `rate._haar_work` for `moment`, `split` and `cloud`, `moment._direct_cost`,
+#   `moment._roc_cost` and `moment._xi_work`.  `moment` counts every n of
+#   its list.  At the edge:
+#   - the Haar drivers took 1.0-1.8 s (41-154 MB), from d=1024 at r=1 (8160
+#     draws) to d=3 at r=2, 8 and 32 (688296, 34952 and 546 draws); at d=3,
+#     r=1 the `samples` cap binds first, and without the work cap `moment
+#     --d 3 --n 64` at r=32 would take about 1.3 h for 2M draws;
+#   - `direct` at d=3, outer 2000 took 1.0-1.2 s (71-73 MB) at n=3, r=1
+#     (inner 27509) and n=4, r=2 (inner 12215), inner 1 2.0 s (108 MB, n=3,
+#     outer 1828792), outer 16 1.1 s (142 MB, n=4, inner 41094) and d=2,
+#     n=4, r=4, outer 16 1.7 s (77 MB, inner 32703);
+#   - `roc` took 0.7-3.0 s in CSV and 1.2-3.0 s in JSON, and 44-140 MB,
+#     from d=3, n=3, inner 1 (108022 trials) and d=2, n=2, inner 2000
+#     (21277) to d=3, n=16 and d=2, n=64 at inner 500 (1301 and 1300), d=7,
+#     n=6, inner 1 (59) and d=2, n=256, inner 50 (200), the slowest and
+#     the largest; at d=2, n=32, r=32, inner 1363, its prior set is 94 % of
+#     the cap, and 2 trials took 0.8-1.1 s (146 MB);
+#   - `xi-tail` at n=2^20 took 0.72-1.0 s (52 MB, 127 samples), and at
+#     1000 t 0.84-1.1 s at n=2 (4036623 samples) and 1.2-1.4 s at n=6
+#     (3603160), 39-40 MB.
+# - `xi_samples` caps `xi-tail`'s samples: 20M at n=6 took 0.80 s (37 MB).
 _LIMITS = {
     "d": 1024,
     "r": 32,
     "bins": 100_000,
     "t_count": 1000,
     "n_count": 64,
-    "cloud_samples": 2_000_000,
-    "moment_samples": 2_000_000,
+    "samples": 2_000_000,
     "direct_n": 4,
     "direct_d": 3,
-    "direct_work": 2**34,
-    "haar_work": 2**31,
-    "roc_work": 2**34,
-    "draw_cells": 2**22,
+    "work": 2**34,
+    "draw_cells": _HELD_CELLS,
     "mode_map_cells": 2**24,
     "xi_samples": 20_000_000,
-    "xi_work": 2**27,
 }
 
 
@@ -213,12 +211,9 @@ def _refuse(condition: bool, message: str) -> None:
         raise ParameterError(f"desk-scale limit exceeded: {message}")
 
 
-def _refuse_haar_work(config: ExperimentConfig) -> None:
-    """The work cap of `moment`, `split` and `cloud`, checked after their
-    sample caps: `rate._haar_work` of every draw, one run an n for
-    `moment`."""
-    work = _haar_work(config.r, config.d, config.samples * len(config.n))
-    _refuse(work > _LIMITS["haar_work"], f"Haar work {work} > {_LIMITS['haar_work']}")
+def _refuse_work(what: str, work: int) -> None:
+    """The one work cap, in the unit of every driver's cost statement."""
+    _refuse(work > _LIMITS["work"], f"{what} work {work} > {_LIMITS['work']}")
 
 
 def _spec_for(config: ExperimentConfig, n: int):
@@ -232,8 +227,8 @@ def run_threshold(config: ExperimentConfig, spike: SpikeSpec) -> None:
 
 
 def run_cloud(config: ExperimentConfig, spike: SpikeSpec) -> None:
-    _refuse(config.samples > _LIMITS["cloud_samples"], f"cloud samples {config.samples} > {_LIMITS['cloud_samples']}")
-    _refuse_haar_work(config)
+    _refuse(config.samples > _LIMITS["samples"], f"cloud samples {config.samples} > {_LIMITS['samples']}")
+    _refuse_work("cloud", rate._haar_work(config.r, config.d, config.samples))
     spec = replace(spike, n=config.n[0])
     seed = SeedSpec(config.seed, config.stream)
     cloud = sample_grf_cloud(spec, config.samples, seed, config.bins, threads=config.threads)
@@ -254,22 +249,21 @@ def run_cloud(config: ExperimentConfig, spike: SpikeSpec) -> None:
 def run_moment(config: ExperimentConfig, spike: SpikeSpec) -> None:
     # every n meets every cap before the first estimate
     haar = config.method == "haar"
-    if haar:
-        _refuse(config.samples > _LIMITS["moment_samples"], f"samples {config.samples} > {_LIMITS['moment_samples']}")
-        _refuse_haar_work(config)
-    else:
-        _refuse(config.outer > _LIMITS["moment_samples"], f"outer {config.outer} > {_LIMITS['moment_samples']}")
-        _refuse(config.d > _LIMITS["direct_d"], f"direct method d {config.d} > {_LIMITS['direct_d']}")
-    specs = []
-    for n in config.n:
-        _refuse(not haar and n > _LIMITS["direct_n"], f"direct method n {n} > {_LIMITS['direct_n']}")
-        specs.append(replace(spike, n=n))
-        if not haar:
-            cells = moment._direct_cost(specs[-1], config.outer, config.inner).held_cells
-            _refuse(cells > _LIMITS["draw_cells"], f"one direct lane holds {cells} cells > {_LIMITS['draw_cells']}")
-    if not haar:
-        work = sum(moment._direct_cost(spec, config.outer, config.inner).work for spec in specs)
-        _refuse(work > _LIMITS["direct_work"], f"direct work {work} > {_LIMITS['direct_work']}")
+    name, draws = ("samples", config.samples) if haar else ("outer", config.outer)
+    _refuse(draws > _LIMITS["samples"], f"{name} {draws} > {_LIMITS['samples']}")
+    _refuse(not haar and config.d > _LIMITS["direct_d"], f"direct method d {config.d} > {_LIMITS['direct_d']}")
+    specs = [replace(spike, n=n) for n in config.n]
+    work = 0
+    for spec in specs:
+        if haar:
+            work += rate._haar_work(spec.r, spec.d, config.samples)
+            continue
+        _refuse(spec.n > _LIMITS["direct_n"], f"direct method n {spec.n} > {_LIMITS['direct_n']}")
+        cost = moment._direct_cost(spec, config.outer, config.inner)
+        _refuse(cost.held_cells > _LIMITS["draw_cells"],
+                f"one direct lane holds {cost.held_cells} cells > {_LIMITS['draw_cells']}")
+        work += cost.work
+    _refuse_work("moment" if haar else "direct", work)
     seed = SeedSpec(config.seed, config.stream)
 
     def estimate(spec):
@@ -290,8 +284,8 @@ def run_moment(config: ExperimentConfig, spike: SpikeSpec) -> None:
 
 def run_split(config: ExperimentConfig, spike: SpikeSpec) -> None:
     n = config.n[0]
-    _refuse(config.samples > _LIMITS["moment_samples"], f"samples {config.samples} > {_LIMITS['moment_samples']}")
-    _refuse_haar_work(config)
+    _refuse(config.samples > _LIMITS["samples"], f"samples {config.samples} > {_LIMITS['samples']}")
+    _refuse_work("split", rate._haar_work(config.r, config.d, config.samples))
     spec = replace(spike, n=n)
     epsilon = config.epsilon if config.epsilon is not None else default_epsilon(spec)
     if epsilon <= 0:
@@ -314,7 +308,7 @@ def run_xi_tail(config: ExperimentConfig, spike: SpikeSpec) -> None:
     n = config.n[0]
     _refuse(n > _LIMITS["draw_cells"], f"one xi-tail sample holds {n} cells > {_LIMITS['draw_cells']}")
     _refuse(config.samples > _LIMITS["xi_samples"], f"samples {config.samples} > {_LIMITS['xi_samples']}")
-    _refuse(n * config.samples > _LIMITS["xi_work"], f"n*samples = {n * config.samples} > {_LIMITS['xi_work']}")
+    _refuse_work("xi-tail", moment._xi_work(n, len(config.t), config.samples))
     seed = SeedSpec(config.seed, config.stream)
     estimates = xi_empirical_tail(n, config.t, config.samples, seed, threads=config.threads)
     header = ["n", "t", "count", "analytic", "empirical", "stderr"]
@@ -331,7 +325,7 @@ def run_roc(config: ExperimentConfig, spike: SpikeSpec) -> None:
     cost = moment._roc_cost(spec, config.trials, config.inner)
     _refuse(cost.held_cells > _LIMITS["draw_cells"],
             f"one roc run holds {cost.held_cells} cells > {_LIMITS['draw_cells']}")
-    _refuse(cost.work > _LIMITS["roc_work"], f"roc work {cost.work} > {_LIMITS['roc_work']}")
+    _refuse_work("roc", cost.work)
     seed = SeedSpec(config.seed, config.stream)
     roc = roc_experiment(spec, config.trials, config.inner, seed, threads=config.threads)
 

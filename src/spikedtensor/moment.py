@@ -255,11 +255,11 @@ def _noise_part(spec: SpikeSpec) -> tuple:
     return ((spec.n,) * spec.d, np.sqrt(1.0 / (2.0 * spec.n)))
 
 
-# The weights of `_roc_cost`'s and `_direct_cost`'s work, in multiply-adds
-# of the scoring GEMM counted at 10 G/s, about the rate of a whole `roc` run
-# at d=3, n=16, inner 500,
-# where the GEMM is most of the work (one thread, 2-vCPU VM,
-# `roc_experiment` and `cli.main` calls, best of three or five).  The GEMM
+# The weights of `_roc_cost`'s, `_direct_cost`'s and `_prior_work`'s work,
+# in the CLI's work unit (`cli._LIMITS`): multiply-adds of the scoring
+# GEMM, counted at 10 G/s, about the rate of a whole `roc` run at d=3,
+# n=16, inner 500, where the GEMM is most of the work (one thread, 2-vCPU
+# VM, `roc_experiment` and `cli.main` calls, best of three or five).  The GEMM
 # alone ran at 17 G/s there (28 rows a batch), and at 1.9 G/s at one trial
 # a batch against a dictionary larger than the cache (d=2, n=256, inner 50:
 # 52 MB read from memory for a trial's two rows), which the cell weight
@@ -297,6 +297,13 @@ def _prior_cells(spec: SpikeSpec, inner: int) -> int:
     return inner * (spec.d * spec.n * spec.r + spec.n**spec.d)
 
 
+def _prior_work(spec: SpikeSpec, inner: int) -> int:
+    """What drawing one prior set costs (`_prior_set`, `_prior_dictionary`):
+    the d n r inner cells it draws and the r inner n^d it builds, one
+    rank-one term a rank, each weighted as a trial's cells."""
+    return _ROC_CELL_MADDS * inner * (spec.d * spec.n * spec.r + spec.r * spec.n**spec.d)
+
+
 def _roc_cost(spec: SpikeSpec, trials: int, inner: int) -> ScoreCost:
     """The one statement of what `roc_experiment` costs, which its blocks
     and the CLI's caps read.
@@ -309,12 +316,13 @@ def _roc_cost(spec: SpikeSpec, trials: int, inner: int) -> ScoreCost:
     `_dictionary_log_lr`), and a trial's 2 inner exponentials, the
     (2 + r) n^d cells it draws (its two noise tensors) and builds (its
     spike, one rank-one term a rank) and its rows of the curve, each
-    weighted by its measured cost."""
+    weighted by its measured cost, and the run's prior set (`_prior_work`)."""
     cube = spec.n**spec.d
     trial = 2 * cube + spec.d * spec.n * spec.r + 2 * inner
     gemm = 2 * inner * 2 * cube
     per_trial = _ROC_TRIAL_MADDS + _ROC_EXP_MADDS * 2 * inner + _ROC_CELL_MADDS * (2 + spec.r) * cube
-    return ScoreCost(draw_cells=trial, held_cells=_prior_cells(spec, inner) + trial, work=trials * (gemm + per_trial))
+    return ScoreCost(draw_cells=trial, held_cells=_prior_cells(spec, inner) + trial,
+                     work=trials * (gemm + per_trial) + _prior_work(spec, inner))
 
 
 def _direct_cost(spec: SpikeSpec, outer: int, inner: int) -> ScoreCost:
@@ -326,14 +334,13 @@ def _direct_cost(spec: SpikeSpec, outer: int, inner: int) -> ScoreCost:
     least one observation.  The work is the scoring GEMM's multiply-adds,
     inner 2 n^d an observation (one row against its lane's dictionary:
     `_dictionary_log_lr`), an observation's inner exponentials and the n^d
-    cells it draws, and each lane's prior set, the d n r inner cells it
-    draws and the r inner n^d it builds, weighted as in `_roc_cost`."""
+    cells it draws, weighted as in `_roc_cost`, and each lane's prior set
+    (`_prior_work`)."""
     cube = spec.n**spec.d
     draw = cube + inner
     per_draw = inner * 2 * cube + _ROC_EXP_MADDS * inner + _ROC_CELL_MADDS * cube
-    per_lane = _ROC_CELL_MADDS * inner * (spec.d * spec.n * spec.r + spec.r * cube)
     return ScoreCost(draw_cells=draw, held_cells=_prior_cells(spec, inner) + draw,
-                     work=outer * per_draw + min(outer, _N_STREAMS) * per_lane)
+                     work=outer * per_draw + min(outer, _N_STREAMS) * _prior_work(spec, inner))
 
 
 def second_moment_direct_mc(
@@ -372,9 +379,8 @@ def second_moment_direct_mc(
         y, = complex_normal_rounds(gen, m, noise)
         return 2.0 * _dictionary_log_lr(spec, y, dictionary, energy)
 
-    stacked = inner if rotate else 1
-    chunks = map_streams(worker, outer, rng, threads, cells=_direct_cost(spec, outer, stacked).draw_cells, lane=lane,
-                         lane_cells=_prior_cells(spec, stacked))
+    cost = _direct_cost(spec, outer, inner if rotate else 1)
+    chunks = map_streams(worker, outer, rng, threads, cells=cost.draw_cells, lane=lane, lane_cells=cost.held_cells)
     return _mean_from_exponents(chunks, rng, outer)
 
 
@@ -386,6 +392,23 @@ def xi_tail_probability(t: float, n: int) -> float:
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
     return (1.0 - t * t) ** (n - 1)
+
+
+# The weights of `_xi_work`, in the CLI's work unit (`cli._LIMITS`; one
+# thread, in-process `cli.main`, 2-vCPU VM): an exponential, with its share
+# of the row-sum gemv, 128 units (2^27 at n=2^20 took 0.85 s, about 0.05 ns
+# a unit), and a comparison of a sample's ratio with one t^2, with its
+# count, 4 units (0.2-0.33 ns at 1000 t, where the comparisons are the
+# work: the edges at n=2 and 6, 4.0M and 3.6M samples, took 0.84-1.1 s and
+# 1.2-1.4 s, 0.05-0.08 ns a unit).
+_XI_EXP_WORK = 128
+_XI_T_WORK = 4
+
+
+def _xi_work(n: int, t_count: int, samples: int) -> int:
+    """The one statement of what `xi_empirical_tail` costs, which the CLI's
+    work cap reads: a sample's n exponentials and its t comparisons."""
+    return samples * (_XI_EXP_WORK * n + _XI_T_WORK * t_count)
 
 
 def xi_empirical_tail(n: int, ts, samples: int, rng: SeedSpec, threads: int = 1) -> list[MCEstimate]:

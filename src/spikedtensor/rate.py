@@ -289,23 +289,25 @@ def _cloud_cells(n: int, r: int, d: int) -> int:
 
 
 # What one Haar-exponent draw of a mode costs in `moment`, `split` and
-# `cloud`, in complex multiply-adds of its (r^2, r^2) mode-map product: r^4
-# for the product, and `_CORNER_CELL_MADDS` for each of the r^2 cells of its
-# corner, which covers its variates, its Gram-Schmidt (about 2 r^3
-# multiply-adds, at most 64 r^2 up to the r cap of 32) and the per-cell
-# work of the stacked array calls.  Timed at the CLI's cap (in-process
-# `cli.main`, one thread, 2-vCPU VM), the three drivers took 0.42-0.85 ns
-# a unit from r = 1 to r = 32 (d = 3 at n = 2r, and d = 1024 at r = 1),
-# where r^4 alone would put r = 1 at about 200 times the cost a unit of
+# `cloud`, in the CLI's work unit (`cli._LIMITS`): `_MAP_MADD_WORK` for each
+# of the r^4 complex multiply-adds of its (r^2, r^2) mode-map product, and
+# `_CORNER_CELL_WORK` for each of the r^2 cells of its corner, which covers
+# its variates, its Gram-Schmidt (about 2 r^3 multiply-adds, at most 64 r^2
+# up to the r cap of 32) and the per-cell work of the stacked array calls.
+# Timed at the CLI's cap (in-process `cli.main`, one thread, 2-vCPU VM), the
+# three drivers took 0.05-0.11 ns a unit from r = 1 to r = 32 (d = 3 at
+# n = 2r, and d = 1024 at r = 1), the band `direct` runs in, where the
+# product alone would put r = 1 at about 200 times the cost a unit of
 # r = 32.  `cloud` adds its CSV row a draw, which its sample cap bounds.
-_CORNER_CELL_MADDS = 256
+_MAP_MADD_WORK = 8
+_CORNER_CELL_WORK = 2048
 
 
 def _haar_work(r: int, d: int, draws: int) -> int:
     """The one statement of what `draws` Haar-exponent draws cost, the work
     that the CLI's cap reads for `moment`, `split` and `cloud`: d modes a
-    draw, r^4 + 256 r^2 multiply-adds a mode (`_CORNER_CELL_MADDS`)."""
-    return draws * d * (r**4 + _CORNER_CELL_MADDS * r * r)
+    draw, each weighted as above."""
+    return draws * d * (_MAP_MADD_WORK * r**4 + _CORNER_CELL_WORK * r * r)
 
 
 def _sample_psi_stack(r: int, n: int, d: int, count: int, gen: np.random.Generator) -> np.ndarray:

@@ -167,6 +167,10 @@ def _orthonormalize(z: np.ndarray) -> np.ndarray:
 _POOL_CELLS = 2**14
 _N_STREAMS = 16
 _BLOCK_CELLS = 2**17
+# The most cells one draw, and the lanes held at once, may hold: the CLI
+# refuses a run whose draw or lane would hold more (`cli._LIMITS`), and
+# `map_streams` starts no more workers than lanes fit in it.
+_HELD_CELLS = 2**22
 # The child stream of a draw taken once per run and shared by every chunk
 # (the prior set of `roc`): past the chunk lanes 0 .. _N_STREAMS - 1, so it
 # shares no stream with them and does not move with the chunk layout.
@@ -293,8 +297,10 @@ def map_streams(draw, total: int, seed: SeedSpec, threads: int = 1, *, cells: in
     A driver that draws a statistic once a chunk passes `lane`:
     ``lane(generator)`` runs in the chunk's task before its first draw, and
     its result is passed to each of the chunk's draws,
-    ``draw(m, generator, held)``; `lane_cells`, the cells it holds, count
-    toward the pool threshold.  At most `threads` are held at once.
+    ``draw(m, generator, held)``; `lane_cells`, the cells a lane holds while
+    it scores, count toward the pool threshold.  At most `threads` lanes,
+    and at most as many as fit in `_HELD_CELLS` cells, at least one, are
+    held at once: the pool starts no more workers than that.
     """
     if threads < 1:
         raise ParameterError(f"need threads >= 1, got {threads}")
@@ -323,10 +329,11 @@ def map_streams(draw, total: int, seed: SeedSpec, threads: int = 1, *, cells: in
 
     tasks = [[i] for i in range(len(sizes))] if score is None else _packed(sizes, block)
     largest = max(sum(sizes[i] for i in task) for task in tasks)
+    workers = min(threads, max(1, _HELD_CELLS // lane_cells)) if lane_cells else threads
     with _one_blas_thread() as init:
-        if threads == 1 or len(tasks) == 1 or largest * cells + lane_cells < _POOL_CELLS:
+        if workers == 1 or len(tasks) == 1 or largest * cells + lane_cells < _POOL_CELLS:
             return [chunk for task in tasks for chunk in run(task)]
-        with ThreadPoolExecutor(max_workers=threads, initializer=init, initargs=(1,)) as pool:
+        with ThreadPoolExecutor(max_workers=workers, initializer=init, initargs=(1,)) as pool:
             return [chunk for out in pool.map(run, tasks) for chunk in out]
 
 

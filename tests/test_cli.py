@@ -413,62 +413,75 @@ def _stub_drivers(monkeypatch):
         monkeypatch.setattr(cli, name, reached)
 
 
-# Every cap of `cli._LIMITS` at its edge: for each case, the command at the
-# largest admitted value v and the value itself.  v reaches the driver and
-# v + 1 is refused by that cap.  The `roc` values are where `_roc_cost` crosses
-# the cap: at d=3, n=4, 76 cells an inner draw (12 prior set, 64 dictionary)
-# and a trial of 128 + 12 + 2 inner give 4,194,278 cells at inner 53771 and
-# 4,194,356 at 53772; at d=3, n=16, inner 500 a trial's work of
-# 2 x 500 x 2 x 4096 GEMM multiply-adds and 4,468,992 in their equivalents
-# gives 17,168,305,152 at 1356 trials and 17,180,966,144 at 1357.  The
-# `direct` values are where `moment._direct_cost` crosses its caps, which
-# count as `roc`'s do: at d=3, n=3, r=1, outer 2000, the work is
-# 17,179,574,560 at inner 27509 and 17,180,198,400 at 27510, over 2^34; at
-# d=3, n=4, r=1 a lane holds 12 + 64 cells an inner draw and an
-# observation of 64 + inner, 4,194,254 cells at inner 54470 and 4,194,331
-# at 54471, over 2^22.  The `haar_work` values are where
-# `rate._haar_work` crosses 2^31: r^4 + 256 r^2 = 257 a mode at r=1, so
-# 8160 x 1024 x 257 = 2,147,450,880, half as many draws for two n, and
-# 546 x 3 x 1,310,720 at r=32.
+# Every cap of `cli._LIMITS` at its edges, in groups: each group names its
+# cap and, for each case, the command at the largest admitted value v and
+# the value itself.  v reaches the driver and v + 1 is refused by that cap.
+# The `work` cap's edges are grouped by the cost statement they cross, and
+# the `samples` cap's by the drivers it bounds.  The `roc` values are where
+# `_roc_cost` crosses its caps: at d=3, n=4, 76 cells an inner draw (12
+# prior set, 64 dictionary) and a trial of 128 + 12 + 2 inner give
+# 4,194,278 cells at inner 53771 and 4,194,356 at 53772; at d=3, n=16,
+# inner 500 a trial's work of 2 x 500 x 2 x 4096 GEMM multiply-adds and
+# 4,468,992 in their equivalents, and the prior set's 704,480,000, give
+# 17,176,430,592 at 1301 trials and 17,189,091,584 at 1302 (1356 before
+# the set was priced).  The `direct` values are where
+# `moment._direct_cost` crosses its caps, which count as `roc`'s do: at
+# d=3, n=3, r=1, outer 2000, the work is 17,179,574,560 at inner 27509 and
+# 17,180,198,400 at 27510, over 2^34; at d=3, n=4, r=1 a lane holds 12 + 64
+# cells an inner draw and an observation of 64 + inner, 4,194,254 cells at
+# inner 54470 and 4,194,331 at 54471, over 2^22.  The Haar values are where
+# `rate._haar_work` crosses 2^34: 8 r^4 + 2048 r^2 = 2056 a mode at r=1, so
+# 8160 x 1024 x 2056 = 17,179,607,040, half as many draws for two n, and
+# 546 x 3 x 10,485,760 at r=32.  `xi-tail`'s 128 an exponential and 4 a
+# comparison with a t give 17,045,652,980 at n=2^20, 3 t and 127 samples
+# and 2^34 + 1536 at 128, the edge before the comparisons were priced, and
+# 2^34 - 1696 at n=2, 1000 t and 4,036,623 samples.
 _CAP_EDGES = {
-    "d": [(lambda v: f"threshold --d {v} --lambdas 0.3", 1024)],
-    "r": [(lambda v: "threshold --lambdas " + ",".join(["0.01"] * v), 32)],
-    "bins": [(lambda v: f"cloud --d 3 --n 4 --samples 200 --bins {v}", 100_000)],
-    "t_count": [(lambda v: "xi-tail --n 4 --samples 100 --t " + ",".join(str(i / v) for i in range(v)), 1000)],
-    "n_count": [(lambda v: "moment --samples 4 --n " + ",".join(str(2 + i) for i in range(v)), 64)],
-    "cloud_samples": [(lambda v: f"cloud --samples {v}", 2_000_000)],
-    "moment_samples": [(lambda v: f"moment --samples {v}", 2_000_000), (lambda v: f"split --samples {v}", 2_000_000),
-                       (lambda v: f"moment --method direct --d 2 --n 2 --inner 1 --outer {v}", 2_000_000)],
-    "direct_n": [(lambda v: f"moment --method direct --n {v}", 4)],
-    "direct_d": [(lambda v: f"moment --method direct --d {v} --n 3", 3)],
-    "direct_work": [(lambda v: f"moment --method direct --n 3 --outer 2000 --inner {v}", 27509),
-                    (lambda v: f"moment --method direct --lambdas 0.4,0.2 --n 4 --outer 2000 --inner {v}", 12215),
-                    (lambda v: f"moment --method direct --n 3 --inner 1 --outer {v}", 1_828_792)],
-    "haar_work": [(lambda v: f"moment --d 1024 --lambdas 0.3 --samples {v}", 8160),
-                  (lambda v: f"moment --d 1024 --lambdas 0.3 --n 4,8 --samples {v}", 4080),
-                  (lambda v: f"split --d 1024 --lambdas 0.3 --samples {v}", 8160),
-                  (lambda v: f"cloud --d 1024 --lambdas 0.3 --samples {v}", 8160),
-                  (lambda v: "moment --n 64 --lambdas " + ",".join(["0.01"] * 32) + f" --samples {v}", 546)],
-    "roc_work": [(lambda v: f"roc --d 3 --n 16 --inner 500 --trials {v}", 1356),
-                 (lambda v: f"roc --d 3 --n 3 --inner 1 --trials {v}", 108_022)],
-    "draw_cells": [(lambda v: f"moment --method direct --n 4 --outer 2 --inner {v}", 54_470),
-                   (lambda v: f"xi-tail --n {v} --samples 1", 2**22),
-                   (lambda v: f"roc --d 3 --n 4 --trials 2 --inner {v}", 53_771),
-                   (lambda v: f"roc --d 2 --n 6 --lambdas 0.3,0.2 --trials 2 --inner {v}", 67_648)],
-    "mode_map_cells": [(lambda v: f"moment --d {v} --n 64 --samples 10 --lambdas " + ",".join(["0.01"] * 32), 16)],
-    "xi_samples": [(lambda v: f"xi-tail --n 2 --samples {v}", 20_000_000)],
-    "xi_work": [(lambda v: f"xi-tail --n 1048576 --samples {v}", 128)],
+    "d": ("d", [(lambda v: f"threshold --d {v} --lambdas 0.3", 1024)]),
+    "r": ("r", [(lambda v: "threshold --lambdas " + ",".join(["0.01"] * v), 32)]),
+    "bins": ("bins", [(lambda v: f"cloud --d 3 --n 4 --samples 200 --bins {v}", 100_000)]),
+    "t_count": ("t_count", [(lambda v: "xi-tail --n 4 --samples 100 --t " + ",".join(str(i / v) for i in range(v)),
+                             1000)]),
+    "n_count": ("n_count", [(lambda v: "moment --samples 4 --n " + ",".join(str(2 + i) for i in range(v)), 64)]),
+    "cloud_samples": ("samples", [(lambda v: f"cloud --samples {v}", 2_000_000)]),
+    "moment_samples": ("samples", [(lambda v: f"moment --samples {v}", 2_000_000),
+                                   (lambda v: f"split --samples {v}", 2_000_000),
+                                   (lambda v: f"moment --method direct --d 2 --n 2 --inner 1 --outer {v}", 2_000_000)]),
+    "direct_n": ("direct_n", [(lambda v: f"moment --method direct --n {v}", 4)]),
+    "direct_d": ("direct_d", [(lambda v: f"moment --method direct --d {v} --n 3", 3)]),
+    "direct_work": ("work", [(lambda v: f"moment --method direct --n 3 --outer 2000 --inner {v}", 27509),
+                             (lambda v: f"moment --method direct --lambdas 0.4,0.2 --n 4 --outer 2000 --inner {v}",
+                              12215),
+                             (lambda v: f"moment --method direct --n 3 --inner 1 --outer {v}", 1_828_792)]),
+    "haar_work": ("work", [(lambda v: f"moment --d 1024 --lambdas 0.3 --samples {v}", 8160),
+                           (lambda v: f"moment --d 1024 --lambdas 0.3 --n 4,8 --samples {v}", 4080),
+                           (lambda v: f"split --d 1024 --lambdas 0.3 --samples {v}", 8160),
+                           (lambda v: f"cloud --d 1024 --lambdas 0.3 --samples {v}", 8160),
+                           (lambda v: "moment --n 64 --lambdas " + ",".join(["0.01"] * 32) + f" --samples {v}", 546)]),
+    "roc_work": ("work", [(lambda v: f"roc --d 3 --n 16 --inner 500 --trials {v}", 1301),
+                          (lambda v: f"roc --d 3 --n 3 --inner 1 --trials {v}", 108_022)]),
+    "draw_cells": ("draw_cells", [(lambda v: f"moment --method direct --n 4 --outer 2 --inner {v}", 54_470),
+                                  (lambda v: f"xi-tail --n {v} --samples 1", 2**22),
+                                  (lambda v: f"roc --d 3 --n 4 --trials 2 --inner {v}", 53_771),
+                                  (lambda v: f"roc --d 2 --n 6 --lambdas 0.3,0.2 --trials 2 --inner {v}", 67_648)]),
+    "mode_map_cells": ("mode_map_cells", [(lambda v: f"moment --d {v} --n 64 --samples 10 --lambdas "
+                                           + ",".join(["0.01"] * 32), 16)]),
+    "xi_samples": ("xi_samples", [(lambda v: f"xi-tail --n 2 --samples {v}", 20_000_000)]),
+    "xi_work": ("work", [(lambda v: f"xi-tail --n 1048576 --samples {v}", 127),
+                         (lambda v: "xi-tail --n 2 --t " + ",".join(str(i / 1000) for i in range(1000))
+                          + f" --samples {v}", 4_036_623)]),
 }
 
 
 def test_every_cap_has_an_edge_case():
-    assert sorted(_CAP_EDGES) == sorted(cli._LIMITS)
+    assert sorted({cap for cap, _ in _CAP_EDGES.values()}) == sorted(cli._LIMITS)
 
 
-@pytest.mark.parametrize("cap", sorted(_CAP_EDGES))
-def test_cap_edges(tmp_path, monkeypatch, capsys, cap):
+@pytest.mark.parametrize("group", sorted(_CAP_EDGES))
+def test_cap_edges(tmp_path, monkeypatch, capsys, group):
     _stub_drivers(monkeypatch)
-    for command, largest in _CAP_EDGES[cap]:
+    cap, cases = _CAP_EDGES[group]
+    for command, largest in cases:
         with pytest.raises(_Reached):
             run(command(largest).split() + ["--out", tmp_path / "o"])
         assert run(command(largest + 1).split() + ["--out", tmp_path / "o"]) == 1
@@ -580,11 +593,60 @@ def test_roc_cost_statement_has_one_owner(tmp_path, monkeypatch, capsys):
     assert cells == [2 * 3**3 + 3 * 3 + 2 * 10, 5]
     capsys.readouterr()
     for cost, message in ((moment.ScoreCost(5, cli._LIMITS["draw_cells"] + 1, 1), "one roc run holds"),
-                          (moment.ScoreCost(5, 1, cli._LIMITS["roc_work"] + 1), "roc work")):
+                          (moment.ScoreCost(5, 1, cli._LIMITS["work"] + 1), "roc work")):
         monkeypatch.setattr(moment, "_roc_cost", lambda spec, trials, inner, cost=cost: cost)
         assert run(args) == 1
         assert f"desk-scale limit exceeded: {message} " in capsys.readouterr().err
     assert len(cells) == 2
+
+
+def test_direct_cost_statement_has_one_owner(tmp_path, monkeypatch, capsys):
+    # second_moment_direct_mc's block and lane cells and the CLI's refusals
+    # all move with `moment._direct_cost`
+    import spikedtensor.moment as moment
+    from spikedtensor.rng import map_streams
+
+    cells = []
+
+    def recording(*args, **kwargs):
+        cells.append((kwargs["cells"], kwargs["lane_cells"]))
+        return map_streams(*args, **kwargs)
+
+    monkeypatch.setattr(moment, "map_streams", recording)
+    args = ["moment", "--method", "direct", "--d", 3, "--n", 3, "--outer", 8, "--inner", 10, "--out", tmp_path / "o"]
+    assert run(args) == 0
+    monkeypatch.setattr(moment, "_direct_cost", lambda spec, outer, inner: moment.ScoreCost(5, 7, 1))
+    assert run(args) == 0
+    draw = 3**3 + 10  # an observation and its score row
+    assert cells == [(draw, 10 * (3 * 3 + 3**3) + draw), (5, 7)]
+    capsys.readouterr()
+    for cost, message in ((moment.ScoreCost(5, cli._LIMITS["draw_cells"] + 1, 1), "one direct lane holds"),
+                          (moment.ScoreCost(5, 1, cli._LIMITS["work"] + 1), "direct work")):
+        monkeypatch.setattr(moment, "_direct_cost", lambda spec, outer, inner, cost=cost: cost)
+        assert run(args) == 1
+        assert f"desk-scale limit exceeded: {message} " in capsys.readouterr().err
+    assert len(cells) == 2
+
+
+@pytest.mark.parametrize("kind, past_the_edge, owner", [
+    ("moment", "--d 1024 --lambdas 0.3 --samples 8161", "rate._haar_work"),
+    ("split", "--d 1024 --lambdas 0.3 --samples 8161", "rate._haar_work"),
+    ("cloud", "--d 1024 --lambdas 0.3 --samples 8161", "rate._haar_work"),
+    ("xi-tail", "--n 1048576 --samples 128", "moment._xi_work"),
+])
+def test_haar_and_xi_work_statements_have_one_owner(tmp_path, monkeypatch, capsys, kind, past_the_edge, owner):
+    # the CLI admits and refuses these drivers by their work statement alone
+    _stub_drivers(monkeypatch)
+    args = [kind, *past_the_edge.split(), "--out", tmp_path / "o"]
+    assert run(args) == 1
+    assert f"desk-scale limit exceeded: {kind} work " in capsys.readouterr().err
+    monkeypatch.setattr(f"spikedtensor.{owner}", lambda *args: 1)
+    with pytest.raises(_Reached):
+        run(args)
+    monkeypatch.setattr(f"spikedtensor.{owner}", lambda *args: cli._LIMITS["work"] + 1)
+    assert run([kind, "--samples", 10, "--out", tmp_path / "o"]) == 1
+    assert f"desk-scale limit exceeded: {kind} work {cli._LIMITS['work'] + 1} > " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 _N_BOUND = 2**53
@@ -870,18 +932,20 @@ def _list_cap_args(key, count):
         return ["xi-tail", "--n", 4, "--samples", 100, "--t", ",".join(str(i / count) for i in range(count))]
     if key == "xi_n":
         return ["xi-tail", "--n", count, "--samples", 1, "--t", 0.5]
-    if key == "xi_work":  # n * samples = count: 2^20 * 2^7 at the cap, 81 * 1657009 one above it
-        n = 2**20 if count % 2**20 == 0 else 81
-        assert n * (count // n) == count
-        return ["xi-tail", "--n", n, "--samples", count // n, "--t", 0.5]
+    if key == "xi_work":
+        return ["xi-tail", "--n", 2**20, "--samples", count, "--t", 0.5]
     return ["moment", "--d", 3, "--lambdas", "0.3", "--samples", 4, "--n", ",".join(str(2 + i) for i in range(count))]
 
 
 @pytest.mark.parametrize("key", ["bins", "t_count", "n_count", "xi_n", "xi_work"])
 def test_list_caps(tmp_path, capsys, key):
+    import spikedtensor.moment as moment
     from spikedtensor.cli import _LIMITS
 
-    cap = _LIMITS["draw_cells" if key == "xi_n" else key]  # xi-tail's n: the n cells one sample holds
+    if key == "xi_work":  # the samples whose work fits, at n=2^20 and one t: 127
+        cap = _LIMITS["work"] // moment._xi_work(2**20, 1, 1)
+    else:
+        cap = _LIMITS["draw_cells" if key == "xi_n" else key]  # xi-tail's n: the n cells one sample holds
     out = tmp_path / key
     assert run(_list_cap_args(key, cap) + ["--out", out, "--threads", 1]) == 0
     capsys.readouterr()

@@ -10,7 +10,8 @@ so do the `roc` digests where `openblas_set_num_threads_local` is missing
 and OpenBLAS runs its GEMMs threaded.  On such a platform a failure says
 that bits moved, not values: check it against that platform's own output
 at the version the file was taken.  Every digest mismatch names the
-OpenBLAS core and build config that it ran on (`_blas_platform`), and a
+OpenBLAS core and build config that it ran on and the SIMD targets that
+NumPy's dispatch enabled there (`_blas_platform`), and a
 `roc` case checks its fpr, tpr and `tv_proxy` apart from its thresholds
 first (`ROC_RATES_GOLDEN`), so that a failure says whether the curve moved
 or only threshold bits did.  Within one platform every digest holds on a
@@ -456,8 +457,10 @@ PINNED_VERSION = (
 def _blas_platform() -> str:
     """The core and build config of the OpenBLAS that `rng` holds to one
     thread, as its own `scipy_openblas_get_corename64_` and
-    `scipy_openblas_get_config64_` report them; "unknown" for each that is
-    absent, as on another BLAS."""
+    `scipy_openblas_get_config64_` report them, and the SIMD targets of
+    NumPy's dispatch that this CPU enables (those of `__cpu_dispatch__` that
+    `__cpu_features__` marks; "none" if it enables none); "unknown" for each
+    that is absent, as on another BLAS or NumPy."""
     library = rng._openblas()
     names = []
     for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_config64_"):
@@ -469,7 +472,13 @@ def _blas_platform() -> str:
         query.argtypes = []
         query.restype = ctypes.c_char_p
         names.append(query().decode())
-    return f"OpenBLAS core {names[0]}, config {names[1]}"
+    try:
+        from numpy._core import _multiarray_umath as umath
+
+        simd = " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)) or "none"
+    except (ImportError, AttributeError):
+        simd = "unknown"
+    return f"OpenBLAS core {names[0]}, config {names[1]}, NumPy SIMD {simd}"
 
 
 def _assert_pinned(got, expected, what: str = "digests") -> None:
@@ -718,11 +727,18 @@ def test_one_draw_blocks_fixed_spike(monkeypatch):
 
 
 def test_a_digest_mismatch_names_the_blas_platform(monkeypatch):
+    from numpy._core import _multiarray_umath as umath
+
     with pytest.raises(AssertionError, match=re.escape(f"digests moved on {_blas_platform()}; ")):
         _assert_pinned("a", "b")
     assert _blas_platform().startswith("OpenBLAS core ")
+    enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
     monkeypatch.setattr(rng, "_openblas", lambda: None)  # another BLAS
-    assert _blas_platform() == "OpenBLAS core unknown, config unknown"
+    assert _blas_platform() == f"OpenBLAS core unknown, config unknown, NumPy SIMD {' '.join(enabled) or 'none'}"
+    monkeypatch.setattr(umath, "__cpu_features__", {})  # a CPU that enables no dispatch target
+    assert _blas_platform().endswith(", NumPy SIMD none")
+    monkeypatch.delattr(umath, "__cpu_dispatch__")  # a NumPy without the dispatch tables
+    assert _blas_platform().endswith(", NumPy SIMD unknown")
 
 
 def test_package_version_matches_pyproject():

@@ -15,6 +15,7 @@ from spikedtensor.errors import ParameterError
 from spikedtensor.moment import _haar_eta_chunks, _noise_part
 from spikedtensor.rng import (
     _BLOCK_CELLS,
+    _HELD_CELLS,
     _POOL_CELLS,
     _blas_threads_setter,
     _orthonormalize,
@@ -348,6 +349,31 @@ def test_map_streams_threads_only_large_steps():
     assert over_sizes == {1}
     assert caller not in over_idents
     assert np.array_equal(over, run(64, 1)[0])
+
+
+@pytest.mark.parametrize("lane_cells, bound", [(_HELD_CELLS - 1, 1), (_HELD_CELLS // 2 + 1, 1),
+                                               (_HELD_CELLS // 2, 2), (_HELD_CELLS // 3, 3)])
+def test_map_streams_holds_only_the_lanes_that_fit(lane_cells, bound):
+    # at most max(1, _HELD_CELLS // lane_cells) lanes are held at once: the
+    # 16 lanes' draws run on that many threads at most, and on the calling
+    # thread alone when one lane fills the budget, with the same bytes
+    seed = st.SeedSpec(17, 0)
+    caller = threading.get_ident()
+    idents = set()
+
+    def lane(gen):
+        return gen.standard_normal()
+
+    def draw(m, gen, held):
+        idents.add(threading.get_ident())
+        return gen.standard_normal(m) + held
+
+    expected = np.concatenate(map_streams(draw, 64, seed, 1, cells=1, lane=lane, lane_cells=lane_cells))
+    idents.clear()
+    got = np.concatenate(map_streams(draw, 64, seed, 3, cells=1, lane=lane, lane_cells=lane_cells))
+    assert got.tobytes() == expected.tobytes()
+    assert len(idents) <= bound
+    assert (idents == {caller}) == (bound == 1)
 
 
 def _scored_reference(total, seed, cells, draw, score):
